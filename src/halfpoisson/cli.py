@@ -65,7 +65,7 @@ def _write_metadata(outdir: Path, args, extra=None) -> None:
     doc = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "seed": args.seed,
-        "threads": _thread_count(args),
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
         "problem": str(args.problem) if args.problem else None,
     }
     if extra:
@@ -73,11 +73,9 @@ def _write_metadata(outdir: Path, args, extra=None) -> None:
     _write_json(outdir / "metadata.json", doc)
 
 
-def _thread_count(args) -> int:
-    if args.threads:
-        return args.threads
-    env = os.environ.get("HP_THREADS")
-    return int(env) if env else 0
+# BLAS thread settings take effect only if set before NumPy loads, so they
+# are recorded as found, never set here
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 _SVG_COLOURS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -220,8 +218,8 @@ def cmd_poisson_eval(args, outdir: Path) -> int:
     _write_csv(outdir / "poisson_eval.csv", ("mode", "x_n", "re", "im"), rows)
     # boundary reproduction at the evaluated point
     worst = 0.0
+    batch = poi.kernel_batch(problem, lam, tgrid.xi_modes)
     for k in range(problem.m):
-        batch = poi.kernel_batch(problem, lam, j, tgrid.xi_modes)
         # evaluate tr B_k of the kernel from the exact root basis
         tr = np.zeros(tgrid.n_modes, dtype=complex)
         for beta, bco in problem.boundary_ops[k].coeffs.items():
@@ -229,7 +227,7 @@ def cmd_poisson_eval(args, outdir: Path) -> int:
             for ax, e in enumerate(beta[:-1]):
                 if e:
                     tang = tang * tgrid.xi_modes[:, ax] ** e
-            tr += tang * np.einsum("ql,ql->q", batch.coeff,
+            tr += tang * np.einsum("ql,ql->q", batch.coeff[j],
                                    batch.taus ** beta[-1])
         target = 1.0 if k == j else 0.0
         worst = max(worst, float(np.abs(tr - target).max()))
@@ -397,10 +395,13 @@ def cmd_resolvent_test(args, outdir: Path) -> int:
     residuals, traces_ = [], []
     grids = [UniformHalfGrid(X=cfg.get("X", 12.0), N=cfg.get("N_z", 128) * (2 ** i))
              for i in range(3)]
+    data = []
     for ug in grids:
         f = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
         f[tgrid.mode_index(1.0)] = np.exp(-ug.x)
-        sol = res.halfspace_resolvent(problem, lam, f, tgrid, ug)
+        data.append((f, res.resolvent_source(problem, f, tgrid, ug)))
+    for ug, (f, src) in zip(grids, data):
+        sol = res.halfspace_resolvent(problem, lam, src, tgrid, ug)
         rres = res.interior_residual_fd(problem, lam, sol.u, f, tgrid, ug)
         tdef = max(
             float(np.abs(res.boundary_trace_fd(problem, sol.u, tgrid, ug, j)).max())
@@ -414,14 +415,13 @@ def cmd_resolvent_test(args, outdir: Path) -> int:
     # sectoriality shadow over three decades per ray
     srows = []
     ratios_per_ray = {}
-    ug = grids[0]
+    ug, (f, src) = grids[0], data[0]
+    f_norm = max(float(np.linalg.norm(f)), 1e-300)
     for ray in np.linspace(-0.6 * math.pi, 0.6 * math.pi, 5):
         for mod in np.logspace(1, 4, 7):
             lam_s = mod * cmath.exp(1j * ray)
-            f = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
-            f[tgrid.mode_index(1.0)] = np.exp(-ug.x)
-            sol = res.halfspace_resolvent(problem, lam_s, f, tgrid, ug)
-            nrm = float(np.linalg.norm(sol.u)) / max(float(np.linalg.norm(f)), 1e-300)
+            sol = res.halfspace_resolvent(problem, lam_s, src, tgrid, ug)
+            nrm = float(np.linalg.norm(sol.u)) / f_norm
             ratios_per_ray.setdefault(ray, []).append(mod * nrm)
             srows.append((ray, mod, mod * nrm))
     _write_csv(outdir / "resolvent_sectoriality.csv",
@@ -486,8 +486,8 @@ def cmd_parabolic_solve(args, outdir: Path) -> int:
         g.append(gj)
     sol = pb.parabolic_boundary_solve(problem, g, tg, tgrid, x_nodes)
     # single-mode oracle: one elliptic solve at lambda = sigma + i tau0
-    batch = poi.kernel_batch(problem, tg.sigma + 1j * tau0, 0, tgrid.xi_modes)
-    kern = batch.eval(x_nodes, 0)[q0]
+    batch = poi.kernel_batch(problem, tg.sigma + 1j * tau0, tgrid.xi_modes)
+    kern = batch.eval(x_nodes, 0)[0, q0]
     oracle = np.exp(1j * tau0 * tg.times)[:, None] * kern[None, :]
     dev = (float(np.abs(sol.values[:, q0, :] - oracle).max())
            / max(float(np.abs(oracle).max()), 1e-300))
@@ -594,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp_.add_argument("--out", default="out", help="output directory")
         sp_.add_argument("--plot", action="store_true", help="emit SVG plots")
         sp_.add_argument("--seed", type=int, default=0)
-        sp_.add_argument("--threads", type=int, default=0)
         if name == "rbound-sim":
             sp_.add_argument("--p", type=float, default=None)
     return parser
@@ -602,10 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    nthreads = _thread_count(args)
-    if nthreads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(nthreads))
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -263,12 +263,6 @@ def boundary_map_conditioning(problem, fp: FrequencyPoint) -> tuple[float, float
     return svals[-1] / scale, svals[0] / max(svals[-1], 1e-300)
 
 
-def _mrho(cs: CompanionSystem) -> np.ndarray:
-    """Per-column boundary-order scaling diag(rho^{-m_j}) applied to M."""
-    scal = np.array([cs.fp.rho ** (-bop.order) for bop in cs.problem.boundary_ops])
-    return cs.M * scal
-
-
 def propagate(cs: CompanionSystem, x_n: float, deriv_order: int = 0) -> np.ndarray:
     """``D_{x_n}^k e^{i rho A0 x_n} M_rho`` as a 2m x m matrix.
 

@@ -100,12 +100,13 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, tgrid_t: TimeGrid,
     ghat = [np.fft.fft(gj, axis=0) / tgrid_t.N_t for gj in g]
     out_hat = np.zeros((tgrid_t.N_t, tgrid.n_modes, len(x_nodes)), dtype=complex)
     for k, tau in enumerate(tgrid_t.taus):
+        active = [j for j in range(m) if np.any(ghat[j][k])]
+        if not active:
+            continue
         lam = tgrid_t.sigma + 1j * tau
-        for j in range(m):
-            if not np.any(ghat[j][k]):
-                continue
-            batch = kernel_batch(problem, lam, j, tgrid.xi_modes)
-            out_hat[k] += batch.eval(x_nodes, 0) * ghat[j][k][:, None]
+        kernels = kernel_batch(problem, lam, tgrid.xi_modes).eval(x_nodes, 0)
+        for j in active:
+            out_hat[k] += kernels[j] * ghat[j][k][:, None]
     values = np.fft.ifft(out_hat, axis=0) * tgrid_t.N_t
     return ParabolicSolution(values=values, freq_data=out_hat, tgrid_t=tgrid_t)
 

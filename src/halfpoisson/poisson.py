@@ -127,31 +127,35 @@ def predicted_singularity_exponent(t: float, s: float) -> float:
 class KernelBatch:
     """Stable roots and root-basis coefficients for a batch of modes.
 
-    For each mode q the kernel of ``pr_1 Poi_j(lambda)`` and its normal
-    derivatives are ``D^k u(q, x) = sum_l c[q, l] tau[q, l]^k e^{i tau[q,l] x}``.
+    For each boundary index j and mode q the kernel of ``pr_1 Poi_j(lambda)``
+    and its normal derivatives are
+    ``D^k u(j, q, x) = sum_l c[j, q, l] tau[q, l]^k e^{i tau[q,l] x}``.
+    The roots do not depend on j, so one batch serves every boundary index.
     ``fallback`` marks modes where the root basis is unreliable and the
     per-node Schur route must be used instead.
     """
 
     problem: ModelProblem
     lam: complex
-    j: int
     taus: np.ndarray       # (N, m) stable roots
-    coeff: np.ndarray      # (N, m) root-basis coefficients for unit datum
+    coeff: np.ndarray      # (m, N, m) root-basis coefficients for unit datum j
     fallback: np.ndarray   # (N,) bool
 
     def eval(self, x: np.ndarray, deriv_order: int = 0) -> np.ndarray:
-        """Kernel values, shape (N, len(x))."""
+        """Kernel values for every boundary index, shape (m, N, len(x))."""
         x = np.asarray(x, dtype=float)
         E = np.exp(1j * self.taus[:, :, None] * x[None, None, :])
-        weights = self.coeff * self.taus ** deriv_order
-        out = np.einsum("ql,qlz->qz", weights, E)
+        powers = self.taus ** deriv_order
+        out = np.empty(self.coeff.shape[:2] + x.shape, dtype=complex)
+        for c, o in zip(self.coeff, out):
+            np.einsum("ql,qlz->qz", c * powers, E, out=o)
         if np.any(self.fallback):
             xi_modes = self._xi_modes
             for q in np.nonzero(self.fallback)[0]:
                 fp = comp.make_frequency_point(xi_modes[q], self.lam, self.problem.m)
                 cs = comp.build_companion(self.problem, fp)
-                out[q] = [comp.propagate(cs, xv, deriv_order)[0, self.j] for xv in x]
+                for i, xv in enumerate(x):
+                    out[:, q, i] = comp.propagate(cs, xv, deriv_order)[0, :]
         return out
 
     _xi_modes: np.ndarray = field(default=None, repr=False)
@@ -188,9 +192,11 @@ def _boundary_map_batch(problem: ModelProblem, xi_modes: np.ndarray,
     return L
 
 
-def kernel_batch(problem: ModelProblem, lam: complex, j: int,
-                 xi_modes: np.ndarray, degeneracy_tol: float = 1e-8) -> KernelBatch:
-    """Root-basis kernel data for every mode, with Schur fallback marking."""
+def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
+                 degeneracy_tol: float = 1e-8) -> KernelBatch:
+    """Root-basis kernel data for every mode and boundary index, with Schur
+    fallback marking.  One solve against the identity gives the coefficients
+    of all m unit data from one factorization of the boundary map."""
     lam = complex(lam)
     xi_modes = np.atleast_2d(np.asarray(xi_modes, dtype=float))
     N = xi_modes.shape[0]
@@ -222,19 +228,18 @@ def kernel_batch(problem: ModelProblem, lam: complex, j: int,
         near_degenerate = np.zeros(N, dtype=bool)
 
     L = _boundary_map_batch(problem, xi_modes, taus)
-    rhs = np.zeros((N, m), dtype=complex)
-    rhs[:, j] = 1.0
     # conditioning test on the row-equilibrated map (boundary orders differ)
     row_scale = np.abs(L).max(axis=2) + 1e-300
     svals = np.linalg.svd(L / row_scale[:, :, None], compute_uv=False)
     ill = svals[:, -1] <= 1e-10 * svals[:, 0]
     fallback = near_degenerate | ill
-    coeff = np.zeros((N, m), dtype=complex)
+    coeff = np.zeros((N, m, m), dtype=complex)   # (mode, root, datum)
     good = ~fallback
     if np.any(good):
-        coeff[good] = np.linalg.solve(L[good], rhs[good][:, :, None])[:, :, 0]
-    batch = KernelBatch(problem=problem, lam=lam, j=j, taus=taus,
-                        coeff=coeff, fallback=fallback)
+        coeff[good] = np.linalg.solve(L[good], np.eye(m, dtype=complex))
+    batch = KernelBatch(problem=problem, lam=lam, taus=taus,
+                        coeff=np.ascontiguousarray(coeff.transpose(2, 0, 1)),
+                        fallback=fallback)
     batch._xi_modes = xi_modes
     return batch
 
@@ -252,8 +257,8 @@ def poisson_apply(problem: ModelProblem, lam: complex, j: int,
     tg = grid.tangential
     if g.shape[0] != tg.n_modes:
         raise ValueError(f"g_hat has {g.shape[0]} modes, grid has {tg.n_modes}")
-    batch = kernel_batch(problem, lam, j, tg.xi_modes)
-    vals = batch.eval(grid.normal.x, deriv_order) * g[:, None]
+    batch = kernel_batch(problem, lam, tg.xi_modes)
+    vals = batch.eval(grid.normal.x, deriv_order)[j] * g[:, None]
     if output_layout == "space":
         shaped = vals.reshape(*((tg.N,) * tg.n_axes), -1)
         space = np.fft.ifftn(shaped, axes=tuple(range(tg.n_axes))) * tg.n_modes
@@ -329,9 +334,9 @@ def decay_sweep(problem: ModelProblem, j: int, q: ExponentQuery,
         flags = np.zeros(len(mods), dtype=bool)
         for i, mod in enumerate(mods):
             lam = mod * cmath.exp(1j * ray)
-            batch = kernel_batch(problem, lam, j, tgrid.xi_modes)
+            batch = kernel_batch(problem, lam, tgrid.xi_modes)
             profiles = np.stack([
-                batch.eval(xgrid.x, l) * g[:, None] for l in range(q.k + 1)
+                batch.eval(xgrid.x, l)[j] * g[:, None] for l in range(q.k + 1)
             ])
             val = sobolev_mixed_norm(profiles, q.p, q.r, tangential_spec,
                                      tgrid, xgrid)
@@ -358,8 +363,8 @@ def singularity_sweep(problem: ModelProblem, j: int, lam: complex,
     """
     g = np.asarray(g_hat).reshape(-1)
     x_range = np.asarray(x_range, dtype=float)
-    batch = kernel_batch(problem, lam, j, tgrid.xi_modes)
-    vals = batch.eval(x_range, 0) * g[:, None]
+    batch = kernel_batch(problem, lam, tgrid.xi_modes)
+    vals = batch.eval(x_range, 0)[j] * g[:, None]
     mult = np.asarray((1.0 + tgrid.xi_sq) ** (t / 2.0)).reshape(-1)
     norms = np.sqrt(np.sum((mult[:, None] * np.abs(vals)) ** 2, axis=0)
                     * tgrid.L ** tgrid.n_axes)
@@ -417,11 +422,11 @@ def volevich_apply(problem: ModelProblem, lam: complex, j: int,
         Bu += tang[:, None] * u_derivs[beta[-1]]
         DBu += tang[:, None] * u_derivs[beta[-1] + 1]
 
-    batch = kernel_batch(problem, lam, j, xi_modes)
+    batch = kernel_batch(problem, lam, xi_modes)
     x_nodes = np.asarray(x_nodes, dtype=float)
     w = ygrid.quad_weights(0.0)
     out = np.zeros((N, len(x_nodes)), dtype=complex)
-    taus, coeff = batch.taus, batch.coeff
+    taus, coeff = batch.taus, batch.coeff[j]
     y = ygrid.x
     # tail check: the integrand must have decayed by y_max
     rho_scale = np.abs(taus.imag).min()

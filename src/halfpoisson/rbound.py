@@ -165,8 +165,8 @@ def dirichlet_nonrbound_experiment(
     scale = {l: abs(lam[l]) ** ((1.0 + r) / (2.0 * p)) for l in lam}
     images = {}
     for l in range(1, max_N + 1):
-        batch = kernel_batch(problem, lam[l], 0, tgrid.xi_modes)
-        images[l] = scale[l] * batch.eval(xgrid.x, 0) * g[:, None]
+        batch = kernel_batch(problem, lam[l], tgrid.xi_modes)
+        images[l] = scale[l] * batch.eval(xgrid.x, 0)[0] * g[:, None]
 
     for N in N_list:
         ops = [(lambda x, _l=l: images[_l]) for l in range(1, N + 1)]

@@ -18,9 +18,19 @@ Seeley/Hestenes extension ``u(-x) = sum_k c_k u(x/k) * cutoff(x)`` whose
 coefficients match derivatives up to order K-1 across 0 (Vandermonde system
 ``sum_k c_k (-1/k)^l = 1``).
 
+Work is split by its dependence on lambda.  :func:`resolvent_source` builds
+once per datum ``f`` and grid pair what no lambda changes: the Seeley
+extension of ``f`` and its FFT, the full symbol A(xi', xi_n), the weight
+(1 + |xi'|^2 + xi_n^2)^m of the conditioning test, and the tangential factors
+of the boundary operators.  Each lambda then costs only
+:func:`halfspace_resolvent`: the multiplier ``(lambda - A)^{-1}`` with its
+ill-conditioning check, one inverse FFT, the boundary traces, and the Poisson
+correction from one kernel batch that serves all m boundary indices.
+
 The semigroup uses trapezoid quadrature of ``(2 pi i)^{-1} \\oint e^{z t}
 R(z + sigma) dz`` over a left-opening hyperbola; resolvents are only ever
-evaluated at ``z + sigma``, which stays inside the verified sector.
+evaluated at ``z + sigma``, which stays inside the verified sector.  One
+source serves all contour nodes of a :func:`semigroup_apply` call.
 """
 
 from __future__ import annotations
@@ -40,7 +50,10 @@ from .poisson import kernel_batch
 __all__ = [
     "ExtensionOperator",
     "seeley_extend",
+    "multiplier_data",
     "whole_space_resolvent",
+    "ResolventSource",
+    "resolvent_source",
     "halfspace_resolvent",
     "ResolventResult",
     "interior_residual_fd",
@@ -101,32 +114,73 @@ def seeley_extend(profile: np.ndarray, ext: ExtensionOperator,
     return np.concatenate([profile.astype(complex), acc], axis=-1)
 
 
-def _full_symbol(problem: mdl.ModelProblem, tgrid: TangentialGrid,
-                 xi_normal: np.ndarray) -> np.ndarray:
-    """A(xi', xi_n) over modes x normal frequencies."""
+def multiplier_data(problem: mdl.ModelProblem, tgrid: TangentialGrid,
+                    xi_normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol A(xi', xi_n) and the weight (1 + |xi'|^2 + xi_n^2)^m.
+
+    Both live on modes x normal frequencies; the weight scales the
+    ill-conditioning test of :func:`whole_space_resolvent`.
+    """
+    xi_normal = np.asarray(xi_normal)
     xi_modes = tgrid.xi_modes
     Nq = xi_modes.shape[0]
-    out = np.zeros((Nq, len(xi_normal)), dtype=complex)
+    symbol = np.zeros((Nq, len(xi_normal)), dtype=complex)
     for alpha, a in problem.interior_coeffs.items():
         tang = np.full(Nq, a, dtype=complex)
         for ax, e in enumerate(alpha[:-1]):
             if e:
                 tang = tang * xi_modes[:, ax] ** e
-        out += tang[:, None] * xi_normal[None, :] ** alpha[-1]
-    return out
+        symbol += tang[:, None] * xi_normal[None, :] ** alpha[-1]
+    weight = (1.0 + tgrid.xi_sq.reshape(-1, 1) + xi_normal[None, :] ** 2) ** problem.m
+    return symbol, weight
 
 
-def whole_space_resolvent(problem: mdl.ModelProblem, lam: complex,
-                          f_hat: np.ndarray, tgrid: TangentialGrid,
-                          xi_normal: np.ndarray) -> np.ndarray:
+def whole_space_resolvent(lam: complex, f_hat: np.ndarray, symbol: np.ndarray,
+                          weight: np.ndarray) -> np.ndarray:
     """(lambda - A(D))^{-1} as the diagonal multiplier on 2-D frequency data."""
     lam = complex(lam)
-    denom = lam - _full_symbol(problem, tgrid, xi_normal)
-    scale = abs(lam) + (1.0 + tgrid.xi_sq.reshape(-1, 1)
-                        + np.asarray(xi_normal)[None, :] ** 2) ** problem.m
-    if np.any(np.abs(denom) < 1e-14 * scale):
+    denom = lam - symbol
+    if np.any(np.abs(denom) < 1e-14 * (abs(lam) + weight)):
         raise ValueError(f"resolvent multiplier ill conditioned at lambda={lam}")
     return np.asarray(f_hat) / denom
+
+
+@dataclass(frozen=True)
+class ResolventSource:
+    """The lambda-independent part of R(lambda) f for one f on one grid pair."""
+
+    F: np.ndarray            # modes x 2N, FFT of the Seeley extension of f
+    symbol: np.ndarray       # modes x 2N, A(xi', xi_n)
+    weight: np.ndarray       # modes x 2N, (1 + |xi'|^2 + xi_n^2)^m
+    boundary_terms: tuple    # per B_j: ((normal order l, tangential factor), ...)
+
+
+def resolvent_source(problem: mdl.ModelProblem, f: np.ndarray,
+                     tgrid: TangentialGrid, ugrid: UniformHalfGrid,
+                     ext: ExtensionOperator | None = None) -> ResolventSource:
+    """Everything in R(lambda) f that does not depend on lambda.
+
+    ``f`` holds tangential-frequency data on modes x uniform normal nodes.
+    """
+    if ext is None:
+        ext = ExtensionOperator.for_problem(problem)
+    f = np.asarray(f, dtype=complex).reshape(-1, ugrid.N)
+    F = np.fft.fft(seeley_extend(f, ext, ugrid), axis=-1)
+    symbol, weight = multiplier_data(problem, tgrid, ugrid.xi_normal)
+    xi_modes = tgrid.xi_modes
+    Nq = xi_modes.shape[0]
+    terms = []
+    for bop in problem.boundary_ops:
+        row = []
+        for beta, bcoef in bop.coeffs.items():
+            tang = np.full(Nq, bcoef, dtype=complex)
+            for ax, e in enumerate(beta[:-1]):
+                if e:
+                    tang = tang * xi_modes[:, ax] ** e
+            row.append((beta[-1], tang))
+        terms.append(tuple(row))
+    return ResolventSource(F=F, symbol=symbol, weight=weight,
+                           boundary_terms=tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -146,42 +200,29 @@ def _normal_derivative_traces(W: np.ndarray, xi_normal: np.ndarray,
     }
 
 
-def halfspace_resolvent(problem: mdl.ModelProblem, lam: complex, f: np.ndarray,
-                        tgrid: TangentialGrid, ugrid: UniformHalfGrid,
-                        ext: ExtensionOperator | None = None) -> ResolventResult:
-    """R(lambda) f on the half-space grid.
-
-    ``f`` holds tangential-frequency data on modes x uniform normal nodes.
-    """
+def halfspace_resolvent(problem: mdl.ModelProblem, lam: complex,
+                        src: ResolventSource, tgrid: TangentialGrid,
+                        ugrid: UniformHalfGrid) -> ResolventResult:
+    """R(lambda) f on the half-space grid, from the source of f."""
     lam = complex(lam)
-    if ext is None:
-        ext = ExtensionOperator.for_problem(problem)
-    f = np.asarray(f, dtype=complex).reshape(-1, ugrid.N)
-    f_ext = seeley_extend(f, ext, ugrid)
-    F = np.fft.fft(f_ext, axis=-1)
-    W = whole_space_resolvent(problem, lam, F, tgrid, ugrid.xi_normal)
+    if src.F.shape != (tgrid.n_modes, 2 * ugrid.N):
+        raise ValueError("resolvent source was built on other grids")
+    W = whole_space_resolvent(lam, src.F, src.symbol, src.weight)
     w_ext = np.fft.ifft(W, axis=-1)
     w = w_ext[:, : ugrid.N]
 
-    orders_needed = sorted({beta[-1] for bop in problem.boundary_ops
-                            for beta in bop.coeffs})
+    orders_needed = sorted({l for row in src.boundary_terms for l, _ in row})
     dtr = _normal_derivative_traces(W, ugrid.xi_normal, orders_needed)
-    xi_modes = tgrid.xi_modes
-    Nq = xi_modes.shape[0]
     m = problem.m
-    traces = np.zeros((m, Nq), dtype=complex)
-    for j, bop in enumerate(problem.boundary_ops):
-        for beta, bcoef in bop.coeffs.items():
-            tang = np.full(Nq, bcoef, dtype=complex)
-            for ax, e in enumerate(beta[:-1]):
-                if e:
-                    tang = tang * xi_modes[:, ax] ** e
-            traces[j] += tang * dtr[beta[-1]]
+    traces = np.zeros((m, tgrid.n_modes), dtype=complex)
+    for j, row in enumerate(src.boundary_terms):
+        for l, tang in row:
+            traces[j] += tang * dtr[l]
 
+    kernels = kernel_batch(problem, lam, tgrid.xi_modes).eval(ugrid.x, 0)
     u = w.copy()
     for j in range(m):
-        batch = kernel_batch(problem, lam, j, xi_modes)
-        u -= batch.eval(ugrid.x, 0) * traces[j][:, None]
+        u -= kernels[j] * traces[j][:, None]
     return ResolventResult(u=u, w=w, traces=traces)
 
 
@@ -323,10 +364,11 @@ def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
     thetas = np.linspace(theta_max, -theta_max, N_c)
     h = thetas[1] - thetas[0]
     u0 = np.asarray(u0, dtype=complex).reshape(-1, ugrid.N)
+    src = resolvent_source(problem, u0, tgrid, ugrid, ext)
     acc = np.zeros_like(u0)
     for th in thetas:
         z = mu * (1.0 - cmath.sin(contour.alpha + 1j * th))
         dz = -1j * mu * cmath.cos(contour.alpha + 1j * th)
-        res = halfspace_resolvent(problem, z + sigma, u0, tgrid, ugrid, ext)
+        res = halfspace_resolvent(problem, z + sigma, src, tgrid, ugrid)
         acc += (cmath.exp(z * t) * dz) * res.u
     return math.exp(sigma * t) * (h / (2.0j * math.pi)) * acc

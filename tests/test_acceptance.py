@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 import halfpoisson as hp
 from halfpoisson import model as mdl
@@ -47,8 +48,8 @@ def test_criterion_1_closed_form_kernels():
         for _ in range(50):
             xi, lam_s, x = _random_sector_triples(rng, 10)
             lam = complex(lam_s[0])
-            batch = poi.kernel_batch(problem, lam, 0, xi[:, None])
-            got = np.diagonal(batch.eval(x, 0))
+            batch = poi.kernel_batch(problem, lam, xi[:, None])
+            got = np.diagonal(batch.eval(x, 0)[0])
             kap = np.sqrt(lam + xi ** 2 + 0j)
             kap = np.where(kap.real > 0, kap, -kap)
             want = oracle(kap, x)
@@ -61,13 +62,14 @@ def test_criterion_1_closed_form_kernels():
 
 
 def _boundary_trace_of_kernel(problem, batch, xi_modes, k):
-    tr = np.zeros(batch.taus.shape[0], dtype=complex)
+    """tr B_k of every kernel of the batch, shape (m, modes)."""
+    tr = np.zeros((problem.m, batch.taus.shape[0]), dtype=complex)
     for beta, bco in problem.boundary_ops[k].coeffs.items():
         tang = np.full(batch.taus.shape[0], bco, dtype=complex)
         for ax, e in enumerate(beta[:-1]):
             if e:
                 tang = tang * xi_modes[:, ax] ** e
-        tr += tang * batch.eval(np.array([0.0]), beta[-1])[:, 0]
+        tr += tang * batch.eval(np.array([0.0]), beta[-1])[:, :, 0]
     return tr
 
 
@@ -79,13 +81,13 @@ def test_criterion_2_boundary_reproduction():
                                           n_rays=5, n_moduli=12)
         tgrid = TangentialGrid(n_axes=problem.n - 1, N=16, L=2.0 * math.pi)
         for lam in sample.points():
-            for j in range(problem.m):
-                batch = poi.kernel_batch(problem, lam, j, tgrid.xi_modes)
-                for k in range(problem.m):
-                    tr = _boundary_trace_of_kernel(problem, batch,
-                                                   tgrid.xi_modes, k)
+            batch = poi.kernel_batch(problem, lam, tgrid.xi_modes)
+            for k in range(problem.m):
+                tr = _boundary_trace_of_kernel(problem, batch,
+                                               tgrid.xi_modes, k)
+                for j in range(problem.m):
                     target = 1.0 if k == j else 0.0
-                    worst = max(worst, float(np.abs(tr - target).max()))
+                    worst = max(worst, float(np.abs(tr[j] - target).max()))
     ok = worst <= 1e-8
     _report(2, "boundary reproduction tr B_k Poi_j = delta_kj",
             ok, f"worst defect {worst:.2e}")
@@ -174,7 +176,8 @@ def test_criterion_5_halfspace_resolvent():
         ug = UniformHalfGrid(X=12.0, N=N)
         f = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
         f[tgrid.mode_index(1.0)] = np.exp(-ug.x)
-        sol = res.halfspace_resolvent(problem, lam, f, tgrid, ug)
+        src = res.resolvent_source(problem, f, tgrid, ug)
+        sol = res.halfspace_resolvent(problem, lam, src, tgrid, ug)
         residuals.append(res.interior_residual_fd(problem, lam, sol.u, f,
                                                   tgrid, ug))
         traces.append(float(np.abs(
@@ -183,14 +186,15 @@ def test_criterion_5_halfspace_resolvent():
     # sectoriality: |lambda| ||R(lambda) f|| / ||f|| stays within 2x of its
     # per-ray median across three modulus decades
     ug = UniformHalfGrid(X=12.0, N=128)
+    f = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
+    f[tgrid.mode_index(1.0)] = np.exp(-ug.x)
+    src = res.resolvent_source(problem, f, tgrid, ug)
     spread_ok = True
     for ray in np.linspace(-0.6 * math.pi, 0.6 * math.pi, 5):
         vals = []
         for mod in np.logspace(1, 4, 7):
             lam_s = mod * cmath.exp(1j * ray)
-            f = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
-            f[tgrid.mode_index(1.0)] = np.exp(-ug.x)
-            sol = res.halfspace_resolvent(problem, lam_s, f, tgrid, ug)
+            sol = res.halfspace_resolvent(problem, lam_s, src, tgrid, ug)
             vals.append(mod * float(np.linalg.norm(sol.u))
                         / float(np.linalg.norm(f)))
         med = float(np.median(vals))
@@ -286,9 +290,9 @@ def test_criterion_9_parabolic_solvers():
     g = [np.zeros((tg.N_t, tgrid.n_modes), dtype=complex)]
     g[0][:, q0] = np.exp(1j * tau0 * tg.times)
     sol = pb.parabolic_boundary_solve(problem, g, tg, tgrid, x_nodes)
-    batch = poi.kernel_batch(problem, tg.sigma + 1j * tau0, 0, tgrid.xi_modes)
+    batch = poi.kernel_batch(problem, tg.sigma + 1j * tau0, tgrid.xi_modes)
     oracle = (np.exp(1j * tau0 * tg.times)[:, None]
-              * batch.eval(x_nodes, 0)[q0][None, :])
+              * batch.eval(x_nodes, 0)[0, q0][None, :])
     mode_dev = (float(np.abs(sol.values[:, q0, :] - oracle).max())
                 / float(np.abs(oracle).max()))
     # initial-boundary value problem: splitting self-consistency at the wall
@@ -322,7 +326,7 @@ def test_criterion_9_parabolic_solvers():
         return np.exp(-z ** 2 / (4 * t_eval)) / math.sqrt(4 * math.pi * t_eval)
 
     oracle_iv = np.array([
-        np.trapezoid((G(x - y) - G(x + y)) * w0, y) for x in ug.x
+        trapezoid((G(x - y) - G(x + y)) * w0, y) for x in ug.x
     ]) * math.exp(-t_eval)
     images_dev = (float(np.abs(iv.values[0, q0] - oracle_iv).max())
                   / float(np.abs(oracle_iv).max()))

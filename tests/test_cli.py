@@ -40,6 +40,21 @@ class TestInfrastructure:
         assert meta["command"] == "check-ls"
         assert "timestamp" in meta
 
+    def test_metadata_records_thread_env_as_found(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "out"
+        assert run(["check-ls", "--out", out]) == cli.EXIT_OK
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["thread_env"] == {"OMP_NUM_THREADS": None,
+                                      "OPENBLAS_NUM_THREADS": "3",
+                                      "MKL_NUM_THREADS": None}
+        assert "threads" not in meta
+        # the flag that set them too late to matter is gone
+        with pytest.raises(SystemExit):
+            run(["check-ls", "--out", out, "--threads", "2"])
+
     def test_bundled_problem_by_name(self, tmp_path):
         code = run(["check-ls", "--problem", "neumann_laplacian",
                     "--out", tmp_path / "out"])

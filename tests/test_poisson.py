@@ -52,30 +52,30 @@ class TestKernelBatch:
         p = hp.dirichlet_laplacian()
         lam = 25.0 * cmath.exp(0.4j)
         xi = np.array([[0.0], [1.0], [-3.0]])
-        batch = poi.kernel_batch(p, lam, 0, xi)
+        batch = poi.kernel_batch(p, lam, xi)
         xs = np.array([0.0, 0.2, 1.0])
         kappa = np.sqrt(lam + xi[:, 0] ** 2 + 0j)
         exact = np.exp(-kappa[:, None] * xs[None, :])
-        assert np.abs(batch.eval(xs, 0) - exact).max() < 1e-12
+        assert np.abs(batch.eval(xs, 0)[0] - exact).max() < 1e-12
 
     def test_derivative_order(self):
         p = hp.dirichlet_laplacian()
         lam = 9.0 + 1.0j
         xi = np.array([[2.0]])
-        batch = poi.kernel_batch(p, lam, 0, xi)
+        batch = poi.kernel_batch(p, lam, xi)
         xs = np.array([0.5])
         kappa = cmath.sqrt(lam + 4.0)
         # D_n e^{-kappa x} = (i kappa) e^{-kappa x}
         exact = (1j * kappa) * cmath.exp(-kappa * 0.5)
-        assert batch.eval(xs, 1)[0, 0] == pytest.approx(exact, rel=1e-12)
+        assert batch.eval(xs, 1)[0, 0, 0] == pytest.approx(exact, rel=1e-12)
 
     def test_fallback_route_matches_fast_route(self):
         p = hp.clamped_bilaplacian()
         lam = 16.0 * cmath.exp(0.3j)
         xi = np.array([[0.7], [2.0]])
-        fast = poi.kernel_batch(p, lam, 0, xi)
+        fast = poi.kernel_batch(p, lam, xi)
         assert not fast.fallback.any()
-        forced = poi.kernel_batch(p, lam, 0, xi, degeneracy_tol=1e6)
+        forced = poi.kernel_batch(p, lam, xi, degeneracy_tol=1e6)
         assert forced.fallback.all()
         xs = np.array([0.0, 0.4, 1.5])
         a, b = fast.eval(xs, 0), forced.eval(xs, 0)
@@ -86,18 +86,23 @@ class TestKernelBatch:
         p = hp.clamped_bilaplacian()
         lam = 7.0 + 2.0j
         xi = np.array([[0.5], [1.5]])
-        batch = poi.kernel_batch(p, lam, 1, xi)
-        at0 = batch.eval(np.array([0.0]), 0)[:, 0]
-        d_at0 = batch.eval(np.array([0.0]), 1)[:, 0]
+        batch = poi.kernel_batch(p, lam, xi)
+        at0 = batch.eval(np.array([0.0]), 0)[1, :, 0]
+        d_at0 = batch.eval(np.array([0.0]), 1)[1, :, 0]
         assert np.abs(at0).max() < 1e-12
         assert np.abs(d_at0 - 1.0).max() < 1e-12
+        # the whole matrix from the one batch: B_k = D_n^k at x_n = 0, so
+        # tr B_k K_j is the k-th derivative trace of kernel j
+        traces = np.stack([batch.eval(np.array([0.0]), k)[:, :, 0]
+                           for k in range(p.m)])          # (k, j, modes)
+        assert np.abs(traces - np.eye(p.m)[:, :, None]).max() < 1e-12
 
     def test_lambda_outside_sector_raises(self):
         p = hp.dirichlet_laplacian()
         # lambda on the negative real axis hits the symbol range: stable/
         # anti-stable splitting degenerates
         with pytest.raises(Exception):
-            poi.kernel_batch(p, -4.0 + 0j, 0, np.array([[0.0]]))
+            poi.kernel_batch(p, -4.0 + 0j, np.array([[0.0]]))
 
 
 class TestPoissonApply:
@@ -187,11 +192,11 @@ class TestVolevich:
         g = np.zeros(tg.n_modes, dtype=complex)
         g[tg.mode_index(1.0)] = 1.0
         g[tg.mode_index(-2.0)] = 0.5 - 0.25j
-        batch = poi.kernel_batch(p, lam, 0, tg.xi_modes)
-        derivs = np.stack([batch.eval(yg.x, l) * g[:, None] for l in range(3)])
+        batch = poi.kernel_batch(p, lam, tg.xi_modes)
+        derivs = np.stack([batch.eval(yg.x, l)[0] * g[:, None] for l in range(3)])
         x_nodes = np.array([0.0, 0.3, 1.0])
         got = poi.volevich_apply(p, lam, 0, derivs, tg, yg, x_nodes)
-        expected = batch.eval(x_nodes, 0) * g[:, None]
+        expected = batch.eval(x_nodes, 0)[0] * g[:, None]
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() / scale < 1e-6
 
@@ -202,8 +207,8 @@ class TestVolevich:
         yg = HalfLineGrid(x_min=1e-6, ratio=1.1, n_points=300)
         g = np.zeros(tg.n_modes, dtype=complex)
         g[tg.mode_index(1.0)] = 1.0
-        batch = poi.kernel_batch(p, lam, 0, tg.xi_modes)
-        derivs = np.stack([batch.eval(yg.x, l) * g[:, None] for l in range(3)])
+        batch = poi.kernel_batch(p, lam, tg.xi_modes)
+        derivs = np.stack([batch.eval(yg.x, l)[0] * g[:, None] for l in range(3)])
         x_nodes = np.array([0.5])
         base = poi.volevich_apply(p, lam, 0, derivs, tg, yg, x_nodes, theta=0)
         powd = poi.volevich_apply(p, lam, 0, derivs, tg, yg, x_nodes, theta=2)

@@ -3,12 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import halfpoisson as hp
 from halfpoisson import resolvent as res
 from halfpoisson.grids import TangentialGrid, UniformHalfGrid
 
 TG = TangentialGrid(n_axes=1, N=8, L=2 * math.pi)
+
+
+def _grid_and_mode(n):
+    """Tangential grid of the n-dimensional half-space and the flat index of
+    the mode xi' = 1 (n = 2) or xi' = (1, 2) (n = 3), with its |xi'|^2."""
+    tg = TangentialGrid(n_axes=n - 1, N=8, L=2 * math.pi)
+    q = int(np.argmin(np.abs(tg.xi_modes - [1.0, 2.0][: n - 1]).sum(axis=1)))
+    return tg, q, float(tg.xi_modes[q] @ tg.xi_modes[q])
+
+
+def _solve(p, lam, f, tg, ug):
+    return res.halfspace_resolvent(p, lam, res.resolvent_source(p, f, tg, ug), tg, ug)
 
 
 class TestExtensionOperator:
@@ -62,7 +75,7 @@ class TestWholeSpaceResolvent:
         q = TG.mode_index(1.0)
         f[q] = 1.0
         lam = 4.0 + 2.0j
-        W = res.whole_space_resolvent(p, lam, f, TG, xi_n)
+        W = res.whole_space_resolvent(lam, f, *res.multiplier_data(p, TG, xi_n))
         expected = 1.0 / (lam + 1.0 + xi_n ** 2)
         assert np.allclose(W[q], expected)
 
@@ -72,36 +85,44 @@ class TestWholeSpaceResolvent:
         f = np.ones((TG.n_modes, 2), dtype=complex)
         # lambda = -1 makes lambda - A vanish at xi = (0, 1)
         with pytest.raises(ValueError, match="ill conditioned"):
-            res.whole_space_resolvent(p, -1.0 + 0j, f, TG, xi_n)
+            res.whole_space_resolvent(-1.0 + 0j, f, *res.multiplier_data(p, TG, xi_n))
 
 
 class TestHalfSpaceResolvent:
-    def test_dirichlet_closed_form_oracle(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dirichlet_closed_form_oracle(self, n):
         # [DERIVED] -u'' + (lam + xi^2) u = e^{-x}, u(0) = 0:
         # u = (e^{-x} - e^{-kappa x}) / (lam + xi^2 - 1), kappa = sqrt(lam+xi^2)
-        p = hp.dirichlet_laplacian()
+        p = hp.dirichlet_laplacian(n)
+        tg, q, xi_sq = _grid_and_mode(n)
         lam = 4.0 + 2.0j
         ug = UniformHalfGrid(X=30.0, N=2048)
-        f = np.zeros((TG.n_modes, ug.N), dtype=complex)
-        q = TG.mode_index(1.0)
+        f = np.zeros((tg.n_modes, ug.N), dtype=complex)
         f[q] = np.exp(-ug.x)
-        sol = res.halfspace_resolvent(p, lam, f, TG, ug)
-        kap = cmath.sqrt(lam + 1.0)
-        exact = (np.exp(-ug.x) - np.exp(-kap * ug.x)) / (lam + 1.0 - 1.0)
+        sol = _solve(p, lam, f, tg, ug)
+        kap = cmath.sqrt(lam + xi_sq)
+        exact = (np.exp(-ug.x) - np.exp(-kap * ug.x)) / (lam + xi_sq - 1.0)
         err = np.abs(sol.u[q] - exact).max() / np.abs(exact).max()
         assert err < 1e-6
         # frozen point check at the node closest to x = 1.3
         i = int(np.argmin(np.abs(ug.x - 1.3)))
         xv = ug.x[i]
-        frozen = (cmath.exp(-xv) - cmath.exp(-kap * xv)) / (lam + 1.0 - 1.0)
+        frozen = (cmath.exp(-xv) - cmath.exp(-kap * xv)) / (lam + xi_sq - 1.0)
         assert sol.u[q, i] == pytest.approx(frozen, rel=1e-5)
+
+    def test_source_from_other_grid_rejected(self):
+        p = hp.dirichlet_laplacian()
+        ug = UniformHalfGrid(X=12.0, N=128)
+        src = res.resolvent_source(p, np.zeros((TG.n_modes, ug.N)), TG, ug)
+        with pytest.raises(ValueError, match="other grids"):
+            res.halfspace_resolvent(p, 4.0 + 2.0j, src, TG, ug.refined())
 
     def test_boundary_conditions_removed(self):
         p = hp.clamped_bilaplacian()
         ug = UniformHalfGrid(X=30.0, N=1024)
         f = np.zeros((TG.n_modes, ug.N), dtype=complex)
         f[TG.mode_index(1.0)] = np.exp(-ug.x)
-        sol = res.halfspace_resolvent(p, 5.0 + 1.0j, f, TG, ug)
+        sol = _solve(p, 5.0 + 1.0j, f, TG, ug)
         for j in range(p.m):
             tr = res.boundary_trace_fd(p, sol.u, TG, ug, j)
             assert np.abs(tr).max() < 1e-6
@@ -114,7 +135,7 @@ class TestHalfSpaceResolvent:
             ug = UniformHalfGrid(X=12.0, N=N)
             f = np.zeros((TG.n_modes, ug.N), dtype=complex)
             f[TG.mode_index(1.0)] = np.exp(-ug.x)
-            sol = res.halfspace_resolvent(p, lam, f, TG, ug)
+            sol = _solve(p, lam, f, TG, ug)
             residuals.append(res.interior_residual_fd(p, lam, sol.u, f, TG, ug))
         order = math.log2(residuals[0] / residuals[2]) / 2.0
         assert residuals[2] < 1e-4
@@ -189,14 +210,16 @@ class TestSemigroup:
         small = res.semigroup_apply(p, u0, 1e-6, TG, ug)
         assert np.linalg.norm(small - u0) / np.linalg.norm(u0) < 1e-4
 
-    def test_images_oracle(self):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_images_oracle(self, n):
         """Dirichlet heat semigroup: odd reflection gives the exact kernel."""
-        p = hp.dirichlet_laplacian()
+        p = hp.dirichlet_laplacian(n)
+        tg, q, xi_sq = _grid_and_mode(n)
         ug = UniformHalfGrid(X=30.0, N=1024)
-        u0 = self._state(ug)
+        u0 = np.zeros((tg.n_modes, ug.N), dtype=complex)
+        u0[q] = (ug.x ** 2) * np.exp(-ug.x)
         t = 0.1
-        q = TG.mode_index(1.0)
-        got = res.semigroup_apply(p, u0, t, TG, ug)[q]
+        got = res.semigroup_apply(p, u0, t, tg, ug)[q]
         y = np.linspace(0.0, 60.0, 24001)
         w0 = (y ** 2) * np.exp(-y)
 
@@ -204,7 +227,7 @@ class TestSemigroup:
             return np.exp(-z ** 2 / (4 * t)) / math.sqrt(4 * math.pi * t)
 
         oracle = np.array([
-            np.trapezoid((G(x - y) - G(x + y)) * w0, y) for x in ug.x
-        ]) * math.exp(-t)   # tangential mode xi = 1 decays e^{-t xi^2}
+            trapezoid((G(x - y) - G(x + y)) * w0, y) for x in ug.x
+        ]) * math.exp(-t * xi_sq)   # tangential mode xi' decays e^{-t |xi'|^2}
         err = np.abs(got - oracle).max() / np.abs(oracle).max()
         assert err < 1e-6
