@@ -545,7 +545,9 @@ def cmd_ibvp_solve(args, outdir: Path) -> int:
 
 def cmd_rbound_sim(args, outdir: Path) -> int:
     cfg = _load_config(args)
-    p = cfg.get("p", args.p if args.p else 1.2)
+    # an explicit --p wins over the config; out-of-range values reach the
+    # experiment's own check
+    p = args.p if args.p is not None else cfg.get("p", 1.2)
     rows = rb.dirichlet_nonrbound_experiment(
         p=p, sigma=cfg.get("sigma", 1.0),
         N_list=tuple(cfg.get("N_list", [4, 8, 16, 32, 64])),

@@ -123,6 +123,21 @@ class TestSweepOutputs:
         assert ((a / "rbound_sim.csv").read_bytes()
                 != (b / "rbound_sim.csv").read_bytes())
 
+    def test_rbound_explicit_p_beats_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 64, "N_list": [4, 8], "p": 2.0}))
+        for extra, p in (([], 2.0), (["--p", 1.2], 1.2)):
+            out = tmp_path / str(p)
+            run(["rbound-sim", "--config", cfg, "--out", out, *extra])
+            with open(out / "rbound_sim.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [float(row["p"]) for row in rows] == [p, p]
+
+    def test_rbound_p_zero_is_input_error(self, tmp_path, capsys):
+        code = run(["rbound-sim", "--p", 0, "--out", tmp_path / "out"])
+        assert code == cli.EXIT_INPUT
+        assert "p in [1, 2]" in capsys.readouterr().err
+
     def test_plot_emits_svg_without_changing_exit(self, tmp_path):
         # decay-sweep draws one line per ray of the default 5-ray sector
         # sample, singularity-sweep one near-boundary profile

@@ -2,12 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfpoisson import rbound as rb
 
 
 def _l2(v):
     return float(np.linalg.norm(v))
+
+
+def _per_draw_ratio(trial, norm_out, norm_in, batches=16):
+    """Reference: one Python-level signed sum per draw."""
+    images = [op(x) for op, x in zip(trial.operators, trial.vectors)]
+    rng = np.random.Generator(np.random.Philox(trial.seed))
+    eps = rng.integers(0, 2, size=(trial.trials, trial.N)) * 2 - 1
+    nums = np.empty(trial.trials)
+    dens = np.empty(trial.trials)
+    for i in range(trial.trials):
+        nums[i] = norm_out(sum(e * im for e, im in zip(eps[i], images)))
+        dens[i] = norm_in(sum(e * x for e, x in zip(eps[i], trial.vectors)))
+    num = math.sqrt(float(np.mean(nums ** 2)))
+    den = math.sqrt(float(np.mean(dens ** 2)))
+    nb = max(1, min(batches, trial.trials))
+    ratios = np.array([
+        math.sqrt(float(np.mean(a ** 2))) / math.sqrt(float(np.mean(b ** 2)))
+        for a, b in zip(np.array_split(nums, nb), np.array_split(dens, nb))
+    ])
+    stderr = float(ratios.std(ddof=1) / math.sqrt(nb)) if nb > 1 else 0.0
+    return rb.RatioEstimate(estimate=num / den, stderr=stderr,
+                            numerator=num, denominator=den)
 
 
 class TestRademacherRatio:
@@ -67,6 +90,49 @@ class TestRademacherRatio:
         trial = rb.RademacherTrial(operators=[lambda v: v],
                                    vectors=[np.zeros(3)])
         with pytest.raises(ValueError):
+            rb.rademacher_ratio(trial, _l2, _l2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(1, 12), trials=st.sampled_from([1, 127, 128, 129, 300]),
+           complex_images=st.booleans(), data_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 1000))
+    def test_matches_per_draw_reference(self, N, trials, complex_images,
+                                        data_seed, seed):
+        rng = np.random.default_rng(data_seed)
+        images = rng.standard_normal((N, 3, 5))
+        if complex_images:
+            images = images + 1j * rng.standard_normal((N, 3, 5))
+        vecs = list(rng.standard_normal((N, 4)))
+        ops = [lambda v, _im=im: _im for im in images]
+        seen = []
+
+        def norm_out(s):
+            seen.append(s.shape)
+            return _l2(s)
+
+        trial = rb.RademacherTrial(operators=ops, vectors=vecs, seed=seed,
+                                   trials=trials)
+        got = rb.rademacher_ratio(trial, norm_out, _l2)
+        want = _per_draw_ratio(trial, _l2, _l2)
+        # one image-shaped sample per draw
+        assert seen == [(3, 5)] * trials
+        for field in ("estimate", "numerator", "denominator"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field),
+                                                        rel=1e-12)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-9, abs=1e-15)
+
+    def test_ragged_images_rejected(self):
+        x = np.ones(3)
+        trial = rb.RademacherTrial(
+            operators=[lambda v: v, lambda v: v[None, :]], vectors=[x, x])
+        with pytest.raises(ValueError, match="operator images"):
+            rb.rademacher_ratio(trial, _l2, _l2)
+
+    def test_ragged_vectors_rejected(self):
+        trial = rb.RademacherTrial(
+            operators=[lambda v: np.ones(3)] * 2,
+            vectors=[np.ones(1), np.ones(3)])
+        with pytest.raises(ValueError, match="input vectors"):
             rb.rademacher_ratio(trial, _l2, _l2)
 
     def test_mismatched_lengths_rejected(self):

@@ -202,6 +202,26 @@ class TestHardy:
         with pytest.raises(ValueError):
             sp.hardy_norm(1.0, 0.0, self.GRID)
 
+    @pytest.mark.parametrize("n", [3, 1000])
+    @pytest.mark.parametrize("r", [0.0, 0.4])
+    def test_p2_matches_dense_eigenvalues(self, n, r):
+        g = HalfLineGrid(x_min=1e-16, ratio=1.08, n_points=n)
+        d = np.sqrt(g.quad_weights(r))
+        A = d[:, None] * sp._hardy_matrix(g) / d[None, :]
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (A + A.T)))))
+        assert sp.hardy_norm(2.0, r, g) == pytest.approx(dense, rel=1e-12)
+
+    def test_p2_repeats_exactly(self):
+        # the Lanczos start vector is fixed, not drawn from a seed that
+        # advances between calls
+        a = sp.hardy_norm(2.0, 0.4, self.GRID)
+        b = sp.hardy_norm(2.0, 0.4, self.GRID)
+        assert a == b
+
+    def test_power_iteration_nonconvergence_raises(self):
+        with pytest.raises(ValueError, match=r"p=3\.0, r=0\.5.*max_iter=3"):
+            sp.hardy_norm(3.0, 0.5, self.GRID, max_iter=3)
+
 
 class TestMixedLifting:
     def test_full_lift_dominates_single_axis(self):
