@@ -2,6 +2,7 @@
 on the half-space, with weighted-norm estimate checks."""
 
 from .model import (
+    Symbol,
     BoundaryOperator,
     ModelProblem,
     SectorSample,
@@ -10,7 +11,6 @@ from .model import (
     check_ellipticity,
     check_lopatinskii_shapiro,
     symbol_A,
-    symbol_B,
     problem_to_json,
     loads_problem,
     load_problem,
@@ -18,7 +18,6 @@ from .model import (
     neumann_laplacian,
     clamped_bilaplacian,
     BUNDLED,
-    bundled_problem_path,
 )
 from .companion import (
     FrequencyPoint,

@@ -219,16 +219,10 @@ def cmd_poisson_eval(args, outdir: Path) -> int:
     # boundary reproduction at the evaluated point
     worst = 0.0
     batch = poi.kernel_batch(problem, lam, tgrid.xi_modes)
-    for k in range(problem.m):
+    for k, sym in enumerate(problem.boundary_symbols):
         # evaluate tr B_k of the kernel from the exact root basis
-        tr = np.zeros(tgrid.n_modes, dtype=complex)
-        for beta, bco in problem.boundary_ops[k].coeffs.items():
-            tang = np.full(tgrid.n_modes, bco, dtype=complex)
-            for ax, e in enumerate(beta[:-1]):
-                if e:
-                    tang = tang * tgrid.xi_modes[:, ax] ** e
-            tr += tang * np.einsum("ql,ql->q", batch.coeff[j],
-                                   batch.taus ** beta[-1])
+        tr = sym.contract(sym.table(tgrid.xi_modes),
+                          lambda l: np.einsum("ql,ql->q", batch.coeff[j], batch.taus ** l))
         target = 1.0 if k == j else 0.0
         worst = max(worst, float(np.abs(tr - target).max()))
     _write_json(outdir / "poisson_eval.json",

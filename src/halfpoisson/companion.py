@@ -29,6 +29,13 @@ Two construction routes are provided and cross-checked in the tests:
 * the primary route via ordered Schur decomposition, which isolates the
   stable invariant subspace robustly even for multiple roots, and
 * a root-basis oracle (:func:`root_basis_solution`) valid for simple roots.
+
+The Lopatinskii-Shapiro (LS) map ``Lambda S`` (boundary rows applied to an
+orthonormal basis S of the stable subspace) is judged with each row divided
+by its boundary row ``||Lambda_j(b)||``: its smallest singular value is then
+the LS measure, zero exactly where the condition fails, for every m.
+:func:`build_companion` raises :class:`LopatinskiiError` and
+:func:`boundary_map_conditioning` reports on that same value.
 """
 
 from __future__ import annotations
@@ -97,20 +104,15 @@ def make_frequency_point(xi_prime, lam, m: int) -> FrequencyPoint:
     return FrequencyPoint(xi_prime=xi_prime, lam=lam, m=m, rho=rho, b=b, sigma=sigma, mu=mu)
 
 
-def _char_poly_coeffs(problem, fp: FrequencyPoint) -> np.ndarray:
-    """Coefficients of ``lambda - A(xi', tau)`` in increasing powers of tau."""
-    c = -problem.normal_symbol_coeffs(fp.xi_prime)
-    c[0] += fp.lam
-    return c
-
-
 def stable_roots(problem, fp: FrequencyPoint, axis_tol: float = 1e-10) -> np.ndarray:
     """The m roots tau of ``lambda - A(xi', tau) = 0`` with ``Im tau > 0``.
 
     Sorted by imaginary part.  A root count != m signals an ellipticity
     violation; a root hugging the real axis signals a vanished spectral gap.
     """
-    c = _char_poly_coeffs(problem, fp)
+    # lambda - A(xi', tau) in increasing powers of tau
+    c = -problem.interior_symbol.table(fp.xi_prime)
+    c[0] += fp.lam
     roots = np.roots(c[::-1])
     gap = axis_tol * fp.rho
     if np.any(np.abs(roots.imag) <= gap):
@@ -135,7 +137,7 @@ def _companion_matrix(problem, fp: FrequencyPoint) -> np.ndarray:
     """
     order = fp.order
     # c_l(b): tau-coefficients of A at the rescaled frequency b
-    c = problem.normal_symbol_coeffs(fp.b)
+    c = problem.interior_symbol.table(fp.b)
     a_top = c[order]
     A0 = np.zeros((order, order), dtype=complex)
     A0[np.arange(order - 1), np.arange(1, order)] = 1.0
@@ -144,20 +146,25 @@ def _companion_matrix(problem, fp: FrequencyPoint) -> np.ndarray:
     return A0
 
 
-def _boundary_rows(problem, b: np.ndarray) -> np.ndarray:
-    """Rows Lambda_j(b): ``B_j u(0) = rho^{m_j} Lambda_j . V(0)``.
+def _schur_ls(problem, fp: FrequencyPoint, gap: float):
+    """Ordered Schur form of A0 and the Lopatinskii-Shapiro (LS) map.
 
-    Entry k (0-based) collects the coefficients of normal order k evaluated
-    at the rescaled tangential frequency b.
+    Schur vectors of the eigenvalues with ``Im > gap`` come first, so the
+    leading m of them, S, span the stable subspace.  The LS map is
+    ``Lambda S`` with the boundary rows ``Lambda_j(b)``.  Its conditioning
+    is measured row by row: row j is divided by ``||Lambda_j(b)||``, so each
+    boundary operator counts at unit size and a 1 x 1 map is not scored 1 by
+    construction.  Returns ``(A0, T, Q, sdim, rows, LS, svals)`` with
+    ``svals`` the singular values of the row-normalised map.
     """
-    order = 2 * problem.m
-    rows = np.zeros((problem.m, order), dtype=complex)
-    b = np.atleast_1d(b)
-    for j, bop in enumerate(problem.boundary_ops):
-        for beta, coeff in bop.coeffs.items():
-            tang = np.prod(b ** np.array(beta[:-1])) if problem.n > 1 else 1.0
-            rows[j, beta[-1]] += coeff * tang
-    return rows
+    A0 = _companion_matrix(problem, fp)
+    T, Q, sdim = scipy.linalg.schur(A0, output="complex",
+                                    sort=lambda z: z.imag > gap)
+    rows = problem.boundary_table(fp.b)
+    LS = rows @ Q[:, :problem.m]
+    row_norms = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)
+    svals = scipy.linalg.svdvals(LS / row_norms[:, None])
+    return A0, T, Q, sdim, rows, LS, svals
 
 
 @dataclass(frozen=True)
@@ -187,10 +194,8 @@ def build_companion(problem, fp: FrequencyPoint, axis_tol: float = 1e-10,
     from the Sylvester equation ``T11 X - X T22 = T12``.
     """
     m, order = problem.m, fp.order
-    A0 = _companion_matrix(problem, fp)
     gap = axis_tol  # A0 is rescaled; its eigenvalues are tau/rho, O(1)
-    T, Q, sdim = scipy.linalg.schur(A0, output="complex",
-                                    sort=lambda z: z.imag > gap)
+    A0, T, Q, sdim, rows, LS, svals = _schur_ls(problem, fp, gap)
     eigs = np.diag(T)
     if np.any(np.abs(eigs.imag) <= gap):
         raise EllipticityMarginError(
@@ -209,30 +214,20 @@ def build_companion(problem, fp: FrequencyPoint, axis_tol: float = 1e-10,
     P_schur[:m, m:] = X
     Pminus = Q @ P_schur @ Q.conj().T
 
-    S = Q[:, :m]
-    rows = _boundary_rows(problem, fp.b)
-    LS = rows @ S
-    svals = scipy.linalg.svdvals(LS)
-    scale = max(np.linalg.norm(LS), 1e-300)
-    if svals[-1] <= ls_tol * scale:
+    if svals[-1] <= ls_tol:
         raise LopatinskiiError(
             f"Lopatinskii-Shapiro failure at (xi'={fp.xi_prime}, lambda={fp.lam}): "
-            f"boundary map singular values {svals}",
+            f"row-normalised boundary map singular values {svals}",
             condition_number=svals[0] / max(svals[-1], 1e-300),
         )
+    S = Q[:, :m]
     coeffs = np.linalg.solve(LS, np.eye(m))
     M = S @ coeffs
 
     roots = stable_roots(problem, fp, axis_tol=axis_tol)
-    bmap = np.zeros((m, m), dtype=complex)
-    xi_prime = fp.xi_prime
-    for j, bop in enumerate(problem.boundary_ops):
-        for l, tau in enumerate(roots):
-            total = 0j
-            for beta, coeff in bop.coeffs.items():
-                tang = np.prod(xi_prime ** np.array(beta[:-1])) if problem.n > 1 else 1.0
-                total += coeff * tang * tau ** beta[-1]
-            bmap[j, l] = total
+    tab = problem.boundary_table(fp.xi_prime)
+    bmap = np.array([sym.contract(tab[j], lambda l: roots ** l)
+                     for j, sym in enumerate(problem.boundary_symbols)])
 
     return CompanionSystem(
         problem=problem, fp=fp, A0=A0, Pminus=Pminus, M=M,
@@ -242,25 +237,21 @@ def build_companion(problem, fp: FrequencyPoint, axis_tol: float = 1e-10,
 
 
 def boundary_map_conditioning(problem, fp: FrequencyPoint) -> tuple[float, float]:
-    """(normalized min singular value, condition number) of the LS map.
+    """(min singular value, condition number) of the row-normalised LS map.
 
-    Used by the sample-based Lopatinskii-Shapiro check; never raises on a
-    singular map, so the caller can report the worst point.
+    Each row ``Lambda_j(b) S`` is divided by ``||Lambda_j(b)||`` (see
+    :func:`_schur_ls`), so the value is 0 exactly when the boundary map on
+    the stable subspace is singular, for every m.  Used by the sample-based
+    Lopatinskii-Shapiro check; never raises on a singular map, so the caller
+    can report the worst point.
     """
-    A0 = _companion_matrix(problem, fp)
-    gap = 1e-12
     try:
-        T, Q, sdim = scipy.linalg.schur(A0, output="complex",
-                                        sort=lambda z: z.imag > gap)
+        _, _, _, sdim, _, _, svals = _schur_ls(problem, fp, 1e-12)
     except scipy.linalg.LinAlgError:
         return 0.0, math.inf
     if sdim != problem.m:
         return 0.0, math.inf
-    S = Q[:, :problem.m]
-    LS = _boundary_rows(problem, fp.b) @ S
-    svals = scipy.linalg.svdvals(LS)
-    scale = max(np.linalg.norm(LS), 1e-300)
-    return svals[-1] / scale, svals[0] / max(svals[-1], 1e-300)
+    return svals[-1], svals[0] / max(svals[-1], 1e-300)
 
 
 def propagate(cs: CompanionSystem, x_n: float, deriv_order: int = 0) -> np.ndarray:

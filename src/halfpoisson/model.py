@@ -18,6 +18,17 @@ real axis, and well-posedness requires
 
 Multi-indices are plain integer tuples of length ``n``.  In JSON problem files
 they serialize as comma-joined strings, e.g. ``"0,2"``.
+
+Every operator is evaluated through one compiled form, :class:`Symbol`, built
+once per problem (``ModelProblem.interior_symbol`` and
+``ModelProblem.boundary_symbols``).  Its normal-order table
+
+    c[..., l] = sum_{alpha_n = l} a_alpha xi'^{alpha'}
+
+serves one tangential frequency or a batch of them; each caller contracts the
+table with its own normal variable (a root ``tau``, a normal frequency
+``xi_n`` or normal-derivative data ``D_n^l u``) over the normal orders the
+operator has, in increasing order.
 """
 
 from __future__ import annotations
@@ -25,20 +36,20 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
+    "Symbol",
     "BoundaryOperator",
     "ModelProblem",
     "SectorSample",
     "EllipticityReport",
     "LopatinskiiReport",
     "symbol_A",
-    "symbol_B",
     "check_ellipticity",
     "check_lopatinskii_shapiro",
     "k_max",
@@ -48,7 +59,6 @@ __all__ = [
     "dirichlet_laplacian",
     "neumann_laplacian",
     "clamped_bilaplacian",
-    "bundled_problem_path",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -65,16 +75,84 @@ def _validate_multi_index(key: MultiIndex, n: int, order: int, what: str) -> Non
         )
 
 
+def _tangential(xi_prime, n: int) -> np.ndarray:
+    """One tangential frequency (n-1,) or a batch (N, n-1), as floats."""
+    xi = np.atleast_1d(np.asarray(xi_prime, dtype=float))
+    if xi.shape[-1] != n - 1:
+        raise ValueError(f"xi_prime must have length n-1 = {n - 1}")
+    return xi
+
+
+@dataclass(frozen=True)
+class Symbol:
+    """A homogeneous operator compiled for evaluation.
+
+    ``terms`` holds one ``(a_alpha, ((axis, alpha_axis), ...), alpha_n)`` per
+    monomial, with only the nonzero tangential exponents.  Zero coefficients
+    are dropped and the monomials are sorted by normal order, so every sum
+    runs over the normal orders the operator has, in increasing order.
+    """
+
+    n: int
+    order: int
+    terms: tuple[tuple[complex, tuple[tuple[int, int], ...], int], ...]
+    orders: tuple[int, ...]     # distinct normal orders, increasing
+
+    @staticmethod
+    def compile(order: int, coeffs: Mapping[MultiIndex, complex]) -> "Symbol":
+        """Compile ``{multi-index: coefficient}`` of an operator of that order."""
+        keys = sorted((k for k, c in coeffs.items() if c != 0), key=lambda k: (k[-1], k))
+        if not keys:
+            raise ValueError("operator is identically zero")
+        terms = tuple((complex(coeffs[k]),
+                       tuple((ax, e) for ax, e in enumerate(k[:-1]) if e), k[-1])
+                      for k in keys)
+        return Symbol(n=len(keys[0]), order=order, terms=terms,
+                      orders=tuple(sorted({k[-1] for k in keys})))
+
+    def _add_table(self, xi: np.ndarray, out: np.ndarray) -> None:
+        # scalar integer powers: np.power with an exponent array may take a
+        # vector path that rounds x**2 differently from x*x
+        for a, factors, l in self.terms:
+            tang = 1.0
+            for ax, e in factors:
+                tang = tang * xi[..., ax] ** e
+            out[..., l] += a * tang
+
+    def table(self, xi_prime) -> np.ndarray:
+        """Normal-order table ``c[..., l] = sum_{alpha_n = l} a_alpha xi'^alpha'``.
+
+        ``xi_prime`` is one tangential frequency (n-1,) or a batch (N, n-1);
+        the table has ``order + 1`` entries per frequency.
+        """
+        xi = _tangential(xi_prime, self.n)
+        c = np.zeros(xi.shape[:-1] + (self.order + 1,), dtype=complex)
+        self._add_table(xi, c)
+        return c
+
+    def contract(self, table: np.ndarray, normal: Callable[[int], np.ndarray]):
+        """``sum_l table[..., l] * normal(l)`` over the normal orders present.
+
+        ``normal(l)`` is the l-th normal factor (``tau^l``, ``xi_n^l`` or
+        ``D_n^l u``); axes inserted before the last axis of ``table``
+        broadcast it against that factor.
+        """
+        return sum(table[..., l] * normal(l) for l in self.orders)
+
+    def __call__(self, xi_prime, xi_n) -> np.ndarray:
+        """The full symbol at (xi', xi_n), shape xi_prime.shape[:-1] + xi_n.shape."""
+        xi_n = np.asarray(xi_n)
+        c = self.table(xi_prime)
+        c = c.reshape(c.shape[:-1] + (1,) * xi_n.ndim + c.shape[-1:])
+        return self.contract(c, lambda l: xi_n ** l)
+
+
 @dataclass(frozen=True)
 class BoundaryOperator:
     """One boundary operator ``B_j(D) = sum_{|beta| = m_j} b_beta D^beta``."""
 
     order: int
     coeffs: Mapping[MultiIndex, complex]
-
-    def normal_orders(self) -> list[int]:
-        """Normal-derivative orders ``beta_n`` with a nonzero coefficient."""
-        return sorted({beta[-1] for beta, c in self.coeffs.items() if c != 0})
 
 
 @dataclass(frozen=True)
@@ -125,28 +203,23 @@ class ModelProblem:
     def order(self) -> int:
         return 2 * self.m
 
-    @property
-    def boundary_orders(self) -> tuple[int, ...]:
-        return tuple(b.order for b in self.boundary_ops)
+    @cached_property
+    def interior_symbol(self) -> Symbol:
+        """A(xi', tau), compiled once per problem."""
+        return Symbol.compile(self.order, self.interior_coeffs)
 
-    @property
-    def a_top(self) -> complex:
-        """Coefficient of the pure normal monomial ``tau^{2m}``."""
-        return complex(self.interior_coeffs[(0,) * (self.n - 1) + (self.order,)])
+    @cached_property
+    def boundary_symbols(self) -> tuple[Symbol, ...]:
+        """B_j(xi', tau) for j = 1..m, compiled once per problem."""
+        return tuple(Symbol.compile(b.order, b.coeffs) for b in self.boundary_ops)
 
-    def normal_symbol_coeffs(self, xi_prime) -> np.ndarray:
-        """Coefficients ``c_l`` with ``A(xi', tau) = sum_l c_l tau^l``.
-
-        Returned in increasing order of ``l``, length ``2m + 1``.
-        """
-        xi_prime = np.atleast_1d(np.asarray(xi_prime, dtype=float))
-        if xi_prime.shape != (self.n - 1,):
-            raise ValueError(f"xi_prime must have length n-1 = {self.n - 1}")
-        c = np.zeros(self.order + 1, dtype=complex)
-        for alpha, a in self.interior_coeffs.items():
-            tang = np.prod(xi_prime ** np.array(alpha[:-1])) if self.n > 1 else 1.0
-            c[alpha[-1]] += a * tang
-        return c
+    def boundary_table(self, xi_prime) -> np.ndarray:
+        """Normal-order tables of all B_j, zero-padded to width 2m: (..., m, 2m)."""
+        xi = _tangential(xi_prime, self.n)
+        out = np.zeros(xi.shape[:-1] + (self.m, self.order), dtype=complex)
+        for j, sym in enumerate(self.boundary_symbols):
+            sym._add_table(xi, out[..., j, :])
+        return out
 
 
 @dataclass(frozen=True)
@@ -181,22 +254,7 @@ def symbol_A(problem: ModelProblem, xi) -> complex:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (problem.n,):
         raise ValueError(f"xi must have length n = {problem.n}")
-    total = 0j
-    for alpha, a in problem.interior_coeffs.items():
-        total += a * np.prod(xi ** np.array(alpha))
-    return complex(total)
-
-
-def symbol_B(problem: ModelProblem, j: int, xi) -> complex:
-    """Evaluate the j-th boundary symbol ``B_j(xi)`` at a full frequency xi."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (problem.n,):
-        raise ValueError(f"xi must have length n = {problem.n}")
-    bop = problem.boundary_ops[j]
-    total = 0j
-    for beta, b in bop.coeffs.items():
-        total += b * np.prod(xi ** np.array(beta))
-    return complex(total)
+    return complex(problem.interior_symbol(xi[:-1], xi[-1]))
 
 
 @dataclass(frozen=True)
@@ -267,7 +325,9 @@ def check_lopatinskii_shapiro(
 
     For each sampled ``(xi', lambda)`` the companion system is built and the
     boundary map restricted to the stable subspace must be invertible; the
-    report carries the worst (smallest) normalized singular value.
+    report carries the worst (smallest) singular value of that map with each
+    row divided by its boundary row (see
+    :func:`halfpoisson.companion.boundary_map_conditioning`).
     """
     from . import companion
 
@@ -304,7 +364,7 @@ def check_lopatinskii_shapiro(
 
 def k_max(problem: ModelProblem) -> int:
     """Minimal normal-derivative order present among the boundary operators."""
-    return min(min(b.normal_orders()) for b in problem.boundary_ops)
+    return min(sym.orders[0] for sym in problem.boundary_symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +511,3 @@ BUNDLED = {
     "clamped_bilaplacian": clamped_bilaplacian,
 }
 
-
-def bundled_problem_path(name: str):
-    """Filesystem path of a bundled problem JSON (for the CLI --problem flag)."""
-    if name not in BUNDLED:
-        raise ValueError(f"unknown bundled problem {name!r}; have {sorted(BUNDLED)}")
-    return resources.files("halfpoisson").joinpath("problems", name + ".json")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,6 +137,7 @@ class KernelBatch:
 
     problem: ModelProblem
     lam: complex
+    xi_modes: np.ndarray   # (N, n-1) tangential frequencies
     taus: np.ndarray       # (N, m) stable roots
     coeff: np.ndarray      # (m, N, m) root-basis coefficients for unit datum j
     fallback: np.ndarray   # (N,) bool
@@ -150,46 +151,12 @@ class KernelBatch:
         for c, o in zip(self.coeff, out):
             np.einsum("ql,qlz->qz", c * powers, E, out=o)
         if np.any(self.fallback):
-            xi_modes = self._xi_modes
             for q in np.nonzero(self.fallback)[0]:
-                fp = comp.make_frequency_point(xi_modes[q], self.lam, self.problem.m)
+                fp = comp.make_frequency_point(self.xi_modes[q], self.lam, self.problem.m)
                 cs = comp.build_companion(self.problem, fp)
                 for i, xv in enumerate(x):
                     out[:, q, i] = comp.propagate(cs, xv, deriv_order)[0, :]
         return out
-
-    _xi_modes: np.ndarray = field(default=None, repr=False)
-
-
-def _char_coeffs_batch(problem: ModelProblem, lam: complex,
-                       xi_modes: np.ndarray) -> np.ndarray:
-    """Coefficients of lambda - A(xi', tau) per mode, shape (N, 2m+1)."""
-    N = xi_modes.shape[0]
-    order = problem.order
-    c = np.zeros((N, order + 1), dtype=complex)
-    c[:, 0] = lam
-    for alpha, a in problem.interior_coeffs.items():
-        tang = np.ones(N)
-        for ax, e in enumerate(alpha[:-1]):
-            if e:
-                tang = tang * xi_modes[:, ax] ** e
-        c[:, alpha[-1]] -= a * tang
-    return c
-
-
-def _boundary_map_batch(problem: ModelProblem, xi_modes: np.ndarray,
-                        taus: np.ndarray) -> np.ndarray:
-    """L[q, j, l] = B_j(xi'(q), tau_l(q)), shape (N, m, m)."""
-    N, m = taus.shape
-    L = np.zeros((N, m, m), dtype=complex)
-    for jj, bop in enumerate(problem.boundary_ops):
-        for beta, bcoef in bop.coeffs.items():
-            tang = np.full(N, bcoef, dtype=complex)
-            for ax, e in enumerate(beta[:-1]):
-                if e:
-                    tang = tang * xi_modes[:, ax] ** e
-            L[:, jj, :] += tang[:, None] * taus ** beta[-1]
-    return L
 
 
 def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
@@ -201,7 +168,9 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
     xi_modes = np.atleast_2d(np.asarray(xi_modes, dtype=float))
     N = xi_modes.shape[0]
     m, order = problem.m, problem.order
-    c = _char_coeffs_batch(problem, lam, xi_modes)
+    # lambda - A(xi', tau) per mode, in increasing powers of tau
+    c = -problem.interior_symbol.table(xi_modes)
+    c[:, 0] += lam
     # batched companion matrices of the characteristic polynomial
     C = np.zeros((N, order, order), dtype=complex)
     C[:, np.arange(order - 1), np.arange(1, order)] = 1.0
@@ -227,7 +196,9 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
     else:
         near_degenerate = np.zeros(N, dtype=bool)
 
-    L = _boundary_map_batch(problem, xi_modes, taus)
+    L = np.empty((N, m, m), dtype=complex)     # L[q, j, l] = B_j(xi'(q), tau_l(q))
+    for j, sym in enumerate(problem.boundary_symbols):
+        L[:, j] = sym.contract(sym.table(xi_modes)[:, None, :], lambda l: taus ** l)
     # conditioning test on the row-equilibrated map (boundary orders differ)
     row_scale = np.abs(L).max(axis=2) + 1e-300
     svals = np.linalg.svd(L / row_scale[:, :, None], compute_uv=False)
@@ -237,11 +208,9 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
     good = ~fallback
     if np.any(good):
         coeff[good] = np.linalg.solve(L[good], np.eye(m, dtype=complex))
-    batch = KernelBatch(problem=problem, lam=lam, taus=taus,
-                        coeff=np.ascontiguousarray(coeff.transpose(2, 0, 1)),
-                        fallback=fallback)
-    batch._xi_modes = xi_modes
-    return batch
+    return KernelBatch(problem=problem, lam=lam, xi_modes=xi_modes, taus=taus,
+                       coeff=np.ascontiguousarray(coeff.transpose(2, 0, 1)),
+                       fallback=fallback)
 
 
 def poisson_apply(problem: ModelProblem, lam: complex, j: int,
@@ -412,15 +381,10 @@ def volevich_apply(problem: ModelProblem, lam: complex, j: int,
     xi_modes = tgrid.xi_modes
     N = xi_modes.shape[0]
     # B_j u and D_n(B_j u) on the y-grid
-    Bu = np.zeros((N, ygrid.n_points), dtype=complex)
-    DBu = np.zeros_like(Bu)
-    for beta, bcoef in problem.boundary_ops[j].coeffs.items():
-        tang = np.full(N, bcoef, dtype=complex)
-        for ax, e in enumerate(beta[:-1]):
-            if e:
-                tang = tang * xi_modes[:, ax] ** e
-        Bu += tang[:, None] * u_derivs[beta[-1]]
-        DBu += tang[:, None] * u_derivs[beta[-1] + 1]
+    sym = problem.boundary_symbols[j]
+    tab = sym.table(xi_modes)[:, None, :]
+    Bu = sym.contract(tab, lambda l: u_derivs[l])
+    DBu = sym.contract(tab, lambda l: u_derivs[l + 1])
 
     batch = kernel_batch(problem, lam, xi_modes)
     x_nodes = np.asarray(x_nodes, dtype=float)

@@ -122,15 +122,7 @@ def multiplier_data(problem: mdl.ModelProblem, tgrid: TangentialGrid,
     ill-conditioning test of :func:`whole_space_resolvent`.
     """
     xi_normal = np.asarray(xi_normal)
-    xi_modes = tgrid.xi_modes
-    Nq = xi_modes.shape[0]
-    symbol = np.zeros((Nq, len(xi_normal)), dtype=complex)
-    for alpha, a in problem.interior_coeffs.items():
-        tang = np.full(Nq, a, dtype=complex)
-        for ax, e in enumerate(alpha[:-1]):
-            if e:
-                tang = tang * xi_modes[:, ax] ** e
-        symbol += tang[:, None] * xi_normal[None, :] ** alpha[-1]
+    symbol = problem.interior_symbol(tgrid.xi_modes, xi_normal)
     weight = (1.0 + tgrid.xi_sq.reshape(-1, 1) + xi_normal[None, :] ** 2) ** problem.m
     return symbol, weight
 
@@ -152,7 +144,7 @@ class ResolventSource:
     F: np.ndarray            # modes x 2N, FFT of the Seeley extension of f
     symbol: np.ndarray       # modes x 2N, A(xi', xi_n)
     weight: np.ndarray       # modes x 2N, (1 + |xi'|^2 + xi_n^2)^m
-    boundary_terms: tuple    # per B_j: ((normal order l, tangential factor), ...)
+    boundary_table: np.ndarray  # m x modes x 2m, normal-order tables of B_j
 
 
 def resolvent_source(problem: mdl.ModelProblem, f: np.ndarray,
@@ -167,20 +159,8 @@ def resolvent_source(problem: mdl.ModelProblem, f: np.ndarray,
     f = np.asarray(f, dtype=complex).reshape(-1, ugrid.N)
     F = np.fft.fft(seeley_extend(f, ext, ugrid), axis=-1)
     symbol, weight = multiplier_data(problem, tgrid, ugrid.xi_normal)
-    xi_modes = tgrid.xi_modes
-    Nq = xi_modes.shape[0]
-    terms = []
-    for bop in problem.boundary_ops:
-        row = []
-        for beta, bcoef in bop.coeffs.items():
-            tang = np.full(Nq, bcoef, dtype=complex)
-            for ax, e in enumerate(beta[:-1]):
-                if e:
-                    tang = tang * xi_modes[:, ax] ** e
-            row.append((beta[-1], tang))
-        terms.append(tuple(row))
-    return ResolventSource(F=F, symbol=symbol, weight=weight,
-                           boundary_terms=tuple(terms))
+    table = problem.boundary_table(tgrid.xi_modes).transpose(1, 0, 2)
+    return ResolventSource(F=F, symbol=symbol, weight=weight, boundary_table=table)
 
 
 @dataclass(frozen=True)
@@ -211,17 +191,15 @@ def halfspace_resolvent(problem: mdl.ModelProblem, lam: complex,
     w_ext = np.fft.ifft(W, axis=-1)
     w = w_ext[:, : ugrid.N]
 
-    orders_needed = sorted({l for row in src.boundary_terms for l, _ in row})
-    dtr = _normal_derivative_traces(W, ugrid.xi_normal, orders_needed)
-    m = problem.m
-    traces = np.zeros((m, tgrid.n_modes), dtype=complex)
-    for j, row in enumerate(src.boundary_terms):
-        for l, tang in row:
-            traces[j] += tang * dtr[l]
+    syms = problem.boundary_symbols
+    dtr = _normal_derivative_traces(W, ugrid.xi_normal,
+                                    sorted({l for sym in syms for l in sym.orders}))
+    traces = np.array([sym.contract(tab, dtr.__getitem__)
+                       for sym, tab in zip(syms, src.boundary_table)])
 
     kernels = kernel_batch(problem, lam, tgrid.xi_modes).eval(ugrid.x, 0)
     u = w.copy()
-    for j in range(m):
+    for j in range(problem.m):
         u -= kernels[j] * traces[j][:, None]
     return ResolventResult(u=u, w=w, traces=traces)
 
@@ -273,20 +251,10 @@ def interior_residual_fd(problem: mdl.ModelProblem, lam: complex,
     order = problem.order
     if margin is None:
         margin = 2 * order
-    xi_modes = tgrid.xi_modes
-    Nq = xi_modes.shape[0]
-    Au = np.zeros((Nq, ugrid.N), dtype=complex)
-    derivs = {}
-    for alpha, a in problem.interior_coeffs.items():
-        l = alpha[-1]
-        if l not in derivs:
-            # D_n = -i d/dx: D^l = (-i)^l (d/dx)^l
-            derivs[l] = (-1j) ** l * _fd_derivative(u, ugrid.h, l)
-        tang = np.full(Nq, a, dtype=complex)
-        for ax, e in enumerate(alpha[:-1]):
-            if e:
-                tang = tang * xi_modes[:, ax] ** e
-        Au += tang[:, None] * derivs[l]
+    sym = problem.interior_symbol
+    # D_n = -i d/dx: D^l = (-i)^l (d/dx)^l
+    Au = sym.contract(sym.table(tgrid.xi_modes)[:, None, :],
+                      lambda l: (-1j) ** l * _fd_derivative(u, ugrid.h, l))
     res = lam * np.asarray(u) - Au - np.asarray(f)
     sl = slice(margin, ugrid.N - margin)
     denom = float(np.linalg.norm(f[:, sl]))
@@ -309,19 +277,11 @@ def boundary_trace_fd(problem: mdl.ModelProblem, u: np.ndarray,
                       tgrid: TangentialGrid, ugrid: UniformHalfGrid,
                       j: int, n_pts: int = 6) -> np.ndarray:
     """tr B_j(D) u at x_n = 0 per mode, normal derivatives by one-sided FD."""
-    xi_modes = tgrid.xi_modes
-    Nq = xi_modes.shape[0]
-    out = np.zeros(Nq, dtype=complex)
-    for beta, bcoef in problem.boundary_ops[j].coeffs.items():
-        l = beta[-1]
-        wts = _onesided_fd_weights(l, n_pts, ugrid.h)
-        dval = (np.asarray(u)[:, :n_pts] @ wts) * (-1j) ** l
-        tang = np.full(Nq, bcoef, dtype=complex)
-        for ax, e in enumerate(beta[:-1]):
-            if e:
-                tang = tang * xi_modes[:, ax] ** e
-        out += tang * dval
-    return out
+    head = np.asarray(u)[:, :n_pts]
+    sym = problem.boundary_symbols[j]
+    return sym.contract(sym.table(tgrid.xi_modes),
+                        lambda l: (head @ _onesided_fd_weights(l, n_pts, ugrid.h))
+                        * (-1j) ** l)
 
 
 @dataclass(frozen=True)

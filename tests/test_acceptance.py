@@ -63,14 +63,9 @@ def test_criterion_1_closed_form_kernels():
 
 def _boundary_trace_of_kernel(problem, batch, xi_modes, k):
     """tr B_k of every kernel of the batch, shape (m, modes)."""
-    tr = np.zeros((problem.m, batch.taus.shape[0]), dtype=complex)
-    for beta, bco in problem.boundary_ops[k].coeffs.items():
-        tang = np.full(batch.taus.shape[0], bco, dtype=complex)
-        for ax, e in enumerate(beta[:-1]):
-            if e:
-                tang = tang * xi_modes[:, ax] ** e
-        tr += tang * batch.eval(np.array([0.0]), beta[-1])[:, :, 0]
-    return tr
+    sym = problem.boundary_symbols[k]
+    return sym.contract(sym.table(xi_modes)[None],
+                        lambda l: batch.eval(np.array([0.0]), l)[:, :, 0])
 
 
 def test_criterion_2_boundary_reproduction():

@@ -188,3 +188,19 @@ class TestConditioning:
         sv, cond = comp.boundary_map_conditioning(p, fp)
         assert sv > 1e-2
         assert cond < 1e3
+
+    def test_m1_violation_detected(self):
+        # -Delta with B = D_n - 2i D_1 violates LS on lambda = 3 xi_1^2:
+        # the stable root tau = 2i at xi' = 1, lambda = 3 makes B(xi', tau)
+        # = tau - 2i vanish.  A 1 x 1 map normalised by its own norm would
+        # score 1 here; normalised by its boundary row it reads ~2e-10.
+        base = mdl.dirichlet_laplacian()
+        p = mdl.ModelProblem(
+            n=2, m=1, interior_coeffs=base.interior_coeffs,
+            boundary_ops=[mdl.BoundaryOperator(1, {(0, 1): 1.0, (1, 0): -2j})],
+            phi_prime=base.phi_prime, phi=base.phi)
+        fp = comp.make_frequency_point(np.array([1.0]), 3.0 * (1 + 1e-9), p.m)
+        sv, cond = comp.boundary_map_conditioning(p, fp)
+        assert sv < 1e-8
+        with pytest.raises(comp.LopatinskiiError):
+            comp.build_companion(p, fp)

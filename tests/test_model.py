@@ -1,9 +1,10 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from halfpoisson import model as mdl
 
@@ -75,8 +76,8 @@ class TestSymbols:
 
     def test_boundary_symbols(self):
         p = mdl.clamped_bilaplacian()
-        assert mdl.symbol_B(p, 0, [3.0, 4.0]) == pytest.approx(1.0)
-        assert mdl.symbol_B(p, 1, [3.0, 4.0]) == pytest.approx(4.0)
+        assert p.boundary_symbols[0]([3.0], 4.0) == pytest.approx(1.0)
+        assert p.boundary_symbols[1]([3.0], 4.0) == pytest.approx(4.0)
 
     @given(c=st.floats(0.1, 10.0), x=st.floats(-3, 3), y=st.floats(-3, 3))
     @settings(max_examples=50, deadline=None)
@@ -89,9 +90,54 @@ class TestSymbols:
 
     def test_normal_symbol_coeffs_laplacian(self):
         p = mdl.dirichlet_laplacian()
-        c = p.normal_symbol_coeffs(np.array([2.0]))
+        c = p.interior_symbol.table(np.array([2.0]))
         # A(xi', tau) = -(xi'^2 + tau^2)
         assert np.allclose(c, [-4.0, 0.0, -1.0])
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_evaluator_matches_per_monomial_sum(self, data):
+        """Normal-order table and full symbol of random homogeneous operators
+        against plain per-monomial sums."""
+        n = data.draw(st.integers(1, 3), label="n")
+        order = data.draw(st.integers(0, 4), label="order")
+        indices = [a for a in itertools.product(range(order + 1), repeat=n)
+                   if sum(a) == order]
+        chosen = data.draw(st.lists(st.sampled_from(indices), min_size=1,
+                                    unique=True), label="monomials")
+        part = st.floats(-10.0, 10.0)
+        monomials = {alpha: complex(data.draw(part), data.draw(part))
+                     for alpha in chosen}
+        coord = st.floats(-5.0, 5.0)
+        N = data.draw(st.integers(1, 4), label="N")
+        xi_batch = np.array([[data.draw(coord) for _ in range(n - 1)]
+                             for _ in range(N)]).reshape(N, n - 1)
+        xi_n = np.array([data.draw(coord) for _ in range(3)])
+        assume(any(monomials.values()))
+        sym = mdl.Symbol.compile(order, monomials)
+        table = sym.table(xi_batch)
+        full = sym(xi_batch, xi_n)
+        assert table.shape == (N, order + 1) and full.shape == (N, 3)
+        for q, xi_prime in enumerate(xi_batch):
+            # the reference: one term per monomial, summed in dict order
+            ref_table = np.zeros(order + 1, dtype=complex)
+            size_table = np.zeros(order + 1)
+            ref_full = np.zeros(3, dtype=complex)
+            size_full = np.zeros(3)
+            for alpha, a in monomials.items():
+                *tang, l = alpha
+                term = a * math.prod(x ** e for x, e in zip(xi_prime, tang))
+                ref_table[l] += term
+                size_table[l] += abs(term)
+                ref_full += term * xi_n ** l
+                size_full += abs(term) * np.abs(xi_n) ** l
+            assert np.all(np.abs(table[q] - ref_table) <= 1e-12 * size_table)
+            assert np.all(np.abs(sym.table(xi_prime) - ref_table) <= 1e-12 * size_table)
+            assert np.all(np.abs(full[q] - ref_full) <= 1e-12 * size_full)
+
+    def test_zero_operator_rejected(self):
+        with pytest.raises(ValueError, match="zero"):
+            mdl.Symbol.compile(1, {(0, 1): 0.0, (1, 0): 0j})
 
     def test_k_max(self):
         assert mdl.k_max(mdl.dirichlet_laplacian()) == 0
@@ -152,11 +198,10 @@ class TestJson:
         text = mdl.problem_to_json(bundled)
         q = mdl.loads_problem(text, name=bundled.name)
         assert q.n == bundled.n and q.m == bundled.m
-        assert dict(q.interior_coeffs) == {
-            k: complex(v) for k, v in bundled.interior_coeffs.items()}
+        assert dict(q.interior_coeffs) == dict(bundled.interior_coeffs)
         for a, b in zip(q.boundary_ops, bundled.boundary_ops):
             assert a.order == b.order
-            assert dict(a.coeffs) == {k: complex(v) for k, v in b.coeffs.items()}
+            assert dict(a.coeffs) == dict(b.coeffs)
         assert q.phi == bundled.phi and q.phi_prime == bundled.phi_prime
 
     def test_malformed_json_raises_value_error(self):
@@ -166,14 +211,3 @@ class TestJson:
     def test_missing_field_raises_value_error(self):
         with pytest.raises(ValueError):
             mdl.loads_problem(json.dumps({"n": 2}))
-
-    def test_bundled_files_match_factories(self, bundled):
-        path = mdl.bundled_problem_path(bundled.name)
-        q = mdl.loads_problem(path.read_text(), name=bundled.name)
-        assert dict(q.interior_coeffs) == {
-            k: complex(v) for k, v in bundled.interior_coeffs.items()}
-        assert q.phi == bundled.phi
-
-    def test_unknown_bundled_name(self):
-        with pytest.raises(ValueError):
-            mdl.bundled_problem_path("nonexistent")
