@@ -10,7 +10,6 @@ from .model import (
     LopatinskiiReport,
     check_ellipticity,
     check_lopatinskii_shapiro,
-    symbol_A,
     problem_to_json,
     loads_problem,
     load_problem,
@@ -29,7 +28,6 @@ from .companion import (
     build_companion,
     boundary_map_conditioning,
     propagate,
-    root_basis_solution,
 )
 from .grids import TangentialGrid, HalfLineGrid, UniformHalfGrid
 from .spaces import (
@@ -39,20 +37,15 @@ from .spaces import (
     param_norm,
     weighted_halfline_norm,
     sobolev_mixed_norm,
-    domain_max_norm,
     ap_characteristic,
-    hardy_apply,
     hardy_norm,
     LiftingReport,
     mixed_lifting_check,
 )
 from .poisson import (
-    GridSpec,
-    GridFunction,
     ExponentQuery,
     KernelBatch,
     kernel_batch,
-    poisson_apply,
     decay_rate,
     predicted_decay_exponent,
     predicted_singularity_exponent,
@@ -60,7 +53,6 @@ from .poisson import (
     SweepResult,
     decay_sweep,
     singularity_sweep,
-    volevich_apply,
 )
 from .resolvent import (
     ExtensionOperator,

@@ -1,11 +1,18 @@
 """Command-line front end: experiment orchestration and serialization.
 
-Every subcommand reads a problem JSON (``--problem``, defaulting to the
-bundled Dirichlet Laplacian), runs one verification experiment, writes CSV
-and JSON artifacts into ``--out``, and exits 0 when all declared tolerances
-hold, 2 on a tolerance failure, 1 on input errors.  CSV bodies are
-deterministic for a fixed seed (full double precision, shortest round-trip
-formatting); timestamps live in a sidecar ``metadata.json`` only.
+Every subcommand runs one verification experiment, writes CSV and JSON
+artifacts into ``--out``, and exits 0 when all declared tolerances hold, 2 on
+a tolerance failure, 1 on input errors (usage, config, problem file).  CSV
+bodies are deterministic for a fixed seed (full double precision, shortest
+round-trip formatting); timestamps live in a sidecar ``metadata.json`` only.
+
+A subcommand is one function ``cmd_*(args, [problem,] *, key=default, ...)``
+that returns whether its gates held.  Its keyword-only parameters are the
+config keys it accepts, with their defaults.  :func:`main` does the rest once
+for all: it parses the command line, loads the problem (``--problem``, for
+the functions with a ``problem`` parameter; default: the Dirichlet
+Laplacian), checks the ``--config`` JSON object against the declared keys
+and the types of their defaults, and maps the result to an exit code.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import inspect
 import json
 import math
 import os
@@ -23,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import model as mdl
-from . import companion as comp
 from . import parabolic as pb
 from . import poisson as poi
 from . import rbound as rb
@@ -61,21 +68,20 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
-def _write_metadata(outdir: Path, args, extra=None) -> None:
-    doc = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "seed": args.seed,
-        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
-        "problem": str(args.problem) if args.problem else None,
-    }
-    if extra:
-        doc.update(extra)
-    _write_json(outdir / "metadata.json", doc)
-
-
 # BLAS thread settings take effect only if set before NumPy loads, so they
 # are recorded as found, never set here
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _write_metadata(args) -> None:
+    problem = getattr(args, "problem", None)
+    _write_json(args.out / "metadata.json", {
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "seed": args.seed,
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "problem": str(problem) if problem else None,
+        "command": args.command,
+    })
 
 
 _SVG_COLOURS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -134,43 +140,34 @@ def _write_svg_loglog(path: Path, series, xlabel: str, ylabel: str) -> None:
     path.write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
 
 
-def _maybe_plot(args, outdir: Path, name: str, series,
-                xlabel: str, ylabel: str) -> None:
+def _maybe_plot(args, name: str, series, xlabel: str, ylabel: str) -> None:
     if not args.plot:
         return
     try:
-        _write_svg_loglog(outdir / f"{name}.svg", series, xlabel, ylabel)
+        _write_svg_loglog(args.out / f"{name}.svg", series, xlabel, ylabel)
     except OSError as exc:  # plotting never changes the numeric exit status
         print(f"plot skipped: {exc}", file=sys.stderr)
-
-
-def _load_problem(args) -> mdl.ModelProblem:
-    if args.problem is None:
-        return mdl.dirichlet_laplacian()
-    path = Path(args.problem)
-    if not path.exists() and path.stem in mdl.BUNDLED:
-        return mdl.BUNDLED[path.stem]()
-    return mdl.load_problem(path)
-
-
-def _load_config(args) -> dict:
-    if not args.config:
-        return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _default_tgrid(problem, N=64, L=2.0 * math.pi) -> TangentialGrid:
     return TangentialGrid(n_axes=problem.n - 1, N=N, L=L)
 
 
+def _saturating_datum(problem, N_x: int, xi_max: float, s: float):
+    """Tangential grid of N_x modes per axis reaching |xi'| = xi_max, and the
+    datum <xi'>^{-(s + 1/2 + 0.05)} on it, which saturates the s-indexed
+    trace ball."""
+    tgrid = TangentialGrid(n_axes=problem.n - 1, N=N_x,
+                           L=2.0 * math.pi * (N_x / 2) / xi_max)
+    xi_abs = np.sqrt(np.atleast_1d(tgrid.xi_sq).reshape(-1))
+    return tgrid, (1.0 + xi_abs ** 2) ** (-(s + 0.5 + 0.05) / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check_ls(args, outdir: Path) -> int:
-    problem = _load_problem(args)
-    cfg = _load_config(args)
+def cmd_check_ls(args, problem, *, n_moduli=8, n_rays=5) -> bool:
     ell = mdl.check_ellipticity(problem)
     report = {
         "problem": problem.name,
@@ -178,10 +175,9 @@ def cmd_check_ls(args, outdir: Path) -> int:
         "worst_margin": ell.worst_margin,
         "worst_direction": list(ell.worst_direction) if ell.worst_direction else None,
     }
-    if ell.passed:
-        sample = mdl.SectorSample.default(problem.phi,
-                                          n_moduli=cfg.get("n_moduli", 8),
-                                          n_rays=cfg.get("n_rays", 5))
+    ok = ell.passed
+    if ok:
+        sample = mdl.SectorSample.default(problem.phi, n_moduli=n_moduli, n_rays=n_rays)
         ls = mdl.check_lopatinskii_shapiro(problem, sample)
         report.update({
             "ls_pass": bool(ls.passed),
@@ -189,76 +185,51 @@ def cmd_check_ls(args, outdir: Path) -> int:
             "ls_worst_point": repr(ls.worst_point),
             "ls_condition_number": ls.condition_number,
         })
-        ok = ell.passed and ls.passed
-    else:
-        ok = False
-    _write_json(outdir / "check_ls.json", report)
+        ok = ls.passed
+    _write_json(args.out / "check_ls.json", report)
     print(json.dumps(report, indent=2))
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return ok
 
 
-def cmd_poisson_eval(args, outdir: Path) -> int:
-    problem = _load_problem(args)
-    cfg = _load_config(args)
-    lam = complex(*cfg.get("lambda", [4.0, 1.0]))
-    j = cfg.get("j", 0)
-    tgrid = _default_tgrid(problem, N=cfg.get("N_x", 16))
-    rate = poi.decay_rate(problem, lam)
-    xgrid = HalfLineGrid.for_decay(rate)
-    grid = poi.GridSpec(tangential=tgrid, normal=xgrid)
+def cmd_poisson_eval(args, problem, *, lambda_=4.0 + 1.0j, j=0, N_x=16, xi0=1.0) -> bool:
+    tgrid = _default_tgrid(problem, N=N_x)
+    xgrid = HalfLineGrid.for_decay(poi.decay_rate(problem, lambda_))
     g = np.zeros(tgrid.n_modes, dtype=complex)
-    g[tgrid.mode_index(cfg.get("xi0", 1.0))] = 1.0
-    u = poi.poisson_apply(problem, lam, j, g, grid)
-    rows = []
-    for q in range(tgrid.n_modes):
-        if not np.any(u.values[q]):
-            continue
-        for i, x in enumerate(xgrid.x):
-            rows.append((q, x, u.values[q, i].real, u.values[q, i].imag))
-    _write_csv(outdir / "poisson_eval.csv", ("mode", "x_n", "re", "im"), rows)
-    # boundary reproduction at the evaluated point
+    g[tgrid.mode_index(xi0)] = 1.0
+    batch = poi.kernel_batch(problem, lambda_, tgrid.xi_modes)
+    u = batch.eval(xgrid.x, 0)[j] * g[:, None]
+    rows = [(q, x, u[q, i].real, u[q, i].imag)
+            for q in range(tgrid.n_modes) if np.any(u[q])
+            for i, x in enumerate(xgrid.x)]
+    _write_csv(args.out / "poisson_eval.csv", ("mode", "x_n", "re", "im"), rows)
+    # boundary reproduction: tr B_k of kernel j from the exact root basis
     worst = 0.0
-    batch = poi.kernel_batch(problem, lam, tgrid.xi_modes)
     for k, sym in enumerate(problem.boundary_symbols):
-        # evaluate tr B_k of the kernel from the exact root basis
         tr = sym.contract(sym.table(tgrid.xi_modes),
                           lambda l: np.einsum("ql,ql->q", batch.coeff[j], batch.taus ** l))
         target = 1.0 if k == j else 0.0
         worst = max(worst, float(np.abs(tr - target).max()))
-    _write_json(outdir / "poisson_eval.json",
-                {"lambda": [lam.real, lam.imag], "j": j,
+    _write_json(args.out / "poisson_eval.json",
+                {"lambda": [lambda_.real, lambda_.imag], "j": j,
                  "boundary_reproduction_defect": worst})
     print(f"boundary reproduction defect: {worst:.3e}")
-    return EXIT_OK if worst <= 1e-8 else EXIT_TOLERANCE
+    return worst <= 1e-8
 
 
-def _default_query(problem, cfg) -> poi.ExponentQuery:
-    return poi.ExponentQuery.for_problem(
-        problem,
-        k=cfg.get("k", 0), p=cfg.get("p", 2.0), r=cfg.get("r", 0.0),
-        t=cfg.get("t", 0.0), s=cfg.get("s", 0.0), j=cfg.get("j", 0),
-    )
-
-
-def cmd_decay_sweep(args, outdir: Path) -> int:
-    problem = _load_problem(args)
-    cfg = _load_config(args)
-    q = _default_query(problem, cfg)
+def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
+                    sigma_floor=1e2, n_rays=5, n_moduli=13, mod_max=1e6,
+                    N_x=0) -> bool:
+    q = poi.ExponentQuery.for_problem(problem, k=k, p=p, r=r, t=t, s=s, j=j)
     sample = mdl.SectorSample.default(
-        min(problem.phi, 0.7 * math.pi), sigma_floor=cfg.get("sigma_floor", 1e2),
-        n_rays=cfg.get("n_rays", 5), n_moduli=cfg.get("n_moduli", 13),
-        mod_max=cfg.get("mod_max", 1e6))
-    tgrid = _default_tgrid(problem, N=cfg.get("N_x", 16))
-    bracket_active = q.t > q.s
-    if bracket_active:
+        min(problem.phi, 0.7 * math.pi), sigma_floor=sigma_floor,
+        n_rays=n_rays, n_moduli=n_moduli, mod_max=mod_max)
+    if q.t > q.s:
+        # bracket active: the datum saturates the s-indexed trace ball; the
+        # operator-order offset m_j is already part of the predicted exponent
         ximax = 1.2 * max(sample.moduli) ** (1.0 / problem.order)
-        tgrid = TangentialGrid(n_axes=problem.n - 1, N=cfg.get("N_x", 512),
-                               L=2.0 * math.pi * (cfg.get("N_x", 512) / 2) / ximax)
-        # datum saturating the s-indexed trace ball; the operator-order
-        # offset m_j is already part of the predicted exponent
-        xi_abs = np.sqrt(np.atleast_1d(tgrid.xi_sq).reshape(-1))
-        g = (1.0 + xi_abs ** 2) ** (-(q.s + 0.5 + 0.05) / 2.0)
+        tgrid, g = _saturating_datum(problem, N_x or 512, ximax, q.s)
     else:
+        tgrid = _default_tgrid(problem, N=N_x or 16)
         g = np.zeros(tgrid.n_modes, dtype=complex)
         g[tgrid.mode_index(1.0)] = 1.0
     spec_t = sp.SpaceSpec(scale="H", s=q.t, p=2)
@@ -268,10 +239,10 @@ def cmd_decay_sweep(args, outdir: Path) -> int:
          result.fitted_slopes.get(rec.ray_arg, math.nan))
         for rec in result.records
     ]
-    _write_csv(outdir / "decay_sweep.csv",
+    _write_csv(args.out / "decay_sweep.csv",
                ("ray_arg", "lambda_mod", "norm", "predicted", "fitted_slope"),
                rows)
-    _write_json(outdir / "decay_sweep.json", {
+    _write_json(args.out / "decay_sweep.json", {
         "predicted": result.predicted,
         "fitted_slopes": {repr(k): v for k, v in result.fitted_slopes.items()},
         "max_deviation": result.max_deviation,
@@ -281,78 +252,61 @@ def cmd_decay_sweep(args, outdir: Path) -> int:
         by_ray.setdefault(rec.ray_arg, ([], []))
         by_ray[rec.ray_arg][0].append(rec.lambda_mod)
         by_ray[rec.ray_arg][1].append(rec.norm)
-    _maybe_plot(args, outdir, "decay_sweep",
+    _maybe_plot(args, "decay_sweep",
                 {f"arg={k:.3f}": v for k, v in by_ray.items()},
                 "|lambda|", "norm")
     print(f"predicted slope {result.predicted:+.4f}, "
           f"max deviation {result.max_deviation:.4f}")
-    return EXIT_OK if result.max_deviation <= 0.05 else EXIT_TOLERANCE
+    return result.max_deviation <= 0.05
 
 
-def cmd_singularity_sweep(args, outdir: Path) -> int:
-    problem = _load_problem(args)
-    cfg = _load_config(args)
-    t, s = cfg.get("t", 1.0), cfg.get("s", 0.0)
-    lam = complex(*cfg.get("lambda", [4.0, 0.0]))
-    N_x = cfg.get("N_x", 2048)
-    ximax = cfg.get("xi_max", 2.0e4)
-    tgrid = TangentialGrid(n_axes=problem.n - 1, N=N_x,
-                           L=2.0 * math.pi * (N_x / 2) / ximax)
-    s_eff = s - problem.boundary_ops[cfg.get("j", 0)].order
-    xi_abs = np.sqrt(np.atleast_1d(tgrid.xi_sq).reshape(-1))
-    g = (1.0 + xi_abs ** 2) ** (-(s_eff + 0.5 + 0.05) / 2.0)
-    x_range = np.logspace(-4, -1, cfg.get("n_x_pts", 40))
-    result = poi.singularity_sweep(problem, cfg.get("j", 0), lam, g, t, s,
-                                   x_range, tgrid)
+def cmd_singularity_sweep(args, problem, *, t=1.0, s=0.0, lambda_=4.0 + 0.0j, j=0,
+                          N_x=2048, xi_max=2.0e4, n_x_pts=40) -> bool:
+    # the datum's trace-ball index is s less the order m_j of B_j
+    tgrid, g = _saturating_datum(problem, N_x, xi_max,
+                                 s - problem.boundary_ops[j].order)
+    x_range = np.logspace(-4, -1, n_x_pts)
+    result = poi.singularity_sweep(problem, j, lambda_, g, t, s, x_range, tgrid)
     slope = next(iter(result.fitted_slopes.values()), math.nan)
     rows = [(rec.ray_arg, rec.lambda_mod, rec.norm, result.predicted, slope)
             for rec in result.records]
-    _write_csv(outdir / "singularity_sweep.csv",
+    _write_csv(args.out / "singularity_sweep.csv",
                ("ray_arg", "x_n", "norm", "predicted", "fitted_slope"), rows)
-    _maybe_plot(args, outdir, "singularity_sweep",
+    _maybe_plot(args, "singularity_sweep",
                 {"profile": (x_range, [rec.norm for rec in result.records])},
                 "x_n", "tangential norm")
     print(f"predicted slope {result.predicted:+.4f}, fitted {slope:+.4f}")
-    return EXIT_OK if result.max_deviation <= 0.1 else EXIT_TOLERANCE
+    return result.max_deviation <= 0.1
 
 
-def cmd_hardy_norm(args, outdir: Path) -> int:
-    cfg = _load_config(args)
-    p = cfg.get("p", 2.0)
-    grid = HalfLineGrid(x_min=cfg.get("x_min", 1e-16), ratio=cfg.get("ratio", 1.08),
-                        n_points=cfg.get("n_points", 1000))
-    rows = []
+def cmd_hardy_norm(args, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bool:
+    grid = HalfLineGrid(x_min=x_min, ratio=ratio, n_points=n_points)
+    fine = grid.refined(2)
     # reference run at p = 2, r = 0 with one refinement
     est_pi = sp.hardy_norm(2.0, 0.0, grid)
-    est_pi_f = sp.hardy_norm(2.0, 0.0, grid.refined(2))
-    rows.append((2.0, 0.0, grid.n_points, est_pi, abs(est_pi - math.pi) / math.pi))
-    rows.append((2.0, 0.0, grid.refined(2).n_points, est_pi_f,
-                 abs(est_pi_f - math.pi) / math.pi))
-    r_list = [0.0, 0.4 * (p - 1.0), 0.8 * (p - 1.0)]
+    est_pi_f = sp.hardy_norm(2.0, 0.0, fine)
+    rows = [(2.0, 0.0, grid.n_points, est_pi, abs(est_pi - math.pi) / math.pi),
+            (2.0, 0.0, fine.n_points, est_pi_f, abs(est_pi_f - math.pi) / math.pi)]
     ests = []
-    for r in r_list:
-        e = sp.hardy_norm(p, r, grid)
-        ests.append(e)
-        rows.append((p, r, grid.n_points, e, math.nan))
-    _write_csv(outdir / "hardy_norm.csv",
+    for r in [0.0, 0.4 * (p - 1.0), 0.8 * (p - 1.0)]:
+        ests.append(sp.hardy_norm(p, r, grid))
+        rows.append((p, r, grid.n_points, ests[-1], math.nan))
+    _write_csv(args.out / "hardy_norm.csv",
                ("p", "r", "n_points", "norm", "rel_err_vs_pi"), rows)
     monotone = all(ests[i] < ests[i + 1] for i in range(len(ests) - 1))
-    ok = abs(est_pi_f - math.pi) / math.pi <= 0.02 and monotone
     print(f"p=2,r=0 refined estimate {est_pi_f:.6f} (pi = {math.pi:.6f}); "
           f"monotone in r: {monotone}")
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return abs(est_pi_f - math.pi) / math.pi <= 0.02 and monotone
 
 
-def cmd_norm_check(args, outdir: Path) -> int:
-    cfg = _load_config(args)
-    rng = np.random.default_rng(args.seed or 0)
-    tgrid = TangentialGrid(n_axes=1, N=cfg.get("N_x", 128), L=2.0 * math.pi)
-    s, s0 = cfg.get("s", 2.0), cfg.get("s0", 0.0)
+def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -> bool:
+    rng = np.random.default_rng(args.seed)
+    tgrid = TangentialGrid(n_axes=1, N=N_x, L=2.0 * math.pi)
     base = sp.SpaceSpec(scale="H", s=s0, p=2)
-    mus = np.logspace(0, 4, cfg.get("n_mu", 9))
+    mus = np.logspace(0, 4, n_mu)
     ratios = []
     rows = []
-    for trial in range(cfg.get("trials", 100)):
+    for trial in range(trials):
         fhat = (rng.standard_normal(tgrid.N) + 1j * rng.standard_normal(tgrid.N))
         fhat[tgrid.N // 4: 3 * tgrid.N // 4] = 0.0   # band-limit
         for mu in mus:
@@ -367,36 +321,33 @@ def cmd_norm_check(args, outdir: Path) -> int:
     # mixed lifting on a 2-D grid
     xi_n = 2.0 * math.pi * np.fft.fftfreq(64, d=2.0 * math.pi / 64)
     lift_ratios = []
-    for trial in range(cfg.get("trials", 100)):
+    for trial in range(trials):
         f2 = rng.standard_normal((tgrid.N, 64)) + 1j * rng.standard_normal((tgrid.N, 64))
-        rep = sp.mixed_lifting_check(f2, cfg.get("t", 2.0), tgrid, xi_n)
+        rep = sp.mixed_lifting_check(f2, t, tgrid, xi_n)
         lift_ratios.append(rep.ratio_min)
     C_lift = max(max(lift_ratios), 1.0 / min(lift_ratios))
-    _write_csv(outdir / "norm_check.csv",
+    _write_csv(args.out / "norm_check.csv",
                ("trial", "mu", "param_norm", "split_norm", "ratio"), rows)
-    _write_json(outdir / "norm_check.json",
+    _write_json(args.out / "norm_check.json",
                 {"C_equivalence": C_equiv, "C_lifting": C_lift})
     print(f"equivalence constant {C_equiv:.3f}, lifting constant {C_lift:.3f}")
-    return EXIT_OK if (C_equiv <= 4.0 and C_lift <= 4.0) else EXIT_TOLERANCE
+    return C_equiv <= 4.0 and C_lift <= 4.0
 
 
-def cmd_resolvent_test(args, outdir: Path) -> int:
-    problem = _load_problem(args)
-    cfg = _load_config(args)
-    tgrid = _default_tgrid(problem, N=cfg.get("N_x", 8))
-    lam = complex(*cfg.get("lambda", [4.0, 2.0]))
+def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
+                       N_z=128) -> bool:
+    tgrid = _default_tgrid(problem, N=N_x)
     rows = []
     residuals, traces_ = [], []
-    grids = [UniformHalfGrid(X=cfg.get("X", 12.0), N=cfg.get("N_z", 128) * (2 ** i))
-             for i in range(3)]
+    grids = [UniformHalfGrid(X=X, N=N_z * (2 ** i)) for i in range(3)]
     data = []
     for ug in grids:
         f = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
         f[tgrid.mode_index(1.0)] = np.exp(-ug.x)
         data.append((f, res.resolvent_source(problem, f, tgrid, ug)))
     for ug, (f, src) in zip(grids, data):
-        sol = res.halfspace_resolvent(problem, lam, src, tgrid, ug)
-        rres = res.interior_residual_fd(problem, lam, sol.u, f, tgrid, ug)
+        sol = res.halfspace_resolvent(problem, lambda_, src, tgrid, ug)
+        rres = res.interior_residual_fd(problem, lambda_, sol.u, f, tgrid, ug)
         tdef = max(
             float(np.abs(res.boundary_trace_fd(problem, sol.u, tgrid, ug, j)).max())
             for j in range(problem.m))
@@ -404,7 +355,7 @@ def cmd_resolvent_test(args, outdir: Path) -> int:
         traces_.append(tdef)
         rows.append((ug.N, rres, tdef))
     order_res = math.log2(residuals[0] / residuals[2]) / 2 if residuals[2] > 0 else math.inf
-    _write_csv(outdir / "resolvent_refine.csv",
+    _write_csv(args.out / "resolvent_refine.csv",
                ("N_z", "interior_residual", "trace_defect"), rows)
     # sectoriality shadow over three decades per ray
     srows = []
@@ -418,58 +369,52 @@ def cmd_resolvent_test(args, outdir: Path) -> int:
             nrm = float(np.linalg.norm(sol.u)) / f_norm
             ratios_per_ray.setdefault(ray, []).append(mod * nrm)
             srows.append((ray, mod, mod * nrm))
-    _write_csv(outdir / "resolvent_sectoriality.csv",
+    _write_csv(args.out / "resolvent_sectoriality.csv",
                ("ray_arg", "lambda_mod", "lam_norm_ratio"), srows)
     spread_ok = True
     for ray, vals in ratios_per_ray.items():
         med = float(np.median(vals))
         if max(vals) > 2.0 * med or min(vals) < med / 2.0:
             spread_ok = False
-    ok = (residuals[2] <= 1e-4 and traces_[2] <= 1e-4
-          and order_res >= 2.0 and spread_ok)
-    _write_json(outdir / "resolvent_test.json", {
+    _write_json(args.out / "resolvent_test.json", {
         "residuals": residuals, "trace_defects": traces_,
         "order": order_res, "sectoriality_spread_ok": spread_ok,
     })
     print(f"residuals {residuals}, traces {traces_}, order {order_res:.2f}, "
           f"sectorial spread ok: {spread_ok}")
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return (residuals[2] <= 1e-4 and traces_[2] <= 1e-4
+            and order_res >= 2.0 and spread_ok)
 
 
-def cmd_semigroup_test(args, outdir: Path) -> int:
-    problem = _load_problem(args)
-    cfg = _load_config(args)
-    tgrid = _default_tgrid(problem, N=cfg.get("N_x", 8))
+def cmd_semigroup_test(args, problem, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2=0.2,
+                       t_small=1e-6) -> bool:
+    tgrid = _default_tgrid(problem, N=N_x)
     # X large enough that the initial profile has fully decayed at the wrap
-    ug = UniformHalfGrid(X=cfg.get("X", 30.0), N=cfg.get("N_z", 2048))
+    ug = UniformHalfGrid(X=X, N=N_z)
     # compatible initial state: one tangential mode, normal profile vanishing
     # at 0 together with its derivative (covers the bundled conditions)
     u0 = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
     u0[tgrid.mode_index(1.0)] = (ug.x ** 2) * np.exp(-ug.x)
-    t1, t2 = cfg.get("t1", 0.1), cfg.get("t2", 0.2)
     T1 = res.semigroup_apply(problem, u0, t1, tgrid, ug)
     T2 = res.semigroup_apply(problem, u0, t2, tgrid, ug)
     T12 = res.semigroup_apply(problem, T1, t2, tgrid, ug)
     Tsum = res.semigroup_apply(problem, u0, t1 + t2, tgrid, ug)
     semi_dev = (float(np.linalg.norm(T12 - Tsum))
                 / max(float(np.linalg.norm(Tsum)), 1e-300))
-    small = res.semigroup_apply(problem, u0, cfg.get("t_small", 1e-6), tgrid, ug)
+    small = res.semigroup_apply(problem, u0, t_small, tgrid, ug)
     id_dev = float(np.linalg.norm(small - u0)) / float(np.linalg.norm(u0))
-    _write_json(outdir / "semigroup_test.json",
+    _write_json(args.out / "semigroup_test.json",
                 {"semigroup_property_dev": semi_dev, "identity_dev": id_dev})
     print(f"semigroup property deviation {semi_dev:.2e}, "
           f"t->0 deviation {id_dev:.2e}")
-    ok = semi_dev <= 1e-4 and id_dev <= 0.01
-    return EXIT_OK if ok else EXIT_TOLERANCE
+    return semi_dev <= 1e-4 and id_dev <= 0.01
 
 
-def cmd_parabolic_solve(args, outdir: Path) -> int:
-    problem = _load_problem(args)
-    cfg = _load_config(args)
-    tgrid = _default_tgrid(problem, N=cfg.get("N_x", 8))
-    tg = pb.TimeGrid(N_t=cfg.get("N_t", 16), T_per=cfg.get("T_per", 2.0 * math.pi),
-                     sigma=cfg.get("sigma", 1.0))
-    x_nodes = np.linspace(0.0, 4.0, cfg.get("n_x_pts", 33))
+def cmd_parabolic_solve(args, problem, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
+                        sigma=1.0, n_x_pts=33) -> bool:
+    tgrid = _default_tgrid(problem, N=N_x)
+    tg = pb.TimeGrid(N_t=N_t, T_per=T_per, sigma=sigma)
+    x_nodes = np.linspace(0.0, 4.0, n_x_pts)
     q0 = tgrid.mode_index(1.0)
     tau0 = tg.taus[1]
     g = []
@@ -489,19 +434,16 @@ def cmd_parabolic_solve(args, outdir: Path) -> int:
         (t, x, sol.values[it, q0, ix].real, sol.values[it, q0, ix].imag)
         for it, t in enumerate(tg.times) for ix, x in enumerate(x_nodes)
     ]
-    _write_csv(outdir / "parabolic_solve.csv", ("t", "x_n", "re", "im"), rows)
-    _write_json(outdir / "parabolic_solve.json", {"single_mode_dev": dev})
+    _write_csv(args.out / "parabolic_solve.csv", ("t", "x_n", "re", "im"), rows)
+    _write_json(args.out / "parabolic_solve.json", {"single_mode_dev": dev})
     print(f"single-mode closed-form deviation {dev:.2e}")
-    return EXIT_OK if dev <= 1e-8 else EXIT_TOLERANCE
+    return dev <= 1e-8
 
 
-def cmd_ibvp_solve(args, outdir: Path) -> int:
-    problem = _load_problem(args)
-    cfg = _load_config(args)
-    tgrid = _default_tgrid(problem, N=cfg.get("N_x", 8))
-    ug = UniformHalfGrid(X=cfg.get("X", 30.0), N=cfg.get("N_z", 1024))
-    T = cfg.get("T", 0.5)
-    sigma = cfg.get("sigma", 1.0)
+def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, sigma=1.0,
+                   N_t=16, out_times=()) -> bool:
+    tgrid = _default_tgrid(problem, N=N_x)
+    ug = UniformHalfGrid(X=X, N=N_z)
     # boundary data: one space-time mode, smoothly switched on
     q0 = tgrid.mode_index(1.0)
 
@@ -513,9 +455,9 @@ def cmd_ibvp_solve(args, outdir: Path) -> int:
     g = [g0] + [lambda t: np.zeros(tgrid.n_modes, dtype=complex)
                 for _ in range(problem.m - 1)]
     u0 = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
-    out_times = np.array(cfg.get("out_times", [T / 2, T]))
+    out_times = np.array(out_times or (T / 2, T))
     sol = pb.ibvp_solve(problem, u0, None, g, T, sigma, tgrid, ug, out_times,
-                        N_t=cfg.get("N_t", 16))
+                        N_t=N_t)
     # consistency: boundary trace of u should match g at the output times
     worst = 0.0
     for it, t in enumerate(out_times):
@@ -527,27 +469,25 @@ def cmd_ibvp_solve(args, outdir: Path) -> int:
         (t, x, sol.values[it, q0, ix].real, sol.values[it, q0, ix].imag)
         for it, t in enumerate(out_times) for ix, x in enumerate(ug.x)
     ]
-    _write_csv(outdir / "ibvp_solve.csv", ("t", "x_n", "re", "im"), rows)
-    _write_json(outdir / "ibvp_solve.json", {
+    _write_csv(args.out / "ibvp_solve.csv", ("t", "x_n", "re", "im"), rows)
+    _write_json(args.out / "ibvp_solve.json", {
         "boundary_trace_dev": worst,
         "compatibility_defect": sol.compatibility_defect,
     })
     print(f"boundary trace deviation {worst:.2e}; "
           f"compatibility defect {sol.compatibility_defect:.2e}")
-    return EXIT_OK if worst <= 1e-2 else EXIT_TOLERANCE
+    return worst <= 1e-2
 
 
-def cmd_rbound_sim(args, outdir: Path) -> int:
-    cfg = _load_config(args)
+def cmd_rbound_sim(args, *, p=1.2, sigma=1.0, N_list=(4, 8, 16, 32, 64), r=0.0,
+                   trials=1024) -> bool:
     # an explicit --p wins over the config; out-of-range values reach the
     # experiment's own check
-    p = args.p if args.p is not None else cfg.get("p", 1.2)
-    rows = rb.dirichlet_nonrbound_experiment(
-        p=p, sigma=cfg.get("sigma", 1.0),
-        N_list=tuple(cfg.get("N_list", [4, 8, 16, 32, 64])),
-        r=cfg.get("r", 0.0), trials=cfg.get("trials", 1024),
-        seed=args.seed or 0)
-    _write_csv(outdir / "rbound_sim.csv", ("p", "r", "N", "ratio", "stderr"),
+    if args.p is not None:
+        p = args.p
+    rows = rb.dirichlet_nonrbound_experiment(p=p, sigma=sigma, N_list=N_list, r=r,
+                                             trials=trials, seed=args.seed)
+    _write_csv(args.out / "rbound_sim.csv", ("p", "r", "N", "ratio", "stderr"),
                [(row.p, row.r, row.N, row.ratio, row.stderr) for row in rows])
     first, last = rows[0], rows[-1]
     growth = last.ratio / first.ratio
@@ -559,7 +499,7 @@ def cmd_rbound_sim(args, outdir: Path) -> int:
     stderr_ok = all(row.stderr / row.ratio <= 0.03 for row in rows)
     print(f"p={p}: ratio growth N={first.N}->N={last.N}: {growth:.3f}x "
           f"(stderr ok: {stderr_ok})")
-    return EXIT_OK if (ok and stderr_ok) else EXIT_TOLERANCE
+    return ok and stderr_ok
 
 
 COMMANDS = {
@@ -577,17 +517,85 @@ COMMANDS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Skeleton: parser, problem, config, exit code
+# ---------------------------------------------------------------------------
+
+def config_params(command: str) -> dict:
+    """The config keys a subcommand accepts: key -> keyword-only parameter
+    of its function, which holds the default.  A trailing ``_`` is dropped
+    from the parameter name: ``lambda_`` reads the key ``lambda``."""
+    params = inspect.signature(COMMANDS[command]).parameters.values()
+    return {p.name.rstrip("_"): p for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def _conform(key: str, value, default):
+    """``value`` if it has the type of ``default``, else ValueError naming
+    ``key``.  An int default takes an integer, a float any number, a complex
+    an ``[re, im]`` pair (returned as complex), a tuple a list of items of
+    its first item's type, or of numbers when it is empty (returned as a
+    tuple)."""
+    def number(v, like=0.0):
+        kinds = int if isinstance(like, int) else (int, float)
+        return isinstance(v, kinds) and not isinstance(v, bool)
+
+    if isinstance(default, complex):
+        if isinstance(value, list) and len(value) == 2 and all(map(number, value)):
+            return complex(*value)
+        want = "an [re, im] pair of numbers"
+    elif isinstance(default, tuple):
+        like = default[0] if default else 0.0
+        if isinstance(value, list) and all(number(v, like) for v in value):
+            return tuple(value)
+        want = "a list of " + ("integers" if isinstance(like, int) else "numbers")
+    elif number(value, default):
+        return value
+    else:
+        want = "an integer" if isinstance(default, int) else "a number"
+    raise ValueError(f"config key {key!r} expects {want}, got {json.dumps(value)}")
+
+
+def _load_config(command: str, path) -> dict:
+    """Keyword arguments for the subcommand from the JSON object at ``path``:
+    every key must be one it declares, every value of its default's type."""
+    if not path:
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} must be a JSON object, "
+                         f"not {type(cfg).__name__}")
+    params = config_params(command)
+    kwargs = {}
+    for key, value in cfg.items():
+        if key not in params:
+            raise ValueError(f"unknown config key {key!r} for {command}; "
+                             f"accepted: {', '.join(params)}")
+        kwargs[params[key].name] = _conform(key, value, params[key].default)
+    return kwargs
+
+
+def _load_problem(name) -> mdl.ModelProblem:
+    if name is None:
+        return mdl.dirichlet_laplacian()
+    path = Path(name)
+    if not path.exists() and path.stem in mdl.BUNDLED:
+        return mdl.BUNDLED[path.stem]()
+    return mdl.load_problem(path)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfpoisson",
         description="Half-space Poisson-operator solvers and estimate checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, fn in COMMANDS.items():
         sp_ = sub.add_parser(name)
-        sp_.add_argument("--problem", default=None,
-                         help="problem JSON path or bundled name")
+        if "problem" in inspect.signature(fn).parameters:
+            sp_.add_argument("--problem", default=None,
+                             help="problem JSON path or bundled name")
         sp_.add_argument("--config", default=None, help="config JSON path")
-        sp_.add_argument("--out", default="out", help="output directory")
+        sp_.add_argument("--out", type=Path, default="out", help="output directory")
         sp_.add_argument("--plot", action="store_true", help="emit SVG plots")
         sp_.add_argument("--seed", type=int, default=0)
         if name == "rbound-sim":
@@ -596,15 +604,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    outdir = Path(args.out)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_metadata(outdir, args, extra={"command": args.command})
-        return COMMANDS[args.command](args, outdir)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage message; --help exits 0
+        return EXIT_INPUT if exc.code else EXIT_OK
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+        _write_metadata(args)
+        kwargs = _load_config(args.command, args.config)
+        if hasattr(args, "problem"):
+            kwargs["problem"] = _load_problem(args.problem)
+        passed = COMMANDS[args.command](args, **kwargs)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK if passed else EXIT_TOLERANCE
 
 
 if __name__ == "__main__":

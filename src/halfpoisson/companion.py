@@ -24,11 +24,10 @@ matrix ``M`` maps prescribed boundary values to initial states: for the
 solution ``u(x_n) = pr_1 e^{i rho A0 x_n} M g_rho`` (with ``g_rho`` carrying
 the per-component scaling ``g_j / rho^{m_j}``) one has ``B_j u(0) = g_j``.
 
-Two construction routes are provided and cross-checked in the tests:
-
-* the primary route via ordered Schur decomposition, which isolates the
-  stable invariant subspace robustly even for multiple roots, and
-* a root-basis oracle (:func:`root_basis_solution`) valid for simple roots.
+The construction uses the ordered Schur decomposition, which isolates the
+stable invariant subspace robustly even for multiple roots.  The tests check
+it against the exponential root basis of :func:`halfpoisson.poisson.kernel_batch`,
+valid for simple roots.
 
 The Lopatinskii-Shapiro (LS) map ``Lambda S`` (boundary rows applied to an
 orthonormal basis S of the stable subspace) is judged with each row divided
@@ -55,7 +54,6 @@ __all__ = [
     "build_companion",
     "propagate",
     "boundary_map_conditioning",
-    "root_basis_solution",
     "LopatinskiiError",
     "EllipticityMarginError",
 ]
@@ -180,8 +178,6 @@ class CompanionSystem:
     stable_block: np.ndarray      # m x m upper-triangular T11 in that basis
     coeffs: np.ndarray            # stable_basis @ coeffs == M
     boundary_rows: np.ndarray     # Lambda rows at b
-    stable_roots: np.ndarray
-    boundary_map: np.ndarray      # L_{jl} = B_j(xi', tau_l), simple-root case
 
 
 def build_companion(problem, fp: FrequencyPoint, axis_tol: float = 1e-10,
@@ -223,16 +219,9 @@ def build_companion(problem, fp: FrequencyPoint, axis_tol: float = 1e-10,
     S = Q[:, :m]
     coeffs = np.linalg.solve(LS, np.eye(m))
     M = S @ coeffs
-
-    roots = stable_roots(problem, fp, axis_tol=axis_tol)
-    tab = problem.boundary_table(fp.xi_prime)
-    bmap = np.array([sym.contract(tab[j], lambda l: roots ** l)
-                     for j, sym in enumerate(problem.boundary_symbols)])
-
     return CompanionSystem(
         problem=problem, fp=fp, A0=A0, Pminus=Pminus, M=M,
-        stable_basis=S, stable_block=T11, coeffs=coeffs,
-        boundary_rows=rows, stable_roots=roots, boundary_map=bmap,
+        stable_basis=S, stable_block=T11, coeffs=coeffs, boundary_rows=rows,
     )
 
 
@@ -276,20 +265,3 @@ def propagate(cs: CompanionSystem, x_n: float, deriv_order: int = 0) -> np.ndarr
     block = np.linalg.matrix_power(rho * T11, deriv_order) @ E if deriv_order else E
     scal = np.array([rho ** (-bop.order) for bop in cs.problem.boundary_ops])
     return (cs.stable_basis @ block @ cs.coeffs) * scal
-
-
-def root_basis_solution(cs: CompanionSystem, g, x_n, deriv_order: int = 0):
-    """Oracle: ``D_{x_n}^k u(x_n)`` from the exponential root basis.
-
-    Solves ``u = sum_l c_l e^{i tau_l x_n}`` with ``B_j(xi', D_n)u(0) = g_j``
-    directly from the unrescaled boundary map L.  Valid only when the stable
-    roots are simple; used to cross-check the Schur route.
-    """
-    g = np.asarray(g, dtype=complex)
-    taus = cs.stable_roots
-    if len(np.unique(np.round(taus, 9))) != len(taus):
-        raise ValueError("repeated stable roots; root basis is degenerate")
-    c = np.linalg.solve(cs.boundary_map, g)
-    x_n = np.asarray(x_n, dtype=float)
-    phases = np.exp(1j * np.multiply.outer(x_n, taus))
-    return phases @ (c * taus ** deriv_order)

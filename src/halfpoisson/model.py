@@ -49,7 +49,6 @@ __all__ = [
     "SectorSample",
     "EllipticityReport",
     "LopatinskiiReport",
-    "symbol_A",
     "check_ellipticity",
     "check_lopatinskii_shapiro",
     "k_max",
@@ -249,14 +248,6 @@ class SectorSample:
         return np.array(out, dtype=complex)
 
 
-def symbol_A(problem: ModelProblem, xi) -> complex:
-    """Evaluate the interior symbol ``A(xi) = sum a_alpha xi^alpha``."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (problem.n,):
-        raise ValueError(f"xi must have length n = {problem.n}")
-    return complex(problem.interior_symbol(xi[:-1], xi[-1]))
-
-
 @dataclass(frozen=True)
 class EllipticityReport:
     passed: bool
@@ -307,7 +298,8 @@ def check_ellipticity(problem: ModelProblem, directions=None) -> EllipticityRepo
     worst = math.inf
     worst_dir = None
     for xi in directions:
-        margin = _sector_margin(symbol_A(problem, xi), problem.phi_prime)
+        A = complex(problem.interior_symbol(xi[:-1], xi[-1]))
+        margin = _sector_margin(A, problem.phi_prime)
         if margin < worst:
             worst = margin
             worst_dir = tuple(xi)

@@ -5,7 +5,7 @@ solution of ``(lambda - A(D))u = 0`` with ``B_k(D)u|_{x_n=0} = delta_{kj} g_j``.
 Tangentially everything is diagonal in frequency: per mode ``xi'`` the kernel
 is the first component of the propagated companion state (module
 :mod:`halfpoisson.companion`), and the full evaluation is one multiplication
-per mode followed by an optional inverse FFT.
+per mode.
 
 Sweeps need thousands of frequency nodes per parameter value, so this module
 carries a vectorized kernel engine: a batched eigendecomposition of the
@@ -35,42 +35,16 @@ from .model import ModelProblem, SectorSample
 from .spaces import SpaceSpec, sobolev_mixed_norm
 
 __all__ = [
-    "GridSpec",
-    "GridFunction",
     "ExponentQuery",
     "KernelBatch",
     "kernel_batch",
-    "poisson_apply",
     "predicted_decay_exponent",
     "predicted_singularity_exponent",
     "decay_sweep",
     "singularity_sweep",
-    "volevich_apply",
     "SweepResult",
     "decay_rate",
 ]
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Tangential torus x graded normal grid."""
-
-    tangential: TangentialGrid
-    normal: HalfLineGrid
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex samples over (tangential modes or points) x normal nodes."""
-
-    values: np.ndarray
-    layout: str = "freq"   # tangential side: "freq" or "space"
-
-    def __post_init__(self):
-        if self.layout not in ("freq", "space"):
-            raise ValueError("layout must be 'freq' or 'space'")
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("GridFunction contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -131,8 +105,10 @@ class KernelBatch:
     and its normal derivatives are
     ``D^k u(j, q, x) = sum_l c[j, q, l] tau[q, l]^k e^{i tau[q,l] x}``.
     The roots do not depend on j, so one batch serves every boundary index.
-    ``fallback`` marks modes where the root basis is unreliable and the
-    per-node Schur route must be used instead.
+    ``fallback`` marks modes where the root basis is unreliable (nearly
+    coinciding roots, or a boundary map that is singular on the root basis);
+    :meth:`eval` takes those from the per-node Schur route, which raises
+    :class:`~halfpoisson.companion.LopatinskiiError` where LS fails.
     """
 
     problem: ModelProblem
@@ -196,13 +172,18 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
     else:
         near_degenerate = np.zeros(N, dtype=bool)
 
+    tab = problem.boundary_table(xi_modes)      # (N, m, 2m)
     L = np.empty((N, m, m), dtype=complex)     # L[q, j, l] = B_j(xi'(q), tau_l(q))
     for j, sym in enumerate(problem.boundary_symbols):
-        L[:, j] = sym.contract(sym.table(xi_modes)[:, None, :], lambda l: taus ** l)
-    # conditioning test on the row-equilibrated map (boundary orders differ)
-    row_scale = np.abs(L).max(axis=2) + 1e-300
-    svals = np.linalg.svd(L / row_scale[:, :, None], compute_uv=False)
-    ill = svals[:, -1] <= 1e-10 * svals[:, 0]
+        L[:, j] = sym.contract(tab[:, j, None, :], lambda l: taus ** l)
+    # LS test with row j divided by the size of B_j at the mode, as in
+    # companion._schur_ls: sum_l |b_jl(xi')| rho^l, which bounds |B_j(xi', tau)|
+    # on |tau| = rho, rho^2 = 1 + |xi'|^2 + |lambda|^{1/m}.  A row divided by
+    # its own largest entry would score every 1 x 1 map 1.
+    rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + abs(lam) ** (1.0 / m))
+    size = np.abs(tab) @ (rho[:, None] ** np.arange(order))[:, :, None]   # (N, m, 1)
+    svals = np.linalg.svd(L / (size + 1e-300), compute_uv=False)
+    ill = svals[:, -1] <= 1e-10
     fallback = near_degenerate | ill
     coeff = np.zeros((N, m, m), dtype=complex)   # (mode, root, datum)
     good = ~fallback
@@ -211,28 +192,6 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
     return KernelBatch(problem=problem, lam=lam, xi_modes=xi_modes, taus=taus,
                        coeff=np.ascontiguousarray(coeff.transpose(2, 0, 1)),
                        fallback=fallback)
-
-
-def poisson_apply(problem: ModelProblem, lam: complex, j: int,
-                  g_hat: GridFunction | np.ndarray, grid: GridSpec,
-                  deriv_order: int = 0, output_layout: str = "freq") -> GridFunction:
-    """``D_{x_n}^k pr_1 Poi_j(lambda) g`` sampled on the grid.
-
-    ``g_hat`` holds tangential Fourier coefficients (flattened mode order of
-    ``grid.tangential.xi_modes``); the result lives on modes x normal nodes.
-    """
-    g = g_hat.values if isinstance(g_hat, GridFunction) else np.asarray(g_hat)
-    g = g.reshape(-1)
-    tg = grid.tangential
-    if g.shape[0] != tg.n_modes:
-        raise ValueError(f"g_hat has {g.shape[0]} modes, grid has {tg.n_modes}")
-    batch = kernel_batch(problem, lam, tg.xi_modes)
-    vals = batch.eval(grid.normal.x, deriv_order)[j] * g[:, None]
-    if output_layout == "space":
-        shaped = vals.reshape(*((tg.N,) * tg.n_axes), -1)
-        space = np.fft.ifftn(shaped, axes=tuple(range(tg.n_axes))) * tg.n_modes
-        return GridFunction(values=space.reshape(tg.n_modes, -1), layout="space")
-    return GridFunction(values=vals, layout="freq")
 
 
 def decay_rate(problem: ModelProblem, lam: complex) -> float:
@@ -352,57 +311,3 @@ def singularity_sweep(problem: ModelProblem, j: int, lam: complex,
     max_dev = max((abs(sv - predicted) for sv in slopes.values()), default=math.inf)
     return SweepResult(records=records, fitted_slopes=slopes,
                        predicted=predicted, max_deviation=max_dev)
-
-
-# ---------------------------------------------------------------------------
-# Volevich path
-# ---------------------------------------------------------------------------
-
-def volevich_apply(problem: ModelProblem, lam: complex, j: int,
-                   u_derivs: np.ndarray, tgrid: TangentialGrid,
-                   ygrid: HalfLineGrid, x_nodes: np.ndarray,
-                   theta: int = 0) -> np.ndarray:
-    """``lambda^theta Poi_j(lambda) tr B_j(D) u`` without taking the trace.
-
-    Uses the fundamental-theorem representation
-
-        Poi_j tr B_j u (x) = - int_0^inf d/dy [ P(x + y) (B_j u)(y) ] dy,
-
-    split across the two factors: with ``P' = i P_1`` (one extra normal
-    derivative of the kernel) and ``d/dy (B_j u) = i D_n(B_j u)``.
-
-    ``u_derivs`` has shape (d_max+1, modes, n_y) holding D_n^l u with
-    d_max >= m_j + 1; returns samples on modes x x_nodes.
-    """
-    m_j = problem.boundary_ops[j].order
-    u_derivs = np.asarray(u_derivs)
-    if u_derivs.shape[0] < m_j + 2:
-        raise ValueError(f"need normal derivatives up to order {m_j + 1}")
-    xi_modes = tgrid.xi_modes
-    N = xi_modes.shape[0]
-    # B_j u and D_n(B_j u) on the y-grid
-    sym = problem.boundary_symbols[j]
-    tab = sym.table(xi_modes)[:, None, :]
-    Bu = sym.contract(tab, lambda l: u_derivs[l])
-    DBu = sym.contract(tab, lambda l: u_derivs[l + 1])
-
-    batch = kernel_batch(problem, lam, xi_modes)
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    w = ygrid.quad_weights(0.0)
-    out = np.zeros((N, len(x_nodes)), dtype=complex)
-    taus, coeff = batch.taus, batch.coeff[j]
-    y = ygrid.x
-    # tail check: the integrand must have decayed by y_max
-    rho_scale = np.abs(taus.imag).min()
-    if math.exp(-rho_scale * ygrid.x_max) > 1e-12:
-        import warnings
-        warnings.warn("quadrature tail truncated: exp(-c rho y_max) > 1e-12",
-                      RuntimeWarning, stacklevel=2)
-    for q in range(N):
-        Z = x_nodes[:, None] + y[None, :]
-        E = np.exp(1j * taus[q][:, None, None] * Z[None, :, :])
-        P0 = np.einsum("l,lxy->xy", coeff[q], E)
-        P1 = np.einsum("l,lxy->xy", coeff[q] * taus[q], E)
-        integrand = 1j * P1 * Bu[q][None, :] + P0 * (1j * DBu[q][None, :])
-        out[q] = -(integrand @ w)
-    return (lam ** theta) * out

@@ -41,9 +41,7 @@ __all__ = [
     "param_norm",
     "weighted_halfline_norm",
     "sobolev_mixed_norm",
-    "domain_max_norm",
     "ap_characteristic",
-    "hardy_apply",
     "hardy_norm",
     "mixed_lifting_check",
 ]
@@ -213,20 +211,6 @@ def sobolev_mixed_norm(profiles, p: float, r: float,
     return total ** (1.0 / p)
 
 
-def domain_max_norm(profiles, p: float, r: float, s: float, order: int, k: int,
-                    tgrid: TangentialGrid, xgrid: HalfLineGrid) -> float:
-    """D^{k,2m,s}_r max-norm: max of the two mixed lifts.
-
-    max{ ||u||_{W^{k+2m}_p(x^r; A^s)}, ||u||_{W^k_p(x^r; A^{s+2m})} },
-    with ``profiles`` covering D_n^l u for l = 0..k+order.
-    """
-    spec_s = SpaceSpec(scale="H", s=s, p=2)
-    spec_lift = SpaceSpec(scale="H", s=s + order, p=2)
-    hi = sobolev_mixed_norm(profiles[: k + order + 1], p, r, spec_s, tgrid, xgrid)
-    lo = sobolev_mixed_norm(profiles[: k + 1], p, r, spec_lift, tgrid, xgrid)
-    return max(hi, lo)
-
-
 def ap_characteristic(weight, p: float, intervals, samples_per_interval: int = 512) -> float:
     """Muckenhoupt A_p characteristic over a family of intervals.
 
@@ -254,11 +238,6 @@ def _hardy_matrix(grid: HalfLineGrid) -> np.ndarray:
     x = grid.x
     w = grid.quad_weights(0.0)
     return w[None, :] / (x[:, None] + x[None, :])
-
-
-def hardy_apply(f: np.ndarray, grid: HalfLineGrid) -> np.ndarray:
-    """Apply the discretized Hilbert-kernel operator to samples f(x_i)."""
-    return _hardy_matrix(grid) @ np.asarray(f)
 
 
 def hardy_norm(p: float, r: float, grid: HalfLineGrid, max_iter: int = 400,

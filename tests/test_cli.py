@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +22,22 @@ def run(args):
 
 class TestInfrastructure:
     def test_unknown_subcommand_rejected(self):
-        with pytest.raises(SystemExit):
-            run(["no-such-command"])
+        assert run(["no-such-command"]) == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("argv", [
+        ["decay-sweep", "--seed", "abc"],
+        ["check-ls", "--no-such-flag"],
+        # only the commands that take a problem have --problem
+        ["hardy-norm", "--problem", "/nonexistent.json"],
+    ], ids=["bad-seed", "unknown-flag", "problem-not-taken"])
+    def test_usage_errors_are_input_errors(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", tmp_path / "out"]) == cli.EXIT_INPUT
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_ok(self, capsys):
+        assert run(["--help"]) == cli.EXIT_OK
+        assert run(["check-ls", "--help"]) == cli.EXIT_OK
+        assert "--problem" in capsys.readouterr().out
 
     def test_malformed_problem_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -52,8 +69,7 @@ class TestInfrastructure:
                                       "MKL_NUM_THREADS": None}
         assert "threads" not in meta
         # the flag that set them too late to matter is gone
-        with pytest.raises(SystemExit):
-            run(["check-ls", "--out", out, "--threads", "2"])
+        assert run(["check-ls", "--out", out, "--threads", "2"]) == cli.EXIT_INPUT
 
     def test_bundled_problem_by_name(self, tmp_path):
         code = run(["check-ls", "--problem", "neumann_laplacian",
@@ -63,6 +79,46 @@ class TestInfrastructure:
     def test_float_formatting_round_trips(self):
         for v in (0.1, 1 / 3, math.pi, 1e-300):
             assert float(cli._fmt(v)) == v
+
+
+class TestConfig:
+    def _run(self, command, doc, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return run([command, "--config", cfg, "--out", tmp_path / "out"])
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        assert self._run("check-ls", {"N_xx": 4}, tmp_path) == cli.EXIT_INPUT
+        assert "'N_xx'" in capsys.readouterr().err
+
+    def test_non_object_rejected(self, tmp_path, capsys):
+        assert self._run("check-ls", [1, 2], tmp_path) == cli.EXIT_INPUT
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,key", [({"lambda": 4}, "lambda"),
+                                         ({"N_x": "16"}, "N_x")])
+    def test_wrong_type_rejected(self, doc, key, tmp_path, capsys):
+        assert self._run("poisson-eval", doc, tmp_path) == cli.EXIT_INPUT
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_declared_types_accepted(self, tmp_path):
+        # integers for float keys, a list for [re, im]
+        doc = {"lambda": [4, 1], "N_x": 8, "xi0": 1}
+        assert self._run("poisson-eval", doc, tmp_path) == cli.EXIT_OK
+        rep = json.loads((tmp_path / "out" / "poisson_eval.json").read_text())
+        assert rep["lambda"] == [4.0, 1.0]
+
+    def test_readme_table_lists_the_accepted_keys(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("### Config keys", 1)[1]
+        table = {}
+        for line in section.splitlines():
+            row = re.match(r"\| `([a-z-]+)` \|(.*)\|$", line)
+            if row:
+                table[row.group(1)] = set(re.findall(r"`([A-Za-z_]\w*)`", row.group(2)))
+            elif table and not line.startswith("|"):
+                break
+        assert table == {name: set(cli.config_params(name)) for name in cli.COMMANDS}
 
 
 class TestCheckLs:

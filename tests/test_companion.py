@@ -6,6 +6,7 @@ import pytest
 
 from halfpoisson import companion as comp
 from halfpoisson import model as mdl
+from halfpoisson import poisson as poi
 
 RNG = np.random.default_rng(12345)
 
@@ -14,6 +15,15 @@ def _random_sector_lambda(phi, rng=RNG):
     ray = rng.uniform(-phi, phi)
     mod = 10.0 ** rng.uniform(0, 4)
     return mod * cmath.exp(1j * ray)
+
+
+def _oblique_laplacian_n3(a=0.5):
+    """-Delta at n = 3 with B = D_n + a D_1."""
+    base = mdl.dirichlet_laplacian(3)
+    return mdl.ModelProblem(
+        n=3, m=1, interior_coeffs=base.interior_coeffs,
+        boundary_ops=[mdl.BoundaryOperator(1, {(0, 0, 1): 1.0, (1, 0, 0): a})],
+        phi_prime=base.phi_prime, phi=base.phi, name="oblique_laplacian")
 
 
 class TestFrequencyPoint:
@@ -143,23 +153,24 @@ class TestPropagate:
         with pytest.raises(ValueError):
             comp.propagate(cs, -0.1)
 
-    @pytest.mark.parametrize("name", sorted(mdl.BUNDLED))
+    @pytest.mark.parametrize("name", sorted(mdl.BUNDLED) + ["oblique_laplacian_n3"])
     def test_schur_vs_root_basis(self, name):
-        """Dual-route cross-check: ordered-Schur pipeline vs exponential basis."""
-        p = mdl.BUNDLED[name]()
+        """Dual-route cross-check: ordered-Schur pipeline vs the exponential
+        root basis of ``kernel_batch``.  The oblique case adds a tangential
+        boundary factor and two tangential axes."""
+        p = mdl.BUNDLED[name]() if name in mdl.BUNDLED else _oblique_laplacian_n3()
+        xs = np.array([0.0, 0.2, 1.1])
         for _ in range(15):
             lam = _random_sector_lambda(p.phi)
             xi = RNG.uniform(-4, 4, size=p.n - 1)
-            fp = comp.make_frequency_point(xi, lam, p.m)
-            cs = comp.build_companion(p, fp)
-            xs = np.array([0.0, 0.2, 1.1])
+            batch = poi.kernel_batch(p, lam, xi[None, :])
+            assert not batch.fallback.any()
+            rb = batch.eval(xs, 0)[:, 0, :]                       # (j, x)
+            cs = comp.build_companion(p, comp.make_frequency_point(xi, lam, p.m))
+            sch = np.array([comp.propagate(cs, xv, 0)[0, :] for xv in xs]).T
             for j in range(p.m):
-                g = np.zeros(p.m)
-                g[j] = 1.0
-                rb = comp.root_basis_solution(cs, g, xs)
-                sch = np.array([comp.propagate(cs, xv, 0)[0, j] for xv in xs])
-                scale = max(np.abs(rb).max(), 1e-30)
-                assert np.abs(rb - sch).max() / scale < 1e-8
+                scale = max(np.abs(rb[j]).max(), 1e-30)
+                assert np.abs(rb[j] - sch[j]).max() / scale < 1e-8
 
     def test_decay_along_normal(self):
         p = mdl.dirichlet_laplacian()

@@ -68,11 +68,11 @@ class TestValidation:
 class TestSymbols:
     def test_laplacian_symbol(self):
         p = mdl.dirichlet_laplacian()
-        assert mdl.symbol_A(p, [3.0, 4.0]) == pytest.approx(-25.0)
+        assert p.interior_symbol([3.0], 4.0) == pytest.approx(-25.0)
 
     def test_bilaplacian_symbol(self):
         p = mdl.clamped_bilaplacian()
-        assert mdl.symbol_A(p, [3.0, 4.0]) == pytest.approx(-625.0)
+        assert p.interior_symbol([3.0], 4.0) == pytest.approx(-625.0)
 
     def test_boundary_symbols(self):
         p = mdl.clamped_bilaplacian()
@@ -84,8 +84,8 @@ class TestSymbols:
     def test_symbol_homogeneity(self, c, x, y):
         p = mdl.clamped_bilaplacian()
         xi = np.array([x, y])
-        lhs = mdl.symbol_A(p, c * xi)
-        rhs = c ** p.order * mdl.symbol_A(p, xi)
+        lhs = p.interior_symbol(c * xi[:1], c * xi[1])
+        rhs = c ** p.order * p.interior_symbol(xi[:1], xi[1])
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
     def test_normal_symbol_coeffs_laplacian(self):

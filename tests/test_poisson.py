@@ -6,7 +6,7 @@ import pytest
 
 import halfpoisson as hp
 from halfpoisson import poisson as poi
-from halfpoisson.grids import HalfLineGrid, TangentialGrid
+from halfpoisson.grids import TangentialGrid
 from halfpoisson.spaces import SpaceSpec
 from halfpoisson.model import SectorSample
 
@@ -97,35 +97,27 @@ class TestKernelBatch:
                            for k in range(p.m)])          # (k, j, modes)
         assert np.abs(traces - np.eye(p.m)[:, :, None]).max() < 1e-12
 
+    def test_m1_ls_violation_falls_back_and_raises(self):
+        # -Delta with B = D_n - 2i D_1 violates LS on lambda = 3 xi_1^2: at
+        # xi' = 1, lambda = 3 the stable root tau = 2i makes B(xi', tau)
+        # vanish.  Divided by its own entry the 1 x 1 map would read 1 and
+        # the root basis would return coefficients of size ~1e15.
+        base = hp.dirichlet_laplacian()
+        p = hp.ModelProblem(
+            n=2, m=1, interior_coeffs=base.interior_coeffs,
+            boundary_ops=[hp.BoundaryOperator(1, {(0, 1): 1.0, (1, 0): -2j})],
+            phi_prime=base.phi_prime, phi=base.phi)
+        batch = poi.kernel_batch(p, 3.0, np.array([[1.0], [2.0]]))
+        assert batch.fallback.tolist() == [True, False]
+        with pytest.raises(hp.LopatinskiiError):
+            batch.eval(np.array([0.0, 0.5]))
+
     def test_lambda_outside_sector_raises(self):
         p = hp.dirichlet_laplacian()
         # lambda on the negative real axis hits the symbol range: stable/
         # anti-stable splitting degenerates
         with pytest.raises(Exception):
             poi.kernel_batch(p, -4.0 + 0j, np.array([[0.0]]))
-
-
-class TestPoissonApply:
-    def test_space_layout_round_trip(self):
-        p = hp.dirichlet_laplacian()
-        tg = TangentialGrid(n_axes=1, N=16, L=2 * math.pi)
-        xg = HalfLineGrid(x_min=1e-4, ratio=1.3, n_points=40)
-        grid = poi.GridSpec(tangential=tg, normal=xg)
-        g = np.zeros(tg.n_modes, dtype=complex)
-        g[tg.mode_index(1.0)] = 1.0
-        freq = poi.poisson_apply(p, 4.0 + 1.0j, 0, g, grid)
-        space = poi.poisson_apply(p, 4.0 + 1.0j, 0, g, grid,
-                                  output_layout="space")
-        back = np.fft.fftn(space.values.reshape(16, -1), axes=(0,)) / 16
-        assert np.allclose(back.reshape(tg.n_modes, -1), freq.values, atol=1e-12)
-
-    def test_mode_count_mismatch_rejected(self):
-        p = hp.dirichlet_laplacian()
-        tg = TangentialGrid(n_axes=1, N=16, L=2 * math.pi)
-        xg = HalfLineGrid(x_min=1e-4, ratio=1.3, n_points=40)
-        with pytest.raises(ValueError):
-            poi.poisson_apply(p, 4.0 + 1.0j, 0, np.zeros(7),
-                              poi.GridSpec(tangential=tg, normal=xg))
 
 
 class TestSweeps:
@@ -178,57 +170,3 @@ class TestSweeps:
         res = poi.decay_sweep(p, 0, q, sample, g,
                               SpaceSpec(scale="H", s=0.0, p=2), tg)
         assert res.worst_slope() in res.fitted_slopes.values()
-
-
-class TestVolevich:
-    def test_reproduces_poisson_solution(self):
-        """Applying the integration-by-parts form to a known solution u
-        with tr B_j u = g recovers Poi_j(lambda) g itself."""
-        p = hp.dirichlet_laplacian()
-        lam = 9.0 + 3.0j
-        tg = TangentialGrid(n_axes=1, N=8, L=2 * math.pi)
-        yg = HalfLineGrid(x_min=1e-7, ratio=1.04, n_points=700)
-        # u = Poi_0(lambda) g for a two-mode datum
-        g = np.zeros(tg.n_modes, dtype=complex)
-        g[tg.mode_index(1.0)] = 1.0
-        g[tg.mode_index(-2.0)] = 0.5 - 0.25j
-        batch = poi.kernel_batch(p, lam, tg.xi_modes)
-        derivs = np.stack([batch.eval(yg.x, l)[0] * g[:, None] for l in range(3)])
-        x_nodes = np.array([0.0, 0.3, 1.0])
-        got = poi.volevich_apply(p, lam, 0, derivs, tg, yg, x_nodes)
-        expected = batch.eval(x_nodes, 0)[0] * g[:, None]
-        scale = np.abs(expected).max()
-        assert np.abs(got - expected).max() / scale < 1e-6
-
-    def test_lambda_power_prefactor(self):
-        p = hp.dirichlet_laplacian()
-        lam = 4.0 + 1.0j
-        tg = TangentialGrid(n_axes=1, N=4, L=2 * math.pi)
-        yg = HalfLineGrid(x_min=1e-6, ratio=1.1, n_points=300)
-        g = np.zeros(tg.n_modes, dtype=complex)
-        g[tg.mode_index(1.0)] = 1.0
-        batch = poi.kernel_batch(p, lam, tg.xi_modes)
-        derivs = np.stack([batch.eval(yg.x, l)[0] * g[:, None] for l in range(3)])
-        x_nodes = np.array([0.5])
-        base = poi.volevich_apply(p, lam, 0, derivs, tg, yg, x_nodes, theta=0)
-        powd = poi.volevich_apply(p, lam, 0, derivs, tg, yg, x_nodes, theta=2)
-        assert np.allclose(powd, lam ** 2 * base)
-
-    def test_insufficient_derivatives_rejected(self):
-        p = hp.dirichlet_laplacian()
-        tg = TangentialGrid(n_axes=1, N=4, L=2 * math.pi)
-        yg = HalfLineGrid(x_min=1e-6, ratio=1.1, n_points=50)
-        with pytest.raises(ValueError):
-            poi.volevich_apply(p, 4.0 + 1.0j, 0,
-                               np.zeros((1, tg.n_modes, yg.n_points)),
-                               tg, yg, np.array([0.1]))
-
-
-class TestGridFunction:
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            poi.GridFunction(values=np.array([np.nan + 0j]))
-
-    def test_bad_layout_rejected(self):
-        with pytest.raises(ValueError):
-            poi.GridFunction(values=np.zeros(2, dtype=complex), layout="other")
