@@ -35,11 +35,9 @@ from .spaces import (
     DyadicPartition,
     space_norm,
     param_norm,
-    weighted_halfline_norm,
     sobolev_mixed_norm,
     ap_characteristic,
     hardy_norm,
-    LiftingReport,
     mixed_lifting_check,
 )
 from .poisson import (
@@ -65,7 +63,6 @@ from .resolvent import (
     halfspace_resolvent,
     interior_residual_fd,
     boundary_trace_fd,
-    ContourParams,
     semigroup_apply,
 )
 from .parabolic import (

@@ -149,6 +149,13 @@ def _maybe_plot(args, name: str, series, xlabel: str, ylabel: str) -> None:
         print(f"plot skipped: {exc}", file=sys.stderr)
 
 
+def _check_j(problem, j: int) -> None:
+    """Reject a boundary index outside 0..m-1; a negative one would index
+    from the end."""
+    if not 0 <= j < problem.m:
+        raise ValueError(f"config key 'j' must lie in 0..{problem.m - 1}, got {j}")
+
+
 def _default_tgrid(problem, N=64, L=2.0 * math.pi) -> TangentialGrid:
     return TangentialGrid(n_axes=problem.n - 1, N=N, L=L)
 
@@ -192,6 +199,7 @@ def cmd_check_ls(args, problem, *, n_moduli=8, n_rays=5) -> bool:
 
 
 def cmd_poisson_eval(args, problem, *, lambda_=4.0 + 1.0j, j=0, N_x=16, xi0=1.0) -> bool:
+    _check_j(problem, j)
     tgrid = _default_tgrid(problem, N=N_x)
     xgrid = HalfLineGrid.for_decay(poi.decay_rate(problem, lambda_))
     g = np.zeros(tgrid.n_modes, dtype=complex)
@@ -219,6 +227,7 @@ def cmd_poisson_eval(args, problem, *, lambda_=4.0 + 1.0j, j=0, N_x=16, xi0=1.0)
 def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
                     sigma_floor=1e2, n_rays=5, n_moduli=13, mod_max=1e6,
                     N_x=0) -> bool:
+    _check_j(problem, j)
     q = poi.ExponentQuery.for_problem(problem, k=k, p=p, r=r, t=t, s=s, j=j)
     sample = mdl.SectorSample.default(
         min(problem.phi, 0.7 * math.pi), sigma_floor=sigma_floor,
@@ -233,7 +242,7 @@ def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
         g = np.zeros(tgrid.n_modes, dtype=complex)
         g[tgrid.mode_index(1.0)] = 1.0
     spec_t = sp.SpaceSpec(scale="H", s=q.t, p=2)
-    result = poi.decay_sweep(problem, q.j, q, sample, g, spec_t, tgrid)
+    result = poi.decay_sweep(problem, q, sample, g, spec_t, tgrid)
     rows = [
         (rec.ray_arg, rec.lambda_mod, rec.norm, result.predicted,
          result.fitted_slopes.get(rec.ray_arg, math.nan))
@@ -262,6 +271,7 @@ def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
 
 def cmd_singularity_sweep(args, problem, *, t=1.0, s=0.0, lambda_=4.0 + 0.0j, j=0,
                           N_x=2048, xi_max=2.0e4, n_x_pts=40) -> bool:
+    _check_j(problem, j)
     # the datum's trace-ball index is s less the order m_j of B_j
     tgrid, g = _saturating_datum(problem, N_x, xi_max,
                                  s - problem.boundary_ops[j].order)
@@ -323,8 +333,7 @@ def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -
     lift_ratios = []
     for trial in range(trials):
         f2 = rng.standard_normal((tgrid.N, 64)) + 1j * rng.standard_normal((tgrid.N, 64))
-        rep = sp.mixed_lifting_check(f2, t, tgrid, xi_n)
-        lift_ratios.append(rep.ratio_min)
+        lift_ratios.append(sp.mixed_lifting_check(f2, t, tgrid, xi_n))
     C_lift = max(max(lift_ratios), 1.0 / min(lift_ratios))
     _write_csv(args.out / "norm_check.csv",
                ("trial", "mu", "param_norm", "split_norm", "ratio"), rows)

@@ -14,13 +14,14 @@ phrased in the rescaled variables
     sigma = lambda / rho^{2m},
 
 which compactify the frequency-parameter space: the rescaled companion matrix
-``A0``, the stable spectral projection ``Pminus`` and the boundary-inversion
-matrix ``M`` depend on ``(b, sigma)`` only.
+``A0``, its stable invariant subspace and the boundary-inversion map
+``M = S C`` (S an orthonormal basis of that subspace) depend on
+``(b, sigma)`` only.
 
 The companion state vector uses the scaling ``v_k = D_n^{k-1} u / rho^{k-1}``,
 ``k = 1..2m``; with it the propagator is ``e^{i rho A0 x_n}`` and the boundary
 operators act through rows ``B_j u(0) = rho^{m_j} Lambda_j(b) . V(0)``.  The
-matrix ``M`` maps prescribed boundary values to initial states: for the
+map ``M`` takes prescribed boundary values to initial states: for the
 solution ``u(x_n) = pr_1 e^{i rho A0 x_n} M g_rho`` (with ``g_rho`` carrying
 the per-component scaling ``g_j / rho^{m_j}``) one has ``B_j u(0) = g_j``.
 
@@ -39,7 +40,6 @@ the LS measure, zero exactly where the condition fails, for every m.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -81,7 +81,6 @@ class FrequencyPoint:
     rho: float
     b: np.ndarray
     sigma: complex
-    mu: complex
 
     @property
     def order(self) -> int:
@@ -97,12 +96,16 @@ def make_frequency_point(xi_prime, lam, m: int) -> FrequencyPoint:
     rho = math.sqrt(1.0 + float(xi_prime @ xi_prime) + abs(lam) ** (1.0 / m))
     b = xi_prime / rho
     sigma = lam / rho ** (2 * m)
-    # principal 2m-th root; observable quantities depend on lambda only
-    mu = cmath.exp(cmath.log(lam) / (2 * m)) if lam != 0 else 0j
-    return FrequencyPoint(xi_prime=xi_prime, lam=lam, m=m, rho=rho, b=b, sigma=sigma, mu=mu)
+    return FrequencyPoint(xi_prime=xi_prime, lam=lam, m=m, rho=rho, b=b, sigma=sigma)
 
 
-def stable_roots(problem, fp: FrequencyPoint, axis_tol: float = 1e-10) -> np.ndarray:
+# a root with |Im| at most this (relative to rho) counts as on the real axis
+_AXIS_TOL = 1e-10
+# the row-normalised LS map is singular below this smallest singular value
+_LS_TOL = 1e-8
+
+
+def stable_roots(problem, fp: FrequencyPoint) -> np.ndarray:
     """The m roots tau of ``lambda - A(xi', tau) = 0`` with ``Im tau > 0``.
 
     Sorted by imaginary part.  A root count != m signals an ellipticity
@@ -112,7 +115,7 @@ def stable_roots(problem, fp: FrequencyPoint, axis_tol: float = 1e-10) -> np.nda
     c = -problem.interior_symbol.table(fp.xi_prime)
     c[0] += fp.lam
     roots = np.roots(c[::-1])
-    gap = axis_tol * fp.rho
+    gap = _AXIS_TOL * fp.rho
     if np.any(np.abs(roots.imag) <= gap):
         raise EllipticityMarginError(
             f"characteristic root within {gap:.3e} of the real axis at "
@@ -152,8 +155,8 @@ def _schur_ls(problem, fp: FrequencyPoint, gap: float):
     ``Lambda S`` with the boundary rows ``Lambda_j(b)``.  Its conditioning
     is measured row by row: row j is divided by ``||Lambda_j(b)||``, so each
     boundary operator counts at unit size and a 1 x 1 map is not scored 1 by
-    construction.  Returns ``(A0, T, Q, sdim, rows, LS, svals)`` with
-    ``svals`` the singular values of the row-normalised map.
+    construction.  Returns ``(T, Q, sdim, LS, svals)`` with ``svals`` the
+    singular values of the row-normalised map.
     """
     A0 = _companion_matrix(problem, fp)
     T, Q, sdim = scipy.linalg.schur(A0, output="complex",
@@ -162,7 +165,7 @@ def _schur_ls(problem, fp: FrequencyPoint, gap: float):
     LS = rows @ Q[:, :problem.m]
     row_norms = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)
     svals = scipy.linalg.svdvals(LS / row_norms[:, None])
-    return A0, T, Q, sdim, rows, LS, svals
+    return T, Q, sdim, LS, svals
 
 
 @dataclass(frozen=True)
@@ -171,27 +174,21 @@ class CompanionSystem:
 
     problem: object
     fp: FrequencyPoint
-    A0: np.ndarray
-    Pminus: np.ndarray
-    M: np.ndarray
-    stable_basis: np.ndarray      # orthonormal columns spanning range(Pminus)
-    stable_block: np.ndarray      # m x m upper-triangular T11 in that basis
-    coeffs: np.ndarray            # stable_basis @ coeffs == M
-    boundary_rows: np.ndarray     # Lambda rows at b
+    stable_basis: np.ndarray      # S: orthonormal columns spanning the stable subspace
+    stable_block: np.ndarray      # m x m upper-triangular T11 with A0 S = S T11
+    coeffs: np.ndarray            # C with Lambda S C = I, so M = S C
 
 
-def build_companion(problem, fp: FrequencyPoint, axis_tol: float = 1e-10,
-                    ls_tol: float = 1e-8) -> CompanionSystem:
-    """Ordered-Schur construction of ``(A0, Pminus, M)`` at one point.
+def build_companion(problem, fp: FrequencyPoint) -> CompanionSystem:
+    """Ordered-Schur construction of the stable pair ``(S, T11)`` and ``C``.
 
     The Schur form is sorted so the eigenvalues above the real axis come
     first; the leading Schur vectors then span the stable invariant subspace,
-    and the spectral projection is the standard oblique projector obtained
-    from the Sylvester equation ``T11 X - X T22 = T12``.
+    and ``C`` inverts the LS map ``Lambda S`` on it.
     """
-    m, order = problem.m, fp.order
-    gap = axis_tol  # A0 is rescaled; its eigenvalues are tau/rho, O(1)
-    A0, T, Q, sdim, rows, LS, svals = _schur_ls(problem, fp, gap)
+    m = problem.m
+    gap = _AXIS_TOL  # A0 is rescaled; its eigenvalues are tau/rho, O(1)
+    T, Q, sdim, LS, svals = _schur_ls(problem, fp, gap)
     eigs = np.diag(T)
     if np.any(np.abs(eigs.imag) <= gap):
         raise EllipticityMarginError(
@@ -203,25 +200,15 @@ def build_companion(problem, fp: FrequencyPoint, axis_tol: float = 1e-10,
             f"stable subspace has dimension {sdim}, expected {m} at "
             f"(xi'={fp.xi_prime}, lambda={fp.lam})"
         )
-    T11, T12, T22 = T[:m, :m], T[:m, m:], T[m:, m:]
-    X = scipy.linalg.solve_sylvester(T11, -T22, T12)
-    P_schur = np.zeros((order, order), dtype=complex)
-    P_schur[:m, :m] = np.eye(m)
-    P_schur[:m, m:] = X
-    Pminus = Q @ P_schur @ Q.conj().T
-
-    if svals[-1] <= ls_tol:
+    if svals[-1] <= _LS_TOL:
         raise LopatinskiiError(
             f"Lopatinskii-Shapiro failure at (xi'={fp.xi_prime}, lambda={fp.lam}): "
             f"row-normalised boundary map singular values {svals}",
             condition_number=svals[0] / max(svals[-1], 1e-300),
         )
-    S = Q[:, :m]
-    coeffs = np.linalg.solve(LS, np.eye(m))
-    M = S @ coeffs
     return CompanionSystem(
-        problem=problem, fp=fp, A0=A0, Pminus=Pminus, M=M,
-        stable_basis=S, stable_block=T11, coeffs=coeffs, boundary_rows=rows,
+        problem=problem, fp=fp, stable_basis=Q[:, :m], stable_block=T[:m, :m],
+        coeffs=np.linalg.solve(LS, np.eye(m)),
     )
 
 
@@ -235,7 +222,7 @@ def boundary_map_conditioning(problem, fp: FrequencyPoint) -> tuple[float, float
     can report the worst point.
     """
     try:
-        _, _, _, sdim, _, _, svals = _schur_ls(problem, fp, 1e-12)
+        _, _, sdim, _, svals = _schur_ls(problem, fp, 1e-12)
     except scipy.linalg.LinAlgError:
         return 0.0, math.inf
     if sdim != problem.m:

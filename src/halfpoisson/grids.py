@@ -139,12 +139,13 @@ class HalfLineGrid:
             raise ValueError("need at least 3 nodes")
 
     @staticmethod
-    def for_decay(decay_rate: float, x_min: float = 1e-6, ratio: float = 1.1,
-                  tail: float = 40.0) -> "HalfLineGrid":
-        """Grid capped at x_max = tail / decay_rate."""
+    def for_decay(decay_rate: float) -> "HalfLineGrid":
+        """Grid from x_min = 1e-6 at ratio 1.1 to x_max = 40 / decay_rate,
+        where e^{-decay_rate x} has fallen to e^{-40}."""
         if decay_rate <= 0:
             raise ValueError("decay_rate must be positive")
-        x_max = tail / decay_rate
+        x_min, ratio = 1e-6, 1.1
+        x_max = 40.0 / decay_rate
         if x_max <= x_min:
             x_max = 10 * x_min
         n = int(math.ceil(math.log(x_max / x_min) / math.log(ratio))) + 1

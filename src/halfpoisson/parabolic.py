@@ -29,7 +29,7 @@ import numpy as np
 from . import model as mdl
 from .grids import TangentialGrid, UniformHalfGrid
 from .poisson import kernel_batch
-from .resolvent import ContourParams, ExtensionOperator, semigroup_apply
+from .resolvent import _taper, boundary_trace_fd, semigroup_apply
 
 __all__ = [
     "TimeGrid",
@@ -111,12 +111,6 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, tgrid_t: TimeGrid,
     return ParabolicSolution(values=values, freq_data=out_hat, tgrid_t=tgrid_t)
 
 
-def _taper(s: np.ndarray) -> np.ndarray:
-    """C^2 quintic step from 1 at s = 0 to 0 at s = 1."""
-    s = np.clip(s, 0.0, 1.0)
-    return 1.0 - s ** 3 * (10.0 - 15.0 * s + 6.0 * s * s)
-
-
 def extend_time_data(g_vals: np.ndarray, T: float, N_t: int) -> np.ndarray:
     """Reflect-and-taper extension of data on [0, T] to the torus [0, 4T).
 
@@ -145,7 +139,6 @@ def extend_time_data(g_vals: np.ndarray, T: float, N_t: int) -> np.ndarray:
 class IbvpSolution:
     times: np.ndarray
     values: np.ndarray        # (len(times), modes, n_x)
-    v1_initial: np.ndarray
     compatibility_defect: float
 
 
@@ -154,19 +147,20 @@ def _gauss_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+# Gauss-Legendre nodes per unit time of the Duhamel integral (at least 4)
+_DUHAMEL_NODES_PER_UNIT = 16
+
+
 def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, f, g, T: float,
                sigma: float, tgrid: TangentialGrid, ugrid: UniformHalfGrid,
-               out_times, N_t: int = 32, duhamel_nodes_per_unit: int = 16,
-               contour: ContourParams | None = None,
-               ext: ExtensionOperator | None = None) -> IbvpSolution:
+               out_times, N_t: int = 32) -> IbvpSolution:
     """Initial-boundary solver on (0, T] by the splitting construction.
 
     ``u0``: (modes, N) initial state; ``f``: callable t -> (modes, N) forcing
     or None; ``g``: list (length m) of callables t -> (modes,) boundary data
-    or None.  Returns u at the requested output times.
+    or None.  The shift ``sigma`` also shifts the semigroup contour.
+    Returns u at the requested output times.
     """
-    if contour is None:
-        contour = ContourParams(sigma_shift=sigma)
     m = problem.m
     u0 = np.asarray(u0, dtype=complex).reshape(-1, ugrid.N)
     out_times = np.asarray(out_times, dtype=float)
@@ -192,7 +186,6 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, f, g, T: float,
 
     # compatibility report: tr B_j u0 vs g_j(0)
     defect = 0.0
-    from .resolvent import boundary_trace_fd
     for j in range(m):
         tr = boundary_trace_fd(problem, u0, tgrid, ugrid, j)
         target = (np.asarray(g[j](0.0), dtype=complex).reshape(-1)
@@ -206,15 +199,14 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, f, g, T: float,
     def S(tau_: float, vec: np.ndarray) -> np.ndarray:
         if not np.any(vec):
             return np.zeros_like(vec)
-        out = semigroup_apply(problem, vec, tau_, tgrid, ugrid,
-                              contour=contour, ext=ext)
+        out = semigroup_apply(problem, vec, tau_, tgrid, ugrid, sigma)
         return math.exp(-sigma * tau_) * out
 
     values = np.zeros((len(out_times),) + u0.shape, dtype=complex)
     for i, t in enumerate(out_times):
         v2 = S(t, w0)
         if f is not None:
-            n_q = max(4, int(math.ceil(duhamel_nodes_per_unit * t)))
+            n_q = max(4, int(math.ceil(_DUHAMEL_NODES_PER_UNIT * t)))
             nodes, wts = _gauss_nodes(0.0, t, n_q)
             for s_node, w_q in zip(nodes, wts):
                 fs = np.asarray(f(s_node), dtype=complex).reshape(-1, ugrid.N)
@@ -224,4 +216,4 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, f, g, T: float,
             v = v + v1.at_time(t)
         values[i] = math.exp(sigma * t) * v
     return IbvpSolution(times=out_times, values=values,
-                        v1_initial=v1_initial, compatibility_defect=defect)
+                        compatibility_defect=defect)

@@ -42,6 +42,7 @@ __all__ = [
     "predicted_singularity_exponent",
     "decay_sweep",
     "singularity_sweep",
+    "SweepRecord",
     "SweepResult",
     "decay_rate",
 ]
@@ -239,21 +240,21 @@ def _middle_fraction(x: np.ndarray, frac: float = 0.8) -> np.ndarray:
     return (lx >= lo + pad) & (lx <= hi - pad)
 
 
-def decay_sweep(problem: ModelProblem, j: int, q: ExponentQuery,
+def decay_sweep(problem: ModelProblem, q: ExponentQuery,
                 sample: SectorSample, g_hat: np.ndarray,
-                tangential_spec: SpaceSpec, tgrid: TangentialGrid,
-                xgrid: HalfLineGrid | None = None) -> SweepResult:
-    """Sweep ||Poi_j(lambda) g|| over the sector and fit per-ray slopes.
+                tangential_spec: SpaceSpec, tgrid: TangentialGrid) -> SweepResult:
+    """Sweep ||Poi_j(lambda) g|| (j = ``q.j``) over the sector and fit
+    per-ray slopes.
 
-    The norm is the weighted mixed Sobolev norm W^k_p(x^r; A^t); the fit is
-    ordinary least squares on the middle 80% of the modulus decades,
-    excluding flagged (non-finite or underflowed) points.
+    The norm is the weighted mixed Sobolev norm W^k_p(x^r; A^t) on a normal
+    grid that resolves the slowest decay of the sample; the fit is ordinary
+    least squares on the middle 80% of the modulus decades, excluding
+    flagged (non-finite or underflowed) points.
     """
     g = np.asarray(g_hat).reshape(-1)
-    if xgrid is None:
-        rate = decay_rate(problem, min(sample.moduli) *
-                          cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
-        xgrid = HalfLineGrid.for_decay(rate, x_min=1e-6, ratio=1.1)
+    rate = decay_rate(problem, min(sample.moduli) *
+                      cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
+    xgrid = HalfLineGrid.for_decay(rate)
     records = []
     slopes = {}
     for ray in sample.rays:
@@ -264,7 +265,7 @@ def decay_sweep(problem: ModelProblem, j: int, q: ExponentQuery,
             lam = mod * cmath.exp(1j * ray)
             batch = kernel_batch(problem, lam, tgrid.xi_modes)
             profiles = np.stack([
-                batch.eval(xgrid.x, l)[j] * g[:, None] for l in range(q.k + 1)
+                batch.eval(xgrid.x, l)[q.j] * g[:, None] for l in range(q.k + 1)
             ])
             val = sobolev_mixed_norm(profiles, q.p, q.r, tangential_spec,
                                      tgrid, xgrid)

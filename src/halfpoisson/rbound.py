@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import HalfLineGrid, TangentialGrid
-from .model import ModelProblem, dirichlet_laplacian
+from .model import dirichlet_laplacian
 from .poisson import kernel_batch
 
 __all__ = [
@@ -95,8 +95,12 @@ def _stack_family(arrays, what: str):
     return rows.reshape(len(arrays), -1), shapes.pop(), dtype
 
 
+# batches of sign draws behind the standard error of the ratio
+_BATCHES = 16
+
+
 def rademacher_ratio(trial: RademacherTrial, norm_out: Callable,
-                     norm_in: Callable, batches: int = 16) -> RatioEstimate:
+                     norm_in: Callable) -> RatioEstimate:
     """Sampled E||sum eps T_l x_l|| / E||sum eps x_l|| with standard error.
 
     Second moments over the sign draws; the standard error comes from
@@ -129,7 +133,7 @@ def rademacher_ratio(trial: RademacherTrial, norm_out: Callable,
     den = math.sqrt(float(np.mean(dens ** 2)))
     estimate = num / den
 
-    nb = max(1, min(batches, trial.trials))
+    nb = max(1, min(_BATCHES, trial.trials))
     split_n = np.array_split(nums, nb)
     split_d = np.array_split(dens, nb)
     ratios = np.array([
@@ -158,24 +162,23 @@ def _band_limited_datum(tgrid: TangentialGrid) -> np.ndarray:
 
 def dirichlet_nonrbound_experiment(
     p: float, sigma: float = 1.0, N_list: Sequence[int] = (4, 8, 16, 32, 64),
-    tgrid: TangentialGrid | None = None, xgrid: HalfLineGrid | None = None,
     r: float = 0.0, trials: int = 512, seed: int = 0,
-    problem: ModelProblem | None = None,
 ) -> list[GrowthRow]:
     """Growth table of the Rademacher ratio for the scaled dyadic family.
 
-    Requires p in [1, 2] (p = 2 is the plateau control run).  The normal
-    grid must resolve depths down to 1/sqrt(lambda_max); the default starts
+    Requires p in [1, 2] (p = 2 is the plateau control run) and family sizes
+    N >= 1.  The Dirichlet Laplacian at n = 2 on 8 tangential modes; the
+    normal grid must resolve depths down to 1/sqrt(lambda_max), so it starts
     at 1e-21 to cover N up to 64 at sigma = 1.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError("experiment is specified for p in [1, 2]")
-    if problem is None:
-        problem = dirichlet_laplacian(n=2)
-    if tgrid is None:
-        tgrid = TangentialGrid(n_axes=problem.n - 1, N=8, L=2.0 * math.pi)
-    if xgrid is None:
-        xgrid = HalfLineGrid(x_min=1e-21, ratio=1.1, n_points=560)
+    if not N_list or min(N_list) < 1:
+        raise ValueError(f"N_list must be a nonempty list of family sizes >= 1, "
+                         f"got {list(N_list)}")
+    problem = dirichlet_laplacian(n=2)
+    tgrid = TangentialGrid(n_axes=problem.n - 1, N=8, L=2.0 * math.pi)
+    xgrid = HalfLineGrid(x_min=1e-21, ratio=1.1, n_points=560)
     g = _band_limited_datum(tgrid)
     w_norm = xgrid.quad_weights(r)
     Lvol = tgrid.L ** tgrid.n_axes

@@ -85,9 +85,14 @@ class ExtensionOperator:
 
     @staticmethod
     def cutoff(x: np.ndarray, X: float) -> np.ndarray:
-        """C^2 window: 1 for x <= X/4, 0 for x >= 0.45 X (quintic smoothstep)."""
-        s = np.clip((np.asarray(x) - 0.25 * X) / (0.20 * X), 0.0, 1.0)
-        return 1.0 - s ** 3 * (10.0 - 15.0 * s + 6.0 * s * s)
+        """C^2 window: 1 for x <= X/4, 0 for x >= 0.45 X."""
+        return _taper((np.asarray(x) - 0.25 * X) / (0.20 * X))
+
+
+def _taper(s: np.ndarray) -> np.ndarray:
+    """C^2 quintic step from 1 at s <= 0 to 0 at s >= 1."""
+    s = np.clip(s, 0.0, 1.0)
+    return 1.0 - s ** 3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
 def seeley_extend(profile: np.ndarray, ext: ExtensionOperator,
@@ -148,14 +153,12 @@ class ResolventSource:
 
 
 def resolvent_source(problem: mdl.ModelProblem, f: np.ndarray,
-                     tgrid: TangentialGrid, ugrid: UniformHalfGrid,
-                     ext: ExtensionOperator | None = None) -> ResolventSource:
+                     tgrid: TangentialGrid, ugrid: UniformHalfGrid) -> ResolventSource:
     """Everything in R(lambda) f that does not depend on lambda.
 
     ``f`` holds tangential-frequency data on modes x uniform normal nodes.
     """
-    if ext is None:
-        ext = ExtensionOperator.for_problem(problem)
+    ext = ExtensionOperator.for_problem(problem)
     f = np.asarray(f, dtype=complex).reshape(-1, ugrid.N)
     F = np.fft.fft(seeley_extend(f, ext, ugrid), axis=-1)
     symbol, weight = multiplier_data(problem, tgrid, ugrid.xi_normal)
@@ -166,7 +169,6 @@ def resolvent_source(problem: mdl.ModelProblem, f: np.ndarray,
 @dataclass(frozen=True)
 class ResolventResult:
     u: np.ndarray            # modes x N, half-line samples of R(lambda)f
-    w: np.ndarray            # modes x N, uncorrected whole-space part
     traces: np.ndarray       # m x modes, tr B_j w used for the correction
 
 
@@ -188,8 +190,7 @@ def halfspace_resolvent(problem: mdl.ModelProblem, lam: complex,
     if src.F.shape != (tgrid.n_modes, 2 * ugrid.N):
         raise ValueError("resolvent source was built on other grids")
     W = whole_space_resolvent(lam, src.F, src.symbol, src.weight)
-    w_ext = np.fft.ifft(W, axis=-1)
-    w = w_ext[:, : ugrid.N]
+    w = np.fft.ifft(W, axis=-1)[:, : ugrid.N]
 
     syms = problem.boundary_symbols
     dtr = _normal_derivative_traces(W, ugrid.xi_normal,
@@ -201,12 +202,13 @@ def halfspace_resolvent(problem: mdl.ModelProblem, lam: complex,
     u = w.copy()
     for j in range(problem.m):
         u -= kernels[j] * traces[j][:, None]
-    return ResolventResult(u=u, w=w, traces=traces)
+    return ResolventResult(u=u, traces=traces)
 
 
-def _central_fd_weights(order: int, half_width: int, h: float) -> np.ndarray:
-    """Weights of d^order/dx^order on the symmetric stencil -r h, ..., r h."""
-    offsets = np.arange(-half_width, half_width + 1) * h
+def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
+    """Weights of d^order/dx^order at 0 from samples at ``offsets``."""
+    if len(offsets) <= order:
+        raise ValueError("not enough nodes for the requested derivative")
     A = np.vander(offsets, increasing=True).T
     rhs = np.zeros(len(offsets))
     rhs[order] = math.factorial(order)
@@ -226,7 +228,7 @@ def _fd_derivative(vals: np.ndarray, h: float, order: int) -> np.ndarray:
     if n_pts % 2 == 0:
         n_pts += 1
     r = n_pts // 2
-    w = _central_fd_weights(order, r, h)
+    w = _fd_weights(np.arange(-r, r + 1) * h, order)
     out = vals.copy()
     for _ in range(order):
         out = np.gradient(out, h, axis=-1, edge_order=2)
@@ -239,18 +241,15 @@ def _fd_derivative(vals: np.ndarray, h: float, order: int) -> np.ndarray:
 
 def interior_residual_fd(problem: mdl.ModelProblem, lam: complex,
                          u: np.ndarray, f: np.ndarray,
-                         tgrid: TangentialGrid, ugrid: UniformHalfGrid,
-                         margin: int | None = None) -> float:
+                         tgrid: TangentialGrid, ugrid: UniformHalfGrid) -> float:
     """Relative residual ||(lambda - A(D))u - f|| by finite differences.
 
     Tangential derivatives are spectral (exact per mode); normal derivatives
     use repeated central differences, so the residual measures the honest
-    discretization error at order 2.  Nodes within ``margin`` of either end
-    are excluded (one-sided stencils there).
+    discretization error at order 2.  Nodes within twice the problem order
+    of either end are excluded (one-sided stencils there).
     """
-    order = problem.order
-    if margin is None:
-        margin = 2 * order
+    margin = 2 * problem.order
     sym = problem.interior_symbol
     # D_n = -i d/dx: D^l = (-i)^l (d/dx)^l
     Au = sym.contract(sym.table(tgrid.xi_modes)[:, None, :],
@@ -263,39 +262,29 @@ def interior_residual_fd(problem: mdl.ModelProblem, lam: complex,
     return float(np.linalg.norm(res[:, sl])) / denom
 
 
-def _onesided_fd_weights(order: int, n_pts: int, h: float) -> np.ndarray:
-    """Weights of d^order/dx^order at x = 0 from nodes 0, h, ..., (n-1)h."""
-    if n_pts <= order:
-        raise ValueError("not enough nodes for the requested derivative")
-    A = np.vander(np.arange(n_pts) * h, increasing=True).T
-    rhs = np.zeros(n_pts)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(A, rhs)
-
-
 def boundary_trace_fd(problem: mdl.ModelProblem, u: np.ndarray,
                       tgrid: TangentialGrid, ugrid: UniformHalfGrid,
-                      j: int, n_pts: int = 6) -> np.ndarray:
-    """tr B_j(D) u at x_n = 0 per mode, normal derivatives by one-sided FD."""
-    head = np.asarray(u)[:, :n_pts]
+                      j: int) -> np.ndarray:
+    """tr B_j(D) u at x_n = 0 per mode, normal derivatives by one-sided FD
+    on the first six nodes."""
+    offsets = np.arange(6) * ugrid.h
+    head = np.asarray(u)[:, :len(offsets)]
     sym = problem.boundary_symbols[j]
     return sym.contract(sym.table(tgrid.xi_modes),
-                        lambda l: (head @ _onesided_fd_weights(l, n_pts, ugrid.h))
-                        * (-1j) ** l)
+                        lambda l: (head @ _fd_weights(offsets, l)) * (-1j) ** l)
 
 
-@dataclass(frozen=True)
-class ContourParams:
-    N_c: int = 48
-    alpha: float = math.pi / 5.0
-    sigma_shift: float = 1.0
-    tail: float = 30.0
+# Contour quadrature (Weideman & Trefethen, Math. Comp. 76, 2007): N_C nodes
+# on the hyperbola of asymptotic half-angle pi/2 + _ALPHA, truncated where
+# e^{Re z t} has fallen to e^{-_TAIL}.
+_N_C = 48
+_ALPHA = math.pi / 5.0
+_TAIL = 30.0
 
 
 def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
                     tgrid: TangentialGrid, ugrid: UniformHalfGrid,
-                    contour: ContourParams | None = None,
-                    ext: ExtensionOperator | None = None) -> np.ndarray:
+                    sigma: float = 1.0) -> np.ndarray:
     """e^{t A_B} u0 by contour quadrature of the half-space resolvent.
 
     Contour: z(theta) = mu (1 - sin(alpha + i theta)), a left-opening
@@ -306,29 +295,25 @@ def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if contour is None:
-        contour = ContourParams()
     if problem.phi <= math.pi / 2:
         raise ValueError("semigroup needs working angle phi > pi/2")
-    if math.pi / 2 + contour.alpha >= problem.phi:
+    if math.pi / 2 + _ALPHA >= problem.phi:
         raise ValueError("contour asymptote leaves the verified sector")
-    sigma = contour.sigma_shift
-    N_c = contour.N_c
-    mu = 0.25 * N_c / t
+    mu = 0.25 * _N_C / t
     # truncate where e^{Re z t} has decayed below the tail tolerance
-    ch = (1.0 + contour.tail / (mu * t)) / math.sin(contour.alpha)
+    ch = (1.0 + _TAIL / (mu * t)) / math.sin(_ALPHA)
     theta_max = math.acosh(max(ch, 1.0 + 1e-9))
     # increasing theta moves the contour point downward in the imaginary
     # direction; reversing the node order keeps the Bromwich orientation
     # (upward through the right half-plane)
-    thetas = np.linspace(theta_max, -theta_max, N_c)
+    thetas = np.linspace(theta_max, -theta_max, _N_C)
     h = thetas[1] - thetas[0]
     u0 = np.asarray(u0, dtype=complex).reshape(-1, ugrid.N)
-    src = resolvent_source(problem, u0, tgrid, ugrid, ext)
+    src = resolvent_source(problem, u0, tgrid, ugrid)
     acc = np.zeros_like(u0)
     for th in thetas:
-        z = mu * (1.0 - cmath.sin(contour.alpha + 1j * th))
-        dz = -1j * mu * cmath.cos(contour.alpha + 1j * th)
+        z = mu * (1.0 - cmath.sin(_ALPHA + 1j * th))
+        dz = -1j * mu * cmath.cos(_ALPHA + 1j * th)
         res = halfspace_resolvent(problem, z + sigma, src, tgrid, ugrid)
         acc += (cmath.exp(z * t) * dz) * res.u
     return math.exp(sigma * t) * (h / (2.0j * math.pi)) * acc

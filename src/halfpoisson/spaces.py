@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import eigsh
@@ -39,7 +38,6 @@ __all__ = [
     "bessel_norm",
     "space_norm",
     "param_norm",
-    "weighted_halfline_norm",
     "sobolev_mixed_norm",
     "ap_characteristic",
     "hardy_norm",
@@ -55,7 +53,6 @@ class SpaceSpec:
     s: float = 0.0
     p: float = 2.0
     q: float = 2.0
-    r: float = 0.0         # half-line power weight, used by the mixed norms
 
     def __post_init__(self):
         if self.scale not in {"Lp", "W", "H", "B", "F"}:
@@ -64,8 +61,6 @@ class SpaceSpec:
             raise ValueError("p must lie in [1, inf)")
         if not (1 <= self.q):
             raise ValueError("q must be >= 1")
-        if self.r <= -1:
-            raise ValueError("weight exponent r must exceed -1")
 
 
 class DyadicPartition:
@@ -77,12 +72,11 @@ class DyadicPartition:
     [2^(k-1), 3*2^(k-1)].
     """
 
-    def __init__(self, xi_abs: np.ndarray, K: int | None = None):
+    def __init__(self, xi_abs: np.ndarray):
         xi_abs = np.abs(np.asarray(xi_abs, dtype=float))
         xi_max = float(xi_abs.max()) if xi_abs.size else 1.0
         # coverage: phi_0(2^-K xi) must be 1 on the grid, i.e. 2^K >= xi_max
-        k_cover = max(1, int(math.ceil(math.log2(max(xi_max, 1.0)))) + 1)
-        self.K = k_cover if K is None else max(K, k_cover)
+        self.K = max(1, int(math.ceil(math.log2(max(xi_max, 1.0)))) + 1)
         self.xi_abs = xi_abs
         bands = [self._phi0(xi_abs)]
         for k in range(1, self.K + 1):
@@ -115,11 +109,9 @@ def bessel_norm(fhat: np.ndarray, spec: SpaceSpec, grid: TangentialGrid) -> floa
     return grid.lp_norm(mult * fhat, spec.p)
 
 
-def besov_norm(fhat: np.ndarray, spec: SpaceSpec, grid: TangentialGrid,
-               part: DyadicPartition | None = None) -> float:
+def besov_norm(fhat: np.ndarray, spec: SpaceSpec, grid: TangentialGrid) -> float:
     """B^s_{p,q} norm: l^q over k of 2^{sk} ||band_k||_{L_p}."""
-    if part is None:
-        part = DyadicPartition(np.sqrt(grid.xi_sq))
+    part = DyadicPartition(np.sqrt(grid.xi_sq))
     band_norms = np.array([
         grid.lp_norm(phi * fhat, spec.p) * 2.0 ** (spec.s * k)
         for k, phi in enumerate(part.bands)
@@ -129,11 +121,9 @@ def besov_norm(fhat: np.ndarray, spec: SpaceSpec, grid: TangentialGrid,
     return float(np.sum(band_norms ** spec.q) ** (1.0 / spec.q))
 
 
-def triebel_norm(fhat: np.ndarray, spec: SpaceSpec, grid: TangentialGrid,
-                 part: DyadicPartition | None = None) -> float:
+def triebel_norm(fhat: np.ndarray, spec: SpaceSpec, grid: TangentialGrid) -> float:
     """F^s_{p,q} norm: L_p of the pointwise l^q over scaled bands."""
-    if part is None:
-        part = DyadicPartition(np.sqrt(grid.xi_sq))
+    part = DyadicPartition(np.sqrt(grid.xi_sq))
     vals = np.stack([
         np.abs(grid.to_space(phi * fhat)) * 2.0 ** (spec.s * k)
         for k, phi in enumerate(part.bands)
@@ -145,43 +135,30 @@ def triebel_norm(fhat: np.ndarray, spec: SpaceSpec, grid: TangentialGrid,
     return float((np.sum(pointwise ** spec.p) * grid.cell_volume) ** (1.0 / spec.p))
 
 
-def space_norm(fhat: np.ndarray, spec: SpaceSpec, grid: TangentialGrid,
-               part: DyadicPartition | None = None) -> float:
+def space_norm(fhat: np.ndarray, spec: SpaceSpec, grid: TangentialGrid) -> float:
     """Dispatch on the scale tag (W is Bessel here: integer-order agreement)."""
     if spec.scale == "Lp":
         return grid.lp_norm(fhat, spec.p)
     if spec.scale in ("H", "W"):
         return bessel_norm(fhat, spec, grid)
     if spec.scale == "B":
-        return besov_norm(fhat, spec, grid, part)
+        return besov_norm(fhat, spec, grid)
     if spec.scale == "F":
-        return triebel_norm(fhat, spec, grid, part)
+        return triebel_norm(fhat, spec, grid)
     raise ValueError(spec.scale)
 
 
 def param_norm(fhat: np.ndarray, s: float, s0: float, mu: complex,
-               base_spec: SpaceSpec, grid: TangentialGrid,
-               part: DyadicPartition | None = None) -> float:
+               base_spec: SpaceSpec, grid: TangentialGrid) -> float:
     """Parameter-dependent norm: multiplier <xi, mu>^{s-s0} then the s0 norm."""
     mult = (1.0 + grid.xi_sq + abs(mu) ** 2) ** ((s - s0) / 2.0)
-    spec0 = SpaceSpec(scale=base_spec.scale, s=s0, p=base_spec.p,
-                      q=base_spec.q, r=base_spec.r)
-    return space_norm(mult * fhat, spec0, grid, part)
-
-
-def weighted_halfline_norm(values: np.ndarray, p: float, r: float,
-                           grid: HalfLineGrid) -> float:
-    """(int |f|^p x^r dx)^{1/p} over the graded half-line grid."""
-    if r <= -1:
-        raise ValueError("r must exceed -1 (integrability at 0)")
-    vals = np.abs(np.asarray(values)) ** p
-    return float(grid.integrate(vals, r) ** (1.0 / p))
+    spec0 = SpaceSpec(scale=base_spec.scale, s=s0, p=base_spec.p, q=base_spec.q)
+    return space_norm(mult * fhat, spec0, grid)
 
 
 def sobolev_mixed_norm(profiles, p: float, r: float,
                        tangential_spec: SpaceSpec, tgrid: TangentialGrid,
-                       xgrid: HalfLineGrid,
-                       part: DyadicPartition | None = None) -> float:
+                       xgrid: HalfLineGrid) -> float:
     """W^k_p(R_+, x^r; A^t) norm from normal-derivative profiles.
 
     ``profiles`` has shape (k+1, modes..., n_z): entry l holds the
@@ -204,7 +181,7 @@ def sobolev_mixed_norm(profiles, p: float, r: float,
             norms = np.sqrt(sq)
         else:
             norms = np.array([
-                space_norm(profiles[l][..., i], tangential_spec, tgrid, part)
+                space_norm(profiles[l][..., i], tangential_spec, tgrid)
                 for i in range(n_z)
             ])
         total += float((norms ** p) @ w)
@@ -290,19 +267,13 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid, max_iter: int = 400,
                      f"converge to tol={tol} in max_iter={max_iter} steps")
 
 
-@dataclass(frozen=True)
-class LiftingReport:
-    ratio_min: float
-    ratio_max: float
-
-
 def mixed_lifting_check(fhat2d: np.ndarray, t: float, tgrid: TangentialGrid,
-                        xi_normal: np.ndarray, p: float = 2.0) -> LiftingReport:
+                        xi_normal: np.ndarray) -> float:
     """Full Bessel lift <D>^t versus the max of the two one-axis lifts.
 
     ``fhat2d`` holds 2-D frequency data (tangential axis x normal axis on a
-    doubled torus with frequencies ``xi_normal``).  Both sides are L_p norms
-    on the product torus; the report carries the min/max ratio
+    doubled torus with frequencies ``xi_normal``).  Both sides are L_2 norms
+    on the product torus (Plancherel: coefficient sums); returns the ratio
     full / max(normal-lift, tangential-lift).
     """
     if t < 0:
@@ -314,14 +285,10 @@ def mixed_lifting_check(fhat2d: np.ndarray, t: float, tgrid: TangentialGrid,
     lift_t = (1.0 + xt + 0 * xn) ** (t / 2.0)
     lift_n = (1.0 + 0 * xt + xn) ** (t / 2.0)
 
-    def pnorm(mult):
+    def l2norm(mult):
         data = mult * fhat2d.reshape(xt.shape[0], xn.shape[1])
-        if p == 2:
-            return math.sqrt(float(np.sum(np.abs(data) ** 2)))
-        vals = np.fft.ifft2(data) * data.size
-        return float(np.sum(np.abs(vals) ** p) ** (1.0 / p))
+        return math.sqrt(float(np.sum(np.abs(data) ** 2)))
 
-    lhs = pnorm(full)
-    rhs = max(pnorm(lift_t), pnorm(lift_n))
-    ratio = lhs / max(rhs, 1e-300)
-    return LiftingReport(ratio_min=ratio, ratio_max=ratio)
+    lhs = l2norm(full)
+    rhs = max(l2norm(lift_t), l2norm(lift_n))
+    return lhs / max(rhs, 1e-300)

@@ -101,6 +101,19 @@ class TestConfig:
         assert self._run("poisson-eval", doc, tmp_path) == cli.EXIT_INPUT
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,doc,key", [
+        ("poisson-eval", {"j": 1}, "'j'"),
+        ("poisson-eval", {"j": -1}, "'j'"),
+        ("decay-sweep", {"j": 1}, "'j'"),
+        ("singularity-sweep", {"j": 1}, "'j'"),
+        ("rbound-sim", {"N_list": []}, "N_list"),
+        ("rbound-sim", {"N_list": [0, 4]}, "N_list"),
+    ])
+    def test_out_of_range_value_rejected(self, command, doc, key, tmp_path, capsys):
+        # the Dirichlet Laplacian has one boundary operator: j = 0 only
+        assert self._run(command, doc, tmp_path) == cli.EXIT_INPUT
+        assert key in capsys.readouterr().err
+
     def test_declared_types_accepted(self, tmp_path):
         # integers for float keys, a list for [re, im]
         doc = {"lambda": [4, 1], "N_x": 8, "xi0": 1}

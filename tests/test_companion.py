@@ -72,34 +72,30 @@ class TestStableRoots:
 class TestCompanionSystem:
     @pytest.mark.parametrize("name", sorted(mdl.BUNDLED))
     def test_delta_identity(self, name):
-        """Boundary rows applied to M give the identity: Lambda M = I."""
+        """Boundary rows applied to M = S C give the identity: Lambda M = I."""
         p = mdl.BUNDLED[name]()
         for _ in range(20):
             lam = _random_sector_lambda(p.phi)
             xi = RNG.uniform(-5, 5, size=p.n - 1)
             fp = comp.make_frequency_point(xi, lam, p.m)
             cs = comp.build_companion(p, fp)
-            assert np.allclose(cs.boundary_rows @ cs.M, np.eye(p.m), atol=1e-10)
+            M = cs.stable_basis @ cs.coeffs
+            assert np.allclose(p.boundary_table(fp.b) @ M, np.eye(p.m), atol=1e-10)
 
-    def test_projector_idempotent_and_absorbs_m(self):
-        p = mdl.clamped_bilaplacian()
-        lam = _random_sector_lambda(p.phi)
-        fp = comp.make_frequency_point(np.array([1.3]), lam, p.m)
-        cs = comp.build_companion(p, fp)
-        assert np.allclose(cs.Pminus @ cs.Pminus, cs.Pminus, atol=1e-10)
-        assert np.allclose(cs.Pminus @ cs.M, cs.M, atol=1e-10)
-
-    def test_projector_commutes_with_companion(self):
-        p = mdl.clamped_bilaplacian()
+    @pytest.mark.parametrize("name", sorted(mdl.BUNDLED))
+    def test_stable_pair_is_invariant(self, name):
+        """A0 S = S T11 with S orthonormal and T11 holding the m roots above
+        the real axis: S spans the stable invariant subspace."""
+        p = mdl.BUNDLED[name]()
         fp = comp.make_frequency_point(np.array([0.7]), 9.0 + 3.0j, p.m)
         cs = comp.build_companion(p, fp)
-        assert np.allclose(cs.Pminus @ cs.A0, cs.A0 @ cs.Pminus, atol=1e-10)
-
-    def test_projector_rank(self):
-        p = mdl.clamped_bilaplacian()
-        fp = comp.make_frequency_point(np.array([0.7]), 9.0 + 3.0j, p.m)
-        cs = comp.build_companion(p, fp)
-        assert np.linalg.matrix_rank(cs.Pminus, tol=1e-8) == p.m
+        S, T11 = cs.stable_basis, cs.stable_block
+        A0 = comp._companion_matrix(p, fp)
+        assert S.shape == (p.order, p.m)
+        assert np.allclose(A0 @ S, S @ T11, atol=1e-10)
+        assert np.allclose(S.conj().T @ S, np.eye(p.m), atol=1e-12)
+        assert np.allclose(T11, np.triu(T11))
+        assert np.all(np.diag(T11).imag > 0)
 
     def test_lopatinskii_error_on_duplicate_rows(self):
         base = mdl.clamped_bilaplacian()

@@ -151,6 +151,32 @@ class TestIbvp:
             dev = np.abs(tr - target).max() / np.abs(target).max()
             assert dev < 1e-3
 
+    @pytest.mark.parametrize("factory", [hp.dirichlet_laplacian,
+                                         hp.clamped_bilaplacian])
+    def test_shift_does_not_change_the_solution(self, factory):
+        """u = e^{sigma t} v for any sigma > 0, and the semigroup contour is
+        shifted by the same sigma: the solution must not depend on it."""
+        p = factory()
+        ug = UniformHalfGrid(X=30.0, N=512)
+        q0 = TG.mode_index(1.0)
+        T = 0.5
+
+        def g0(t):
+            out = np.zeros(TG.n_modes, dtype=complex)
+            out[q0] = math.sin(math.pi * min(t / T, 1.0) / 2.0) ** 2
+            return out
+
+        g = [g0] + [lambda t: np.zeros(TG.n_modes, dtype=complex)] * (p.m - 1)
+        # compatible with g(0) = 0 for both problems: u0 and u0' vanish at 0
+        u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
+        u0[q0] = ug.x ** 2 * np.exp(-ug.x)
+        sols = {sigma: pb.ibvp_solve(p, u0, None, g, T, sigma, TG, ug,
+                                     [T / 2, T], N_t=16).values
+                for sigma in (0.5, 1.0, 2.0)}
+        ref = np.linalg.norm(sols[1.0])
+        for sigma in (0.5, 2.0):
+            assert np.linalg.norm(sols[sigma] - sols[1.0]) / ref < 1e-2
+
     def test_compatibility_defect_reported(self):
         """Incompatible data (u0 trace != g(0)) is reported, not hidden."""
         p = hp.dirichlet_laplacian()

@@ -129,7 +129,7 @@ class TestSweeps:
         g[tg.mode_index(1.0)] = 1.0
         sample = SectorSample.default(0.7 * math.pi, sigma_floor=1e2,
                                       n_rays=3, n_moduli=9, mod_max=1e6)
-        res = poi.decay_sweep(p, 0, q, sample, g,
+        res = poi.decay_sweep(p, q, sample, g,
                               SpaceSpec(scale="H", s=0.0, p=2), tg)
         assert res.predicted == pytest.approx(-0.25)
         assert res.max_deviation < 0.01
@@ -143,7 +143,7 @@ class TestSweeps:
         g[tg.mode_index(1.0)] = 1.0
         sample = SectorSample.default(0.7 * math.pi, sigma_floor=1e2,
                                       n_rays=3, n_moduli=9, mod_max=1e6)
-        res = poi.decay_sweep(p, 0, q, sample, g,
+        res = poi.decay_sweep(p, q, sample, g,
                               SpaceSpec(scale="H", s=0.0, p=2), tg)
         assert res.predicted == pytest.approx(-0.125)
         assert res.max_deviation < 0.01
@@ -167,6 +167,6 @@ class TestSweeps:
         g[tg.mode_index(1.0)] = 1.0
         sample = SectorSample.default(0.7 * math.pi, sigma_floor=1e2,
                                       n_rays=3, n_moduli=7, mod_max=1e5)
-        res = poi.decay_sweep(p, 0, q, sample, g,
+        res = poi.decay_sweep(p, q, sample, g,
                               SpaceSpec(scale="H", s=0.0, p=2), tg)
         assert res.worst_slope() in res.fitted_slopes.values()

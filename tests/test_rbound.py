@@ -11,7 +11,7 @@ def _l2(v):
     return float(np.linalg.norm(v))
 
 
-def _per_draw_ratio(trial, norm_out, norm_in, batches=16):
+def _per_draw_ratio(trial, norm_out, norm_in):
     """Reference: one Python-level signed sum per draw."""
     images = [op(x) for op, x in zip(trial.operators, trial.vectors)]
     rng = np.random.Generator(np.random.Philox(trial.seed))
@@ -23,7 +23,7 @@ def _per_draw_ratio(trial, norm_out, norm_in, batches=16):
         dens[i] = norm_in(sum(e * x for e, x in zip(eps[i], trial.vectors)))
     num = math.sqrt(float(np.mean(nums ** 2)))
     den = math.sqrt(float(np.mean(dens ** 2)))
-    nb = max(1, min(batches, trial.trials))
+    nb = max(1, min(16, trial.trials))
     ratios = np.array([
         math.sqrt(float(np.mean(a ** 2))) / math.sqrt(float(np.mean(b ** 2)))
         for a, b in zip(np.array_split(nums, nb), np.array_split(dens, nb))

@@ -145,7 +145,7 @@ class TestHalfSpaceResolvent:
 class TestFdInstruments:
     def test_central_second_derivative_weights_frozen(self):
         # [DERIVED] accuracy-4 stencil: [-1/12, 4/3, -5/2, 4/3, -1/12] / h^2
-        w = res._central_fd_weights(2, 2, 1.0)
+        w = res._fd_weights(np.arange(-2.0, 3.0), 2)
         assert np.allclose(w, [-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12])
 
     def test_fd_derivative_on_polynomial(self):
@@ -156,7 +156,7 @@ class TestFdInstruments:
 
     def test_one_sided_weights_differentiate_exponential(self):
         h = 0.01
-        w = res._onesided_fd_weights(1, 6, h)
+        w = res._fd_weights(np.arange(6) * h, 1)
         vals = np.exp(-2.0 * h * np.arange(6))
         assert float(vals @ w) == pytest.approx(-2.0, abs=1e-8)
 
