@@ -24,7 +24,6 @@ from .companion import (
     LopatinskiiError,
     EllipticityMarginError,
     make_frequency_point,
-    stable_roots,
     build_companion,
     boundary_map_conditioning,
     propagate,

@@ -50,7 +50,6 @@ __all__ = [
     "FrequencyPoint",
     "CompanionSystem",
     "make_frequency_point",
-    "stable_roots",
     "build_companion",
     "propagate",
     "boundary_map_conditioning",
@@ -103,31 +102,6 @@ def make_frequency_point(xi_prime, lam, m: int) -> FrequencyPoint:
 _AXIS_TOL = 1e-10
 # the row-normalised LS map is singular below this smallest singular value
 _LS_TOL = 1e-8
-
-
-def stable_roots(problem, fp: FrequencyPoint) -> np.ndarray:
-    """The m roots tau of ``lambda - A(xi', tau) = 0`` with ``Im tau > 0``.
-
-    Sorted by imaginary part.  A root count != m signals an ellipticity
-    violation; a root hugging the real axis signals a vanished spectral gap.
-    """
-    # lambda - A(xi', tau) in increasing powers of tau
-    c = -problem.interior_symbol.table(fp.xi_prime)
-    c[0] += fp.lam
-    roots = np.roots(c[::-1])
-    gap = _AXIS_TOL * fp.rho
-    if np.any(np.abs(roots.imag) <= gap):
-        raise EllipticityMarginError(
-            f"characteristic root within {gap:.3e} of the real axis at "
-            f"(xi'={fp.xi_prime}, lambda={fp.lam})"
-        )
-    stable = roots[roots.imag > 0]
-    if len(stable) != problem.m:
-        raise EllipticityMarginError(
-            f"expected {problem.m} stable roots, found {len(stable)} at "
-            f"(xi'={fp.xi_prime}, lambda={fp.lam}); parameter-ellipticity fails"
-        )
-    return stable[np.argsort(stable.imag)]
 
 
 def _companion_matrix(problem, fp: FrequencyPoint) -> np.ndarray:

@@ -158,8 +158,9 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, f, g, T: float,
 
     ``u0``: (modes, N) initial state; ``f``: callable t -> (modes, N) forcing
     or None; ``g``: list (length m) of callables t -> (modes,) boundary data
-    or None.  The shift ``sigma`` also shifts the semigroup contour.
-    Returns u at the requested output times.
+    or None.  ``sigma`` shifts the splitting only (v = e^{-sigma t} u); the
+    semigroup contour keeps its own fixed shift.  Returns u at the requested
+    output times.
     """
     m = problem.m
     u0 = np.asarray(u0, dtype=complex).reshape(-1, ugrid.N)
@@ -199,7 +200,7 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, f, g, T: float,
     def S(tau_: float, vec: np.ndarray) -> np.ndarray:
         if not np.any(vec):
             return np.zeros_like(vec)
-        out = semigroup_apply(problem, vec, tau_, tgrid, ugrid, sigma)
+        out = semigroup_apply(problem, vec, tau_, tgrid, ugrid)
         return math.exp(-sigma * tau_) * out
 
     values = np.zeros((len(out_times),) + u0.shape, dtype=complex)

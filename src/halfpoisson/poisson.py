@@ -140,7 +140,10 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
                  degeneracy_tol: float = 1e-8) -> KernelBatch:
     """Root-basis kernel data for every mode and boundary index, with Schur
     fallback marking.  One solve against the identity gives the coefficients
-    of all m unit data from one factorization of the boundary map."""
+    of all m unit data from one factorization of the boundary map.  Raises
+    :class:`~halfpoisson.companion.EllipticityMarginError` where a root lies
+    within ``_AXIS_TOL * rho`` of the real axis or a mode has other than m
+    stable roots."""
     lam = complex(lam)
     xi_modes = np.atleast_2d(np.asarray(xi_modes, dtype=float))
     N = xi_modes.shape[0]
@@ -153,6 +156,14 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
     C[:, np.arange(order - 1), np.arange(1, order)] = 1.0
     C[:, -1, :] = -c[:, :order] / c[:, order, None]
     eigs = np.linalg.eigvals(C)
+    rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + abs(lam) ** (1.0 / m))
+    near_axis = np.abs(eigs.imag) <= comp._AXIS_TOL * rho[:, None]
+    if np.any(near_axis):
+        bad = int(np.argmax(near_axis.any(axis=1)))
+        raise comp.EllipticityMarginError(
+            f"characteristic root within {comp._AXIS_TOL * rho[bad]:.3e} of the "
+            f"real axis at (xi'={xi_modes[bad]}, lambda={lam})"
+        )
     pos = eigs.imag > 0
     counts = pos.sum(axis=1)
     if np.any(counts != m):
@@ -181,7 +192,6 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
     # companion._schur_ls: sum_l |b_jl(xi')| rho^l, which bounds |B_j(xi', tau)|
     # on |tau| = rho, rho^2 = 1 + |xi'|^2 + |lambda|^{1/m}.  A row divided by
     # its own largest entry would score every 1 x 1 map 1.
-    rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + abs(lam) ** (1.0 / m))
     size = np.abs(tab) @ (rho[:, None] ** np.arange(order))[:, :, None]   # (N, m, 1)
     svals = np.linalg.svd(L / (size + 1e-300), compute_uv=False)
     ill = svals[:, -1] <= 1e-10
@@ -197,8 +207,8 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
 
 def decay_rate(problem: ModelProblem, lam: complex) -> float:
     """Smallest Im tau among stable roots at xi' = 0: the slowest decay."""
-    fp = comp.make_frequency_point(np.zeros(problem.n - 1), lam, problem.m)
-    return float(comp.stable_roots(problem, fp).imag.min())
+    taus = kernel_batch(problem, lam, np.zeros((1, problem.n - 1))).taus
+    return float(taus.imag.min())
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ the kernels).
 Discretization: tangential torus modes as everywhere else; the normal
 variable on a uniform grid over [0, X) doubled to a torus [-X, X) so the
 whole-space multiplier is one 1-D FFT per mode.  The reflected side holds the
-Seeley/Hestenes extension ``u(-x) = sum_k c_k u(x/k) * cutoff(x)`` whose
+Hestenes/Seeley extension ``u(-x) = sum_k c_k u(k x) * cutoff(x)`` whose
 coefficients match derivatives up to order K-1 across 0 (Vandermonde system
-``sum_k c_k (-1/k)^l = 1``).
+``sum_k c_k (-k)^l = 1``).  The dilations are integers, so at a grid node
+``x = h i`` the reflection reads the grid samples at ``k i``: no interpolation.
 
 Work is split by its dependence on lambda.  :func:`resolvent_source` builds
 once per datum ``f`` and grid pair what no lambda changes: the Seeley
@@ -28,8 +29,8 @@ ill-conditioning check, one inverse FFT, the boundary traces, and the Poisson
 correction from one kernel batch that serves all m boundary indices.
 
 The semigroup uses trapezoid quadrature of ``(2 pi i)^{-1} \\oint e^{z t}
-R(z + sigma) dz`` over a left-opening hyperbola; resolvents are only ever
-evaluated at ``z + sigma``, which stays inside the verified sector.  One
+R(z + _SIGMA) dz`` over a left-opening hyperbola; resolvents are only ever
+evaluated at ``z + _SIGMA``, which stays inside the verified sector.  One
 source serves all contour nodes of a :func:`semigroup_apply` call.
 """
 
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import model as mdl
 from .grids import TangentialGrid, UniformHalfGrid
@@ -64,7 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExtensionOperator:
-    """Truncated Seeley/Hestenes reflection of order K."""
+    """Truncated Hestenes/Seeley reflection of order K."""
 
     K: int
 
@@ -78,10 +78,13 @@ class ExtensionOperator:
 
     @cached_property
     def coefficients(self) -> np.ndarray:
-        """c_1..c_K solving sum_k c_k (-1/k)^l = 1 for l = 0..K-1."""
-        ks = np.arange(1, self.K + 1, dtype=float)
-        V = (-1.0 / ks) ** np.arange(self.K)[:, None]
-        return np.linalg.solve(V, np.ones(self.K))
+        """c_1..c_K solving sum_k c_k (-k)^l = 1 for l = 0..K-1.
+
+        c_k is the Lagrange basis polynomial of the nodes -1..-K evaluated
+        at 1, the integer (-1)^(k-1) k binom(K+1, k+1).
+        """
+        return np.array([(-1) ** (k - 1) * k * math.comb(self.K + 1, k + 1)
+                         for k in range(1, self.K + 1)], dtype=float)
 
     @staticmethod
     def cutoff(x: np.ndarray, X: float) -> np.ndarray:
@@ -101,21 +104,19 @@ def seeley_extend(profile: np.ndarray, ext: ExtensionOperator,
 
     Input: values at x = 0, h, ..., X-h (length N).  Output length 2N with
     indices N..2N-1 holding the reflected side x in [-X, 0).  The positive
-    side is passed through untouched; the reflection samples ``u(x/k)`` by
-    cubic interpolation.
+    side is passed through untouched; the reflected node x = -h i takes
+    ``sum_k c_k u[k i] * cutoff(h i)``, where samples at or beyond X read 0
+    (the torus already assumes the data has decayed there).
     """
     profile = np.asarray(profile)
     N = grid.N
     if profile.shape[-1] != N:
         raise ValueError(f"profile has {profile.shape[-1]} nodes, grid has {N}")
-    spline = CubicSpline(grid.x, profile, axis=-1)
-    x_neg = grid.h * np.arange(N, 2 * N) - 2.0 * grid.X   # in [-X, 0)
-    x_pos = -x_neg                                        # in (0, X]
-    x_pos = np.minimum(x_pos, grid.x[-1])
-    acc = np.zeros(profile.shape[:-1] + (N,), dtype=complex)
-    for k, c in enumerate(ext.coefficients, start=1):
-        acc += c * spline(x_pos / k)
-    acc *= ext.cutoff(x_pos, grid.X)
+    padded = np.concatenate([profile, np.zeros_like(profile[..., :1])], axis=-1)
+    i = np.arange(N, 0, -1)                  # torus index 2N - i holds x = -h i
+    acc = sum(c * padded[..., np.minimum(k * i, N)]
+              for k, c in enumerate(ext.coefficients, start=1))
+    acc = acc * ext.cutoff(grid.h * i, grid.X)
     return np.concatenate([profile.astype(complex), acc], axis=-1)
 
 
@@ -276,22 +277,22 @@ def boundary_trace_fd(problem: mdl.ModelProblem, u: np.ndarray,
 
 # Contour quadrature (Weideman & Trefethen, Math. Comp. 76, 2007): N_C nodes
 # on the hyperbola of asymptotic half-angle pi/2 + _ALPHA, truncated where
-# e^{Re z t} has fallen to e^{-_TAIL}.
+# e^{Re z t} has fallen to e^{-_TAIL}, shifted right by _SIGMA.
 _N_C = 48
 _ALPHA = math.pi / 5.0
 _TAIL = 30.0
+_SIGMA = 1.0
 
 
 def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
-                    tgrid: TangentialGrid, ugrid: UniformHalfGrid,
-                    sigma: float = 1.0) -> np.ndarray:
+                    tgrid: TangentialGrid, ugrid: UniformHalfGrid) -> np.ndarray:
     """e^{t A_B} u0 by contour quadrature of the half-space resolvent.
 
     Contour: z(theta) = mu (1 - sin(alpha + i theta)), a left-opening
-    hyperbola around the spectrum of A_B - sigma; resolvents are evaluated at
-    z + sigma, and the factor e^{sigma t} restores the unshifted semigroup.
-    Requires the working angle phi > pi/2 so that the asymptotic contour
-    directions (pi/2 + alpha) stay inside the sector.
+    hyperbola around the spectrum of A_B - _SIGMA; resolvents are evaluated
+    at z + _SIGMA, and the factor e^{_SIGMA t} restores the unshifted
+    semigroup.  Requires the working angle phi > pi/2 so that the asymptotic
+    contour directions (pi/2 + alpha) stay inside the sector.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -314,6 +315,6 @@ def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
     for th in thetas:
         z = mu * (1.0 - cmath.sin(_ALPHA + 1j * th))
         dz = -1j * mu * cmath.cos(_ALPHA + 1j * th)
-        res = halfspace_resolvent(problem, z + sigma, src, tgrid, ugrid)
+        res = halfspace_resolvent(problem, z + _SIGMA, src, tgrid, ugrid)
         acc += (cmath.exp(z * t) * dz) * res.u
-    return math.exp(sigma * t) * (h / (2.0j * math.pi)) * acc
+    return math.exp(_SIGMA * t) * (h / (2.0j * math.pi)) * acc

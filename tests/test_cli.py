@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 from pathlib import Path
@@ -75,6 +78,14 @@ class TestInfrastructure:
         code = run(["check-ls", "--problem", "neumann_laplacian",
                     "--out", tmp_path / "out"])
         assert code == cli.EXIT_OK
+
+    def test_import_leaves_scipy_interpolate_unloaded(self):
+        code = ("import sys, halfpoisson.cli; "
+                "sys.exit('scipy.interpolate' in sys.modules)")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
     def test_float_formatting_round_trips(self):
         for v in (0.1, 1 / 3, math.pi, 1e-300):
@@ -192,15 +203,13 @@ class TestSweepOutputs:
         assert ((a / "rbound_sim.csv").read_bytes()
                 != (b / "rbound_sim.csv").read_bytes())
 
-    def test_rbound_explicit_p_beats_config(self, tmp_path):
+    def test_rbound_config_p_is_unknown_key(self, tmp_path, capsys):
+        # p is set by --p alone
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": 64, "N_list": [4, 8], "p": 2.0}))
-        for extra, p in (([], 2.0), (["--p", 1.2], 1.2)):
-            out = tmp_path / str(p)
-            run(["rbound-sim", "--config", cfg, "--out", out, *extra])
-            with open(out / "rbound_sim.csv", newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            assert [float(row["p"]) for row in rows] == [p, p]
+        code = run(["rbound-sim", "--config", cfg, "--out", tmp_path / "out"])
+        assert code == cli.EXIT_INPUT
+        assert "unknown config key 'p'" in capsys.readouterr().err
 
     def test_rbound_p_zero_is_input_error(self, tmp_path, capsys):
         code = run(["rbound-sim", "--p", 0, "--out", tmp_path / "out"])
@@ -259,6 +268,18 @@ class TestSolverCommands:
         assert run(["poisson-eval", "--out", out]) == cli.EXIT_OK
         rep = json.loads((out / "poisson_eval.json").read_text())
         assert rep["boundary_reproduction_defect"] <= 1e-8
+
+    def test_poisson_eval_checks_the_schur_route(self, tmp_path, monkeypatch):
+        """With every mode on the Schur fallback, the boundary reproduction
+        defect is measured on the kernels that route evaluates."""
+        batch = cli.poi.kernel_batch
+        monkeypatch.setattr(cli.poi, "kernel_batch",
+                            lambda *a, **kw: batch(*a, **kw, degeneracy_tol=1e6))
+        out = tmp_path / "out"
+        code = run(["poisson-eval", "--problem", "clamped_bilaplacian", "--out", out])
+        rep = json.loads((out / "poisson_eval.json").read_text())
+        assert code == cli.EXIT_OK
+        assert rep["boundary_reproduction_defect"] <= 1e-12
 
     def test_hardy_norm(self, tmp_path):
         out = tmp_path / "out"

@@ -44,18 +44,20 @@ class TestFrequencyPoint:
 
 
 class TestStableRoots:
+    """The stable roots come from ``poisson.kernel_batch``, the one root
+    finder of the package."""
+
     def test_dirichlet_laplacian_root(self):
         p = mdl.dirichlet_laplacian()
-        fp = comp.make_frequency_point(np.array([0.0]), 4.0 + 0j, p.m)
-        taus = comp.stable_roots(p, fp)
+        taus = poi.kernel_batch(p, 4.0 + 0j, np.zeros((1, 1))).taus[0]
         # lambda + tau^2 = 0 with Im tau > 0: tau = 2i
         assert np.allclose(taus, [2.0j])
 
     def test_bilaplacian_roots_frozen(self):
         # [DERIVED] tau^4 = -16, stable quartet members at 2 e^{i pi/4}, 2 e^{3 i pi/4}
         p = mdl.clamped_bilaplacian()
-        fp = comp.make_frequency_point(np.array([0.0]), 16.0 + 0j, p.m)
-        taus = sorted(comp.stable_roots(p, fp), key=lambda z: z.real)
+        taus = sorted(poi.kernel_batch(p, 16.0 + 0j, np.zeros((1, 1))).taus[0],
+                      key=lambda z: z.real)
         assert np.allclose(taus[0], -1.414213562373095 + 1.4142135623730951j)
         assert np.allclose(taus[1], 1.4142135623730951 + 1.414213562373095j)
 
@@ -64,9 +66,15 @@ class TestStableRoots:
             p = factory()
             for _ in range(10):
                 lam = _random_sector_lambda(p.phi)
-                xi = RNG.uniform(-5, 5, size=p.n - 1)
-                fp = comp.make_frequency_point(xi, lam, p.m)
-                assert len(comp.stable_roots(p, fp)) == p.m
+                xi = RNG.uniform(-5, 5, size=(1, p.n - 1))
+                taus = poi.kernel_batch(p, lam, xi).taus
+                assert taus.shape == (1, p.m) and np.all(taus.imag > 0)
+
+    def test_root_on_the_real_axis_is_a_margin_error(self):
+        # lambda = -4 at xi' = 0: tau^2 = 4 puts both roots on the real axis
+        p = mdl.dirichlet_laplacian()
+        with pytest.raises(comp.EllipticityMarginError, match="real axis"):
+            poi.kernel_batch(p, -4.0 + 0j, np.zeros((1, 1)))
 
 
 class TestCompanionSystem:

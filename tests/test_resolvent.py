@@ -26,15 +26,26 @@ def _solve(p, lam, f, tg, ug):
 
 class TestExtensionOperator:
     def test_coefficients_frozen_k4(self):
-        # [DERIVED] Vandermonde solution for K = 4
+        # [DERIVED] Vandermonde solution for K = 4 with dilations 1..4
         ext = res.ExtensionOperator(K=4)
-        assert np.allclose(ext.coefficients, [-10.0, 160.0, -405.0, 256.0])
+        assert np.array_equal(ext.coefficients, [10.0, -20.0, 15.0, -4.0])
 
     def test_coefficients_satisfy_matching(self):
         ext = res.ExtensionOperator(K=6)
         ks = np.arange(1, 7, dtype=float)
         for l in range(6):
-            assert np.sum(ext.coefficients * (-1.0 / ks) ** l) == pytest.approx(1.0)
+            assert np.sum(ext.coefficients * (-ks) ** l) == pytest.approx(1.0)
+
+    def test_reflection_reproduces_a_quartic(self):
+        """K = 5 matches derivatives up to order 4, so the reflection of a
+        quartic is the quartic itself wherever the cutoff is 1 and every
+        dilated node k i stays on the grid (i < N/5)."""
+        ug = UniformHalfGrid(X=10.0, N=1024)
+        quartic = lambda x: (1.0 - 0.3 * x) ** 4
+        full = res.seeley_extend(quartic(ug.x), res.ExtensionOperator(K=5), ug)
+        i = np.arange(1, ug.N // 5)
+        # torus index 2N - i holds x = -h i
+        assert np.abs(full[2 * ug.N - i] - quartic(-ug.h * i)).max() < 1e-12
 
     def test_for_problem_orders(self):
         assert res.ExtensionOperator.for_problem(hp.dirichlet_laplacian()).K == 4
