@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,11 +72,15 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ParabolicSolution:
-    """Solution samples plus the temporal-frequency data for exact evaluation."""
+    """The temporal-frequency data of the solution, for exact evaluation."""
 
-    values: np.ndarray        # (N_t, modes, n_x)
     freq_data: np.ndarray     # (N_t temporal modes, modes, n_x)
     tgrid_t: TimeGrid
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Solution samples at the grid times, (N_t, modes, n_x)."""
+        return np.fft.ifft(self.freq_data, axis=0) * self.tgrid_t.N_t
 
     def at_time(self, t: float) -> np.ndarray:
         """Evaluate the trigonometric interpolant at an arbitrary time."""
@@ -89,26 +94,30 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, tgrid_t: TimeGrid,
 
     ``g`` is a list (length m) of arrays (N_t, modes) sampling the boundary
     data time series in tangential frequency; returns u on
-    (N_t, modes, len(x_nodes)).
+    (N_t, modes, len(x_nodes)).  One kernel batch covers every (temporal
+    frequency, mode) pair; kernels are evaluated only where some g_j has a
+    nonzero Fourier coefficient, every other pair is exactly zero.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
-    m = problem.m
+    m, M = problem.m, tgrid.n_modes
     g = [np.asarray(gj, dtype=complex).reshape(tgrid_t.N_t, -1) for gj in g]
     if len(g) != m:
         raise ValueError(f"need {m} boundary series, got {len(g)}")
-    # temporal Fourier coefficients: g(t) = sum_k ghat_k e^{i tau_k t}
-    ghat = [np.fft.fft(gj, axis=0) / tgrid_t.N_t for gj in g]
-    out_hat = np.zeros((tgrid_t.N_t, tgrid.n_modes, len(x_nodes)), dtype=complex)
-    for k, tau in enumerate(tgrid_t.taus):
-        active = [j for j in range(m) if np.any(ghat[j][k])]
-        if not active:
-            continue
-        lam = tgrid_t.sigma + 1j * tau
-        kernels = kernel_batch(problem, lam, tgrid.xi_modes).eval(x_nodes, 0)
-        for j in active:
-            out_hat[k] += kernels[j] * ghat[j][k][:, None]
-    values = np.fft.ifft(out_hat, axis=0) * tgrid_t.N_t
-    return ParabolicSolution(values=values, freq_data=out_hat, tgrid_t=tgrid_t)
+    # temporal Fourier coefficients: g(t) = sum_k ghat_k e^{i tau_k t}, one
+    # row per (k, mode)
+    ghat = np.stack([np.fft.fft(gj, axis=0) / tgrid_t.N_t for gj in g]).reshape(m, -1)
+    lam = tgrid_t.sigma + 1j * tgrid_t.taus
+    batch = kernel_batch(problem, np.repeat(lam, M),
+                         np.tile(tgrid.xi_modes, (tgrid_t.N_t, 1)))
+    active = np.flatnonzero(np.any(ghat != 0, axis=0))
+    kernels = batch.eval(x_nodes, 0, active)
+    acc = np.zeros((len(active), len(x_nodes)), dtype=complex)
+    for j in range(m):
+        acc += kernels[j] * ghat[j, active, None]
+    out_hat = np.zeros((tgrid_t.N_t * M, len(x_nodes)), dtype=complex)
+    out_hat[active] = acc
+    return ParabolicSolution(freq_data=out_hat.reshape(tgrid_t.N_t, M, -1),
+                             tgrid_t=tgrid_t)
 
 
 def extend_time_data(g_vals: np.ndarray, T: float, N_t: int) -> np.ndarray:

@@ -100,55 +100,74 @@ def predicted_singularity_exponent(t: float, s: float) -> float:
 
 @dataclass
 class KernelBatch:
-    """Stable roots and root-basis coefficients for a batch of modes.
+    """Stable roots and root-basis coefficients for a batch of rows.
 
-    For each boundary index j and mode q the kernel of ``pr_1 Poi_j(lambda)``
+    Row q pairs a tangential frequency ``xi_modes[q]`` with a parameter
+    ``lam[q]``, so one batch can cover many modes at one lambda, one mode at
+    many lambda, or both (a contour's nodes x the grid's modes).  For each
+    boundary index j the kernel of ``pr_1 Poi_j(lam[q])`` at ``xi_modes[q]``
     and its normal derivatives are
     ``D^k u(j, q, x) = sum_l c[j, q, l] tau[q, l]^k e^{i tau[q,l] x}``.
     The roots do not depend on j, so one batch serves every boundary index.
-    ``fallback`` marks modes where the root basis is unreliable (nearly
+    ``fallback`` marks rows where the root basis is unreliable (nearly
     coinciding roots, or a boundary map that is singular on the root basis);
     :meth:`eval` takes those from the per-node Schur route, which raises
     :class:`~halfpoisson.companion.LopatinskiiError` where LS fails.
     """
 
     problem: ModelProblem
-    lam: complex
+    lam: np.ndarray        # (N,) parameter of each row
     xi_modes: np.ndarray   # (N, n-1) tangential frequencies
     taus: np.ndarray       # (N, m) stable roots
     coeff: np.ndarray      # (m, N, m) root-basis coefficients for unit datum j
     fallback: np.ndarray   # (N,) bool
 
-    def eval(self, x: np.ndarray, deriv_order: int = 0) -> np.ndarray:
-        """Kernel values for every boundary index, shape (m, N, len(x))."""
+    def eval(self, x: np.ndarray, deriv_order: int = 0,
+             rows: np.ndarray | None = None) -> np.ndarray:
+        """Kernel values for every boundary index on ``rows`` (default: all),
+        shape (m, len(rows), len(x)).
+
+        A caller whose data vanish on some rows asks only for the others.
+        Every fallback row still builds its companion system, evaluated or
+        not, so an LS failure raises whichever rows carry data.
+        """
         x = np.asarray(x, dtype=float)
-        E = np.exp(1j * self.taus[:, :, None] * x[None, None, :])
-        powers = self.taus ** deriv_order
-        out = np.empty(self.coeff.shape[:2] + x.shape, dtype=complex)
-        for c, o in zip(self.coeff, out):
+        rows = np.arange(len(self.lam)) if rows is None else np.asarray(rows)
+        taus = self.taus[rows]
+        E = 1j * taus[:, :, None] * x[None, None, :]
+        np.exp(E, out=E)
+        powers = taus ** deriv_order
+        out = np.empty((self.coeff.shape[0], len(rows)) + x.shape, dtype=complex)
+        for c, o in zip(self.coeff[:, rows], out):
             np.einsum("ql,qlz->qz", c * powers, E, out=o)
-        if np.any(self.fallback):
-            for q in np.nonzero(self.fallback)[0]:
-                fp = comp.make_frequency_point(self.xi_modes[q], self.lam, self.problem.m)
-                cs = comp.build_companion(self.problem, fp)
+        for q in np.flatnonzero(self.fallback):
+            fp = comp.make_frequency_point(self.xi_modes[q], self.lam[q], self.problem.m)
+            cs = comp.build_companion(self.problem, fp)
+            for r in np.flatnonzero(rows == q):
                 for i, xv in enumerate(x):
-                    out[:, q, i] = comp.propagate(cs, xv, deriv_order)[0, :]
+                    out[:, r, i] = comp.propagate(cs, xv, deriv_order)[0, :]
         return out
 
 
-def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
+def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray,
                  degeneracy_tol: float = 1e-8) -> KernelBatch:
-    """Root-basis kernel data for every mode and boundary index, with Schur
-    fallback marking.  One solve against the identity gives the coefficients
-    of all m unit data from one factorization of the boundary map.  Raises
+    """Root-basis kernel data for every row and boundary index, with Schur
+    fallback marking.
+
+    ``lam`` is one parameter for every row or one per row of ``xi_modes``,
+    so a caller with several lambda stacks its (lambda, mode) pairs as rows
+    and makes one call.  The roots, their checks and the LS test cover every
+    row; :meth:`KernelBatch.eval` can then evaluate only the rows with data.
+    One solve against the identity gives the coefficients of all m unit
+    data from one factorization of the boundary map.  Raises
     :class:`~halfpoisson.companion.EllipticityMarginError` where a root lies
-    within ``_AXIS_TOL * rho`` of the real axis or a mode has other than m
+    within ``_AXIS_TOL * rho`` of the real axis or a row has other than m
     stable roots."""
-    lam = complex(lam)
     xi_modes = np.atleast_2d(np.asarray(xi_modes, dtype=float))
     N = xi_modes.shape[0]
+    lam = np.broadcast_to(np.asarray(lam, dtype=complex), (N,)).copy()
     m, order = problem.m, problem.order
-    # lambda - A(xi', tau) per mode, in increasing powers of tau
+    # lambda - A(xi', tau) per row, in increasing powers of tau
     c = -problem.interior_symbol.table(xi_modes)
     c[:, 0] += lam
     # batched companion matrices of the characteristic polynomial
@@ -156,13 +175,13 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
     C[:, np.arange(order - 1), np.arange(1, order)] = 1.0
     C[:, -1, :] = -c[:, :order] / c[:, order, None]
     eigs = np.linalg.eigvals(C)
-    rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + abs(lam) ** (1.0 / m))
+    rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + np.abs(lam) ** (1.0 / m))
     near_axis = np.abs(eigs.imag) <= comp._AXIS_TOL * rho[:, None]
     if np.any(near_axis):
         bad = int(np.argmax(near_axis.any(axis=1)))
         raise comp.EllipticityMarginError(
             f"characteristic root within {comp._AXIS_TOL * rho[bad]:.3e} of the "
-            f"real axis at (xi'={xi_modes[bad]}, lambda={lam})"
+            f"real axis at (xi'={xi_modes[bad]}, lambda={lam[bad]})"
         )
     pos = eigs.imag > 0
     counts = pos.sum(axis=1)
@@ -170,7 +189,7 @@ def kernel_batch(problem: ModelProblem, lam: complex, xi_modes: np.ndarray,
         bad = int(np.argmax(counts != m))
         raise comp.EllipticityMarginError(
             f"mode xi'={xi_modes[bad]} has {counts[bad]} stable roots, expected {m} "
-            f"(lambda={lam})"
+            f"(lambda={lam[bad]})"
         )
     key = np.where(pos, eigs.imag, np.inf)
     idx = np.argsort(key, axis=1)[:, :m]

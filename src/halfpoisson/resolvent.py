@@ -23,15 +23,24 @@ Work is split by its dependence on lambda.  :func:`resolvent_source` builds
 once per datum ``f`` and grid pair what no lambda changes: the Seeley
 extension of ``f`` and its FFT, the full symbol A(xi', xi_n), the weight
 (1 + |xi'|^2 + xi_n^2)^m of the conditioning test, and the tangential factors
-of the boundary operators.  Each lambda then costs only
-:func:`halfspace_resolvent`: the multiplier ``(lambda - A)^{-1}`` with its
-ill-conditioning check, one inverse FFT, the boundary traces, and the Poisson
-correction from one kernel batch that serves all m boundary indices.
+of the boundary operators.  It also records the active rows: the modes where
+``f`` is nonzero.  Every operator is diagonal in the modes, so any other row
+of R(lambda) f is exactly zero.
+
+:func:`halfspace_resolvent` takes one lambda or an array of them and does
+the lambda-dependent work for all of them at once: the multiplier
+``(lambda - A)^{-1}``, one inverse FFT, the boundary traces, and the Poisson
+correction from one kernel batch over every (lambda, mode) pair that serves
+all m boundary indices.  The multiplier, the FFT, the traces and the kernel
+table run on the active rows only.  The checks run on every row, active or
+not: the ill-conditioning test of the multiplier, and the root-margin,
+root-count and LS tests of the kernel batch.
 
 The semigroup uses trapezoid quadrature of ``(2 pi i)^{-1} \\oint e^{z t}
 R(z + _SIGMA) dz`` over a left-opening hyperbola; resolvents are only ever
 evaluated at ``z + _SIGMA``, which stays inside the verified sector.  One
-source serves all contour nodes of a :func:`semigroup_apply` call.
+source and one :func:`halfspace_resolvent` call serve all contour nodes of a
+:func:`semigroup_apply` call.
 """
 
 from __future__ import annotations
@@ -133,24 +142,51 @@ def multiplier_data(problem: mdl.ModelProblem, tgrid: TangentialGrid,
     return symbol, weight
 
 
-def whole_space_resolvent(lam: complex, f_hat: np.ndarray, symbol: np.ndarray,
-                          weight: np.ndarray) -> np.ndarray:
-    """(lambda - A(D))^{-1} as the diagonal multiplier on 2-D frequency data."""
-    lam = complex(lam)
-    denom = lam - symbol
-    if np.any(np.abs(denom) < 1e-14 * (abs(lam) + weight)):
-        raise ValueError(f"resolvent multiplier ill conditioned at lambda={lam}")
-    return np.asarray(f_hat) / denom
+def whole_space_resolvent(lam, f_hat: np.ndarray, symbol: np.ndarray,
+                          weight: np.ndarray, rows) -> np.ndarray:
+    """(lambda - A(D))^{-1} as the diagonal multiplier on 2-D frequency data.
+
+    ``lam`` is one parameter or an array of them; the result has the shape
+    ``lam.shape + f_hat.shape``.  ``f_hat`` holds the rows ``rows`` of the
+    modes x normal-frequency grid of ``symbol`` and ``weight``, but the
+    ill-conditioning test covers every row.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    _check_multiplier(lam.reshape(-1), symbol, weight)
+    denom = lam.reshape(lam.shape + (1, 1)) - symbol[rows]
+    return np.divide(f_hat, denom, out=denom)
+
+
+def _check_multiplier(lams: np.ndarray, symbol: np.ndarray, weight: np.ndarray) -> None:
+    """Raise where |lambda - A| < 1e-14 (|lambda| + weight) on any row.
+
+    Only a symbol value whose real part lies within 1e-14 (|lambda| + max
+    weight) of Re lambda can fail, so the sorted real parts of the symbol
+    pick the lambdas that need the full test (with a 4x margin for rounding).
+    """
+    re = np.sort(symbol.real, axis=None)
+    reach = 4e-14 * (np.abs(lams) + weight.max())
+    near = (np.searchsorted(re, lams.real + reach, side="right")
+            > np.searchsorted(re, lams.real - reach))
+    for lam in map(complex, lams[near]):
+        if np.any(np.abs(lam - symbol) < 1e-14 * (abs(lam) + weight)):
+            raise ValueError(f"resolvent multiplier ill conditioned at lambda={lam}")
 
 
 @dataclass(frozen=True)
 class ResolventSource:
-    """The lambda-independent part of R(lambda) f for one f on one grid pair."""
+    """The lambda-independent part of R(lambda) f for one f on one grid pair.
 
-    F: np.ndarray            # modes x 2N, FFT of the Seeley extension of f
+    Every operator is diagonal in the tangential modes, so a row of f that
+    is identically zero contributes exactly zero: only the ``rows`` where f
+    is nonzero carry data, and ``F`` and ``boundary_table`` hold only those.
+    """
+
+    rows: np.ndarray         # (A,) indices of the modes where f is nonzero
+    F: np.ndarray            # A x 2N, FFT of the Seeley extension of f
     symbol: np.ndarray       # modes x 2N, A(xi', xi_n)
     weight: np.ndarray       # modes x 2N, (1 + |xi'|^2 + xi_n^2)^m
-    boundary_table: np.ndarray  # m x modes x 2m, normal-order tables of B_j
+    boundary_table: np.ndarray  # m x A x 2m, normal-order tables of B_j
 
 
 def resolvent_source(problem: mdl.ModelProblem, f: np.ndarray,
@@ -161,49 +197,82 @@ def resolvent_source(problem: mdl.ModelProblem, f: np.ndarray,
     """
     ext = ExtensionOperator.for_problem(problem)
     f = np.asarray(f, dtype=complex).reshape(-1, ugrid.N)
-    F = np.fft.fft(seeley_extend(f, ext, ugrid), axis=-1)
+    rows = np.flatnonzero(np.any(f != 0, axis=-1))
+    F = np.fft.fft(seeley_extend(f[rows], ext, ugrid), axis=-1)
     symbol, weight = multiplier_data(problem, tgrid, ugrid.xi_normal)
-    table = problem.boundary_table(tgrid.xi_modes).transpose(1, 0, 2)
-    return ResolventSource(F=F, symbol=symbol, weight=weight, boundary_table=table)
+    table = problem.boundary_table(tgrid.xi_modes[rows]).transpose(1, 0, 2)
+    return ResolventSource(rows=rows, F=F, symbol=symbol, weight=weight,
+                           boundary_table=table)
 
 
 @dataclass(frozen=True)
 class ResolventResult:
-    u: np.ndarray            # modes x N, half-line samples of R(lambda)f
-    traces: np.ndarray       # m x modes, tr B_j w used for the correction
+    """R(lambda) f for one lambda or an array of them.
+
+    Only the source's ``rows`` are computed; every other row is exactly zero.
+    """
+
+    rows: np.ndarray         # (A,) active modes of the source
+    n_modes: int
+    u_rows: np.ndarray       # lam.shape + (A, N), half-line samples on the rows
+    traces_rows: np.ndarray  # (m,) + lam.shape + (A,), tr B_j w for the correction
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """lam.shape + (modes, N), half-line samples of R(lambda) f."""
+        out = np.zeros(self.u_rows.shape[:-2] + (self.n_modes, self.u_rows.shape[-1]),
+                       dtype=complex)
+        out[..., self.rows, :] = self.u_rows
+        return out
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """(m,) + lam.shape + (modes,), tr B_j w used for the correction."""
+        out = np.zeros(self.traces_rows.shape[:-1] + (self.n_modes,), dtype=complex)
+        out[..., self.rows] = self.traces_rows
+        return out
 
 
 def _normal_derivative_traces(W: np.ndarray, xi_normal: np.ndarray,
                               orders) -> dict[int, np.ndarray]:
-    """Values of D_n^l w at x = 0 from normal-frequency data (per mode)."""
+    """Values of D_n^l w at x = 0 from normal-frequency data (per row)."""
     M = W.shape[-1]
     return {
-        l: (W * xi_normal[None, :] ** l).sum(axis=-1) / M
+        l: (W * xi_normal ** l).sum(axis=-1) / M
         for l in orders
     }
 
 
-def halfspace_resolvent(problem: mdl.ModelProblem, lam: complex,
+def halfspace_resolvent(problem: mdl.ModelProblem, lam,
                         src: ResolventSource, tgrid: TangentialGrid,
                         ugrid: UniformHalfGrid) -> ResolventResult:
-    """R(lambda) f on the half-space grid, from the source of f."""
-    lam = complex(lam)
-    if src.F.shape != (tgrid.n_modes, 2 * ugrid.N):
-        raise ValueError("resolvent source was built on other grids")
-    W = whole_space_resolvent(lam, src.F, src.symbol, src.weight)
-    w = np.fft.ifft(W, axis=-1)[:, : ugrid.N]
+    """R(lambda) f on the half-space grid, from the source of f.
 
+    ``lam`` is one parameter or an array of them; one kernel batch covers
+    every (lambda, mode) pair, and the multiplier, the inverse FFT, the
+    traces and the Poisson correction run on the source's active rows only.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    if src.symbol.shape != (tgrid.n_modes, 2 * ugrid.N):
+        raise ValueError("resolvent source was built on other grids")
+    W = whole_space_resolvent(lam, src.F, src.symbol, src.weight, src.rows)
     syms = problem.boundary_symbols
     dtr = _normal_derivative_traces(W, ugrid.xi_normal,
                                     sorted({l for sym in syms for l in sym.orders}))
     traces = np.array([sym.contract(tab, dtr.__getitem__)
                        for sym, tab in zip(syms, src.boundary_table)])
+    u = np.fft.ifft(W, axis=-1)[..., : ugrid.N].copy()
+    del W
 
-    kernels = kernel_batch(problem, lam, tgrid.xi_modes).eval(ugrid.x, 0)
-    u = w.copy()
+    M, A = tgrid.n_modes, len(src.rows)
+    batch = kernel_batch(problem, np.repeat(lam.reshape(-1), M),
+                         np.tile(tgrid.xi_modes, (lam.size, 1)))
+    active = (M * np.arange(lam.size)[:, None] + src.rows).reshape(-1)
+    kernels = batch.eval(ugrid.x, 0, active).reshape(
+        (problem.m,) + lam.shape + (A, ugrid.N))
     for j in range(problem.m):
-        u -= kernels[j] * traces[j][:, None]
-    return ResolventResult(u=u, traces=traces)
+        u -= kernels[j] * traces[j][..., None]
+    return ResolventResult(rows=src.rows, n_modes=M, u_rows=u, traces_rows=traces)
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
@@ -309,12 +378,17 @@ def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
     # (upward through the right half-plane)
     thetas = np.linspace(theta_max, -theta_max, _N_C)
     h = thetas[1] - thetas[0]
+    z = [mu * (1.0 - cmath.sin(_ALPHA + 1j * th)) for th in thetas]
+    dz = [-1j * mu * cmath.cos(_ALPHA + 1j * th) for th in thetas]
     u0 = np.asarray(u0, dtype=complex).reshape(-1, ugrid.N)
     src = resolvent_source(problem, u0, tgrid, ugrid)
-    acc = np.zeros_like(u0)
-    for th in thetas:
-        z = mu * (1.0 - cmath.sin(_ALPHA + 1j * th))
-        dz = -1j * mu * cmath.cos(_ALPHA + 1j * th)
-        res = halfspace_resolvent(problem, z + _SIGMA, src, tgrid, ugrid)
-        acc += (cmath.exp(z * t) * dz) * res.u
-    return math.exp(_SIGMA * t) * (h / (2.0j * math.pi)) * acc
+    res = halfspace_resolvent(problem, np.array([zk + _SIGMA for zk in z]),
+                              src, tgrid, ugrid)
+    # accumulate in node order: the sum is the same, bit for bit, as one
+    # resolvent solve per node
+    acc = np.zeros((len(src.rows), ugrid.N), dtype=complex)
+    for zk, dzk, uk in zip(z, dz, res.u_rows):
+        acc += (cmath.exp(zk * t) * dzk) * uk
+    full = np.zeros_like(u0)
+    full[src.rows] = acc
+    return math.exp(_SIGMA * t) * (h / (2.0j * math.pi)) * full

@@ -86,7 +86,8 @@ class TestWholeSpaceResolvent:
         q = TG.mode_index(1.0)
         f[q] = 1.0
         lam = 4.0 + 2.0j
-        W = res.whole_space_resolvent(lam, f, *res.multiplier_data(p, TG, xi_n))
+        W = res.whole_space_resolvent(lam, f, *res.multiplier_data(p, TG, xi_n),
+                                      np.arange(TG.n_modes))
         expected = 1.0 / (lam + 1.0 + xi_n ** 2)
         assert np.allclose(W[q], expected)
 
@@ -96,7 +97,8 @@ class TestWholeSpaceResolvent:
         f = np.ones((TG.n_modes, 2), dtype=complex)
         # lambda = -1 makes lambda - A vanish at xi = (0, 1)
         with pytest.raises(ValueError, match="ill conditioned"):
-            res.whole_space_resolvent(-1.0 + 0j, f, *res.multiplier_data(p, TG, xi_n))
+            res.whole_space_resolvent(-1.0 + 0j, f, *res.multiplier_data(p, TG, xi_n),
+                                      np.arange(TG.n_modes))
 
 
 class TestHalfSpaceResolvent:
