@@ -467,7 +467,7 @@ def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, sigma=1.0,
                 for _ in range(problem.m - 1)]
     u0 = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
     out_times = np.array(out_times or (T / 2, T))
-    sol = pb.ibvp_solve(problem, u0, None, g, T, sigma, tgrid, ug, out_times,
+    sol = pb.ibvp_solve(problem, u0, g, T, sigma, tgrid, ug, out_times,
                         N_t=N_t)
     # consistency: boundary trace of u should match g at the output times
     worst = 0.0

@@ -88,10 +88,6 @@ class TangentialGrid:
         return self.N ** self.n_axes if self.n_axes else 1
 
     @property
-    def dx(self) -> float:
-        return self.L / self.N
-
-    @property
     def cell_volume(self) -> float:
         return (self.L / self.N) ** self.n_axes
 
@@ -101,12 +97,6 @@ class TangentialGrid:
             return fhat
         axes = tuple(range(self.n_axes))
         return np.fft.ifftn(fhat, axes=axes) * self.n_modes
-
-    def to_freq(self, f: np.ndarray) -> np.ndarray:
-        if self.n_axes == 0:
-            return f
-        axes = tuple(range(self.n_axes))
-        return np.fft.fftn(f, axes=axes) / self.n_modes
 
     def lp_norm(self, fhat: np.ndarray, p: float) -> float:
         """L_p norm on the torus from Fourier coefficients."""
@@ -155,10 +145,6 @@ class HalfLineGrid:
     def x(self) -> np.ndarray:
         return self.x_min * self.ratio ** np.arange(self.n_points)
 
-    @property
-    def x_max(self) -> float:
-        return float(self.x[-1])
-
     def quad_weights(self, r: float = 0.0) -> np.ndarray:
         """Weights w_i with  sum_i w_i g(x_i) ~ int_0^x_max g(x) x^r dx.
 
@@ -172,10 +158,6 @@ class HalfLineGrid:
         w = _simpson_coeffs(self.n_points) * h * self.x ** (1.0 + r)
         w[0] += self.x_min ** (1.0 + r) / (1.0 + r)
         return w
-
-    def integrate(self, values: np.ndarray, r: float = 0.0) -> np.ndarray:
-        """Quadrature of values * x^r along the last axis."""
-        return np.asarray(values) @ self.quad_weights(r)
 
     def refined(self, factor: int = 2) -> "HalfLineGrid":
         """Same span, ratio^(1/factor) spacing."""
@@ -212,14 +194,6 @@ class UniformHalfGrid:
         return self.h * np.arange(self.N)
 
     @cached_property
-    def x_full(self) -> np.ndarray:
-        """Torus nodes on [-X, X), FFT-unrolled to ascending order."""
-        return self.h * np.arange(-self.N, self.N)
-
-    @cached_property
     def xi_normal(self) -> np.ndarray:
         """Normal frequencies of the doubled torus, FFT ordering."""
         return 2.0 * math.pi * np.fft.fftfreq(2 * self.N, d=self.h)
-
-    def refined(self, factor: int = 2) -> "UniformHalfGrid":
-        return UniformHalfGrid(X=self.X, N=self.N * factor)

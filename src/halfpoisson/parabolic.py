@@ -9,14 +9,14 @@ lambda = sigma + i tau (the shift sigma > 0 keeps lambda inside the sector
 even at tau = 0; the working angle phi > pi/2 covers the whole imaginary
 axis).
 
-Initial-boundary problem on (0, T]: substitute v = e^{-sigma t} u, then split
-v = r_[0,T] v1 + v2 where v1 solves the whole-line boundary problem for a
-smooth temporal extension of the shifted boundary data, and
+Initial-boundary problem on (0, T], without forcing: substitute
+v = e^{-sigma t} u, then split v = r_[0,T] v1 + v2 where v1 solves the
+whole-line boundary problem for a smooth temporal extension of the shifted
+boundary data, and
 
-    v2(t) = S(t)[u0 - v1(0)] + int_0^t S(t - s) fshift(s) ds
+    v2(t) = S(t)[u0 - v1(0)]
 
-with S the semigroup of A_B - sigma (contour quadrature) and the Duhamel
-integral by composite Gauss-Legendre quadrature.
+with S the semigroup of A_B - sigma (contour quadrature).
 """
 
 from __future__ import annotations
@@ -151,25 +151,15 @@ class IbvpSolution:
     compatibility_defect: float
 
 
-def _gauss_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-# Gauss-Legendre nodes per unit time of the Duhamel integral (at least 4)
-_DUHAMEL_NODES_PER_UNIT = 16
-
-
-def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, f, g, T: float,
+def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
                sigma: float, tgrid: TangentialGrid, ugrid: UniformHalfGrid,
                out_times, N_t: int = 32) -> IbvpSolution:
     """Initial-boundary solver on (0, T] by the splitting construction.
 
-    ``u0``: (modes, N) initial state; ``f``: callable t -> (modes, N) forcing
-    or None; ``g``: list (length m) of callables t -> (modes,) boundary data
-    or None.  ``sigma`` shifts the splitting only (v = e^{-sigma t} u); the
-    semigroup contour keeps its own fixed shift.  Returns u at the requested
-    output times.
+    ``u0``: (modes, N) initial state; ``g``: list (length m) of callables
+    t -> (modes,) boundary data or None.  ``sigma`` shifts the splitting only
+    (v = e^{-sigma t} u); the semigroup contour keeps its own fixed shift.
+    Returns u at the requested output times.
     """
     m = problem.m
     u0 = np.asarray(u0, dtype=complex).reshape(-1, ugrid.N)
@@ -203,25 +193,13 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, f, g, T: float,
         scale = max(float(np.linalg.norm(target)), 1.0)
         defect = max(defect, float(np.linalg.norm(tr - target)) / scale)
 
-    # ---- v2: semigroup of (A_B - sigma) plus Duhamel ----
+    # ---- v2: semigroup of (A_B - sigma) ----
     w0 = u0 - v1_initial
-
-    def S(tau_: float, vec: np.ndarray) -> np.ndarray:
-        if not np.any(vec):
-            return np.zeros_like(vec)
-        out = semigroup_apply(problem, vec, tau_, tgrid, ugrid)
-        return math.exp(-sigma * tau_) * out
-
     values = np.zeros((len(out_times),) + u0.shape, dtype=complex)
     for i, t in enumerate(out_times):
-        v2 = S(t, w0)
-        if f is not None:
-            n_q = max(4, int(math.ceil(_DUHAMEL_NODES_PER_UNIT * t)))
-            nodes, wts = _gauss_nodes(0.0, t, n_q)
-            for s_node, w_q in zip(nodes, wts):
-                fs = np.asarray(f(s_node), dtype=complex).reshape(-1, ugrid.N)
-                v2 = v2 + w_q * S(t - s_node, math.exp(-sigma * s_node) * fs)
-        v = v2
+        v = np.zeros_like(w0)
+        if np.any(w0):
+            v = math.exp(-sigma * t) * semigroup_apply(problem, w0, t, tgrid, ugrid)
         if v1 is not None:
             v = v + v1.at_time(t)
         values[i] = math.exp(sigma * t) * v

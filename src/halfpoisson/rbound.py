@@ -20,9 +20,10 @@ ratio grows like N^{1/p - 1/2}; at p = 2 it plateaus.
 
 Second-moment (p = 2) averages are used internally regardless of the target
 exponent; the expectation norms are exponent-independent up to constants, and
-the second moment has the best variance.  Randomness comes from a
-counter-based Philox generator with per-call substreams, so fixed seeds
-reproduce bit-identically regardless of trial batching.
+the second moment has the best variance.  Each call draws all its signs from
+one Philox stream seeded by the trial, so a fixed seed reproduces
+bit-identically whatever the block size.  The norms take a block of signed
+sums, shape (draws,) + one member's shape, and return one norm per draw.
 """
 
 from __future__ import annotations
@@ -48,30 +49,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RademacherTrial:
-    operators: Sequence[Callable]
-    vectors: Sequence[np.ndarray]
+    """Images T_l x_l and inputs x_l, stacked with the family index leading."""
+
+    images: np.ndarray
+    vectors: np.ndarray
     seed: int = 0
     trials: int = 512
 
     def __post_init__(self):
-        if len(self.operators) != len(self.vectors):
-            raise ValueError("operators and vectors must have equal length")
-        if not self.operators:
+        for name in ("images", "vectors"):
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name)))
+            except ValueError:
+                raise ValueError(f"{name} must stack equally shaped arrays") from None
+        if len(self.images) != len(self.vectors):
+            raise ValueError("images and vectors must have equal length")
+        if not len(self.images):
             raise ValueError("family must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
     @property
     def N(self) -> int:
-        return len(self.operators)
+        return len(self.images)
 
 
 @dataclass(frozen=True)
 class RatioEstimate:
     estimate: float
     stderr: float
-    numerator: float
-    denominator: float
 
 
 # sign draws per matrix product: bounds the block of signed sums in memory
@@ -79,20 +85,16 @@ class RatioEstimate:
 _DRAW_BLOCK = 128
 
 
-def _stack_family(arrays, what: str):
-    """(N, size) float64 rows of equally shaped arrays, their shape and dtype.
+def _signed_sums(signs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_l signs[d, l] stack[l] for each draw d, by one real matrix product.
 
-    Complex arrays become interleaved (real, imag) pairs, so that a real
-    product with the signs forms the signed sums and ``view(dtype)`` restores
-    them.
+    Complex entries enter as interleaved (real, imag) pairs, and
+    ``view(dtype)`` restores them.
     """
-    shapes = {np.shape(a) for a in arrays}
-    if len(shapes) != 1:
-        raise ValueError(f"{what} must share one shape, got {sorted(shapes)}")
-    stack = np.stack(arrays)
     dtype = np.complex128 if np.iscomplexobj(stack) else np.float64
-    rows = stack.astype(dtype, copy=False).view(np.float64)
-    return rows.reshape(len(arrays), -1), shapes.pop(), dtype
+    rows = np.ascontiguousarray(stack, dtype=dtype).view(np.float64)
+    sums = signs @ rows.reshape(len(stack), -1)
+    return sums.view(dtype).reshape((len(signs),) + stack.shape[1:])
 
 
 # batches of sign draws behind the standard error of the ratio
@@ -104,30 +106,23 @@ def rademacher_ratio(trial: RademacherTrial, norm_out: Callable,
     """Sampled E||sum eps T_l x_l|| / E||sum eps x_l|| with standard error.
 
     Second moments over the sign draws; the standard error comes from
-    batch-mean variance of the ratio.  Linearity lets the operator images be
-    precomputed once.  The images must share one shape, and so must the
-    vectors (ValueError otherwise).  Each family is stacked into an
-    (N, size) real matrix (complex entries as interleaved real pairs), and
-    the signed sums of a block of draws come from one matrix product with the
-    block's signs; ``norm_out`` and ``norm_in`` still see one draw at a time.
+    batch-mean variance of the ratio.  The signed sums of a block of at most
+    ``_DRAW_BLOCK`` draws come from one matrix product with the block's signs;
+    ``norm_out`` and ``norm_in`` get the block, draw axis leading, and return
+    one norm per draw.
     """
-    if all(not np.any(x) for x in trial.vectors):
+    if not np.any(trial.vectors):
         raise ValueError("all input vectors vanish; ratio undefined")
-    images = [op(x) for op, x in zip(trial.operators, trial.vectors)]
     rng = np.random.Generator(np.random.Philox(trial.seed))
     eps = rng.integers(0, 2, size=(trial.trials, trial.N)) * 2 - 1
-    out_rows, out_shape, out_dtype = _stack_family(images, "operator images")
-    in_rows, in_shape, in_dtype = _stack_family(trial.vectors, "input vectors")
 
     nums = np.empty(trial.trials)
     dens = np.empty(trial.trials)
     for start in range(0, trial.trials, _DRAW_BLOCK):
         signs = eps[start:start + _DRAW_BLOCK].astype(np.float64)
-        s_out = (signs @ out_rows).view(out_dtype).reshape((-1,) + out_shape)
-        s_in = (signs @ in_rows).view(in_dtype).reshape((-1,) + in_shape)
-        for i in range(signs.shape[0]):
-            nums[start + i] = norm_out(s_out[i])
-            dens[start + i] = norm_in(s_in[i])
+        block = slice(start, start + len(signs))
+        nums[block] = norm_out(_signed_sums(signs, trial.images))
+        dens[block] = norm_in(_signed_sums(signs, trial.vectors))
 
     num = math.sqrt(float(np.mean(nums ** 2)))
     den = math.sqrt(float(np.mean(dens ** 2)))
@@ -141,8 +136,7 @@ def rademacher_ratio(trial: RademacherTrial, norm_out: Callable,
         for a, b in zip(split_n, split_d)
     ])
     stderr = float(ratios.std(ddof=1) / math.sqrt(nb)) if nb > 1 else 0.0
-    return RatioEstimate(estimate=estimate, stderr=stderr,
-                         numerator=num, denominator=den)
+    return RatioEstimate(estimate=estimate, stderr=stderr)
 
 
 @dataclass(frozen=True)
@@ -183,26 +177,25 @@ def dirichlet_nonrbound_experiment(
     w_norm = xgrid.quad_weights(r)
     Lvol = tgrid.L ** tgrid.n_axes
 
-    def norm_out(field_vals: np.ndarray) -> float:
-        # L_p(x^r dx) of the tangential L_2 norm profile
-        prof = np.sqrt(np.sum(np.abs(field_vals) ** 2, axis=0) * Lvol)
-        return float((w_norm @ prof ** p) ** (1.0 / p))
+    def norm_out(sums: np.ndarray) -> np.ndarray:
+        # L_p(x^r dx) of the tangential L_2 norm profile, per draw
+        prof = np.sqrt(np.sum(np.abs(sums) ** 2, axis=1) * Lvol)
+        return (prof ** p @ w_norm) ** (1.0 / p)
 
-    def norm_in(vec: np.ndarray) -> float:
-        return float(math.sqrt(np.sum(np.abs(vec) ** 2) * Lvol))
+    def norm_in(sums: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(np.abs(sums) ** 2, axis=1) * Lvol)
+
+    # one kernel batch for the rows (lambda_l, mode), l = 1..max(N_list)
+    M, max_N = tgrid.n_modes, max(N_list)
+    lam = (sigma * 2.0 ** np.arange(1, max_N + 1)) ** 2
+    scale = np.abs(lam) ** ((1.0 + r) / (2.0 * p))
+    batch = kernel_batch(problem, np.repeat(lam, M), np.tile(tgrid.xi_modes, (max_N, 1)))
+    kernels = batch.eval(xgrid.x, 0)[0].reshape(max_N, M, -1)
+    images = scale[:, None, None] * kernels * g[:, None]
 
     rows = []
-    max_N = max(N_list)
-    lam = {l: (sigma * 2.0 ** l) ** 2 for l in range(1, max_N + 1)}
-    scale = {l: abs(lam[l]) ** ((1.0 + r) / (2.0 * p)) for l in lam}
-    images = {}
-    for l in range(1, max_N + 1):
-        batch = kernel_batch(problem, lam[l], tgrid.xi_modes)
-        images[l] = scale[l] * batch.eval(xgrid.x, 0)[0] * g[:, None]
-
     for N in N_list:
-        ops = [(lambda x, _l=l: images[_l]) for l in range(1, N + 1)]
-        trial = RademacherTrial(operators=ops, vectors=[g] * N,
+        trial = RademacherTrial(images=images[:N], vectors=np.tile(g, (N, 1)),
                                 seed=seed, trials=trials)
         est = rademacher_ratio(trial, norm_out, norm_in)
         rows.append(GrowthRow(p=p, r=r, N=N, ratio=est.estimate,

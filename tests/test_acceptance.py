@@ -298,7 +298,7 @@ def test_criterion_9_parabolic_solvers():
         return out
 
     u0 = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
-    ib = pb.ibvp_solve(problem, u0, None, [g0], T, 1.0, tgrid, ug, [T / 2, T],
+    ib = pb.ibvp_solve(problem, u0, [g0], T, 1.0, tgrid, ug, [T / 2, T],
                        N_t=16)
     trace_dev = 0.0
     for it, t in enumerate(ib.times):
@@ -310,7 +310,7 @@ def test_criterion_9_parabolic_solvers():
     u0i = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
     u0i[q0] = (ug.x ** 2) * np.exp(-ug.x)
     t_eval = 0.25
-    iv = pb.ibvp_solve(problem, u0i, None, None, T, 1.0, tgrid, ug, [t_eval],
+    iv = pb.ibvp_solve(problem, u0i, None, T, 1.0, tgrid, ug, [t_eval],
                        N_t=8)
     y = np.linspace(0.0, 60.0, 24001)
     w0 = (y ** 2) * np.exp(-y)

@@ -107,10 +107,10 @@ class TestIbvp:
         ug = UniformHalfGrid(X=30.0, N=256)
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         with pytest.raises(ValueError):
-            pb.ibvp_solve(p, u0, None, None, 1.0, 1.0, TG, ug, [1.5])
+            pb.ibvp_solve(p, u0, None, 1.0, 1.0, TG, ug, [1.5])
 
     def test_pure_initial_value_images_oracle(self):
-        """g = 0, f = 0: the IBVP reduces to the semigroup; compare with the
+        """g = 0: the IBVP reduces to the semigroup; compare with the
         odd-reflection heat kernel."""
         p = hp.dirichlet_laplacian()
         ug = UniformHalfGrid(X=30.0, N=1024)
@@ -118,7 +118,7 @@ class TestIbvp:
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         u0[q] = (ug.x ** 2) * np.exp(-ug.x)
         T, t = 0.5, 0.25
-        sol = pb.ibvp_solve(p, u0, None, None, T, 1.0, TG, ug, [t], N_t=8)
+        sol = pb.ibvp_solve(p, u0, None, T, 1.0, TG, ug, [t], N_t=8)
         y = np.linspace(0.0, 60.0, 24001)
         w0 = (y ** 2) * np.exp(-y)
 
@@ -143,7 +143,7 @@ class TestIbvp:
             return out
 
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
-        sol = pb.ibvp_solve(p, u0, None, [g0], T, 1.0, TG, ug, [T / 2, T],
+        sol = pb.ibvp_solve(p, u0, [g0], T, 1.0, TG, ug, [T / 2, T],
                             N_t=16)
         for it, t in enumerate(sol.times):
             tr = res.boundary_trace_fd(p, sol.values[it], TG, ug, 0)
@@ -171,7 +171,7 @@ class TestIbvp:
         # compatible with g(0) = 0 for both problems: u0 and u0' vanish at 0
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         u0[q0] = ug.x ** 2 * np.exp(-ug.x)
-        sols = {sigma: pb.ibvp_solve(p, u0, None, g, T, sigma, TG, ug,
+        sols = {sigma: pb.ibvp_solve(p, u0, g, T, sigma, TG, ug,
                                      [T / 2, T], N_t=16).values
                 for sigma in (0.5, 1.0, 2.0)}
         ref = np.linalg.norm(sols[1.0])
@@ -189,30 +189,5 @@ class TestIbvp:
         def g0(t):
             return np.zeros(TG.n_modes, dtype=complex)
 
-        sol = pb.ibvp_solve(p, u0, None, [g0], 0.5, 1.0, TG, ug, [0.25], N_t=8)
+        sol = pb.ibvp_solve(p, u0, [g0], 0.5, 1.0, TG, ug, [0.25], N_t=8)
         assert sol.compatibility_defect > 0.5
-
-    def test_forcing_term_duhamel(self):
-        """Constant-in-time forcing f on a single mode: compare against the
-        variation-of-constants series computed per normal frequency (odd
-        sine expansion of the Dirichlet Laplacian on the doubled torus)."""
-        p = hp.dirichlet_laplacian()
-        ug = UniformHalfGrid(X=30.0, N=512)
-        q = TG.mode_index(1.0)
-        prof = np.sin(math.pi * ug.x / 30.0) ** 2 * np.exp(-ug.x)
-        f_const = np.zeros((TG.n_modes, ug.N), dtype=complex)
-        f_const[q] = prof
-        u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
-        t = 0.25
-        sol = pb.ibvp_solve(p, u0, lambda s: f_const, None, 0.5, 1.0, TG, ug,
-                            [t], N_t=8)
-        # oracle: u(t) = int_0^t e^{(t-s) A} f ds via sine modes on (0, 2X)
-        n_modes = 2000
-        k = math.pi * np.arange(1, n_modes + 1) / 30.0
-        # sine coefficients of prof on (0, X): b_k = (2/X) int prof sin(kx)
-        b = 2.0 / 30.0 * (np.sin(k[:, None] * ug.x[None, :]) @ prof) * ug.h
-        lam_k = -(k ** 2) - 1.0       # tangential mode adds -1
-        gain = (np.exp(lam_k * t) - 1.0) / lam_k
-        oracle = (b * gain) @ np.sin(k[:, None] * ug.x[None, :])
-        err = np.abs(sol.values[0, q] - oracle).max() / np.abs(oracle).max()
-        assert err < 1e-2

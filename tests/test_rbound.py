@@ -11,15 +11,19 @@ def _l2(v):
     return float(np.linalg.norm(v))
 
 
+def _l2_rows(block):
+    """Blockwise norm: one Euclidean norm per draw (leading axis)."""
+    return np.linalg.norm(block.reshape(len(block), -1), axis=1)
+
+
 def _per_draw_ratio(trial, norm_out, norm_in):
-    """Reference: one Python-level signed sum per draw."""
-    images = [op(x) for op, x in zip(trial.operators, trial.vectors)]
+    """Reference: one Python-level signed sum and one scalar norm per draw."""
     rng = np.random.Generator(np.random.Philox(trial.seed))
     eps = rng.integers(0, 2, size=(trial.trials, trial.N)) * 2 - 1
     nums = np.empty(trial.trials)
     dens = np.empty(trial.trials)
     for i in range(trial.trials):
-        nums[i] = norm_out(sum(e * im for e, im in zip(eps[i], images)))
+        nums[i] = norm_out(sum(e * im for e, im in zip(eps[i], trial.images)))
         dens[i] = norm_in(sum(e * x for e, x in zip(eps[i], trial.vectors)))
     num = math.sqrt(float(np.mean(nums ** 2)))
     den = math.sqrt(float(np.mean(dens ** 2)))
@@ -29,17 +33,15 @@ def _per_draw_ratio(trial, norm_out, norm_in):
         for a, b in zip(np.array_split(nums, nb), np.array_split(dens, nb))
     ])
     stderr = float(ratios.std(ddof=1) / math.sqrt(nb)) if nb > 1 else 0.0
-    return rb.RatioEstimate(estimate=num / den, stderr=stderr,
-                            numerator=num, denominator=den)
+    return rb.RatioEstimate(estimate=num / den, stderr=stderr)
 
 
 class TestRademacherRatio:
     def test_single_operator_deterministic(self):
         """N = 1: the signs cancel and the ratio is exactly ||Tx|| / ||x||."""
         x = np.array([3.0, 4.0])
-        trial = rb.RademacherTrial(operators=[lambda v: 2.0 * v], vectors=[x],
-                                   trials=8)
-        est = rb.rademacher_ratio(trial, _l2, _l2)
+        trial = rb.RademacherTrial(images=[2.0 * x], vectors=[x], trials=8)
+        est = rb.rademacher_ratio(trial, _l2_rows, _l2_rows)
         assert est.estimate == pytest.approx(2.0, rel=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
@@ -48,49 +50,44 @@ class TestRademacherRatio:
         sign-independent, ratio = sqrt(sum a_l^2 / N)."""
         N = 4
         a = np.array([1.0, 2.0, 3.0, 4.0])
-        ops, vecs = [], []
-        for l in range(N):
-            e = np.zeros(N)
-            e[l] = 1.0
-            vecs.append(e)
-            ops.append(lambda v, _l=l: a[_l] * v)
-        trial = rb.RademacherTrial(operators=ops, vectors=vecs, trials=16)
-        est = rb.rademacher_ratio(trial, _l2, _l2)
+        vecs = np.eye(N)
+        trial = rb.RademacherTrial(images=a[:, None] * vecs, vectors=vecs,
+                                   trials=16)
+        est = rb.rademacher_ratio(trial, _l2_rows, _l2_rows)
         expected = math.sqrt(float(np.sum(a ** 2)) / N)
         assert est.estimate == pytest.approx(expected, rel=1e-12)
 
     def test_reproducible_for_fixed_seed(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(6)
-        ops = [lambda v, _l=l: np.roll(v, _l) for l in range(3)]
-        t1 = rb.RademacherTrial(operators=ops, vectors=[x] * 3, seed=5, trials=64)
-        t2 = rb.RademacherTrial(operators=ops, vectors=[x] * 3, seed=5, trials=64)
-        a = rb.rademacher_ratio(t1, _l2, _l2)
-        b = rb.rademacher_ratio(t2, _l2, _l2)
+        images = [np.roll(x, l) for l in range(3)]
+        t1 = rb.RademacherTrial(images=images, vectors=[x] * 3, seed=5, trials=64)
+        t2 = rb.RademacherTrial(images=images, vectors=[x] * 3, seed=5, trials=64)
+        a = rb.rademacher_ratio(t1, _l2_rows, _l2_rows)
+        b = rb.rademacher_ratio(t2, _l2_rows, _l2_rows)
         assert a.estimate == b.estimate
         assert a.stderr == b.stderr
 
     def test_seed_changes_sample(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(6)
-        ops = [lambda v, _l=l: np.roll(v, _l) + 0.1 * _l * v for l in range(3)]
+        images = [np.roll(x, l) + 0.1 * l * x for l in range(3)]
         a = rb.rademacher_ratio(
-            rb.RademacherTrial(operators=ops, vectors=[x] * 3, seed=1, trials=64),
-            _l2, _l2)
+            rb.RademacherTrial(images=images, vectors=[x] * 3, seed=1, trials=64),
+            _l2_rows, _l2_rows)
         b = rb.rademacher_ratio(
-            rb.RademacherTrial(operators=ops, vectors=[x] * 3, seed=2, trials=64),
-            _l2, _l2)
+            rb.RademacherTrial(images=images, vectors=[x] * 3, seed=2, trials=64),
+            _l2_rows, _l2_rows)
         assert a.estimate != b.estimate
 
     def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
-            rb.RademacherTrial(operators=[], vectors=[])
+        with pytest.raises(ValueError, match="nonempty"):
+            rb.RademacherTrial(images=np.zeros((0, 3)), vectors=np.zeros((0, 3)))
 
     def test_zero_vectors_rejected(self):
-        trial = rb.RademacherTrial(operators=[lambda v: v],
-                                   vectors=[np.zeros(3)])
+        trial = rb.RademacherTrial(images=[np.ones(3)], vectors=[np.zeros(3)])
         with pytest.raises(ValueError):
-            rb.rademacher_ratio(trial, _l2, _l2)
+            rb.rademacher_ratio(trial, _l2_rows, _l2_rows)
 
     @settings(max_examples=25, deadline=None)
     @given(N=st.integers(1, 12), trials=st.sampled_from([1, 127, 128, 129, 300]),
@@ -102,42 +99,38 @@ class TestRademacherRatio:
         images = rng.standard_normal((N, 3, 5))
         if complex_images:
             images = images + 1j * rng.standard_normal((N, 3, 5))
-        vecs = list(rng.standard_normal((N, 4)))
-        ops = [lambda v, _im=im: _im for im in images]
+        vecs = rng.standard_normal((N, 4))
         seen = []
 
-        def norm_out(s):
-            seen.append(s.shape)
-            return _l2(s)
+        def norm_out(block):
+            seen.append(block.shape)
+            return _l2_rows(block)
 
-        trial = rb.RademacherTrial(operators=ops, vectors=vecs, seed=seed,
+        trial = rb.RademacherTrial(images=images, vectors=vecs, seed=seed,
                                    trials=trials)
-        got = rb.rademacher_ratio(trial, norm_out, _l2)
+        got = rb.rademacher_ratio(trial, norm_out, _l2_rows)
         want = _per_draw_ratio(trial, _l2, _l2)
-        # one image-shaped sample per draw
-        assert seen == [(3, 5)] * trials
-        for field in ("estimate", "numerator", "denominator"):
-            assert getattr(got, field) == pytest.approx(getattr(want, field),
-                                                        rel=1e-12)
+        # blocks of at most _DRAW_BLOCK draws covering every draw once,
+        # the image shape trailing
+        assert [s[1:] for s in seen] == [(3, 5)] * len(seen)
+        assert all(1 <= s[0] <= rb._DRAW_BLOCK for s in seen)
+        assert sum(s[0] for s in seen) == trials
+        assert got.estimate == pytest.approx(want.estimate, rel=1e-12)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-9, abs=1e-15)
 
     def test_ragged_images_rejected(self):
         x = np.ones(3)
-        trial = rb.RademacherTrial(
-            operators=[lambda v: v, lambda v: v[None, :]], vectors=[x, x])
-        with pytest.raises(ValueError, match="operator images"):
-            rb.rademacher_ratio(trial, _l2, _l2)
+        with pytest.raises(ValueError, match="images"):
+            rb.RademacherTrial(images=[x, x[None, :]], vectors=[x, x])
 
     def test_ragged_vectors_rejected(self):
-        trial = rb.RademacherTrial(
-            operators=[lambda v: np.ones(3)] * 2,
-            vectors=[np.ones(1), np.ones(3)])
-        with pytest.raises(ValueError, match="input vectors"):
-            rb.rademacher_ratio(trial, _l2, _l2)
+        with pytest.raises(ValueError, match="vectors"):
+            rb.RademacherTrial(images=np.ones((2, 3)),
+                               vectors=[np.ones(1), np.ones(3)])
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            rb.RademacherTrial(operators=[lambda v: v], vectors=[])
+        with pytest.raises(ValueError, match="images and vectors"):
+            rb.RademacherTrial(images=np.ones((1, 3)), vectors=np.ones((0, 3)))
 
 
 class TestGrowthExperiment:
@@ -166,3 +159,31 @@ class TestGrowthExperiment:
         b = rb.dirichlet_nonrbound_experiment(p=1.5, trials=64, N_list=(4, 8),
                                               seed=9)
         assert [(r.ratio, r.stderr) for r in a] == [(r.ratio, r.stderr) for r in b]
+
+    def test_one_kernel_batch_for_the_family(self, monkeypatch):
+        """All (lambda_l, mode) rows come from one kernel_batch call."""
+        calls = []
+        real = rb.kernel_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rb, "kernel_batch", counted)
+        rb.dirichlet_nonrbound_experiment(p=1.2, trials=8, N_list=(3, 7, 5))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p, want", [
+        (1.2, [(0.8990899362664634, 0.045370028714749294),
+               (0.9408480284593608, 0.06041831239340694)]),
+        (2.0, [(0.7054219958633313, 0.025344120033058477),
+               (0.6805583143563053, 0.031863264020488065)]),
+    ])
+    def test_rows_pinned(self, p, want):
+        """Rows recorded with one sign sum and one norm per draw."""
+        rows = rb.dirichlet_nonrbound_experiment(p=p, trials=64, N_list=(4, 8),
+                                                 seed=9)
+        assert [row.N for row in rows] == [4, 8]
+        for row, (ratio, stderr) in zip(rows, want):
+            assert row.ratio == pytest.approx(ratio, rel=1e-12)
+            assert row.stderr == pytest.approx(stderr, rel=1e-12)

@@ -128,7 +128,8 @@ class TestHalfSpaceResolvent:
         ug = UniformHalfGrid(X=12.0, N=128)
         src = res.resolvent_source(p, np.zeros((TG.n_modes, ug.N)), TG, ug)
         with pytest.raises(ValueError, match="other grids"):
-            res.halfspace_resolvent(p, 4.0 + 2.0j, src, TG, ug.refined())
+            res.halfspace_resolvent(p, 4.0 + 2.0j, src, TG,
+                                    UniformHalfGrid(X=ug.X, N=2 * ug.N))
 
     def test_boundary_conditions_removed(self):
         p = hp.clamped_bilaplacian()
