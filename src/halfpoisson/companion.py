@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "FrequencyPoint",
@@ -132,6 +131,8 @@ def _schur_ls(problem, fp: FrequencyPoint, gap: float):
     construction.  Returns ``(T, Q, sdim, LS, svals)`` with ``svals`` the
     singular values of the row-normalised map.
     """
+    import scipy.linalg
+
     A0 = _companion_matrix(problem, fp)
     T, Q, sdim = scipy.linalg.schur(A0, output="complex",
                                     sort=lambda z: z.imag > gap)
@@ -195,6 +196,8 @@ def boundary_map_conditioning(problem, fp: FrequencyPoint) -> tuple[float, float
     Lopatinskii-Shapiro check; never raises on a singular map, so the caller
     can report the worst point.
     """
+    import scipy.linalg
+
     try:
         _, _, sdim, _, svals = _schur_ls(problem, fp, 1e-12)
     except scipy.linalg.LinAlgError:
@@ -215,6 +218,8 @@ def propagate(cs: CompanionSystem, x_n: float, deriv_order: int = 0) -> np.ndarr
     and ``D_{x_n} = -i d/dx_n`` pulls down a factor ``rho T11`` per order.
     The anti-stable eigenvalues never enter, so nothing overflows.
     """
+    import scipy.linalg
+
     x_n = float(x_n)
     if x_n < 0:
         raise ValueError("x_n must be >= 0")

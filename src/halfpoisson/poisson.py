@@ -12,7 +12,9 @@ carries a vectorized kernel engine: a batched eigendecomposition of the
 companion matrices (valid for simple stable roots, which is the generic case)
 with a per-node fallback to the ordered-Schur route whenever roots nearly
 collide or the boundary map is ill conditioned.  The two routes are
-cross-checked in the test-suite.
+cross-checked in the test-suite.  Rows with byte-identical inputs, as the
+rows at xi' and -xi' of a symmetric problem have, are solved and evaluated
+once.
 
 The predicted exponents are
 
@@ -113,6 +115,10 @@ class KernelBatch:
     coinciding roots, or a boundary map that is singular on the root basis);
     :meth:`eval` takes those from the per-node Schur route, which raises
     :class:`~halfpoisson.companion.LopatinskiiError` where LS fails.
+
+    ``taus``, ``coeff`` and ``fallback`` hold every row.  ``first[q]`` is the
+    first row whose inputs are bitwise those of row q (see
+    :func:`kernel_batch`), so rows with equal ``first`` carry the same bits.
     """
 
     problem: ModelProblem
@@ -121,25 +127,31 @@ class KernelBatch:
     taus: np.ndarray       # (N, m) stable roots
     coeff: np.ndarray      # (m, N, m) root-basis coefficients for unit datum j
     fallback: np.ndarray   # (N,) bool
+    first: np.ndarray      # (N,) first row with the same inputs
 
     def eval(self, x: np.ndarray, deriv_order: int = 0,
              rows: np.ndarray | None = None) -> np.ndarray:
         """Kernel values for every boundary index on ``rows`` (default: all),
-        shape (m, len(rows), len(x)).
+        in that order, shape (m, len(rows), len(x)).
 
-        A caller whose data vanish on some rows asks only for the others.
+        The exponential table and the contraction run once per distinct row
+        among ``rows``; the values are then gathered in the order asked.  A
+        caller whose data vanish on some rows asks only for the others.
         Every fallback row still builds its companion system, evaluated or
         not, so an LS failure raises whichever rows carry data.
         """
         x = np.asarray(x, dtype=float)
         rows = np.arange(len(self.lam)) if rows is None else np.asarray(rows)
-        taus = self.taus[rows]
+        distinct, back = np.unique(self.first[rows], return_inverse=True)
+        taus = self.taus[distinct]
         E = 1j * taus[:, :, None] * x[None, None, :]
         np.exp(E, out=E)
         powers = taus ** deriv_order
-        out = np.empty((self.coeff.shape[0], len(rows)) + x.shape, dtype=complex)
-        for c, o in zip(self.coeff[:, rows], out):
+        vals = np.empty((self.coeff.shape[0], len(distinct)) + x.shape, dtype=complex)
+        for c, o in zip(self.coeff[:, distinct], vals):
             np.einsum("ql,qlz->qz", c * powers, E, out=o)
+        del E
+        out = vals[:, back]
         for q in np.flatnonzero(self.fallback):
             fp = comp.make_frequency_point(self.xi_modes[q], self.lam[q], self.problem.m)
             cs = comp.build_companion(self.problem, fp)
@@ -149,6 +161,25 @@ class KernelBatch:
         return out
 
 
+def _distinct_rows(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows whose bytes differ across ``tables`` (each with N rows leading).
+
+    Returns ``(first, inverse)``: the first row of each distinct byte
+    pattern, in order of first occurrence, and for every row the index of
+    its pattern in ``first``.  Bytes, not values, make the key, so -0.0 and
+    0.0 stay apart, as do values one ulp apart.
+    """
+    N = len(tables[0])
+    raw = np.concatenate([np.ascontiguousarray(t).reshape(N, -1).view(np.uint8)
+                          for t in tables], axis=1)
+    keys = raw.view(np.dtype((np.void, raw.shape[1]))).reshape(N)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray,
                  degeneracy_tol: float = 1e-8) -> KernelBatch:
     """Root-basis kernel data for every row and boundary index, with Schur
@@ -156,13 +187,17 @@ def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray,
 
     ``lam`` is one parameter for every row or one per row of ``xi_modes``,
     so a caller with several lambda stacks its (lambda, mode) pairs as rows
-    and makes one call.  The roots, their checks and the LS test cover every
-    row; :meth:`KernelBatch.eval` can then evaluate only the rows with data.
+    and makes one call.  A row's result depends only on its row of
+    lambda - A(xi', .), its boundary-table row and rho, so the roots, their
+    checks, the LS test and the solve run once per distinct row: rows whose
+    three inputs agree byte for byte share one, taken in order of first
+    occurrence.  Every distinct row is checked, so every row is;
+    :meth:`KernelBatch.eval` can then evaluate only the rows with data.
     One solve against the identity gives the coefficients of all m unit
     data from one factorization of the boundary map.  Raises
-    :class:`~halfpoisson.companion.EllipticityMarginError` where a root lies
-    within ``_AXIS_TOL * rho`` of the real axis or a row has other than m
-    stable roots."""
+    :class:`~halfpoisson.companion.EllipticityMarginError`, naming the first
+    offending row, where a root lies within ``_AXIS_TOL * rho`` of the real
+    axis or a row has other than m stable roots."""
     xi_modes = np.atleast_2d(np.asarray(xi_modes, dtype=float))
     N = xi_modes.shape[0]
     lam = np.broadcast_to(np.asarray(lam, dtype=complex), (N,)).copy()
@@ -170,26 +205,32 @@ def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray,
     # lambda - A(xi', tau) per row, in increasing powers of tau
     c = -problem.interior_symbol.table(xi_modes)
     c[:, 0] += lam
+    tab = problem.boundary_table(xi_modes)      # (N, m, 2m)
+    rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + np.abs(lam) ** (1.0 / m))
+    first, inverse = _distinct_rows(c, tab, rho)
+    c, tab, rho = c[first], tab[first], rho[first]
+    U = len(first)
     # batched companion matrices of the characteristic polynomial
-    C = np.zeros((N, order, order), dtype=complex)
+    C = np.zeros((U, order, order), dtype=complex)
     C[:, np.arange(order - 1), np.arange(1, order)] = 1.0
     C[:, -1, :] = -c[:, :order] / c[:, order, None]
     eigs = np.linalg.eigvals(C)
-    rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + np.abs(lam) ** (1.0 / m))
     near_axis = np.abs(eigs.imag) <= comp._AXIS_TOL * rho[:, None]
     if np.any(near_axis):
         bad = int(np.argmax(near_axis.any(axis=1)))
+        q = first[bad]
         raise comp.EllipticityMarginError(
             f"characteristic root within {comp._AXIS_TOL * rho[bad]:.3e} of the "
-            f"real axis at (xi'={xi_modes[bad]}, lambda={lam[bad]})"
+            f"real axis at (xi'={xi_modes[q]}, lambda={lam[q]})"
         )
     pos = eigs.imag > 0
     counts = pos.sum(axis=1)
     if np.any(counts != m):
         bad = int(np.argmax(counts != m))
+        q = first[bad]
         raise comp.EllipticityMarginError(
-            f"mode xi'={xi_modes[bad]} has {counts[bad]} stable roots, expected {m} "
-            f"(lambda={lam[bad]})"
+            f"mode xi'={xi_modes[q]} has {counts[bad]} stable roots, expected {m} "
+            f"(lambda={lam[q]})"
         )
     key = np.where(pos, eigs.imag, np.inf)
     idx = np.argsort(key, axis=1)[:, :m]
@@ -201,27 +242,26 @@ def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray,
         diffs[:, np.arange(m), np.arange(m)] = np.inf
         near_degenerate = diffs.min(axis=(1, 2)) < degeneracy_tol * scale
     else:
-        near_degenerate = np.zeros(N, dtype=bool)
+        near_degenerate = np.zeros(U, dtype=bool)
 
-    tab = problem.boundary_table(xi_modes)      # (N, m, 2m)
-    L = np.empty((N, m, m), dtype=complex)     # L[q, j, l] = B_j(xi'(q), tau_l(q))
+    L = np.empty((U, m, m), dtype=complex)     # L[q, j, l] = B_j(xi'(q), tau_l(q))
     for j, sym in enumerate(problem.boundary_symbols):
         L[:, j] = sym.contract(tab[:, j, None, :], lambda l: taus ** l)
     # LS test with row j divided by the size of B_j at the mode, as in
     # companion._schur_ls: sum_l |b_jl(xi')| rho^l, which bounds |B_j(xi', tau)|
     # on |tau| = rho, rho^2 = 1 + |xi'|^2 + |lambda|^{1/m}.  A row divided by
     # its own largest entry would score every 1 x 1 map 1.
-    size = np.abs(tab) @ (rho[:, None] ** np.arange(order))[:, :, None]   # (N, m, 1)
+    size = np.abs(tab) @ (rho[:, None] ** np.arange(order))[:, :, None]   # (U, m, 1)
     svals = np.linalg.svd(L / (size + 1e-300), compute_uv=False)
     ill = svals[:, -1] <= 1e-10
     fallback = near_degenerate | ill
-    coeff = np.zeros((N, m, m), dtype=complex)   # (mode, root, datum)
+    coeff = np.zeros((U, m, m), dtype=complex)   # (mode, root, datum)
     good = ~fallback
     if np.any(good):
         coeff[good] = np.linalg.solve(L[good], np.eye(m, dtype=complex))
-    return KernelBatch(problem=problem, lam=lam, xi_modes=xi_modes, taus=taus,
-                       coeff=np.ascontiguousarray(coeff.transpose(2, 0, 1)),
-                       fallback=fallback)
+    return KernelBatch(problem=problem, lam=lam, xi_modes=xi_modes, taus=taus[inverse],
+                       coeff=np.ascontiguousarray(coeff.transpose(2, 0, 1)[:, inverse]),
+                       fallback=fallback[inverse], first=first[inverse])
 
 
 def decay_rate(problem: ModelProblem, lam: complex) -> float:

@@ -106,10 +106,12 @@ def rademacher_ratio(trial: RademacherTrial, norm_out: Callable,
     """Sampled E||sum eps T_l x_l|| / E||sum eps x_l|| with standard error.
 
     Second moments over the sign draws; the standard error comes from
-    batch-mean variance of the ratio.  The signed sums of a block of at most
-    ``_DRAW_BLOCK`` draws come from one matrix product with the block's signs;
-    ``norm_out`` and ``norm_in`` get the block, draw axis leading, and return
-    one norm per draw.
+    batch-mean variance of the ratio, over the batches of draws whose inputs
+    do not all cancel, and is nan when fewer than two such batches remain.
+    The signed sums of a block of at most ``_DRAW_BLOCK`` draws come from one
+    matrix product with the block's signs; ``norm_out`` and ``norm_in`` get
+    the block, draw axis leading, and return one norm per draw.  Raises
+    ValueError when every draw cancels the inputs.
     """
     if not np.any(trial.vectors):
         raise ValueError("all input vectors vanish; ratio undefined")
@@ -126,17 +128,21 @@ def rademacher_ratio(trial: RademacherTrial, norm_out: Callable,
 
     num = math.sqrt(float(np.mean(nums ** 2)))
     den = math.sqrt(float(np.mean(dens ** 2)))
+    if den == 0:
+        raise ValueError("every sign draw cancels the input vectors; ratio undefined")
     estimate = num / den
 
+    # a batch whose every draw cancels the inputs has no ratio
     nb = max(1, min(_BATCHES, trial.trials))
-    split_n = np.array_split(nums, nb)
-    split_d = np.array_split(dens, nb)
     ratios = np.array([
-        math.sqrt(float(np.mean(a ** 2))) / max(math.sqrt(float(np.mean(b ** 2))), 1e-300)
-        for a, b in zip(split_n, split_d)
+        math.sqrt(float(np.mean(a ** 2))) / math.sqrt(d2)
+        for a, b in zip(np.array_split(nums, nb), np.array_split(dens, nb))
+        if (d2 := float(np.mean(b ** 2))) > 0
     ])
-    stderr = float(ratios.std(ddof=1) / math.sqrt(nb)) if nb > 1 else 0.0
-    return RatioEstimate(estimate=estimate, stderr=stderr)
+    if len(ratios) < 2:
+        return RatioEstimate(estimate=estimate, stderr=math.nan)
+    return RatioEstimate(estimate=estimate,
+                         stderr=float(ratios.std(ddof=1) / math.sqrt(len(ratios))))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from .grids import HalfLineGrid, TangentialGrid
 
@@ -233,6 +232,8 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid, max_iter: int = 400,
     K = _hardy_matrix(grid)
     wr = grid.quad_weights(r)
     if p == 2:
+        from scipy.sparse.linalg import eigsh
+
         d = np.sqrt(wr)
         # A = D K D^{-1}, built in place on the fresh K
         A = K

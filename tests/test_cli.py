@@ -80,8 +80,10 @@ class TestInfrastructure:
         assert code == cli.EXIT_OK
 
     def test_import_leaves_scipy_interpolate_unloaded(self):
+        """No SciPy module at all: SciPy loads only where a command calls it."""
         code = ("import sys, halfpoisson.cli; "
-                "sys.exit('scipy.interpolate' in sys.modules)")
+                "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
+                "for m in sys.modules))")
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               env={**os.environ, "PYTHONPATH": src})
@@ -202,6 +204,18 @@ class TestSweepOutputs:
         run(["rbound-sim", "--config", cfg, "--seed", 2, "--out", b])
         assert ((a / "rbound_sim.csv").read_bytes()
                 != (b / "rbound_sim.csv").read_bytes())
+
+    def test_rbound_single_batch_fails_the_stderr_gate(self, tmp_path, capsys):
+        """One trial leaves one batch: the standard error is undefined and
+        the gate fails instead of passing on 0."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1, "N_list": [3, 5]}))
+        out = tmp_path / "out"
+        assert run(["rbound-sim", "--p", "2.0", "--config", cfg, "--out", out]) \
+            == cli.EXIT_TOLERANCE
+        assert "stderr ok: False" in capsys.readouterr().out
+        with open(out / "rbound_sim.csv") as fh:
+            assert [row["stderr"] for row in csv.DictReader(fh)] == ["nan", "nan"]
 
     def test_rbound_config_p_is_unknown_key(self, tmp_path, capsys):
         # p is set by --p alone

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,11 +29,14 @@ def _per_draw_ratio(trial, norm_out, norm_in):
     num = math.sqrt(float(np.mean(nums ** 2)))
     den = math.sqrt(float(np.mean(dens ** 2)))
     nb = max(1, min(16, trial.trials))
+    # batches whose inputs cancel in every draw have no ratio
     ratios = np.array([
         math.sqrt(float(np.mean(a ** 2))) / math.sqrt(float(np.mean(b ** 2)))
         for a, b in zip(np.array_split(nums, nb), np.array_split(dens, nb))
+        if np.any(b)
     ])
-    stderr = float(ratios.std(ddof=1) / math.sqrt(nb)) if nb > 1 else 0.0
+    stderr = (float(ratios.std(ddof=1) / math.sqrt(len(ratios)))
+              if len(ratios) > 1 else math.nan)
     return rb.RatioEstimate(estimate=num / den, stderr=stderr)
 
 
@@ -116,7 +120,49 @@ class TestRademacherRatio:
         assert all(1 <= s[0] <= rb._DRAW_BLOCK for s in seen)
         assert sum(s[0] for s in seen) == trials
         assert got.estimate == pytest.approx(want.estimate, rel=1e-12)
-        assert got.stderr == pytest.approx(want.stderr, rel=1e-9, abs=1e-15)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-9, abs=1e-15,
+                                           nan_ok=True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(trials=st.sampled_from([2, 3, 5, 16, 40]), seed=st.integers(0, 1000))
+    def test_cancelling_batches_left_out(self, trials, seed):
+        """Two equal inputs cancel in every draw with opposite signs.  The
+        batches where all draws cancel are left out of the spread, so the
+        standard error is finite, or nan with fewer than two batches left."""
+        x = np.array([1.0, -2.0, 0.5])
+        trial = rb.RademacherTrial(images=[x, 3.0 * x], vectors=[x, x],
+                                   seed=seed, trials=trials)
+        eps = np.random.Generator(np.random.Philox(seed)).integers(
+            0, 2, size=(trials, 2))
+        if np.all(eps[:, 0] != eps[:, 1]):
+            with pytest.raises(ValueError, match="cancels"):
+                rb.rademacher_ratio(trial, _l2_rows, _l2_rows)
+            return
+        with np.errstate(all="raise"):
+            got = rb.rademacher_ratio(trial, _l2_rows, _l2_rows)
+        want = _per_draw_ratio(trial, _l2, _l2)
+        assert got.estimate == pytest.approx(want.estimate, rel=1e-12)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-9, abs=1e-15,
+                                           nan_ok=True)
+        assert not math.isinf(got.stderr)
+
+    def test_one_batch_has_no_stderr(self):
+        """A single batch gives no spread: the standard error is nan, so a
+        relative-stderr gate compares false instead of passing on 0."""
+        x = np.array([3.0, 4.0])
+        trial = rb.RademacherTrial(images=[x, 2.0 * x], vectors=[x, -x],
+                                   seed=3, trials=1)
+        est = rb.rademacher_ratio(trial, _l2_rows, _l2_rows)
+        assert math.isnan(est.stderr)
+        assert not est.stderr / est.estimate <= 0.03
+
+    def test_all_draws_cancelling_rejected(self):
+        """Seed 3 draws the signs (1, -1): the equal inputs cancel."""
+        x = np.array([3.0, 4.0])
+        trial = rb.RademacherTrial(images=[x, 2.0 * x], vectors=[x, x],
+                                   seed=3, trials=1)
+        with pytest.raises(ValueError, match="cancels"):
+            rb.rademacher_ratio(trial, _l2_rows, _l2_rows)
 
     def test_ragged_images_rejected(self):
         x = np.ones(3)
@@ -159,6 +205,15 @@ class TestGrowthExperiment:
         b = rb.dirichlet_nonrbound_experiment(p=1.5, trials=64, N_list=(4, 8),
                                               seed=9)
         assert [(r.ratio, r.stderr) for r in a] == [(r.ratio, r.stderr) for r in b]
+
+    def test_even_family_with_few_trials_has_finite_stderr(self):
+        """N = 4 and 8 with 8 trials give batches whose every draw cancels
+        the equal inputs; they are left out, with no overflow or warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = rb.dirichlet_nonrbound_experiment(p=1.2, trials=8,
+                                                     N_list=(4, 16, 8))
+        assert all(math.isfinite(row.stderr) and row.stderr > 0 for row in rows)
 
     def test_one_kernel_batch_for_the_family(self, monkeypatch):
         """All (lambda_l, mode) rows come from one kernel_batch call."""
