@@ -30,12 +30,10 @@ from .companion import (
 )
 from .grids import TangentialGrid, HalfLineGrid, UniformHalfGrid
 from .spaces import (
-    SpaceSpec,
-    DyadicPartition,
+    plancherel_norms,
     space_norm,
     param_norm,
     sobolev_mixed_norm,
-    ap_characteristic,
     hardy_norm,
     mixed_lifting_check,
 )

@@ -241,8 +241,7 @@ def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
         tgrid = _default_tgrid(problem, N=N_x or 16)
         g = np.zeros(tgrid.n_modes, dtype=complex)
         g[tgrid.mode_index(1.0)] = 1.0
-    spec_t = sp.SpaceSpec(scale="H", s=q.t, p=2)
-    result = poi.decay_sweep(problem, q, sample, g, spec_t, tgrid)
+    result = poi.decay_sweep(problem, q, sample, g, tgrid)
     rows = [
         (rec.ray_arg, rec.lambda_mod, rec.norm, result.predicted,
          result.fitted_slopes.get(rec.ray_arg, math.nan))
@@ -312,7 +311,6 @@ def cmd_hardy_norm(args, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bo
 def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -> bool:
     rng = np.random.default_rng(args.seed)
     tgrid = TangentialGrid(n_axes=1, N=N_x, L=2.0 * math.pi)
-    base = sp.SpaceSpec(scale="H", s=s0, p=2)
     mus = np.logspace(0, 4, n_mu)
     ratios = []
     rows = []
@@ -320,10 +318,10 @@ def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -
         fhat = (rng.standard_normal(tgrid.N) + 1j * rng.standard_normal(tgrid.N))
         fhat[tgrid.N // 4: 3 * tgrid.N // 4] = 0.0   # band-limit
         for mu in mus:
-            lhs = sp.param_norm(fhat, s, s0, mu, base, tgrid)
-            rhs = (sp.space_norm(fhat, sp.SpaceSpec(scale="H", s=s, p=2), tgrid)
+            lhs = sp.param_norm(fhat, s, s0, mu, tgrid)
+            rhs = (sp.space_norm(fhat, s, tgrid)
                    + (1.0 + mu ** 2) ** ((s - s0) / 2.0)
-                   * sp.space_norm(fhat, base, tgrid))
+                   * sp.space_norm(fhat, s0, tgrid))
             ratio = lhs / rhs
             ratios.append(ratio)
             rows.append((trial, mu, lhs, rhs, ratio))

@@ -3,7 +3,9 @@
 Tangential data lives on a torus of length ``L`` per axis with ``N`` modes,
 specified directly by Fourier coefficients: ``f(x) = sum_k fhat_k e^{i xi_k x}``
 with ``xi_k = 2 pi k / L`` in FFT ordering.  Periodization error is exactly
-zero for band-limited data, which is how all harness inputs are built.
+zero for band-limited data, which is how all harness inputs are built.  The
+data are never sampled in space: every tangential norm is taken from the
+coefficients by Plancherel (:func:`halfpoisson.spaces.plancherel_norms`).
 
 The normal half-line uses a geometric grid ``x_i = x_min * ratio^i`` so that
 both power weights ``x^r`` near zero and exponential tails are resolved.
@@ -86,26 +88,6 @@ class TangentialGrid:
     @property
     def n_modes(self) -> int:
         return self.N ** self.n_axes if self.n_axes else 1
-
-    @property
-    def cell_volume(self) -> float:
-        return (self.L / self.N) ** self.n_axes
-
-    def to_space(self, fhat: np.ndarray) -> np.ndarray:
-        """Samples f(x_i) from Fourier coefficients, over the leading axes."""
-        if self.n_axes == 0:
-            return fhat
-        axes = tuple(range(self.n_axes))
-        return np.fft.ifftn(fhat, axes=axes) * self.n_modes
-
-    def lp_norm(self, fhat: np.ndarray, p: float) -> float:
-        """L_p norm on the torus from Fourier coefficients."""
-        if self.n_axes == 0:
-            return float(np.abs(fhat))
-        if p == 2:
-            return float(math.sqrt(np.sum(np.abs(fhat) ** 2) * self.L ** self.n_axes))
-        vals = self.to_space(fhat)
-        return float((np.sum(np.abs(vals) ** p) * self.cell_volume) ** (1.0 / p))
 
     def mode_index(self, xi_target: float) -> int:
         """Index along one axis of the mode closest to xi_target."""

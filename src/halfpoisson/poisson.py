@@ -3,24 +3,24 @@
 For boundary data ``g_j`` the operator ``Poi_j(lambda)`` produces the decaying
 solution of ``(lambda - A(D))u = 0`` with ``B_k(D)u|_{x_n=0} = delta_{kj} g_j``.
 Tangentially everything is diagonal in frequency: per mode ``xi'`` the kernel
-is the first component of the propagated companion state (module
-:mod:`halfpoisson.companion`), and the full evaluation is one multiplication
-per mode.
+is a sum of exponentials ``e^{i tau x_n}`` over the stable roots ``tau`` of
+``lambda - A(xi', tau)``, with the coefficients that invert the boundary map
+on that root basis, and the full evaluation is one multiplication per mode.
 
-Sweeps need thousands of frequency nodes per parameter value, so this module
-carries a vectorized kernel engine: a batched eigendecomposition of the
-companion matrices (valid for simple stable roots, which is the generic case)
-with a per-node fallback to the ordered-Schur route whenever roots nearly
-collide or the boundary map is ill conditioned.  The two routes are
+Sweeps need thousands of frequency nodes per parameter value, so the roots
+come from one batched eigendecomposition of the companion matrices (valid
+for simple stable roots, which is the generic case), with a per-row fallback
+to the ordered-Schur route of :mod:`halfpoisson.companion` whenever roots
+nearly collide or the boundary map is ill conditioned.  The two routes are
 cross-checked in the test-suite.  Rows with byte-identical inputs, as the
 rows at xi' and -xi' of a symmetric problem have, are solved and evaluated
-once.
+once, on either route.
 
 The predicted exponents are
 
 * decay:       theta = (-1 - r + p(k - m_j) + p[t - s]_+) / (2 m p),
   valid under the admissibility condition r - p[t + k - m_j - s]_+ > -1;
-* boundary singularity of x_n -> ||u(., x_n)||_{A^t}:   -[t - s]_+.
+* boundary singularity of x_n -> ||u(., x_n)||_{H^t_2}:   -[t - s]_+.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from . import companion as comp
 from .grids import HalfLineGrid, TangentialGrid
 from .model import ModelProblem, SectorSample
-from .spaces import SpaceSpec, sobolev_mixed_norm
+from .spaces import plancherel_norms, sobolev_mixed_norm
 
 __all__ = [
     "ExponentQuery",
@@ -92,7 +92,7 @@ def predicted_decay_exponent(q: ExponentQuery, m: int) -> float:
 
 
 def predicted_singularity_exponent(t: float, s: float) -> float:
-    """Power of x_n in the near-boundary blow-up of the A^t profile norm."""
+    """Power of x_n in the near-boundary blow-up of the H^t_2 profile norm."""
     return -max(t - s, 0.0)
 
 
@@ -113,7 +113,7 @@ class KernelBatch:
     The roots do not depend on j, so one batch serves every boundary index.
     ``fallback`` marks rows where the root basis is unreliable (nearly
     coinciding roots, or a boundary map that is singular on the root basis);
-    :meth:`eval` takes those from the per-node Schur route, which raises
+    :meth:`eval` takes those from the Schur route, which raises
     :class:`~halfpoisson.companion.LopatinskiiError` where LS fails.
 
     ``taus``, ``coeff`` and ``fallback`` hold every row.  ``first[q]`` is the
@@ -137,8 +137,9 @@ class KernelBatch:
         The exponential table and the contraction run once per distinct row
         among ``rows``; the values are then gathered in the order asked.  A
         caller whose data vanish on some rows asks only for the others.
-        Every fallback row still builds its companion system, evaluated or
-        not, so an LS failure raises whichever rows carry data.
+        The Schur route also runs once per distinct fallback row, and every
+        distinct fallback row builds its companion system, evaluated or not,
+        so an LS failure raises whichever rows carry data.
         """
         x = np.asarray(x, dtype=float)
         rows = np.arange(len(self.lam)) if rows is None else np.asarray(rows)
@@ -151,14 +152,13 @@ class KernelBatch:
         for c, o in zip(self.coeff[:, distinct], vals):
             np.einsum("ql,qlz->qz", c * powers, E, out=o)
         del E
-        out = vals[:, back]
-        for q in np.flatnonzero(self.fallback):
+        for q in np.unique(self.first[self.fallback]):
             fp = comp.make_frequency_point(self.xi_modes[q], self.lam[q], self.problem.m)
             cs = comp.build_companion(self.problem, fp)
-            for r in np.flatnonzero(rows == q):
+            for d in np.flatnonzero(distinct == q):
                 for i, xv in enumerate(x):
-                    out[:, r, i] = comp.propagate(cs, xv, deriv_order)[0, :]
-        return out
+                    vals[:, d, i] = comp.propagate(cs, xv, deriv_order)[0, :]
+        return vals[:, back]
 
 
 def _distinct_rows(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,14 +311,14 @@ def _middle_fraction(x: np.ndarray, frac: float = 0.8) -> np.ndarray:
 
 def decay_sweep(problem: ModelProblem, q: ExponentQuery,
                 sample: SectorSample, g_hat: np.ndarray,
-                tangential_spec: SpaceSpec, tgrid: TangentialGrid) -> SweepResult:
+                tgrid: TangentialGrid) -> SweepResult:
     """Sweep ||Poi_j(lambda) g|| (j = ``q.j``) over the sector and fit
     per-ray slopes.
 
-    The norm is the weighted mixed Sobolev norm W^k_p(x^r; A^t) on a normal
-    grid that resolves the slowest decay of the sample; the fit is ordinary
-    least squares on the middle 80% of the modulus decades, excluding
-    flagged (non-finite or underflowed) points.
+    The norm is the weighted mixed Sobolev norm W^k_p(x^r; H^t_2) with
+    t = ``q.t`` on a normal grid that resolves the slowest decay of the
+    sample; the fit is ordinary least squares on the middle 80% of the
+    modulus decades, excluding flagged (non-finite or underflowed) points.
     """
     g = np.asarray(g_hat).reshape(-1)
     rate = decay_rate(problem, min(sample.moduli) *
@@ -336,8 +336,7 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
             profiles = np.stack([
                 batch.eval(xgrid.x, l)[q.j] * g[:, None] for l in range(q.k + 1)
             ])
-            val = sobolev_mixed_norm(profiles, q.p, q.r, tangential_spec,
-                                     tgrid, xgrid)
+            val = sobolev_mixed_norm(profiles, q.p, q.r, q.t, tgrid, xgrid)
             norms[i] = val
             flags[i] = not (np.isfinite(val) and val > 0)
             records.append(SweepRecord(ray_arg=float(ray), lambda_mod=float(mod),
@@ -354,18 +353,13 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
 def singularity_sweep(problem: ModelProblem, j: int, lam: complex,
                       g_hat: np.ndarray, t: float, s: float,
                       x_range: np.ndarray, tgrid: TangentialGrid) -> SweepResult:
-    """Fit the near-boundary slope of x_n -> ||u(., x_n)||_{A^t}.
-
-    A^t is the L2-based Bessel scale (Plancherel per normal node); the
-    predicted slope is -[t - s]_+.
-    """
+    """Fit the near-boundary slope of x_n -> ||u(., x_n)||_{H^t_2}, the
+    predicted -[t - s]_+."""
     g = np.asarray(g_hat).reshape(-1)
     x_range = np.asarray(x_range, dtype=float)
     batch = kernel_batch(problem, lam, tgrid.xi_modes)
     vals = batch.eval(x_range, 0)[j] * g[:, None]
-    mult = np.asarray((1.0 + tgrid.xi_sq) ** (t / 2.0)).reshape(-1)
-    norms = np.sqrt(np.sum((mult[:, None] * np.abs(vals)) ** 2, axis=0)
-                    * tgrid.L ** tgrid.n_axes)
+    norms = plancherel_norms(vals, t, tgrid)
     flags = ~(np.isfinite(norms) & (norms > 0))
     records = tuple(
         SweepRecord(ray_arg=float(cmath.phase(lam)), lambda_mod=float(x),

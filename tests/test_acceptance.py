@@ -105,8 +105,7 @@ def _decay_query_sweep(problem, q):
         tgrid = TangentialGrid(n_axes=problem.n - 1, N=16, L=2.0 * math.pi)
         g = np.zeros(tgrid.n_modes, dtype=complex)
         g[tgrid.mode_index(1.0)] = 1.0
-    spec_t = sp.SpaceSpec(scale="H", s=q.t, p=2)
-    return poi.decay_sweep(problem, q, sample, g, spec_t, tgrid)
+    return poi.decay_sweep(problem, q, sample, g, tgrid)
 
 
 def test_criterion_3_decay_exponents():
@@ -230,18 +229,16 @@ def test_criterion_7_parameter_norm_equivalence():
     rng = np.random.default_rng(0)
     tgrid = TangentialGrid(n_axes=1, N=128, L=2.0 * math.pi)
     s, s0 = 2.0, 0.0
-    base = sp.SpaceSpec(scale="H", s=s0, p=2)
-    spec_s = sp.SpaceSpec(scale="H", s=s, p=2)
     mus = np.logspace(0, 4, 9)
     ratios = []
     for _ in range(100):
         fhat = rng.standard_normal(tgrid.N) + 1j * rng.standard_normal(tgrid.N)
         fhat[tgrid.N // 4: 3 * tgrid.N // 4] = 0.0
         for mu in mus:
-            lhs = sp.param_norm(fhat, s, s0, mu, base, tgrid)
-            rhs = (sp.space_norm(fhat, spec_s, tgrid)
+            lhs = sp.param_norm(fhat, s, s0, mu, tgrid)
+            rhs = (sp.space_norm(fhat, s, tgrid)
                    + (1.0 + mu ** 2) ** ((s - s0) / 2.0)
-                   * sp.space_norm(fhat, base, tgrid))
+                   * sp.space_norm(fhat, s0, tgrid))
             ratios.append(lhs / rhs)
     C_equiv = max(max(ratios), 1.0 / min(ratios))
     xi_n = 2.0 * math.pi * np.fft.fftfreq(64, d=2.0 * math.pi / 64)

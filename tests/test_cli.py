@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from halfpoisson import cli
-from halfpoisson.model import BUNDLED
+from halfpoisson.model import BUNDLED, dirichlet_laplacian, problem_to_json
 
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -261,6 +261,17 @@ class TestSweepOutputs:
         cfg.write_text(json.dumps({"t": 1.0, "s": 0.0}))
         code = run(["decay-sweep", "--config", cfg, "--out", tmp_path / "out"])
         assert code == cli.EXIT_INPUT
+
+    def test_decay_sweep_two_tangential_axes(self, tmp_path):
+        """At n = 3 the profiles hold the 8 x 8 modes flattened; the
+        tangential weight must follow that layout."""
+        problem = tmp_path / "dirichlet_n3.json"
+        problem.write_text(problem_to_json(dirichlet_laplacian(3)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N_x": 8, "n_moduli": 5}))
+        code = run(["decay-sweep", "--problem", problem, "--config", cfg,
+                    "--out", tmp_path / "out"])
+        assert code == cli.EXIT_OK
 
 
 class TestSvgWriter:

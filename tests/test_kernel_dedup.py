@@ -109,3 +109,25 @@ def test_margin_error_names_the_first_offending_row(order):
     msg = str(err.value)
     assert f"xi'={xi_bad}" in msg
     assert f"lambda={complex(lam_bad)}" in msg
+
+
+def test_schur_fallback_runs_once_per_distinct_row(monkeypatch):
+    """On the clamped problem the rows at xi' and -xi' share a solve; with
+    every row on the Schur route, eval builds one companion system per
+    distinct row and gives every row of a pair the same values."""
+    xi = np.array([[1.0], [-1.0], [2.0], [-2.0], [1.0]])
+    batch = poi.kernel_batch(hp.clamped_bilaplacian(), 3.0 + 1.0j, xi,
+                             degeneracy_tol=1e6)
+    assert batch.fallback.all()
+    built = []
+    build = comp.build_companion
+
+    def counted(problem, fp):
+        built.append(fp.xi_prime)
+        return build(problem, fp)
+
+    monkeypatch.setattr(comp, "build_companion", counted)
+    vals = batch.eval(X)
+    assert [float(x[0]) for x in built] == [1.0, 2.0]
+    assert np.array_equal(vals[:, [0, 2]], vals[:, [1, 3]])
+    assert np.array_equal(vals[:, 0], vals[:, 4])

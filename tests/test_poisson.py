@@ -7,7 +7,6 @@ import pytest
 import halfpoisson as hp
 from halfpoisson import poisson as poi
 from halfpoisson.grids import TangentialGrid
-from halfpoisson.spaces import SpaceSpec
 from halfpoisson.model import SectorSample
 
 RNG = np.random.default_rng(777)
@@ -129,8 +128,7 @@ class TestSweeps:
         g[tg.mode_index(1.0)] = 1.0
         sample = SectorSample.default(0.7 * math.pi, sigma_floor=1e2,
                                       n_rays=3, n_moduli=9, mod_max=1e6)
-        res = poi.decay_sweep(p, q, sample, g,
-                              SpaceSpec(scale="H", s=0.0, p=2), tg)
+        res = poi.decay_sweep(p, q, sample, g, tg)
         assert res.predicted == pytest.approx(-0.25)
         assert res.max_deviation < 0.01
 
@@ -143,8 +141,7 @@ class TestSweeps:
         g[tg.mode_index(1.0)] = 1.0
         sample = SectorSample.default(0.7 * math.pi, sigma_floor=1e2,
                                       n_rays=3, n_moduli=9, mod_max=1e6)
-        res = poi.decay_sweep(p, q, sample, g,
-                              SpaceSpec(scale="H", s=0.0, p=2), tg)
+        res = poi.decay_sweep(p, q, sample, g, tg)
         assert res.predicted == pytest.approx(-0.125)
         assert res.max_deviation < 0.01
 
@@ -167,6 +164,5 @@ class TestSweeps:
         g[tg.mode_index(1.0)] = 1.0
         sample = SectorSample.default(0.7 * math.pi, sigma_floor=1e2,
                                       n_rays=3, n_moduli=7, mod_max=1e5)
-        res = poi.decay_sweep(p, q, sample, g,
-                              SpaceSpec(scale="H", s=0.0, p=2), tg)
+        res = poi.decay_sweep(p, q, sample, g, tg)
         assert res.worst_slope() in res.fitted_slopes.values()

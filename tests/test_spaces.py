@@ -11,91 +11,31 @@ from halfpoisson import spaces as sp
 TG = TangentialGrid(n_axes=1, N=64, L=2 * math.pi)
 
 
-class TestSpaceSpec:
-    def test_unknown_scale_rejected(self):
-        with pytest.raises(ValueError):
-            sp.SpaceSpec(scale="X")
-
-    def test_bad_p_rejected(self):
-        with pytest.raises(ValueError):
-            sp.SpaceSpec(p=0.5)
-
-
-class TestDyadicPartition:
-    def test_partition_of_unity(self):
-        xi = np.linspace(0, 500, 2000)
-        part = sp.DyadicPartition(xi)
-        assert part.partition_defect() < 1e-12
-
-    def test_band_supports(self):
-        xi = np.linspace(0, 500, 2000)
-        part = sp.DyadicPartition(xi)
-        for k, phi in enumerate(part.bands[1:], start=1):
-            lo, hi = 2.0 ** (k - 1), 3.0 * 2.0 ** (k - 1)
-            outside = (xi < lo * 0.999) | (xi > hi * 1.001)
-            assert np.max(np.abs(phi[outside]), initial=0.0) < 1e-12
-
-
 class TestTangentialNorms:
     def test_bessel_single_mode_closed_form(self):
         # [TRIVIAL] single mode at xi = 3: H^s norm is <3>^s sqrt(L)
         fhat = np.zeros(TG.N, dtype=complex)
         q = TG.mode_index(3.0)
         fhat[q] = 1.0
-        spec = sp.SpaceSpec(scale="H", s=2.0, p=2)
         expected = (1 + 9.0) ** 1.0 * math.sqrt(TG.L)
-        assert sp.bessel_norm(fhat, spec, TG) == pytest.approx(expected, rel=1e-12)
-
-    def test_w_equals_h(self):
-        rng = np.random.default_rng(5)
-        fhat = rng.standard_normal(TG.N) + 1j * rng.standard_normal(TG.N)
-        a = sp.space_norm(fhat, sp.SpaceSpec(scale="W", s=1.0, p=2), TG)
-        b = sp.space_norm(fhat, sp.SpaceSpec(scale="H", s=1.0, p=2), TG)
-        assert a == pytest.approx(b)
-
-    def test_besov_single_band_matches_bessel_scaling(self):
-        # a mode inside one dyadic band: B norm ~ 2^{sk} ||f||_p, comparable
-        # to the Bessel norm within the band's frequency spread
-        fhat = np.zeros(TG.N, dtype=complex)
-        fhat[TG.mode_index(8.0)] = 1.0
-        b = sp.besov_norm(fhat, sp.SpaceSpec(scale="B", s=1.0, p=2, q=2), TG)
-        h = sp.bessel_norm(fhat, sp.SpaceSpec(scale="H", s=1.0, p=2), TG)
-        assert 0.25 * h <= b <= 4.0 * h
-
-    def test_besov_q_infinity_is_sup(self):
-        rng = np.random.default_rng(6)
-        fhat = rng.standard_normal(TG.N) + 1j * rng.standard_normal(TG.N)
-        spec_inf = sp.SpaceSpec(scale="B", s=0.5, p=2, q=math.inf)
-        spec_1 = sp.SpaceSpec(scale="B", s=0.5, p=2, q=1)
-        assert sp.besov_norm(fhat, spec_inf, TG) <= sp.besov_norm(fhat, spec_1, TG)
-
-    def test_triebel_p_equals_q_2_matches_bessel(self):
-        # F^s_{2,2} = H^s (Littlewood-Paley); discretized versions agree
-        # within the partition's overlap constant
-        rng = np.random.default_rng(7)
-        fhat = rng.standard_normal(TG.N) + 1j * rng.standard_normal(TG.N)
-        f = sp.triebel_norm(fhat, sp.SpaceSpec(scale="F", s=1.0, p=2, q=2), TG)
-        h = sp.bessel_norm(fhat, sp.SpaceSpec(scale="H", s=1.0, p=2), TG)
-        assert 0.25 * h <= f <= 4.0 * h
+        assert sp.space_norm(fhat, 2.0, TG) == pytest.approx(expected, rel=1e-12)
 
     @given(s=st.floats(0.0, 3.0))
     @settings(max_examples=20, deadline=None)
     def test_param_norm_reduces_at_mu_zero(self, s):
         rng = np.random.default_rng(8)
         fhat = rng.standard_normal(TG.N) + 1j * rng.standard_normal(TG.N)
-        base = sp.SpaceSpec(scale="H", s=0.0, p=2)
-        a = sp.param_norm(fhat, s, 0.0, 0.0, base, TG)
-        b = sp.bessel_norm(fhat, sp.SpaceSpec(scale="H", s=s, p=2), TG)
+        a = sp.param_norm(fhat, s, 0.0, 0.0, TG)
+        b = sp.space_norm(fhat, s, TG)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_param_norm_mu_dominates(self):
         # for |mu| >> xi_max the norm is ~ |mu|^{s-s0} ||f||_{s0}
         fhat = np.zeros(TG.N, dtype=complex)
         fhat[TG.mode_index(1.0)] = 1.0
-        base = sp.SpaceSpec(scale="H", s=0.0, p=2)
         mu = 1e4
-        got = sp.param_norm(fhat, 2.0, 0.0, mu, base, TG)
-        ref = mu ** 2 * sp.bessel_norm(fhat, base, TG)
+        got = sp.param_norm(fhat, 2.0, 0.0, mu, TG)
+        ref = mu ** 2 * sp.space_norm(fhat, 0.0, TG)
         assert got == pytest.approx(ref, rel=1e-4)
 
 
@@ -106,47 +46,35 @@ class TestMixedNorms:
         xg = HalfLineGrid(x_min=1e-8, ratio=1.02, n_points=2000)
         prof = np.zeros((1, TG.N, xg.n_points), dtype=complex)
         prof[0, TG.mode_index(2.0), :] = np.exp(-xg.x)
-        spec = sp.SpaceSpec(scale="Lp", s=0.0, p=2)
-        got = sp.sobolev_mixed_norm(prof, 2.0, 0.5, spec, TG, xg)
+        got = sp.sobolev_mixed_norm(prof, 2.0, 0.5, 0.0, TG, xg)
         expected = math.sqrt(TG.L) * math.sqrt(0.8862269254527579 / 2 ** 1.5)
         assert got == pytest.approx(expected, rel=1e-8)
 
-    def test_fast_path_matches_generic(self):
-        xg = HalfLineGrid(x_min=1e-6, ratio=1.1, n_points=200)
+    @pytest.mark.parametrize("n_axes", [0, 1, 2])
+    def test_matches_per_node_sum(self, n_axes):
+        """The column norms and the mixed norm against Plancherel written out
+        mode by mode and node by node, on the flattened mode order of
+        ``xi_modes``: ||f||^2 = L^(n-1) sum_k (1 + |xi_k|^2)^t |fhat_k|^2."""
+        tg = TangentialGrid(n_axes=n_axes, N=8, L=3.0)
+        xg = HalfLineGrid(x_min=1e-6, ratio=1.1, n_points=40)
         rng = np.random.default_rng(9)
-        prof = (rng.standard_normal((2, TG.N, xg.n_points))
-                + 1j * rng.standard_normal((2, TG.N, xg.n_points)))
-        spec2 = sp.SpaceSpec(scale="H", s=1.5, p=2)
-        fast = sp.sobolev_mixed_norm(prof, 2.0, 0.3, spec2, TG, xg)
-        # same norm via the per-node dispatcher (p != 2 path is forced by B)
-        slow = 0.0
-        w = xg.quad_weights(0.3)
+        shape = (2, tg.n_modes, xg.n_points)
+        prof = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        t, r = 1.5, 0.3
+        norms = np.empty((2, xg.n_points))
         for l in range(2):
-            norms = np.array([
-                sp.bessel_norm(prof[l][:, i], spec2, TG)
-                for i in range(xg.n_points)
-            ])
-            slow += float((norms ** 2) @ w)
-        assert fast == pytest.approx(math.sqrt(slow), rel=1e-10)
-
-
-class TestMuckenhoupt:
-    def test_constant_weight_characteristic_one(self):
-        got = sp.ap_characteristic(lambda x: np.ones_like(x), 2.0,
-                                   [(0.0, 1.0), (2.0, 5.0)])
-        assert got == pytest.approx(1.0, rel=1e-12)
-
-    def test_power_weight_in_range(self):
-        # |x|^r on (0, 1) with 0 < r < p-1 = 1 has finite characteristic > 1
-        got = sp.ap_characteristic(lambda x: x ** 0.5, 2.0, [(0.0, 1.0)],
-                                   samples_per_interval=1 << 16)
-        # [DERIVED] exact: avg(x^{1/2}) * avg(x^{-1/2}) = (2/3) * 2 = 4/3
-        # midpoint quadrature of the x^{-1/2} factor converges at O(n^{-1/2})
-        assert got == pytest.approx(4.0 / 3.0, rel=5e-3)
-
-    def test_needs_p_above_one(self):
-        with pytest.raises(ValueError):
-            sp.ap_characteristic(lambda x: np.ones_like(x), 1.0, [(0.0, 1.0)])
+            for i in range(xg.n_points):
+                sq = sum((1.0 + float(xi @ xi)) ** t * abs(prof[l, k, i]) ** 2
+                         for k, xi in enumerate(tg.xi_modes))
+                norms[l, i] = math.sqrt(tg.L ** n_axes * sq)
+        for l in range(2):
+            got = sp.plancherel_norms(prof[l], t, tg)
+            assert np.allclose(got, norms[l], rtol=1e-12, atol=0.0)
+            assert sp.space_norm(prof[l, :, 0], t, tg) == pytest.approx(norms[l, 0],
+                                                                       rel=1e-12)
+        expected = math.sqrt(float(np.sum(norms ** 2 @ xg.quad_weights(r))))
+        got = sp.sobolev_mixed_norm(prof, 2.0, r, t, tg, xg)
+        assert got == pytest.approx(expected, rel=1e-10)
 
 
 class TestHardy:
