@@ -19,11 +19,8 @@ from .model import (
     BUNDLED,
 )
 from .companion import (
-    FrequencyPoint,
-    CompanionSystem,
     LopatinskiiError,
     EllipticityMarginError,
-    make_frequency_point,
     build_companion,
     boundary_map_conditioning,
     propagate,

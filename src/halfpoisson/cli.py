@@ -189,7 +189,8 @@ def cmd_check_ls(args, problem, *, n_moduli=8, n_rays=5) -> bool:
         report.update({
             "ls_pass": bool(ls.passed),
             "ls_min_singular_value": ls.min_singular_value,
-            "ls_worst_point": repr(ls.worst_point),
+            "ls_worst_point": {"xi_prime": [float(v) for v in ls.worst_point[0]],
+                               "lambda": [ls.worst_point[1].real, ls.worst_point[1].imag]},
             "ls_condition_number": ls.condition_number,
         })
         ok = ls.passed

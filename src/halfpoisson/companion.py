@@ -1,54 +1,48 @@
-"""First-order reduction of the normal ODE at a single frequency point.
+"""The normal ODE in the Newton basis of its stable roots, for a batch of rows.
 
 At a tangential frequency ``xi'`` and parameter ``lambda`` the interior
 equation ``(lambda - A(D))u = 0`` becomes an ODE in the normal variable,
 
     lambda u - A(xi', D_n) u = 0,       D_n = -i d/dx_n,
 
-whose decaying solutions are spanned by ``e^{i tau x_n}`` with ``Im tau > 0``
-(``tau`` runs over the roots of ``lambda - A(xi', tau)``).  Everything here is
-phrased in the rescaled variables
+whose decaying solutions are spanned by the stable roots ``tau`` of
+``lambda - A(xi', tau)`` (``Im tau > 0``).  The solution space is written in
+the Newton basis of those roots (Opitz 1964; McCurdy, Ng & Parlett, Math.
+Comp. 1984),
 
-    rho   = (1 + |xi'|^2 + |lambda|^{1/m})^{1/2},
-    b     = xi' / rho,
-    sigma = lambda / rho^{2m},
+    u = sum_k d_k [tau_1 ... tau_k] e^{i tau x_n},
 
-which compactify the frequency-parameter space: the rescaled companion matrix
-``A0``, its stable invariant subspace and the boundary-inversion map
-``M = S C`` (S an orthonormal basis of that subspace) depend on
-``(b, sigma)`` only.
+with ``[tau_1 ... tau_k] f`` the divided difference of ``f`` on the first k
+roots.  Every quantity in that basis stays finite and accurate as roots
+merge: applied to a polynomial, a divided difference gives complete
+homogeneous symmetric polynomials ``h_d`` of the roots, which take no
+differences at all.  Each row runs through three stages, each batched:
 
-The companion state vector uses the scaling ``v_k = D_n^{k-1} u / rho^{k-1}``,
-``k = 1..2m``; with it the propagator is ``e^{i rho A0 x_n}`` and the boundary
-operators act through rows ``B_j u(0) = rho^{m_j} Lambda_j(b) . V(0)``.  The
-map ``M`` takes prescribed boundary values to initial states: for the
-solution ``u(x_n) = pr_1 e^{i rho A0 x_n} M g_rho`` (with ``g_rho`` carrying
-the per-component scaling ``g_j / rho^{m_j}``) one has ``B_j u(0) = g_j``.
+* :func:`build_companion` finds the stable roots, sorted by increasing
+  ``Im tau``, with the data of the root-margin and root-count checks;
+* :func:`boundary_map_conditioning` measures the Lopatinskii-Shapiro (LS)
+  condition and returns the boundary map in the Newton basis;
+* :func:`propagate` evaluates ``D_n^d`` of the Newton basis functions.
 
-The construction uses the ordered Schur decomposition, which isolates the
-stable invariant subspace robustly even for multiple roots.  The tests check
-it against the exponential root basis of :func:`halfpoisson.poisson.kernel_batch`,
-valid for simple roots.
+The LS measure uses the rescaled variables
 
-The Lopatinskii-Shapiro (LS) map ``Lambda S`` (boundary rows applied to an
-orthonormal basis S of the stable subspace) is judged with each row divided
-by its boundary row ``||Lambda_j(b)||``: its smallest singular value is then
-the LS measure, zero exactly where the condition fails, for every m.
-:func:`build_companion` raises :class:`LopatinskiiError` and
-:func:`boundary_map_conditioning` reports on that same value.
+    rho = (1 + |xi'|^2 + |lambda|^{1/m})^{1/2},   b = xi'/rho,   s = tau/rho,
+
+in which the state ``(u, D_n u/rho, ..., D_n^{2m-1} u/rho^{2m-1})`` of
+``e^{i tau x_n}`` at ``x_n = 0`` is ``(1, s, ..., s^{2m-1})``.  The Newton
+vectors ``[s_1 ... s_k](1, s, ..., s^{2m-1})`` span the stable invariant
+subspace of the rescaled companion matrix.  The boundary rows
+``Lambda_j(b)`` applied to an orthonormal basis of it, each row divided by
+``||Lambda_j(b)||``, make a map whose smallest singular value is the LS
+measure: zero exactly where the condition fails, for every m, and
+independent of the orthonormal basis chosen.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "FrequencyPoint",
-    "CompanionSystem",
-    "make_frequency_point",
     "build_companion",
     "propagate",
     "boundary_map_conditioning",
@@ -60,174 +54,211 @@ __all__ = [
 class LopatinskiiError(ValueError):
     """Boundary map on the stable subspace is (numerically) singular."""
 
-    def __init__(self, message, condition_number=math.inf):
-        super().__init__(message)
-        self.condition_number = condition_number
-
 
 class EllipticityMarginError(ValueError):
     """A characteristic root sits too close to the real axis."""
-
-
-@dataclass(frozen=True)
-class FrequencyPoint:
-    """One point ``(xi', lambda)`` with its rescaled coordinates."""
-
-    xi_prime: np.ndarray
-    lam: complex
-    m: int
-    rho: float
-    b: np.ndarray
-    sigma: complex
-
-    @property
-    def order(self) -> int:
-        return 2 * self.m
-
-
-def make_frequency_point(xi_prime, lam, m: int) -> FrequencyPoint:
-    """Build a :class:`FrequencyPoint`; rejects the degenerate origin."""
-    xi_prime = np.atleast_1d(np.asarray(xi_prime, dtype=float))
-    lam = complex(lam)
-    if lam == 0 and not np.any(xi_prime):
-        raise ValueError("degenerate frequency point: xi' = 0 and lambda = 0")
-    rho = math.sqrt(1.0 + float(xi_prime @ xi_prime) + abs(lam) ** (1.0 / m))
-    b = xi_prime / rho
-    sigma = lam / rho ** (2 * m)
-    return FrequencyPoint(xi_prime=xi_prime, lam=lam, m=m, rho=rho, b=b, sigma=sigma)
 
 
 # a root with |Im| at most this (relative to rho) counts as on the real axis
 _AXIS_TOL = 1e-10
 # the row-normalised LS map is singular below this smallest singular value
 _LS_TOL = 1e-8
+# m = 2 rows whose stable roots differ by less than this fraction of
+# |tau_2| take e^{i tau_1 x} (e^{i (tau_2 - tau_1) x} - 1) from expm1; the
+# others from e^{i tau_2 x} - e^{i tau_1 x}, which costs one exp instead of
+# one expm1 (half the time); the division by tau_2 - tau_1 then amplifies
+# its rounding by at most 1 / _CLOSE_ROOTS
+_CLOSE_ROOTS = 1 / 8
+# Taylor degree of the scaled exponential; its norm is at most 1, so the
+# remainder is below 1/19! < 1e-17
+_TAYLOR_DEGREE = 18
 
 
-def _companion_matrix(problem, fp: FrequencyPoint) -> np.ndarray:
-    """Rescaled companion matrix A0(b, sigma) of the normal ODE.
+def _frequency_rows(problem, lam, xi_modes: np.ndarray):
+    """Per-row inputs of the three stages for the pairs ``(lam[q], xi_modes[q])``.
 
-    With ``v_k = D_n^{k-1}u / rho^{k-1}`` the ODE reads ``D_n V = rho A0 V``;
-    the eigenvalues of A0 are the characteristic roots divided by rho.
-    """
-    order = fp.order
-    # c_l(b): tau-coefficients of A at the rescaled frequency b
-    c = problem.interior_symbol.table(fp.b)
-    a_top = c[order]
-    A0 = np.zeros((order, order), dtype=complex)
-    A0[np.arange(order - 1), np.arange(1, order)] = 1.0
-    A0[order - 1, :] = -c[:order] / a_top
-    A0[order - 1, 0] += fp.sigma / a_top
-    return A0
-
-
-def _schur_ls(problem, fp: FrequencyPoint, gap: float):
-    """Ordered Schur form of A0 and the Lopatinskii-Shapiro (LS) map.
-
-    Schur vectors of the eigenvalues with ``Im > gap`` come first, so the
-    leading m of them, S, span the stable subspace.  The LS map is
-    ``Lambda S`` with the boundary rows ``Lambda_j(b)``.  Its conditioning
-    is measured row by row: row j is divided by ``||Lambda_j(b)||``, so each
-    boundary operator counts at unit size and a 1 x 1 map is not scored 1 by
-    construction.  Returns ``(T, Q, sdim, LS, svals)`` with ``svals`` the
-    singular values of the row-normalised map.
-    """
-    import scipy.linalg
-
-    A0 = _companion_matrix(problem, fp)
-    T, Q, sdim = scipy.linalg.schur(A0, output="complex",
-                                    sort=lambda z: z.imag > gap)
-    rows = problem.boundary_table(fp.b)
-    LS = rows @ Q[:, :problem.m]
-    row_norms = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)
-    svals = scipy.linalg.svdvals(LS / row_norms[:, None])
-    return T, Q, sdim, LS, svals
-
-
-@dataclass(frozen=True)
-class CompanionSystem:
-    """Stable-subspace data of the rescaled first-order system at one point."""
-
-    problem: object
-    fp: FrequencyPoint
-    stable_basis: np.ndarray      # S: orthonormal columns spanning the stable subspace
-    stable_block: np.ndarray      # m x m upper-triangular T11 with A0 S = S T11
-    coeffs: np.ndarray            # C with Lambda S C = I, so M = S C
-
-
-def build_companion(problem, fp: FrequencyPoint) -> CompanionSystem:
-    """Ordered-Schur construction of the stable pair ``(S, T11)`` and ``C``.
-
-    The Schur form is sorted so the eigenvalues above the real axis come
-    first; the leading Schur vectors then span the stable invariant subspace,
-    and ``C`` inverts the LS map ``Lambda S`` on it.
+    Returns ``(char, rows, rho)``: ``char[q]`` the coefficients of
+    ``lambda - A(xi', tau)`` in increasing powers of tau, ``rows[q]`` the
+    boundary table at ``b = xi'/rho`` (m x 2m) and ``rho[q]``.  Rejects the
+    degenerate point ``xi' = 0``, ``lambda = 0``.
     """
     m = problem.m
-    gap = _AXIS_TOL  # A0 is rescaled; its eigenvalues are tau/rho, O(1)
-    T, Q, sdim, LS, svals = _schur_ls(problem, fp, gap)
-    eigs = np.diag(T)
-    if np.any(np.abs(eigs.imag) <= gap):
-        raise EllipticityMarginError(
-            f"rescaled eigenvalue within {gap:.3e} of the real axis at "
-            f"(xi'={fp.xi_prime}, lambda={fp.lam})"
-        )
-    if sdim != m:
-        raise EllipticityMarginError(
-            f"stable subspace has dimension {sdim}, expected {m} at "
-            f"(xi'={fp.xi_prime}, lambda={fp.lam})"
-        )
-    if svals[-1] <= _LS_TOL:
-        raise LopatinskiiError(
-            f"Lopatinskii-Shapiro failure at (xi'={fp.xi_prime}, lambda={fp.lam}): "
-            f"row-normalised boundary map singular values {svals}",
-            condition_number=svals[0] / max(svals[-1], 1e-300),
-        )
-    return CompanionSystem(
-        problem=problem, fp=fp, stable_basis=Q[:, :m], stable_block=T[:m, :m],
-        coeffs=np.linalg.solve(LS, np.eye(m)),
-    )
+    char = -problem.interior_symbol.table(xi_modes)
+    char[:, 0] += lam
+    if np.any((lam == 0) & ~xi_modes.any(axis=1)):
+        raise ValueError("degenerate frequency point: xi' = 0 and lambda = 0")
+    rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + np.abs(lam) ** (1.0 / m))
+    return char, problem.boundary_table(xi_modes / rho[:, None]), rho
 
 
-def boundary_map_conditioning(problem, fp: FrequencyPoint) -> tuple[float, float]:
-    """(min singular value, condition number) of the row-normalised LS map.
+def build_companion(char: np.ndarray, rho: np.ndarray):
+    """Stable roots of the characteristic polynomials ``char`` (U, 2m + 1).
 
-    Each row ``Lambda_j(b) S`` is divided by ``||Lambda_j(b)||`` (see
-    :func:`_schur_ls`), so the value is 0 exactly when the boundary map on
-    the stable subspace is singular, for every m.  Used by the sample-based
-    Lopatinskii-Shapiro check; never raises on a singular map, so the caller
-    can report the worst point.
+    Builds the U companion matrices and takes their eigenvalues in one
+    batched call.  Returns ``(taus, margin, counts)``: the m roots with the
+    smallest positive imaginary parts, sorted by increasing ``Im tau``
+    (U, m); the smallest ``|Im tau| / rho`` over all 2m roots (U,); and the
+    number of roots with ``Im tau > 0`` (U,).  A row is elliptic when
+    ``margin > _AXIS_TOL`` and ``counts == m``; where ``counts < m`` the
+    last roots of ``taus`` are not stable.
     """
-    import scipy.linalg
+    order = char.shape[1] - 1
+    C = np.zeros((len(char), order, order), dtype=complex)
+    C[:, np.arange(order - 1), np.arange(1, order)] = 1.0
+    C[:, -1, :] = -char[:, :order] / char[:, order, None]
+    eigs = np.linalg.eigvals(C)
+    pos = eigs.imag > 0
+    key = np.where(pos, eigs.imag, np.inf)
+    idx = np.argsort(key, axis=1)[:, :order // 2]
+    margin = np.abs(eigs.imag).min(axis=1) / rho
+    return np.take_along_axis(eigs, idx, axis=1), margin, pos.sum(axis=1)
 
-    try:
-        _, _, sdim, _, svals = _schur_ls(problem, fp, 1e-12)
-    except scipy.linalg.LinAlgError:
-        return 0.0, math.inf
-    if sdim != problem.m:
-        return 0.0, math.inf
-    return svals[-1], svals[0] / max(svals[-1], 1e-300)
+
+def _complete_homogeneous(points: np.ndarray, degree: int) -> np.ndarray:
+    """``H[..., k, d] = h_d(points[..., 0], ..., points[..., k])`` for
+    d = 0..degree, from ``h_d(x_0..x_k) = h_d(x_0..x_{k-1}) + x_k h_{d-1}(x_0..x_k)``."""
+    m = points.shape[-1]
+    H = np.empty(points.shape + (degree + 1,), dtype=complex)
+    H[..., 0] = 1.0
+    for k in range(m):
+        for d in range(1, degree + 1):
+            H[..., k, d] = points[..., k] * H[..., k, d - 1]
+            if k:
+                H[..., k, d] += H[..., k - 1, d]
+    return H
 
 
-def propagate(cs: CompanionSystem, x_n: float, deriv_order: int = 0) -> np.ndarray:
-    """``D_{x_n}^k e^{i rho A0 x_n} M_rho`` as a 2m x m matrix.
+def _newton_vectors(s: np.ndarray, width: int) -> np.ndarray:
+    """``[s_1 ... s_k](1, s, ..., s^{width-1})`` as columns: entry (l, k) is
+    ``h_{l-k}(s_1..s_{k+1})`` (0-based k, zero for l < k); (U, width, m)."""
+    H = _complete_homogeneous(s, width - 1)
+    N = np.zeros(s.shape[:1] + (width, s.shape[1]), dtype=complex)
+    for k in range(s.shape[1]):
+        N[:, k:, k] = H[:, k, :width - k]
+    return N
 
-    Computed entirely on the reduced stable block: with ``M = S C`` and the
-    ordered Schur pair ``(S, T11)`` one has
 
-        e^{i rho A0 x_n} M = S expm(i rho T11 x_n) C,
+def boundary_map_conditioning(s: np.ndarray, rows: np.ndarray):
+    """LS measure and Newton boundary map of U rows.
 
-    and ``D_{x_n} = -i d/dx_n`` pulls down a factor ``rho T11`` per order.
-    The anti-stable eigenvalues never enter, so nothing overflows.
+    ``s`` are the stable roots divided by rho (U, m), ``rows`` the boundary
+    tables at ``b`` (U, m, 2m).  The Newton vectors are orthonormalised by a
+    batched QR factorisation; row j of ``rows`` applied to that basis,
+    divided by ``||rows[:, j]||`` so that each boundary operator counts at
+    unit size (a 1 x 1 map is then not scored 1 by construction), makes the
+    map whose singular values are returned, in decreasing order (U, m).  The
+    last column is the LS measure.  Also returns ``rows`` applied to the
+    Newton vectors themselves (U, m, m): entry (j, k) is
+    ``sum_l b_jl(b) h_{l-k}(s_1..s_{k+1})``.  Never raises on a singular map.
     """
-    import scipy.linalg
+    N = _newton_vectors(s, rows.shape[-1])
+    Q = np.linalg.qr(N, mode="reduced")[0]
+    norms = np.maximum(np.linalg.norm(rows, axis=-1), 1e-300)
+    svals = np.linalg.svd((rows @ Q) / norms[..., None], compute_uv=False)
+    return svals, rows @ N
 
-    x_n = float(x_n)
-    if x_n < 0:
+
+def _root_gap(t1, t2):
+    """``t2 - t1``; an exact tie becomes a gap far below the roots' rounding,
+    so a divided difference over it tends to its confluent limit instead of
+    0/0."""
+    delta = t2 - t1
+    if delta.all():
+        return delta
+    return np.where(delta == 0, np.abs(t1) * 2.0 ** -60 + 1e-300, delta)
+
+
+def _exact_bands(E: np.ndarray, taus: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite the diagonal and superdiagonal of ``E = expm(i x J)``
+    (U, X, m, m) with their closed forms ``e^{i tau_k x}`` and
+    ``[tau_k, tau_{k+1}] e^{i tau x} = e^{i tau_k x} expm1(i delta_k x) / delta_k``,
+    ``delta_k = tau_{k+1} - tau_k`` (x: (U, X))."""
+    t = taus[:, None, :]
+    diag = np.exp(1j * t * x[..., None])
+    delta = _root_gap(t[..., :-1], t[..., 1:])
+    m = taus.shape[1]
+    E[..., np.arange(m), np.arange(m)] = diag
+    E[..., np.arange(m - 1), np.arange(1, m)] = (
+        diag[..., :-1] * np.expm1(1j * delta * x[..., None]) / delta)
+
+
+def _propagate_expm(taus: np.ndarray, x: np.ndarray, deriv_order: int):
+    """:func:`propagate` for any m: the first row of ``J^d expm(i x J)``.
+
+    J is the upper bidiagonal matrix with diagonal ``taus[q]`` and unit
+    superdiagonal; entry (i, k) of ``expm(i x J)`` is
+    ``[tau_{i+1} ... tau_{k+1}] e^{i tau x}`` (Opitz 1964), and the first row
+    of ``J^d`` holds ``h_{d-i}(tau_1 .. tau_{i+1})``.  Batched scaling and
+    squaring: each ``i x J`` is scaled by 2^-s to norm at most 1, its Taylor
+    polynomial taken by Horner's rule, and squared s times.  The diagonal
+    and superdiagonal are reset to their closed forms after every squaring
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 2009), so the squarings
+    add no error to them.
+    """
+    U, m = taus.shape
+    J = np.zeros((U, m, m), dtype=complex)
+    J[:, np.arange(m), np.arange(m)] = taus
+    J[:, np.arange(m - 1), np.arange(1, m)] = 1.0
+    A = 1j * x[None, :, None, None] * J[:, None]
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm, 1.0))).astype(int)
+    A *= 2.0 ** -s[..., None, None]
+    eye = np.eye(m, dtype=complex)
+    E = eye + A / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        E = eye + (A @ E) / k
+    xs = x[None, :] * 2.0 ** -s
+    _exact_bands(E, taus, xs)
+    for i in range(1, int(s.max(initial=0)) + 1):
+        E = np.where((s >= i)[..., None, None], E @ E, E)
+        xs = x[None, :] * 2.0 ** (np.minimum(i, s) - s)
+        _exact_bands(E, taus, xs)
+    H = _complete_homogeneous(taus, deriv_order)
+    r = np.zeros((U, m), dtype=complex)
+    for i in range(min(m, deriv_order + 1)):
+        r[:, i] = H[:, i, deriv_order - i]
+    F = np.einsum("qi,qxik->qkx", r, E)
+    return np.broadcast_to(np.eye(m, dtype=complex), (U, m, m)), F
+
+
+def propagate(taus: np.ndarray, x: np.ndarray, deriv_order: int = 0):
+    """``D_n^d [tau_1 ... tau_k] e^{i tau x}`` for the rows' stable roots
+    ``taus`` (U, m), sorted by increasing ``Im tau``, at the points x >= 0.
+
+    Returned in factored form ``(A, F)``, A (U, m, m) constant in x and
+    F (U, m, len(x)), with the k-th basis function
+    ``sum_i A[q, k, i] F[q, i, x]``, so a caller contracts its coefficients
+    with A once per row and with F once per point:
+
+    * m = 1: ``F = e^{i tau x}``, ``A = tau^d``;
+    * m = 2: ``F = (e^{i tau_1 x}, e^{i tau_1 x} expm1(i (tau_2 - tau_1) x))``
+      and ``A = ((tau_1^d, 0), (h_{d-1}(tau_1, tau_2), tau_2^d/(tau_2 - tau_1)))``.
+      ``Im tau_1 <= Im tau_2``, so the argument of expm1 has real part
+      <= 0 and nothing overflows.  Rows with roots further apart than
+      ``_CLOSE_ROOTS |tau_2|`` take the second entry as
+      ``e^{i tau_2 x} - e^{i tau_1 x}``;
+    * m >= 3: F is the first row of ``J^d expm(i x J)`` (see
+      :func:`_propagate_expm`) and A the identity.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
         raise ValueError("x_n must be >= 0")
     if deriv_order < 0:
         raise ValueError("deriv_order must be >= 0")
-    rho = cs.fp.rho
-    T11 = cs.stable_block
-    E = scipy.linalg.expm(1j * rho * x_n * T11)
-    block = np.linalg.matrix_power(rho * T11, deriv_order) @ E if deriv_order else E
-    scal = np.array([rho ** (-bop.order) for bop in cs.problem.boundary_ops])
-    return (cs.stable_basis @ block @ cs.coeffs) * scal
+    U, m = taus.shape
+    if m > 2:
+        return _propagate_expm(taus, x, deriv_order)
+    F = np.empty((U, m, x.size), dtype=complex)
+    np.multiply(1j * taus[:, :, None], x, out=F)
+    np.exp(F, out=F)
+    A = np.zeros((U, m, m), dtype=complex)
+    A[:, 0, 0] = taus[:, 0] ** deriv_order
+    if m == 2:
+        delta = _root_gap(taus[:, 0], taus[:, 1])
+        F[:, 1] -= F[:, 0]
+        close = np.flatnonzero(np.abs(delta) < _CLOSE_ROOTS * np.abs(taus[:, 1]))
+        F[close, 1] = F[close, 0] * np.expm1(1j * delta[close, None] * x)
+        if deriv_order:
+            A[:, 1, 0] = _complete_homogeneous(taus, deriv_order - 1)[:, 1, -1]
+        A[:, 1, 1] = taus[:, 1] ** deriv_order / delta
+    return A, F

@@ -3,18 +3,19 @@
 For boundary data ``g_j`` the operator ``Poi_j(lambda)`` produces the decaying
 solution of ``(lambda - A(D))u = 0`` with ``B_k(D)u|_{x_n=0} = delta_{kj} g_j``.
 Tangentially everything is diagonal in frequency: per mode ``xi'`` the kernel
-is a sum of exponentials ``e^{i tau x_n}`` over the stable roots ``tau`` of
-``lambda - A(xi', tau)``, with the coefficients that invert the boundary map
-on that root basis, and the full evaluation is one multiplication per mode.
+is a combination of the Newton basis functions ``[tau_1 ... tau_k] e^{i tau x_n}``
+of the stable roots ``tau`` of ``lambda - A(xi', tau)``, with the coefficients
+that invert the boundary map on that basis, and the full evaluation is one
+multiplication per mode.
 
-Sweeps need thousands of frequency nodes per parameter value, so the roots
-come from one batched eigendecomposition of the companion matrices (valid
-for simple stable roots, which is the generic case), with a per-row fallback
-to the ordered-Schur route of :mod:`halfpoisson.companion` whenever roots
-nearly collide or the boundary map is ill conditioned.  The two routes are
-cross-checked in the test-suite.  Rows with byte-identical inputs, as the
-rows at xi' and -xi' of a symmetric problem have, are solved and evaluated
-once, on either route.
+Sweeps need thousands of frequency nodes per parameter value, so every
+stage runs batched over the rows, through the three stages of
+:mod:`halfpoisson.companion`: one eigendecomposition of the companion
+matrices, one LS measure and boundary map, and one evaluation of the basis.
+The Newton basis stays accurate where stable roots merge, as they do for
+|xi'| large against |lambda|^{1/(2m)}, so there is one route for every row.
+Rows with byte-identical inputs, as the rows at xi' and -xi' of a symmetric
+problem have, are solved and evaluated once.
 
 The predicted exponents are
 
@@ -102,62 +103,52 @@ def predicted_singularity_exponent(t: float, s: float) -> float:
 
 @dataclass
 class KernelBatch:
-    """Stable roots and root-basis coefficients for a batch of rows.
+    """Stable roots and Newton-basis coefficients for a batch of rows.
 
     Row q pairs a tangential frequency ``xi_modes[q]`` with a parameter
-    ``lam[q]``, so one batch can cover many modes at one lambda, one mode at
-    many lambda, or both (a contour's nodes x the grid's modes).  For each
-    boundary index j the kernel of ``pr_1 Poi_j(lam[q])`` at ``xi_modes[q]``
-    and its normal derivatives are
-    ``D^k u(j, q, x) = sum_l c[j, q, l] tau[q, l]^k e^{i tau[q,l] x}``.
-    The roots do not depend on j, so one batch serves every boundary index.
-    ``fallback`` marks rows where the root basis is unreliable (nearly
-    coinciding roots, or a boundary map that is singular on the root basis);
-    :meth:`eval` takes those from the Schur route, which raises
-    :class:`~halfpoisson.companion.LopatinskiiError` where LS fails.
+    ``lam[q]`` (the inputs of :func:`kernel_batch`), so one batch can cover
+    many modes at one lambda, one mode at many lambda, or both (a contour's
+    nodes x the grid's modes).  For each boundary index j the kernel of
+    ``pr_1 Poi_j(lam[q])`` at ``xi_modes[q]`` and its normal derivatives are
+    ``D^d u(j, q, x) = sum_k c[j, q, k] D^d [tau_1 ... tau_{k+1}] e^{i tau x}``
+    over the stable roots ``tau[q]``, sorted by increasing ``Im tau``.  The
+    roots do not depend on j, so one batch serves every boundary index.
 
-    ``taus``, ``coeff`` and ``fallback`` hold every row.  ``first[q]`` is the
-    first row whose inputs are bitwise those of row q (see
-    :func:`kernel_batch`), so rows with equal ``first`` carry the same bits.
+    ``taus`` and ``coeff`` hold every row.  ``first[q]`` is the first row
+    whose inputs are bitwise those of row q (see :func:`kernel_batch`), so
+    rows with equal ``first`` carry the same bits.
     """
 
-    problem: ModelProblem
-    lam: np.ndarray        # (N,) parameter of each row
-    xi_modes: np.ndarray   # (N, n-1) tangential frequencies
-    taus: np.ndarray       # (N, m) stable roots
-    coeff: np.ndarray      # (m, N, m) root-basis coefficients for unit datum j
-    fallback: np.ndarray   # (N,) bool
+    taus: np.ndarray       # (N, m) stable roots, increasing Im
+    coeff: np.ndarray      # (m, N, m) Newton coefficients for unit datum j
     first: np.ndarray      # (N,) first row with the same inputs
+
+    @property
+    def fallback(self) -> np.ndarray:
+        """All False: every row takes the one route.  Only the benchmark's
+        ``rootbasis_ratio`` counter (``perfbench/spans.py``) reads it, until
+        the benchmark replaces that counter with one that does not depend on
+        the route."""
+        return np.zeros(len(self.first), dtype=bool)
 
     def eval(self, x: np.ndarray, deriv_order: int = 0,
              rows: np.ndarray | None = None) -> np.ndarray:
         """Kernel values for every boundary index on ``rows`` (default: all),
         in that order, shape (m, len(rows), len(x)).
 
-        The exponential table and the contraction run once per distinct row
+        The basis functions and the contraction run once per distinct row
         among ``rows``; the values are then gathered in the order asked.  A
         caller whose data vanish on some rows asks only for the others.
-        The Schur route also runs once per distinct fallback row, and every
-        distinct fallback row builds its companion system, evaluated or not,
-        so an LS failure raises whichever rows carry data.
         """
         x = np.asarray(x, dtype=float)
-        rows = np.arange(len(self.lam)) if rows is None else np.asarray(rows)
+        rows = np.arange(len(self.first)) if rows is None else np.asarray(rows)
         distinct, back = np.unique(self.first[rows], return_inverse=True)
-        taus = self.taus[distinct]
-        E = 1j * taus[:, :, None] * x[None, None, :]
-        np.exp(E, out=E)
-        powers = taus ** deriv_order
-        vals = np.empty((self.coeff.shape[0], len(distinct)) + x.shape, dtype=complex)
-        for c, o in zip(self.coeff[:, distinct], vals):
-            np.einsum("ql,qlz->qz", c * powers, E, out=o)
-        del E
-        for q in np.unique(self.first[self.fallback]):
-            fp = comp.make_frequency_point(self.xi_modes[q], self.lam[q], self.problem.m)
-            cs = comp.build_companion(self.problem, fp)
-            for d in np.flatnonzero(distinct == q):
-                for i, xv in enumerate(x):
-                    vals[:, d, i] = comp.propagate(cs, xv, deriv_order)[0, :]
+        A, F = comp.propagate(self.taus[distinct], x, deriv_order)
+        W = np.einsum("jqk,qki->jqi", self.coeff[:, distinct], A)
+        vals = np.empty((len(W), len(distinct)) + x.shape, dtype=complex)
+        for w, o in zip(W, vals):
+            np.einsum("qi,qiz->qz", w, F, out=o)
+        del F
         return vals[:, back]
 
 
@@ -180,88 +171,54 @@ def _distinct_rows(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse]
 
 
-def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray,
-                 degeneracy_tol: float = 1e-8) -> KernelBatch:
-    """Root-basis kernel data for every row and boundary index, with Schur
-    fallback marking.
+def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray) -> KernelBatch:
+    """Newton-basis kernel data for every row and boundary index.
 
     ``lam`` is one parameter for every row or one per row of ``xi_modes``,
     so a caller with several lambda stacks its (lambda, mode) pairs as rows
     and makes one call.  A row's result depends only on its row of
-    lambda - A(xi', .), its boundary-table row and rho, so the roots, their
-    checks, the LS test and the solve run once per distinct row: rows whose
-    three inputs agree byte for byte share one, taken in order of first
-    occurrence.  Every distinct row is checked, so every row is;
-    :meth:`KernelBatch.eval` can then evaluate only the rows with data.
+    lambda - A(xi', .), its boundary rows at ``b = xi'/rho`` and rho, so the
+    roots, their checks, the LS measure and the solve run once per distinct
+    row: rows whose three inputs agree byte for byte share one, taken in
+    order of first occurrence.  Every distinct row is checked, so every row
+    is; :meth:`KernelBatch.eval` can then evaluate only the rows with data.
     One solve against the identity gives the coefficients of all m unit
-    data from one factorization of the boundary map.  Raises
-    :class:`~halfpoisson.companion.EllipticityMarginError`, naming the first
-    offending row, where a root lies within ``_AXIS_TOL * rho`` of the real
-    axis or a row has other than m stable roots."""
+    data from one factorization of the boundary map.  Raises, naming the
+    first offending row,
+    :class:`~halfpoisson.companion.EllipticityMarginError` where a root lies
+    within ``_AXIS_TOL * rho`` of the real axis or a row has other than m
+    stable roots, and :class:`~halfpoisson.companion.LopatinskiiError` where
+    the LS measure is at most ``_LS_TOL``."""
     xi_modes = np.atleast_2d(np.asarray(xi_modes, dtype=float))
     N = xi_modes.shape[0]
     lam = np.broadcast_to(np.asarray(lam, dtype=complex), (N,)).copy()
-    m, order = problem.m, problem.order
-    # lambda - A(xi', tau) per row, in increasing powers of tau
-    c = -problem.interior_symbol.table(xi_modes)
-    c[:, 0] += lam
-    tab = problem.boundary_table(xi_modes)      # (N, m, 2m)
-    rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + np.abs(lam) ** (1.0 / m))
-    first, inverse = _distinct_rows(c, tab, rho)
-    c, tab, rho = c[first], tab[first], rho[first]
-    U = len(first)
-    # batched companion matrices of the characteristic polynomial
-    C = np.zeros((U, order, order), dtype=complex)
-    C[:, np.arange(order - 1), np.arange(1, order)] = 1.0
-    C[:, -1, :] = -c[:, :order] / c[:, order, None]
-    eigs = np.linalg.eigvals(C)
-    near_axis = np.abs(eigs.imag) <= comp._AXIS_TOL * rho[:, None]
-    if np.any(near_axis):
-        bad = int(np.argmax(near_axis.any(axis=1)))
-        q = first[bad]
-        raise comp.EllipticityMarginError(
-            f"characteristic root within {comp._AXIS_TOL * rho[bad]:.3e} of the "
-            f"real axis at (xi'={xi_modes[q]}, lambda={lam[q]})"
-        )
-    pos = eigs.imag > 0
-    counts = pos.sum(axis=1)
-    if np.any(counts != m):
-        bad = int(np.argmax(counts != m))
-        q = first[bad]
-        raise comp.EllipticityMarginError(
-            f"mode xi'={xi_modes[q]} has {counts[bad]} stable roots, expected {m} "
-            f"(lambda={lam[q]})"
-        )
-    key = np.where(pos, eigs.imag, np.inf)
-    idx = np.argsort(key, axis=1)[:, :m]
-    taus = np.take_along_axis(eigs, idx, axis=1)
+    m = problem.m
+    char, rows, rho = comp._frequency_rows(problem, lam, xi_modes)
+    first, inverse = _distinct_rows(char, rows, rho)
+    char, rows, rho = char[first], rows[first], rho[first]
 
-    scale = np.abs(taus).max(axis=1) + 1.0
-    if m > 1:
-        diffs = np.abs(taus[:, :, None] - taus[:, None, :])
-        diffs[:, np.arange(m), np.arange(m)] = np.inf
-        near_degenerate = diffs.min(axis=(1, 2)) < degeneracy_tol * scale
-    else:
-        near_degenerate = np.zeros(U, dtype=bool)
+    def check(bad, error, what):
+        if np.any(bad):
+            q = int(np.argmax(bad))
+            raise error(f"{what(q)} at (xi'={xi_modes[first[q]]}, lambda={lam[first[q]]})")
 
-    L = np.empty((U, m, m), dtype=complex)     # L[q, j, l] = B_j(xi'(q), tau_l(q))
-    for j, sym in enumerate(problem.boundary_symbols):
-        L[:, j] = sym.contract(tab[:, j, None, :], lambda l: taus ** l)
-    # LS test with row j divided by the size of B_j at the mode, as in
-    # companion._schur_ls: sum_l |b_jl(xi')| rho^l, which bounds |B_j(xi', tau)|
-    # on |tau| = rho, rho^2 = 1 + |xi'|^2 + |lambda|^{1/m}.  A row divided by
-    # its own largest entry would score every 1 x 1 map 1.
-    size = np.abs(tab) @ (rho[:, None] ** np.arange(order))[:, :, None]   # (U, m, 1)
-    svals = np.linalg.svd(L / (size + 1e-300), compute_uv=False)
-    ill = svals[:, -1] <= 1e-10
-    fallback = near_degenerate | ill
-    coeff = np.zeros((U, m, m), dtype=complex)   # (mode, root, datum)
-    good = ~fallback
-    if np.any(good):
-        coeff[good] = np.linalg.solve(L[good], np.eye(m, dtype=complex))
-    return KernelBatch(problem=problem, lam=lam, xi_modes=xi_modes, taus=taus[inverse],
+    taus, margin, counts = comp.build_companion(char, rho)
+    check(margin <= comp._AXIS_TOL, comp.EllipticityMarginError, lambda q:
+          f"characteristic root within {comp._AXIS_TOL * rho[q]:.3e} of the real axis")
+    check(counts != m, comp.EllipticityMarginError,
+          lambda q: f"{counts[q]} stable roots, expected {m},")
+    svals, bmap = comp.boundary_map_conditioning(taus / rho[:, None], rows)
+    check(svals[:, -1] <= comp._LS_TOL, comp.LopatinskiiError, lambda q:
+          f"Lopatinskii-Shapiro failure (row-normalised boundary map singular "
+          f"values {svals[q]})")
+    # bmap = diag(rho^-m_j) B diag(rho^k) for the boundary map B on the
+    # unscaled Newton basis, so B^-1 = diag(rho^k) bmap^-1 diag(rho^-m_j)
+    orders = np.array([bop.order for bop in problem.boundary_ops])
+    scale = rho[:, None, None] ** (np.arange(m)[:, None] - orders[None, :])
+    coeff = np.linalg.solve(bmap, np.eye(m, dtype=complex)) * scale   # (row, k, datum)
+    return KernelBatch(taus=taus[inverse],
                        coeff=np.ascontiguousarray(coeff.transpose(2, 0, 1)[:, inverse]),
-                       fallback=fallback[inverse], first=first[inverse])
+                       first=first[inverse])
 
 
 def decay_rate(problem: ModelProblem, lam: complex) -> float:

@@ -53,7 +53,6 @@ def test_per_row_lambda_batch_equals_scalar_batches(name):
     singles = [poi.kernel_batch(p, lam, tg.xi_modes) for lam in LAMS]
     assert np.array_equal(batch.taus, np.concatenate([b.taus for b in singles]))
     assert np.array_equal(batch.coeff, np.concatenate([b.coeff for b in singles], axis=1))
-    assert np.array_equal(batch.fallback, np.concatenate([b.fallback for b in singles]))
     for k in (0, 1):
         full = batch.eval(x, k)
         assert np.array_equal(full, np.concatenate([b.eval(x, k) for b in singles], axis=1))

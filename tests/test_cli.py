@@ -89,6 +89,25 @@ class TestInfrastructure:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
 
+    def test_kernel_commands_leave_scipy_unloaded(self, tmp_path):
+        """check-ls and the clamped poisson-eval and singularity-sweep, whose
+        roots nearly merge, run on NumPy alone."""
+        code = (
+            "import sys; from halfpoisson import cli; "
+            f"out = {str(tmp_path)!r}; "
+            "codes = [cli.main(['check-ls', '--out', out + '/ls']), "
+            "cli.main(['poisson-eval', '--problem', 'clamped_bilaplacian', "
+            "'--out', out + '/pe']), "
+            "cli.main(['singularity-sweep', '--problem', 'clamped_bilaplacian', "
+            "'--out', out + '/ss'])]; "
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+            "print(codes, loaded, file=sys.stderr); "
+            "sys.exit(codes != [0, 0, 0] or bool(loaded))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
     def test_float_formatting_round_trips(self):
         for v in (0.1, 1 / 3, math.pi, 1e-300):
             assert float(cli._fmt(v)) == v
@@ -166,6 +185,17 @@ class TestCheckLs:
         path.write_text(json.dumps(doc))
         code = run(["check-ls", "--problem", path, "--out", tmp_path / "out"])
         assert code == cli.EXIT_TOLERANCE
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_worst_point_is_written_as_numbers(self, name, tmp_path):
+        out = tmp_path / "out"
+        assert run(["check-ls", "--problem", name, "--out", out]) == cli.EXIT_OK
+        point = json.loads((out / "check_ls.json").read_text())["ls_worst_point"]
+        assert sorted(point) == ["lambda", "xi_prime"]
+        assert len(point["xi_prime"]) == BUNDLED[name]().n - 1
+        assert len(point["lambda"]) == 2
+        values = point["xi_prime"] + point["lambda"]
+        assert all(type(v) in (int, float) and math.isfinite(v) for v in values)
 
 
 class TestSweepOutputs:
@@ -293,18 +323,6 @@ class TestSolverCommands:
         assert run(["poisson-eval", "--out", out]) == cli.EXIT_OK
         rep = json.loads((out / "poisson_eval.json").read_text())
         assert rep["boundary_reproduction_defect"] <= 1e-8
-
-    def test_poisson_eval_checks_the_schur_route(self, tmp_path, monkeypatch):
-        """With every mode on the Schur fallback, the boundary reproduction
-        defect is measured on the kernels that route evaluates."""
-        batch = cli.poi.kernel_batch
-        monkeypatch.setattr(cli.poi, "kernel_batch",
-                            lambda *a, **kw: batch(*a, **kw, degeneracy_tol=1e6))
-        out = tmp_path / "out"
-        code = run(["poisson-eval", "--problem", "clamped_bilaplacian", "--out", out])
-        rep = json.loads((out / "poisson_eval.json").read_text())
-        assert code == cli.EXIT_OK
-        assert rep["boundary_reproduction_defect"] <= 1e-12
 
     def test_hardy_norm(self, tmp_path):
         out = tmp_path / "out"

@@ -1,7 +1,8 @@
 """Each distinct kernel row is solved and evaluated once.
 
-Rows whose inputs (the row of lambda - A(xi', .), the boundary-table row
-and rho) agree byte for byte share one solve and one exponential table.
+Rows whose inputs (the row of lambda - A(xi', .), the boundary rows at
+xi'/rho and rho) agree byte for byte share one solve and one evaluation of
+the basis.
 Whatever rows a batch repeats, and in whatever order ``eval`` is asked for
 them, the results must be the bits of one ``kernel_batch`` per row.
 """
@@ -45,16 +46,10 @@ def test_repeated_shuffled_rows_equal_one_batch_per_row(name, data):
     lam, xi = _base_rows(p)
     picks = data.draw(st.lists(st.integers(0, len(lam) - 1), min_size=1,
                                max_size=24), label="picks")
-    # a huge degeneracy tolerance puts every m = 2 row on the Schur route
-    tol = data.draw(st.sampled_from([1e-8, 1e6] if p.m > 1 else [1e-8]),
-                    label="degeneracy_tol")
-    batch = poi.kernel_batch(p, lam[picks], xi[picks], degeneracy_tol=tol)
-    singles = [poi.kernel_batch(p, lam[q], xi[q:q + 1], degeneracy_tol=tol)
-               for q in picks]
+    batch = poi.kernel_batch(p, lam[picks], xi[picks])
+    singles = [poi.kernel_batch(p, lam[q], xi[q:q + 1]) for q in picks]
     assert np.array_equal(batch.taus, np.concatenate([s.taus for s in singles]))
     assert np.array_equal(batch.coeff, np.concatenate([s.coeff for s in singles], axis=1))
-    assert np.array_equal(batch.fallback,
-                          np.concatenate([s.fallback for s in singles]))
     rows = data.draw(st.lists(st.integers(0, len(picks) - 1), min_size=1,
                               max_size=2 * len(picks)), label="rows")
     for k in (0, 1):
@@ -111,23 +106,27 @@ def test_margin_error_names_the_first_offending_row(order):
     assert f"lambda={complex(lam_bad)}" in msg
 
 
-def test_schur_fallback_runs_once_per_distinct_row(monkeypatch):
-    """On the clamped problem the rows at xi' and -xi' share a solve; with
-    every row on the Schur route, eval builds one companion system per
-    distinct row and gives every row of a pair the same values."""
+def test_propagate_runs_once_per_distinct_row(monkeypatch):
+    """On the clamped problem the rows at xi' and -xi' share a solve: the
+    batch finds the roots of each distinct row once, eval evaluates the
+    basis on each distinct row once, and every row of a pair gets the same
+    values."""
     xi = np.array([[1.0], [-1.0], [2.0], [-2.0], [1.0]])
-    batch = poi.kernel_batch(hp.clamped_bilaplacian(), 3.0 + 1.0j, xi,
-                             degeneracy_tol=1e6)
-    assert batch.fallback.all()
-    built = []
-    build = comp.build_companion
+    seen = {}
 
-    def counted(problem, fp):
-        built.append(fp.xi_prime)
-        return build(problem, fp)
+    def counted(name):
+        stage = getattr(comp, name)
 
-    monkeypatch.setattr(comp, "build_companion", counted)
+        def run(rows_in, *args, **kwargs):
+            seen[name] = rows_in.copy()
+            return stage(rows_in, *args, **kwargs)
+        return run
+
+    for name in ("build_companion", "propagate"):
+        monkeypatch.setattr(comp, name, counted(name))
+    batch = poi.kernel_batch(hp.clamped_bilaplacian(), 3.0 + 1.0j, xi)
+    assert len(seen["build_companion"]) == 2
     vals = batch.eval(X)
-    assert [float(x[0]) for x in built] == [1.0, 2.0]
+    assert np.array_equal(seen["propagate"], batch.taus[[0, 2]])
     assert np.array_equal(vals[:, [0, 2]], vals[:, [1, 3]])
     assert np.array_equal(vals[:, 0], vals[:, 4])

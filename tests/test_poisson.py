@@ -68,18 +68,6 @@ class TestKernelBatch:
         exact = (1j * kappa) * cmath.exp(-kappa * 0.5)
         assert batch.eval(xs, 1)[0, 0, 0] == pytest.approx(exact, rel=1e-12)
 
-    def test_fallback_route_matches_fast_route(self):
-        p = hp.clamped_bilaplacian()
-        lam = 16.0 * cmath.exp(0.3j)
-        xi = np.array([[0.7], [2.0]])
-        fast = poi.kernel_batch(p, lam, xi)
-        assert not fast.fallback.any()
-        forced = poi.kernel_batch(p, lam, xi, degeneracy_tol=1e6)
-        assert forced.fallback.all()
-        xs = np.array([0.0, 0.4, 1.5])
-        a, b = fast.eval(xs, 0), forced.eval(xs, 0)
-        assert np.abs(a - b).max() < 1e-8
-
     def test_boundary_reproduction_second_condition(self):
         # Poi_1 of the bi-Laplacian: trace zero, D_n-trace one
         p = hp.clamped_bilaplacian()
@@ -96,20 +84,19 @@ class TestKernelBatch:
                            for k in range(p.m)])          # (k, j, modes)
         assert np.abs(traces - np.eye(p.m)[:, :, None]).max() < 1e-12
 
-    def test_m1_ls_violation_falls_back_and_raises(self):
+    def test_m1_ls_violation_raises(self):
         # -Delta with B = D_n - 2i D_1 violates LS on lambda = 3 xi_1^2: at
         # xi' = 1, lambda = 3 the stable root tau = 2i makes B(xi', tau)
         # vanish.  Divided by its own entry the 1 x 1 map would read 1 and
-        # the root basis would return coefficients of size ~1e15.
+        # the solve would return coefficients of size ~1e15.
         base = hp.dirichlet_laplacian()
         p = hp.ModelProblem(
             n=2, m=1, interior_coeffs=base.interior_coeffs,
             boundary_ops=[hp.BoundaryOperator(1, {(0, 1): 1.0, (1, 0): -2j})],
             phi_prime=base.phi_prime, phi=base.phi)
-        batch = poi.kernel_batch(p, 3.0, np.array([[1.0], [2.0]]))
-        assert batch.fallback.tolist() == [True, False]
-        with pytest.raises(hp.LopatinskiiError):
-            batch.eval(np.array([0.0, 0.5]))
+        with pytest.raises(hp.LopatinskiiError, match="xi'=\\[1.\\]"):
+            poi.kernel_batch(p, 3.0, np.array([[2.0], [1.0]]))
+        poi.kernel_batch(p, 3.0, np.array([[2.0]]))
 
     def test_lambda_outside_sector_raises(self):
         p = hp.dirichlet_laplacian()

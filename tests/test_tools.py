@@ -1,0 +1,56 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+artifact_diff = _load("artifact_diff")
+
+
+def _write(root: Path, name: str, text: str):
+    path = root / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def test_artifact_diff_states_the_largest_relative_deviation(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, x, y in ((a, "1.0", 2.0), (b, "1.0000000001", 2.5)):
+        _write(root, "sweep/0/out.csv", f"x,norm\n0.1,{x}\n0.2,3.0\n")
+        _write(root, "sweep/0/out.json", json.dumps(
+            {"defect": y, "ok": True, "point": {"lambda": [1.0, 0.0]}}))
+        _write(root, "sweep/0/same.csv", "x\n1\n")
+        _write(root, "sweep/0/metadata.json", json.dumps({"time": str(root)}))
+    _write(a, "sweep/1/only.csv", "x\n1\n")
+    assert artifact_diff.main([str(a), str(b)]) == 1
+    lines = {line.split("\t")[0]: line.split("\t")[1:]
+             for line in capsys.readouterr().out.splitlines()}
+    rel, scaled = lines["sweep/0/out.csv"]
+    assert float(rel) == pytest.approx(1e-10, rel=1e-3)
+    # scaled by the column's largest entry, 3.0
+    assert float(scaled.split()[1]) == pytest.approx(1e-10 / 3.0, rel=1e-3)
+    assert float(lines["sweep/0/out.json"][0]) == pytest.approx(0.2)
+    assert lines["sweep/1/only.csv"][0].startswith("only under")
+    assert set(lines) == {"sweep/0/out.csv", "sweep/0/out.json", "sweep/1/only.csv"}
+
+
+def test_artifact_diff_reports_what_is_not_numeric(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _write(a, "x.csv", "name,v\nfoo,1\n")
+    _write(b, "x.csv", "name,v\nbar,1\n")
+    _write(a, "y.json", json.dumps({"v": [1, 2]}))
+    _write(b, "y.json", json.dumps({"v": [1, 2, 3]}))
+    assert artifact_diff.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "x.csv\tnot numeric" in out and "y.json\tnot numeric" in out
+    assert artifact_diff.main([str(a), str(a)]) == 0

@@ -1,6 +1,6 @@
 """Exit codes and artifact digests of every benchmark deck job on one tree.
 
-    python3 tools/deck_hashes.py <tree> <seed> > hashes.json
+    python3 tools/deck_hashes.py <tree> <seed> [--keep DIR] > hashes.json
 
 Runs every job of the ``contour``, ``sweep`` and ``estimate`` decks of
 ``perfbench/jobs.py`` (this repository's copy, so two trees run the same
@@ -9,11 +9,14 @@ jobs) for ``seed`` through ``halfpoisson.cli.main``, importing
 ``{workload: {job ident: {"exit": code, "artifacts": {name: sha256}}}}``;
 ``metadata.json`` (it holds a timestamp) and SVG plots are left out.  Two
 trees whose outputs agree give equal objects, so comparing the parent and a
-change is a ``diff`` of two runs.
+change is a ``diff`` of two runs.  With ``--keep DIR`` each job's artifacts
+stay in ``DIR/<workload>/<NN>``, NN the number that leads the job's ident;
+``tools/artifact_diff.py`` then states how far two kept runs deviate.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -23,20 +26,20 @@ import tempfile
 from pathlib import Path
 
 
-def deck_hashes(seed: int) -> dict:
+def deck_hashes(seed: int, keep: Path | None = None) -> dict:
     import jobs
     from halfpoisson import cli
 
     print(f"halfpoisson from {Path(cli.__file__).parent}", file=sys.stderr)
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as scratch:
         for workload in sorted(jobs.WORKLOADS):
             results = out[workload] = {}
             for i, job in enumerate(jobs.deck(workload, seed)):
-                outdir = Path(tmp, workload, str(i))
+                outdir = Path(keep or scratch, workload, job.ident.split(":")[0])
                 config = None
                 if job.config is not None:
-                    config = Path(tmp, f"{workload}-{i}.json")
+                    config = Path(scratch, f"{workload}-{i}.json")
                     config.write_text(job.config, encoding="utf-8")
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = cli.main(job.argv(str(outdir), config and str(config)))
@@ -48,13 +51,16 @@ def deck_hashes(seed: int) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 1
-    tree, seed = Path(argv[0]).resolve(), int(argv[1])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree", type=Path)
+    parser.add_argument("seed", type=int)
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="keep each job's artifacts under DIR")
+    args = parser.parse_args(argv)
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    sys.path[:0] = [str(tree / "src"), str(perfbench)]
-    json.dump(deck_hashes(seed), sys.stdout, indent=1, sort_keys=True)
+    sys.path[:0] = [str(args.tree.resolve() / "src"), str(perfbench)]
+    keep = args.keep.resolve() if args.keep else None
+    json.dump(deck_hashes(args.seed, keep), sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
 
