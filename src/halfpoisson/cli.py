@@ -203,19 +203,21 @@ def cmd_poisson_eval(args, problem, *, lambda_=4.0 + 1.0j, j=0, N_x=16, xi0=1.0)
     _check_j(problem, j)
     tgrid = _default_tgrid(problem, N=N_x)
     xgrid = HalfLineGrid.for_decay(poi.decay_rate(problem, lambda_))
-    g = np.zeros(tgrid.n_modes, dtype=complex)
-    g[tgrid.mode_index(xi0)] = 1.0
+    data = np.zeros((problem.m, tgrid.n_modes), dtype=complex)
+    data[j, tgrid.mode_index(xi0)] = 1.0
     batch = poi.kernel_batch(problem, lambda_, tgrid.xi_modes)
-    u = batch.eval(xgrid.x, 0)[j] * g[:, None]
+    u = batch.eval(xgrid.x, data)
     rows = [(q, x, u[q, i].real, u[q, i].imag)
             for q in range(tgrid.n_modes) if np.any(u[q])
             for i, x in enumerate(xgrid.x)]
     _write_csv(args.out / "poisson_eval.csv", ("mode", "x_n", "re", "im"), rows)
-    # boundary reproduction: tr B_k of kernel j by the route that evaluated it
+    # boundary reproduction: tr B_k of kernel j by the route that evaluated
+    # it, with unit data on every mode
+    unit = np.eye(problem.m)[:, [j]]
     worst = 0.0
     for k, sym in enumerate(problem.boundary_symbols):
         tr = sym.contract(sym.table(tgrid.xi_modes),
-                          lambda l: batch.eval(np.zeros(1), l)[j, :, 0])
+                          lambda l: batch.eval(np.zeros(1), unit, l)[:, 0])
         target = 1.0 if k == j else 0.0
         worst = max(worst, float(np.abs(tr - target).max()))
     _write_json(args.out / "poisson_eval.json",
@@ -436,7 +438,7 @@ def cmd_parabolic_solve(args, problem, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
     sol = pb.parabolic_boundary_solve(problem, g, tg, tgrid, x_nodes)
     # single-mode oracle: one elliptic solve at lambda = sigma + i tau0
     batch = poi.kernel_batch(problem, tg.sigma + 1j * tau0, tgrid.xi_modes)
-    kern = batch.eval(x_nodes, 0)[0, q0]
+    kern = batch.eval(x_nodes, np.eye(problem.m)[:, [0]], 0, [q0])[0]
     oracle = np.exp(1j * tau0 * tg.times)[:, None] * kern[None, :]
     dev = (float(np.abs(sol.values[:, q0, :] - oracle).max())
            / max(float(np.abs(oracle).max()), 1e-300))

@@ -266,16 +266,6 @@ class LopatinskiiReport:
     condition_number: float
 
 
-def _sector_margin(z: complex, phi_prime: float) -> float:
-    """Angular distance of z from the closed sector |arg| <= phi_prime.
-
-    Positive when z lies strictly outside the sector.
-    """
-    if z == 0:
-        return -phi_prime
-    return abs(cmath.phase(z)) - phi_prime
-
-
 def unit_directions(n: int, count: int) -> np.ndarray:
     """Deterministic sample of unit vectors on the sphere in R^n."""
     if n == 1:
@@ -292,15 +282,14 @@ def check_ellipticity(problem: ModelProblem) -> EllipticityReport:
     half-angle ``phi_prime`` for each of 64 sampled unit directions
     (homogeneity reduces the check to the sphere).
     """
-    worst = math.inf
-    worst_dir = None
-    for xi in unit_directions(problem.n, 64):
-        A = complex(problem.interior_symbol(xi[:-1], xi[-1]))
-        margin = _sector_margin(A, problem.phi_prime)
-        if margin < worst:
-            worst = margin
-            worst_dir = tuple(xi)
-    return EllipticityReport(passed=worst > 0, worst_margin=worst, worst_direction=worst_dir)
+    d = unit_directions(problem.n, 64)
+    sym = problem.interior_symbol
+    A = sym.contract(sym.table(d[:, :-1]), lambda l: d[:, -1] ** l)
+    # angular distance of A from the closed sector |arg| <= phi_prime
+    margin = np.abs(np.angle(A)) - problem.phi_prime
+    q = int(np.argmin(margin))
+    return EllipticityReport(passed=bool(margin[q] > 0), worst_margin=float(margin[q]),
+                             worst_direction=tuple(d[q]))
 
 
 # the tangential frequencies of the LS sample: these moduli along unit

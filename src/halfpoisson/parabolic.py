@@ -95,8 +95,9 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, tgrid_t: TimeGrid,
     ``g`` is a list (length m) of arrays (N_t, modes) sampling the boundary
     data time series in tangential frequency; returns u on
     (N_t, modes, len(x_nodes)).  One kernel batch covers every (temporal
-    frequency, mode) pair; kernels are evaluated only where some g_j has a
-    nonzero Fourier coefficient, every other pair is exactly zero.
+    frequency, mode) pair, and :meth:`~halfpoisson.poisson.KernelBatch.eval`
+    applies ``sum_j Poi_j`` to the temporal Fourier coefficients of the g_j:
+    a pair where every coefficient vanishes is exactly zero and not evaluated.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
     m, M = problem.m, tgrid.n_modes
@@ -109,13 +110,7 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, tgrid_t: TimeGrid,
     lam = tgrid_t.sigma + 1j * tgrid_t.taus
     batch = kernel_batch(problem, np.repeat(lam, M),
                          np.tile(tgrid.xi_modes, (tgrid_t.N_t, 1)))
-    active = np.flatnonzero(np.any(ghat != 0, axis=0))
-    kernels = batch.eval(x_nodes, 0, active)
-    acc = np.zeros((len(active), len(x_nodes)), dtype=complex)
-    for j in range(m):
-        acc += kernels[j] * ghat[j, active, None]
-    out_hat = np.zeros((tgrid_t.N_t * M, len(x_nodes)), dtype=complex)
-    out_hat[active] = acc
+    out_hat = batch.eval(x_nodes, ghat)
     return ParabolicSolution(freq_data=out_hat.reshape(tgrid_t.N_t, M, -1),
                              tgrid_t=tgrid_t)
 

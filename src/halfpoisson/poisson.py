@@ -6,7 +6,10 @@ Tangentially everything is diagonal in frequency: per mode ``xi'`` the kernel
 is a combination of the Newton basis functions ``[tau_1 ... tau_k] e^{i tau x_n}``
 of the stable roots ``tau`` of ``lambda - A(xi', tau)``, with the coefficients
 that invert the boundary map on that basis, and the full evaluation is one
-multiplication per mode.
+multiplication per mode.  Every solution the package builds is
+``u = sum_j Poi_j(lambda) g_j``, and :meth:`KernelBatch.eval` is the one place
+that applies that sum: it contracts the data into the coefficients, then the
+coefficients with the basis, and skips the rows whose data all vanish.
 
 Sweeps need thousands of frequency nodes per parameter value, so every
 stage runs batched over the rows, through the three stages of
@@ -112,7 +115,8 @@ class KernelBatch:
     ``pr_1 Poi_j(lam[q])`` at ``xi_modes[q]`` and its normal derivatives are
     ``D^d u(j, q, x) = sum_k c[j, q, k] D^d [tau_1 ... tau_{k+1}] e^{i tau x}``
     over the stable roots ``tau[q]``, sorted by increasing ``Im tau``.  The
-    roots do not depend on j, so one batch serves every boundary index.
+    roots do not depend on j, so one batch serves every boundary index, and
+    :meth:`eval` applies all of them to the data at once.
 
     ``taus`` and ``coeff`` hold every row.  ``first[q]`` is the first row
     whose inputs are bitwise those of row q (see :func:`kernel_batch`), so
@@ -131,25 +135,37 @@ class KernelBatch:
         the route."""
         return np.zeros(len(self.first), dtype=bool)
 
-    def eval(self, x: np.ndarray, deriv_order: int = 0,
+    def eval(self, x: np.ndarray, data: np.ndarray, deriv_order: int = 0,
              rows: np.ndarray | None = None) -> np.ndarray:
-        """Kernel values for every boundary index on ``rows`` (default: all),
-        in that order, shape (m, len(rows), len(x)).
+        """``sum_j D^d Poi_j data[j]`` on ``rows`` (default: all), in that
+        order, shape (len(rows), len(x)).
 
-        The basis functions and the contraction run once per distinct row
-        among ``rows``; the values are then gathered in the order asked.  A
-        caller whose data vanish on some rows asks only for the others.
+        ``data`` is (m, len(rows)), or broadcasts to it: ``data[j, r]`` is
+        the datum of boundary index j on row ``rows[r]``.  A row whose m data
+        all vanish is exactly zero and is not evaluated.  The basis functions
+        run once per distinct row among the others; the data are contracted
+        into the coefficients first, so each row then takes one contraction
+        over the basis.
         """
         x = np.asarray(x, dtype=float)
         rows = np.arange(len(self.first)) if rows is None else np.asarray(rows)
+        data = np.broadcast_to(data, (len(self.coeff), len(rows)))
+        live = np.flatnonzero(np.any(data != 0, axis=0))
+        if live.size == len(rows):
+            return self._apply(x, data, deriv_order, rows)
+        out = np.zeros((len(rows),) + x.shape, dtype=complex)
+        if live.size:
+            out[live] = self._apply(x, data[:, live], deriv_order, rows[live])
+        return out
+
+    def _apply(self, x, data, deriv_order, rows):
+        """:meth:`eval` on rows that all carry data."""
         distinct, back = np.unique(self.first[rows], return_inverse=True)
         A, F = comp.propagate(self.taus[distinct], x, deriv_order)
-        W = np.einsum("jqk,qki->jqi", self.coeff[:, distinct], A)
-        vals = np.empty((len(W), len(distinct)) + x.shape, dtype=complex)
-        for w, o in zip(W, vals):
-            np.einsum("qi,qiz->qz", w, F, out=o)
-        del F
-        return vals[:, back]
+        w = np.einsum("jq,jqk,qki->qi", data, self.coeff[:, rows], A[back])
+        if not np.array_equal(back, np.arange(len(rows))):
+            F = F[back]    # rows repeated or out of order; else no copy
+        return np.einsum("qi,qiz->qz", w, F)
 
 
 def _distinct_rows(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,18 +268,31 @@ class SweepResult:
         return self.fitted_slopes[worst_ray]
 
 
-def _ols_slope(logx: np.ndarray, logy: np.ndarray) -> float:
-    A = np.stack([logx, np.ones_like(logx)], axis=1)
-    sol, *_ = np.linalg.lstsq(A, logy, rcond=None)
-    return float(sol[0])
+def _fit_slopes(curves, predicted: float) -> SweepResult:
+    """Records and per-ray slopes of log norm against log x.
 
-
-def _middle_fraction(x: np.ndarray, frac: float = 0.8) -> np.ndarray:
-    """Boolean mask selecting the middle fraction of the log range of x."""
-    lo, hi = np.log10(x.min()), np.log10(x.max())
-    pad = (1.0 - frac) / 2.0 * (hi - lo)
-    lx = np.log10(x)
-    return (lx >= lo + pad) & (lx <= hi - pad)
+    ``curves`` lists ``(ray_arg, x, norms)``.  A point is flagged where its
+    norm is not finite or not positive.  Each ray's slope is the ordinary
+    least-squares fit on its unflagged points in the middle 80% of the log
+    range of x; a ray with fewer than two such points gets none, and with no
+    slope at all the deviation is inf.
+    """
+    records, slopes = [], {}
+    for ray, x, norms in curves:
+        flags = ~(np.isfinite(norms) & (norms > 0))
+        records += [SweepRecord(ray_arg=ray, lambda_mod=float(xv), norm=float(nv),
+                                flagged=bool(fl))
+                    for xv, nv, fl in zip(x, norms, flags)]
+        lo, hi = np.log10(x.min()), np.log10(x.max())
+        pad = (1.0 - 0.8) / 2.0 * (hi - lo)
+        lx = np.log10(x)
+        keep = ~flags & (lx >= lo + pad) & (lx <= hi - pad)
+        if keep.sum() >= 2:
+            A = np.stack([np.log(x[keep]), np.ones(keep.sum())], axis=1)
+            slopes[ray] = float(np.linalg.lstsq(A, np.log(norms[keep]), rcond=None)[0][0])
+    max_dev = max((abs(sl - predicted) for sl in slopes.values()), default=math.inf)
+    return SweepResult(records=tuple(records), fitted_slopes=slopes,
+                       predicted=predicted, max_deviation=max_dev)
 
 
 def decay_sweep(problem: ModelProblem, q: ExponentQuery,
@@ -276,35 +305,23 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     t = ``q.t`` on a normal grid that resolves the slowest decay of the
     sample; the fit is ordinary least squares on the middle 80% of the
     modulus decades, excluding flagged (non-finite or underflowed) points.
+    One kernel batch per lambda; only the modes where g is nonzero are
+    evaluated.
     """
-    g = np.asarray(g_hat).reshape(-1)
+    data = np.eye(problem.m)[:, [q.j]] * np.ravel(g_hat)     # g on index j only
     rate = decay_rate(problem, min(sample.moduli) *
                       cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
     xgrid = HalfLineGrid.for_decay(rate)
-    records = []
-    slopes = {}
+    mods = np.asarray(sample.moduli, dtype=float)
+    curves = []
     for ray in sample.rays:
-        mods = np.asarray(sample.moduli, dtype=float)
         norms = np.empty_like(mods)
-        flags = np.zeros(len(mods), dtype=bool)
         for i, mod in enumerate(mods):
-            lam = mod * cmath.exp(1j * ray)
-            batch = kernel_batch(problem, lam, tgrid.xi_modes)
-            profiles = np.stack([
-                batch.eval(xgrid.x, l)[q.j] * g[:, None] for l in range(q.k + 1)
-            ])
-            val = sobolev_mixed_norm(profiles, q.p, q.r, q.t, tgrid, xgrid)
-            norms[i] = val
-            flags[i] = not (np.isfinite(val) and val > 0)
-            records.append(SweepRecord(ray_arg=float(ray), lambda_mod=float(mod),
-                                       norm=float(val), flagged=bool(flags[i])))
-        keep = ~flags & _middle_fraction(mods)
-        if keep.sum() >= 2:
-            slopes[float(ray)] = _ols_slope(np.log(mods[keep]), np.log(norms[keep]))
-    predicted = predicted_decay_exponent(q, problem.m)
-    max_dev = max((abs(s - predicted) for s in slopes.values()), default=math.inf)
-    return SweepResult(records=tuple(records), fitted_slopes=slopes,
-                       predicted=predicted, max_deviation=max_dev)
+            batch = kernel_batch(problem, mod * cmath.exp(1j * ray), tgrid.xi_modes)
+            profiles = np.stack([batch.eval(xgrid.x, data, l) for l in range(q.k + 1)])
+            norms[i] = sobolev_mixed_norm(profiles, q.p, q.r, q.t, tgrid, xgrid)
+        curves.append((float(ray), mods, norms))
+    return _fit_slopes(curves, predicted_decay_exponent(q, problem.m))
 
 
 def singularity_sweep(problem: ModelProblem, j: int, lam: complex,
@@ -312,23 +329,9 @@ def singularity_sweep(problem: ModelProblem, j: int, lam: complex,
                       x_range: np.ndarray, tgrid: TangentialGrid) -> SweepResult:
     """Fit the near-boundary slope of x_n -> ||u(., x_n)||_{H^t_2}, the
     predicted -[t - s]_+."""
-    g = np.asarray(g_hat).reshape(-1)
     x_range = np.asarray(x_range, dtype=float)
     batch = kernel_batch(problem, lam, tgrid.xi_modes)
-    vals = batch.eval(x_range, 0)[j] * g[:, None]
+    vals = batch.eval(x_range, np.eye(problem.m)[:, [j]] * np.ravel(g_hat))
     norms = plancherel_norms(vals, t, tgrid)
-    flags = ~(np.isfinite(norms) & (norms > 0))
-    records = tuple(
-        SweepRecord(ray_arg=float(cmath.phase(lam)), lambda_mod=float(x),
-                    norm=float(nv), flagged=bool(fl))
-        for x, nv, fl in zip(x_range, norms, flags)
-    )
-    keep = ~flags & _middle_fraction(x_range)
-    predicted = predicted_singularity_exponent(t, s)
-    slopes = {}
-    if keep.sum() >= 2:
-        slopes[float(cmath.phase(lam))] = _ols_slope(np.log(x_range[keep]),
-                                                     np.log(norms[keep]))
-    max_dev = max((abs(sv - predicted) for sv in slopes.values()), default=math.inf)
-    return SweepResult(records=records, fitted_slopes=slopes,
-                       predicted=predicted, max_deviation=max_dev)
+    return _fit_slopes([(float(cmath.phase(lam)), x_range, norms)],
+                       predicted_singularity_exponent(t, s))

@@ -196,8 +196,8 @@ def dirichlet_nonrbound_experiment(
     lam = (sigma * 2.0 ** np.arange(1, max_N + 1)) ** 2
     scale = np.abs(lam) ** ((1.0 + r) / (2.0 * p))
     batch = kernel_batch(problem, np.repeat(lam, M), np.tile(tgrid.xi_modes, (max_N, 1)))
-    kernels = batch.eval(xgrid.x, 0)[0].reshape(max_N, M, -1)
-    images = scale[:, None, None] * kernels * g[:, None]
+    images = batch.eval(xgrid.x, np.tile(g, max_N)).reshape(max_N, M, -1)
+    images *= scale[:, None, None]
 
     rows = []
     for N in N_list:

@@ -264,14 +264,11 @@ def halfspace_resolvent(problem: mdl.ModelProblem, lam,
     u = np.fft.ifft(W, axis=-1)[..., : ugrid.N].copy()
     del W
 
-    M, A = tgrid.n_modes, len(src.rows)
+    M = tgrid.n_modes
     batch = kernel_batch(problem, np.repeat(lam.reshape(-1), M),
                          np.tile(tgrid.xi_modes, (lam.size, 1)))
     active = (M * np.arange(lam.size)[:, None] + src.rows).reshape(-1)
-    kernels = batch.eval(ugrid.x, 0, active).reshape(
-        (problem.m,) + lam.shape + (A, ugrid.N))
-    for j in range(problem.m):
-        u -= kernels[j] * traces[j][..., None]
+    u -= batch.eval(ugrid.x, traces.reshape(problem.m, -1), 0, active).reshape(u.shape)
     return ResolventResult(rows=src.rows, n_modes=M, u_rows=u, traces_rows=traces)
 
 

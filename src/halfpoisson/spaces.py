@@ -92,8 +92,13 @@ def _hardy_matrix(grid: HalfLineGrid) -> np.ndarray:
     return w[None, :] / (x[:, None] + x[None, :])
 
 
-def hardy_norm(p: float, r: float, grid: HalfLineGrid, max_iter: int = 400,
-               tol: float = 1e-10, seed: int = 11) -> float:
+# hardy_norm's power iteration: step limit, relative tolerance, start seed
+_POWER_MAX_ITER = 400
+_POWER_TOL = 1e-10
+_POWER_SEED = 11
+
+
+def hardy_norm(p: float, r: float, grid: HalfLineGrid) -> float:
     """Operator norm of T on L_p(x^r dx), discretized on the grid.
 
     p = 2: the weighted norm equals the spectral norm of D K D^{-1} with
@@ -101,7 +106,8 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid, max_iter: int = 400,
     eigenvalue comes from implicitly restarted Lanczos (ARPACK) started from
     the all-ones vector, so repeated calls return identical floats.
     General p: Boyd's L_p power method on the weighted functional; raises
-    ValueError when it has not met ``tol`` after ``max_iter`` steps.
+    ValueError when it has not met ``_POWER_TOL`` after ``_POWER_MAX_ITER``
+    steps.
     """
     if not (1 < p < math.inf):
         raise ValueError("operator-norm estimate needs p in (1, inf)")
@@ -121,7 +127,7 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid, max_iter: int = 400,
         top = eigsh(A, k=1, which="LM", v0=np.ones(grid.n_points),
                     return_eigenvectors=False)
         return float(abs(top[0]))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     f = rng.random(grid.n_points) + 0.1
     pp = p / (p - 1.0)
 
@@ -129,7 +135,7 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid, max_iter: int = 400,
         return float((wr @ np.abs(v) ** p) ** (1.0 / p))
 
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         f = f / max(norm_p(f), 1e-300)
         g = K @ f
         new_est = norm_p(g)
@@ -137,11 +143,11 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid, max_iter: int = 400,
         jg = np.sign(g) * np.abs(g) ** (p - 1.0)
         h = K.T @ (wr * jg) / wr
         f = np.sign(h) * np.abs(h) ** (pp - 1.0)
-        if abs(new_est - est) <= tol * max(new_est, 1.0):
+        if abs(new_est - est) <= _POWER_TOL * max(new_est, 1.0):
             return new_est
         est = new_est
     raise ValueError(f"hardy_norm power iteration at p={p}, r={r} did not "
-                     f"converge to tol={tol} in max_iter={max_iter} steps")
+                     f"converge to tol={_POWER_TOL} in max_iter={_POWER_MAX_ITER} steps")
 
 
 def mixed_lifting_check(fhat2d: np.ndarray, t: float, tgrid: TangentialGrid,

@@ -19,6 +19,7 @@ from halfpoisson import rbound as rb
 from halfpoisson import resolvent as res
 from halfpoisson import spaces as sp
 from halfpoisson.grids import HalfLineGrid, TangentialGrid, UniformHalfGrid
+from kernel_table import kernel_table
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -49,7 +50,7 @@ def test_criterion_1_closed_form_kernels():
             xi, lam_s, x = _random_sector_triples(rng, 10)
             lam = complex(lam_s[0])
             batch = poi.kernel_batch(problem, lam, xi[:, None])
-            got = np.diagonal(batch.eval(x, 0)[0])
+            got = np.diagonal(kernel_table(batch, x, 0)[0])
             kap = np.sqrt(lam + xi ** 2 + 0j)
             kap = np.where(kap.real > 0, kap, -kap)
             want = oracle(kap, x)
@@ -65,7 +66,7 @@ def _boundary_trace_of_kernel(problem, batch, xi_modes, k):
     """tr B_k of every kernel of the batch, shape (m, modes)."""
     sym = problem.boundary_symbols[k]
     return sym.contract(sym.table(xi_modes)[None],
-                        lambda l: batch.eval(np.array([0.0]), l)[:, :, 0])
+                        lambda l: kernel_table(batch, np.array([0.0]), l)[:, :, 0])
 
 
 def test_criterion_2_boundary_reproduction():
@@ -282,7 +283,7 @@ def test_criterion_9_parabolic_solvers():
     sol = pb.parabolic_boundary_solve(problem, g, tg, tgrid, x_nodes)
     batch = poi.kernel_batch(problem, tg.sigma + 1j * tau0, tgrid.xi_modes)
     oracle = (np.exp(1j * tau0 * tg.times)[:, None]
-              * batch.eval(x_nodes, 0)[0, q0][None, :])
+              * kernel_table(batch, x_nodes, 0)[0, q0][None, :])
     mode_dev = (float(np.abs(sol.values[:, q0, :] - oracle).max())
                 / float(np.abs(oracle).max()))
     # initial-boundary value problem: splitting self-consistency at the wall

@@ -16,6 +16,7 @@ from halfpoisson import parabolic as pb
 from halfpoisson import poisson as poi
 from halfpoisson import resolvent as res
 from halfpoisson.grids import TangentialGrid, UniformHalfGrid
+from kernel_table import kernel_table
 from test_oblique import oblique_laplacian
 
 LAMS = np.array([4.0 + 2.0j, 50.0 * np.exp(0.6j), 0.5 - 3.0j, 1.0 + 0.0j,
@@ -54,10 +55,11 @@ def test_per_row_lambda_batch_equals_scalar_batches(name):
     assert np.array_equal(batch.taus, np.concatenate([b.taus for b in singles]))
     assert np.array_equal(batch.coeff, np.concatenate([b.coeff for b in singles], axis=1))
     for k in (0, 1):
-        full = batch.eval(x, k)
-        assert np.array_equal(full, np.concatenate([b.eval(x, k) for b in singles], axis=1))
+        full = kernel_table(batch, x, k)
+        assert np.array_equal(full, np.concatenate([kernel_table(b, x, k) for b in singles],
+                                                   axis=1))
         rows = np.array([3, M + 1, 4 * M + 6])
-        assert np.array_equal(batch.eval(x, k, rows), full[:, rows])
+        assert np.array_equal(kernel_table(batch, x, k, rows), full[:, rows])
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
@@ -108,14 +110,12 @@ def test_semigroup_equals_one_solve_per_node(name):
 
 def _parabolic_per_frequency(p, g, tgt, tg, x):
     """Reference: one kernel batch per temporal frequency with data."""
-    ghat = [np.fft.fft(gj, axis=0) / tgt.N_t for gj in g]
+    ghat = np.stack([np.fft.fft(gj, axis=0) / tgt.N_t for gj in g])
     out = np.zeros((tgt.N_t, tg.n_modes, len(x)), dtype=complex)
     for k, tau in enumerate(tgt.taus):
-        active = [j for j in range(p.m) if np.any(ghat[j][k])]
-        if active:
-            kernels = poi.kernel_batch(p, tgt.sigma + 1j * tau, tg.xi_modes).eval(x, 0)
-            for j in active:
-                out[k] += kernels[j] * ghat[j][k][:, None]
+        if np.any(ghat[:, k]):
+            batch = poi.kernel_batch(p, tgt.sigma + 1j * tau, tg.xi_modes)
+            out[k] = batch.eval(x, ghat[:, k])
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 from halfpoisson import companion as comp
 from halfpoisson import model as mdl
 from halfpoisson import poisson as poi
+from kernel_table import kernel_table
 
 RNG = np.random.default_rng(12345)
 
@@ -152,7 +153,7 @@ class TestCompanionSystem:
             lam = _random_sector_lambda(p.phi)
             xi = RNG.uniform(-5, 5, size=(1, p.n - 1))
             batch = poi.kernel_batch(p, lam, xi)
-            traces = np.stack([batch.eval(np.zeros(1), d)[:, 0, 0]
+            traces = np.stack([kernel_table(batch, np.zeros(1), d)[:, 0, 0]
                                for d in range(p.order)])       # (d, j)
             tr = p.boundary_table(xi)[0] @ traces
             assert np.allclose(tr, np.eye(p.m), atol=1e-10)
@@ -184,7 +185,8 @@ class TestPropagate:
         # [DERIVED] kernel e^{-kappa x} at xi'=1.5, lambda=100 e^{i pi/3}, x=0.7
         p = mdl.dirichlet_laplacian()
         lam = 100 * cmath.exp(1j * math.pi / 3)
-        got = poi.kernel_batch(p, lam, np.array([[1.5]])).eval(np.array([0.7]))[0, 0, 0]
+        batch = poi.kernel_batch(p, lam, np.array([[1.5]]))
+        got = kernel_table(batch, np.array([0.7]))[0, 0, 0]
         assert got == pytest.approx(-0.0020656776311573245 + 0.0006833352477115405j,
                                     rel=1e-10)
 
@@ -192,7 +194,8 @@ class TestPropagate:
         # [DERIVED] kernel -(i/kappa) e^{-kappa x} at the same point
         p = mdl.neumann_laplacian()
         lam = 100 * cmath.exp(1j * math.pi / 3)
-        got = poi.kernel_batch(p, lam, np.array([[1.5]])).eval(np.array([0.7]))[0, 0, 0]
+        batch = poi.kernel_batch(p, lam, np.array([[1.5]]))
+        got = kernel_table(batch, np.array([0.7]))[0, 0, 0]
         assert got == pytest.approx(0.00016014749961047742 + 0.00014545499183182616j,
                                     rel=1e-10)
 
@@ -201,15 +204,15 @@ class TestPropagate:
         p = mdl.clamped_bilaplacian()
         batch = poi.kernel_batch(p, 5.0 + 1.0j, np.array([[0.4]]))
         x, h = 0.3, 1e-6
-        first_deriv = batch.eval(np.array([x]), 1)[:, 0, 0]
-        fd = (-1j) * (batch.eval(np.array([x + h]))[:, 0, 0]
-                      - batch.eval(np.array([x - h]))[:, 0, 0]) / (2 * h)
+        first_deriv = kernel_table(batch, np.array([x]), 1)[:, 0, 0]
+        fd = (-1j) * (kernel_table(batch, np.array([x + h]))[:, 0, 0]
+                      - kernel_table(batch, np.array([x - h]))[:, 0, 0]) / (2 * h)
         assert np.allclose(first_deriv, fd, rtol=1e-6, atol=1e-9)
 
     def test_negative_x_rejected(self):
         batch = poi.kernel_batch(mdl.dirichlet_laplacian(), 4.0 + 0j, np.zeros((1, 1)))
         with pytest.raises(ValueError):
-            batch.eval(np.array([-0.1]))
+            batch.eval(np.array([-0.1]), np.ones((1, 1)))
         with pytest.raises(ValueError):
             comp.propagate(batch.taus, np.array([0.2, -0.1]))
 
@@ -224,7 +227,8 @@ class TestPropagate:
         for _ in range(15):
             lam = _random_sector_lambda(p.phi)
             xi = RNG.uniform(-4, 4, size=p.n - 1)
-            got = poi.kernel_batch(p, lam, xi[None, :]).eval(xs, 0)[:, 0, :]   # (j, x)
+            batch = poi.kernel_batch(p, lam, xi[None, :])
+            got = kernel_table(batch, xs, 0)[:, 0, :]   # (j, x)
             ref = _schur_kernel(p, xi, lam, xs)
             for j in range(p.m):
                 scale = max(np.abs(ref[j]).max(), 1e-30)
@@ -233,7 +237,7 @@ class TestPropagate:
     def test_decay_along_normal(self):
         p = mdl.dirichlet_laplacian()
         batch = poi.kernel_batch(p, 50.0 + 10.0j, np.array([[2.0]]))
-        v0, v1 = np.abs(batch.eval(np.array([0.0, 1.0]))[0, 0])
+        v0, v1 = np.abs(kernel_table(batch, np.array([0.0, 1.0]))[0, 0])
         assert v1 < v0 * 1e-2
 
 

@@ -17,6 +17,7 @@ import halfpoisson as hp
 from halfpoisson import companion as comp
 from halfpoisson import poisson as poi
 from halfpoisson.grids import TangentialGrid
+from kernel_table import kernel_table
 from test_oblique import oblique_laplacian
 
 PROBLEMS = {
@@ -53,11 +54,11 @@ def test_repeated_shuffled_rows_equal_one_batch_per_row(name, data):
     rows = data.draw(st.lists(st.integers(0, len(picks) - 1), min_size=1,
                               max_size=2 * len(picks)), label="rows")
     for k in (0, 1):
-        want = np.stack([singles[r].eval(X, k)[:, 0] for r in rows], axis=1)
-        assert np.array_equal(batch.eval(X, k, np.array(rows)), want)
+        want = np.stack([kernel_table(singles[r], X, k)[:, 0] for r in rows], axis=1)
+        assert np.array_equal(kernel_table(batch, X, k, np.array(rows)), want)
         if k == 0:
-            full = np.concatenate([s.eval(X, k) for s in singles], axis=1)
-            assert np.array_equal(batch.eval(X, k), full)
+            full = np.concatenate([kernel_table(s, X, k) for s in singles], axis=1)
+            assert np.array_equal(kernel_table(batch, X, k), full)
 
 
 def test_symmetric_rows_share_a_solve():
@@ -126,7 +127,7 @@ def test_propagate_runs_once_per_distinct_row(monkeypatch):
         monkeypatch.setattr(comp, name, counted(name))
     batch = poi.kernel_batch(hp.clamped_bilaplacian(), 3.0 + 1.0j, xi)
     assert len(seen["build_companion"]) == 2
-    vals = batch.eval(X)
+    vals = kernel_table(batch, X)
     assert np.array_equal(seen["propagate"], batch.taus[[0, 2]])
     assert np.array_equal(vals[:, [0, 2]], vals[:, [1, 3]])
     assert np.array_equal(vals[:, 0], vals[:, 4])

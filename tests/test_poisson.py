@@ -8,6 +8,7 @@ import halfpoisson as hp
 from halfpoisson import poisson as poi
 from halfpoisson.grids import TangentialGrid
 from halfpoisson.model import SectorSample
+from kernel_table import kernel_table
 
 RNG = np.random.default_rng(777)
 
@@ -55,7 +56,7 @@ class TestKernelBatch:
         xs = np.array([0.0, 0.2, 1.0])
         kappa = np.sqrt(lam + xi[:, 0] ** 2 + 0j)
         exact = np.exp(-kappa[:, None] * xs[None, :])
-        assert np.abs(batch.eval(xs, 0)[0] - exact).max() < 1e-12
+        assert np.abs(kernel_table(batch, xs, 0)[0] - exact).max() < 1e-12
 
     def test_derivative_order(self):
         p = hp.dirichlet_laplacian()
@@ -66,7 +67,7 @@ class TestKernelBatch:
         kappa = cmath.sqrt(lam + 4.0)
         # D_n e^{-kappa x} = (i kappa) e^{-kappa x}
         exact = (1j * kappa) * cmath.exp(-kappa * 0.5)
-        assert batch.eval(xs, 1)[0, 0, 0] == pytest.approx(exact, rel=1e-12)
+        assert kernel_table(batch, xs, 1)[0, 0, 0] == pytest.approx(exact, rel=1e-12)
 
     def test_boundary_reproduction_second_condition(self):
         # Poi_1 of the bi-Laplacian: trace zero, D_n-trace one
@@ -74,13 +75,13 @@ class TestKernelBatch:
         lam = 7.0 + 2.0j
         xi = np.array([[0.5], [1.5]])
         batch = poi.kernel_batch(p, lam, xi)
-        at0 = batch.eval(np.array([0.0]), 0)[1, :, 0]
-        d_at0 = batch.eval(np.array([0.0]), 1)[1, :, 0]
+        at0 = kernel_table(batch, np.array([0.0]), 0)[1, :, 0]
+        d_at0 = kernel_table(batch, np.array([0.0]), 1)[1, :, 0]
         assert np.abs(at0).max() < 1e-12
         assert np.abs(d_at0 - 1.0).max() < 1e-12
         # the whole matrix from the one batch: B_k = D_n^k at x_n = 0, so
         # tr B_k K_j is the k-th derivative trace of kernel j
-        traces = np.stack([batch.eval(np.array([0.0]), k)[:, :, 0]
+        traces = np.stack([kernel_table(batch, np.array([0.0]), k)[:, :, 0]
                            for k in range(p.m)])          # (k, j, modes)
         assert np.abs(traces - np.eye(p.m)[:, :, None]).max() < 1e-12
 

@@ -129,9 +129,10 @@ class TestHardy:
         b = sp.hardy_norm(2.0, 0.4, self.GRID)
         assert a == b
 
-    def test_power_iteration_nonconvergence_raises(self):
+    def test_power_iteration_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(sp, "_POWER_MAX_ITER", 3)
         with pytest.raises(ValueError, match=r"p=3\.0, r=0\.5.*max_iter=3"):
-            sp.hardy_norm(3.0, 0.5, self.GRID, max_iter=3)
+            sp.hardy_norm(3.0, 0.5, self.GRID)
 
 
 class TestMixedLifting:

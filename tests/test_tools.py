@@ -15,6 +15,7 @@ def _load(name):
 
 
 artifact_diff = _load("artifact_diff")
+job_times = _load("job_times")
 
 
 def _write(root: Path, name: str, text: str):
@@ -54,3 +55,17 @@ def test_artifact_diff_reports_what_is_not_numeric(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "x.csv\tnot numeric" in out and "y.json\tnot numeric" in out
     assert artifact_diff.main([str(a), str(a)]) == 0
+
+
+def test_job_times_prints_each_job_on_both_trees(capsys):
+    repo = str(TOOLS.parent)
+    assert job_times.main([repo, repo, "--workload", "sweep", "--seed", "1",
+                           "--rounds", "2", "--only", "check-ls"]) == 0
+    header, *rows = (line.split("\t") for line in capsys.readouterr().out.splitlines())
+    assert header == ["job", "A_s", "B_s", "B/A", "B_won"]
+    # one check-ls job per bundled problem
+    assert len(rows) == 3 and all("check-ls" in row[0] for row in rows)
+    for _, a, b, ratio, won in rows:
+        assert float(a) > 0 and float(b) > 0
+        assert float(ratio) == pytest.approx(float(b) / float(a), rel=0.05)
+        assert won in {"0/2", "1/2", "2/2"}

@@ -26,6 +26,19 @@ import tempfile
 from pathlib import Path
 
 
+def run_job(job, outdir: Path, scratch: Path) -> int:
+    """Run one deck job through ``halfpoisson.cli.main`` into ``outdir``,
+    its config (if any) written under ``scratch``; returns the exit code."""
+    from halfpoisson import cli
+
+    config = None
+    if job.config is not None:
+        config = Path(scratch, job.ident.split(":")[0] + ".json")
+        config.write_text(job.config, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(job.argv(str(outdir), config and str(config)))
+
+
 def deck_hashes(seed: int, keep: Path | None = None) -> dict:
     import jobs
     from halfpoisson import cli
@@ -35,14 +48,9 @@ def deck_hashes(seed: int, keep: Path | None = None) -> dict:
     with tempfile.TemporaryDirectory() as scratch:
         for workload in sorted(jobs.WORKLOADS):
             results = out[workload] = {}
-            for i, job in enumerate(jobs.deck(workload, seed)):
+            for job in jobs.deck(workload, seed):
                 outdir = Path(keep or scratch, workload, job.ident.split(":")[0])
-                config = None
-                if job.config is not None:
-                    config = Path(scratch, f"{workload}-{i}.json")
-                    config.write_text(job.config, encoding="utf-8")
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(job.argv(str(outdir), config and str(config)))
+                code = run_job(job, outdir, Path(scratch))
                 results[job.ident] = {"exit": code, "artifacts": {
                     f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                     for f in sorted(outdir.iterdir())

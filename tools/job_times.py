@@ -1,0 +1,92 @@
+"""Per-job wall times of one benchmark deck on two trees, in alternating rounds.
+
+    python3 tools/job_times.py A B --workload W --seed S [--rounds R] [--only SUBSTR]
+
+``A`` and ``B`` are source trees (each with ``src/halfpoisson``).  Every round
+starts one fresh interpreter per tree, A first in even rounds and B first in
+odd ones.  Each interpreter runs every job of the workload's deck for ``S``
+(this repository's ``perfbench/jobs.py``, so both trees run the same jobs;
+with ``--only``, the jobs whose ident contains ``SUBSTR``) through
+``halfpoisson.cli.main``: once untimed, then ``TIMED`` times timed.  A job's
+time in a round is the median of its timed runs.  Prints, per job, the
+median over rounds of its time on A and on B, the ratio B/A, and the number
+of rounds in which B was faster.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+PERFBENCH = TOOLS.parent / "perfbench"
+# timed runs of each job per interpreter
+TIMED = 3
+
+
+def job_times(workload: str, seed: int, only: str) -> dict[str, float]:
+    """Median seconds of ``TIMED`` runs of each selected job, after one
+    untimed run, in this interpreter."""
+    import jobs
+    from deck_hashes import run_job
+
+    out = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for job in jobs.deck(workload, seed):
+            if only not in job.ident:
+                continue
+            outdir = Path(scratch, job.ident.split(":")[0])
+            run_job(job, outdir, Path(scratch))
+            runs = []
+            for _ in range(TIMED):
+                start = time.perf_counter()
+                run_job(job, outdir, Path(scratch))
+                runs.append(time.perf_counter() - start)
+            out[job.ident] = statistics.median(runs)
+    return out
+
+
+def _child(tree: Path, workload: str, seed: int, only: str) -> dict[str, float]:
+    path = [str(tree / "src"), str(PERFBENCH), str(TOOLS)]
+    code = (f"import json, sys; sys.path[:0] = {path!r}; "
+            f"from job_times import job_times; "
+            f"print(json.dumps(job_times({workload!r}, {seed}, {only!r})))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path)
+    parser.add_argument("b", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--only", default="", metavar="SUBSTR")
+    args = parser.parse_args(argv)
+    trees = (args.a.resolve(), args.b.resolve())
+    rounds = []
+    for r in range(args.rounds):
+        order = (0, 1) if r % 2 == 0 else (1, 0)
+        times = {}
+        for side in order:
+            times[side] = _child(trees[side], args.workload, args.seed, args.only)
+        rounds.append((times[0], times[1]))
+    print("job\tA_s\tB_s\tB/A\tB_won")
+    for ident in rounds[0][0]:
+        a = statistics.median(t[0][ident] for t in rounds)
+        b = statistics.median(t[1][ident] for t in rounds)
+        won = sum(t[1][ident] < t[0][ident] for t in rounds)
+        print(f"{ident}\t{a:.4f}\t{b:.4f}\t{b / a:.3f}\t{won}/{len(rounds)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
