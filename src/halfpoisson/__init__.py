@@ -49,10 +49,7 @@ from .poisson import (
 from .resolvent import (
     ExtensionOperator,
     seeley_extend,
-    multiplier_data,
     whole_space_resolvent,
-    ResolventSource,
-    resolvent_source,
     ResolventResult,
     halfspace_resolvent,
     interior_residual_fd,

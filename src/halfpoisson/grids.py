@@ -70,14 +70,6 @@ class TangentialGrid:
         return 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.L / self.N)
 
     @cached_property
-    def xi_sq(self) -> np.ndarray:
-        """|xi'|^2 on the full mode grid (shape N^(n_axes); scalar 0 if none)."""
-        if self.n_axes == 0:
-            return np.zeros(())
-        grids = np.meshgrid(*([self.xi_axis ** 2] * self.n_axes), indexing="ij")
-        return sum(grids)
-
-    @cached_property
     def xi_modes(self) -> np.ndarray:
         """All mode frequencies flattened, shape (N^(n_axes), n_axes)."""
         if self.n_axes == 0:
@@ -85,9 +77,14 @@ class TangentialGrid:
         mesh = np.meshgrid(*([self.xi_axis] * self.n_axes), indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
 
+    @cached_property
+    def xi_sq(self) -> np.ndarray:
+        """|xi'|^2 per mode, shape (n_modes,), in the order of ``xi_modes``."""
+        return (self.xi_modes ** 2).sum(1)
+
     @property
     def n_modes(self) -> int:
-        return self.N ** self.n_axes if self.n_axes else 1
+        return self.N ** self.n_axes
 
     def mode_index(self, xi_target: float) -> int:
         """Index along one axis of the mode closest to xi_target."""

@@ -53,7 +53,6 @@ __all__ = [
     "LopatinskiiReport",
     "check_ellipticity",
     "check_lopatinskii_shapiro",
-    "k_max",
     "load_problem",
     "loads_problem",
     "problem_to_json",

@@ -262,11 +262,6 @@ class SweepResult:
     predicted: float
     max_deviation: float
 
-    def worst_slope(self) -> float:
-        dev = {ray: abs(sl - self.predicted) for ray, sl in self.fitted_slopes.items()}
-        worst_ray = max(dev, key=dev.get)
-        return self.fitted_slopes[worst_ray]
-
 
 def _fit_slopes(curves, predicted: float) -> SweepResult:
     """Records and per-ray slopes of log norm against log x.

@@ -156,8 +156,7 @@ class GrowthRow:
 
 def _band_limited_datum(tgrid: TangentialGrid) -> np.ndarray:
     """Fixed real datum supported in the closed unit frequency ball."""
-    xi_sq = np.atleast_1d(tgrid.xi_sq).reshape(-1)
-    return np.where(xi_sq <= 1.0, 1.0, 0.0).astype(complex)
+    return np.where(tgrid.xi_sq <= 1.0, 1.0, 0.0).astype(complex)
 
 
 def dirichlet_nonrbound_experiment(

@@ -19,27 +19,22 @@ coefficients match derivatives up to order K-1 across 0 (Vandermonde system
 ``sum_k c_k (-k)^l = 1``).  The dilations are integers, so at a grid node
 ``x = h i`` the reflection reads the grid samples at ``k i``: no interpolation.
 
-Work is split by its dependence on lambda.  :func:`resolvent_source` builds
-once per datum ``f`` and grid pair what no lambda changes: the Seeley
-extension of ``f`` and its FFT, the full symbol A(xi', xi_n), the weight
-(1 + |xi'|^2 + xi_n^2)^m of the conditioning test, and the tangential factors
-of the boundary operators.  It also records the active rows: the modes where
-``f`` is nonzero.  Every operator is diagonal in the modes, so any other row
-of R(lambda) f is exactly zero.
-
-:func:`halfspace_resolvent` takes one lambda or an array of them and does
-the lambda-dependent work for all of them at once: the multiplier
-``(lambda - A)^{-1}``, one inverse FFT, the boundary traces, and the Poisson
-correction from one kernel batch over every (lambda, mode) pair that serves
-all m boundary indices.  The multiplier, the FFT, the traces and the kernel
-table run on the active rows only.  The checks run on every row, active or
+R(lambda) f is one call from the datum: :func:`halfspace_resolvent` takes
+``f`` (modes x uniform normal nodes) and one lambda or an array of them.
+Every operator is diagonal in the tangential modes, so only the active rows,
+the modes where ``f`` is nonzero, carry data; every other row of R(lambda) f
+is exactly zero.  On the active rows it runs the Seeley extension and its
+FFT, the multiplier ``(lambda - A)^{-1}`` for every lambda at once
+(:func:`whole_space_resolvent`), one inverse FFT, the boundary traces, and
+the Poisson correction from one kernel batch over every (lambda, mode) pair
+that serves all m boundary indices.  The checks run on every row, active or
 not: the ill-conditioning test of the multiplier, and the root-margin,
 root-count and LS tests of the kernel batch.
 
 The semigroup uses trapezoid quadrature of ``(2 pi i)^{-1} \\oint e^{z t}
 R(z + _SIGMA) dz`` over a left-opening hyperbola; resolvents are only ever
 evaluated at ``z + _SIGMA``, which stays inside the verified sector.  One
-source and one :func:`halfspace_resolvent` call serve all contour nodes of a
+:func:`halfspace_resolvent` call serves all contour nodes of a
 :func:`semigroup_apply` call.
 """
 
@@ -59,10 +54,7 @@ from .poisson import kernel_batch
 __all__ = [
     "ExtensionOperator",
     "seeley_extend",
-    "multiplier_data",
     "whole_space_resolvent",
-    "ResolventSource",
-    "resolvent_source",
     "halfspace_resolvent",
     "ResolventResult",
     "interior_residual_fd",
@@ -129,29 +121,20 @@ def seeley_extend(profile: np.ndarray, ext: ExtensionOperator,
     return np.concatenate([profile.astype(complex), acc], axis=-1)
 
 
-def multiplier_data(problem: mdl.ModelProblem, tgrid: TangentialGrid,
-                    xi_normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The symbol A(xi', xi_n) and the weight (1 + |xi'|^2 + xi_n^2)^m.
-
-    Both live on modes x normal frequencies; the weight scales the
-    ill-conditioning test of :func:`whole_space_resolvent`.
-    """
-    xi_normal = np.asarray(xi_normal)
-    symbol = problem.interior_symbol(tgrid.xi_modes, xi_normal)
-    weight = (1.0 + tgrid.xi_sq.reshape(-1, 1) + xi_normal[None, :] ** 2) ** problem.m
-    return symbol, weight
-
-
-def whole_space_resolvent(lam, f_hat: np.ndarray, symbol: np.ndarray,
-                          weight: np.ndarray, rows) -> np.ndarray:
+def whole_space_resolvent(problem: mdl.ModelProblem, lam, f_hat: np.ndarray,
+                          tgrid: TangentialGrid, xi_normal: np.ndarray,
+                          rows) -> np.ndarray:
     """(lambda - A(D))^{-1} as the diagonal multiplier on 2-D frequency data.
 
     ``lam`` is one parameter or an array of them; the result has the shape
     ``lam.shape + f_hat.shape``.  ``f_hat`` holds the rows ``rows`` of the
-    modes x normal-frequency grid of ``symbol`` and ``weight``, but the
-    ill-conditioning test covers every row.
+    modes x normal-frequency grid (frequencies ``xi_normal``), but the
+    ill-conditioning test, scaled by (1 + |xi'|^2 + xi_n^2)^m, covers every
+    row.
     """
     lam = np.asarray(lam, dtype=complex)
+    symbol = problem.interior_symbol(tgrid.xi_modes, xi_normal)
+    weight = (1.0 + tgrid.xi_sq[:, None] + xi_normal ** 2) ** problem.m
     _check_multiplier(lam.reshape(-1), symbol, weight)
     denom = lam.reshape(lam.shape + (1, 1)) - symbol[rows]
     return np.divide(f_hat, denom, out=denom)
@@ -174,45 +157,14 @@ def _check_multiplier(lams: np.ndarray, symbol: np.ndarray, weight: np.ndarray) 
 
 
 @dataclass(frozen=True)
-class ResolventSource:
-    """The lambda-independent part of R(lambda) f for one f on one grid pair.
-
-    Every operator is diagonal in the tangential modes, so a row of f that
-    is identically zero contributes exactly zero: only the ``rows`` where f
-    is nonzero carry data, and ``F`` and ``boundary_table`` hold only those.
-    """
-
-    rows: np.ndarray         # (A,) indices of the modes where f is nonzero
-    F: np.ndarray            # A x 2N, FFT of the Seeley extension of f
-    symbol: np.ndarray       # modes x 2N, A(xi', xi_n)
-    weight: np.ndarray       # modes x 2N, (1 + |xi'|^2 + xi_n^2)^m
-    boundary_table: np.ndarray  # m x A x 2m, normal-order tables of B_j
-
-
-def resolvent_source(problem: mdl.ModelProblem, f: np.ndarray,
-                     tgrid: TangentialGrid, ugrid: UniformHalfGrid) -> ResolventSource:
-    """Everything in R(lambda) f that does not depend on lambda.
-
-    ``f`` holds tangential-frequency data on modes x uniform normal nodes.
-    """
-    ext = ExtensionOperator.for_problem(problem)
-    f = np.asarray(f, dtype=complex).reshape(-1, ugrid.N)
-    rows = np.flatnonzero(np.any(f != 0, axis=-1))
-    F = np.fft.fft(seeley_extend(f[rows], ext, ugrid), axis=-1)
-    symbol, weight = multiplier_data(problem, tgrid, ugrid.xi_normal)
-    table = problem.boundary_table(tgrid.xi_modes[rows]).transpose(1, 0, 2)
-    return ResolventSource(rows=rows, F=F, symbol=symbol, weight=weight,
-                           boundary_table=table)
-
-
-@dataclass(frozen=True)
 class ResolventResult:
     """R(lambda) f for one lambda or an array of them.
 
-    Only the source's ``rows`` are computed; every other row is exactly zero.
+    Only the ``rows`` where f is nonzero are computed; every other row is
+    exactly zero.
     """
 
-    rows: np.ndarray         # (A,) active modes of the source
+    rows: np.ndarray         # (A,) active modes, where f is nonzero
     n_modes: int
     u_rows: np.ndarray       # lam.shape + (A, N), half-line samples on the rows
     traces_rows: np.ndarray  # (m,) + lam.shape + (A,), tr B_j w for the correction
@@ -223,13 +175,6 @@ class ResolventResult:
         out = np.zeros(self.u_rows.shape[:-2] + (self.n_modes, self.u_rows.shape[-1]),
                        dtype=complex)
         out[..., self.rows, :] = self.u_rows
-        return out
-
-    @cached_property
-    def traces(self) -> np.ndarray:
-        """(m,) + lam.shape + (modes,), tr B_j w used for the correction."""
-        out = np.zeros(self.traces_rows.shape[:-1] + (self.n_modes,), dtype=complex)
-        out[..., self.rows] = self.traces_rows
         return out
 
 
@@ -243,33 +188,40 @@ def _normal_derivative_traces(W: np.ndarray, xi_normal: np.ndarray,
     }
 
 
-def halfspace_resolvent(problem: mdl.ModelProblem, lam,
-                        src: ResolventSource, tgrid: TangentialGrid,
-                        ugrid: UniformHalfGrid) -> ResolventResult:
-    """R(lambda) f on the half-space grid, from the source of f.
+def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
+                        tgrid: TangentialGrid, ugrid: UniformHalfGrid) -> ResolventResult:
+    """R(lambda) f on the half-space grid.
 
-    ``lam`` is one parameter or an array of them; one kernel batch covers
-    every (lambda, mode) pair, and the multiplier, the inverse FFT, the
-    traces and the Poisson correction run on the source's active rows only.
+    ``f`` holds tangential-frequency data on modes x uniform normal nodes;
+    ``lam`` is one parameter or an array of them.  One kernel batch covers
+    every (lambda, mode) pair, and the extension, the multiplier, the
+    inverse FFT, the traces and the Poisson correction run on the rows where
+    ``f`` is nonzero only.
     """
     lam = np.asarray(lam, dtype=complex)
-    if src.symbol.shape != (tgrid.n_modes, 2 * ugrid.N):
-        raise ValueError("resolvent source was built on other grids")
-    W = whole_space_resolvent(lam, src.F, src.symbol, src.weight, src.rows)
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (tgrid.n_modes, ugrid.N):
+        raise ValueError(f"f has shape {f.shape}, the grids hold "
+                         f"{tgrid.n_modes} modes x {ugrid.N} nodes")
+    rows = np.flatnonzero(np.any(f != 0, axis=-1))
+    F = np.fft.fft(seeley_extend(f[rows], ExtensionOperator.for_problem(problem), ugrid),
+                   axis=-1)
+    W = whole_space_resolvent(problem, lam, F, tgrid, ugrid.xi_normal, rows)
     syms = problem.boundary_symbols
     dtr = _normal_derivative_traces(W, ugrid.xi_normal,
                                     sorted({l for sym in syms for l in sym.orders}))
+    table = problem.boundary_table(tgrid.xi_modes[rows]).transpose(1, 0, 2)
     traces = np.array([sym.contract(tab, dtr.__getitem__)
-                       for sym, tab in zip(syms, src.boundary_table)])
+                       for sym, tab in zip(syms, table)])
     u = np.fft.ifft(W, axis=-1)[..., : ugrid.N].copy()
     del W
 
     M = tgrid.n_modes
     batch = kernel_batch(problem, np.repeat(lam.reshape(-1), M),
                          np.tile(tgrid.xi_modes, (lam.size, 1)))
-    active = (M * np.arange(lam.size)[:, None] + src.rows).reshape(-1)
+    active = (M * np.arange(lam.size)[:, None] + rows).reshape(-1)
     u -= batch.eval(ugrid.x, traces.reshape(problem.m, -1), 0, active).reshape(u.shape)
-    return ResolventResult(rows=src.rows, n_modes=M, u_rows=u, traces_rows=traces)
+    return ResolventResult(rows=rows, n_modes=M, u_rows=u, traces_rows=traces)
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
@@ -285,8 +237,9 @@ def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
 def _fd_derivative(vals: np.ndarray, h: float, order: int) -> np.ndarray:
     """Central finite differences of accuracy >= 4 along the last axis.
 
-    Edge nodes fall back to nested second-order differences; residual
-    measurements exclude them via their interior margin.
+    The r = (order + 3) // 2 nodes at either end, where the central stencil
+    does not fit, are NaN; residual measurements exclude them via their
+    interior margin.
     """
     vals = np.asarray(vals, dtype=complex)
     if order == 0:
@@ -296,13 +249,10 @@ def _fd_derivative(vals: np.ndarray, h: float, order: int) -> np.ndarray:
         n_pts += 1
     r = n_pts // 2
     w = _fd_weights(np.arange(-r, r + 1) * h, order)
-    out = vals.copy()
-    for _ in range(order):
-        out = np.gradient(out, h, axis=-1, edge_order=2)
+    out = np.full_like(vals, np.nan)
     n = vals.shape[-1]
     if n >= n_pts:
-        interior = sum(w[k] * vals[..., k:n - n_pts + 1 + k] for k in range(n_pts))
-        out[..., r:n - r] = interior
+        out[..., r:n - r] = sum(w[k] * vals[..., k:n - n_pts + 1 + k] for k in range(n_pts))
     return out
 
 
@@ -377,15 +327,14 @@ def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
     h = thetas[1] - thetas[0]
     z = [mu * (1.0 - cmath.sin(_ALPHA + 1j * th)) for th in thetas]
     dz = [-1j * mu * cmath.cos(_ALPHA + 1j * th) for th in thetas]
-    u0 = np.asarray(u0, dtype=complex).reshape(-1, ugrid.N)
-    src = resolvent_source(problem, u0, tgrid, ugrid)
+    u0 = np.asarray(u0, dtype=complex)
     res = halfspace_resolvent(problem, np.array([zk + _SIGMA for zk in z]),
-                              src, tgrid, ugrid)
+                              u0, tgrid, ugrid)
     # accumulate in node order: the sum is the same, bit for bit, as one
     # resolvent solve per node
-    acc = np.zeros((len(src.rows), ugrid.N), dtype=complex)
+    acc = np.zeros((len(res.rows), ugrid.N), dtype=complex)
     for zk, dzk, uk in zip(z, dz, res.u_rows):
         acc += (cmath.exp(zk * t) * dzk) * uk
     full = np.zeros_like(u0)
-    full[src.rows] = acc
+    full[res.rows] = acc
     return math.exp(_SIGMA * t) * (h / (2.0j * math.pi)) * full

@@ -161,8 +161,7 @@ def mixed_lifting_check(fhat2d: np.ndarray, t: float, tgrid: TangentialGrid,
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    xi_t_sq = np.atleast_1d(tgrid.xi_sq) if tgrid.n_axes else np.zeros(1)
-    xt = xi_t_sq.reshape(-1, 1)
+    xt = tgrid.xi_sq[:, None]
     xn = (np.asarray(xi_normal) ** 2).reshape(1, -1)
     full = (1.0 + xt + xn) ** (t / 2.0)
     lift_t = (1.0 + xt + 0 * xn) ** (t / 2.0)

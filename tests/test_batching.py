@@ -64,20 +64,20 @@ def test_per_row_lambda_batch_equals_scalar_batches(name):
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_vector_lambda_resolvent_equals_scalar_calls(name):
-    """A source with several active rows; the other rows stay exactly zero."""
+    """A datum with several active rows; the other rows stay exactly zero."""
     p = PROBLEMS[name]()
     tg, ug = _grids(p)
     f = np.zeros((tg.n_modes, ug.N), dtype=complex)
     active = [1, 4, 6]
     for i, q in enumerate(active):
         f[q] = (1.0 + 0.5j * i) * ug.x ** i * np.exp(-(1.0 + 0.2 * i) * ug.x)
-    src = res.resolvent_source(p, f, tg, ug)
-    assert src.rows.tolist() == active
-    sol = res.halfspace_resolvent(p, LAMS, src, tg, ug)
-    singles = [res.halfspace_resolvent(p, lam, src, tg, ug) for lam in LAMS]
+    sol = res.halfspace_resolvent(p, LAMS, f, tg, ug)
+    assert sol.rows.tolist() == active
+    singles = [res.halfspace_resolvent(p, lam, f, tg, ug) for lam in LAMS]
     assert sol.u.shape == (len(LAMS), tg.n_modes, ug.N)
     assert np.array_equal(sol.u, np.stack([s.u for s in singles]))
-    assert np.array_equal(sol.traces, np.stack([s.traces for s in singles], axis=1))
+    assert np.array_equal(sol.traces_rows,
+                          np.stack([s.traces_rows for s in singles], axis=1))
     inactive = np.setdiff1d(np.arange(tg.n_modes), active)
     assert not np.any(sol.u[:, inactive])
 
@@ -87,13 +87,12 @@ def _semigroup_per_node(p, u0, t, tg, ug):
     mu = 0.25 * res._N_C / t
     ch = (1.0 + res._TAIL / (mu * t)) / math.sin(res._ALPHA)
     thetas = np.linspace(math.acosh(ch), -math.acosh(ch), res._N_C)
-    src = res.resolvent_source(p, u0, tg, ug)
     acc = np.zeros_like(u0)
     for th in thetas:
         z = mu * (1.0 - cmath.sin(res._ALPHA + 1j * th))
         dz = -1j * mu * cmath.cos(res._ALPHA + 1j * th)
         acc += (cmath.exp(z * t) * dz) * res.halfspace_resolvent(
-            p, z + res._SIGMA, src, tg, ug).u
+            p, z + res._SIGMA, u0, tg, ug).u
     return math.exp(res._SIGMA * t) * ((thetas[1] - thetas[0]) / (2.0j * math.pi)) * acc
 
 
@@ -141,9 +140,8 @@ def test_ls_failure_on_a_mode_without_data_still_raises():
     tg, ug = _grids(p)
     f = np.zeros((tg.n_modes, ug.N), dtype=complex)
     f[tg.mode_index(2.0)] = np.exp(-ug.x)
-    src = res.resolvent_source(p, f, tg, ug)
     with pytest.raises(hp.LopatinskiiError):
-        res.halfspace_resolvent(p, 3.0, src, tg, ug)
+        res.halfspace_resolvent(p, 3.0, f, tg, ug)
 
 
 def test_ill_conditioned_multiplier_on_a_mode_without_data_still_raises():
@@ -152,9 +150,8 @@ def test_ill_conditioned_multiplier_on_a_mode_without_data_still_raises():
     tg, ug = _grids(p)
     f = np.zeros((tg.n_modes, ug.N), dtype=complex)
     f[tg.mode_index(2.0)] = np.exp(-ug.x)
-    src = res.resolvent_source(p, f, tg, ug)
     with pytest.raises(ValueError, match="ill conditioned"):
-        res.halfspace_resolvent(p, -1.0, src, tg, ug)
+        res.halfspace_resolvent(p, -1.0, f, tg, ug)
 
 
 def test_multiplier_check_agrees_with_the_full_test():
@@ -162,7 +159,8 @@ def test_multiplier_check_agrees_with_the_full_test():
     does: lambdas on, next to and away from symbol values of every row."""
     p = hp.clamped_bilaplacian()
     tg, ug = _grids(p)
-    symbol, weight = res.multiplier_data(p, tg, ug.xi_normal)
+    symbol = p.interior_symbol(tg.xi_modes, ug.xi_normal)
+    weight = (1.0 + tg.xi_sq[:, None] + ug.xi_normal ** 2) ** p.m
     f = np.ones((1, ug.N * 2), dtype=complex)
     rng = np.random.default_rng(5)
     picks = symbol.reshape(-1)[rng.choice(symbol.size, 40)]
@@ -173,14 +171,15 @@ def test_multiplier_check_agrees_with_the_full_test():
         full = np.any(np.abs(lam - symbol) < 1e-14 * (abs(lam) + weight))
         outcomes.add(bool(full))
         try:
-            res.whole_space_resolvent(lam, f, symbol, weight, [3])
+            res.whole_space_resolvent(p, lam, f, tg, ug.xi_normal, [3])
         except ValueError:
             assert full, lam
         else:
             assert not full, lam
     assert outcomes == {True, False}
     with pytest.raises(ValueError, match="ill conditioned"):
-        res.whole_space_resolvent(np.array([4.0 + 2.0j, picks[0]]), f, symbol, weight, [3])
+        res.whole_space_resolvent(p, np.array([4.0 + 2.0j, picks[0]]), f, tg,
+                                  ug.xi_normal, [3])
 
 
 def test_semigroup_of_zero_data_is_exactly_zero():

@@ -56,7 +56,7 @@ class TestTangentialGrid:
     def test_zero_axes_degenerate(self):
         g = TangentialGrid(n_axes=0, N=4, L=1.0)
         assert g.n_modes == 1
-        assert np.asarray(g.xi_sq).shape == ()
+        assert np.array_equal(g.xi_sq, [0.0])
 
     def test_plancherel_matches_direct(self):
         """The coefficient norm equals the discrete L2 norm of the samples
@@ -76,9 +76,9 @@ class TestTangentialGrid:
 
     def test_xi_sq_2d(self):
         g = TangentialGrid(n_axes=2, N=4, L=2 * math.pi)
-        xs = np.asarray(g.xi_sq).reshape(-1)
-        assert xs.shape == (16,)
-        assert np.allclose(np.sort(xs)[:3], [0.0, 1.0, 1.0])
+        assert g.xi_sq.shape == (g.n_modes,) == (16,)
+        assert np.array_equal(g.xi_sq, (g.xi_modes ** 2).sum(axis=1))
+        assert np.allclose(np.sort(g.xi_sq)[:3], [0.0, 1.0, 1.0])
 
 
 class TestUniformHalfGrid:

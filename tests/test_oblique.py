@@ -65,8 +65,9 @@ def test_resolvent_boundary_trace(n, a):
     f = np.zeros((tg.n_modes, ug.N), dtype=complex)
     f[q] = np.exp(-ug.x)
     lam = 4.0 + 2.0j
-    sol = res.halfspace_resolvent(p, lam, res.resolvent_source(p, f, tg, ug), tg, ug)
-    assert np.abs(sol.traces[0, q]) > 1e-3       # the correction does work
+    sol = res.halfspace_resolvent(p, lam, f, tg, ug)
+    assert sol.rows.tolist() == [q]
+    assert np.abs(sol.traces_rows[0, 0]) > 1e-3  # the correction does work
     assert np.abs(res.boundary_trace_fd(p, sol.u, tg, ug, 0)).max() <= 1e-4
 
 

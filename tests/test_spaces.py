@@ -38,6 +38,20 @@ class TestTangentialNorms:
         ref = mu ** 2 * sp.space_norm(fhat, 0.0, TG)
         assert got == pytest.approx(ref, rel=1e-4)
 
+    @pytest.mark.parametrize("n_axes", [0, 1, 2])
+    def test_param_norm_on_flat_data(self, n_axes):
+        """Flat data in every tangential dimension against the multiplier
+        and the H^{s0}_2 weight written out mode by mode:
+        ||f||^2 = L^(n-1) sum_k <xi_k, mu>^(2(s-s0)) <xi_k>^(2 s0) |fhat_k|^2."""
+        tg = TangentialGrid(n_axes=n_axes, N=8, L=3.0)
+        rng = np.random.default_rng(4)
+        fhat = rng.standard_normal(tg.n_modes) + 1j * rng.standard_normal(tg.n_modes)
+        s, s0, mu = 2.0, 0.5, 3.0
+        sq = sum((1.0 + xi @ xi + mu ** 2) ** (s - s0) * (1.0 + xi @ xi) ** s0 * abs(c) ** 2
+                 for xi, c in zip(tg.xi_modes, fhat))
+        assert sp.param_norm(fhat, s, s0, mu, tg) == pytest.approx(
+            math.sqrt(tg.L ** n_axes * sq), rel=1e-12)
+
 
 class TestMixedNorms:
     def test_separable_product_closed_form(self):
