@@ -44,7 +44,7 @@ EXIT_TOLERANCE = 2
 
 
 def _fmt(x) -> str:
-    """Shortest round-trip decimal representation."""
+    """Shortest round-trip decimal representation; bools are written 1/0."""
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -54,12 +54,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# cell types the csv module writes as _fmt does: a float by repr, an int or
+# a str by str (a bool, a subclass of int, would read True)
+_NATIVE = frozenset((float, int, str))
+
+
 def _write_csv(path: Path, header, rows) -> None:
+    """Rows of cells; rows of Python floats, ints and strs (e.g. from
+    ``ndarray.tolist()``) go to the csv module as they are, other rows
+    through :func:`_fmt`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            if not _NATIVE.issuperset(map(type, row)):
+                row = [_fmt(v) for v in row]
+            writer.writerow(row)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -311,30 +321,36 @@ def cmd_hardy_norm(args, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bo
 
 
 def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -> bool:
+    for key, value in (("trials", trials), ("n_mu", n_mu)):
+        if value < 1:
+            raise ValueError(f"config key {key!r} must be >= 1, got {value}")
     rng = np.random.default_rng(args.seed)
     tgrid = TangentialGrid(n_axes=1, N=N_x, L=2.0 * math.pi)
     mus = np.logspace(0, 4, n_mu)
-    ratios = []
-    rows = []
-    for trial in range(trials):
-        fhat = (rng.standard_normal(tgrid.N) + 1j * rng.standard_normal(tgrid.N))
-        fhat[tgrid.N // 4: 3 * tgrid.N // 4] = 0.0   # band-limit
-        for mu in mus:
-            lhs = sp.param_norm(fhat, s, s0, mu, tgrid)
-            rhs = (sp.space_norm(fhat, s, tgrid)
-                   + (1.0 + mu ** 2) ** ((s - s0) / 2.0)
-                   * sp.space_norm(fhat, s0, tgrid))
-            ratio = lhs / rhs
-            ratios.append(ratio)
-            rows.append((trial, mu, lhs, rhs, ratio))
-    C_equiv = max(max(ratios), 1.0 / min(ratios))
+    # one draw for every trial: trial i gets the numbers it would draw alone
+    re, im = np.moveaxis(rng.standard_normal((trials, 2, tgrid.N)), 1, 0)
+    fhat = re + 1j * im
+    fhat[:, tgrid.N // 4: 3 * tgrid.N // 4] = 0.0   # band-limit
+    # np.float64 ** y calls pow(), an array ** 2 squares: the mu terms are
+    # scalars, as one (trial, mu) pair computes them
+    mu_sq = np.array([abs(mu) ** 2 for mu in mus])
+    mu_weight = np.array([(1.0 + m2) ** ((s - s0) / 2.0) for m2 in mu_sq])
+    mult = (1.0 + tgrid.xi_sq + mu_sq[:, None]) ** ((s - s0) / 2.0)
+    # transposed views keep the modes contiguous, so each norm sums its
+    # modes in the order of a call on one function
+    lifted = (mult * fhat[:, None]).reshape(-1, tgrid.N)
+    lhs = sp.plancherel_norms(lifted.T, s0, tgrid).reshape(trials, n_mu)
+    rhs = (sp.plancherel_norms(fhat.T, s, tgrid)[:, None]
+           + mu_weight * sp.plancherel_norms(fhat.T, s0, tgrid)[:, None])
+    ratios = lhs / rhs
+    C_equiv = max(ratios.max(), 1.0 / ratios.min())
     # mixed lifting on a 2-D grid
     xi_n = 2.0 * math.pi * np.fft.fftfreq(64, d=2.0 * math.pi / 64)
-    lift_ratios = []
-    for trial in range(trials):
-        f2 = rng.standard_normal((tgrid.N, 64)) + 1j * rng.standard_normal((tgrid.N, 64))
-        lift_ratios.append(sp.mixed_lifting_check(f2, t, tgrid, xi_n))
-    C_lift = max(max(lift_ratios), 1.0 / min(lift_ratios))
+    re, im = np.moveaxis(rng.standard_normal((trials, 2, tgrid.N, 64)), 1, 0)
+    lift_ratios = sp.mixed_lifting_check(re + 1j * im, t, tgrid, xi_n)
+    C_lift = max(lift_ratios.max(), 1.0 / lift_ratios.min())
+    rows = zip(np.repeat(np.arange(trials), n_mu).tolist(), np.tile(mus, trials).tolist(),
+               lhs.ravel().tolist(), rhs.ravel().tolist(), ratios.ravel().tolist())
     _write_csv(args.out / "norm_check.csv",
                ("trial", "mu", "param_norm", "split_norm", "ratio"), rows)
     _write_json(args.out / "norm_check.json",
@@ -440,10 +456,10 @@ def cmd_parabolic_solve(args, problem, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
     oracle = np.exp(1j * tau0 * tg.times)[:, None] * kern[None, :]
     dev = (float(np.abs(sol.values[:, q0, :] - oracle).max())
            / max(float(np.abs(oracle).max()), 1e-300))
-    rows = [
-        (t, x, sol.values[it, q0, ix].real, sol.values[it, q0, ix].imag)
-        for it, t in enumerate(tg.times) for ix, x in enumerate(x_nodes)
-    ]
+    vals = sol.values[:, q0, :].ravel()
+    rows = zip(np.repeat(tg.times, len(x_nodes)).tolist(),
+               np.tile(x_nodes, len(tg.times)).tolist(),
+               vals.real.tolist(), vals.imag.tolist())
     _write_csv(args.out / "parabolic_solve.csv", ("t", "x_n", "re", "im"), rows)
     _write_json(args.out / "parabolic_solve.json", {"single_mode_dev": dev})
     print(f"single-mode closed-form deviation {dev:.2e}")
@@ -475,10 +491,9 @@ def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, sigma=1.0,
         target = g0(t)
         scale = max(float(np.abs(target).max()), 1e-300)
         worst = max(worst, float(np.abs(tr - target).max()) / scale)
-    rows = [
-        (t, x, sol.values[it, q0, ix].real, sol.values[it, q0, ix].imag)
-        for it, t in enumerate(out_times) for ix, x in enumerate(ug.x)
-    ]
+    vals = sol.values[:, q0, :].ravel()
+    rows = zip(np.repeat(out_times, ug.N).tolist(), np.tile(ug.x, len(out_times)).tolist(),
+               vals.real.tolist(), vals.imag.tolist())
     _write_csv(args.out / "ibvp_solve.csv", ("t", "x_n", "re", "im"), rows)
     _write_json(args.out / "ibvp_solve.json", {
         "boundary_trace_dev": worst,

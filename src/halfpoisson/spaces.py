@@ -151,26 +151,26 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid) -> float:
 
 
 def mixed_lifting_check(fhat2d: np.ndarray, t: float, tgrid: TangentialGrid,
-                        xi_normal: np.ndarray) -> float:
+                        xi_normal: np.ndarray) -> np.ndarray | float:
     """Full Bessel lift <D>^t versus the max of the two one-axis lifts.
 
-    ``fhat2d`` holds 2-D frequency data (tangential axis x normal axis on a
-    doubled torus with frequencies ``xi_normal``).  Both sides are L_2 norms
-    on the product torus (Plancherel: coefficient sums); returns the ratio
-    full / max(normal-lift, tangential-lift).
+    ``fhat2d`` holds 2-D frequency data, shape (..., modes, n_z): tangential
+    modes x normal axis on a doubled torus with frequencies ``xi_normal``,
+    behind any leading stack axes.  Both sides are L_2 norms on the product
+    torus (Plancherel: coefficient sums); returns the ratio
+    full / max(normal-lift, tangential-lift) of each entry of the stack,
+    shape ``fhat2d.shape[:-2]`` (a scalar for one entry).  Every entry sums
+    its coefficients in the order of a call on that entry alone.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     xt = tgrid.xi_sq[:, None]
     xn = (np.asarray(xi_normal) ** 2).reshape(1, -1)
-    full = (1.0 + xt + xn) ** (t / 2.0)
-    lift_t = (1.0 + xt + 0 * xn) ** (t / 2.0)
-    lift_n = (1.0 + 0 * xt + xn) ** (t / 2.0)
 
     def l2norm(mult):
-        data = mult * fhat2d.reshape(xt.shape[0], xn.shape[1])
-        return math.sqrt(float(np.sum(np.abs(data) ** 2)))
+        sq = np.abs(mult * fhat2d) ** 2
+        return np.sqrt(sq.reshape(sq.shape[:-2] + (-1,)).sum(axis=-1))
 
-    lhs = l2norm(full)
-    rhs = max(l2norm(lift_t), l2norm(lift_n))
-    return lhs / max(rhs, 1e-300)
+    lhs = l2norm((1.0 + xt + xn) ** (t / 2.0))
+    rhs = np.maximum(l2norm((1.0 + xt) ** (t / 2.0)), l2norm((1.0 + xn) ** (t / 2.0)))
+    return (lhs / np.maximum(rhs, 1e-300))[()]

@@ -112,6 +112,27 @@ class TestInfrastructure:
         for v in (0.1, 1 / 3, math.pi, 1e-300):
             assert float(cli._fmt(v)) == v
 
+    def test_csv_bytes_pinned(self, tmp_path):
+        """Python and NumPy cells, alone and mixed, give the same bytes."""
+        inf, nan = math.inf, math.nan
+        rows = [
+            (0.1, -0.0, 1e16, 1e-05, 5e-324, 3, -7, "a"),
+            [nan, inf, -inf, True, False],
+            (np.float64(0.1), np.float64(-0.0), np.float64(1e16), np.float64(1e-05),
+             np.float64(5e-324), np.int64(3), np.int32(-7), "a"),
+            [np.float64(nan), np.float64(inf), np.float64(-inf), np.bool_(True),
+             np.bool_(False)],
+            (0.1, np.float64(1e16), 3, np.int64(-7), True, np.bool_(False)),
+        ]
+        cli._write_csv(tmp_path / "x.csv", ("a", "b"), rows)
+        assert (tmp_path / "x.csv").read_bytes() == (
+            b"a,b\r\n"
+            b"0.1,-0.0,1e+16,1e-05,5e-324,3,-7,a\r\n"
+            b"nan,inf,-inf,1,0\r\n"
+            b"0.1,-0.0,1e+16,1e-05,5e-324,3,-7,a\r\n"
+            b"nan,inf,-inf,1,0\r\n"
+            b"0.1,1e+16,3,-7,1,0\r\n")
+
 
 class TestConfig:
     def _run(self, command, doc, tmp_path):
@@ -140,6 +161,8 @@ class TestConfig:
         ("singularity-sweep", {"j": 1}, "'j'"),
         ("rbound-sim", {"N_list": []}, "N_list"),
         ("rbound-sim", {"N_list": [0, 4]}, "N_list"),
+        ("norm-check", {"trials": 0}, "'trials'"),
+        ("norm-check", {"n_mu": 0}, "'n_mu'"),
     ])
     def test_out_of_range_value_rejected(self, command, doc, key, tmp_path, capsys):
         # the Dirichlet Laplacian has one boundary operator: j = 0 only
@@ -338,6 +361,41 @@ class TestSolverCommands:
         assert run(["norm-check", "--config", cfg, "--out", out]) == cli.EXIT_OK
         rep = json.loads((out / "norm_check.json").read_text())
         assert rep["C_equivalence"] <= 4.0
+
+    def test_norm_check_bytes_match_the_per_trial_loop(self, tmp_path):
+        """The batched command writes the bytes of one norm call per
+        (trial, mu) and one lifting call per trial, drawn trial by trial."""
+        from halfpoisson import spaces as sp
+        from halfpoisson.grids import TangentialGrid
+
+        seed, s, s0, t = 5, 2.0, 0.0, 2.0
+        rng = np.random.default_rng(seed)
+        tgrid = TangentialGrid(n_axes=1, N=128, L=2.0 * math.pi)
+        rows, ratios = [], []
+        for trial in range(100):
+            fhat = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+            fhat[32:96] = 0.0
+            for mu in np.logspace(0, 4, 9):
+                lhs = sp.param_norm(fhat, s, s0, mu, tgrid)
+                rhs = (sp.space_norm(fhat, s, tgrid) + (1.0 + mu ** 2) ** ((s - s0) / 2.0)
+                       * sp.space_norm(fhat, s0, tgrid))
+                ratios.append(lhs / rhs)
+                rows.append((trial, mu, lhs, rhs, ratios[-1]))
+        xi_n = 2.0 * math.pi * np.fft.fftfreq(64, d=2.0 * math.pi / 64)
+        lift = [sp.mixed_lifting_check(
+            rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64)),
+            t, tgrid, xi_n) for _ in range(100)]
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        cli._write_csv(ref / "norm_check.csv",
+                       ("trial", "mu", "param_norm", "split_norm", "ratio"), rows)
+        cli._write_json(ref / "norm_check.json", {
+            "C_equivalence": max(max(ratios), 1.0 / min(ratios)),
+            "C_lifting": max(max(lift), 1.0 / min(lift))})
+        out = tmp_path / "out"
+        assert run(["norm-check", "--seed", seed, "--out", out]) == cli.EXIT_OK
+        for name in ("norm_check.csv", "norm_check.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
 
     def test_parabolic_solve(self, tmp_path):
         out = tmp_path / "out"

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfpoisson import rbound as rb
+from halfpoisson.grids import HalfLineGrid, TangentialGrid
+from halfpoisson.model import dirichlet_laplacian
+from halfpoisson.poisson import kernel_batch
 
 
 def _l2(v):
@@ -242,3 +245,33 @@ class TestGrowthExperiment:
         for row, (ratio, stderr) in zip(rows, want):
             assert row.ratio == pytest.approx(ratio, rel=1e-12)
             assert row.stderr == pytest.approx(stderr, rel=1e-12)
+
+    def test_rows_match_the_full_mode_family(self):
+        """Holding the family on the datum's modes changes no bit: the
+        reference runs the family on all 8 modes through rademacher_ratio."""
+        p, r, N_list, trials, seed = 1.2, 0.3, (3, 8), 256, 4
+        tgrid = TangentialGrid(n_axes=1, N=8, L=2.0 * math.pi)
+        xgrid = HalfLineGrid(x_min=1e-21, ratio=1.1, n_points=560)
+        g = rb._band_limited_datum(tgrid)
+        assert 0 < np.count_nonzero(g) < tgrid.n_modes
+        w = xgrid.quad_weights(r)
+
+        def norm_in(sums):
+            return np.sqrt(np.sum(np.abs(sums) ** 2, axis=1) * tgrid.L)
+
+        def norm_out(sums):
+            return (norm_in(sums) ** p @ w) ** (1.0 / p)
+
+        M, max_N = tgrid.n_modes, max(N_list)
+        lam = (2.0 ** np.arange(1, max_N + 1)) ** 2
+        batch = kernel_batch(dirichlet_laplacian(n=2), np.repeat(lam, M),
+                             np.tile(tgrid.xi_modes, (max_N, 1)))
+        images = batch.eval(xgrid.x, np.tile(g, max_N)).reshape(max_N, M, -1)
+        images *= (lam ** ((1.0 + r) / (2.0 * p)))[:, None, None]
+        want = [rb.rademacher_ratio(rb.RademacherTrial(
+                    images=images[:N], vectors=np.tile(g, (N, 1)), seed=seed,
+                    trials=trials), norm_out, norm_in) for N in N_list]
+        rows = rb.dirichlet_nonrbound_experiment(p=p, r=r, N_list=N_list,
+                                                 trials=trials, seed=seed)
+        assert [(row.ratio, row.stderr) for row in rows] == \
+            [(est.estimate, est.stderr) for est in want]

@@ -157,6 +157,30 @@ class TestMixedLifting:
         ratio = sp.mixed_lifting_check(f2, 2.0, TG, xi_n)
         assert 1.0 <= ratio <= 2.0 ** 1.0 + 1e-9
 
+    def test_stack_matches_per_entry_calls(self):
+        """A stack gives, bit for bit, the ratios of one call per entry and
+        of the reference below (one np.sum over each 2-D entry)."""
+        rng = np.random.default_rng(12)
+        xi_n = 2 * math.pi * np.fft.fftfreq(64, d=2 * math.pi / 64)
+        re, im = rng.standard_normal((2, 3, 2, TG.N, 64))
+        f = re + 1j * im
+        xt, xn = TG.xi_sq[:, None], (xi_n ** 2)[None, :]
+
+        def l2(mult, f2):
+            return math.sqrt(float(np.sum(np.abs(mult * f2) ** 2)))
+
+        def ratio(f2, t):
+            return l2((1.0 + xt + xn) ** (t / 2.0), f2) / max(
+                l2((1.0 + xt + 0 * xn) ** (t / 2.0), f2),
+                l2((1.0 + 0 * xt + xn) ** (t / 2.0), f2))
+
+        for t in (0.5, 2.0):
+            stacked = sp.mixed_lifting_check(f, t, TG, xi_n)
+            assert stacked.shape == (3, 2)
+            single = [[sp.mixed_lifting_check(f2, t, TG, xi_n) for f2 in row] for row in f]
+            assert np.array_equal(stacked, single)
+            assert np.array_equal(stacked, [[ratio(f2, t) for f2 in row] for row in f])
+
     def test_negative_smoothness_rejected(self):
         xi_n = np.zeros(4)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ def _load(name):
 
 
 artifact_diff = _load("artifact_diff")
+deck_hashes = _load("deck_hashes")
 job_times = _load("job_times")
 
 
@@ -69,3 +71,19 @@ def test_job_times_prints_each_job_on_both_trees(capsys):
         assert float(a) > 0 and float(b) > 0
         assert float(ratio) == pytest.approx(float(b) / float(a), rel=0.05)
         assert won in {"0/2", "1/2", "2/2"}
+
+
+def test_deck_hashes_runs_one_workload(monkeypatch, capsys):
+    # main puts the tree's src and perfbench first on the path
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert deck_hashes.main([str(TOOLS.parent), "3", "--workload", "contour"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["contour"]
+    # two semigroup-test and one ibvp-solve job per bundled problem
+    jobs = out["contour"]
+    assert len(jobs) == 9
+    for ident, job in jobs.items():
+        assert job["exit"] == 0, ident
+        names = set(job["artifacts"])
+        assert names == ({"ibvp_solve.csv", "ibvp_solve.json"} if "ibvp-solve" in ident
+                         else {"semigroup_test.json"}), ident

@@ -1,10 +1,11 @@
 """Exit codes and artifact digests of every benchmark deck job on one tree.
 
-    python3 tools/deck_hashes.py <tree> <seed> [--keep DIR] > hashes.json
+    python3 tools/deck_hashes.py <tree> <seed> [--workload W] [--keep DIR] > hashes.json
 
-Runs every job of the ``contour``, ``sweep`` and ``estimate`` decks of
-``perfbench/jobs.py`` (this repository's copy, so two trees run the same
-jobs) for ``seed`` through ``halfpoisson.cli.main``, importing
+Runs every job of the ``contour``, ``sweep`` and ``estimate`` decks (with
+``--workload W``, of deck W alone) of ``perfbench/jobs.py`` (this
+repository's copy, so two trees run the same jobs) for ``seed`` through
+``halfpoisson.cli.main``, importing
 ``halfpoisson`` from ``<tree>/src``.  Prints one JSON object,
 ``{workload: {job ident: {"exit": code, "artifacts": {name: sha256}}}}``;
 ``metadata.json`` (it holds a timestamp) and SVG plots are left out.  Two
@@ -39,14 +40,16 @@ def run_job(job, outdir: Path, scratch: Path) -> int:
         return cli.main(job.argv(str(outdir), config and str(config)))
 
 
-def deck_hashes(seed: int, keep: Path | None = None) -> dict:
+def deck_hashes(seed: int, keep: Path | None = None,
+                workloads: list[str] | None = None) -> dict:
+    """The printed object for the ``workloads`` decks (default: all)."""
     import jobs
     from halfpoisson import cli
 
     print(f"halfpoisson from {Path(cli.__file__).parent}", file=sys.stderr)
     out = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for workload in sorted(jobs.WORKLOADS):
+        for workload in workloads or sorted(jobs.WORKLOADS):
             results = out[workload] = {}
             for job in jobs.deck(workload, seed):
                 outdir = Path(keep or scratch, workload, job.ident.split(":")[0])
@@ -62,13 +65,17 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", type=Path)
     parser.add_argument("seed", type=int)
+    parser.add_argument("--workload", choices=("contour", "sweep", "estimate"),
+                        help="hash this deck alone")
     parser.add_argument("--keep", type=Path, metavar="DIR",
                         help="keep each job's artifacts under DIR")
     args = parser.parse_args(argv)
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     sys.path[:0] = [str(args.tree.resolve() / "src"), str(perfbench)]
     keep = args.keep.resolve() if args.keep else None
-    json.dump(deck_hashes(args.seed, keep), sys.stdout, indent=1, sort_keys=True)
+    workloads = [args.workload] if args.workload else None
+    json.dump(deck_hashes(args.seed, keep, workloads), sys.stdout, indent=1,
+              sort_keys=True)
     print()
     return 0
 
