@@ -166,6 +166,17 @@ def _check_j(problem, j: int) -> None:
         raise ValueError(f"config key 'j' must lie in 0..{problem.m - 1}, got {j}")
 
 
+def _check_least(key: str, value, least) -> None:
+    """Reject a config value below the smallest one that can work."""
+    if value < least:
+        raise ValueError(f"config key {key!r} must be >= {least}, got {value}")
+
+
+# _fit_slopes keeps the points in the middle 80 % of a log-spaced range:
+# two of four, one of three
+_FIT_POINTS = 4
+
+
 def _default_tgrid(problem, N=64, L=2.0 * math.pi) -> TangentialGrid:
     return TangentialGrid(n_axes=problem.n - 1, N=N, L=L)
 
@@ -240,6 +251,7 @@ def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
                     sigma_floor=1e2, n_rays=5, n_moduli=13, mod_max=1e6,
                     N_x=0) -> bool:
     _check_j(problem, j)
+    _check_least("n_moduli", n_moduli, _FIT_POINTS)
     q = poi.ExponentQuery.for_problem(problem, k=k, p=p, r=r, t=t, s=s, j=j)
     sample = mdl.SectorSample.default(
         min(problem.phi, 0.7 * math.pi), sigma_floor=sigma_floor,
@@ -283,6 +295,7 @@ def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
 def cmd_singularity_sweep(args, problem, *, t=1.0, s=0.0, lambda_=4.0 + 0.0j, j=0,
                           N_x=2048, xi_max=2.0e4, n_x_pts=40) -> bool:
     _check_j(problem, j)
+    _check_least("n_x_pts", n_x_pts, _FIT_POINTS)
     # the datum's trace-ball index is s less the order m_j of B_j
     tgrid, g = _saturating_datum(problem, N_x, xi_max,
                                  s - problem.boundary_ops[j].order)
@@ -321,9 +334,8 @@ def cmd_hardy_norm(args, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bo
 
 
 def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -> bool:
-    for key, value in (("trials", trials), ("n_mu", n_mu)):
-        if value < 1:
-            raise ValueError(f"config key {key!r} must be >= 1, got {value}")
+    _check_least("trials", trials, 1)
+    _check_least("n_mu", n_mu, 1)
     rng = np.random.default_rng(args.seed)
     tgrid = TangentialGrid(n_axes=1, N=N_x, L=2.0 * math.pi)
     mus = np.logspace(0, 4, n_mu)
@@ -438,6 +450,7 @@ def cmd_semigroup_test(args, problem, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2=0.2
 
 def cmd_parabolic_solve(args, problem, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
                         sigma=1.0, n_x_pts=33) -> bool:
+    _check_least("n_x_pts", n_x_pts, 1)
     tgrid = _default_tgrid(problem, N=N_x)
     tg = pb.TimeGrid(N_t=N_t, T_per=T_per, sigma=sigma)
     x_nodes = np.linspace(0.0, 4.0, n_x_pts)

@@ -240,6 +240,13 @@ class SectorSample:
     @staticmethod
     def default(phi: float, sigma_floor: float = 1.0, n_rays: int = 5,
                 n_moduli: int = 24, mod_max: float = 1e6) -> "SectorSample":
+        for key, value in (("n_rays", n_rays), ("n_moduli", n_moduli)):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+        # checked here, before their logarithms are taken
+        if not 0 < sigma_floor <= mod_max:
+            raise ValueError(f"need 0 < sigma_floor <= mod_max, got sigma_floor="
+                             f"{sigma_floor}, mod_max={mod_max}")
         rays = tuple(np.linspace(-phi, phi, n_rays))
         moduli = tuple(np.logspace(math.log10(sigma_floor), math.log10(mod_max), n_moduli))
         return SectorSample(rays=rays, moduli=moduli, sigma_floor=sigma_floor)

@@ -115,14 +115,14 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, tgrid_t: TimeGrid,
                              tgrid_t=tgrid_t)
 
 
-def extend_time_data(g_vals: np.ndarray, T: float, N_t: int) -> np.ndarray:
+def extend_time_data(g_vals: np.ndarray, N_t: int) -> np.ndarray:
     """Reflect-and-taper extension of data on [0, T] to the torus [0, 4T).
 
     ``g_vals`` samples g at the N_t+1 uniform nodes 0, dt, ..., T (inclusive
     right endpoint).  The extension keeps g on [0, T], mirrors a tapered copy
     on (T, 2T], stays zero on (2T, 3T], and ramps back up on (3T, 4T) so the
     wrap at 4T = 0 is C^2-matched to g(0).  Returns samples at the 4 N_t
-    torus nodes.
+    torus nodes; it works on node indices, so T itself is never needed.
     """
     g_vals = np.asarray(g_vals, dtype=complex)
     if g_vals.shape[0] != N_t + 1:
@@ -164,15 +164,16 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
 
     # ---- v1: whole-line solve on the extended, shifted boundary data ----
     if g is not None:
+        # built first: it rejects an N_t that is not a power of two
+        tgrid_t = TimeGrid(N_t=4 * N_t, T_per=4.0 * T, sigma=sigma)
         t_closed = T * np.arange(N_t + 1) / N_t
         shift = np.exp(-sigma * t_closed)
         series = []
         for gj in g:
             samples = np.stack([np.asarray(gj(t), dtype=complex).reshape(-1)
                                 for t in t_closed])
-            ext_vals = extend_time_data(samples * shift[:, None], T, N_t)
+            ext_vals = extend_time_data(samples * shift[:, None], N_t)
             series.append(ext_vals)
-        tgrid_t = TimeGrid(N_t=4 * N_t, T_per=4.0 * T, sigma=sigma)
         v1 = parabolic_boundary_solve(problem, series, tgrid_t, tgrid, ugrid.x)
         v1_initial = v1.at_time(0.0)
     else:

@@ -96,6 +96,39 @@ def _hardy_matrix(grid: HalfLineGrid) -> np.ndarray:
 _POWER_MAX_ITER = 400
 _POWER_TOL = 1e-10
 _POWER_SEED = 11
+# _lanczos_top accepts the top Ritz pair at this residual, relative to its value
+_LANCZOS_TOL = 1e-13
+
+
+def _lanczos_top(A) -> float:
+    """Eigenvalue of largest magnitude of the symmetric matrix ``A``.
+
+    Lanczos with full reorthogonalisation (two Gram-Schmidt passes against
+    the whole basis), started from the normalised all-ones vector, so
+    repeated calls return identical floats.  Stops at the first step k whose
+    top Ritz pair (theta, s) has residual beta_k |s_k| <= ``_LANCZOS_TOL`` *
+    |theta|, which includes breakdown (beta_k = 0), and after n steps at the
+    latest, when the Krylov space is all of R^n.  Only ``A.shape`` and
+    ``A @ v`` are used.
+    """
+    n = A.shape[0]
+    q = np.full(n, 1.0 / math.sqrt(n))
+    basis, alphas, betas = [q], [], []
+    for k in range(n):
+        w = A @ q
+        alphas.append(float(q @ w))
+        Q = np.array(basis)
+        for _ in range(2):
+            w -= (Q @ w) @ Q
+        beta = float(np.linalg.norm(w))
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        theta, S = np.linalg.eigh(T)
+        top = int(np.argmax(np.abs(theta)))
+        if beta * abs(S[-1, top]) <= _LANCZOS_TOL * abs(theta[top]) or k == n - 1:
+            return float(theta[top])
+        q = w / beta
+        basis.append(q)
+        betas.append(beta)
 
 
 def hardy_norm(p: float, r: float, grid: HalfLineGrid) -> float:
@@ -103,8 +136,10 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid) -> float:
 
     p = 2: the weighted norm equals the spectral norm of D K D^{-1} with
     D = diag((w_i x_i^r)^{1/2}), symmetrised; its largest-magnitude
-    eigenvalue comes from implicitly restarted Lanczos (ARPACK) started from
-    the all-ones vector, so repeated calls return identical floats.
+    eigenvalue comes from Lanczos (:func:`_lanczos_top`) started from the
+    all-ones vector.  That start is safe: the matrix has positive entries,
+    so by Perron-Frobenius its top eigenvector is positive and not
+    orthogonal to the all-ones vector.
     General p: Boyd's L_p power method on the weighted functional; raises
     ValueError when it has not met ``_POWER_TOL`` after ``_POWER_MAX_ITER``
     steps.
@@ -114,8 +149,6 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid) -> float:
     K = _hardy_matrix(grid)
     wr = grid.quad_weights(r)
     if p == 2:
-        from scipy.sparse.linalg import eigsh
-
         d = np.sqrt(wr)
         # A = D K D^{-1}, built in place on the fresh K
         A = K
@@ -124,9 +157,7 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid) -> float:
         # kernel is symmetric under the weight conjugation up to quadrature
         A += A.T
         A *= 0.5
-        top = eigsh(A, k=1, which="LM", v0=np.ones(grid.n_points),
-                    return_eigenvectors=False)
-        return float(abs(top[0]))
+        return abs(_lanczos_top(A))
     rng = np.random.default_rng(_POWER_SEED)
     f = rng.random(grid.n_points) + 0.1
     pp = p / (p - 1.0)

@@ -79,30 +79,36 @@ class TestInfrastructure:
                     "--out", tmp_path / "out"])
         assert code == cli.EXIT_OK
 
-    def test_import_leaves_scipy_interpolate_unloaded(self):
-        """No SciPy module at all: SciPy loads only where a command calls it."""
-        code = ("import sys, halfpoisson.cli; "
-                "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
-                "for m in sys.modules))")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
-
-    def test_kernel_commands_leave_scipy_unloaded(self, tmp_path):
-        """check-ls and the clamped poisson-eval and singularity-sweep, whose
-        roots nearly merge, run on NumPy alone."""
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        """Every subcommand, hardy-norm at its defaults and the rest at small
+        configs, runs in one process that never loads a SciPy module; the
+        kernel commands run on the clamped problem, whose roots nearly
+        merge."""
+        configs = {
+            "decay-sweep": {"n_rays": 1, "n_moduli": 4},
+            "norm-check": {"trials": 2},
+            "resolvent-test": {"N_z": 32},
+            "semigroup-test": {"N_z": 256},
+            "parabolic-solve": {"N_t": 4},
+            "ibvp-solve": {"N_z": 256, "N_t": 4},
+            "rbound-sim": {"N_list": [4, 8], "trials": 64},
+        }
+        argvs = []
+        for name in cli.COMMANDS:
+            argv = [name, "--out", str(tmp_path / name)]
+            if name in ("poisson-eval", "singularity-sweep"):
+                argv += ["--problem", "clamped_bilaplacian"]
+            if name in configs:
+                cfg = tmp_path / f"{name}.json"
+                cfg.write_text(json.dumps(configs[name]))
+                argv += ["--config", str(cfg)]
+            argvs.append(argv)
         code = (
-            "import sys; from halfpoisson import cli; "
-            f"out = {str(tmp_path)!r}; "
-            "codes = [cli.main(['check-ls', '--out', out + '/ls']), "
-            "cli.main(['poisson-eval', '--problem', 'clamped_bilaplacian', "
-            "'--out', out + '/pe']), "
-            "cli.main(['singularity-sweep', '--problem', 'clamped_bilaplacian', "
-            "'--out', out + '/ss'])]; "
+            "import json, sys; from halfpoisson import cli; "
+            f"codes = [cli.main(argv) for argv in {json.dumps(argvs)}]; "
             "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
-            "print(codes, loaded, file=sys.stderr); "
-            "sys.exit(codes != [0, 0, 0] or bool(loaded))")
+            "print(codes, loaded[:5], file=sys.stderr); "
+            "sys.exit(cli.EXIT_INPUT in codes or bool(loaded))")
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               env={**os.environ, "PYTHONPATH": src})
@@ -163,7 +169,21 @@ class TestConfig:
         ("rbound-sim", {"N_list": [0, 4]}, "N_list"),
         ("norm-check", {"trials": 0}, "'trials'"),
         ("norm-check", {"n_mu": 0}, "'n_mu'"),
+        # sample sizes that cannot work: rejected where they enter, with no
+        # traceback and no warning
+        ("decay-sweep", {"n_rays": 0}, "n_rays"),
+        ("check-ls", {"n_rays": 0}, "n_rays"),
+        ("check-ls", {"n_moduli": 0}, "n_moduli"),
+        ("decay-sweep", {"n_moduli": 1}, "'n_moduli'"),
+        ("decay-sweep", {"n_moduli": 3}, "'n_moduli'"),
+        ("decay-sweep", {"sigma_floor": 0}, "sigma_floor"),
+        ("decay-sweep", {"mod_max": 0}, "mod_max"),
+        ("singularity-sweep", {"n_x_pts": 1}, "'n_x_pts'"),
+        ("parabolic-solve", {"n_x_pts": 0}, "'n_x_pts'"),
+        ("ibvp-solve", {"N_t": 0}, "N_t"),
+        ("ibvp-solve", {"N_t": 3}, "N_t"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_rejected(self, command, doc, key, tmp_path, capsys):
         # the Dirichlet Laplacian has one boundary operator: j = 0 only
         assert self._run(command, doc, tmp_path) == cli.EXIT_INPUT

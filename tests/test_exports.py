@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import halfpoisson
@@ -22,3 +23,23 @@ def test_package_reexports_only_public_names():
         hidden = [a for a in mod.__all__
                   if getattr(halfpoisson, a, None) is not getattr(mod, a)]
         assert not hidden, f"halfpoisson does not re-export {node.module}.{hidden}"
+
+
+def test_runtime_imports_only_the_stdlib_and_numpy():
+    """Every import in ``src/halfpoisson``, function-level ones included,
+    names a standard-library module, NumPy or the package itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "halfpoisson"}
+    sources = sorted(Path(halfpoisson.__file__).parent.glob("*.py"))
+    assert sources
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, f"imports outside the stdlib and NumPy: {foreign}"

@@ -34,21 +34,21 @@ class TestTimeExtension:
     def test_shape_and_identity_on_first_quarter(self):
         N_t = 16
         g = np.cos(np.linspace(0, 1, N_t + 1)) + 0j
-        out = pb.extend_time_data(g, 1.0, N_t)
+        out = pb.extend_time_data(g, N_t)
         assert out.shape == (4 * N_t,)
         assert np.allclose(out[: N_t + 1], g)
 
     def test_zero_middle_segment(self):
         N_t = 16
         g = np.ones(N_t + 1, dtype=complex)
-        out = pb.extend_time_data(g, 1.0, N_t)
+        out = pb.extend_time_data(g, N_t)
         assert np.allclose(out[2 * N_t + 1: 3 * N_t + 1], 0.0)
 
     def test_wrap_matches_start(self):
         """The extension returns to g(0) at the torus wrap 4T == 0."""
         N_t = 32
         g = (2.0 + np.sin(np.linspace(0, 3, N_t + 1))) + 0j
-        out = pb.extend_time_data(g, 1.0, N_t)
+        out = pb.extend_time_data(g, N_t)
         # last pre-wrap node approaches g(0) as the taper closes
         assert abs(out[-1] - g[0]) < abs(g[0]) * 0.2
         # spectral smoothness: Fourier coefficients decay
@@ -58,12 +58,12 @@ class TestTimeExtension:
 
     def test_wrong_node_count_rejected(self):
         with pytest.raises(ValueError):
-            pb.extend_time_data(np.ones(10), 1.0, 16)
+            pb.extend_time_data(np.ones(10), 16)
 
     def test_trailing_dimensions_preserved(self):
         N_t = 8
         g = np.ones((N_t + 1, 3, 2), dtype=complex)
-        out = pb.extend_time_data(g, 1.0, N_t)
+        out = pb.extend_time_data(g, N_t)
         assert out.shape == (4 * N_t, 3, 2)
 
 

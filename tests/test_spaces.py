@@ -148,6 +148,61 @@ class TestHardy:
         with pytest.raises(ValueError, match=r"p=3\.0, r=0\.5.*max_iter=3"):
             sp.hardy_norm(3.0, 0.5, self.GRID)
 
+    @pytest.mark.parametrize("refine", [1, 2], ids=["default", "refined"])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.6])
+    def test_p2_matches_dense_eigvalsh_on_the_cli_grids(self, refine, r):
+        """hardy-norm's grid and its refinement, against the dense spectrum of
+        the same symmetrised matrix."""
+        g = self.GRID.refined(refine) if refine > 1 else self.GRID
+        d = np.sqrt(g.quad_weights(r))
+        A = d[:, None] * sp._hardy_matrix(g) / d[None, :]
+        dense = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (A + A.T)))))
+        assert abs(sp.hardy_norm(2.0, r, g) - dense) <= 1e-13 * dense
+
+
+class _Counting:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.products = A, A.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.A @ v
+
+
+def _largest_magnitude(A):
+    ev = np.linalg.eigvalsh(A)
+    return ev[np.argmax(np.abs(ev))]
+
+
+class TestLanczos:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 60, 200])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_symmetric(self, n, seed):
+        B = np.random.default_rng(seed).standard_normal((n, n))
+        A = B + B.T
+        assert sp._lanczos_top(A) == pytest.approx(_largest_magnitude(A), rel=1e-12)
+
+    def test_identity_breaks_down_at_the_first_step(self):
+        A = _Counting(np.eye(7))
+        assert sp._lanczos_top(A) == pytest.approx(1.0, rel=1e-15)
+        assert A.products == 1
+
+    def test_negative_largest_magnitude(self):
+        # a random rotation of diag(-5, 1, 2, 3), so no eigenvector is the start
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        A = Q @ np.diag([-5.0, 1.0, 2.0, 3.0]) @ Q.T
+        assert sp._lanczos_top(A) == pytest.approx(-5.0, rel=1e-12)
+
+    def test_hardy_matrix_converges_in_few_steps(self):
+        g = TestHardy.GRID
+        d = np.sqrt(g.quad_weights(0.0))
+        A = d[:, None] * sp._hardy_matrix(g) / d[None, :]
+        A = _Counting(0.5 * (A + A.T))
+        sp._lanczos_top(A)
+        assert A.products <= 40
+
 
 class TestMixedLifting:
     def test_full_lift_dominates_single_axis(self):
