@@ -79,11 +79,39 @@ class TestInfrastructure:
                     "--out", tmp_path / "out"])
         assert code == cli.EXIT_OK
 
-    def test_every_command_runs_without_scipy(self, tmp_path):
-        """Every subcommand, hardy-norm at its defaults and the rest at small
-        configs, runs in one process that never loads a SciPy module; the
-        kernel commands run on the clamped problem, whose roots nearly
-        merge."""
+    def test_import_leaves_scipy_interpolate_unloaded(self):
+        """No SciPy module at all is loaded by importing the CLI."""
+        code = ("import sys, halfpoisson.cli; "
+                "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
+                "for m in sys.modules))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_kernel_commands_leave_scipy_unloaded(self, tmp_path):
+        """check-ls and the clamped poisson-eval and singularity-sweep, whose
+        roots nearly merge, run on NumPy alone."""
+        code = (
+            "import sys; from halfpoisson import cli; "
+            f"out = {str(tmp_path)!r}; "
+            "codes = [cli.main(['check-ls', '--out', out + '/ls']), "
+            "cli.main(['poisson-eval', '--problem', 'clamped_bilaplacian', "
+            "'--out', out + '/pe']), "
+            "cli.main(['singularity-sweep', '--problem', 'clamped_bilaplacian', "
+            "'--out', out + '/ss'])]; "
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
+            "print(codes, loaded, file=sys.stderr); "
+            "sys.exit(codes != [0, 0, 0] or bool(loaded))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_other_commands_run_without_scipy(self, tmp_path):
+        """The subcommands that the kernel test above leaves out, hardy-norm at
+        its defaults and the rest at small configs, run in one process that
+        never loads a SciPy module."""
         configs = {
             "decay-sweep": {"n_rays": 1, "n_moduli": 4},
             "norm-check": {"trials": 2},
@@ -94,10 +122,9 @@ class TestInfrastructure:
             "rbound-sim": {"N_list": [4, 8], "trials": 64},
         }
         argvs = []
-        for name in cli.COMMANDS:
+        kernel = ("check-ls", "poisson-eval", "singularity-sweep")
+        for name in (n for n in cli.COMMANDS if n not in kernel):
             argv = [name, "--out", str(tmp_path / name)]
-            if name in ("poisson-eval", "singularity-sweep"):
-                argv += ["--problem", "clamped_bilaplacian"]
             if name in configs:
                 cfg = tmp_path / f"{name}.json"
                 cfg.write_text(json.dumps(configs[name]))
