@@ -41,7 +41,6 @@ from .poisson import (
     decay_rate,
     predicted_decay_exponent,
     predicted_singularity_exponent,
-    SweepRecord,
     SweepResult,
     decay_sweep,
     singularity_sweep,
@@ -68,7 +67,6 @@ from .rbound import (
     RademacherTrial,
     RatioEstimate,
     rademacher_ratio,
-    GrowthRow,
     dirichlet_nonrbound_experiment,
 )
 

@@ -243,9 +243,10 @@ class SectorSample:
         for key, value in (("n_rays", n_rays), ("n_moduli", n_moduli)):
             if value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
-        # checked here, before their logarithms are taken
-        if not 0 < sigma_floor <= mod_max:
-            raise ValueError(f"need 0 < sigma_floor <= mod_max, got sigma_floor="
+        # checked here, before their logarithms are taken; equal ends would
+        # give one modulus n_moduli times, a range of no decades
+        if not 0 < sigma_floor < mod_max:
+            raise ValueError(f"need 0 < sigma_floor < mod_max, got sigma_floor="
                              f"{sigma_floor}, mod_max={mod_max}")
         rays = tuple(np.linspace(-phi, phi, n_rays))
         moduli = tuple(np.logspace(math.log10(sigma_floor), math.log10(mod_max), n_moduli))

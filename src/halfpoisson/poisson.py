@@ -48,7 +48,6 @@ __all__ = [
     "predicted_singularity_exponent",
     "decay_sweep",
     "singularity_sweep",
-    "SweepRecord",
     "SweepResult",
     "decay_rate",
 ]
@@ -248,46 +247,41 @@ def decay_rate(problem: ModelProblem, lam: complex) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepRecord:
-    ray_arg: float
-    lambda_mod: float
-    norm: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    records: tuple
-    fitted_slopes: dict          # ray_arg -> slope
+    """Norms of one sweep, one curve per row over the shared abscissae ``x``,
+    and each curve's fitted log-log slope (nan where it has no fit)."""
+
+    x: np.ndarray               # (points,)
+    norms: np.ndarray           # (curves, points)
+    slopes: np.ndarray          # (curves,)
     predicted: float
-    max_deviation: float
+
+    @property
+    def max_deviation(self) -> float:
+        """Largest |slope - predicted| over the fitted curves; inf if none."""
+        dev = np.abs(self.slopes[~np.isnan(self.slopes)] - self.predicted)
+        return float(dev.max()) if dev.size else math.inf
 
 
-def _fit_slopes(curves, predicted: float) -> SweepResult:
-    """Records and per-ray slopes of log norm against log x.
+def _fit_slopes(x: np.ndarray, norms: np.ndarray, predicted: float) -> SweepResult:
+    """Per-curve slopes of log norm against log x.
 
-    ``curves`` lists ``(ray_arg, x, norms)``.  A point is flagged where its
-    norm is not finite or not positive.  Each ray's slope is the ordinary
-    least-squares fit on its unflagged points in the middle 80% of the log
-    range of x; a ray with fewer than two such points gets none, and with no
-    slope at all the deviation is inf.
+    ``norms`` holds one curve per row over ``x``.  Each slope is the
+    ordinary least-squares fit on the curve's finite, positive norms in the
+    middle 80% of the log range of x; a curve with fewer than two such
+    points gets nan.
     """
-    records, slopes = [], {}
-    for ray, x, norms in curves:
-        flags = ~(np.isfinite(norms) & (norms > 0))
-        records += [SweepRecord(ray_arg=ray, lambda_mod=float(xv), norm=float(nv),
-                                flagged=bool(fl))
-                    for xv, nv, fl in zip(x, norms, flags)]
-        lo, hi = np.log10(x.min()), np.log10(x.max())
-        pad = (1.0 - 0.8) / 2.0 * (hi - lo)
-        lx = np.log10(x)
-        keep = ~flags & (lx >= lo + pad) & (lx <= hi - pad)
+    lo, hi = np.log10(x.min()), np.log10(x.max())
+    pad = (1.0 - 0.8) / 2.0 * (hi - lo)
+    lx = np.log10(x)
+    window = (lx >= lo + pad) & (lx <= hi - pad)
+    slopes = np.full(len(norms), math.nan)
+    for i, curve in enumerate(norms):
+        keep = window & np.isfinite(curve) & (curve > 0)
         if keep.sum() >= 2:
             A = np.stack([np.log(x[keep]), np.ones(keep.sum())], axis=1)
-            slopes[ray] = float(np.linalg.lstsq(A, np.log(norms[keep]), rcond=None)[0][0])
-    max_dev = max((abs(sl - predicted) for sl in slopes.values()), default=math.inf)
-    return SweepResult(records=tuple(records), fitted_slopes=slopes,
-                       predicted=predicted, max_deviation=max_dev)
+            slopes[i] = np.linalg.lstsq(A, np.log(curve[keep]), rcond=None)[0][0]
+    return SweepResult(x=x, norms=norms, slopes=slopes, predicted=predicted)
 
 
 def decay_sweep(problem: ModelProblem, q: ExponentQuery,
@@ -299,7 +293,7 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     The norm is the weighted mixed Sobolev norm W^k_p(x^r; H^t_2) with
     t = ``q.t`` on a normal grid that resolves the slowest decay of the
     sample; the fit is ordinary least squares on the middle 80% of the
-    modulus decades, excluding flagged (non-finite or underflowed) points.
+    modulus decades, excluding non-finite or underflowed norms.
     One kernel batch per lambda; only the modes where g is nonzero are
     evaluated.
     """
@@ -308,15 +302,13 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
                       cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
     xgrid = HalfLineGrid.for_decay(rate)
     mods = np.asarray(sample.moduli, dtype=float)
-    curves = []
-    for ray in sample.rays:
-        norms = np.empty_like(mods)
-        for i, mod in enumerate(mods):
+    norms = np.empty((len(sample.rays), len(mods)))
+    for i, ray in enumerate(sample.rays):
+        for col, mod in enumerate(mods):
             batch = kernel_batch(problem, mod * cmath.exp(1j * ray), tgrid.xi_modes)
             profiles = np.stack([batch.eval(xgrid.x, data, l) for l in range(q.k + 1)])
-            norms[i] = sobolev_mixed_norm(profiles, q.p, q.r, q.t, tgrid, xgrid)
-        curves.append((float(ray), mods, norms))
-    return _fit_slopes(curves, predicted_decay_exponent(q, problem.m))
+            norms[i, col] = sobolev_mixed_norm(profiles, q.p, q.r, q.t, tgrid, xgrid)
+    return _fit_slopes(mods, norms, predicted_decay_exponent(q, problem.m))
 
 
 def singularity_sweep(problem: ModelProblem, j: int, lam: complex,
@@ -328,5 +320,4 @@ def singularity_sweep(problem: ModelProblem, j: int, lam: complex,
     batch = kernel_batch(problem, lam, tgrid.xi_modes)
     vals = batch.eval(x_range, np.eye(problem.m)[:, [j]] * np.ravel(g_hat))
     norms = plancherel_norms(vals, t, tgrid)
-    return _fit_slopes([(float(cmath.phase(lam)), x_range, norms)],
-                       predicted_singularity_exponent(t, s))
+    return _fit_slopes(x_range, norms[None], predicted_singularity_exponent(t, s))

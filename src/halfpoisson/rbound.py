@@ -43,7 +43,6 @@ __all__ = [
     "RatioEstimate",
     "rademacher_ratio",
     "dirichlet_nonrbound_experiment",
-    "GrowthRow",
 ]
 
 
@@ -146,15 +145,6 @@ def rademacher_ratio(trial: RademacherTrial, norm_out: Callable,
                          stderr=float(ratios.std(ddof=1) / math.sqrt(len(ratios))))
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    p: float
-    r: float
-    N: int
-    ratio: float
-    stderr: float
-
-
 def _band_limited_datum(tgrid: TangentialGrid) -> np.ndarray:
     """Fixed real datum supported in the closed unit frequency ball."""
     return np.where(tgrid.xi_sq <= 1.0, 1.0, 0.0).astype(complex)
@@ -163,8 +153,9 @@ def _band_limited_datum(tgrid: TangentialGrid) -> np.ndarray:
 def dirichlet_nonrbound_experiment(
     p: float, sigma: float = 1.0, N_list: Sequence[int] = (4, 8, 16, 32, 64),
     r: float = 0.0, trials: int = 512, seed: int = 0,
-) -> list[GrowthRow]:
-    """Growth table of the Rademacher ratio for the scaled dyadic family.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rademacher ratios and their standard errors for the scaled dyadic
+    family, one entry per family size in ``N_list``.
 
     Requires p in [1, 2] (p = 2 is the plateau control run) and family sizes
     N >= 1.  The Dirichlet Laplacian at n = 2 on 8 tangential modes; the
@@ -204,11 +195,10 @@ def dirichlet_nonrbound_experiment(
     images = batch.eval(xgrid.x, np.tile(g, max_N)).reshape(max_N, M, -1)
     images *= scale[:, None, None]
 
-    rows = []
-    for N in N_list:
+    ratios, stderrs = np.empty(len(N_list)), np.empty(len(N_list))
+    for i, N in enumerate(N_list):
         trial = RademacherTrial(images=images[:N], vectors=np.tile(g, (N, 1)),
                                 seed=seed, trials=trials)
         est = rademacher_ratio(trial, norm_out, norm_in)
-        rows.append(GrowthRow(p=p, r=r, N=N, ratio=est.estimate,
-                              stderr=est.stderr))
-    return rows
+        ratios[i], stderrs[i] = est.estimate, est.stderr
+    return ratios, stderrs

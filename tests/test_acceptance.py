@@ -154,7 +154,7 @@ def test_criterion_4_boundary_singularity():
         result = poi.singularity_sweep(problem, 0, 4.0 + 0j, g, t, s,
                                        x_range, tgrid)
         worst = max(worst, result.max_deviation)
-        slopes = ", ".join(f"{v:+.3f}" for v in result.fitted_slopes.values())
+        slopes = ", ".join(f"{v:+.3f}" for v in result.slopes)
         details.append(f"{problem.name} fitted_slopes {slopes}")
     ok = worst <= 0.1
     _report(4, "boundary singularity exponent",
@@ -252,15 +252,14 @@ def test_criterion_7_parameter_norm_equivalence():
 
 
 def test_criterion_8_non_r_boundedness():
-    rows_growth = rb.dirichlet_nonrbound_experiment(
+    ratios, stderrs = rb.dirichlet_nonrbound_experiment(
         p=1.2, N_list=(4, 8, 16, 32, 64), trials=1024, seed=0)
-    rows_flat = rb.dirichlet_nonrbound_experiment(
+    flat, flat_stderrs = rb.dirichlet_nonrbound_experiment(
         p=2.0, N_list=(4, 8, 16, 32, 64), trials=1024, seed=0)
-    growth = rows_growth[-1].ratio / rows_growth[0].ratio
-    flat = [row.ratio for row in rows_flat]
-    plateau = max(flat) / min(flat)
-    stderr_ok = all(row.stderr / row.ratio <= 0.03
-                    for row in rows_growth + rows_flat)
+    growth = ratios[-1] / ratios[0]
+    plateau = flat.max() / flat.min()
+    stderr_ok = bool(np.all(np.concatenate([stderrs / ratios, flat_stderrs / flat])
+                            <= 0.03))
     ok = growth >= 1.5 and plateau <= 1.3 and stderr_ok
     _report(8, "non-R-boundedness signature",
             ok, f"p=1.2 growth {growth:.2f}x (>= 1.5), "

@@ -141,37 +141,45 @@ class TestInfrastructure:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
 
-    def test_float_formatting_round_trips(self):
-        for v in (0.1, 1 / 3, math.pi, 1e-300):
-            assert float(cli._fmt(v)) == v
-
-    def test_csv_bytes_pinned(self, tmp_path):
-        """Python and NumPy cells, alone and mixed, give the same bytes."""
+    def test_csv_writer_contract(self, tmp_path):
+        """Columns of arrays, lists or repeated scalars: floats by shortest
+        round-trip repr, ints by str, bools as 1/0, in header order."""
+        path = tmp_path / "x.csv"
         inf, nan = math.inf, math.nan
-        rows = [
-            (0.1, -0.0, 1e16, 1e-05, 5e-324, 3, -7, "a"),
-            [nan, inf, -inf, True, False],
-            (np.float64(0.1), np.float64(-0.0), np.float64(1e16), np.float64(1e-05),
-             np.float64(5e-324), np.int64(3), np.int32(-7), "a"),
-            [np.float64(nan), np.float64(inf), np.float64(-inf), np.bool_(True),
-             np.bool_(False)],
-            (0.1, np.float64(1e16), 3, np.int64(-7), True, np.bool_(False)),
-        ]
-        cli._write_csv(tmp_path / "x.csv", ("a", "b"), rows)
-        assert (tmp_path / "x.csv").read_bytes() == (
-            b"a,b\r\n"
-            b"0.1,-0.0,1e+16,1e-05,5e-324,3,-7,a\r\n"
-            b"nan,inf,-inf,1,0\r\n"
-            b"0.1,-0.0,1e+16,1e-05,5e-324,3,-7,a\r\n"
-            b"nan,inf,-inf,1,0\r\n"
-            b"0.1,1e+16,3,-7,1,0\r\n")
+        cli._write_csv(path, {
+            "float": np.array([0.1, -0.0, 1e16, 1e-05, 5e-324, nan, inf, -inf]),
+            "int": np.arange(-3, 5),
+            "bool": np.arange(8) % 2 == 0,
+            "listed": [3, -7, 0, 1, 2, 4, 5, 6],
+            "scalar": 1e-05,
+            "flag": True,
+        })
+        assert path.read_bytes() == (
+            b"float,int,bool,listed,scalar,flag\r\n"
+            b"0.1,-3,1,3,1e-05,1\r\n"
+            b"-0.0,-2,0,-7,1e-05,1\r\n"
+            b"1e+16,-1,1,0,1e-05,1\r\n"
+            b"1e-05,0,0,1,1e-05,1\r\n"
+            b"5e-324,1,1,2,1e-05,1\r\n"
+            b"nan,2,0,4,1e-05,1\r\n"
+            b"inf,3,1,5,1e-05,1\r\n"
+            b"-inf,4,0,6,1e-05,1\r\n")
+        values = [0.1, 1 / 3, math.pi, 1e-300]
+        cli._write_csv(path, {"v": np.array(values)})
+        with open(path, newline="") as fh:
+            assert [float(row["v"]) for row in csv.DictReader(fh)] == values
+        with pytest.raises(ValueError, match="unequal"):
+            cli._write_csv(path, {"a": np.zeros(3), "b": np.zeros(4)})
+        with pytest.raises(ValueError, match="unequal"):
+            cli._write_csv(path, {"a": np.zeros(3), "b": np.zeros((3, 1))})
 
 
 class TestConfig:
     def _run(self, command, doc, tmp_path):
+        """``command`` may carry flags after the subcommand name."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        return run([command, "--config", cfg, "--out", tmp_path / "out"])
+        return run([*command.split(), "--config", cfg, "--out", tmp_path / "out"])
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         assert self._run("check-ls", {"N_xx": 4}, tmp_path) == cli.EXIT_INPUT
@@ -209,12 +217,28 @@ class TestConfig:
         ("parabolic-solve", {"n_x_pts": 0}, "'n_x_pts'"),
         ("ibvp-solve", {"N_t": 0}, "N_t"),
         ("ibvp-solve", {"N_t": 3}, "N_t"),
+        # a decay fit needs a range of moduli
+        ("decay-sweep", {"mod_max": 100}, "mod_max"),
+        # normal grids too coarse for the FD checks: no interior residual
+        # node (N_z <= 4 x order), or fewer than the six trace nodes
+        ("resolvent-test", {"N_z": 8}, "N_z"),
+        ("resolvent-test --problem clamped_bilaplacian", {"N_z": 16}, "N_z"),
+        ("resolvent-test", {"N_z": 4}, "N_z"),
+        ("ibvp-solve", {"N_z": 4}, "N_z"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_rejected(self, command, doc, key, tmp_path, capsys):
         # the Dirichlet Laplacian has one boundary operator: j = 0 only
         assert self._run(command, doc, tmp_path) == cli.EXIT_INPUT
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,N_z,code", [
+        ("resolvent-test", 16, cli.EXIT_TOLERANCE),
+        ("resolvent-test --problem clamped_bilaplacian", 32, cli.EXIT_OK),
+        ("ibvp-solve", 8, cli.EXIT_OK),
+    ])
+    def test_smallest_N_z_accepted(self, command, N_z, code, tmp_path):
+        assert self._run(command, {"N_z": N_z}, tmp_path) == code
 
     def test_declared_types_accepted(self, tmp_path):
         # integers for float keys, a list for [re, im]
@@ -419,6 +443,7 @@ class TestSolverCommands:
         rng = np.random.default_rng(seed)
         tgrid = TangentialGrid(n_axes=1, N=128, L=2.0 * math.pi)
         rows, ratios = [], []
+        header = ("trial", "mu", "param_norm", "split_norm", "ratio")
         for trial in range(100):
             fhat = rng.standard_normal(128) + 1j * rng.standard_normal(128)
             fhat[32:96] = 0.0
@@ -434,8 +459,7 @@ class TestSolverCommands:
             t, tgrid, xi_n) for _ in range(100)]
         ref = tmp_path / "ref"
         ref.mkdir()
-        cli._write_csv(ref / "norm_check.csv",
-                       ("trial", "mu", "param_norm", "split_norm", "ratio"), rows)
+        cli._write_csv(ref / "norm_check.csv", dict(zip(header, zip(*rows))))
         cli._write_json(ref / "norm_check.json", {
             "C_equivalence": max(max(ratios), 1.0 / min(ratios)),
             "C_lifting": max(max(lift), 1.0 / min(lift))})
@@ -468,3 +492,52 @@ class TestSolverCommands:
         rep = json.loads((out / "resolvent_test.json").read_text())
         assert rep["order"] >= 2.0
         assert rep["residuals"][-1] <= 1e-4
+
+
+def _load_verdicts():
+    """The benchmark's verdict module, loaded from its file without writing
+    bytecode next to it."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "verdicts.py"
+    spec = importlib.util.spec_from_file_location("perfbench_verdicts", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look themselves up
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_benchmark_verdicts_match_the_exit_codes(tmp_path):
+    """For every subcommand on a small config, the verdict that
+    ``perfbench/verdicts.py`` recomputes from the artifacts is ``exit == 0``;
+    an artifact-schema slip fails here before the benchmark runs."""
+    verdicts = _load_verdicts()
+    configs = {
+        "check-ls": {"n_moduli": 4, "n_rays": 3},
+        "poisson-eval": {},
+        "decay-sweep": {"n_rays": 2, "n_moduli": 4},
+        "singularity-sweep": {"N_x": 256, "xi_max": 2e3},
+        "hardy-norm": {"p": 3.0, "n_points": 200},   # fails "monotone in r"
+        "norm-check": {"trials": 2},
+        "resolvent-test": {"N_z": 16},               # fails the order gate
+        "semigroup-test": {"N_z": 256},
+        "parabolic-solve": {"N_t": 4},
+        "ibvp-solve": {"N_z": 256, "N_t": 4},
+        "rbound-sim": {"N_list": [4, 8], "trials": 64},
+    }
+    assert set(configs) == set(cli.COMMANDS)
+    passed = {}
+    for name, doc in configs.items():
+        cfg, out = tmp_path / f"{name}.json", tmp_path / name
+        cfg.write_text(json.dumps(doc))
+        code = run([name, "--config", cfg, "--out", out])
+        assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE), name
+        passed[name] = verdicts.verdict(name, out).passed
+        assert passed[name] == (code == cli.EXIT_OK), name
+    # the check sees both verdicts
+    assert not passed["hardy-norm"] and not passed["resolvent-test"]
+    assert passed["poisson-eval"]
