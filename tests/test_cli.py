@@ -141,7 +141,15 @@ class TestInfrastructure:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
 
-    def test_csv_writer_contract(self, tmp_path):
+    def test_float_formatting_round_trips(self, tmp_path):
+        """A float column reads back from the CSV to the same doubles."""
+        path = tmp_path / "x.csv"
+        values = [0.1, 1 / 3, math.pi, 1e-300]
+        cli._write_csv(path, {"v": np.array(values)})
+        with open(path, newline="") as fh:
+            assert [float(row["v"]) for row in csv.DictReader(fh)] == values
+
+    def test_csv_bytes_pinned(self, tmp_path):
         """Columns of arrays, lists or repeated scalars: floats by shortest
         round-trip repr, ints by str, bools as 1/0, in header order."""
         path = tmp_path / "x.csv"
@@ -164,10 +172,6 @@ class TestInfrastructure:
             b"nan,2,0,4,1e-05,1\r\n"
             b"inf,3,1,5,1e-05,1\r\n"
             b"-inf,4,0,6,1e-05,1\r\n")
-        values = [0.1, 1 / 3, math.pi, 1e-300]
-        cli._write_csv(path, {"v": np.array(values)})
-        with open(path, newline="") as fh:
-            assert [float(row["v"]) for row in csv.DictReader(fh)] == values
         with pytest.raises(ValueError, match="unequal"):
             cli._write_csv(path, {"a": np.zeros(3), "b": np.zeros(4)})
         with pytest.raises(ValueError, match="unequal"):
