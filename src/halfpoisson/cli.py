@@ -162,21 +162,28 @@ def _check_least(key: str, value, least) -> None:
         raise ValueError(f"config key {key!r} must be >= {least}, got {value}")
 
 
+def _check_power_of_two(key: str, value: int, least: int) -> None:
+    """Reject a grid size that is not a power of two >= ``least``."""
+    if value < least or value & (value - 1):
+        raise ValueError(f"config key {key!r} must be a power of two >= {least}, "
+                         f"got {value}")
+
+
 # _fit_slopes keeps the points in the middle 80 % of a log-spaced range:
 # two of four, one of three
 _FIT_POINTS = 4
 
 
-def _default_tgrid(problem, N=64, L=2.0 * math.pi) -> TangentialGrid:
-    return TangentialGrid(n_axes=problem.n - 1, N=N, L=L)
+def _tgrid(n_axes: int, N_x: int, L: float = 2.0 * math.pi) -> TangentialGrid:
+    _check_power_of_two("N_x", N_x, 2)
+    return TangentialGrid(n_axes=n_axes, N=N_x, L=L)
 
 
 def _saturating_datum(problem, N_x: int, xi_max: float, s: float):
     """Tangential grid of N_x modes per axis reaching |xi'| = xi_max, and the
     datum <xi'>^{-(s + 1/2 + 0.05)} on it, which saturates the s-indexed
     trace ball."""
-    tgrid = TangentialGrid(n_axes=problem.n - 1, N=N_x,
-                           L=2.0 * math.pi * (N_x / 2) / xi_max)
+    tgrid = _tgrid(problem.n - 1, N_x, L=2.0 * math.pi * (N_x / 2) / xi_max)
     return tgrid, (1.0 + tgrid.xi_sq) ** (-(s + 0.5 + 0.05) / 2.0)
 
 
@@ -211,7 +218,7 @@ def cmd_check_ls(args, problem, *, n_moduli=8, n_rays=5) -> bool:
 
 def cmd_poisson_eval(args, problem, *, lambda_=4.0 + 1.0j, j=0, N_x=16, xi0=1.0) -> bool:
     _check_j(problem, j)
-    tgrid = _default_tgrid(problem, N=N_x)
+    tgrid = _tgrid(problem.n - 1, N_x)
     xgrid = HalfLineGrid.for_decay(poi.decay_rate(problem, lambda_))
     data = np.zeros((problem.m, tgrid.n_modes), dtype=complex)
     data[j, tgrid.mode_index(xi0)] = 1.0
@@ -252,7 +259,7 @@ def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
         ximax = 1.2 * max(sample.moduli) ** (1.0 / problem.order)
         tgrid, g = _saturating_datum(problem, N_x or 512, ximax, q.s)
     else:
-        tgrid = _default_tgrid(problem, N=N_x or 16)
+        tgrid = _tgrid(problem.n - 1, N_x or 16)
         g = np.zeros(tgrid.n_modes, dtype=complex)
         g[tgrid.mode_index(1.0)] = 1.0
     result = poi.decay_sweep(problem, q, sample, g, tgrid)
@@ -281,6 +288,8 @@ def cmd_singularity_sweep(args, problem, *, t=1.0, s=0.0, lambda_=4.0 + 0.0j, j=
                           N_x=2048, xi_max=2.0e4, n_x_pts=40) -> bool:
     _check_j(problem, j)
     _check_least("n_x_pts", n_x_pts, _FIT_POINTS)
+    if not xi_max > 0:
+        raise ValueError(f"config key 'xi_max' must be positive, got {xi_max}")
     # the datum's trace-ball index is s less the order m_j of B_j
     tgrid, g = _saturating_datum(problem, N_x, xi_max,
                                  s - problem.boundary_ops[j].order)
@@ -318,7 +327,7 @@ def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -
     _check_least("trials", trials, 1)
     _check_least("n_mu", n_mu, 1)
     rng = np.random.default_rng(args.seed)
-    tgrid = TangentialGrid(n_axes=1, N=N_x, L=2.0 * math.pi)
+    tgrid = _tgrid(1, N_x)
     mus = np.logspace(0, 4, n_mu)
     # one draw for every trial: trial i gets the numbers it would draw alone
     re, im = np.moveaxis(rng.standard_normal((trials, 2, tgrid.N)), 1, 0)
@@ -354,8 +363,8 @@ def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -
 def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
                        N_z=128) -> bool:
     # the residual leaves out 2 x order nodes at either end of the coarsest grid
-    _check_least("N_z", N_z, 4 * problem.order + 1)
-    tgrid = _default_tgrid(problem, N=N_x)
+    _check_power_of_two("N_z", N_z, 1 << (4 * problem.order).bit_length())
+    tgrid = _tgrid(problem.n - 1, N_x)
     residuals, traces_, data = [], [], []
     for i in range(3):
         ug = UniformHalfGrid(X=X, N=N_z * (2 ** i))
@@ -364,9 +373,7 @@ def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
         data.append((ug, f))
         u = res.halfspace_resolvent(problem, lambda_, f, tgrid, ug).u
         residuals.append(res.interior_residual_fd(problem, lambda_, u, f, tgrid, ug))
-        traces_.append(max(
-            float(np.abs(res.boundary_trace_fd(problem, u, tgrid, ug, j)).max())
-            for j in range(problem.m)))
+        traces_.append(float(np.abs(res.boundary_trace_fd(problem, u, tgrid, ug)).max()))
     order_res = math.log2(residuals[0] / residuals[2]) / 2 if residuals[2] > 0 else math.inf
     _write_csv(args.out / "resolvent_refine.csv", {
         "N_z": [ug.N for ug, _ in data], "interior_residual": residuals,
@@ -399,7 +406,8 @@ def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
 
 def cmd_semigroup_test(args, problem, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2=0.2,
                        t_small=1e-6) -> bool:
-    tgrid = _default_tgrid(problem, N=N_x)
+    _check_power_of_two("N_z", N_z, 4)
+    tgrid = _tgrid(problem.n - 1, N_x)
     # X large enough that the initial profile has fully decayed at the wrap
     ug = UniformHalfGrid(X=X, N=N_z)
     # compatible initial state: one tangential mode, normal profile vanishing
@@ -424,7 +432,7 @@ def cmd_semigroup_test(args, problem, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2=0.2
 def cmd_parabolic_solve(args, problem, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
                         sigma=1.0, n_x_pts=33) -> bool:
     _check_least("n_x_pts", n_x_pts, 1)
-    tgrid = _default_tgrid(problem, N=N_x)
+    tgrid = _tgrid(problem.n - 1, N_x)
     tg = pb.TimeGrid(N_t=N_t, T_per=T_per, sigma=sigma)
     x_nodes = np.linspace(0.0, 4.0, n_x_pts)
     q0 = tgrid.mode_index(1.0)
@@ -447,32 +455,28 @@ def cmd_parabolic_solve(args, problem, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
     return dev <= 1e-8
 
 
-def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, sigma=1.0,
-                   N_t=16, out_times=()) -> bool:
-    _check_least("N_z", N_z, 6)   # the boundary trace reads six normal nodes
-    tgrid = _default_tgrid(problem, N=N_x)
+def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, N_t=16,
+                   out_times=()) -> bool:
+    _check_power_of_two("N_z", N_z, 8)   # the boundary trace reads six normal nodes
+    _check_power_of_two("N_t", N_t, 1)
+    if not T > 0:
+        raise ValueError(f"config key 'T' must be positive, got {T}")
+    tgrid = _tgrid(problem.n - 1, N_x)
     ug = UniformHalfGrid(X=X, N=N_z)
-    # boundary data: one space-time mode, smoothly switched on
-    q0 = tgrid.mode_index(1.0)
-
-    def g0(t):
-        out = np.zeros(tgrid.n_modes, dtype=complex)
-        out[q0] = math.sin(math.pi * min(t / T, 1.0) / 2.0) ** 2
-        return out
-
-    g = [g0] + [lambda t: np.zeros(tgrid.n_modes, dtype=complex)
-                for _ in range(problem.m - 1)]
-    u0 = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
     out_times = np.array(out_times or (T / 2, T))
-    sol = pb.ibvp_solve(problem, u0, g, T, sigma, tgrid, ug, out_times,
-                        N_t=N_t)
-    # consistency: boundary trace of u should match g at the output times
-    worst = 0.0
-    for it, t in enumerate(out_times):
-        tr = res.boundary_trace_fd(problem, sol.values[it], tgrid, ug, 0)
-        target = g0(t)
-        scale = max(float(np.abs(target).max()), 1e-300)
-        worst = max(worst, float(np.abs(tr - target).max()) / scale)
+    # boundary data: one space-time mode on g_0, smoothly switched on; the
+    # ramp is sampled at the N_t + 1 data times, then at the output times
+    q0 = tgrid.mode_index(1.0)
+    times = np.concatenate([T * np.arange(N_t + 1) / N_t, out_times])
+    ramp = np.array([math.sin(math.pi * min(t / T, 1.0) / 2.0) ** 2 for t in times])
+    g = np.zeros((problem.m, N_t + 1, tgrid.n_modes), dtype=complex)
+    g[0, :, q0] = ramp[: N_t + 1]
+    u0 = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
+    sol = pb.ibvp_solve(problem, u0, g, T, tgrid, ug, out_times)
+    # consistency: the trace of B_0 u should match g_0 at the output times
+    miss = res.boundary_trace_fd(problem, sol.values, tgrid, ug)[0]
+    miss[:, q0] -= ramp[N_t + 1:]
+    worst = float(np.max(np.abs(miss).max(axis=1) / np.maximum(ramp[N_t + 1:], 1e-300)))
     vals = sol.values[:, q0, :].ravel()
     _write_csv(args.out / "ibvp_solve.csv", {
         "t": np.repeat(out_times, ug.N), "x_n": np.tile(ug.x, len(out_times)),

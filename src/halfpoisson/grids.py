@@ -87,7 +87,8 @@ class TangentialGrid:
         return self.N ** self.n_axes
 
     def mode_index(self, xi_target: float) -> int:
-        """Index along one axis of the mode closest to xi_target."""
+        """Index along one axis of the frequency xi_k closest to xi_target; into
+        ``xi_modes`` (flattened in "ij" order) it is the mode (0, ..., 0, xi_k)."""
         return int(np.argmin(np.abs(self.xi_axis - xi_target)))
 
 

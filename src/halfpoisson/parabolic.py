@@ -10,9 +10,9 @@ even at tau = 0; the working angle phi > pi/2 covers the whole imaginary
 axis).
 
 Initial-boundary problem on (0, T], without forcing: substitute
-v = e^{-sigma t} u, then split v = r_[0,T] v1 + v2 where v1 solves the
-whole-line boundary problem for a smooth temporal extension of the shifted
-boundary data, and
+v = e^{-sigma t} u (sigma = _SHIFT), then split v = r_[0,T] v1 + v2 where v1
+solves the whole-line boundary problem for a smooth temporal extension of the
+shifted boundary data, and
 
     v2(t) = S(t)[u0 - v1(0)]
 
@@ -92,21 +92,22 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, tgrid_t: TimeGrid,
                              tgrid: TangentialGrid, x_nodes) -> ParabolicSolution:
     """Whole-line boundary solver: per temporal frequency one elliptic solve.
 
-    ``g`` is a list (length m) of arrays (N_t, modes) sampling the boundary
-    data time series in tangential frequency; returns u on
-    (N_t, modes, len(x_nodes)).  One kernel batch covers every (temporal
-    frequency, mode) pair, and :meth:`~halfpoisson.poisson.KernelBatch.eval`
-    applies ``sum_j Poi_j`` to the temporal Fourier coefficients of the g_j:
-    a pair where every coefficient vanishes is exactly zero and not evaluated.
+    ``g`` (m, N_t, modes) samples the boundary data time series in
+    tangential frequency; returns u on (N_t, modes, len(x_nodes)).  One
+    kernel batch covers every (temporal frequency, mode) pair, and
+    :meth:`~halfpoisson.poisson.KernelBatch.eval` applies ``sum_j Poi_j`` to
+    the temporal Fourier coefficients of the g_j: a pair where every
+    coefficient vanishes is exactly zero and not evaluated.
     """
     x_nodes = np.asarray(x_nodes, dtype=float)
-    m, M = problem.m, tgrid.n_modes
-    g = [np.asarray(gj, dtype=complex).reshape(tgrid_t.N_t, -1) for gj in g]
-    if len(g) != m:
-        raise ValueError(f"need {m} boundary series, got {len(g)}")
+    M = tgrid.n_modes
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (problem.m, tgrid_t.N_t, M):
+        raise ValueError(f"g has shape {g.shape}, need (m, N_t, modes) = "
+                         f"{(problem.m, tgrid_t.N_t, M)}")
     # temporal Fourier coefficients: g(t) = sum_k ghat_k e^{i tau_k t}, one
     # row per (k, mode)
-    ghat = np.stack([np.fft.fft(gj, axis=0) / tgrid_t.N_t for gj in g]).reshape(m, -1)
+    ghat = (np.fft.fft(g, axis=1) / tgrid_t.N_t).reshape(problem.m, -1)
     lam = tgrid_t.sigma + 1j * tgrid_t.taus
     batch = kernel_batch(problem, np.repeat(lam, M),
                          np.tile(tgrid.xi_modes, (tgrid_t.N_t, 1)))
@@ -115,18 +116,18 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, tgrid_t: TimeGrid,
                              tgrid_t=tgrid_t)
 
 
-def extend_time_data(g_vals: np.ndarray, N_t: int) -> np.ndarray:
+def extend_time_data(g_vals: np.ndarray) -> np.ndarray:
     """Reflect-and-taper extension of data on [0, T] to the torus [0, 4T).
 
     ``g_vals`` samples g at the N_t+1 uniform nodes 0, dt, ..., T (inclusive
-    right endpoint).  The extension keeps g on [0, T], mirrors a tapered copy
-    on (T, 2T], stays zero on (2T, 3T], and ramps back up on (3T, 4T) so the
-    wrap at 4T = 0 is C^2-matched to g(0).  Returns samples at the 4 N_t
-    torus nodes; it works on node indices, so T itself is never needed.
+    right endpoint) along its first axis.  The extension keeps g on [0, T],
+    mirrors a tapered copy on (T, 2T], stays zero on (2T, 3T], and ramps back
+    up on (3T, 4T) so the wrap at 4T = 0 is C^2-matched to g(0).  Returns
+    samples at the 4 N_t torus nodes; it works on node indices, so T itself
+    is never needed.
     """
     g_vals = np.asarray(g_vals, dtype=complex)
-    if g_vals.shape[0] != N_t + 1:
-        raise ValueError("g_vals must sample the N_t+1 closed-interval nodes")
+    N_t = len(g_vals) - 1
     out = np.zeros((4 * N_t,) + g_vals.shape[1:], dtype=complex)
     trailing = (1,) * (g_vals.ndim - 1)
     out[: N_t + 1] = g_vals
@@ -139,65 +140,56 @@ def extend_time_data(g_vals: np.ndarray, N_t: int) -> np.ndarray:
     return out
 
 
+# sigma of ibvp_solve's splitting v = e^{-sigma t} u: any sigma > 0 gives the same u
+_SHIFT = 1.0
+
+
 @dataclass(frozen=True)
 class IbvpSolution:
-    times: np.ndarray
-    values: np.ndarray        # (len(times), modes, n_x)
+    values: np.ndarray        # (len(out_times), modes, n_x)
     compatibility_defect: float
 
 
 def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
-               sigma: float, tgrid: TangentialGrid, ugrid: UniformHalfGrid,
-               out_times, N_t: int = 32) -> IbvpSolution:
+               tgrid: TangentialGrid, ugrid: UniformHalfGrid,
+               out_times) -> IbvpSolution:
     """Initial-boundary solver on (0, T] by the splitting construction.
 
-    ``u0``: (modes, N) initial state; ``g``: list (length m) of callables
-    t -> (modes,) boundary data or None.  ``sigma`` shifts the splitting only
-    (v = e^{-sigma t} u); the semigroup contour keeps its own fixed shift.
-    Returns u at the requested output times.
+    ``u0``: (modes, N) initial state; ``g``: (m, N_t + 1, modes) boundary
+    data sampled at the times T k / N_t, k = 0..N_t, with N_t a power of
+    two (zero data are a zeros array).  Returns u at the requested output
+    times.
     """
-    m = problem.m
     u0 = np.asarray(u0, dtype=complex).reshape(-1, ugrid.N)
+    g = np.asarray(g, dtype=complex)
+    if g.ndim != 3 or (g.shape[0], g.shape[2]) != (problem.m, tgrid.n_modes):
+        raise ValueError(f"g has shape {g.shape}, need (m, N_t + 1, modes) = "
+                         f"({problem.m}, N_t + 1, {tgrid.n_modes})")
     out_times = np.asarray(out_times, dtype=float)
     if np.any(out_times <= 0) or np.any(out_times > T):
         raise ValueError("output times must lie in (0, T]")
 
     # ---- v1: whole-line solve on the extended, shifted boundary data ----
-    if g is not None:
-        # built first: it rejects an N_t that is not a power of two
-        tgrid_t = TimeGrid(N_t=4 * N_t, T_per=4.0 * T, sigma=sigma)
-        t_closed = T * np.arange(N_t + 1) / N_t
-        shift = np.exp(-sigma * t_closed)
-        series = []
-        for gj in g:
-            samples = np.stack([np.asarray(gj(t), dtype=complex).reshape(-1)
-                                for t in t_closed])
-            ext_vals = extend_time_data(samples * shift[:, None], N_t)
-            series.append(ext_vals)
-        v1 = parabolic_boundary_solve(problem, series, tgrid_t, tgrid, ugrid.x)
-        v1_initial = v1.at_time(0.0)
-    else:
-        v1 = None
-        v1_initial = np.zeros_like(u0)
+    N_t = g.shape[1] - 1
+    # built first: it rejects an N_t that is not a power of two
+    tgrid_t = TimeGrid(N_t=4 * N_t, T_per=4.0 * T, sigma=_SHIFT)
+    t_closed = T * np.arange(N_t + 1) / N_t
+    shifted = np.moveaxis(g * np.exp(-_SHIFT * t_closed)[:, None], 1, 0)
+    v1 = parabolic_boundary_solve(problem, np.moveaxis(extend_time_data(shifted), 0, 1),
+                                  tgrid_t, tgrid, ugrid.x)
 
     # compatibility report: tr B_j u0 vs g_j(0)
-    defect = 0.0
-    for j in range(m):
-        tr = boundary_trace_fd(problem, u0, tgrid, ugrid, j)
-        target = (np.asarray(g[j](0.0), dtype=complex).reshape(-1)
-                  if g is not None else np.zeros_like(tr))
-        scale = max(float(np.linalg.norm(target)), 1.0)
-        defect = max(defect, float(np.linalg.norm(tr - target)) / scale)
+    g_0 = g[:, 0]
+    defect = float(np.max(
+        np.linalg.norm(boundary_trace_fd(problem, u0, tgrid, ugrid) - g_0, axis=-1)
+        / np.maximum(np.linalg.norm(g_0, axis=-1), 1.0)))
 
     # ---- v2: semigroup of (A_B - sigma) ----
-    w0 = u0 - v1_initial
+    w0 = u0 - v1.at_time(0.0)
     values = np.zeros((len(out_times),) + u0.shape, dtype=complex)
     for i, t in enumerate(out_times):
         v = np.zeros_like(w0)
         if np.any(w0):
-            v = math.exp(-sigma * t) * semigroup_apply(problem, w0, t, tgrid, ugrid)
-        if v1 is not None:
-            v = v + v1.at_time(t)
-        values[i] = math.exp(sigma * t) * v
-    return IbvpSolution(times=out_times, values=values,
-                        compatibility_defect=defect)
+            v = math.exp(-_SHIFT * t) * semigroup_apply(problem, w0, t, tgrid, ugrid)
+        values[i] = math.exp(_SHIFT * t) * (v + v1.at_time(t))
+    return IbvpSolution(values=values, compatibility_defect=defect)

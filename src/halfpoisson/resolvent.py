@@ -280,15 +280,15 @@ def interior_residual_fd(problem: mdl.ModelProblem, lam: complex,
 
 
 def boundary_trace_fd(problem: mdl.ModelProblem, u: np.ndarray,
-                      tgrid: TangentialGrid, ugrid: UniformHalfGrid,
-                      j: int) -> np.ndarray:
-    """tr B_j(D) u at x_n = 0 per mode, normal derivatives by one-sided FD
-    on the first six nodes."""
+                      tgrid: TangentialGrid, ugrid: UniformHalfGrid) -> np.ndarray:
+    """tr B_j(D) u at x_n = 0 for every j, shape (m,) + u.shape[:-1] (any
+    leading axes, then modes x nodes); normal derivatives by one-sided FD on
+    the first six nodes."""
     offsets = np.arange(6) * ugrid.h
-    head = np.asarray(u)[:, :len(offsets)]
-    sym = problem.boundary_symbols[j]
-    return sym.contract(sym.table(tgrid.xi_modes),
-                        lambda l: (head @ _fd_weights(offsets, l)) * (-1j) ** l)
+    head = np.asarray(u)[..., :len(offsets)]
+    table = problem.boundary_table(tgrid.xi_modes).transpose(1, 0, 2)
+    return np.array([sym.contract(tab, lambda l: (head @ _fd_weights(offsets, l)) * (-1j) ** l)
+                     for sym, tab in zip(problem.boundary_symbols, table)])
 
 
 # Contour quadrature (Weideman & Trefethen, Math. Comp. 76, 2007): N_C nodes

@@ -174,7 +174,7 @@ def test_criterion_5_halfspace_resolvent():
         residuals.append(res.interior_residual_fd(problem, lam, sol.u, f,
                                                   tgrid, ug))
         traces.append(float(np.abs(
-            res.boundary_trace_fd(problem, sol.u, tgrid, ug, 0)).max()))
+            res.boundary_trace_fd(problem, sol.u, tgrid, ug)).max()))
     order = math.log2(residuals[0] / residuals[2]) / 2.0
     # sectoriality: |lambda| ||R(lambda) f|| / ||f|| stays within 2x of its
     # per-ray median across three modulus decades
@@ -284,28 +284,23 @@ def test_criterion_9_parabolic_solvers():
                 / float(np.abs(oracle).max()))
     # initial-boundary value problem: splitting self-consistency at the wall
     ug = UniformHalfGrid(X=30.0, N=1024)
-    T = 0.5
-
-    def g0(t):
-        out = np.zeros(tgrid.n_modes, dtype=complex)
-        out[q0] = math.sin(math.pi * min(t / T, 1.0) / 2.0) ** 2
-        return out
-
+    T, N_t = 0.5, 16
+    # g_0 = sin^2(pi/2 t/T) on the mode q0, sampled at T k / N_t
+    g = np.zeros((1, N_t + 1, tgrid.n_modes), dtype=complex)
+    g[0, :, q0] = np.sin(math.pi * np.arange(N_t + 1) / N_t / 2.0) ** 2
     u0 = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
-    ib = pb.ibvp_solve(problem, u0, [g0], T, 1.0, tgrid, ug, [T / 2, T],
-                       N_t=16)
-    trace_dev = 0.0
-    for it, t in enumerate(ib.times):
-        tr = res.boundary_trace_fd(problem, ib.values[it], tgrid, ug, 0)
-        target = g0(t)
-        trace_dev = max(trace_dev, float(np.abs(tr - target).max())
-                        / float(np.abs(target).max()))
+    ib = pb.ibvp_solve(problem, u0, g, T, tgrid, ug, [T / 2, T])
+    # the data at T/2 and T are the samples k = N_t/2 and N_t
+    target = g[0, [N_t // 2, N_t]]
+    tr = res.boundary_trace_fd(problem, ib.values, tgrid, ug)[0]
+    trace_dev = float(np.max(np.abs(tr - target).max(axis=1)
+                             / np.abs(target).max(axis=1)))
     # pure initial-value run against the reflection (images) heat kernel
     u0i = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
     u0i[q0] = (ug.x ** 2) * np.exp(-ug.x)
     t_eval = 0.25
-    iv = pb.ibvp_solve(problem, u0i, None, T, 1.0, tgrid, ug, [t_eval],
-                       N_t=8)
+    iv = pb.ibvp_solve(problem, u0i, np.zeros((1, 9, tgrid.n_modes)), T,
+                       tgrid, ug, [t_eval])
     y = np.linspace(0.0, 60.0, 24001)
     w0 = (y ** 2) * np.exp(-y)
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from halfpoisson import cli
-from halfpoisson.model import BUNDLED, dirichlet_laplacian, problem_to_json
+from halfpoisson.model import (BUNDLED, clamped_bilaplacian, dirichlet_laplacian,
+                               problem_to_json)
 
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -229,6 +230,22 @@ class TestConfig:
         ("resolvent-test --problem clamped_bilaplacian", {"N_z": 16}, "N_z"),
         ("resolvent-test", {"N_z": 4}, "N_z"),
         ("ibvp-solve", {"N_z": 4}, "N_z"),
+        # grid sizes that are not a power of two name the key and the
+        # smallest power accepted
+        ("poisson-eval", {"N_x": 12}, "'N_x' must be a power of two >= 2"),
+        ("decay-sweep", {"N_x": 24}, "'N_x' must be a power of two >= 2"),
+        ("singularity-sweep", {"N_x": 1000}, "'N_x' must be a power of two >= 2"),
+        ("norm-check", {"N_x": 100}, "'N_x' must be a power of two >= 2"),
+        ("resolvent-test", {"N_z": 12}, "'N_z' must be a power of two >= 16"),
+        ("resolvent-test --problem clamped_bilaplacian", {"N_z": 24},
+         "'N_z' must be a power of two >= 32"),
+        ("semigroup-test", {"N_z": 100}, "'N_z' must be a power of two >= 4"),
+        ("ibvp-solve", {"N_z": 12}, "'N_z' must be a power of two >= 8"),
+        ("ibvp-solve", {"N_x": 6}, "'N_x' must be a power of two >= 2"),
+        ("ibvp-solve", {"N_t": 12}, "'N_t' must be a power of two >= 1"),
+        ("singularity-sweep", {"xi_max": 0}, "'xi_max'"),
+        ("singularity-sweep", {"xi_max": -2e4}, "'xi_max'"),
+        ("ibvp-solve", {"T": 0}, "'T'"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_rejected(self, command, doc, key, tmp_path, capsys):
@@ -483,6 +500,32 @@ class TestSolverCommands:
         cfg.write_text(json.dumps({"N_z": 256, "N_t": 8}))
         out = tmp_path / "out"
         assert run(["ibvp-solve", "--config", cfg, "--out", out]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("factory", [dirichlet_laplacian, clamped_bilaplacian])
+    @pytest.mark.parametrize("command,doc", [
+        ("parabolic-solve", {"N_x": 4, "N_t": 8}),
+        ("ibvp-solve", {"N_x": 4, "N_z": 256, "N_t": 8}),
+    ])
+    def test_time_layer_two_tangential_axes(self, command, doc, factory, tmp_path):
+        """At n = 3 the (m, N_t [+ 1], modes) data hold the 4 x 4 modes
+        flattened as ``xi_modes`` lists them.  The datum sits on
+        ``mode_index(1.0)``, the mode (0, 1), whose |xi'| = 1 is that of the
+        datum at n = 2; the problems are rotation invariant, so the run
+        writes the numbers of the n = 2 run."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        tables = []
+        for n in (2, 3):
+            problem = tmp_path / f"n{n}.json"
+            problem.write_text(problem_to_json(factory(n)))
+            out = tmp_path / f"out{n}"
+            code = run([command, "--problem", problem, "--config", cfg, "--out", out])
+            assert code == cli.EXIT_OK
+            tables.append(np.loadtxt(out / (command.replace("-", "_") + ".csv"),
+                                     delimiter=",", skiprows=1))
+        assert tables[1].shape == tables[0].shape
+        assert np.abs(tables[0][:, 2:]).max() > 0.1
+        assert np.allclose(tables[1], tables[0], rtol=1e-12, atol=1e-12)
 
     def test_semigroup_small(self, tmp_path):
         cfg = tmp_path / "cfg.json"

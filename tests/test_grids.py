@@ -74,6 +74,11 @@ class TestTangentialGrid:
         q = g.mode_index(1.0)
         assert g.xi_modes[q, 0] == pytest.approx(1.0)
 
+    def test_mode_index_is_a_flat_index_on_the_last_axis(self):
+        # the modes flatten in "ij" order: a one-axis index k picks (0, xi_k)
+        g = TangentialGrid(n_axes=2, N=8, L=2 * math.pi)
+        assert g.xi_modes[g.mode_index(1.0)].tolist() == [0.0, 1.0]
+
     def test_xi_sq_2d(self):
         g = TangentialGrid(n_axes=2, N=4, L=2 * math.pi)
         assert g.xi_sq.shape == (g.n_modes,) == (16,)

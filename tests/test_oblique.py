@@ -68,7 +68,7 @@ def test_resolvent_boundary_trace(n, a):
     sol = res.halfspace_resolvent(p, lam, f, tg, ug)
     assert sol.rows.tolist() == [q]
     assert np.abs(sol.traces_rows[0, 0]) > 1e-3  # the correction does work
-    assert np.abs(res.boundary_trace_fd(p, sol.u, tg, ug, 0)).max() <= 1e-4
+    assert np.abs(res.boundary_trace_fd(p, sol.u, tg, ug)).max() <= 1e-4
 
 
 @pytest.mark.parametrize("a", A_VALUES)

@@ -34,21 +34,21 @@ class TestTimeExtension:
     def test_shape_and_identity_on_first_quarter(self):
         N_t = 16
         g = np.cos(np.linspace(0, 1, N_t + 1)) + 0j
-        out = pb.extend_time_data(g, N_t)
+        out = pb.extend_time_data(g)
         assert out.shape == (4 * N_t,)
         assert np.allclose(out[: N_t + 1], g)
 
     def test_zero_middle_segment(self):
         N_t = 16
         g = np.ones(N_t + 1, dtype=complex)
-        out = pb.extend_time_data(g, N_t)
+        out = pb.extend_time_data(g)
         assert np.allclose(out[2 * N_t + 1: 3 * N_t + 1], 0.0)
 
     def test_wrap_matches_start(self):
         """The extension returns to g(0) at the torus wrap 4T == 0."""
         N_t = 32
         g = (2.0 + np.sin(np.linspace(0, 3, N_t + 1))) + 0j
-        out = pb.extend_time_data(g, N_t)
+        out = pb.extend_time_data(g)
         # last pre-wrap node approaches g(0) as the taper closes
         assert abs(out[-1] - g[0]) < abs(g[0]) * 0.2
         # spectral smoothness: Fourier coefficients decay
@@ -57,13 +57,21 @@ class TestTimeExtension:
         assert tail < 1e-2 * np.abs(chat).max()
 
     def test_wrong_node_count_rejected(self):
-        with pytest.raises(ValueError):
-            pb.extend_time_data(np.ones(10), 16)
+        """The extension reads N_t off the node count.  ibvp_solve rejects
+        data whose node count is not N_t + 1 for a power of two N_t, and data
+        that are not (m, N_t + 1, modes)."""
+        p = hp.clamped_bilaplacian()
+        ug = UniformHalfGrid(X=30.0, N=256)
+        u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
+        for shape in [(2, 10, TG.n_modes), (2, 1, TG.n_modes), (1, 9, TG.n_modes),
+                      (2, 9, TG.n_modes + 1), (2, 9 * TG.n_modes), (9, 2, TG.n_modes)]:
+            with pytest.raises(ValueError):
+                pb.ibvp_solve(p, u0, np.zeros(shape), 0.5, TG, ug, [0.25])
 
     def test_trailing_dimensions_preserved(self):
         N_t = 8
         g = np.ones((N_t + 1, 3, 2), dtype=complex)
-        out = pb.extend_time_data(g, N_t)
+        out = pb.extend_time_data(g)
         assert out.shape == (4 * N_t, 3, 2)
 
 
@@ -102,13 +110,21 @@ class TestBoundarySolve:
             pb.parabolic_boundary_solve(p, g, tgt, TG, np.array([0.0]))
 
 
+def _switch_on(p, q0, N_t):
+    """g_0 = sin^2(pi/2 t/T) on the mode q0 and g_j = 0 for j > 0, at the
+    N_t + 1 data times T k / N_t."""
+    g = np.zeros((p.m, N_t + 1, TG.n_modes), dtype=complex)
+    g[0, :, q0] = np.sin(math.pi * np.arange(N_t + 1) / N_t / 2.0) ** 2
+    return g
+
+
 class TestIbvp:
     def test_output_times_validated(self):
         p = hp.dirichlet_laplacian()
         ug = UniformHalfGrid(X=30.0, N=256)
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         with pytest.raises(ValueError):
-            pb.ibvp_solve(p, u0, None, 1.0, 1.0, TG, ug, [1.5])
+            pb.ibvp_solve(p, u0, np.zeros((1, 9, TG.n_modes)), 1.0, TG, ug, [1.5])
 
     def test_pure_initial_value_images_oracle(self):
         """g = 0: the IBVP reduces to the semigroup; compare with the
@@ -119,7 +135,7 @@ class TestIbvp:
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         u0[q] = (ug.x ** 2) * np.exp(-ug.x)
         T, t = 0.5, 0.25
-        sol = pb.ibvp_solve(p, u0, None, T, 1.0, TG, ug, [t], N_t=8)
+        sol = pb.ibvp_solve(p, u0, np.zeros((1, 9, TG.n_modes)), T, TG, ug, [t])
         y = np.linspace(0.0, 60.0, 24001)
         w0 = (y ** 2) * np.exp(-y)
 
@@ -137,24 +153,20 @@ class TestIbvp:
         ug = UniformHalfGrid(X=30.0, N=512)
         q0 = TG.mode_index(1.0)
         T = 0.5
-
-        def g0(t):
-            out = np.zeros(TG.n_modes, dtype=complex)
-            out[q0] = math.sin(math.pi * min(t / T, 1.0) / 2.0) ** 2
-            return out
-
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
-        sol = pb.ibvp_solve(p, u0, [g0], T, 1.0, TG, ug, [T / 2, T],
-                            N_t=16)
-        for it, t in enumerate(sol.times):
-            tr = res.boundary_trace_fd(p, sol.values[it], TG, ug, 0)
-            target = g0(t)
+        out_times = [T / 2, T]
+        sol = pb.ibvp_solve(p, u0, _switch_on(p, q0, 16), T, TG, ug, out_times)
+        traces = res.boundary_trace_fd(p, sol.values, TG, ug)
+        assert traces.shape == (1, 2, TG.n_modes)
+        for tr, t in zip(traces[0], out_times):
+            target = np.zeros(TG.n_modes)
+            target[q0] = math.sin(math.pi * t / T / 2.0) ** 2
             dev = np.abs(tr - target).max() / np.abs(target).max()
             assert dev < 1e-3
 
     @pytest.mark.parametrize("factory", [hp.dirichlet_laplacian,
                                          hp.clamped_bilaplacian])
-    def test_shift_does_not_change_the_solution(self, factory):
+    def test_shift_does_not_change_the_solution(self, factory, monkeypatch):
         """u = e^{sigma t} v for any sigma > 0.  sigma enters through the
         splitting alone (the semigroup contour keeps its own fixed shift), and
         the solution must not depend on it."""
@@ -162,19 +174,14 @@ class TestIbvp:
         ug = UniformHalfGrid(X=30.0, N=512)
         q0 = TG.mode_index(1.0)
         T = 0.5
-
-        def g0(t):
-            out = np.zeros(TG.n_modes, dtype=complex)
-            out[q0] = math.sin(math.pi * min(t / T, 1.0) / 2.0) ** 2
-            return out
-
-        g = [g0] + [lambda t: np.zeros(TG.n_modes, dtype=complex)] * (p.m - 1)
+        g = _switch_on(p, q0, 16)
         # compatible with g(0) = 0 for both problems: u0 and u0' vanish at 0
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         u0[q0] = ug.x ** 2 * np.exp(-ug.x)
-        sols = {sigma: pb.ibvp_solve(p, u0, g, T, sigma, TG, ug,
-                                     [T / 2, T], N_t=16).values
-                for sigma in (0.5, 1.0, 2.0)}
+        sols = {}
+        for sigma in (0.5, 1.0, 2.0):
+            monkeypatch.setattr(pb, "_SHIFT", sigma)
+            sols[sigma] = pb.ibvp_solve(p, u0, g, T, TG, ug, [T / 2, T]).values
         ref = np.linalg.norm(sols[1.0])
         for sigma in (0.5, 2.0):
             assert np.linalg.norm(sols[sigma] - sols[1.0]) / ref < 1e-2
@@ -186,9 +193,6 @@ class TestIbvp:
         q0 = TG.mode_index(1.0)
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         u0[q0] = np.exp(-ug.x)     # trace 1 at the boundary
-
-        def g0(t):
-            return np.zeros(TG.n_modes, dtype=complex)
-
-        sol = pb.ibvp_solve(p, u0, [g0], 0.5, 1.0, TG, ug, [0.25], N_t=8)
+        g = np.zeros((1, 9, TG.n_modes))
+        sol = pb.ibvp_solve(p, u0, g, 0.5, TG, ug, [0.25])
         assert sol.compatibility_defect > 0.5
