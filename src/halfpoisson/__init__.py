@@ -46,7 +46,6 @@ from .poisson import (
     singularity_sweep,
 )
 from .resolvent import (
-    ExtensionOperator,
     seeley_extend,
     whole_space_resolvent,
     ResolventResult,

@@ -162,6 +162,13 @@ def _check_least(key: str, value, least) -> None:
         raise ValueError(f"config key {key!r} must be >= {least}, got {value}")
 
 
+def _check_positive(**values) -> None:
+    """Reject a config value that must be positive and is not."""
+    for key, value in values.items():
+        if not value > 0:
+            raise ValueError(f"config key {key!r} must be positive, got {value}")
+
+
 def _check_power_of_two(key: str, value: int, least: int) -> None:
     """Reject a grid size that is not a power of two >= ``least``."""
     if value < least or value & (value - 1):
@@ -229,14 +236,11 @@ def cmd_poisson_eval(args, problem, *, lambda_=4.0 + 1.0j, j=0, N_x=16, xi0=1.0)
         "mode": np.repeat(live, len(xgrid.x)), "x_n": np.tile(xgrid.x, len(live)),
         "re": u[live].real.ravel(), "im": u[live].imag.ravel()})
     # boundary reproduction: tr B_k of kernel j by the route that evaluated
-    # it, with unit data on every mode
+    # it, with unit data on every mode, is delta_jk
     unit = np.eye(problem.m)[:, [j]]
-    worst = 0.0
-    for k, sym in enumerate(problem.boundary_symbols):
-        tr = sym.contract(sym.table(tgrid.xi_modes),
-                          lambda l: batch.eval(np.zeros(1), unit, l)[:, 0])
-        target = 1.0 if k == j else 0.0
-        worst = max(worst, float(np.abs(tr - target).max()))
+    tr = problem.boundary_traces(tgrid.xi_modes,
+                                 lambda l: batch.eval(np.zeros(1), unit, l)[:, 0])
+    worst = float(np.abs(tr - unit).max())
     _write_json(args.out / "poisson_eval.json",
                 {"lambda": [lambda_.real, lambda_.imag], "j": j,
                  "boundary_reproduction_defect": worst})
@@ -288,8 +292,7 @@ def cmd_singularity_sweep(args, problem, *, t=1.0, s=0.0, lambda_=4.0 + 0.0j, j=
                           N_x=2048, xi_max=2.0e4, n_x_pts=40) -> bool:
     _check_j(problem, j)
     _check_least("n_x_pts", n_x_pts, _FIT_POINTS)
-    if not xi_max > 0:
-        raise ValueError(f"config key 'xi_max' must be positive, got {xi_max}")
+    _check_positive(xi_max=xi_max)
     # the datum's trace-ball index is s less the order m_j of B_j
     tgrid, g = _saturating_datum(problem, N_x, xi_max,
                                  s - problem.boundary_ops[j].order)
@@ -306,6 +309,7 @@ def cmd_singularity_sweep(args, problem, *, t=1.0, s=0.0, lambda_=4.0 + 0.0j, j=
 
 
 def cmd_hardy_norm(args, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bool:
+    _check_least("n_points", n_points, 3)
     grid = HalfLineGrid(x_min=x_min, ratio=ratio, n_points=n_points)
     # the p = 2, r = 0 reference with one refinement, then p at three weights
     cases = [(2.0, 0.0, grid), (2.0, 0.0, grid.refined(2))] + [
@@ -364,6 +368,7 @@ def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
                        N_z=128) -> bool:
     # the residual leaves out 2 x order nodes at either end of the coarsest grid
     _check_power_of_two("N_z", N_z, 1 << (4 * problem.order).bit_length())
+    _check_positive(X=X)
     tgrid = _tgrid(problem.n - 1, N_x)
     residuals, traces_, data = [], [], []
     for i in range(3):
@@ -407,6 +412,7 @@ def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
 def cmd_semigroup_test(args, problem, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2=0.2,
                        t_small=1e-6) -> bool:
     _check_power_of_two("N_z", N_z, 4)
+    _check_positive(X=X, t1=t1, t2=t2, t_small=t_small)
     tgrid = _tgrid(problem.n - 1, N_x)
     # X large enough that the initial profile has fully decayed at the wrap
     ug = UniformHalfGrid(X=X, N=N_z)
@@ -432,6 +438,8 @@ def cmd_semigroup_test(args, problem, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2=0.2
 def cmd_parabolic_solve(args, problem, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
                         sigma=1.0, n_x_pts=33) -> bool:
     _check_least("n_x_pts", n_x_pts, 1)
+    _check_power_of_two("N_t", N_t, 2)
+    _check_positive(T_per=T_per, sigma=sigma)
     tgrid = _tgrid(problem.n - 1, N_x)
     tg = pb.TimeGrid(N_t=N_t, T_per=T_per, sigma=sigma)
     x_nodes = np.linspace(0.0, 4.0, n_x_pts)
@@ -459,11 +467,13 @@ def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, N_t=16,
                    out_times=()) -> bool:
     _check_power_of_two("N_z", N_z, 8)   # the boundary trace reads six normal nodes
     _check_power_of_two("N_t", N_t, 1)
-    if not T > 0:
-        raise ValueError(f"config key 'T' must be positive, got {T}")
+    _check_positive(X=X, T=T)
     tgrid = _tgrid(problem.n - 1, N_x)
     ug = UniformHalfGrid(X=X, N=N_z)
     out_times = np.array(out_times or (T / 2, T))
+    if not np.all((out_times > 0) & (out_times <= T)):
+        raise ValueError(f"config key 'out_times' must lie in (0, T] = (0, {T}], "
+                         f"got {out_times.tolist()}")
     # boundary data: one space-time mode on g_0, smoothly switched on; the
     # ramp is sampled at the N_t + 1 data times, then at the output times
     q0 = tgrid.mode_index(1.0)
@@ -493,6 +503,7 @@ def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, N_t=16,
 def cmd_rbound_sim(args, *, sigma=1.0, N_list=(4, 8, 16, 32, 64), r=0.0,
                    trials=1024) -> bool:
     # out-of-range --p values reach the experiment's own check
+    _check_positive(sigma=sigma)
     p = args.p
     ratios, stderrs = rb.dirichlet_nonrbound_experiment(
         p=p, sigma=sigma, N_list=N_list, r=r, trials=trials, seed=args.seed)

@@ -28,7 +28,8 @@ once per problem (``ModelProblem.interior_symbol`` and
 serves one tangential frequency or a batch of them; each caller contracts the
 table with its own normal variable (a root ``tau``, a normal frequency
 ``xi_n`` or normal-derivative data ``D_n^l u``) over the normal orders the
-operator has, in increasing order.
+operator has, in increasing order.  ``ModelProblem.boundary_traces`` applies
+all m boundary operators to one set of normal-derivative traces.
 """
 
 from __future__ import annotations
@@ -222,6 +223,19 @@ class ModelProblem:
             sym._add_table(xi, out[..., j, :])
         return out
 
+    def boundary_traces(self, xi_prime, normal: Callable[[int], np.ndarray]) -> np.ndarray:
+        """tr B_j for every j: shape (m,) + the broadcast of
+        ``xi_prime.shape[:-1]`` with the shape of ``normal(l)``.
+
+        ``normal(l)`` gives D_n^l u at x_n = 0; it is called once for each
+        normal order that any B_j has.
+        """
+        table = self.boundary_table(xi_prime)
+        syms = self.boundary_symbols
+        dn = {l: normal(l) for l in sorted({l for sym in syms for l in sym.orders})}
+        return np.array([sym.contract(table[..., j, :], dn.__getitem__)
+                         for j, sym in enumerate(syms)])
+
 
 @dataclass(frozen=True)
 class SectorSample:
@@ -338,11 +352,6 @@ def check_lopatinskii_shapiro(problem: ModelProblem,
         worst_point=(tuple(xi[worst]), complex(lam[worst])),
         condition_number=float(svals[worst, 0] / min_sv) if min_sv > 0 else math.inf,
     )
-
-
-def k_max(problem: ModelProblem) -> int:
-    """Minimal normal-derivative order present among the boundary operators."""
-    return min(sym.orders[0] for sym in problem.boundary_symbols)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .grids import TangentialGrid, UniformHalfGrid
 from .poisson import kernel_batch
 
 __all__ = [
-    "ExtensionOperator",
     "seeley_extend",
     "whole_space_resolvent",
     "halfspace_resolvent",
@@ -63,34 +62,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExtensionOperator:
-    """Truncated Hestenes/Seeley reflection of order K."""
+def _seeley_coefficients(K: int) -> np.ndarray:
+    """c_1..c_K solving sum_k c_k (-k)^l = 1 for l = 0..K-1.
 
-    K: int
+    c_k is the Lagrange basis polynomial of the nodes -1..-K evaluated at 1,
+    the integer (-1)^(k-1) k binom(K+1, k+1).
+    """
+    return np.array([(-1) ** (k - 1) * k * math.comb(K + 1, k + 1)
+                     for k in range(1, K + 1)], dtype=float)
 
-    def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("extension order must be >= 1")
 
-    @staticmethod
-    def for_problem(problem: mdl.ModelProblem) -> "ExtensionOperator":
-        return ExtensionOperator(K=max(4, mdl.k_max(problem) + problem.order + 1))
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """c_1..c_K solving sum_k c_k (-k)^l = 1 for l = 0..K-1.
-
-        c_k is the Lagrange basis polynomial of the nodes -1..-K evaluated
-        at 1, the integer (-1)^(k-1) k binom(K+1, k+1).
-        """
-        return np.array([(-1) ** (k - 1) * k * math.comb(self.K + 1, k + 1)
-                         for k in range(1, self.K + 1)], dtype=float)
-
-    @staticmethod
-    def cutoff(x: np.ndarray, X: float) -> np.ndarray:
-        """C^2 window: 1 for x <= X/4, 0 for x >= 0.45 X."""
-        return _taper((np.asarray(x) - 0.25 * X) / (0.20 * X))
+def _seeley_order(problem: mdl.ModelProblem) -> int:
+    """Extension order max(4, k_min + 2m + 1), k_min the lowest normal order
+    of the boundary operators."""
+    return max(4, min(sym.orders[0] for sym in problem.boundary_symbols)
+               + problem.order + 1)
 
 
 def _taper(s: np.ndarray) -> np.ndarray:
@@ -99,16 +85,19 @@ def _taper(s: np.ndarray) -> np.ndarray:
     return 1.0 - s ** 3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def seeley_extend(profile: np.ndarray, ext: ExtensionOperator,
-                  grid: UniformHalfGrid) -> np.ndarray:
-    """Extend half-line samples to the doubled torus, FFT spatial order.
+def seeley_extend(profile: np.ndarray, K: int, grid: UniformHalfGrid) -> np.ndarray:
+    """Extend half-line samples to the doubled torus by the Seeley reflection
+    of order K, FFT spatial order.
 
     Input: values at x = 0, h, ..., X-h (length N).  Output length 2N with
     indices N..2N-1 holding the reflected side x in [-X, 0).  The positive
     side is passed through untouched; the reflected node x = -h i takes
     ``sum_k c_k u[k i] * cutoff(h i)``, where samples at or beyond X read 0
-    (the torus already assumes the data has decayed there).
+    (the torus already assumes the data has decayed there) and the cutoff
+    is a C^2 window, 1 for x <= X/4 and 0 for x >= 0.45 X.
     """
+    if K < 1:
+        raise ValueError("extension order must be >= 1")
     profile = np.asarray(profile)
     N = grid.N
     if profile.shape[-1] != N:
@@ -116,8 +105,8 @@ def seeley_extend(profile: np.ndarray, ext: ExtensionOperator,
     padded = np.concatenate([profile, np.zeros_like(profile[..., :1])], axis=-1)
     i = np.arange(N, 0, -1)                  # torus index 2N - i holds x = -h i
     acc = sum(c * padded[..., np.minimum(k * i, N)]
-              for k, c in enumerate(ext.coefficients, start=1))
-    acc = acc * ext.cutoff(grid.h * i, grid.X)
+              for k, c in enumerate(_seeley_coefficients(K), start=1))
+    acc = acc * _taper((grid.h * i - 0.25 * grid.X) / (0.20 * grid.X))
     return np.concatenate([profile.astype(complex), acc], axis=-1)
 
 
@@ -167,7 +156,6 @@ class ResolventResult:
     rows: np.ndarray         # (A,) active modes, where f is nonzero
     n_modes: int
     u_rows: np.ndarray       # lam.shape + (A, N), half-line samples on the rows
-    traces_rows: np.ndarray  # (m,) + lam.shape + (A,), tr B_j w for the correction
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -176,16 +164,6 @@ class ResolventResult:
                        dtype=complex)
         out[..., self.rows, :] = self.u_rows
         return out
-
-
-def _normal_derivative_traces(W: np.ndarray, xi_normal: np.ndarray,
-                              orders) -> dict[int, np.ndarray]:
-    """Values of D_n^l w at x = 0 from normal-frequency data (per row)."""
-    M = W.shape[-1]
-    return {
-        l: (W * xi_normal ** l).sum(axis=-1) / M
-        for l in orders
-    }
 
 
 def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
@@ -204,15 +182,12 @@ def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
         raise ValueError(f"f has shape {f.shape}, the grids hold "
                          f"{tgrid.n_modes} modes x {ugrid.N} nodes")
     rows = np.flatnonzero(np.any(f != 0, axis=-1))
-    F = np.fft.fft(seeley_extend(f[rows], ExtensionOperator.for_problem(problem), ugrid),
-                   axis=-1)
+    F = np.fft.fft(seeley_extend(f[rows], _seeley_order(problem), ugrid), axis=-1)
     W = whole_space_resolvent(problem, lam, F, tgrid, ugrid.xi_normal, rows)
-    syms = problem.boundary_symbols
-    dtr = _normal_derivative_traces(W, ugrid.xi_normal,
-                                    sorted({l for sym in syms for l in sym.orders}))
-    table = problem.boundary_table(tgrid.xi_modes[rows]).transpose(1, 0, 2)
-    traces = np.array([sym.contract(tab, dtr.__getitem__)
-                       for sym, tab in zip(syms, table)])
+    # D_n^l w at x = 0 from the normal-frequency data
+    traces = problem.boundary_traces(
+        tgrid.xi_modes[rows],
+        lambda l: (W * ugrid.xi_normal ** l).sum(axis=-1) / W.shape[-1])
     u = np.fft.ifft(W, axis=-1)[..., : ugrid.N].copy()
     del W
 
@@ -221,7 +196,7 @@ def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
                          np.tile(tgrid.xi_modes, (lam.size, 1)))
     active = (M * np.arange(lam.size)[:, None] + rows).reshape(-1)
     u -= batch.eval(ugrid.x, traces.reshape(problem.m, -1), 0, active).reshape(u.shape)
-    return ResolventResult(rows=rows, n_modes=M, u_rows=u, traces_rows=traces)
+    return ResolventResult(rows=rows, n_modes=M, u_rows=u)
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
@@ -244,15 +219,12 @@ def _fd_derivative(vals: np.ndarray, h: float, order: int) -> np.ndarray:
     vals = np.asarray(vals, dtype=complex)
     if order == 0:
         return vals.copy()
-    n_pts = order + 3
-    if n_pts % 2 == 0:
-        n_pts += 1
-    r = n_pts // 2
+    r = (order + 3) // 2
     w = _fd_weights(np.arange(-r, r + 1) * h, order)
     out = np.full_like(vals, np.nan)
     n = vals.shape[-1]
-    if n >= n_pts:
-        out[..., r:n - r] = sum(w[k] * vals[..., k:n - n_pts + 1 + k] for k in range(n_pts))
+    if n > 2 * r:
+        out[..., r:n - r] = sum(w[k] * vals[..., k:n - 2 * r + k] for k in range(2 * r + 1))
     return out
 
 
@@ -286,9 +258,8 @@ def boundary_trace_fd(problem: mdl.ModelProblem, u: np.ndarray,
     the first six nodes."""
     offsets = np.arange(6) * ugrid.h
     head = np.asarray(u)[..., :len(offsets)]
-    table = problem.boundary_table(tgrid.xi_modes).transpose(1, 0, 2)
-    return np.array([sym.contract(tab, lambda l: (head @ _fd_weights(offsets, l)) * (-1j) ** l)
-                     for sym, tab in zip(problem.boundary_symbols, table)])
+    return problem.boundary_traces(
+        tgrid.xi_modes, lambda l: (head @ _fd_weights(offsets, l)) * (-1j) ** l)
 
 
 # Contour quadrature (Weideman & Trefethen, Math. Comp. 76, 2007): N_C nodes

@@ -246,6 +246,20 @@ class TestConfig:
         ("singularity-sweep", {"xi_max": 0}, "'xi_max'"),
         ("singularity-sweep", {"xi_max": -2e4}, "'xi_max'"),
         ("ibvp-solve", {"T": 0}, "'T'"),
+        # values that reached a grid's or a function's own check
+        ("parabolic-solve", {"N_t": 12}, "'N_t' must be a power of two >= 2"),
+        ("parabolic-solve", {"N_t": 1}, "'N_t' must be a power of two >= 2"),
+        ("parabolic-solve", {"T_per": 0}, "'T_per' must be positive"),
+        ("parabolic-solve", {"sigma": 0}, "'sigma' must be positive"),
+        ("semigroup-test", {"t1": 0}, "'t1' must be positive"),
+        ("semigroup-test", {"t2": 0}, "'t2' must be positive"),
+        ("semigroup-test", {"t_small": 0}, "'t_small' must be positive"),
+        ("resolvent-test", {"X": 0}, "'X' must be positive"),
+        ("semigroup-test", {"X": 0}, "'X' must be positive"),
+        ("ibvp-solve", {"X": 0}, "'X' must be positive"),
+        ("ibvp-solve", {"out_times": [0.7]}, "'out_times' must lie in (0, T]"),
+        ("rbound-sim", {"sigma": 0}, "'sigma' must be positive"),
+        ("hardy-norm", {"n_points": 2}, "'n_points' must be >= 3"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_rejected(self, command, doc, key, tmp_path, capsys):

@@ -140,9 +140,11 @@ class TestSymbols:
             mdl.Symbol.compile(1, {(0, 1): 0.0, (1, 0): 0j})
 
     def test_k_max(self):
-        assert mdl.k_max(mdl.dirichlet_laplacian()) == 0
-        assert mdl.k_max(mdl.neumann_laplacian()) == 1
-        assert mdl.k_max(mdl.clamped_bilaplacian()) == 0
+        # the lowest normal order of each B_j, which sets the Seeley order
+        lowest = lambda p: [sym.orders[0] for sym in p.boundary_symbols]
+        assert lowest(mdl.dirichlet_laplacian()) == [0]
+        assert lowest(mdl.neumann_laplacian()) == [1]
+        assert lowest(mdl.clamped_bilaplacian()) == [0, 1]
 
 
 class TestChecks:

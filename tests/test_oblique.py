@@ -67,8 +67,63 @@ def test_resolvent_boundary_trace(n, a):
     lam = 4.0 + 2.0j
     sol = res.halfspace_resolvent(p, lam, f, tg, ug)
     assert sol.rows.tolist() == [q]
-    assert np.abs(sol.traces_rows[0, 0]) > 1e-3  # the correction does work
+    # the correction does work: R(lambda) f differs from the restricted
+    # whole-space solution r_+ (lambda - A)^{-1} E f
+    F = np.fft.fft(res.seeley_extend(f[[q]], res._seeley_order(p), ug), axis=-1)
+    w = np.fft.ifft(res.whole_space_resolvent(p, lam, F, tg, ug.xi_normal, [q]),
+                    axis=-1)[0, : ug.N]
+    assert np.abs(sol.u_rows[0] - w).max() > 1e-3
     assert np.abs(res.boundary_trace_fd(p, sol.u, tg, ug)).max() <= 1e-4
+
+
+@pytest.mark.parametrize("a", A_VALUES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_boundary_traces_apply_the_tangential_factor(n, a):
+    """tr B u = D_n u + a xi_1 u at x_n = 0, written out mode by mode, with
+    a leading axis on the normal traces."""
+    p = oblique_laplacian(n, a)
+    tg = TangentialGrid(n_axes=n - 1, N=4, L=2 * math.pi)
+    rng = np.random.default_rng(1)
+    dn = rng.standard_normal((2, 3, tg.n_modes)) + 1j * rng.standard_normal((2, 3, tg.n_modes))
+    tr = p.boundary_traces(tg.xi_modes, dn.__getitem__)
+    assert tr.shape == (1, 3, tg.n_modes)
+    for q, xi in enumerate(tg.xi_modes):
+        want = dn[1, :, q] + a * xi[0] * dn[0, :, q]
+        assert np.abs(tr[0, :, q] - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def _shared_order_bilaplacian():
+    """Bi-Laplacian with B = (D_n + D_1, D_n^3 + D_1^2 D_n): normal orders
+    (0, 1) and (1, 3), so order 1 serves both operators."""
+    base = mdl.clamped_bilaplacian()
+    return mdl.ModelProblem(
+        n=2, m=2, interior_coeffs=base.interior_coeffs,
+        boundary_ops=[mdl.BoundaryOperator(1, {(0, 1): 1.0, (1, 0): 1.0}),
+                      mdl.BoundaryOperator(3, {(0, 3): 1.0, (2, 1): 1.0})],
+        phi_prime=base.phi_prime, phi=base.phi)
+
+
+@pytest.mark.parametrize("make,orders", [
+    (lambda: oblique_laplacian(2, 0.5), [0, 1]),
+    (lambda: oblique_laplacian(3, -1.5), [0, 1]),
+    (mdl.clamped_bilaplacian, [0, 1]),
+    (_shared_order_bilaplacian, [0, 1, 3]),
+], ids=["oblique_n2", "oblique_n3", "clamped", "shared_order"])
+def test_boundary_traces_evaluate_each_normal_order_once(make, orders):
+    p = make()
+    xi = np.array([[0.5] * (p.n - 1), [-2.0] * (p.n - 1)])
+    seen = []
+
+    def normal(l):
+        seen.append(l)
+        return np.full(len(xi), 2.0 ** l)
+
+    tr = p.boundary_traces(xi, normal)
+    assert seen == orders
+    assert tr.shape == (p.m, len(xi))
+    # each B_j is its symbol with the normal factor tau^l = 2^l
+    for j, sym in enumerate(p.boundary_symbols):
+        assert np.array_equal(tr[j], sym(xi, 2.0))
 
 
 @pytest.mark.parametrize("a", A_VALUES)

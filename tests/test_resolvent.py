@@ -21,16 +21,17 @@ def _grid_and_mode(n):
 
 
 class TestExtensionOperator:
+    """The extension E of the solution formula: :func:`res.seeley_extend`."""
+
     def test_coefficients_frozen_k4(self):
         # [DERIVED] Vandermonde solution for K = 4 with dilations 1..4
-        ext = res.ExtensionOperator(K=4)
-        assert np.array_equal(ext.coefficients, [10.0, -20.0, 15.0, -4.0])
+        assert np.array_equal(res._seeley_coefficients(4), [10.0, -20.0, 15.0, -4.0])
+        assert np.array_equal(res._seeley_coefficients(5), [15.0, -40.0, 45.0, -24.0, 5.0])
 
     def test_coefficients_satisfy_matching(self):
-        ext = res.ExtensionOperator(K=6)
         ks = np.arange(1, 7, dtype=float)
         for l in range(6):
-            assert np.sum(ext.coefficients * (-ks) ** l) == pytest.approx(1.0)
+            assert np.sum(res._seeley_coefficients(6) * (-ks) ** l) == pytest.approx(1.0)
 
     def test_reflection_reproduces_a_quartic(self):
         """K = 5 matches derivatives up to order 4, so the reflection of a
@@ -38,27 +39,49 @@ class TestExtensionOperator:
         dilated node k i stays on the grid (i < N/5)."""
         ug = UniformHalfGrid(X=10.0, N=1024)
         quartic = lambda x: (1.0 - 0.3 * x) ** 4
-        full = res.seeley_extend(quartic(ug.x), res.ExtensionOperator(K=5), ug)
+        full = res.seeley_extend(quartic(ug.x), 5, ug)
         i = np.arange(1, ug.N // 5)
         # torus index 2N - i holds x = -h i
         assert np.abs(full[2 * ug.N - i] - quartic(-ug.h * i)).max() < 1e-12
 
     def test_for_problem_orders(self):
-        assert res.ExtensionOperator.for_problem(hp.dirichlet_laplacian()).K == 4
-        # bi-Laplacian: k_max 0, order 4 -> K = 5
-        assert res.ExtensionOperator.for_problem(hp.clamped_bilaplacian()).K == 5
+        # max(4, k_min + 2m + 1), k_min the lowest boundary normal order
+        assert res._seeley_order(hp.dirichlet_laplacian()) == 4
+        assert res._seeley_order(hp.neumann_laplacian()) == 4
+        # bi-Laplacian: k_min 0, order 4 -> K = 5
+        assert res._seeley_order(hp.clamped_bilaplacian()) == 5
+        # B = (D_n^2, D_n^3): k_min 2 -> K = 7
+        base = hp.clamped_bilaplacian()
+        second = hp.ModelProblem(
+            n=2, m=2, interior_coeffs=base.interior_coeffs,
+            boundary_ops=[hp.BoundaryOperator(2, {(0, 2): 1.0}),
+                          hp.BoundaryOperator(3, {(0, 3): 1.0})],
+            phi_prime=base.phi_prime, phi=base.phi)
+        assert res._seeley_order(second) == 7
+
+    def test_rejects_order_below_one(self):
+        ug = UniformHalfGrid(X=10.0, N=16)
+        with pytest.raises(ValueError, match="extension order"):
+            res.seeley_extend(np.ones(ug.N), 0, ug)
 
     def test_cutoff_plateau_and_decay(self):
-        x = np.array([0.0, 2.0, 10.0])
-        c = res.ExtensionOperator.cutoff(x, 10.0)
-        assert c[0] == 1.0 and c[1] == 1.0 and c[2] == 0.0
+        """The reflected side is the cutoff times the dilation sum: a constant
+        datum reflects to sum_k c_k = 1 on the plateau x <= X/4 and to 0 from
+        0.45 X on."""
+        ug = UniformHalfGrid(X=10.0, N=64)
+        full = res.seeley_extend(np.ones(ug.N), 1, ug)   # c_1 = 1, reads u[i]
+        x = -ug.h * np.arange(ug.N, 0, -1)     # torus index 2N - i holds x = -h i
+        reflected = full[ug.N:]
+        assert np.all(reflected[x >= -2.5] == 1.0)
+        assert np.all(reflected[x <= -4.5] == 0.0)
+        mid = (x > -4.5) & (x < -2.5)
+        assert np.all((reflected[mid] > 0) & (reflected[mid] < 1))
 
     def test_extension_derivative_matching(self):
         """The extension matches value and first derivatives across 0."""
         ug = UniformHalfGrid(X=10.0, N=1024)
         prof = np.exp(-ug.x) * np.cos(ug.x)
-        ext = res.ExtensionOperator(K=4)
-        full = res.seeley_extend(prof, ext, ug)
+        full = res.seeley_extend(prof, 4, ug)
         # values just left of zero (torus index 2N-1 is x = -h)
         left = full[-1]
         right = prof[1]
@@ -166,6 +189,22 @@ class TestFdInstruments:
         # the two nodes at either end, where the 5-point stencil does not
         # fit, are NaN
         assert np.isnan(d2[:2]).all() and np.isnan(d2[-2:]).all()
+
+    @pytest.mark.parametrize("order,degree", [(1, 4), (3, 6)])
+    def test_fd_derivative_odd_orders(self, order, degree):
+        """Odd orders take the 2r + 1 = order + 4 point stencil, r = (order +
+        3) // 2: 5 points for order 1, 7 for order 3, exact on polynomials
+        of degree <= order + 3."""
+        ug = UniformHalfGrid(X=4.0, N=64)
+        r = (order + 3) // 2
+        coeffs = np.arange(1.0, degree + 2.0) * (-0.5) ** np.arange(degree + 1)
+        d = res._fd_derivative(np.polynomial.polynomial.polyval(ug.x, coeffs), ug.h, order)
+        want = np.polynomial.polynomial.polyval(
+            ug.x, np.polynomial.polynomial.polyder(coeffs, order))
+        assert np.abs(d[r:-r] - want[r:-r]).max() <= 1e-9 * np.abs(want).max()
+        # the r nodes at either end, where the stencil does not fit, are NaN
+        assert np.isnan(d[:r]).all() and np.isnan(d[-r:]).all()
+        assert not np.isnan(d[r:-r]).any()
 
     def test_one_sided_weights_differentiate_exponential(self):
         h = 0.01

@@ -87,3 +87,25 @@ def test_deck_hashes_runs_one_workload(monkeypatch, capsys):
         names = set(job["artifacts"])
         assert names == ({"ibvp_solve.csv", "ibvp_solve.json"} if "ibvp-solve" in ident
                          else {"semigroup_test.json"}), ident
+
+
+def test_deck_hashes_keep_feeds_artifact_diff(monkeypatch, tmp_path, capsys):
+    """Two kept runs of one tree: every job's artifacts sit under
+    DIR/contour/<NN>, and artifact_diff finds nothing to report."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    hashes = []
+    for run in runs:
+        assert deck_hashes.main([str(TOOLS.parent), "3", "--workload", "contour",
+                                 "--keep", str(run)]) == 0
+        hashes.append(json.loads(capsys.readouterr().out))
+    assert hashes[0] == hashes[1]
+    jobs = hashes[0]["contour"]
+    for run in runs:
+        assert sorted(p.name for p in run.iterdir()) == ["contour"]
+        kept = {p.name: {f.name for f in p.iterdir()} for p in (run / "contour").iterdir()}
+        assert sorted(kept) == sorted(ident.split(":")[0] for ident in jobs)
+        for ident, job in jobs.items():
+            assert kept[ident.split(":")[0]] == set(job["artifacts"]) | {"metadata.json"}
+    assert artifact_diff.main([str(r) for r in runs]) == 0
+    assert capsys.readouterr().out == ""
