@@ -55,7 +55,6 @@ from .resolvent import (
     semigroup_apply,
 )
 from .parabolic import (
-    TimeGrid,
     ParabolicSolution,
     parabolic_boundary_solve,
     extend_time_data,

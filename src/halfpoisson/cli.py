@@ -169,6 +169,12 @@ def _check_positive(**values) -> None:
             raise ValueError(f"config key {key!r} must be positive, got {value}")
 
 
+def _check_nonzero(key: str, value) -> None:
+    """Reject a spectral parameter lambda = 0, where xi' = 0 degenerates."""
+    if value == 0:
+        raise ValueError(f"config key {key!r} must be nonzero, got {value}")
+
+
 def _check_power_of_two(key: str, value: int, least: int) -> None:
     """Reject a grid size that is not a power of two >= ``least``."""
     if value < least or value & (value - 1):
@@ -225,10 +231,15 @@ def cmd_check_ls(args, problem, *, n_moduli=8, n_rays=5) -> bool:
 
 def cmd_poisson_eval(args, problem, *, lambda_=4.0 + 1.0j, j=0, N_x=16, xi0=1.0) -> bool:
     _check_j(problem, j)
+    _check_nonzero("lambda", lambda_)
     tgrid = _tgrid(problem.n - 1, N_x)
+    q = tgrid.mode_index(xi0)
+    if not math.isclose(tgrid.xi_axis[q], xi0, rel_tol=1e-12, abs_tol=1e-12):
+        raise ValueError(f"config key 'xi0' must be a grid frequency, an integer in "
+                         f"[{tgrid.xi_axis.min():g}, {tgrid.xi_axis.max():g}], got {xi0}")
     xgrid = HalfLineGrid.for_decay(poi.decay_rate(problem, lambda_))
     data = np.zeros((problem.m, tgrid.n_modes), dtype=complex)
-    data[j, tgrid.mode_index(xi0)] = 1.0
+    data[j, q] = 1.0
     batch = poi.kernel_batch(problem, lambda_, tgrid.xi_modes)
     u = batch.eval(xgrid.x, data)
     live = np.flatnonzero(np.any(u, axis=1))
@@ -253,6 +264,8 @@ def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
                     N_x=0) -> bool:
     _check_j(problem, j)
     _check_least("n_moduli", n_moduli, _FIT_POINTS)
+    _check_least("k", k, 0)
+    _check_least("p", p, 1)
     q = poi.ExponentQuery.for_problem(problem, k=k, p=p, r=r, t=t, s=s, j=j)
     sample = mdl.SectorSample.default(
         min(problem.phi, 0.7 * math.pi), sigma_floor=sigma_floor,
@@ -293,6 +306,7 @@ def cmd_singularity_sweep(args, problem, *, t=1.0, s=0.0, lambda_=4.0 + 0.0j, j=
     _check_j(problem, j)
     _check_least("n_x_pts", n_x_pts, _FIT_POINTS)
     _check_positive(xi_max=xi_max)
+    _check_nonzero("lambda", lambda_)
     # the datum's trace-ball index is s less the order m_j of B_j
     tgrid, g = _saturating_datum(problem, N_x, xi_max,
                                  s - problem.boundary_ops[j].order)
@@ -310,6 +324,10 @@ def cmd_singularity_sweep(args, problem, *, t=1.0, s=0.0, lambda_=4.0 + 0.0j, j=
 
 def cmd_hardy_norm(args, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bool:
     _check_least("n_points", n_points, 3)
+    _check_positive(x_min=x_min)
+    for key, value in (("p", p), ("ratio", ratio)):
+        if not 1 < value < math.inf:
+            raise ValueError(f"config key {key!r} must lie in (1, inf), got {value}")
     grid = HalfLineGrid(x_min=x_min, ratio=ratio, n_points=n_points)
     # the p = 2, r = 0 reference with one refinement, then p at three weights
     cases = [(2.0, 0.0, grid), (2.0, 0.0, grid.refined(2))] + [
@@ -330,6 +348,7 @@ def cmd_hardy_norm(args, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bo
 def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -> bool:
     _check_least("trials", trials, 1)
     _check_least("n_mu", n_mu, 1)
+    _check_least("t", t, 0)
     rng = np.random.default_rng(args.seed)
     tgrid = _tgrid(1, N_x)
     mus = np.logspace(0, 4, n_mu)
@@ -351,7 +370,7 @@ def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -
     ratios = lhs / rhs
     C_equiv = max(ratios.max(), 1.0 / ratios.min())
     # mixed lifting on a 2-D grid
-    xi_n = 2.0 * math.pi * np.fft.fftfreq(64, d=2.0 * math.pi / 64)
+    xi_n = TangentialGrid(n_axes=1, N=64, L=2.0 * math.pi).xi_axis
     re, im = np.moveaxis(rng.standard_normal((trials, 2, tgrid.N, 64)), 1, 0)
     lift_ratios = sp.mixed_lifting_check(re + 1j * im, t, tgrid, xi_n)
     C_lift = max(lift_ratios.max(), 1.0 / lift_ratios.min())
@@ -369,6 +388,7 @@ def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
     # the residual leaves out 2 x order nodes at either end of the coarsest grid
     _check_power_of_two("N_z", N_z, 1 << (4 * problem.order).bit_length())
     _check_positive(X=X)
+    _check_nonzero("lambda", lambda_)
     tgrid = _tgrid(problem.n - 1, N_x)
     residuals, traces_, data = [], [], []
     for i in range(3):
@@ -441,22 +461,23 @@ def cmd_parabolic_solve(args, problem, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
     _check_power_of_two("N_t", N_t, 2)
     _check_positive(T_per=T_per, sigma=sigma)
     tgrid = _tgrid(problem.n - 1, N_x)
-    tg = pb.TimeGrid(N_t=N_t, T_per=T_per, sigma=sigma)
+    tgrid_t = TangentialGrid(n_axes=1, N=N_t, L=T_per)
+    times = T_per / N_t * np.arange(N_t)
     x_nodes = np.linspace(0.0, 4.0, n_x_pts)
     q0 = tgrid.mode_index(1.0)
-    tau0 = tg.taus[1]
-    g = np.zeros((problem.m, tg.N_t, tgrid.n_modes), dtype=complex)
-    g[0, :, q0] = np.exp(1j * tau0 * tg.times)
-    sol = pb.parabolic_boundary_solve(problem, g, tg, tgrid, x_nodes)
+    tau0 = tgrid_t.xi_axis[1]
+    g = np.zeros((problem.m, N_t, tgrid.n_modes), dtype=complex)
+    g[0, :, q0] = np.exp(1j * tau0 * times)
+    sol = pb.parabolic_boundary_solve(problem, g, sigma, tgrid_t, tgrid, x_nodes)
     # single-mode oracle: one elliptic solve at lambda = sigma + i tau0
-    batch = poi.kernel_batch(problem, tg.sigma + 1j * tau0, tgrid.xi_modes)
+    batch = poi.kernel_batch(problem, sigma + 1j * tau0, tgrid.xi_modes)
     kern = batch.eval(x_nodes, np.eye(problem.m)[:, [0]], 0, [q0])[0]
-    oracle = np.exp(1j * tau0 * tg.times)[:, None] * kern[None, :]
+    oracle = np.exp(1j * tau0 * times)[:, None] * kern[None, :]
     dev = (float(np.abs(sol.values[:, q0, :] - oracle).max())
            / max(float(np.abs(oracle).max()), 1e-300))
     vals = sol.values[:, q0, :].ravel()
     _write_csv(args.out / "parabolic_solve.csv", {
-        "t": np.repeat(tg.times, len(x_nodes)), "x_n": np.tile(x_nodes, len(tg.times)),
+        "t": np.repeat(times, len(x_nodes)), "x_n": np.tile(x_nodes, N_t),
         "re": vals.real, "im": vals.imag})
     _write_json(args.out / "parabolic_solve.json", {"single_mode_dev": dev})
     print(f"single-mode closed-form deviation {dev:.2e}")
@@ -504,6 +525,9 @@ def cmd_rbound_sim(args, *, sigma=1.0, N_list=(4, 8, 16, 32, 64), r=0.0,
                    trials=1024) -> bool:
     # out-of-range --p values reach the experiment's own check
     _check_positive(sigma=sigma)
+    _check_least("trials", trials, 1)
+    if not r > -1:
+        raise ValueError(f"config key 'r' must exceed -1, got {r}")
     p = args.p
     ratios, stderrs = rb.dirichlet_nonrbound_experiment(
         p=p, sigma=sigma, N_list=N_list, r=r, trials=trials, seed=args.seed)

@@ -1,11 +1,15 @@
-"""Discretization grids: periodized tangential tori and graded normal grids.
+"""Discretization grids: periodic tori and graded normal grids.
 
-Tangential data lives on a torus of length ``L`` per axis with ``N`` modes,
-specified directly by Fourier coefficients: ``f(x) = sum_k fhat_k e^{i xi_k x}``
-with ``xi_k = 2 pi k / L`` in FFT ordering.  Periodization error is exactly
-zero for band-limited data, which is how all harness inputs are built.  The
-data are never sampled in space: every tangential norm is taken from the
+Every periodic axis, tangential or temporal, is a torus of length ``L`` with
+``N`` nodes, and its frequencies ``xi_k = 2 pi k / L`` in FFT ordering come
+from one place, :attr:`TangentialGrid.xi_axis`.  Tangential data are
+specified directly by Fourier coefficients:
+``f(x) = sum_k fhat_k e^{i xi_k x}``.  Periodization error is exactly zero
+for band-limited data, which is how all harness inputs are built.  The data
+are never sampled in space: every tangential norm is taken from the
 coefficients by Plancherel (:func:`halfpoisson.spaces.plancherel_norms`).
+The time torus of the parabolic solvers is a one-axis grid whose
+frequencies are the tau of lambda = sigma + i tau.
 
 The normal half-line uses a geometric grid ``x_i = x_min * ratio^i`` so that
 both power weights ``x^r`` near zero and exponential tails are resolved.
@@ -34,22 +38,19 @@ def _simpson_coeffs(n_points: int) -> np.ndarray:
     if n_points < 2:
         raise ValueError("need at least 2 quadrature nodes")
     c = np.zeros(n_points)
-    n_int = n_points - 1
-    pairs = n_int // 2
-    for p in range(pairs):
-        i = 2 * p
-        c[i] += 1.0 / 3.0
-        c[i + 1] += 4.0 / 3.0
-        c[i + 2] += 1.0 / 3.0
-    if n_int % 2 == 1:
-        c[-2] += 0.5
-        c[-1] += 0.5
+    end = n_points - 1 - (n_points - 1) % 2     # last node of the Simpson pairs
+    c[0:end:2] += 1.0 / 3.0
+    c[1:end:2] += 4.0 / 3.0
+    c[2:end + 1:2] += 1.0 / 3.0
+    if end < n_points - 1:
+        c[-2:] += 0.5
     return c
 
 
 @dataclass(frozen=True)
 class TangentialGrid:
-    """Torus discretization of the tangential variables (n-1 axes)."""
+    """Torus discretization of periodic variables: the n-1 tangential axes,
+    or with ``n_axes=1`` the time torus of period ``L`` with ``N`` nodes."""
 
     n_axes: int
     N: int
@@ -175,5 +176,6 @@ class UniformHalfGrid:
 
     @cached_property
     def xi_normal(self) -> np.ndarray:
-        """Normal frequencies of the doubled torus, FFT ordering."""
-        return 2.0 * math.pi * np.fft.fftfreq(2 * self.N, d=self.h)
+        """Normal frequencies of the doubled torus, FFT ordering: the one-axis
+        torus of length 2X with 2N nodes."""
+        return TangentialGrid(n_axes=1, N=2 * self.N, L=2.0 * self.X).xi_axis

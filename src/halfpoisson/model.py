@@ -243,17 +243,15 @@ class SectorSample:
 
     rays: tuple[float, ...]
     moduli: tuple[float, ...]
-    sigma_floor: float
 
     def __post_init__(self):
-        if self.sigma_floor <= 0:
-            raise ValueError("sigma_floor must be positive")
-        if any(mod < self.sigma_floor for mod in self.moduli):
-            raise ValueError("all moduli must be >= sigma_floor")
+        if not all(mod > 0 for mod in self.moduli):
+            raise ValueError(f"moduli must be positive, got {self.moduli}")
 
     @staticmethod
     def default(phi: float, sigma_floor: float = 1.0, n_rays: int = 5,
                 n_moduli: int = 24, mod_max: float = 1e6) -> "SectorSample":
+        """Rays spanning [-phi, phi], moduli log-spaced from sigma_floor to mod_max."""
         for key, value in (("n_rays", n_rays), ("n_moduli", n_moduli)):
             if value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
@@ -264,7 +262,7 @@ class SectorSample:
                              f"{sigma_floor}, mod_max={mod_max}")
         rays = tuple(np.linspace(-phi, phi, n_rays))
         moduli = tuple(np.logspace(math.log10(sigma_floor), math.log10(mod_max), n_moduli))
-        return SectorSample(rays=rays, moduli=moduli, sigma_floor=sigma_floor)
+        return SectorSample(rays=rays, moduli=moduli)
 
     def points(self):
         """All sampled lambda values, as a flat complex array."""

@@ -7,7 +7,8 @@ Whole-line problem (boundary data on t in R, periodized):
 solved per temporal frequency tau by the elliptic solver at
 lambda = sigma + i tau (the shift sigma > 0 keeps lambda inside the sector
 even at tau = 0; the working angle phi > pi/2 covers the whole imaginary
-axis).
+axis).  The time torus is a one-axis :class:`~halfpoisson.grids.TangentialGrid`
+(N = N_t nodes, L = the period); its ``xi_axis`` are the tau.
 
 Initial-boundary problem on (0, T], without forcing: substitute
 v = e^{-sigma t} u (sigma = _SHIFT), then split v = r_[0,T] v1 + v2 where v1
@@ -33,7 +34,6 @@ from .poisson import kernel_batch
 from .resolvent import _taper, boundary_trace_fd, semigroup_apply
 
 __all__ = [
-    "TimeGrid",
     "parabolic_boundary_solve",
     "ParabolicSolution",
     "ibvp_solve",
@@ -43,77 +43,52 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """Uniform temporal grid on a torus of period T_per."""
-
-    N_t: int
-    T_per: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.N_t < 2 or self.N_t & (self.N_t - 1):
-            raise ValueError("N_t must be a power of two")
-        if self.T_per <= 0 or self.sigma <= 0:
-            raise ValueError("T_per and sigma must be positive")
-
-    @property
-    def dt(self) -> float:
-        return self.T_per / self.N_t
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.N_t)
-
-    @property
-    def taus(self) -> np.ndarray:
-        """Temporal frequencies, FFT ordering."""
-        return 2.0 * math.pi * np.fft.fftfreq(self.N_t, d=self.dt)
-
-
-@dataclass(frozen=True)
 class ParabolicSolution:
     """The temporal-frequency data of the solution, for exact evaluation."""
 
     freq_data: np.ndarray     # (N_t temporal modes, modes, n_x)
-    tgrid_t: TimeGrid
+    tgrid_t: TangentialGrid   # the time torus, one axis of N_t nodes
 
     @cached_property
     def values(self) -> np.ndarray:
         """Solution samples at the grid times, (N_t, modes, n_x)."""
-        return np.fft.ifft(self.freq_data, axis=0) * self.tgrid_t.N_t
+        return np.fft.ifft(self.freq_data, axis=0) * self.tgrid_t.N
 
     def at_time(self, t: float) -> np.ndarray:
         """Evaluate the trigonometric interpolant at an arbitrary time."""
-        phases = np.exp(1j * self.tgrid_t.taus * t)
+        phases = np.exp(1j * self.tgrid_t.xi_axis * t)
         return np.tensordot(phases, self.freq_data, axes=(0, 0))
 
 
-def parabolic_boundary_solve(problem: mdl.ModelProblem, g, tgrid_t: TimeGrid,
-                             tgrid: TangentialGrid, x_nodes) -> ParabolicSolution:
+def parabolic_boundary_solve(problem: mdl.ModelProblem, g, sigma: float,
+                             tgrid_t: TangentialGrid, tgrid: TangentialGrid,
+                             x_nodes) -> ParabolicSolution:
     """Whole-line boundary solver: per temporal frequency one elliptic solve.
 
     ``g`` (m, N_t, modes) samples the boundary data time series in
-    tangential frequency; returns u on (N_t, modes, len(x_nodes)).  One
+    tangential frequency at the N_t nodes of the time torus ``tgrid_t`` (one
+    axis); each temporal frequency tau is solved at lambda = sigma + i tau,
+    sigma > 0.  Returns u on (N_t, modes, len(x_nodes)).  One
     kernel batch covers every (temporal frequency, mode) pair, and
     :meth:`~halfpoisson.poisson.KernelBatch.eval` applies ``sum_j Poi_j`` to
     the temporal Fourier coefficients of the g_j: a pair where every
     coefficient vanishes is exactly zero and not evaluated.
     """
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     x_nodes = np.asarray(x_nodes, dtype=float)
-    M = tgrid.n_modes
+    N_t, M = tgrid_t.N, tgrid.n_modes
     g = np.asarray(g, dtype=complex)
-    if g.shape != (problem.m, tgrid_t.N_t, M):
+    if g.shape != (problem.m, N_t, M):
         raise ValueError(f"g has shape {g.shape}, need (m, N_t, modes) = "
-                         f"{(problem.m, tgrid_t.N_t, M)}")
+                         f"{(problem.m, N_t, M)}")
     # temporal Fourier coefficients: g(t) = sum_k ghat_k e^{i tau_k t}, one
     # row per (k, mode)
-    ghat = (np.fft.fft(g, axis=1) / tgrid_t.N_t).reshape(problem.m, -1)
-    lam = tgrid_t.sigma + 1j * tgrid_t.taus
-    batch = kernel_batch(problem, np.repeat(lam, M),
-                         np.tile(tgrid.xi_modes, (tgrid_t.N_t, 1)))
+    ghat = (np.fft.fft(g, axis=1) / N_t).reshape(problem.m, -1)
+    lam = sigma + 1j * tgrid_t.xi_axis
+    batch = kernel_batch(problem, np.repeat(lam, M), np.tile(tgrid.xi_modes, (N_t, 1)))
     out_hat = batch.eval(x_nodes, ghat)
-    return ParabolicSolution(freq_data=out_hat.reshape(tgrid_t.N_t, M, -1),
-                             tgrid_t=tgrid_t)
+    return ParabolicSolution(freq_data=out_hat.reshape(N_t, M, -1), tgrid_t=tgrid_t)
 
 
 def extend_time_data(g_vals: np.ndarray) -> np.ndarray:
@@ -172,11 +147,11 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
     # ---- v1: whole-line solve on the extended, shifted boundary data ----
     N_t = g.shape[1] - 1
     # built first: it rejects an N_t that is not a power of two
-    tgrid_t = TimeGrid(N_t=4 * N_t, T_per=4.0 * T, sigma=_SHIFT)
+    tgrid_t = TangentialGrid(n_axes=1, N=4 * N_t, L=4.0 * T)
     t_closed = T * np.arange(N_t + 1) / N_t
     shifted = np.moveaxis(g * np.exp(-_SHIFT * t_closed)[:, None], 1, 0)
     v1 = parabolic_boundary_solve(problem, np.moveaxis(extend_time_data(shifted), 0, 1),
-                                  tgrid_t, tgrid, ugrid.x)
+                                  _SHIFT, tgrid_t, tgrid, ugrid.x)
 
     # compatibility report: tr B_j u0 vs g_j(0)
     g_0 = g[:, 0]

@@ -270,15 +270,16 @@ def test_criterion_9_parabolic_solvers():
     problem = hp.dirichlet_laplacian()
     tgrid = TangentialGrid(n_axes=1, N=8, L=2.0 * math.pi)
     # single space-time mode against the elliptic kernel
-    tg = pb.TimeGrid(N_t=16, T_per=2.0 * math.pi, sigma=1.0)
+    tgrid_t = TangentialGrid(n_axes=1, N=16, L=2.0 * math.pi)
+    times = 2.0 * math.pi / 16 * np.arange(16)
     x_nodes = np.linspace(0.0, 4.0, 17)
     q0 = tgrid.mode_index(1.0)
-    tau0 = tg.taus[2]
-    g = [np.zeros((tg.N_t, tgrid.n_modes), dtype=complex)]
-    g[0][:, q0] = np.exp(1j * tau0 * tg.times)
-    sol = pb.parabolic_boundary_solve(problem, g, tg, tgrid, x_nodes)
-    batch = poi.kernel_batch(problem, tg.sigma + 1j * tau0, tgrid.xi_modes)
-    oracle = (np.exp(1j * tau0 * tg.times)[:, None]
+    tau0 = tgrid_t.xi_axis[2]
+    g = [np.zeros((16, tgrid.n_modes), dtype=complex)]
+    g[0][:, q0] = np.exp(1j * tau0 * times)
+    sol = pb.parabolic_boundary_solve(problem, g, 1.0, tgrid_t, tgrid, x_nodes)
+    batch = poi.kernel_batch(problem, 1.0 + 1j * tau0, tgrid.xi_modes)
+    oracle = (np.exp(1j * tau0 * times)[:, None]
               * kernel_table(batch, x_nodes, 0)[0, q0][None, :])
     mode_dev = (float(np.abs(sol.values[:, q0, :] - oracle).max())
                 / float(np.abs(oracle).max()))

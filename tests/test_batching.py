@@ -35,6 +35,11 @@ def _grids(p):
             UniformHalfGrid(X=12.0, N=128))
 
 
+# the time torus of 16 nodes and period 2 pi, and its node times
+_TIME_TORUS = (TangentialGrid(n_axes=1, N=16, L=2 * math.pi),
+               2 * math.pi / 16 * np.arange(16))
+
+
 def _ls_violating_laplacian():
     """-Delta with B = D_n - 2i D_1: LS fails on lambda = 3 xi_1^2."""
     base = hp.dirichlet_laplacian()
@@ -105,13 +110,13 @@ def test_semigroup_equals_one_solve_per_node(name):
                           _semigroup_per_node(p, u0, 0.15, tg, ug))
 
 
-def _parabolic_per_frequency(p, g, tgt, tg, x):
+def _parabolic_per_frequency(p, g, sigma, tgt, tg, x):
     """Reference: one kernel batch per temporal frequency with data."""
-    ghat = np.stack([np.fft.fft(gj, axis=0) / tgt.N_t for gj in g])
-    out = np.zeros((tgt.N_t, tg.n_modes, len(x)), dtype=complex)
-    for k, tau in enumerate(tgt.taus):
+    ghat = np.stack([np.fft.fft(gj, axis=0) / tgt.N for gj in g])
+    out = np.zeros((tgt.N, tg.n_modes, len(x)), dtype=complex)
+    for k, tau in enumerate(tgt.xi_axis):
         if np.any(ghat[:, k]):
-            batch = poi.kernel_batch(p, tgt.sigma + 1j * tau, tg.xi_modes)
+            batch = poi.kernel_batch(p, sigma + 1j * tau, tg.xi_modes)
             out[k] = batch.eval(x, ghat[:, k])
     return out
 
@@ -120,16 +125,16 @@ def _parabolic_per_frequency(p, g, tgt, tg, x):
 def test_parabolic_equals_one_batch_per_frequency(name):
     p = PROBLEMS[name]()
     tg, _ = _grids(p)
-    tgt = pb.TimeGrid(N_t=16, T_per=2 * math.pi, sigma=1.0)
+    tgt, times = _TIME_TORUS
     x = np.linspace(0.0, 4.0, 9)
     g = []
     for j in range(p.m):
-        gj = np.zeros((tgt.N_t, tg.n_modes), dtype=complex)
-        gj[:, 2 + j] = np.exp(1j * tgt.taus[1 + j] * tgt.times)
-        gj[:, 6] = np.cos(tgt.times) ** (2 + j)
+        gj = np.zeros((tgt.N, tg.n_modes), dtype=complex)
+        gj[:, 2 + j] = np.exp(1j * tgt.xi_axis[1 + j] * times)
+        gj[:, 6] = np.cos(times) ** (2 + j)
         g.append(gj)
-    sol = pb.parabolic_boundary_solve(p, g, tgt, tg, x)
-    assert np.array_equal(sol.freq_data, _parabolic_per_frequency(p, g, tgt, tg, x))
+    sol = pb.parabolic_boundary_solve(p, g, 1.0, tgt, tg, x)
+    assert np.array_equal(sol.freq_data, _parabolic_per_frequency(p, g, 1.0, tgt, tg, x))
 
 
 def test_ls_failure_on_a_mode_without_data_still_raises():
@@ -214,10 +219,10 @@ def test_one_kernel_batch_per_semigroup_apply(monkeypatch):
 def test_one_kernel_batch_per_parabolic_boundary_solve(monkeypatch):
     p = hp.clamped_bilaplacian()
     tg, _ = _grids(p)
-    tgt = pb.TimeGrid(N_t=16, T_per=2 * math.pi, sigma=1.0)
-    g0 = np.zeros((tgt.N_t, tg.n_modes), dtype=complex)
-    g0[:, tg.mode_index(1.0)] = np.exp(1j * tgt.taus[1] * tgt.times)
+    tgt, times = _TIME_TORUS
+    g0 = np.zeros((tgt.N, tg.n_modes), dtype=complex)
+    g0[:, tg.mode_index(1.0)] = np.exp(1j * tgt.xi_axis[1] * times)
     g = [g0, np.zeros_like(g0)]
     calls = _count_calls(monkeypatch, pb)
-    pb.parabolic_boundary_solve(p, g, tgt, tg, np.linspace(0.0, 4.0, 9))
+    pb.parabolic_boundary_solve(p, g, 1.0, tgt, tg, np.linspace(0.0, 4.0, 9))
     assert len(calls) == 1

@@ -260,6 +260,22 @@ class TestConfig:
         ("ibvp-solve", {"out_times": [0.7]}, "'out_times' must lie in (0, T]"),
         ("rbound-sim", {"sigma": 0}, "'sigma' must be positive"),
         ("hardy-norm", {"n_points": 2}, "'n_points' must be >= 3"),
+        # a frequency off the tangential grid (|xi'| <= 8 on 16 modes)
+        ("poisson-eval", {"xi0": 100}, "'xi0' must be a grid frequency"),
+        ("poisson-eval", {"xi0": 1.5}, "'xi0' must be a grid frequency"),
+        ("poisson-eval", {"xi0": 8}, "'xi0' must be a grid frequency"),
+        # more values that reached a grid's or a function's own check
+        ("hardy-norm", {"ratio": 1}, "'ratio' must lie in (1, inf)"),
+        ("hardy-norm", {"x_min": 0}, "'x_min' must be positive"),
+        ("hardy-norm", {"p": 1}, "'p' must lie in (1, inf)"),
+        ("norm-check", {"t": -1}, "'t' must be >= 0"),
+        ("decay-sweep", {"p": 0.5}, "'p' must be >= 1"),
+        ("decay-sweep", {"k": -1}, "'k' must be >= 0"),
+        ("rbound-sim", {"trials": 0}, "'trials' must be >= 1"),
+        ("rbound-sim", {"r": -1}, "'r' must exceed -1"),
+        ("singularity-sweep", {"lambda": [0, 0]}, "'lambda' must be nonzero"),
+        ("poisson-eval", {"lambda": [0, 0]}, "'lambda' must be nonzero"),
+        ("resolvent-test", {"lambda": [0, 0]}, "'lambda' must be nonzero"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_rejected(self, command, doc, key, tmp_path, capsys):
@@ -274,6 +290,13 @@ class TestConfig:
     ])
     def test_smallest_N_z_accepted(self, command, N_z, code, tmp_path):
         assert self._run(command, {"N_z": N_z}, tmp_path) == code
+
+    @pytest.mark.parametrize("xi0,mode", [(-8, 8), (0, 0), (7.0, 7)])
+    def test_grid_frequency_xi0_picks_its_mode(self, xi0, mode, tmp_path):
+        # 16 modes at L = 2 pi: xi_k = 0, 1, ..., 7, -8, ..., -1
+        assert self._run("poisson-eval", {"xi0": xi0}, tmp_path) == cli.EXIT_OK
+        with open(tmp_path / "out" / "poisson_eval.csv", newline="") as fh:
+            assert {row["mode"] for row in csv.DictReader(fh)} == {str(mode)}
 
     def test_declared_types_accepted(self, tmp_path):
         # integers for float keys, a list for [re, im]

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from halfpoisson.grids import HalfLineGrid, TangentialGrid, UniformHalfGrid
+from halfpoisson.grids import HalfLineGrid, TangentialGrid, UniformHalfGrid, _simpson_coeffs
 from halfpoisson.spaces import space_norm
 
 
@@ -46,6 +47,52 @@ class TestHalfLineGrid:
     def test_for_decay_covers_decay_scale(self):
         g = HalfLineGrid.for_decay(decay_rate=10.0)
         assert g.x[-1] >= 40.0 / 10.0 * 0.9
+
+
+def _simpson_coeffs_loop(n_points):
+    """The composite Simpson coefficients written out pair by pair, with the
+    trapezoid on the last interval for an odd interval count."""
+    c = np.zeros(n_points)
+    n_int = n_points - 1
+    for p in range(n_int // 2):
+        i = 2 * p
+        c[i] += 1.0 / 3.0
+        c[i + 1] += 4.0 / 3.0
+        c[i + 2] += 1.0 / 3.0
+    if n_int % 2 == 1:
+        c[-2] += 0.5
+        c[-1] += 0.5
+    return c
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_simpson_coeffs_equal_the_pairwise_loop(n):
+    assert np.array_equal(_simpson_coeffs(n).view(np.uint64),
+                          _simpson_coeffs_loop(n).view(np.uint64))
+
+
+_POWERS_OF_TWO = st.integers(1, 12).map(lambda k: 2 ** k)
+_LENGTHS = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=_POWERS_OF_TWO, L=_LENGTHS)
+def test_one_axis_torus_frequencies_are_fftfreq(N, L):
+    """Every periodic axis, the time torus among them, takes its frequencies
+    from ``TangentialGrid.xi_axis``: bit for bit 2 pi fftfreq(N, d=L/N)."""
+    got = TangentialGrid(n_axes=1, N=N, L=L).xi_axis
+    want = 2.0 * math.pi * np.fft.fftfreq(N, d=L / N)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=_POWERS_OF_TWO.filter(lambda n: n >= 4), X=_LENGTHS)
+def test_doubled_normal_torus_frequencies_are_fftfreq(N, X):
+    """The doubled normal torus is the one-axis torus of length 2X with 2N
+    nodes: bit for bit 2 pi fftfreq(2N, d=X/N)."""
+    got = UniformHalfGrid(X=X, N=N).xi_normal
+    want = 2.0 * math.pi * np.fft.fftfreq(2 * N, d=X / N)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestTangentialGrid:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -191,8 +192,14 @@ class TestSectorSample:
                            np.round(np.logspace(0, 6, 4), 6))
 
     def test_modulus_floor_enforced(self):
-        with pytest.raises(ValueError):
-            mdl.SectorSample(rays=(0.0,), moduli=(0.5,), sigma_floor=1.0)
+        with pytest.raises(ValueError, match="moduli"):
+            mdl.SectorSample(rays=(0.0,), moduli=(0.0,))
+
+    def test_fields_are_rays_and_moduli(self):
+        s = mdl.SectorSample.default(0.5 * math.pi, sigma_floor=10.0, n_rays=3,
+                                     n_moduli=4, mod_max=1e4)
+        assert [f.name for f in dataclasses.fields(s)] == ["rays", "moduli"]
+        assert s.moduli[0] == 10.0 and len(s.rays) == 3
 
 
 class TestJson:

@@ -14,20 +14,31 @@ from kernel_table import kernel_table
 TG = TangentialGrid(n_axes=1, N=8, L=2 * math.pi)
 
 
+def _time_torus(N_t, T_per):
+    """The time torus of N_t nodes and period T_per, and its node times."""
+    return TangentialGrid(n_axes=1, N=N_t, L=T_per), T_per / N_t * np.arange(N_t)
+
+
 class TestTimeGrid:
+    """The time torus is a one-axis TangentialGrid; sigma is an argument of
+    the solve."""
+
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
-            pb.TimeGrid(N_t=12, T_per=1.0, sigma=1.0)
+            TangentialGrid(1, 12, 1.0)
 
     def test_positive_parameters_required(self):
-        with pytest.raises(ValueError):
-            pb.TimeGrid(N_t=8, T_per=1.0, sigma=0.0)
+        tgt, _ = _time_torus(8, 1.0)
+        g = np.zeros((1, 8, TG.n_modes), dtype=complex)
+        for sigma in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sigma"):
+                pb.parabolic_boundary_solve(hp.dirichlet_laplacian(), g, sigma, tgt, TG,
+                                            np.array([0.0]))
 
     def test_frequencies(self):
-        tg = pb.TimeGrid(N_t=8, T_per=2 * math.pi, sigma=1.0)
-        assert tg.dt == pytest.approx(math.pi / 4)
-        assert tg.taus[1] == pytest.approx(1.0)
-        assert tg.taus[-1] == pytest.approx(-1.0)
+        tgt = TangentialGrid(n_axes=1, N=8, L=2 * math.pi)
+        assert tgt.xi_axis[1] == 1.0
+        assert tgt.xi_axis[-1] == -1.0
 
 
 class TestTimeExtension:
@@ -80,34 +91,34 @@ class TestBoundarySolve:
         """One space-time mode: solution is the elliptic kernel at
         lambda = sigma + i tau, carried by the same temporal phase."""
         p = hp.dirichlet_laplacian()
-        tgt = pb.TimeGrid(N_t=16, T_per=2 * math.pi, sigma=1.0)
+        tgt, times = _time_torus(16, 2 * math.pi)
         x_nodes = np.linspace(0.0, 4.0, 17)
         q0 = TG.mode_index(1.0)
-        tau0 = tgt.taus[2]
-        g = [np.zeros((tgt.N_t, TG.n_modes), dtype=complex)]
-        g[0][:, q0] = np.exp(1j * tau0 * tgt.times)
-        sol = pb.parabolic_boundary_solve(p, g, tgt, TG, x_nodes)
-        batch = poi.kernel_batch(p, tgt.sigma + 1j * tau0, TG.xi_modes)
+        tau0 = tgt.xi_axis[2]
+        g = [np.zeros((tgt.N, TG.n_modes), dtype=complex)]
+        g[0][:, q0] = np.exp(1j * tau0 * times)
+        sol = pb.parabolic_boundary_solve(p, g, 1.0, tgt, TG, x_nodes)
+        batch = poi.kernel_batch(p, 1.0 + 1j * tau0, TG.xi_modes)
         kern = kernel_table(batch, x_nodes, 0)[0, q0]
-        oracle = np.exp(1j * tau0 * tgt.times)[:, None] * kern[None, :]
+        oracle = np.exp(1j * tau0 * times)[:, None] * kern[None, :]
         assert np.abs(sol.values[:, q0, :] - oracle).max() < 1e-12
 
     def test_at_time_interpolates_samples(self):
         p = hp.dirichlet_laplacian()
-        tgt = pb.TimeGrid(N_t=8, T_per=1.0, sigma=1.0)
-        g = [np.zeros((tgt.N_t, TG.n_modes), dtype=complex)]
-        g[0][:, TG.mode_index(1.0)] = np.sin(2 * math.pi * tgt.times)
-        sol = pb.parabolic_boundary_solve(p, g, tgt, TG, np.array([0.0, 1.0]))
+        tgt, times = _time_torus(8, 1.0)
+        g = [np.zeros((tgt.N, TG.n_modes), dtype=complex)]
+        g[0][:, TG.mode_index(1.0)] = np.sin(2 * math.pi * times)
+        sol = pb.parabolic_boundary_solve(p, g, 1.0, tgt, TG, np.array([0.0, 1.0]))
         for i in (0, 3, 5):
-            assert np.allclose(sol.at_time(tgt.times[i]), sol.values[i],
+            assert np.allclose(sol.at_time(times[i]), sol.values[i],
                                atol=1e-10)
 
     def test_wrong_operator_count_rejected(self):
         p = hp.clamped_bilaplacian()
-        tgt = pb.TimeGrid(N_t=8, T_per=1.0, sigma=1.0)
+        tgt, _ = _time_torus(8, 1.0)
         g = [np.zeros((8, TG.n_modes), dtype=complex)]   # needs two
         with pytest.raises(ValueError):
-            pb.parabolic_boundary_solve(p, g, tgt, TG, np.array([0.0]))
+            pb.parabolic_boundary_solve(p, g, 1.0, tgt, TG, np.array([0.0]))
 
 
 def _switch_on(p, q0, N_t):
