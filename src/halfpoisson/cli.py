@@ -573,27 +573,28 @@ def config_params(command: str) -> dict:
 
 def _conform(key: str, value, default):
     """``value`` if it has the type of ``default``, else ValueError naming
-    ``key``.  An int default takes an integer, a float any number, a complex
-    an ``[re, im]`` pair (returned as complex), a tuple a list of items of
-    its first item's type, or of numbers when it is empty (returned as a
-    tuple)."""
+    ``key``.  An int default takes an integer, a float any finite number
+    (not ``NaN`` or ``Infinity``), a complex an ``[re, im]`` pair of them
+    (returned as complex), a tuple a list of items of its first item's
+    type, or of finite numbers when it is empty (returned as a tuple)."""
     def number(v, like=0.0):
         kinds = int if isinstance(like, int) else (int, float)
-        return isinstance(v, kinds) and not isinstance(v, bool)
+        return (isinstance(v, kinds) and not isinstance(v, bool)
+                and (isinstance(v, int) or math.isfinite(v)))
 
     if isinstance(default, complex):
         if isinstance(value, list) and len(value) == 2 and all(map(number, value)):
             return complex(*value)
-        want = "an [re, im] pair of numbers"
+        want = "an [re, im] pair of finite numbers"
     elif isinstance(default, tuple):
         like = default[0] if default else 0.0
         if isinstance(value, list) and all(number(v, like) for v in value):
             return tuple(value)
-        want = "a list of " + ("integers" if isinstance(like, int) else "numbers")
+        want = "a list of " + ("integers" if isinstance(like, int) else "finite numbers")
     elif number(value, default):
         return value
     else:
-        want = "an integer" if isinstance(default, int) else "a number"
+        want = "an integer" if isinstance(default, int) else "a finite number"
     raise ValueError(f"config key {key!r} expects {want}, got {json.dumps(value)}")
 
 

@@ -75,7 +75,9 @@ _TAYLOR_DEGREE = 18
 
 
 def _frequency_rows(problem, lam, xi_modes: np.ndarray):
-    """Per-row inputs of the three stages for the pairs ``(lam[q], xi_modes[q])``.
+    """Per-row inputs of the three stages, one row per pair of ``lam`` (any
+    shape) and ``xi_modes`` (M, n-1): row ``i * M + k`` pairs ``lam.flat[i]``
+    with ``xi_modes[k]``.  The one place that forms the (lambda, mode) rows.
 
     Returns ``(char, rows, rho)``: ``char[q]`` the coefficients of
     ``lambda - A(xi', tau)`` in increasing powers of tau, ``rows[q]`` the
@@ -83,12 +85,15 @@ def _frequency_rows(problem, lam, xi_modes: np.ndarray):
     degenerate point ``xi' = 0``, ``lambda = 0``.
     """
     m = problem.m
-    char = -problem.interior_symbol.table(xi_modes)
-    char[:, 0] += lam
+    lam = np.asarray(lam, dtype=complex).reshape(-1, 1)
     if np.any((lam == 0) & ~xi_modes.any(axis=1)):
         raise ValueError("degenerate frequency point: xi' = 0 and lambda = 0")
+    char = np.broadcast_to(-problem.interior_symbol.table(xi_modes),
+                           (len(lam), len(xi_modes), 2 * m + 1)).copy()
+    char[..., 0] += lam
     rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + np.abs(lam) ** (1.0 / m))
-    return char, problem.boundary_table(xi_modes / rho[:, None]), rho
+    rows = problem.boundary_table(xi_modes / rho[..., None])
+    return char.reshape(rho.size, -1), rows.reshape(rho.size, m, 2 * m), rho.reshape(-1)
 
 
 def build_companion(char: np.ndarray, rho: np.ndarray):

@@ -249,8 +249,8 @@ class SectorSample:
             raise ValueError(f"moduli must be positive, got {self.moduli}")
 
     @staticmethod
-    def default(phi: float, sigma_floor: float = 1.0, n_rays: int = 5,
-                n_moduli: int = 24, mod_max: float = 1e6) -> "SectorSample":
+    def default(phi: float, *, n_rays: int, n_moduli: int,
+                sigma_floor: float = 1.0, mod_max: float = 1e6) -> "SectorSample":
         """Rays spanning [-phi, phi], moduli log-spaced from sigma_floor to mod_max."""
         for key, value in (("n_rays", n_rays), ("n_moduli", n_moduli)):
             if value < 1:
@@ -318,36 +318,32 @@ _LS_MODULI = (0.0, 0.5, 1.0, 4.0, 32.0)
 
 
 def check_lopatinskii_shapiro(problem: ModelProblem,
-                              sample: SectorSample | None = None) -> LopatinskiiReport:
+                              sample: SectorSample) -> LopatinskiiReport:
     """Verify unique decaying solvability of the boundary ODE on a sample.
 
-    Every sampled ``(xi', lambda)`` is one row of a single batch through
-    :func:`halfpoisson.companion.build_companion` and
+    The grid ``sample.points()`` x (``_LS_MODULI`` along each direction) is
+    one batch through :func:`halfpoisson.companion.build_companion` and
     :func:`halfpoisson.companion.boundary_map_conditioning`: the boundary
     map restricted to the stable subspace must be invertible.  The report
     carries the worst (smallest) singular value of that map with each row
-    divided by its boundary row; a point with other than m stable roots
-    scores 0.  It passes above the kernel's LS threshold.
+    divided by its boundary row, and its (xi', lambda); a point with other
+    than m stable roots scores 0.  It passes above the kernel's LS threshold.
     """
-    if sample is None:
-        sample = SectorSample.default(problem.phi)
     dirs = (np.zeros((1, 0)) if problem.n == 1
             else unit_directions(problem.n - 1, _LS_DIRECTIONS))
-    tangential = (np.repeat(dirs, len(_LS_MODULI), axis=0)
-                  * np.tile(_LS_MODULI, len(dirs))[:, None])
+    tangential = np.vstack([np.outer(_LS_MODULI, d) for d in dirs])
     points = sample.points()
-    lam = np.repeat(points, len(tangential))
-    xi = np.tile(tangential, (len(points), 1))
-    char, rows, rho = companion._frequency_rows(problem, lam, xi)
+    char, rows, rho = companion._frequency_rows(problem, points, tangential)
     taus, _, counts = companion.build_companion(char, rho)
     svals = companion.boundary_map_conditioning(taus / rho[:, None], rows)[0]
     svals[counts != problem.m] = 0.0
     worst = int(np.argmin(svals[:, -1]))
     min_sv = float(svals[worst, -1])
+    i, k = divmod(worst, len(tangential))
     return LopatinskiiReport(
         passed=min_sv > companion._LS_TOL,
         min_singular_value=min_sv,
-        worst_point=(tuple(xi[worst]), complex(lam[worst])),
+        worst_point=(tuple(tangential[k]), complex(points[i])),
         condition_number=float(svals[worst, 0] / min_sv) if min_sv > 0 else math.inf,
     )
 

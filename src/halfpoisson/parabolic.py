@@ -82,13 +82,10 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, sigma: float,
     if g.shape != (problem.m, N_t, M):
         raise ValueError(f"g has shape {g.shape}, need (m, N_t, modes) = "
                          f"{(problem.m, N_t, M)}")
-    # temporal Fourier coefficients: g(t) = sum_k ghat_k e^{i tau_k t}, one
-    # row per (k, mode)
-    ghat = (np.fft.fft(g, axis=1) / N_t).reshape(problem.m, -1)
-    lam = sigma + 1j * tgrid_t.xi_axis
-    batch = kernel_batch(problem, np.repeat(lam, M), np.tile(tgrid.xi_modes, (N_t, 1)))
-    out_hat = batch.eval(x_nodes, ghat)
-    return ParabolicSolution(freq_data=out_hat.reshape(N_t, M, -1), tgrid_t=tgrid_t)
+    # temporal Fourier coefficients: g(t) = sum_k ghat_k e^{i tau_k t}
+    ghat = np.fft.fft(g, axis=1) / N_t
+    batch = kernel_batch(problem, sigma + 1j * tgrid_t.xi_axis, tgrid.xi_modes)
+    return ParabolicSolution(freq_data=batch.eval(x_nodes, ghat), tgrid_t=tgrid_t)
 
 
 def extend_time_data(g_vals: np.ndarray) -> np.ndarray:

@@ -105,13 +105,12 @@ def predicted_singularity_exponent(t: float, s: float) -> float:
 
 @dataclass
 class KernelBatch:
-    """Stable roots and Newton-basis coefficients for a batch of rows.
+    """Stable roots and Newton-basis coefficients on the grid ``lam`` x
+    ``xi_modes`` of :func:`kernel_batch` (``shape = lam.shape + (M,)``).
 
-    Row q pairs a tangential frequency ``xi_modes[q]`` with a parameter
-    ``lam[q]`` (the inputs of :func:`kernel_batch`), so one batch can cover
-    many modes at one lambda, one mode at many lambda, or both (a contour's
-    nodes x the grid's modes).  For each boundary index j the kernel of
-    ``pr_1 Poi_j(lam[q])`` at ``xi_modes[q]`` and its normal derivatives are
+    Row ``q = i * M + k`` holds the pair (``lam.flat[i]``, mode k).  For
+    each boundary index j the kernel of ``pr_1 Poi_j`` on row q and its
+    normal derivatives are
     ``D^d u(j, q, x) = sum_k c[j, q, k] D^d [tau_1 ... tau_{k+1}] e^{i tau x}``
     over the stable roots ``tau[q]``, sorted by increasing ``Im tau``.  The
     roots do not depend on j, so one batch serves every boundary index, and
@@ -125,6 +124,7 @@ class KernelBatch:
     taus: np.ndarray       # (N, m) stable roots, increasing Im
     coeff: np.ndarray      # (m, N, m) Newton coefficients for unit datum j
     first: np.ndarray      # (N,) first row with the same inputs
+    shape: tuple           # lam.shape + (M,); N = prod(shape)
 
     @property
     def fallback(self) -> np.ndarray:
@@ -135,30 +135,37 @@ class KernelBatch:
         return np.zeros(len(self.first), dtype=bool)
 
     def eval(self, x: np.ndarray, data: np.ndarray, deriv_order: int = 0,
-             rows: np.ndarray | None = None) -> np.ndarray:
-        """``sum_j D^d Poi_j data[j]`` on ``rows`` (default: all), in that
-        order, shape (len(rows), len(x)).
+             modes: np.ndarray | None = None) -> np.ndarray:
+        """``sum_j D^d Poi_j data[j]`` at every lambda on ``modes`` (default:
+        all, in order; repeats allowed), shape ``lam.shape + (len(modes), len(x))``.
 
-        ``data`` is (m, len(rows)), or broadcasts to it: ``data[j, r]`` is
-        the datum of boundary index j on row ``rows[r]``.  A row whose m data
-        all vanish is exactly zero and is not evaluated.  The basis functions
-        run once per distinct row among the others; the data are contracted
-        into the coefficients first, so each row then takes one contraction
-        over the basis.
+        ``data`` broadcasts to ``(m,) + lam.shape + (len(modes),)``.  A pair
+        whose m data all vanish is exactly zero and is not evaluated.  The
+        basis functions run once per distinct row among the others; the data
+        are contracted into the coefficients first, so each row then takes
+        one contraction over the basis.
         """
         x = np.asarray(x, dtype=float)
-        rows = np.arange(len(self.first)) if rows is None else np.asarray(rows)
-        data = np.broadcast_to(data, (len(self.coeff), len(rows)))
+        lead, M = self.shape[:-1], self.shape[-1]
+        if modes is None:
+            rows, shape = np.arange(len(self.first)), self.shape
+        else:   # a mode outside 0..M-1 would read a neighbouring lambda's row
+            if not all(0 <= k < M for k in modes):
+                raise IndexError(f"modes must lie in 0..{M - 1}, got {list(modes)}")
+            rows = (M * np.arange(math.prod(lead))[:, None] + modes).reshape(-1)
+            shape = lead + (len(modes),)
+        data = np.broadcast_to(data, (len(self.coeff),) + shape).reshape(len(self.coeff), -1)
         live = np.flatnonzero(np.any(data != 0, axis=0))
         if live.size == len(rows):
-            return self._apply(x, data, deriv_order, rows)
-        out = np.zeros((len(rows),) + x.shape, dtype=complex)
-        if live.size:
-            out[live] = self._apply(x, data[:, live], deriv_order, rows[live])
-        return out
+            out = self._apply(x, data, deriv_order, rows)
+        else:
+            out = np.zeros((len(rows),) + x.shape, dtype=complex)
+            if live.size:
+                out[live] = self._apply(x, data[:, live], deriv_order, rows[live])
+        return out.reshape(shape + x.shape)
 
     def _apply(self, x, data, deriv_order, rows):
-        """:meth:`eval` on rows that all carry data."""
+        """:meth:`eval` on rows that all carry data, (len(rows), len(x))."""
         distinct, back = np.unique(self.first[rows], return_inverse=True)
         A, F = comp.propagate(self.taus[distinct], x, deriv_order)
         w = np.einsum("jq,jqk,qki->qi", data, self.coeff[:, rows], A[back])
@@ -187,27 +194,25 @@ def _distinct_rows(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray) -> KernelBatch:
-    """Newton-basis kernel data for every row and boundary index.
+    """Newton-basis kernel data on the grid ``lam`` (any shape) x
+    ``xi_modes`` (M, n-1), for every boundary index.
 
-    ``lam`` is one parameter for every row or one per row of ``xi_modes``,
-    so a caller with several lambda stacks its (lambda, mode) pairs as rows
-    and makes one call.  A row's result depends only on its row of
-    lambda - A(xi', .), its boundary rows at ``b = xi'/rho`` and rho, so the
-    roots, their checks, the LS measure and the solve run once per distinct
-    row: rows whose three inputs agree byte for byte share one, taken in
-    order of first occurrence.  Every distinct row is checked, so every row
-    is; :meth:`KernelBatch.eval` can then evaluate only the rows with data.
+    A row's result depends only on its row of lambda - A(xi', .), its
+    boundary rows at ``b = xi'/rho`` and rho, so the roots, their checks,
+    the LS measure and the solve run once per distinct row: rows whose three
+    inputs agree byte for byte share one, taken in order of first
+    occurrence.  Every distinct row is checked, so every pair is;
+    :meth:`KernelBatch.eval` can then evaluate only the pairs with data.
     One solve against the identity gives the coefficients of all m unit
     data from one factorization of the boundary map.  Raises, naming the
-    first offending row,
+    (xi', lambda) of the first offending row,
     :class:`~halfpoisson.companion.EllipticityMarginError` where a root lies
     within ``_AXIS_TOL * rho`` of the real axis or a row has other than m
     stable roots, and :class:`~halfpoisson.companion.LopatinskiiError` where
     the LS measure is at most ``_LS_TOL``."""
     xi_modes = np.atleast_2d(np.asarray(xi_modes, dtype=float))
-    N = xi_modes.shape[0]
-    lam = np.broadcast_to(np.asarray(lam, dtype=complex), (N,)).copy()
-    m = problem.m
+    lam = np.asarray(lam, dtype=complex)
+    m, M = problem.m, len(xi_modes)
     char, rows, rho = comp._frequency_rows(problem, lam, xi_modes)
     first, inverse = _distinct_rows(char, rows, rho)
     char, rows, rho = char[first], rows[first], rho[first]
@@ -215,7 +220,8 @@ def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray) -> KernelBatc
     def check(bad, error, what):
         if np.any(bad):
             q = int(np.argmax(bad))
-            raise error(f"{what(q)} at (xi'={xi_modes[first[q]]}, lambda={lam[first[q]]})")
+            i, k = divmod(int(first[q]), M)
+            raise error(f"{what(q)} at (xi'={xi_modes[k]}, lambda={lam.flat[i]})")
 
     taus, margin, counts = comp.build_companion(char, rho)
     check(margin <= comp._AXIS_TOL, comp.EllipticityMarginError, lambda q:
@@ -233,7 +239,7 @@ def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray) -> KernelBatc
     coeff = np.linalg.solve(bmap, np.eye(m, dtype=complex)) * scale   # (row, k, datum)
     return KernelBatch(taus=taus[inverse],
                        coeff=np.ascontiguousarray(coeff.transpose(2, 0, 1)[:, inverse]),
-                       first=first[inverse])
+                       first=first[inverse], shape=lam.shape + (M,))
 
 
 def decay_rate(problem: ModelProblem, lam: complex) -> float:

@@ -187,13 +187,10 @@ def dirichlet_nonrbound_experiment(
     # zero, and leaving those modes out of the mode sums in the norms adds
     # only +0.0 terms, so the norms keep their bits
     support = np.flatnonzero(g)
-    g, M, max_N = g[support], len(support), max(N_list)
-    lam = (sigma * 2.0 ** np.arange(1, max_N + 1)) ** 2
-    scale = np.abs(lam) ** ((1.0 + r) / (2.0 * p))
-    batch = kernel_batch(problem, np.repeat(lam, M),
-                         np.tile(tgrid.xi_modes[support], (max_N, 1)))
-    images = batch.eval(xgrid.x, np.tile(g, max_N)).reshape(max_N, M, -1)
-    images *= scale[:, None, None]
+    g = g[support]
+    lam = (sigma * 2.0 ** np.arange(1, max(N_list) + 1)) ** 2
+    images = kernel_batch(problem, lam, tgrid.xi_modes[support]).eval(xgrid.x, g)
+    images *= (np.abs(lam) ** ((1.0 + r) / (2.0 * p)))[:, None, None]
 
     ratios, stderrs = np.empty(len(N_list)), np.empty(len(N_list))
     for i, N in enumerate(N_list):

@@ -190,13 +190,8 @@ def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
         lambda l: (W * ugrid.xi_normal ** l).sum(axis=-1) / W.shape[-1])
     u = np.fft.ifft(W, axis=-1)[..., : ugrid.N].copy()
     del W
-
-    M = tgrid.n_modes
-    batch = kernel_batch(problem, np.repeat(lam.reshape(-1), M),
-                         np.tile(tgrid.xi_modes, (lam.size, 1)))
-    active = (M * np.arange(lam.size)[:, None] + rows).reshape(-1)
-    u -= batch.eval(ugrid.x, traces.reshape(problem.m, -1), 0, active).reshape(u.shape)
-    return ResolventResult(rows=rows, n_modes=M, u_rows=u)
+    u -= kernel_batch(problem, lam, tgrid.xi_modes).eval(ugrid.x, traces, 0, rows)
+    return ResolventResult(rows=rows, n_modes=tgrid.n_modes, u_rows=u)
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:

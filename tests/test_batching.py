@@ -51,20 +51,28 @@ def _ls_violating_laplacian():
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_per_row_lambda_batch_equals_scalar_batches(name):
+    """A batch over a lambda list (with a repeat) x the modes, and over the
+    same lambda as a 2-D array, gives the bits of one batch per lambda, on
+    all modes and on modes picked with repeats and out of order."""
     p = PROBLEMS[name]()
     tg, _ = _grids(p)
-    M = tg.n_modes
     x = np.array([0.0, 0.3, 1.1, 2.5])
-    batch = poi.kernel_batch(p, np.repeat(LAMS, M), np.tile(tg.xi_modes, (len(LAMS), 1)))
-    singles = [poi.kernel_batch(p, lam, tg.xi_modes) for lam in LAMS]
+    lams = np.append(LAMS, LAMS[1])
+    batch = poi.kernel_batch(p, lams, tg.xi_modes)
+    assert batch.shape == (len(lams), tg.n_modes)
+    singles = [poi.kernel_batch(p, lam, tg.xi_modes) for lam in lams]
     assert np.array_equal(batch.taus, np.concatenate([b.taus for b in singles]))
     assert np.array_equal(batch.coeff, np.concatenate([b.coeff for b in singles], axis=1))
+    grid = poi.kernel_batch(p, lams.reshape(3, 2), tg.xi_modes)
+    assert grid.shape == (3, 2, tg.n_modes)
+    modes = np.array([6, 3, 1, 6])
     for k in (0, 1):
         full = kernel_table(batch, x, k)
-        assert np.array_equal(full, np.concatenate([kernel_table(b, x, k) for b in singles],
-                                                   axis=1))
-        rows = np.array([3, M + 1, 4 * M + 6])
-        assert np.array_equal(kernel_table(batch, x, k, rows), full[:, rows])
+        assert np.array_equal(full, np.stack([kernel_table(b, x, k) for b in singles],
+                                             axis=1))
+        assert np.array_equal(kernel_table(grid, x, k),
+                              full.reshape(full.shape[:1] + (3, 2) + full.shape[2:]))
+        assert np.array_equal(kernel_table(batch, x, k, modes), full[:, :, modes])
 
 
 @pytest.mark.parametrize("name", PROBLEMS)

@@ -276,6 +276,11 @@ class TestConfig:
         ("singularity-sweep", {"lambda": [0, 0]}, "'lambda' must be nonzero"),
         ("poisson-eval", {"lambda": [0, 0]}, "'lambda' must be nonzero"),
         ("resolvent-test", {"lambda": [0, 0]}, "'lambda' must be nonzero"),
+        # the JSON tokens NaN and Infinity are not finite numbers
+        ("norm-check", {"t": math.nan}, "config key 't'"),
+        ("semigroup-test", {"t1": math.inf}, "config key 't1'"),
+        ("poisson-eval", {"lambda": [math.nan, 0]}, "config key 'lambda'"),
+        ("ibvp-solve", {"out_times": [math.inf]}, "config key 'out_times'"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_value_rejected(self, command, doc, key, tmp_path, capsys):
@@ -361,6 +366,21 @@ class TestSweepOutputs:
         body = np.array(rows[1:], dtype=float)
         assert np.all(body[:, 2] > 0)
         assert np.allclose(body[:, 3], -0.25)
+
+    def test_decay_sweep_saturating_datum(self, tmp_path):
+        """t > s activates the bracket: the datum saturates the s-indexed
+        trace ball on 512 modes, and the fitted slopes meet
+        (-1 - r + p (t - s)) / (2 m p) on the Dirichlet Laplacian."""
+        t, s, r, p, m = 0.5, 0.0, 1.5, 2.0, 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": t, "s": s, "r": r}))
+        out = tmp_path / "out"
+        assert run(["decay-sweep", "--config", cfg, "--out", out]) == cli.EXIT_OK
+        rep = json.loads((out / "decay_sweep.json").read_text())
+        assert rep["max_deviation"] <= 0.05
+        assert rep["predicted"] == (-1.0 - r + p * (t - s)) / (2 * m * p)
+        with open(out / "decay_sweep.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 5 * 13
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -39,7 +39,6 @@ def _duplicate_trace_bilaplacian():
 def _stages(p, xi, lam):
     """The three per-row inputs, the stable roots and the LS data at points."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    lam = np.broadcast_to(np.asarray(lam, dtype=complex), (len(xi),))
     char, rows, rho = comp._frequency_rows(p, lam, xi)
     taus = comp.build_companion(char, rho)[0]
     svals = comp.boundary_map_conditioning(taus / rho[:, None], rows)[0]

@@ -3,8 +3,9 @@
 Rows whose inputs (the row of lambda - A(xi', .), the boundary rows at
 xi'/rho and rho) agree byte for byte share one solve and one evaluation of
 the basis.
-Whatever rows a batch repeats, and in whatever order ``eval`` is asked for
-them, the results must be the bits of one ``kernel_batch`` per row.
+Whatever lambda and modes a batch repeats, and in whatever order ``eval``
+is asked for the modes, the results must be the bits of one
+``kernel_batch`` per (lambda, mode) pair.
 """
 
 import math
@@ -33,31 +34,33 @@ LAMS = np.array([4.0 + 2.0j, 50.0 * np.exp(0.6j), 1.0 + 0.0j])
 X = np.array([0.0, 0.3, 1.1, 2.5])
 
 
-def _base_rows(p):
-    """Every (lambda, mode) pair of a small grid."""
-    tg = TangentialGrid(n_axes=p.n - 1, N=4, L=2 * math.pi)
-    M = tg.n_modes
-    return np.repeat(LAMS, M), np.tile(tg.xi_modes, (len(LAMS), 1))
-
-
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(PROBLEMS)), data=st.data())
 def test_repeated_shuffled_rows_equal_one_batch_per_row(name, data):
+    """lambda and modes drawn with repeats and in any order, then modes
+    asked of ``eval`` with repeats and in any order."""
     p = PROBLEMS[name]()
-    lam, xi = _base_rows(p)
-    picks = data.draw(st.lists(st.integers(0, len(lam) - 1), min_size=1,
-                               max_size=24), label="picks")
-    batch = poi.kernel_batch(p, lam[picks], xi[picks])
-    singles = [poi.kernel_batch(p, lam[q], xi[q:q + 1]) for q in picks]
-    assert np.array_equal(batch.taus, np.concatenate([s.taus for s in singles]))
-    assert np.array_equal(batch.coeff, np.concatenate([s.coeff for s in singles], axis=1))
-    rows = data.draw(st.lists(st.integers(0, len(picks) - 1), min_size=1,
-                              max_size=2 * len(picks)), label="rows")
+    xi = TangentialGrid(n_axes=p.n - 1, N=4, L=2 * math.pi).xi_modes
+    lam_picks = data.draw(st.lists(st.integers(0, len(LAMS) - 1), min_size=1,
+                                   max_size=5), label="lam_picks")
+    mode_picks = data.draw(st.lists(st.integers(0, len(xi) - 1), min_size=1,
+                                    max_size=8), label="mode_picks")
+    lam, xi = LAMS[lam_picks], xi[mode_picks]
+    batch = poi.kernel_batch(p, lam, xi)
+    singles = [[poi.kernel_batch(p, v, xi[k:k + 1]) for k in range(len(xi))]
+               for v in lam]
+    flat = [s for row in singles for s in row]
+    assert np.array_equal(batch.taus, np.concatenate([s.taus for s in flat]))
+    assert np.array_equal(batch.coeff, np.concatenate([s.coeff for s in flat], axis=1))
+    modes = data.draw(st.lists(st.integers(0, len(xi) - 1), min_size=1,
+                               max_size=2 * len(xi)), label="modes")
     for k in (0, 1):
-        want = np.stack([kernel_table(singles[r], X, k)[:, 0] for r in rows], axis=1)
-        assert np.array_equal(kernel_table(batch, X, k, np.array(rows)), want)
+        want = np.stack([np.stack([kernel_table(row[r], X, k)[:, 0] for r in modes],
+                                  axis=1) for row in singles], axis=1)
+        assert np.array_equal(kernel_table(batch, X, k, modes), want)
         if k == 0:
-            full = np.concatenate([kernel_table(s, X, k) for s in singles], axis=1)
+            full = np.stack([np.concatenate([kernel_table(s, X, k) for s in row], axis=1)
+                             for row in singles], axis=1)
             assert np.array_equal(kernel_table(batch, X, k), full)
 
 
@@ -85,25 +88,24 @@ def test_key_is_bytes_not_values():
     assert batch.first.tolist() == [0, 1, 0, 1]
 
 
-BAD = [(np.array([0.0]), -4.0), (np.array([1.0]), -5.0), (np.array([-1.0]), -5.0)]
-GOOD = [(np.array([0.5]), 2.0 + 1.0j), (np.array([-0.5]), 2.0 + 1.0j),
-        (np.array([-2.0]), 1.0), (np.array([0.0]), 3.0)]
+MARGIN_LAMS = [-4.0, -5.0, 2.0 + 1.0j, 1.0, 3.0]
+MARGIN_XI = [0.0, 0.5, -0.5, 1.0, -1.0, 3.0, -3.0]
 
 
 @settings(max_examples=30, deadline=None)
-@given(order=st.permutations(range(len(BAD) + len(GOOD))))
-def test_margin_error_names_the_first_offending_row(order):
-    """lambda = -4 - xi'^2 puts the Dirichlet roots on the real axis.  The
-    rows at xi' = 1 and -1 share a solve, as do the good rows at 0.5 and
-    -0.5; the error still names whichever offending row comes first in the
-    caller's order."""
-    pairs = [(BAD + GOOD)[i] for i in order]
-    xi_bad, lam_bad = BAD[next(i for i in order if i < len(BAD))]
+@given(lam_order=st.permutations(MARGIN_LAMS), xi_order=st.permutations(MARGIN_XI))
+def test_margin_error_names_the_first_offending_row(lam_order, xi_order):
+    """A real lambda <= -xi'^2 puts the Dirichlet roots on the real axis: at
+    lambda = -4 and -5 every mode but +-3 is bad.  The rows at xi' and -xi'
+    share a solve; the error still names whichever offending pair comes
+    first in the caller's lambda-major order."""
+    lam_bad, xi_bad = next((lam, xi) for lam in lam_order for xi in xi_order
+                           if complex(lam).imag == 0 and lam + xi ** 2 <= 0)
     with pytest.raises(comp.EllipticityMarginError) as err:
-        poi.kernel_batch(hp.dirichlet_laplacian(), [lam for _, lam in pairs],
-                         np.stack([x for x, _ in pairs]))
+        poi.kernel_batch(hp.dirichlet_laplacian(), lam_order,
+                         np.array(xi_order)[:, None])
     msg = str(err.value)
-    assert f"xi'={xi_bad}" in msg
+    assert f"xi'={np.array([xi_bad])}" in msg
     assert f"lambda={complex(lam_bad)}" in msg
 
 

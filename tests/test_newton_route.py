@@ -9,6 +9,7 @@ independent references.
   basis loses up to 8 digits, and the Newton basis none.
 * The general (m >= 3) evaluation path on m = 2 rows against divided
   differences taken in mpmath.
+* Stable roots that tie exactly against the confluent divided differences.
 * The batched LS measure against an ordered Schur reference on SciPy.
 * The boundary reproduction tr B_k Poi_j = delta_kj for |xi'| up to 1e5.
 """
@@ -159,6 +160,25 @@ def test_general_path_on_m2_rows_matches_the_closed_form(xi):
                 assert np.abs(got[k] - want[k]).max() <= 1e-13 * np.abs(want[k]).max()
 
 
+def test_exact_tie_of_stable_roots_takes_the_confluent_limit():
+    """Rows whose stable roots tie exactly, f(t) = t^d e^{i t x}: on
+    [tau, tau] the second basis function is [tau, tau] f = f'(tau), and on
+    [tau, tau, tau_3] (the scaling-and-squaring path) the third is
+    ([tau, tau_3] f - f'(tau)) / (tau_3 - tau)."""
+    tau, tau3 = 2.0 + 3.0j, -1.0 + 4.0j
+    x = np.array([0.0, 0.1, 1.0, 5.0])
+    for d in range(3):
+        f_tau, f_tau3 = tau ** d * np.exp(1j * tau * x), tau3 ** d * np.exp(1j * tau3 * x)
+        df = (d * tau ** (d - 1) + 1j * x * tau ** d) * np.exp(1j * tau * x)
+        want = [f_tau, df, ((f_tau3 - f_tau) / (tau3 - tau) - df) / (tau3 - tau)]
+        for taus in (np.array([[tau, tau]]), np.array([[tau, tau, tau3]])):
+            A, F = comp.propagate(taus, x, d)
+            assert np.all(np.isfinite(A)) and np.all(np.isfinite(F))
+            got = np.einsum("qki,qix->qkx", A, F)[0]
+            for k in range(1, taus.shape[1]):
+                assert np.all(np.abs(got[k] - want[k]) <= 1e-12 * np.abs(want[k])), (d, k)
+
+
 def _schur_ls_measure(p, xi, lam):
     """Singular values of the row-normalised LS map on the Schur vectors of
     the rescaled companion matrix's stable eigenvalues."""
@@ -188,14 +208,15 @@ def test_ls_measure_against_schur(name, monkeypatch):
     assert len(calls) == 1                     # one batch over the whole sample
     dirs = [[0.0]] if p.n == 1 else mdl.unit_directions(p.n - 1, 8)
     xi = np.array([t * np.asarray(d) for d in dirs for t in mdl._LS_MODULI])
-    lam = np.repeat(sample.points(), len(xi))
-    xi = np.tile(xi, (len(sample.points()), 1))
-    char, rows, rho = comp._frequency_rows(p, lam, xi)
+    char, rows, rho = comp._frequency_rows(p, sample.points(), xi)
     taus = comp.build_companion(char, rho)[0]
     got = conditioning(taus / rho[:, None], rows)[0]
-    want = np.array([_schur_ls_measure(p, x, v) for x, v in zip(xi, lam)])
+    pairs = [(x, v) for v in sample.points() for x in xi]      # lambda-major
+    want = np.array([_schur_ls_measure(p, x, v) for x, v in pairs])
     assert np.all(np.abs(got - want) <= 1e-12 * want)
     assert report.min_singular_value == got[:, -1].min()
+    x, v = pairs[int(np.argmin(got[:, -1]))]
+    assert report.worst_point == (tuple(x), complex(v))
     if name == "ls_violating":
         lam = 3.0 * (1 + 1e-9)
         char, rows, rho = comp._frequency_rows(p, np.array([lam]), np.array([[1.0]]))

@@ -258,11 +258,10 @@ class TestGrowthExperiment:
         def norm_out(sums):
             return (norm_in(sums) ** p @ w) ** (1.0 / p)
 
-        M, max_N = tgrid.n_modes, max(N_list)
-        lam = (2.0 ** np.arange(1, max_N + 1)) ** 2
-        batch = kernel_batch(dirichlet_laplacian(n=2), np.repeat(lam, M),
-                             np.tile(tgrid.xi_modes, (max_N, 1)))
-        images = batch.eval(xgrid.x, np.tile(g, max_N)).reshape(max_N, M, -1)
+        lam = (2.0 ** np.arange(1, max(N_list) + 1)) ** 2
+        batch = kernel_batch(dirichlet_laplacian(n=2), lam, tgrid.xi_modes)
+        images = batch.eval(xgrid.x, g)
+        assert images.shape == (len(lam), tgrid.n_modes, xgrid.n_points)
         images *= (lam ** ((1.0 + r) / (2.0 * p)))[:, None, None]
         want = [rb.rademacher_ratio(rb.RademacherTrial(
                     images=images[:N], vectors=np.tile(g, (N, 1)), seed=seed,
