@@ -368,6 +368,9 @@ def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -
     rhs = (sp.plancherel_norms(fhat.T, s, tgrid)[:, None]
            + mu_weight * sp.plancherel_norms(fhat.T, s0, tgrid)[:, None])
     ratios = lhs / rhs
+    if not np.all(np.isfinite(ratios) & (ratios > 0)):
+        raise ValueError(f"config keys 's' = {s} and 's0' = {s0} put the lifted norms "
+                         "out of floating-point range (a norm ratio is 0, inf or nan)")
     C_equiv = max(ratios.max(), 1.0 / ratios.min())
     # mixed lifting on a 2-D grid
     xi_n = TangentialGrid(n_axes=1, N=64, L=2.0 * math.pi).xi_axis

@@ -140,6 +140,17 @@ class HalfLineGrid:
         w[0] += self.x_min ** (1.0 + r) / (1.0 + r)
         return w
 
+    def log_weights(self, r: float = 0.0) -> np.ndarray:
+        """gamma^(r) with ``quad_weights(r)`` = x^{1+r} gamma^(r): the Simpson
+        coefficients times log(ratio), plus 1/(1+r) at x_min for the head.
+        They do not depend on x, which makes integral operators whose kernel
+        is homogeneous of degree -1 Toeplitz on the grid."""
+        if r <= -1:
+            raise ValueError("weight exponent r must exceed -1")
+        gamma = _simpson_coeffs(self.n_points) * math.log(self.ratio)
+        gamma[0] += 1.0 / (1.0 + r)
+        return gamma
+
     def refined(self, factor: int = 2) -> "HalfLineGrid":
         """Same span, ratio^(1/factor) spacing."""
         return HalfLineGrid(

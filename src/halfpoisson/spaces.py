@@ -16,10 +16,15 @@ Half-line norms with power weight ``x^r`` use the graded-grid quadrature from
 
     T f(x) = int_0^inf f(y) / (x + y) dy
 
-is discretized densely with those quadrature weights; its operator norm on
-L_p(x^r dx) is the top eigenvalue of the weight-symmetrised matrix for p = 2
-(Lanczos from a fixed start vector) and comes from an L_p power iteration
-(Boyd's method) otherwise.
+is discretized with those quadrature weights.  Its kernel is homogeneous of
+degree -1, so T is a Mellin convolution, and on the geometric grid the
+discretization is a Toeplitz matrix times a diagonal; it is applied by FFT
+and never formed.  In u = x^{(1+r)/p} f the L_p(x^r dx) norm becomes an
+l_p norm whose weights do not grow with x, which keeps the iterates near
+unit size across the grid's decades.  The operator norm is the top
+eigenvalue of the weight-symmetrised operator for p = 2 (Lanczos from a
+fixed start vector) and comes from an L_p power iteration (Boyd's method)
+otherwise; see :func:`hardy_norm`.
 """
 
 from __future__ import annotations
@@ -85,13 +90,6 @@ def sobolev_mixed_norm(profiles, p: float, r: float, t: float,
     return total ** (1.0 / p)
 
 
-def _hardy_matrix(grid: HalfLineGrid) -> np.ndarray:
-    """Dense discretization of T f(x) = int f(y)/(x+y) dy on the grid."""
-    x = grid.x
-    w = grid.quad_weights(0.0)
-    return w[None, :] / (x[:, None] + x[None, :])
-
-
 # hardy_norm's power iteration: step limit, relative tolerance, start seed
 _POWER_MAX_ITER = 400
 _POWER_TOL = 1e-10
@@ -100,22 +98,48 @@ _POWER_SEED = 11
 _LANCZOS_TOL = 1e-13
 
 
-def _lanczos_top(A) -> float:
-    """Eigenvalue of largest magnitude of the symmetric matrix ``A``.
+def _mellin_toeplitz(a: float, grid: HalfLineGrid):
+    """FFT products with the Toeplitz matrix Psi_ij = psi_a(i - j),
+    psi_a(k) = ratio^{ak} / (1 + ratio^k), and with its transpose.
+
+    Returns ``(apply, apply_t)``: z -> Psi z and z -> Psi^T z on vectors of
+    ``grid.n_points`` entries.  Psi is embedded in a circulant of length
+    2^ceil(log2(2n - 1)): the first n outputs of the cyclic product read only
+    the offsets |k| < n, so nothing wraps.  The transposed kernel is the
+    reversed one, whose transform is the conjugate.
+    """
+    n = grid.n_points
+    size = 1 << (2 * n - 2).bit_length()
+    k = np.arange(size)
+    t = np.where(k < n, k, k - size) * math.log(grid.ratio)
+    # ratio^{ak} / (1 + ratio^k), without forming ratio^k
+    psi_hat = np.fft.rfft(np.exp(a * t - np.logaddexp(0.0, t)))
+    psi_hat_t = psi_hat.conj()
+
+    def apply(z):
+        return np.fft.irfft(psi_hat * np.fft.rfft(z, size), size)[:n]
+
+    def apply_t(z):
+        return np.fft.irfft(psi_hat_t * np.fft.rfft(z, size), size)[:n]
+
+    return apply, apply_t
+
+
+def _lanczos_top(matvec, n: int) -> float:
+    """Eigenvalue of largest magnitude of the symmetric n x n operator
+    ``matvec`` (v -> A v).
 
     Lanczos with full reorthogonalisation (two Gram-Schmidt passes against
     the whole basis), started from the normalised all-ones vector, so
     repeated calls return identical floats.  Stops at the first step k whose
     top Ritz pair (theta, s) has residual beta_k |s_k| <= ``_LANCZOS_TOL`` *
     |theta|, which includes breakdown (beta_k = 0), and after n steps at the
-    latest, when the Krylov space is all of R^n.  Only ``A.shape`` and
-    ``A @ v`` are used.
+    latest, when the Krylov space is all of R^n.
     """
-    n = A.shape[0]
     q = np.full(n, 1.0 / math.sqrt(n))
     basis, alphas, betas = [q], [], []
     for k in range(n):
-        w = A @ q
+        w = matvec(q)
         alphas.append(float(q @ w))
         Q = np.array(basis)
         for _ in range(2):
@@ -134,46 +158,62 @@ def _lanczos_top(A) -> float:
 def hardy_norm(p: float, r: float, grid: HalfLineGrid) -> float:
     """Operator norm of T on L_p(x^r dx), discretized on the grid.
 
+    The quadrature of T is K_ij = w_j / (x_i + x_j), w = ``quad_weights(0)``.
+    On the geometric grid w = x gamma^(0) and ``quad_weights(r)`` = x^{1+r}
+    gamma^(r) (``HalfLineGrid.log_weights``), so
+
+        K_ij = gamma^(0)_j / (1 + ratio^{i-j}),
+
+    a Toeplitz matrix times a diagonal: the discrete Mellin convolution
+    behind the exact norm pi / sin(pi (1+r)/p) (Hardy, Littlewood & Polya,
+    *Inequalities*, Thm 319).  In u = x^a f with a = (1+r)/p, the
+    L_p(x^r) norm of f is the l_p(gamma^(r)) norm of u, and K becomes
+    u -> Psi_a (gamma^(0) u), Psi_a the Toeplitz matrix of
+    psi_a(k) = ratio^{ak} / (1 + ratio^k), applied by FFT
+    (:func:`_mellin_toeplitz`).  The rescaling keeps the iterates near unit
+    size on a grid that spans tens of decades; in f they span as many.
+
     p = 2: the weighted norm equals the spectral norm of D K D^{-1} with
-    D = diag((w_i x_i^r)^{1/2}), symmetrised; its largest-magnitude
-    eigenvalue comes from Lanczos (:func:`_lanczos_top`) started from the
-    all-ones vector.  That start is safe: the matrix has positive entries,
-    so by Perron-Frobenius its top eigenvector is positive and not
-    orthogonal to the all-ones vector.
-    General p: Boyd's L_p power method on the weighted functional; raises
-    ValueError when it has not met ``_POWER_TOL`` after ``_POWER_MAX_ITER``
-    steps.
+    D = diag(quad_weights(r)^{1/2}) = diag(x^a (gamma^(r))^{1/2}),
+    symmetrised; its largest-magnitude eigenvalue comes from Lanczos
+    (:func:`_lanczos_top`) started from the all-ones vector.  That start is
+    safe: the matrix has positive entries, so by Perron-Frobenius its top
+    eigenvector is positive and not orthogonal to the all-ones vector.
+    General p: Boyd's L_p power method on the weighted functional, in u;
+    raises ValueError when it has not met ``_POWER_TOL`` after
+    ``_POWER_MAX_ITER`` steps.
     """
     if not (1 < p < math.inf):
         raise ValueError("operator-norm estimate needs p in (1, inf)")
-    K = _hardy_matrix(grid)
-    wr = grid.quad_weights(r)
+    a = (1.0 + r) / p
+    apply, apply_t = _mellin_toeplitz(a, grid)
+    g0, gr = grid.log_weights(0.0), grid.log_weights(r)
     if p == 2:
-        d = np.sqrt(wr)
-        # A = D K D^{-1}, built in place on the fresh K
-        A = K
-        A *= d[:, None]
-        A /= d[None, :]
-        # kernel is symmetric under the weight conjugation up to quadrature
-        A += A.T
-        A *= 0.5
-        return abs(_lanczos_top(A))
+        # D K D^{-1} = diag(d) Psi_a diag(g0 / d), d = (gamma^(r))^{1/2}:
+        # symmetric but for the head weights at x_min, so symmetrised
+        d = np.sqrt(gr)
+        e = g0 / d
+
+        def sym(v):
+            return 0.5 * (d * apply(e * v) + e * apply_t(d * v))
+
+        return abs(_lanczos_top(sym, grid.n_points))
     rng = np.random.default_rng(_POWER_SEED)
-    f = rng.random(grid.n_points) + 0.1
+    u = grid.x ** a * (rng.random(grid.n_points) + 0.1)
     pp = p / (p - 1.0)
 
     def norm_p(v):
-        return float((wr @ np.abs(v) ** p) ** (1.0 / p))
+        return float((gr @ np.abs(v) ** p) ** (1.0 / p))
 
     est = 0.0
     for _ in range(_POWER_MAX_ITER):
-        f = f / max(norm_p(f), 1e-300)
-        g = K @ f
-        new_est = norm_p(g)
-        # dual step: T^t in the weighted pairing <Tf, J(g)>_w
-        jg = np.sign(g) * np.abs(g) ** (p - 1.0)
-        h = K.T @ (wr * jg) / wr
-        f = np.sign(h) * np.abs(h) ** (pp - 1.0)
+        u = u / max(norm_p(u), 1e-300)
+        v = apply(g0 * u)
+        new_est = norm_p(v)
+        # dual step: K^t in the weighted pairing <Kf, J(Kf)>, in u
+        jv = np.sign(v) * np.abs(v) ** (p - 1.0)
+        h = g0 / gr * apply_t(gr * jv)
+        u = np.sign(h) * np.abs(h) ** (pp - 1.0)
         if abs(new_est - est) <= _POWER_TOL * max(new_est, 1.0):
             return new_est
         est = new_est

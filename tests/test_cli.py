@@ -511,6 +511,19 @@ class TestSolverCommands:
         rep = json.loads((out / "norm_check.json").read_text())
         assert rep["C_equivalence"] <= 4.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_norm_check_rejects_lifted_norms_that_underflow(self, tmp_path, capsys):
+        """s = -100: the lift (1 + |xi|^2 + mu^2)^{(s - s0)/2} underflows to 0 at
+        mu = 1e4, so the equivalence constant would be 1/0; exit 1, no
+        warning and no non-JSON Infinity written."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s": -100, "trials": 4}))
+        out = tmp_path / "out"
+        assert run(["norm-check", "--config", cfg, "--out", out]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "'s' = -100" in err and "'s0' = 0.0" in err
+        assert not (out / "norm_check.json").exists()
+
     def test_norm_check_bytes_match_the_per_trial_loop(self, tmp_path):
         """The batched command writes the bytes of one norm call per
         (trial, mu) and one lifting call per trial, drawn trial by trial."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,19 +92,69 @@ class TestMixedNorms:
         assert got == pytest.approx(expected, rel=1e-10)
 
 
+def _hardy_matrix(grid):
+    """Dense discretization of T f(x) = int f(y)/(x+y) dy on the grid: the
+    n x n oracle for the FFT route of ``spaces.hardy_norm``."""
+    x = grid.x
+    w = grid.quad_weights(0.0)
+    return w[None, :] / (x[:, None] + x[None, :])
+
+
+def _dense_boyd(p, r, grid):
+    """Boyd's L_p power method on the dense matrix, in the f variables, from
+    the start vector, tolerance and step limit of ``spaces.hardy_norm``."""
+    K = _hardy_matrix(grid)
+    wr = grid.quad_weights(r)
+    f = np.random.default_rng(sp._POWER_SEED).random(grid.n_points) + 0.1
+    pp = p / (p - 1.0)
+
+    def norm_p(v):
+        return float((wr @ np.abs(v) ** p) ** (1.0 / p))
+
+    est = 0.0
+    for _ in range(sp._POWER_MAX_ITER):
+        f = f / max(norm_p(f), 1e-300)
+        g = K @ f
+        new_est = norm_p(g)
+        jg = np.sign(g) * np.abs(g) ** (p - 1.0)
+        h = K.T @ (wr * jg) / wr
+        f = np.sign(h) * np.abs(h) ** (pp - 1.0)
+        if abs(new_est - est) <= sp._POWER_TOL * max(new_est, 1.0):
+            return new_est
+        est = new_est
+    raise AssertionError("dense Boyd iteration did not converge")
+
+
 class TestHardy:
     GRID = HalfLineGrid(x_min=1e-16, ratio=1.08, n_points=1000)
 
     def test_point_value_frozen(self):
         # [DERIVED] T e^{-.}(1) = e * E1(1) = 0.5963473623231946
         g = HalfLineGrid(x_min=1e-8, ratio=1.02, n_points=2400)
-        vals = sp._hardy_matrix(g) @ np.exp(-g.x)
+        # a = 0: K f = Psi_0 (gamma^(0) f), the production FFT apply
+        apply, _ = sp._mellin_toeplitz(0.0, g)
+        vals = apply(g.log_weights(0.0) * np.exp(-g.x))
         i = int(np.argmin(np.abs(g.x - 1.0)))
         # evaluate at the node closest to 1 via the exact formula there
         from scipy.special import exp1
         exact = math.exp(g.x[i]) * exp1(g.x[i])
         assert vals[i] == pytest.approx(exact, rel=1e-6)
         assert math.e * exp1(1.0) == pytest.approx(0.5963473623231946, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 700), x_min=st.floats(1e-16, 1.0),
+           ratio=st.floats(1.001, 1.3), a=st.floats(0.0, 1.5), seed=st.integers(0, 99))
+    def test_fft_apply_matches_dense_product(self, n, x_min, ratio, a, seed):
+        """Psi_a diag(gamma^(0)) = diag(x^a) K diag(x^-a), K the dense matrix;
+        both FFT products against the dense ones, at any n."""
+        g = HalfLineGrid(x_min=x_min, ratio=ratio, n_points=n)
+        xa = g.x ** a
+        psi = xa[:, None] * _hardy_matrix(g) / (xa * g.log_weights(0.0))[None, :]
+        z = np.random.default_rng(seed).standard_normal(n)
+        apply, apply_t = sp._mellin_toeplitz(a, g)
+        scale = np.abs(psi).max() * np.abs(z).sum()
+        assert np.abs(apply(z) - psi @ z).max() <= 1e-13 * scale
+        assert np.abs(apply_t(z) - psi.T @ z).max() <= 1e-13 * scale
 
     def test_p2_r0_reference(self):
         est = sp.hardy_norm(2.0, 0.0, self.GRID)
@@ -132,7 +183,7 @@ class TestHardy:
     def test_p2_matches_dense_eigenvalues(self, n, r):
         g = HalfLineGrid(x_min=1e-16, ratio=1.08, n_points=n)
         d = np.sqrt(g.quad_weights(r))
-        A = d[:, None] * sp._hardy_matrix(g) / d[None, :]
+        A = d[:, None] * _hardy_matrix(g) / d[None, :]
         dense = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (A + A.T)))))
         assert sp.hardy_norm(2.0, r, g) == pytest.approx(dense, rel=1e-12)
 
@@ -155,20 +206,41 @@ class TestHardy:
         the same symmetrised matrix."""
         g = self.GRID.refined(refine) if refine > 1 else self.GRID
         d = np.sqrt(g.quad_weights(r))
-        A = d[:, None] * sp._hardy_matrix(g) / d[None, :]
+        A = d[:, None] * _hardy_matrix(g) / d[None, :]
         dense = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (A + A.T)))))
         assert abs(sp.hardy_norm(2.0, r, g) - dense) <= 1e-13 * dense
 
+    @pytest.mark.parametrize("p,r", [
+        # hardy-norm's weights r = 0, 0.4 (p - 1), 0.8 (p - 1), p = 3 included
+        *((p, fr * (p - 1.0)) for p in (1.3, 1.85, 3.0) for fr in (0.0, 0.4, 0.8)),
+        # r near -1, and r >= p - 1, where the norm on the half-line is infinite
+        (1.3, -0.7), (3.0, -0.7), (1.85, 0.85), (3.0, 2.0), (1.3, 0.45)])
+    def test_power_iteration_matches_dense_boyd(self, p, r):
+        assert sp.hardy_norm(p, r, self.GRID) == pytest.approx(
+            _dense_boyd(p, r, self.GRID), rel=1e-9)
 
-class _Counting:
-    """A matrix that counts its products with a vector."""
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_large_grid_stays_small(self, p):
+        """20 000 points: a dense matrix would take 3.2 GB; the FFT route
+        holds a few vectors (and at p = 2 the Lanczos basis)."""
+        g = HalfLineGrid(x_min=1e-16, ratio=1.08 ** 0.05, n_points=20_000)
+        tracemalloc.start()
+        try:
+            est = sp.hardy_norm(p, 0.0, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est == pytest.approx(math.pi / math.sin(math.pi / p), rel=0.03)
+        assert peak <= 64e6
 
-    def __init__(self, A):
-        self.A, self.shape, self.products = A, A.shape, 0
 
-    def __matmul__(self, v):
-        self.products += 1
-        return self.A @ v
+def _counting(matvec):
+    """``matvec``, counting its calls in ``.products``."""
+    def counted(v):
+        counted.products += 1
+        return matvec(v)
+    counted.products = 0
+    return counted
 
 
 def _largest_magnitude(A):
@@ -182,26 +254,31 @@ class TestLanczos:
     def test_random_symmetric(self, n, seed):
         B = np.random.default_rng(seed).standard_normal((n, n))
         A = B + B.T
-        assert sp._lanczos_top(A) == pytest.approx(_largest_magnitude(A), rel=1e-12)
+        assert sp._lanczos_top(A.__matmul__, n) == pytest.approx(_largest_magnitude(A),
+                                                                  rel=1e-12)
 
     def test_identity_breaks_down_at_the_first_step(self):
-        A = _Counting(np.eye(7))
-        assert sp._lanczos_top(A) == pytest.approx(1.0, rel=1e-15)
-        assert A.products == 1
+        matvec = _counting(np.eye(7).__matmul__)
+        assert sp._lanczos_top(matvec, 7) == pytest.approx(1.0, rel=1e-15)
+        assert matvec.products == 1
 
     def test_negative_largest_magnitude(self):
         # a random rotation of diag(-5, 1, 2, 3), so no eigenvector is the start
         Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
         A = Q @ np.diag([-5.0, 1.0, 2.0, 3.0]) @ Q.T
-        assert sp._lanczos_top(A) == pytest.approx(-5.0, rel=1e-12)
+        assert sp._lanczos_top(A.__matmul__, 4) == pytest.approx(-5.0, rel=1e-12)
 
-    def test_hardy_matrix_converges_in_few_steps(self):
-        g = TestHardy.GRID
-        d = np.sqrt(g.quad_weights(0.0))
-        A = d[:, None] * sp._hardy_matrix(g) / d[None, :]
-        A = _Counting(0.5 * (A + A.T))
-        sp._lanczos_top(A)
-        assert A.products <= 40
+    def test_hardy_matrix_converges_in_few_steps(self, monkeypatch):
+        # hardy_norm's own FFT matvec, counted on its way into Lanczos
+        lanczos, seen = sp._lanczos_top, []
+
+        def counted(matvec, n):
+            seen.append(_counting(matvec))
+            return lanczos(seen[-1], n)
+
+        monkeypatch.setattr(sp, "_lanczos_top", counted)
+        sp.hardy_norm(2.0, 0.0, TestHardy.GRID)
+        assert len(seen) == 1 and 0 < seen[0].products <= 40
 
 
 class TestMixedLifting:

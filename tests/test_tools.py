@@ -89,6 +89,20 @@ def test_deck_hashes_runs_one_workload(monkeypatch, capsys):
                          else {"semigroup_test.json"}), ident
 
 
+def test_deck_hashes_only_runs_the_matching_jobs(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    keep = tmp_path / "kept"
+    assert deck_hashes.main([str(TOOLS.parent), "3", "--workload", "estimate",
+                             "--only", "hardy-norm", "--keep", str(keep)]) == 0
+    jobs = json.loads(capsys.readouterr().out)["estimate"]
+    # two drawn p and the known-defect p = 3, which fails "monotone in r"
+    assert len(jobs) == 3 and all("hardy-norm" in ident for ident in jobs)
+    assert sorted(job["exit"] for job in jobs.values()) == [0, 0, 2]
+    assert all(set(job["artifacts"]) == {"hardy_norm.csv"} for job in jobs.values())
+    assert sorted(p.name for p in (keep / "estimate").iterdir()) == sorted(
+        ident.split(":")[0] for ident in jobs)
+
+
 def test_deck_hashes_keep_feeds_artifact_diff(monkeypatch, tmp_path, capsys):
     """Two kept runs of one tree: every job's artifacts sit under
     DIR/contour/<NN>, and artifact_diff finds nothing to report."""

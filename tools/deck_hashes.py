@@ -1,9 +1,11 @@
 """Exit codes and artifact digests of every benchmark deck job on one tree.
 
-    python3 tools/deck_hashes.py <tree> <seed> [--workload W] [--keep DIR] > hashes.json
+    python3 tools/deck_hashes.py <tree> <seed> [--workload W] [--only SUBSTR]
+                                 [--keep DIR] > hashes.json
 
 Runs every job of the ``contour``, ``sweep`` and ``estimate`` decks (with
-``--workload W``, of deck W alone) of ``perfbench/jobs.py`` (this
+``--workload W``, of deck W alone; with ``--only``, the jobs whose ident
+contains ``SUBSTR``) of ``perfbench/jobs.py`` (this
 repository's copy, so two trees run the same jobs) for ``seed`` through
 ``halfpoisson.cli.main``, importing
 ``halfpoisson`` from ``<tree>/src``.  Prints one JSON object,
@@ -41,8 +43,9 @@ def run_job(job, outdir: Path, scratch: Path) -> int:
 
 
 def deck_hashes(seed: int, keep: Path | None = None,
-                workloads: list[str] | None = None) -> dict:
-    """The printed object for the ``workloads`` decks (default: all)."""
+                workloads: list[str] | None = None, only: str = "") -> dict:
+    """The printed object for the jobs of the ``workloads`` decks (default:
+    all) whose ident contains ``only``."""
     import jobs
     from halfpoisson import cli
 
@@ -52,6 +55,8 @@ def deck_hashes(seed: int, keep: Path | None = None,
         for workload in workloads or sorted(jobs.WORKLOADS):
             results = out[workload] = {}
             for job in jobs.deck(workload, seed):
+                if only not in job.ident:
+                    continue
                 outdir = Path(keep or scratch, workload, job.ident.split(":")[0])
                 code = run_job(job, outdir, Path(scratch))
                 results[job.ident] = {"exit": code, "artifacts": {
@@ -67,6 +72,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("seed", type=int)
     parser.add_argument("--workload", choices=("contour", "sweep", "estimate"),
                         help="hash this deck alone")
+    parser.add_argument("--only", default="", metavar="SUBSTR",
+                        help="hash the jobs whose ident contains SUBSTR")
     parser.add_argument("--keep", type=Path, metavar="DIR",
                         help="keep each job's artifacts under DIR")
     args = parser.parse_args(argv)
@@ -74,7 +81,7 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(args.tree.resolve() / "src"), str(perfbench)]
     keep = args.keep.resolve() if args.keep else None
     workloads = [args.workload] if args.workload else None
-    json.dump(deck_hashes(args.seed, keep, workloads), sys.stdout, indent=1,
+    json.dump(deck_hashes(args.seed, keep, workloads, args.only), sys.stdout, indent=1,
               sort_keys=True)
     print()
     return 0
