@@ -57,13 +57,12 @@ class TangentialGrid:
     L: float
 
     def __post_init__(self):
-        if self.n_axes < 0:
-            raise ValueError("n_axes must be >= 0")
-        if self.n_axes > 0:
-            if self.N < 2 or self.N & (self.N - 1):
-                raise ValueError("N must be a power of two >= 2")
-            if self.L <= 0:
-                raise ValueError("L must be positive")
+        if self.n_axes < 1:
+            raise ValueError(f"'n_axes' must be >= 1, got {self.n_axes}")
+        if self.N < 2 or self.N & (self.N - 1):
+            raise ValueError("N must be a power of two >= 2")
+        if self.L <= 0:
+            raise ValueError("L must be positive")
 
     @cached_property
     def xi_axis(self) -> np.ndarray:
@@ -73,8 +72,6 @@ class TangentialGrid:
     @cached_property
     def xi_modes(self) -> np.ndarray:
         """All mode frequencies flattened, shape (N^(n_axes), n_axes)."""
-        if self.n_axes == 0:
-            return np.zeros((1, 0))
         mesh = np.meshgrid(*([self.xi_axis] * self.n_axes), indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
 
@@ -102,12 +99,12 @@ class HalfLineGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.x_min <= 0:
-            raise ValueError("x_min must be positive")
-        if self.ratio <= 1:
-            raise ValueError("ratio must exceed 1")
+        if not self.x_min > 0:
+            raise ValueError(f"'x_min' must be positive, got {self.x_min}")
+        if not 1 < self.ratio < math.inf:
+            raise ValueError(f"'ratio' must lie in (1, inf), got {self.ratio}")
         if self.n_points < 3:
-            raise ValueError("need at least 3 nodes")
+            raise ValueError(f"'n_points' must be >= 3, got {self.n_points}")
 
     @staticmethod
     def for_decay(decay_rate: float) -> "HalfLineGrid":
@@ -133,8 +130,8 @@ class HalfLineGrid:
         head integral of x^r over [0, x_min] with g frozen at g(x_min);
         requires r > -1.
         """
-        if r <= -1:
-            raise ValueError("weight exponent r must exceed -1")
+        if not r > -1:
+            raise ValueError(f"'r' must exceed -1, got {r}")
         h = math.log(self.ratio)
         w = _simpson_coeffs(self.n_points) * h * self.x ** (1.0 + r)
         w[0] += self.x_min ** (1.0 + r) / (1.0 + r)
@@ -145,8 +142,8 @@ class HalfLineGrid:
         coefficients times log(ratio), plus 1/(1+r) at x_min for the head.
         They do not depend on x, which makes integral operators whose kernel
         is homogeneous of degree -1 Toeplitz on the grid."""
-        if r <= -1:
-            raise ValueError("weight exponent r must exceed -1")
+        if not r > -1:
+            raise ValueError(f"'r' must exceed -1, got {r}")
         gamma = _simpson_coeffs(self.n_points) * math.log(self.ratio)
         gamma[0] += 1.0 / (1.0 + r)
         return gamma
@@ -172,8 +169,8 @@ class UniformHalfGrid:
     N: int
 
     def __post_init__(self):
-        if self.X <= 0:
-            raise ValueError("X must be positive")
+        if not self.X > 0:
+            raise ValueError(f"'X' must be positive, got {self.X}")
         if self.N < 4 or self.N & (self.N - 1):
             raise ValueError("N must be a power of two >= 4")
 

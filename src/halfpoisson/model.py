@@ -170,8 +170,8 @@ class ModelProblem:
     name: str = "problem"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if self.n < 2:
+            raise ValueError(f"'n' must be >= 2, got {self.n}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         order = 2 * self.m
@@ -329,8 +329,7 @@ def check_lopatinskii_shapiro(problem: ModelProblem,
     divided by its boundary row, and its (xi', lambda); a point with other
     than m stable roots scores 0.  It passes above the kernel's LS threshold.
     """
-    dirs = (np.zeros((1, 0)) if problem.n == 1
-            else unit_directions(problem.n - 1, _LS_DIRECTIONS))
+    dirs = unit_directions(problem.n - 1, _LS_DIRECTIONS)
     tangential = np.vstack([np.outer(_LS_MODULI, d) for d in dirs])
     points = sample.points()
     char, rows, rho = companion._frequency_rows(problem, points, tangential)

@@ -75,7 +75,7 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, sigma: float,
     coefficient vanishes is exactly zero and not evaluated.
     """
     if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+        raise ValueError(f"'sigma' must be positive, got {sigma}")
     x_nodes = np.asarray(x_nodes, dtype=float)
     N_t, M = tgrid_t.N, tgrid.n_modes
     g = np.asarray(g, dtype=complex)

@@ -72,9 +72,9 @@ class ExponentQuery:
 
     def __post_init__(self):
         if self.k < 0:
-            raise ValueError("k must be >= 0")
+            raise ValueError(f"'k' must be >= 0, got {self.k}")
         if not (1 <= self.p < math.inf):
-            raise ValueError("p must lie in [1, inf)")
+            raise ValueError(f"'p' must be >= 1 and finite, got {self.p}")
         gap = self.r - self.p * max(self.t + self.k - self.m_j - self.s, 0.0)
         if not gap > -1.0:
             raise ValueError(

@@ -66,7 +66,7 @@ class RademacherTrial:
         if not len(self.images):
             raise ValueError("family must be nonempty")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"'trials' must be >= 1, got {self.trials}")
 
     @property
     def N(self) -> int:

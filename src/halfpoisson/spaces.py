@@ -21,10 +21,10 @@ degree -1, so T is a Mellin convolution, and on the geometric grid the
 discretization is a Toeplitz matrix times a diagonal; it is applied by FFT
 and never formed.  In u = x^{(1+r)/p} f the L_p(x^r dx) norm becomes an
 l_p norm whose weights do not grow with x, which keeps the iterates near
-unit size across the grid's decades.  The operator norm is the top
-eigenvalue of the weight-symmetrised operator for p = 2 (Lanczos from a
-fixed start vector) and comes from an L_p power iteration (Boyd's method)
-otherwise; see :func:`hardy_norm`.
+unit size across the grid's decades.  The operator norm is the top singular
+value of the weight-scaled operator for p = 2 (Lanczos on its Gram operator
+from a fixed start vector) and comes from an L_p power iteration (Boyd's
+method) otherwise; see :func:`hardy_norm`.
 """
 
 from __future__ import annotations
@@ -134,24 +134,28 @@ def _lanczos_top(matvec, n: int) -> float:
     repeated calls return identical floats.  Stops at the first step k whose
     top Ritz pair (theta, s) has residual beta_k |s_k| <= ``_LANCZOS_TOL`` *
     |theta|, which includes breakdown (beta_k = 0), and after n steps at the
-    latest, when the Krylov space is all of R^n.
+    latest, when the Krylov space is all of R^n.  The basis rows live in one
+    buffer that doubles when full.
     """
-    q = np.full(n, 1.0 / math.sqrt(n))
-    basis, alphas, betas = [q], [], []
+    # 32 rows hold hardy_norm's 22 steps without a copy
+    Q = np.empty((min(n, 32), n))
+    Q[0] = q = np.full(n, 1.0 / math.sqrt(n))
+    alphas, betas = [], []
     for k in range(n):
         w = matvec(q)
         alphas.append(float(q @ w))
-        Q = np.array(basis)
+        basis = Q[:k + 1]
         for _ in range(2):
-            w -= (Q @ w) @ Q
+            w -= (basis @ w) @ basis
         beta = float(np.linalg.norm(w))
         T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         theta, S = np.linalg.eigh(T)
         top = int(np.argmax(np.abs(theta)))
         if beta * abs(S[-1, top]) <= _LANCZOS_TOL * abs(theta[top]) or k == n - 1:
             return float(theta[top])
-        q = w / beta
-        basis.append(q)
+        if k + 1 == len(Q):
+            Q = np.concatenate([Q, np.empty((min(len(Q), n - len(Q)), n))])
+        Q[k + 1] = q = w / beta
         betas.append(beta)
 
 
@@ -173,31 +177,31 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid) -> float:
     (:func:`_mellin_toeplitz`).  The rescaling keeps the iterates near unit
     size on a grid that spans tens of decades; in f they span as many.
 
-    p = 2: the weighted norm equals the spectral norm of D K D^{-1} with
-    D = diag(quad_weights(r)^{1/2}) = diag(x^a (gamma^(r))^{1/2}),
-    symmetrised; its largest-magnitude eigenvalue comes from Lanczos
-    (:func:`_lanczos_top`) started from the all-ones vector.  That start is
-    safe: the matrix has positive entries, so by Perron-Frobenius its top
-    eigenvector is positive and not orthogonal to the all-ones vector.
+    p = 2: the weighted norm is the spectral norm of B = D K D^{-1} with
+    D = diag(quad_weights(r)^{1/2}) = diag(x^a (gamma^(r))^{1/2}), the
+    square root of the top eigenvalue of B^T B, which comes from Lanczos
+    (:func:`_lanczos_top`) started from the all-ones vector.  B itself is
+    not symmetric: psi_a(k) != psi_a(-k) unless a = 1/2, and the head
+    weights at x_min differ.  The start is safe: B^T B has positive
+    entries, so by Perron-Frobenius its top eigenvector is positive and not
+    orthogonal to the all-ones vector.
     General p: Boyd's L_p power method on the weighted functional, in u;
     raises ValueError when it has not met ``_POWER_TOL`` after
     ``_POWER_MAX_ITER`` steps.
     """
     if not (1 < p < math.inf):
-        raise ValueError("operator-norm estimate needs p in (1, inf)")
+        raise ValueError(f"'p' must lie in (1, inf), got {p}")
     a = (1.0 + r) / p
     apply, apply_t = _mellin_toeplitz(a, grid)
     g0, gr = grid.log_weights(0.0), grid.log_weights(r)
     if p == 2:
-        # D K D^{-1} = diag(d) Psi_a diag(g0 / d), d = (gamma^(r))^{1/2}:
-        # symmetric but for the head weights at x_min, so symmetrised
-        d = np.sqrt(gr)
-        e = g0 / d
+        # B = diag(d) Psi_a diag(e), d = (gamma^(r))^{1/2}, e = gamma^(0) / d
+        e = g0 / np.sqrt(gr)
 
-        def sym(v):
-            return 0.5 * (d * apply(e * v) + e * apply_t(d * v))
+        def gram(v):
+            return e * apply_t(gr * apply(e * v))
 
-        return abs(_lanczos_top(sym, grid.n_points))
+        return math.sqrt(_lanczos_top(gram, grid.n_points))
     rng = np.random.default_rng(_POWER_SEED)
     u = grid.x ** a * (rng.random(grid.n_points) + 0.1)
     pp = p / (p - 1.0)
@@ -233,8 +237,8 @@ def mixed_lifting_check(fhat2d: np.ndarray, t: float, tgrid: TangentialGrid,
     shape ``fhat2d.shape[:-2]`` (a scalar for one entry).  Every entry sums
     its coefficients in the order of a call on that entry alone.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not t >= 0:
+        raise ValueError(f"'t' must be >= 0, got {t}")
     xt = tgrid.xi_sq[:, None]
     xn = (np.asarray(xi_normal) ** 2).reshape(1, -1)
 

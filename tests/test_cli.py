@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -48,6 +49,21 @@ class TestInfrastructure:
         bad.write_text("{oops")
         code = run(["check-ls", "--problem", bad, "--out", tmp_path / "out"])
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize("command", [
+        name for name, fn in cli.COMMANDS.items()
+        if "problem" in inspect.signature(fn).parameters])
+    def test_one_dimensional_problem_is_input_error(self, command, tmp_path, capsys):
+        """The boundary data live on R^{n-1}: an n = 1 problem is rejected
+        where it loads, for every command that takes a problem."""
+        problem = tmp_path / "n1.json"
+        problem.write_text(json.dumps({
+            "n": 1, "m": 1, "interior": {"2": [-1.0, 0.0]},
+            "boundary": [{"order": 0, "coeffs": {"0": [1.0, 0.0]}}],
+            "phi_prime": math.pi - 0.01, "phi": 0.75 * math.pi}))
+        code = run([command, "--problem", problem, "--out", tmp_path / "out"])
+        assert code == cli.EXIT_INPUT
+        assert "'n' must be >= 2, got 1" in capsys.readouterr().err
 
     def test_missing_config_is_input_error(self, tmp_path):
         code = run(["hardy-norm", "--config", tmp_path / "absent.json",
@@ -475,6 +491,23 @@ class TestSweepOutputs:
                     "--out", tmp_path / "out"])
         assert code == cli.EXIT_OK
 
+    @pytest.mark.parametrize("command,doc", [
+        ("singularity-sweep", {"N_x": 8}),
+        ("decay-sweep", {"N_x": 8, "t": 1.0, "r": 1.5}),
+    ])
+    def test_saturating_datum_needs_two_dimensions(self, command, doc, tmp_path,
+                                                   capsys):
+        """The datum's trace exponent 1/2 is that of n = 2: at n = 3 the
+        sweeps with a saturating datum are input errors."""
+        problem = tmp_path / "dirichlet_n3.json"
+        problem.write_text(problem_to_json(dirichlet_laplacian(3)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run([command, "--problem", problem, "--config", cfg,
+                    "--out", tmp_path / "out"])
+        assert code == cli.EXIT_INPUT
+        assert "'n' must be 2 for the saturating datum, got 3" in capsys.readouterr().err
+
 
 class TestSvgWriter:
     def test_drops_undrawable_points_and_escapes_labels(self, tmp_path):
@@ -522,6 +555,23 @@ class TestSolverCommands:
         assert run(["norm-check", "--config", cfg, "--out", out]) == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert "'s' = -100" in err and "'s0' = 0.0" in err
+        assert not (out / "norm_check.json").exists()
+
+    @pytest.mark.parametrize("doc,names", [
+        ({"s": 100}, "'s' = 100 and 's0' = 0.0"),
+        ({"s": 90, "s0": 90}, "'s' = 90 and 's0' = 90"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_norm_check_rejects_lifted_norms_that_overflow(self, doc, names, tmp_path,
+                                                           capsys):
+        """s = 100: the lift overflows at mu = 1e4; s = s0 = 90: the H^{s0}
+        weight alone overflows.  Rejected before any power is taken, so exit
+        1 with no warning and no norm_check.json."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["norm-check", "--config", cfg, "--out", out]) == cli.EXIT_INPUT
+        assert names in capsys.readouterr().err
         assert not (out / "norm_check.json").exists()
 
     def test_norm_check_bytes_match_the_per_trial_loop(self, tmp_path):
@@ -597,11 +647,17 @@ class TestSolverCommands:
         assert np.abs(tables[0][:, 2:]).max() > 0.1
         assert np.allclose(tables[1], tables[0], rtol=1e-12, atol=1e-12)
 
-    def test_semigroup_small(self, tmp_path):
+    def test_semigroup_small(self, tmp_path, monkeypatch):
+        """Four contour solves: S(t1), S(t2) S(t1), S(t1 + t2) and S(t_small)."""
+        calls = []
+        apply = cli.res.semigroup_apply
+        monkeypatch.setattr(cli.res, "semigroup_apply",
+                            lambda *a, **kw: calls.append(a[2]) or apply(*a, **kw))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"N_z": 512}))
         out = tmp_path / "out"
         assert run(["semigroup-test", "--config", cfg, "--out", out]) == cli.EXIT_OK
+        assert len(calls) == 4
 
     def test_resolvent_small(self, tmp_path):
         out = tmp_path / "out"

@@ -101,9 +101,9 @@ class TestTangentialGrid:
             TangentialGrid(n_axes=1, N=12, L=1.0)
 
     def test_zero_axes_degenerate(self):
-        g = TangentialGrid(n_axes=0, N=4, L=1.0)
-        assert g.n_modes == 1
-        assert np.array_equal(g.xi_sq, [0.0])
+        # every problem has n >= 2, so a torus has at least one axis
+        with pytest.raises(ValueError, match="'n_axes' must be >= 1, got 0"):
+            TangentialGrid(n_axes=0, N=4, L=1.0)
 
     def test_plancherel_matches_direct(self):
         """The coefficient norm equals the discrete L2 norm of the samples

@@ -206,7 +206,7 @@ def test_ls_measure_against_schur(name, monkeypatch):
     sample = mdl.SectorSample.default(p.phi, n_moduli=8, n_rays=5)
     report = mdl.check_lopatinskii_shapiro(p, sample)
     assert len(calls) == 1                     # one batch over the whole sample
-    dirs = [[0.0]] if p.n == 1 else mdl.unit_directions(p.n - 1, 8)
+    dirs = mdl.unit_directions(p.n - 1, 8)
     xi = np.array([t * np.asarray(d) for d in dirs for t in mdl._LS_MODULI])
     char, rows, rho = comp._frequency_rows(p, sample.points(), xi)
     taus = comp.build_companion(char, rho)[0]

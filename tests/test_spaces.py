@@ -39,7 +39,7 @@ class TestTangentialNorms:
         ref = mu ** 2 * sp.space_norm(fhat, 0.0, TG)
         assert got == pytest.approx(ref, rel=1e-4)
 
-    @pytest.mark.parametrize("n_axes", [0, 1, 2])
+    @pytest.mark.parametrize("n_axes", [1, 2])
     def test_param_norm_on_flat_data(self, n_axes):
         """Flat data in every tangential dimension against the multiplier
         and the H^{s0}_2 weight written out mode by mode:
@@ -65,7 +65,7 @@ class TestMixedNorms:
         expected = math.sqrt(TG.L) * math.sqrt(0.8862269254527579 / 2 ** 1.5)
         assert got == pytest.approx(expected, rel=1e-8)
 
-    @pytest.mark.parametrize("n_axes", [0, 1, 2])
+    @pytest.mark.parametrize("n_axes", [1, 2])
     def test_matches_per_node_sum(self, n_axes):
         """The column norms and the mixed norm against Plancherel written out
         mode by mode and node by node, on the flattened mode order of
@@ -184,8 +184,16 @@ class TestHardy:
         g = HalfLineGrid(x_min=1e-16, ratio=1.08, n_points=n)
         d = np.sqrt(g.quad_weights(r))
         A = d[:, None] * _hardy_matrix(g) / d[None, :]
-        dense = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (A + A.T)))))
-        assert sp.hardy_norm(2.0, r, g) == pytest.approx(dense, rel=1e-12)
+        assert sp.hardy_norm(2.0, r, g) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.4, 0.8])
+    def test_p2_continues_the_general_p_route(self, r):
+        """p = 2 is the spectral norm, which Boyd's iteration approaches as
+        p -> 2; the symmetric part of the weighted matrix fell 3.5 % short
+        at r = 0.8."""
+        at2 = sp.hardy_norm(2.0, r, self.GRID)
+        near2 = sp.hardy_norm(2.0 - 1e-4, r, self.GRID)
+        assert abs(at2 - near2) <= 1e-3 * near2
 
     def test_p2_repeats_exactly(self):
         # the Lanczos start vector is fixed, not drawn from a seed that
@@ -202,12 +210,12 @@ class TestHardy:
     @pytest.mark.parametrize("refine", [1, 2], ids=["default", "refined"])
     @pytest.mark.parametrize("r", [0.0, 0.3, 0.6])
     def test_p2_matches_dense_eigvalsh_on_the_cli_grids(self, refine, r):
-        """hardy-norm's grid and its refinement, against the dense spectrum of
-        the same symmetrised matrix."""
+        """hardy-norm's grid and its refinement, against the dense spectral
+        norm of the same weighted matrix."""
         g = self.GRID.refined(refine) if refine > 1 else self.GRID
         d = np.sqrt(g.quad_weights(r))
         A = d[:, None] * _hardy_matrix(g) / d[None, :]
-        dense = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (A + A.T)))))
+        dense = np.linalg.norm(A, 2)
         assert abs(sp.hardy_norm(2.0, r, g) - dense) <= 1e-13 * dense
 
     @pytest.mark.parametrize("p,r", [
@@ -222,7 +230,8 @@ class TestHardy:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_large_grid_stays_small(self, p):
         """20 000 points: a dense matrix would take 3.2 GB; the FFT route
-        holds a few vectors (and at p = 2 the Lanczos basis)."""
+        holds a few vectors (and at p = 2 the Lanczos basis, 22 rows, held
+        once)."""
         g = HalfLineGrid(x_min=1e-16, ratio=1.08 ** 0.05, n_points=20_000)
         tracemalloc.start()
         try:
@@ -231,7 +240,7 @@ class TestHardy:
         finally:
             tracemalloc.stop()
         assert est == pytest.approx(math.pi / math.sin(math.pi / p), rel=0.03)
-        assert peak <= 64e6
+        assert peak <= (12e6 if p == 2.0 else 64e6)
 
 
 def _counting(matvec):
