@@ -43,6 +43,7 @@ from .poisson import (
     predicted_singularity_exponent,
     SweepResult,
     decay_sweep,
+    sweep_workers,
     singularity_sweep,
 )
 from .resolvent import (

@@ -79,6 +79,7 @@ def _write_metadata(args) -> None:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "seed": args.seed,
         "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "workers": poi.sweep_workers(),
         "problem": str(problem) if problem else None,
         "command": args.command,
     })

@@ -262,7 +262,9 @@ def propagate(taus: np.ndarray, x: np.ndarray, deriv_order: int = 0):
         delta = _root_gap(taus[:, 0], taus[:, 1])
         F[:, 1] -= F[:, 0]
         close = np.flatnonzero(np.abs(delta) < _CLOSE_ROOTS * np.abs(taus[:, 1]))
-        F[close, 1] = F[close, 0] * np.expm1(1j * delta[close, None] * x)
+        tmp = np.multiply(1j * delta[close, None], x)
+        np.expm1(tmp, out=tmp)
+        F[close, 1] = np.multiply(F[close, 0], tmp, out=tmp)
         if deriv_order:
             A[:, 1, 0] = _complete_homogeneous(taus, deriv_order - 1)[:, 1, -1]
         A[:, 1, 1] = taus[:, 1] ** deriv_order / delta

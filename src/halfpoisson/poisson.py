@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
     "predicted_decay_exponent",
     "predicted_singularity_exponent",
     "decay_sweep",
+    "sweep_workers",
     "singularity_sweep",
     "SweepResult",
     "decay_rate",
@@ -156,7 +159,7 @@ class KernelBatch:
             shape = lead + (len(modes),)
         data = np.broadcast_to(data, (len(self.coeff),) + shape).reshape(len(self.coeff), -1)
         live = np.flatnonzero(np.any(data != 0, axis=0))
-        if live.size == len(rows):
+        if 0 < live.size == len(rows):
             out = self._apply(x, data, deriv_order, rows)
         else:
             out = np.zeros((len(rows),) + x.shape, dtype=complex)
@@ -165,13 +168,22 @@ class KernelBatch:
         return out.reshape(shape + x.shape)
 
     def _apply(self, x, data, deriv_order, rows):
-        """:meth:`eval` on rows that all carry data, (len(rows), len(x))."""
-        distinct, back = np.unique(self.first[rows], return_inverse=True)
+        """:meth:`eval` on one or more rows that all carry data,
+        (len(rows), len(x)).  A row's result depends only on its ``first``
+        row and its data column, so each distinct pair of the two is
+        evaluated once and gathered."""
+        pair, back = _distinct_rows(self.first[rows], data.T)
+        repeated = len(pair) < len(rows)
+        if repeated:
+            rows, data = rows[pair], data[:, pair]
+        distinct, kernel = np.unique(self.first[rows], return_inverse=True)
         A, F = comp.propagate(self.taus[distinct], x, deriv_order)
-        w = np.einsum("jq,jqk,qki->qi", data, self.coeff[:, rows], A[back])
-        if not np.array_equal(back, np.arange(len(rows))):
-            F = F[back]    # rows repeated or out of order; else no copy
-        return np.einsum("qi,qiz->qz", w, F)
+        w = np.einsum("jq,jqk,qki->qi", data, self.coeff[:, rows], A[kernel])
+        if not np.array_equal(kernel, np.arange(len(rows))):
+            F = F[kernel]    # a kernel row under several data, or out of order
+        out = np.einsum("qi,qiz->qz", w, F)
+        del A, F             # freed before the gather widens the result
+        return out[back] if repeated else out
 
 
 def _distinct_rows(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,6 +302,18 @@ def _fit_slopes(x: np.ndarray, norms: np.ndarray, predicted: float) -> SweepResu
     return SweepResult(x=x, norms=norms, slopes=slopes, predicted=predicted)
 
 
+# decay_sweep runs on one thread below this many tangential modes: a lambda's
+# work is then mostly interpreter time, and threads only contend for the GIL
+# (on two CPUs, 16 modes: 1.15-1.64x the time of one thread; 256: 0.54-0.80x)
+_THREADED_MODES = 256
+
+
+def sweep_workers() -> int:
+    """Threads that evaluate :func:`decay_sweep`'s lambda on a large grid,
+    the calling one included: one per CPU this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 def decay_sweep(problem: ModelProblem, q: ExponentQuery,
                 sample: SectorSample, g_hat: np.ndarray,
                 tgrid: TangentialGrid) -> SweepResult:
@@ -301,20 +325,50 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     sample; the fit is ordinary least squares on the middle 80% of the
     modulus decades, excluding non-finite or underflowed norms.
     One kernel batch per lambda; only the modes where g is nonzero are
-    evaluated.
+    evaluated.  On grids of at least ``_THREADED_MODES`` modes the lambda
+    run on :func:`sweep_workers` threads, the calling one included (NumPy
+    releases the GIL in the eigenvalue, exponential and contraction
+    stages); each norm goes into its own slot, so the norms do not depend
+    on the threads.  The first lambda to fail, in sample order, raises.
     """
     data = np.eye(problem.m)[:, [q.j]] * np.ravel(g_hat)     # g on index j only
     rate = decay_rate(problem, min(sample.moduli) *
                       cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
     xgrid = HalfLineGrid.for_decay(rate)
     mods = np.asarray(sample.moduli, dtype=float)
-    norms = np.empty((len(sample.rays), len(mods)))
-    for i, ray in enumerate(sample.rays):
-        for col, mod in enumerate(mods):
-            batch = kernel_batch(problem, mod * cmath.exp(1j * ray), tgrid.xi_modes)
-            profiles = np.stack([batch.eval(xgrid.x, data, l) for l in range(q.k + 1)])
-            norms[i, col] = sobolev_mixed_norm(profiles, q.p, q.r, q.t, tgrid, xgrid)
-    return _fit_slopes(mods, norms, predicted_decay_exponent(q, problem.m))
+    # the grids' cached arrays are formed here, not raced for by the threads
+    x, xi_modes, _ = xgrid.x, tgrid.xi_modes, tgrid.xi_sq
+    lams = [mod * cmath.exp(1j * ray) for ray in sample.rays for mod in mods]
+    norms = np.empty(len(lams))
+    todo, failed = iter(enumerate(lams)), {}
+
+    def drain():
+        # lambda are taken in sample order, and a lambda once taken is
+        # finished, so every lambda before the first failure is evaluated
+        for i, lam in todo:
+            try:
+                batch = kernel_batch(problem, lam, xi_modes)
+                norms[i] = sobolev_mixed_norm(
+                    [batch.eval(x, data, l) for l in range(q.k + 1)],
+                    q.p, q.r, q.t, tgrid, xgrid)
+            except BaseException as err:   # stops every thread, re-raised below
+                failed[i] = err
+            if failed:
+                return
+
+    # the calling thread is one of the workers: each further thread brings
+    # its own malloc arena, whose freed pages stay resident
+    threads = sweep_workers() if tgrid.n_modes >= _THREADED_MODES else 1
+    helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
+    for thread in helpers:
+        thread.start()
+    drain()
+    for thread in helpers:
+        thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return _fit_slopes(mods, norms.reshape(len(sample.rays), len(mods)),
+                       predicted_decay_exponent(q, problem.m))
 
 
 def singularity_sweep(problem: ModelProblem, j: int, lam: complex,

@@ -55,7 +55,10 @@ def plancherel_norms(fhat: np.ndarray, t: float, grid: TangentialGrid) -> np.nda
     """
     fhat = np.asarray(fhat)
     mult = np.reshape((1.0 + grid.xi_sq) ** (t / 2.0), (-1,) + (1,) * (fhat.ndim - 1))
-    return np.sqrt((mult ** 2 * np.abs(fhat) ** 2).sum(axis=0) * grid.L ** grid.n_axes)
+    power = np.abs(fhat)     # one temporary the size of fhat's real part
+    np.square(power, out=power)
+    power *= mult ** 2
+    return np.sqrt(power.sum(axis=0) * grid.L ** grid.n_axes)
 
 
 def space_norm(fhat: np.ndarray, s: float, grid: TangentialGrid) -> float:
@@ -75,17 +78,17 @@ def sobolev_mixed_norm(profiles, p: float, r: float, t: float,
                        tgrid: TangentialGrid, xgrid: HalfLineGrid) -> float:
     """W^k_p(R_+, x^r; H^t_2) norm from normal-derivative profiles.
 
-    ``profiles`` has shape (k+1, modes..., n_z), the modes flat or in the
-    grid's mode shape: entry l holds the tangential-frequency data of
-    D_n^l u at every normal node.  Computes
+    ``profiles`` is a sequence of k+1 arrays (or one array stacking them),
+    each of shape (modes..., n_z), the modes flat or in the grid's mode
+    shape: entry l holds the tangential-frequency data of D_n^l u at every
+    normal node.  Computes
     ( sum_{l<=k} int ||D_n^l u(., x)||_{H^t_2}^p x^r dx )^{1/p}.
     """
-    profiles = np.asarray(profiles)
-    n_z = profiles.shape[-1]
     w = xgrid.quad_weights(r)
     total = 0.0
     for prof in profiles:
-        norms = plancherel_norms(prof.reshape(-1, n_z), t, tgrid)
+        prof = np.asarray(prof)
+        norms = plancherel_norms(prof.reshape(-1, prof.shape[-1]), t, tgrid)
         total += float((norms ** p) @ w)
     return total ** (1.0 / p)
 

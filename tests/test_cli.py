@@ -91,6 +91,15 @@ class TestInfrastructure:
         # the flag that set them too late to matter is gone
         assert run(["check-ls", "--out", out, "--threads", "2"]) == cli.EXIT_INPUT
 
+    def test_metadata_records_the_pool_size(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert run(["check-ls", "--out", out]) == cli.EXIT_OK
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["workers"] == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run(["check-ls", "--out", out]) == cli.EXIT_OK
+        assert json.loads((out / "metadata.json").read_text())["workers"] == 1
+
     def test_bundled_problem_by_name(self, tmp_path):
         code = run(["check-ls", "--problem", "neumann_laplacian",
                     "--out", tmp_path / "out"])

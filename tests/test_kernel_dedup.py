@@ -133,3 +133,64 @@ def test_propagate_runs_once_per_distinct_row(monkeypatch):
     assert np.array_equal(seen["propagate"], batch.taus[[0, 2]])
     assert np.array_equal(vals[:, [0, 2]], vals[:, [1, 3]])
     assert np.array_equal(vals[:, 0], vals[:, 4])
+
+
+def _undeduplicated(batch, x, data, d):
+    """``eval`` on every row, all carrying data, without the pair dedup: the
+    basis runs once per distinct kernel row, and every row takes its own
+    contractions."""
+    distinct, back = np.unique(batch.first, return_inverse=True)
+    A, F = comp.propagate(batch.taus[distinct], x, d)
+    w = np.einsum("jq,jqk,qki->qi", data, batch.coeff, A[back])
+    return np.einsum("qi,qiz->qz", w, F[back]).reshape(batch.shape + (len(x),))
+
+
+@pytest.mark.parametrize("name", ["dirichlet", "neumann", "clamped", "oblique",
+                                  "dirichlet_n3"])
+@pytest.mark.parametrize("even", [True, False], ids=["even", "uneven"])
+def test_pair_dedup_keeps_the_bits_of_every_row(name, even):
+    """Data equal at xi' and -xi' (as the saturating datum's are) share one
+    evaluation per (kernel row, data column); data that differ there take
+    one each.  Either way every row gets the bits of the undeduplicated
+    path."""
+    p = PROBLEMS[name]()
+    tg = TangentialGrid(n_axes=p.n - 1, N=8, L=2 * math.pi)
+    batch = poi.kernel_batch(p, LAMS, tg.xi_modes)
+    rng = np.random.default_rng(5)
+    if even:
+        data = np.stack([(1.0 + tg.xi_sq) ** -(0.55 + j) for j in range(p.m)])
+        data = np.broadcast_to(data[:, None], (p.m,) + batch.shape)
+    else:
+        data = rng.standard_normal((p.m,) + batch.shape + (2,)) @ np.array([1.0, 1.0j])
+    flat = np.ascontiguousarray(data).reshape(p.m, -1)
+    for d in (0, 1, 2):
+        assert np.array_equal(batch.eval(X, data, d), _undeduplicated(batch, X, flat, d))
+
+
+def test_equal_data_on_equal_kernel_rows_evaluate_once(monkeypatch):
+    """On the 8-mode torus the Dirichlet rows at +-xi' share a kernel row:
+    even data leave 5 pairs of 8 for the contractions, uneven data 8."""
+    tg = TangentialGrid(n_axes=1, N=8, L=2 * math.pi)
+    batch = poi.kernel_batch(hp.dirichlet_laplacian(), 3.0 + 1.0j, tg.xi_modes)
+    pairs = []
+    real = np.einsum
+
+    def counted(spec, *ops, **kwargs):
+        if spec == "qi,qiz->qz":
+            pairs.append(len(ops[0]))
+        return real(spec, *ops, **kwargs)
+    monkeypatch.setattr(np, "einsum", counted)
+    out = batch.eval(X, (1.0 + tg.xi_sq)[None])
+    assert np.array_equal(out[1:], out[:0:-1])
+    batch.eval(X, 10.0 + tg.xi_modes[:, 0][None])
+    assert pairs == [5, 8]
+
+
+def test_empty_row_set_is_an_empty_result():
+    """No modes asked for: nothing to evaluate, and the shape says so."""
+    p = hp.clamped_bilaplacian()
+    tg = TangentialGrid(n_axes=1, N=4, L=2 * math.pi)
+    batch = poi.kernel_batch(p, LAMS, tg.xi_modes)
+    for data in (1.0, np.zeros((p.m, len(LAMS), 0))):
+        got = batch.eval(X, data, 1, np.array([], dtype=int))
+        assert got.shape == (len(LAMS), 0, len(X))

@@ -1,0 +1,155 @@
+"""``decay_sweep`` runs its sector points on one thread per available CPU
+when the tangential grid has at least ``_THREADED_MODES`` modes, and on the
+calling thread alone below that.
+
+Each lambda's norm goes into its own slot, so the threads change no bit of
+the norms: they equal those of one serial loop over the sample, ray by ray,
+whatever the number of threads.  The first lambda to fail, in sample order,
+raises, and no thread outlives the call.
+"""
+
+import cmath
+import math
+import threading
+import time
+
+import numpy as np
+import pytest
+
+import halfpoisson as hp
+from halfpoisson import cli
+from halfpoisson import poisson as poi
+from halfpoisson import spaces as sp
+from halfpoisson.grids import HalfLineGrid, TangentialGrid
+from halfpoisson.model import SectorSample
+
+
+def _sample():
+    return SectorSample.default(0.7 * math.pi, sigma_floor=1e2, n_rays=3,
+                                n_moduli=5, mod_max=1e6)
+
+
+def _serial_norms(p, q, sample, g, tg):
+    """The norms of ``decay_sweep`` from one loop over the rays and moduli."""
+    data = np.eye(p.m)[:, [q.j]] * np.ravel(g)
+    rate = poi.decay_rate(p, min(sample.moduli) *
+                          cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
+    xg = HalfLineGrid.for_decay(rate)
+    mods = np.asarray(sample.moduli, dtype=float)
+    norms = np.empty((len(sample.rays), len(mods)))
+    for i, ray in enumerate(sample.rays):
+        for col, mod in enumerate(mods):
+            batch = poi.kernel_batch(p, mod * cmath.exp(1j * ray), tg.xi_modes)
+            profiles = np.stack([batch.eval(xg.x, data, l) for l in range(q.k + 1)])
+            norms[i, col] = sp.sobolev_mixed_norm(profiles, q.p, q.r, q.t, tg, xg)
+    return norms
+
+
+def _lams(sample):
+    """The sample's lambda in sample order, ray by ray."""
+    return [mod * cmath.exp(1j * ray) for ray in sample.rays
+            for mod in np.asarray(sample.moduli, dtype=float)]
+
+
+def _unit_datum(n_axes, N):
+    tg = TangentialGrid(n_axes=n_axes, N=N, L=2 * math.pi)
+    g = np.zeros(tg.n_modes, dtype=complex)
+    g[tg.mode_index(1.0)] = 1.0
+    return tg, g
+
+
+# modes of the grids that run on one thread and on several
+SMALL, LARGE = 16, poi._THREADED_MODES
+CASES = {
+    "dirichlet": (hp.dirichlet_laplacian, {}),
+    "neumann": (hp.neumann_laplacian, {"k": 1, "r": 1.5}),
+    "clamped": (hp.clamped_bilaplacian, {}),
+    "dirichlet-bracket": (hp.dirichlet_laplacian, {"t": 1.0, "r": 1.5}),
+    "neumann-bracket": (hp.neumann_laplacian, {"t": 1.0}),
+    "clamped-bracket": (hp.clamped_bilaplacian, {"t": 0.5, "r": 1.5}),
+    "dirichlet_n3": (lambda: hp.dirichlet_laplacian(3), {"k": 1, "r": 1.5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_threads_give_the_bits_of_the_serial_loop(name, monkeypatch):
+    """Bracket-active sweeps and n = 3 (16 x 16 modes) run on two threads,
+    the others on one."""
+    monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
+    make, keys = CASES[name]
+    p = make()
+    q = poi.ExponentQuery.for_problem(p, **{"k": 0, "p": 2.0, "r": 0.0, "t": 0.0,
+                                            "s": 0.0, "j": 0, **keys})
+    sample = _sample()
+    if q.t > q.s:
+        ximax = 1.2 * max(sample.moduli) ** (1.0 / p.order)
+        tg, g = cli._saturating_datum(p, LARGE, ximax, q.s)
+    else:
+        tg, g = _unit_datum(p.n - 1, SMALL)
+    want = _serial_norms(p, q, sample, g, tg)
+    got = poi.decay_sweep(p, q, sample, g, tg)
+    assert np.array_equal(got.norms, want)
+
+
+def test_threads_only_on_large_grids(monkeypatch):
+    """On the large grid the first two lambda wait for each other, which
+    takes two threads; on the small one every lambda runs on the caller."""
+    p = hp.dirichlet_laplacian()
+    q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
+    monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
+    first_two = _lams(_sample())[:2]
+    meet = threading.Barrier(2, timeout=10)
+    real, seen = poi.kernel_batch, set()
+
+    def recorded(problem, lam, xi_modes):
+        seen.add(threading.get_ident())
+        if len(xi_modes) == LARGE and lam in first_two:
+            meet.wait()
+        return real(problem, lam, xi_modes)
+    monkeypatch.setattr(poi, "kernel_batch", recorded)
+    tg, g = _unit_datum(1, SMALL)
+    poi.decay_sweep(p, q, _sample(), g, tg)
+    assert seen == {threading.get_ident()}
+    tg, g = _unit_datum(1, LARGE)
+    poi.decay_sweep(p, q, _sample(), g, tg)
+    assert len(seen) == 2
+
+
+def test_thread_count_does_not_change_the_norms(monkeypatch):
+    p = hp.neumann_laplacian()
+    q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
+    tg, g = _unit_datum(1, LARGE)
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(poi, "sweep_workers", lambda: workers)
+        runs.append(poi.decay_sweep(p, q, _sample(), g, tg).norms)
+    assert np.array_equal(runs[0], runs[1])
+
+
+def test_first_failure_in_sample_order_raises_and_no_thread_survives(monkeypatch):
+    """lambda 2 fails late, lambda 3 at once, so 3 fails first in time; the
+    message names lambda 2 all the same.  (lambda 5, the first of the middle
+    ray, also fixes the normal grid before the threads start.)"""
+    p = hp.dirichlet_laplacian()
+    q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
+    monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
+    tg, g = _unit_datum(1, LARGE)
+    sample = _sample()
+    late, early = _lams(sample)[2:4]
+    real = poi.kernel_batch
+
+    def failing(problem, lam, xi_modes):
+        if lam == late:
+            time.sleep(0.2)
+            raise ValueError(f"failed at lambda={lam}")
+        if lam == early:
+            raise ValueError(f"failed at lambda={lam}")
+        return real(problem, lam, xi_modes)
+
+    monkeypatch.setattr(poi, "kernel_batch", failing)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="failed at") as err:
+        poi.decay_sweep(p, q, sample, g, tg)
+    assert str(err.value) == f"failed at lambda={late}"
+    assert threading.active_count() == threads
+

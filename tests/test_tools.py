@@ -63,14 +63,30 @@ def test_job_times_prints_each_job_on_both_trees(capsys):
     repo = str(TOOLS.parent)
     assert job_times.main([repo, repo, "--workload", "sweep", "--seed", "1",
                            "--rounds", "2", "--only", "check-ls"]) == 0
-    header, *rows = (line.split("\t") for line in capsys.readouterr().out.splitlines())
+    header, *rows, rss = (line.split("\t")
+                          for line in capsys.readouterr().out.splitlines())
     assert header == ["job", "A_s", "B_s", "B/A", "B_won"]
+    assert rss[0] == "ru_maxrss_mb"
     # one check-ls job per bundled problem
     assert len(rows) == 3 and all("check-ls" in row[0] for row in rows)
     for _, a, b, ratio, won in rows:
         assert float(a) > 0 and float(b) > 0
         assert float(ratio) == pytest.approx(float(b) / float(a), rel=0.05)
         assert won in {"0/2", "1/2", "2/2"}
+
+
+def test_job_times_prints_each_trees_median_peak_rss(capsys):
+    """The last row holds the median ru_maxrss of each tree's interpreters:
+    NumPy and the package alone take tens of MB."""
+    repo = str(TOOLS.parent)
+    assert job_times.main([repo, repo, "--workload", "sweep", "--seed", "1",
+                           "--rounds", "3", "--only", "check-ls|dirichlet"]) == 0
+    *_, (name, a, b, ratio, won) = (line.split("\t")
+                                    for line in capsys.readouterr().out.splitlines())
+    assert name == "ru_maxrss_mb"
+    assert 10 < float(a) < 1000 and 10 < float(b) < 1000
+    assert float(ratio) == pytest.approx(float(b) / float(a), rel=0.01)
+    assert won in {f"{k}/3" for k in range(4)}
 
 
 def test_deck_hashes_runs_one_workload(monkeypatch, capsys):

@@ -10,7 +10,10 @@ with ``--only``, the jobs whose ident contains ``SUBSTR``) through
 ``halfpoisson.cli.main``: once untimed, then ``TIMED`` times timed.  A job's
 time in a round is the median of its timed runs.  Prints, per job, the
 median over rounds of its time on A and on B, the ratio B/A, and the number
-of rounds in which B was faster.
+of rounds in which B was faster; then, in the same columns, the row
+``ru_maxrss_mb``: each tree's median over its interpreters of their peak
+resident set size (``ru_maxrss``, in MB of 1024 KiB, as the benchmark's
+``peak_rss_mb``), and the rounds in which B's was lower.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ TOOLS = Path(__file__).resolve().parent
 PERFBENCH = TOOLS.parent / "perfbench"
 # timed runs of each job per interpreter
 TIMED = 3
+# the row of the interpreters' peak resident set size
+RSS = "ru_maxrss_mb"
 
 
 def job_times(workload: str, seed: int, only: str) -> dict[str, float]:
@@ -53,10 +58,14 @@ def job_times(workload: str, seed: int, only: str) -> dict[str, float]:
 
 
 def _child(tree: Path, workload: str, seed: int, only: str) -> dict[str, float]:
+    """Job times of one fresh interpreter on ``tree``, and under
+    ``RSS`` its peak resident set size in MB."""
     path = [str(tree / "src"), str(PERFBENCH), str(TOOLS)]
-    code = (f"import json, sys; sys.path[:0] = {path!r}; "
+    code = (f"import json, resource, sys; sys.path[:0] = {path!r}; "
             f"from job_times import job_times; "
-            f"print(json.dumps(job_times({workload!r}, {seed}, {only!r})))")
+            f"times = job_times({workload!r}, {seed}, {only!r}); "
+            f"times[{RSS!r}] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0; "
+            f"print(json.dumps(times))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
