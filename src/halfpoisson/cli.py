@@ -195,8 +195,8 @@ def _tgrid(n_axes: int, N_x: int, L: float = 2.0 * math.pi) -> TangentialGrid:
 
 def _saturating_datum(problem, N_x: int, xi_max: float, s: float):
     """Tangential grid of N_x modes per axis reaching |xi'| = xi_max, and the
-    datum <xi'>^{-(s + 1/2 + 0.05)} on it, which saturates the s-indexed
-    trace ball.  The trace exponent 1/2 = (n - 1)/2 holds at n = 2 only."""
+    datum <xi'>^{-(s + 1/2 + 0.05)} on it, which saturates the s-indexed trace
+    ball of a bracket-active decay sweep.  Its exponent 1/2 needs n = 2."""
     if problem.n != 2:
         raise ValueError(f"'n' must be 2 for the saturating datum, got {problem.n}")
     tgrid = _tgrid(problem.n - 1, N_x, L=2.0 * math.pi * (N_x / 2) / xi_max)
@@ -303,16 +303,12 @@ def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
 
 
 def cmd_singularity_sweep(args, problem, *, t=1.0, s=0.0, lambda_=4.0 + 0.0j, j=0,
-                          N_x=2048, xi_max=2.0e4, n_x_pts=40) -> bool:
+                          n_x_pts=40) -> bool:
     _check_j(problem, j)
     _check_least("n_x_pts", n_x_pts, _FIT_POINTS)
-    _check_positive(xi_max=xi_max)
     _check_nonzero("lambda", lambda_)
-    # the datum's trace-ball index is s less the order m_j of B_j
-    tgrid, g = _saturating_datum(problem, N_x, xi_max,
-                                 s - problem.boundary_ops[j].order)
     x_range = np.logspace(-4, -1, n_x_pts)
-    result = poi.singularity_sweep(problem, j, lambda_, g, t, s, x_range, tgrid)
+    result = poi.singularity_sweep(problem, j, lambda_, t, s, x_range)
     slope = result.slopes[0]
     _write_csv(args.out / "singularity_sweep.csv", {
         "ray_arg": cmath.phase(lambda_), "x_n": result.x, "norm": result.norms[0],

@@ -93,7 +93,7 @@ def _frequency_rows(problem, lam, xi_modes: np.ndarray):
     char[..., 0] += lam
     rho = np.sqrt(1.0 + (xi_modes ** 2).sum(axis=1) + np.abs(lam) ** (1.0 / m))
     rows = problem.boundary_table(xi_modes / rho[..., None])
-    return char.reshape(rho.size, -1), rows.reshape(rho.size, m, 2 * m), rho.reshape(-1)
+    return char.reshape(-1, 2 * m + 1), rows.reshape(-1, m, 2 * m), rho.reshape(-1)
 
 
 def build_companion(char: np.ndarray, rho: np.ndarray):

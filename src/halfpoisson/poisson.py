@@ -5,26 +5,23 @@ solution of ``(lambda - A(D))u = 0`` with ``B_k(D)u|_{x_n=0} = delta_{kj} g_j``.
 Tangentially everything is diagonal in frequency: per mode ``xi'`` the kernel
 is a combination of the Newton basis functions ``[tau_1 ... tau_k] e^{i tau x_n}``
 of the stable roots ``tau`` of ``lambda - A(xi', tau)``, with the coefficients
-that invert the boundary map on that basis, and the full evaluation is one
-multiplication per mode.  Every solution the package builds is
-``u = sum_j Poi_j(lambda) g_j``, and :meth:`KernelBatch.eval` is the one place
-that applies that sum: it contracts the data into the coefficients, then the
-coefficients with the basis, and skips the rows whose data all vanish.
+that invert the boundary map on that basis.  Every solution the package builds
+is ``u = sum_j Poi_j(lambda) g_j``, and :meth:`KernelBatch.eval` is the one
+place that applies that sum, skipping the rows whose data all vanish.
 
-Sweeps need thousands of frequency nodes per parameter value, so every
-stage runs batched over the rows, through the three stages of
-:mod:`halfpoisson.companion`: one eigendecomposition of the companion
-matrices, one LS measure and boundary map, and one evaluation of the basis.
-The Newton basis stays accurate where stable roots merge, as they do for
-|xi'| large against |lambda|^{1/(2m)}, so there is one route for every row.
-Rows with byte-identical inputs, as the rows at xi' and -xi' of a symmetric
-problem have, are solved and evaluated once.
+Every stage runs batched over the rows, through the three stages of
+:mod:`halfpoisson.companion`.  The Newton basis stays accurate where stable
+roots merge, as they do for |xi'| large against |lambda|^{1/(2m)}, so there is
+one route for every row.  Rows with byte-identical inputs, as the rows at xi'
+and -xi' of a symmetric problem have, are solved and evaluated once.
 
 The predicted exponents are
 
 * decay:       theta = (-1 - r + p(k - m_j) + p[t - s]_+) / (2 m p),
   valid under the admissibility condition r - p[t + k - m_j - s]_+ > -1;
-* boundary singularity of x_n -> ||u(., x_n)||_{H^t_2}:   -[t - s]_+.
+* boundary singularity:   -[t - s]_+, the power of x_n in the blow-up
+  profile, the norm of g -> u(., x_n) from H^{s - m_j}_2 to H^t_2: exactly
+  sup_{xi'} <xi'>^{t - s + m_j} |k_j(lambda, xi', x_n)| for the kernel k_j.
 """
 
 from __future__ import annotations
@@ -33,14 +30,14 @@ import cmath
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import companion as comp
 from .grids import HalfLineGrid, TangentialGrid
-from .model import ModelProblem, SectorSample
-from .spaces import plancherel_norms, sobolev_mixed_norm
+from .model import _LS_DIRECTIONS, ModelProblem, SectorSample, unit_directions
+from .spaces import sobolev_mixed_norm
 
 __all__ = [
     "ExponentQuery",
@@ -132,9 +129,7 @@ class KernelBatch:
     @property
     def fallback(self) -> np.ndarray:
         """All False: every row takes the one route.  Only the benchmark's
-        ``rootbasis_ratio`` counter (``perfbench/spans.py``) reads it, until
-        the benchmark replaces that counter with one that does not depend on
-        the route."""
+        ``rootbasis_ratio`` counter (``perfbench/spans.py``) reads it."""
         return np.zeros(len(self.first), dtype=bool)
 
     def eval(self, x: np.ndarray, data: np.ndarray, deriv_order: int = 0,
@@ -144,8 +139,8 @@ class KernelBatch:
 
         ``data`` broadcasts to ``(m,) + lam.shape + (len(modes),)``.  A pair
         whose m data all vanish is exactly zero and is not evaluated.  The
-        basis functions run once per distinct row among the others; the data
-        are contracted into the coefficients first, so each row then takes
+        others run once per distinct (kernel row, data column) pair; the data
+        are contracted into the coefficients first, so each pair then takes
         one contraction over the basis.
         """
         x = np.asarray(x, dtype=float)
@@ -168,19 +163,15 @@ class KernelBatch:
         return out.reshape(shape + x.shape)
 
     def _apply(self, x, data, deriv_order, rows):
-        """:meth:`eval` on one or more rows that all carry data,
-        (len(rows), len(x)).  A row's result depends only on its ``first``
-        row and its data column, so each distinct pair of the two is
+        """:meth:`eval` on one or more rows that all carry data, (len(rows),
+        len(x)): each distinct pair of ``first`` row and data column is
         evaluated once and gathered."""
         pair, back = _distinct_rows(self.first[rows], data.T)
         repeated = len(pair) < len(rows)
         if repeated:
             rows, data = rows[pair], data[:, pair]
-        distinct, kernel = np.unique(self.first[rows], return_inverse=True)
-        A, F = comp.propagate(self.taus[distinct], x, deriv_order)
-        w = np.einsum("jq,jqk,qki->qi", data, self.coeff[:, rows], A[kernel])
-        if not np.array_equal(kernel, np.arange(len(rows))):
-            F = F[kernel]    # a kernel row under several data, or out of order
+        A, F = comp.propagate(self.taus[rows], x, deriv_order)
+        w = np.einsum("jq,jqk,qki->qi", data, self.coeff[:, rows], A)
         out = np.einsum("qi,qiz->qz", w, F)
         del A, F             # freed before the gather widens the result
         return out[back] if repeated else out
@@ -195,8 +186,8 @@ def _distinct_rows(*tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0.0 stay apart, as do values one ulp apart.
     """
     N = len(tables[0])
-    raw = np.concatenate([np.ascontiguousarray(t).reshape(N, -1).view(np.uint8)
-                          for t in tables], axis=1)
+    raw = np.concatenate([np.ascontiguousarray(t).reshape(N, math.prod(t.shape[1:]))
+                          .view(np.uint8) for t in tables], axis=1)
     keys = raw.view(np.dtype((np.void, raw.shape[1]))).reshape(N)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -371,13 +362,25 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
                        predicted_decay_exponent(q, problem.m))
 
 
-def singularity_sweep(problem: ModelProblem, j: int, lam: complex,
-                      g_hat: np.ndarray, t: float, s: float,
-                      x_range: np.ndarray, tgrid: TangentialGrid) -> SweepResult:
-    """Fit the near-boundary slope of x_n -> ||u(., x_n)||_{H^t_2}, the
-    predicted -[t - s]_+."""
-    x_range = np.asarray(x_range, dtype=float)
-    batch = kernel_batch(problem, lam, tgrid.xi_modes)
-    vals = batch.eval(x_range, np.eye(problem.m)[:, [j]] * np.ravel(g_hat))
-    norms = plancherel_norms(vals, t, tgrid)
-    return _fit_slopes(x_range, norms[None], predicted_singularity_exponent(t, s))
+# singularity_sweep's radii: _SUP_PER_DECADE a decade from _SUP_FLOOR
+# |lambda|^{1/(2m)} to _SUP_REACH / min x_n; an order-a profile peaks near a / x_n
+_SUP_FLOOR, _SUP_REACH, _SUP_PER_DECADE = 1e-3, 100.0, 10
+
+
+def singularity_sweep(problem: ModelProblem, j: int, lam: complex, t: float,
+                      s: float, x_range: np.ndarray) -> SweepResult:
+    """Fit the slope of the blow-up profile of ``Poi_j(lam)`` on ``x_range``,
+    the predicted -[t - s]_+, from one kernel batch at xi' = 0 and on the
+    radii along the LS sample's directions (+-1 at n = 2).  A maximiser at
+    the largest radius cuts the sup short: the slope is then nan."""
+    lo, hi = _SUP_FLOOR * abs(lam) ** (1.0 / problem.order), _SUP_REACH / x_range.min()
+    radii = np.geomspace(lo, hi, math.ceil(_SUP_PER_DECADE * math.log10(hi / lo)) + 1)
+    dirs = unit_directions(problem.n - 1, _LS_DIRECTIONS)
+    modes = np.vstack([np.zeros_like(dirs[:1]), np.kron(radii[:, None], dirs)])
+    kern = kernel_batch(problem, lam, modes).eval(x_range, np.eye(problem.m)[:, [j]])
+    order = t - s + problem.boundary_ops[j].order
+    weighted = (1.0 + (modes ** 2).sum(axis=1))[:, None] ** (order / 2.0) * np.abs(kern)
+    result = _fit_slopes(x_range, weighted.max(axis=0)[None],
+                         predicted_singularity_exponent(t, s))
+    cut = np.any(weighted.argmax(axis=0) >= len(modes) - len(dirs))
+    return replace(result, slopes=np.full(1, math.nan)) if cut else result

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from halfpoisson import cli
+from halfpoisson import poisson as poi
 from halfpoisson.model import (BUNDLED, clamped_bilaplacian, dirichlet_laplacian,
                                problem_to_json)
 
@@ -259,7 +260,7 @@ class TestConfig:
         # smallest power accepted
         ("poisson-eval", {"N_x": 12}, "'N_x' must be a power of two >= 2"),
         ("decay-sweep", {"N_x": 24}, "'N_x' must be a power of two >= 2"),
-        ("singularity-sweep", {"N_x": 1000}, "'N_x' must be a power of two >= 2"),
+        ("singularity-sweep", {"N_x": 1000}, "unknown config key 'N_x'"),
         ("norm-check", {"N_x": 100}, "'N_x' must be a power of two >= 2"),
         ("resolvent-test", {"N_z": 12}, "'N_z' must be a power of two >= 16"),
         ("resolvent-test --problem clamped_bilaplacian", {"N_z": 24},
@@ -268,6 +269,7 @@ class TestConfig:
         ("ibvp-solve", {"N_z": 12}, "'N_z' must be a power of two >= 8"),
         ("ibvp-solve", {"N_x": 6}, "'N_x' must be a power of two >= 2"),
         ("ibvp-solve", {"N_t": 12}, "'N_t' must be a power of two >= 1"),
+        # the exact sup needs no torus: singularity-sweep has no xi_max key
         ("singularity-sweep", {"xi_max": 0}, "'xi_max'"),
         ("singularity-sweep", {"xi_max": -2e4}, "'xi_max'"),
         ("ibvp-solve", {"T": 0}, "'T'"),
@@ -501,13 +503,14 @@ class TestSweepOutputs:
         assert code == cli.EXIT_OK
 
     @pytest.mark.parametrize("command,doc", [
-        ("singularity-sweep", {"N_x": 8}),
+        ("decay-sweep", {"N_x": 8, "t": 0.0, "s": -0.5, "r": 0.5}),
         ("decay-sweep", {"N_x": 8, "t": 1.0, "r": 1.5}),
     ])
     def test_saturating_datum_needs_two_dimensions(self, command, doc, tmp_path,
                                                    capsys):
         """The datum's trace exponent 1/2 is that of n = 2: at n = 3 the
-        sweeps with a saturating datum are input errors."""
+        bracket-active decay sweeps, the one use of a saturating datum, are
+        input errors."""
         problem = tmp_path / "dirichlet_n3.json"
         problem.write_text(problem_to_json(dirichlet_laplacian(3)))
         cfg = tmp_path / "cfg.json"
@@ -516,6 +519,43 @@ class TestSweepOutputs:
                     "--out", tmp_path / "out"])
         assert code == cli.EXIT_INPUT
         assert "'n' must be 2 for the saturating datum, got 3" in capsys.readouterr().err
+
+    @staticmethod
+    def _singularity_deviation(out):
+        with open(out / "singularity_sweep.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        return abs(float(row["fitted_slope"]) - float(row["predicted"]))
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_singularity_sweep_in_three_dimensions(self, name, tmp_path):
+        """The exact sup needs no torus, so n = 3 runs as n = 2 does: the
+        profile's slope meets -[t - s]_+ to 1e-3."""
+        problem = tmp_path / f"{name}_n3.json"
+        problem.write_text(problem_to_json(BUNDLED[name](3)))
+        out = tmp_path / "out"
+        assert run(["singularity-sweep", "--problem", problem, "--out", out]) \
+            == cli.EXIT_OK
+        assert self._singularity_deviation(out) <= 1e-3
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_singularity_sweep_negative_boundary_regularity(self, name, tmp_path):
+        """Data of negative regularity, s = -0.5: the slope meets -(t - s)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": 0.5, "s": -0.5}))
+        out = tmp_path / "out"
+        assert run(["singularity-sweep", "--problem", name, "--config", cfg,
+                    "--out", out]) == cli.EXIT_OK
+        assert self._singularity_deviation(out) <= 1e-3
+
+    def test_singularity_sweep_cut_short_fails(self, tmp_path, monkeypatch):
+        """A sup whose maximiser sits at its largest |xi'| has no slope: the
+        run exits 2, and the benchmark's verdict agrees."""
+        monkeypatch.setattr(poi, "_SUP_REACH", 0.5)
+        out = tmp_path / "out"
+        assert run(["singularity-sweep", "--out", out]) == cli.EXIT_TOLERANCE
+        with open(out / "singularity_sweep.csv", newline="") as fh:
+            assert {row["fitted_slope"] for row in csv.DictReader(fh)} == {"nan"}
+        assert not _load_verdicts().verdict("singularity-sweep", out).passed
 
 
 class TestSvgWriter:
@@ -702,7 +742,7 @@ def test_benchmark_verdicts_match_the_exit_codes(tmp_path):
         "check-ls": {"n_moduli": 4, "n_rays": 3},
         "poisson-eval": {},
         "decay-sweep": {"n_rays": 2, "n_moduli": 4},
-        "singularity-sweep": {"N_x": 256, "xi_max": 2e3},
+        "singularity-sweep": {"n_x_pts": 8},
         "hardy-norm": {"p": 3.0, "n_points": 200},   # fails "monotone in r"
         "norm-check": {"trials": 2},
         "resolvent-test": {"N_z": 16},               # fails the order gate

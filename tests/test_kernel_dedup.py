@@ -194,3 +194,19 @@ def test_empty_row_set_is_an_empty_result():
     for data in (1.0, np.zeros((p.m, len(LAMS), 0))):
         got = batch.eval(X, data, 1, np.array([], dtype=int))
         assert got.shape == (len(LAMS), 0, len(X))
+
+
+@pytest.mark.parametrize("lam,n_modes", [(np.array([], dtype=complex), 3),
+                                         (np.zeros((2, 0), dtype=complex), 3),
+                                         (LAMS, 0)],
+                         ids=["no-lambda", "empty-lambda-grid", "no-mode"])
+def test_empty_grid_is_an_empty_batch(lam, n_modes):
+    """No lambda or no mode: an empty batch, whose eval is an empty array of
+    the grid's shape."""
+    p = hp.clamped_bilaplacian()
+    batch = poi.kernel_batch(p, lam, 1.0 + np.arange(n_modes, dtype=float)[:, None])
+    assert batch.shape == lam.shape + (n_modes,)
+    assert batch.taus.shape == (0, p.m) and batch.coeff.shape == (p.m, 0, p.m)
+    assert batch.eval(X, 1.0, 1).shape == batch.shape + (len(X),)
+    first, inverse = poi._distinct_rows(np.zeros((0, 3)), np.zeros(0))
+    assert first.size == inverse.size == 0

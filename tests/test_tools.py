@@ -119,6 +119,23 @@ def test_deck_hashes_only_runs_the_matching_jobs(monkeypatch, tmp_path, capsys):
         ident.split(":")[0] for ident in jobs)
 
 
+def test_deck_hashes_records_each_jobs_headroom(monkeypatch, tmp_path, capsys):
+    """Next to its digests each job carries the smallest gate headroom that
+    the benchmark's verdict module recomputes from its kept artifacts."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    keep = tmp_path / "kept"
+    assert deck_hashes.main([str(TOOLS.parent), "1", "--workload", "sweep",
+                             "--only", "singularity-sweep", "--keep", str(keep)]) == 0
+    jobs = json.loads(capsys.readouterr().out)["sweep"]
+    assert len(jobs) == 6
+    import verdicts
+    for ident, job in jobs.items():
+        outdir = keep / "sweep" / ident.split(":")[0]
+        assert job["headroom"] == verdicts.verdict("singularity-sweep", outdir).headroom
+        # the slope meets -[t - s]_+ to better than 1e-3 against the 0.1 bound
+        assert job["exit"] == 0 and job["headroom"] > 2.0, ident
+
+
 def test_deck_hashes_keep_feeds_artifact_diff(monkeypatch, tmp_path, capsys):
     """Two kept runs of one tree: every job's artifacts sit under
     DIR/contour/<NN>, and artifact_diff finds nothing to report."""

@@ -9,11 +9,15 @@ contains ``SUBSTR``) of ``perfbench/jobs.py`` (this
 repository's copy, so two trees run the same jobs) for ``seed`` through
 ``halfpoisson.cli.main``, importing
 ``halfpoisson`` from ``<tree>/src``.  Prints one JSON object,
-``{workload: {job ident: {"exit": code, "artifacts": {name: sha256}}}}``;
-``metadata.json`` (it holds a timestamp) and SVG plots are left out.  Two
-trees whose outputs agree give equal objects, so comparing the parent and a
-change is a ``diff`` of two runs.  With ``--keep DIR`` each job's artifacts
-stay in ``DIR/<workload>/<NN>``, NN the number that leads the job's ident;
+``{workload: {job ident: {"exit": code, "artifacts": {name: sha256},
+"headroom": decades}}}``; ``metadata.json`` (it holds a timestamp) and SVG
+plots are left out.  ``headroom`` is the job's smallest gate headroom as
+``perfbench/verdicts.py`` recomputes it from the artifacts (null for a job
+with only boolean gates), so two runs also show how far each job's accuracy
+moved.  Two trees whose outputs agree give equal objects, so comparing the
+parent and a change is a ``diff`` of two runs.  With ``--keep DIR`` each
+job's artifacts stay in ``DIR/<workload>/<NN>``, NN the number that leads
+the job's ident;
 ``tools/artifact_diff.py`` then states how far two kept runs deviate.
 """
 
@@ -47,6 +51,7 @@ def deck_hashes(seed: int, keep: Path | None = None,
     """The printed object for the jobs of the ``workloads`` decks (default:
     all) whose ident contains ``only``."""
     import jobs
+    import verdicts
     from halfpoisson import cli
 
     print(f"halfpoisson from {Path(cli.__file__).parent}", file=sys.stderr)
@@ -62,7 +67,8 @@ def deck_hashes(seed: int, keep: Path | None = None,
                 results[job.ident] = {"exit": code, "artifacts": {
                     f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                     for f in sorted(outdir.iterdir())
-                    if f.name != "metadata.json" and f.suffix != ".svg"}}
+                    if f.name != "metadata.json" and f.suffix != ".svg"},
+                    "headroom": verdicts.verdict(job.command, outdir).headroom}
     return out
 
 
