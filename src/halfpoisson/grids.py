@@ -2,8 +2,9 @@
 
 Every periodic axis, tangential or temporal, is a torus of length ``L`` with
 ``N`` nodes, and its frequencies ``xi_k = 2 pi k / L`` in FFT ordering come
-from one place, :attr:`TangentialGrid.xi_axis`.  Tangential data are
-specified directly by Fourier coefficients:
+from one place, :attr:`TangentialGrid.xi_axis`, and the mode of a named
+frequency from :meth:`TangentialGrid.mode_index`, which refuses one off the
+torus.  Tangential data are specified directly by Fourier coefficients:
 ``f(x) = sum_k fhat_k e^{i xi_k x}``.  Periodization error is exactly zero
 for band-limited data, which is how all harness inputs are built.  The data
 are never sampled in space: every tangential norm is taken from the
@@ -85,9 +86,15 @@ class TangentialGrid:
         return self.N ** self.n_axes
 
     def mode_index(self, xi_target: float) -> int:
-        """Index along one axis of the frequency xi_k closest to xi_target; into
-        ``xi_modes`` (flattened in "ij" order) it is the mode (0, ..., 0, xi_k)."""
-        return int(np.argmin(np.abs(self.xi_axis - xi_target)))
+        """Index along one axis of the frequency xi_k equal to xi_target (to 1e-12,
+        relative or absolute); into ``xi_modes`` (flattened in "ij" order) it is
+        the mode (0, ..., 0, xi_k).  A target off the axis raises ValueError."""
+        q = int(np.argmin(np.abs(self.xi_axis - xi_target)))
+        if not math.isclose(self.xi_axis[q], xi_target, rel_tol=1e-12, abs_tol=1e-12):
+            raise ValueError(f"frequency {xi_target} is off the grid: its {self.N} modes "
+                             f"per axis are the multiples of {2 * math.pi / self.L:g} "
+                             f"from {self.xi_axis.min():g} to {self.xi_axis.max():g}")
+        return q
 
 
 @dataclass(frozen=True)

@@ -329,7 +329,7 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     mods = np.asarray(sample.moduli, dtype=float)
     # the grids' cached arrays are formed here, not raced for by the threads
     x, xi_modes, _ = xgrid.x, tgrid.xi_modes, tgrid.xi_sq
-    lams = [mod * cmath.exp(1j * ray) for ray in sample.rays for mod in mods]
+    lams = sample.points()
     norms = np.empty(len(lams))
     todo, failed = iter(enumerate(lams)), {}
 

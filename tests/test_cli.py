@@ -287,10 +287,10 @@ class TestConfig:
         ("ibvp-solve", {"out_times": [0.7]}, "'out_times' must lie in (0, T]"),
         ("rbound-sim", {"sigma": 0}, "'sigma' must be positive"),
         ("hardy-norm", {"n_points": 2}, "'n_points' must be >= 3"),
-        # a frequency off the tangential grid (|xi'| <= 8 on 16 modes)
-        ("poisson-eval", {"xi0": 100}, "'xi0' must be a grid frequency"),
-        ("poisson-eval", {"xi0": 1.5}, "'xi0' must be a grid frequency"),
-        ("poisson-eval", {"xi0": 8}, "'xi0' must be a grid frequency"),
+        # a frequency off the tangential grid (16 modes: -8, ..., 7)
+        ("poisson-eval", {"xi0": 100}, "frequency 100 is off the grid"),
+        ("poisson-eval", {"xi0": 1.5}, "frequency 1.5 is off the grid"),
+        ("poisson-eval", {"xi0": 8}, "frequency 8 is off the grid"),
         # more values that reached a grid's or a function's own check
         ("hardy-norm", {"ratio": 1}, "'ratio' must lie in (1, inf)"),
         ("hardy-norm", {"x_min": 0}, "'x_min' must be positive"),
@@ -329,6 +329,21 @@ class TestConfig:
         assert self._run("poisson-eval", {"xi0": xi0}, tmp_path) == cli.EXIT_OK
         with open(tmp_path / "out" / "poisson_eval.csv", newline="") as fh:
             assert {row["mode"] for row in csv.DictReader(fh)} == {str(mode)}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    @pytest.mark.parametrize("command", ["resolvent-test", "semigroup-test",
+                                         "parabolic-solve", "ibvp-solve", "decay-sweep"])
+    def test_datum_off_the_grid_is_input_error(self, command, name, n, tmp_path, capsys):
+        """Two modes per axis hold xi' = 0 and -1 only: the datum at xi' = 1
+        has no mode, so the run exits 1 naming it rather than moving the
+        datum to xi' = 0."""
+        problem = tmp_path / f"{name}_n{n}.json"
+        problem.write_text(problem_to_json(BUNDLED[name](n)))
+        code = self._run(f"{command} --problem {problem}", {"N_x": 2}, tmp_path)
+        assert code == cli.EXIT_INPUT
+        assert ("frequency 1.0 is off the grid: its 2 modes per axis are the "
+                "multiples of 1 from -1 to 0") in capsys.readouterr().err
 
     def test_declared_types_accepted(self, tmp_path):
         # integers for float keys, a list for [re, im]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,25 @@ class TestTangentialGrid:
         # the modes flatten in "ij" order: a one-axis index k picks (0, xi_k)
         g = TangentialGrid(n_axes=2, N=8, L=2 * math.pi)
         assert g.xi_modes[g.mode_index(1.0)].tolist() == [0.0, 1.0]
+        for xi in g.xi_axis:
+            assert g.xi_modes[g.mode_index(xi * (1 + 1e-13))].tolist() == [0.0, xi]
+
+    @pytest.mark.parametrize("n_axes", [1, 2])
+    @pytest.mark.parametrize("target", [1.5, 100, 4, -4.5, 1 + 1e-9])
+    def test_mode_index_refuses_a_frequency_off_the_grid(self, target, n_axes):
+        """8 modes at L = 2 pi hold -4, ..., 3: no nearest mode stands in for
+        a frequency between them, beyond them, or at N/2 = 4."""
+        g = TangentialGrid(n_axes=n_axes, N=8, L=2 * math.pi)
+        with pytest.raises(ValueError, match=re.escape(
+                f"frequency {target} is off the grid: its 8 modes per axis are "
+                "the multiples of 1 from -4 to 3")):
+            g.mode_index(target)
+
+    def test_mode_index_follows_the_torus_length(self):
+        g = TangentialGrid(n_axes=1, N=8, L=4 * math.pi)
+        assert g.xi_axis[g.mode_index(0.5)] == 0.5
+        with pytest.raises(ValueError, match="multiples of 0.5 from -2 to 1.5"):
+            g.mode_index(1.0 / 3.0)
 
     def test_xi_sq_2d(self):
         g = TangentialGrid(n_axes=2, N=4, L=2 * math.pi)

@@ -45,12 +45,6 @@ def _serial_norms(p, q, sample, g, tg):
     return norms
 
 
-def _lams(sample):
-    """The sample's lambda in sample order, ray by ray."""
-    return [mod * cmath.exp(1j * ray) for ray in sample.rays
-            for mod in np.asarray(sample.moduli, dtype=float)]
-
-
 def _unit_datum(n_axes, N):
     tg = TangentialGrid(n_axes=n_axes, N=N, L=2 * math.pi)
     g = np.zeros(tg.n_modes, dtype=complex)
@@ -97,7 +91,7 @@ def test_threads_only_on_large_grids(monkeypatch):
     p = hp.dirichlet_laplacian()
     q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
     monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
-    first_two = _lams(_sample())[:2]
+    first_two = _sample().points()[:2]
     meet = threading.Barrier(2, timeout=10)
     real, seen = poi.kernel_batch, set()
 
@@ -135,7 +129,7 @@ def test_first_failure_in_sample_order_raises_and_no_thread_survives(monkeypatch
     monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
     tg, g = _unit_datum(1, LARGE)
     sample = _sample()
-    late, early = _lams(sample)[2:4]
+    late, early = sample.points()[2:4]
     real = poi.kernel_batch
 
     def failing(problem, lam, xi_modes):

@@ -17,6 +17,7 @@ def _load(name):
 
 artifact_diff = _load("artifact_diff")
 deck_hashes = _load("deck_hashes")
+gate_resolution = _load("gate_resolution")
 job_times = _load("job_times")
 
 
@@ -156,3 +157,29 @@ def test_deck_hashes_keep_feeds_artifact_diff(monkeypatch, tmp_path, capsys):
             assert kept[ident.split(":")[0]] == set(job["artifacts"]) | {"metadata.json"}
     assert artifact_diff.main([str(r) for r in runs]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_gate_resolution_bisects_to_the_step():
+    threshold = 0.0731
+    got = gate_resolution.smallest_rejected(lambda d: d >= threshold)
+    assert threshold <= got <= threshold + gate_resolution.STEP
+    assert gate_resolution.smallest_rejected(lambda d: True) == 0.0
+    assert gate_resolution.smallest_rejected(lambda d: False) is None
+
+
+def test_gate_resolution_finds_the_singularity_tolerance(monkeypatch, tmp_path):
+    """A coarse bisection on the two Dirichlet singularity configs: their
+    slopes meet the claim to 1e-3, so a claim is rejected once it is 0.1 off,
+    in either direction."""
+    for path in ("src", "perfbench", "tools"):
+        monkeypatch.syspath_prepend(str(TOOLS.parent / path))
+    monkeypatch.setattr(gate_resolution, "STEP", 0.05)
+    sweeps = gate_resolution.sweeps()
+    assert {job.command for job in sweeps.values()} == {"decay-sweep", "singularity-sweep"}
+    ours = sorted(ident for ident in sweeps if "singularity-sweep|dirichlet" in ident)
+    assert ours == ['singularity-sweep|dirichlet|{"t": 1.0}',
+                    'singularity-sweep|dirichlet|{"t": 1.5}']
+    for ident in ours:
+        deltas = gate_resolution.resolution(sweeps[ident], tmp_path)
+        assert sorted(deltas) == ["+", "-"]
+        assert all(0.1 - 1e-3 <= d <= 0.15 + 1e-3 for d in deltas.values()), deltas

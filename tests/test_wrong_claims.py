@@ -1,11 +1,19 @@
 """Wrong claims that the gates must reject.
 
-Each row is (command, problem, config, mutation, delta): the mutation adds
-``delta`` to one predicted exponent of :mod:`halfpoisson.poisson`, in
-process, and the run must then exit 2.  A row that a gate accepts today is
-a known miss: it carries ``xfail(strict=True)`` and the deviation the run
-measures against the wrong claim, so a gate that starts catching it fails
-here until the row loses its mark.
+Each row is (command, problem, config, mutation, delta): the mutation names
+an in-process patch of :data:`PATCHES`, and ``delta`` is its size (None for
+a patch that has none).  With the patch in place the run must exit 2.
+Two kinds of patch make a wrong claim:
+
+* a predicted exponent of :mod:`halfpoisson.poisson` off by ``delta``;
+* a wrong kernel route: ``kernel_batch`` hands back the kernels of the
+  other boundary condition (Neumann for Dirichlet and back), or
+  ``KernelBatch.eval`` drops the Poisson correction (returns zero).
+
+A row that a gate accepts today is a known miss: it carries
+``xfail(strict=True)`` and the figure the run measures under the wrong
+claim, so a gate that starts catching it fails here until the row loses
+its mark.
 """
 
 import json
@@ -13,11 +21,50 @@ import json
 import pytest
 
 from halfpoisson import cli
+from halfpoisson import parabolic as pb
 from halfpoisson import poisson as poi
+from halfpoisson import resolvent as res
+from halfpoisson.model import dirichlet_laplacian, neumann_laplacian
 
 PROBLEMS = ("dirichlet_laplacian", "neumann_laplacian", "clamped_bilaplacian")
 SINGULARITY = "predicted_singularity_exponent"
 DECAY = "predicted_decay_exponent"
+OTHER_CONDITION = "other_condition_kernels"
+NO_CORRECTION = "no_poisson_correction"
+# the commands that evaluate Poisson kernels, one claim each
+KERNEL_COMMANDS = ("poisson-eval", "resolvent-test", "semigroup-test", "ibvp-solve",
+                   "parabolic-solve")
+
+
+def _shifted(name):
+    def patch(monkeypatch, delta):
+        exact = getattr(poi, name)
+        monkeypatch.setattr(poi, name, lambda *args: exact(*args) + delta)
+    return patch
+
+
+# the Laplacian with the other condition, by problem name
+_OTHER = {"dirichlet_laplacian": neumann_laplacian,
+          "neumann_laplacian": dirichlet_laplacian}
+
+
+def _other_condition(monkeypatch, delta):
+    exact = poi.kernel_batch
+
+    def swapped(problem, lam, xi_modes):
+        return exact(_OTHER[problem.name](problem.n), lam, xi_modes)
+    for module in (poi, res, pb):
+        monkeypatch.setattr(module, "kernel_batch", swapped)
+
+
+def _no_correction(monkeypatch, delta):
+    exact = poi.KernelBatch.eval
+    monkeypatch.setattr(poi.KernelBatch, "eval",
+                        lambda self, *args: 0 * exact(self, *args))
+
+
+PATCHES = {SINGULARITY: _shifted(SINGULARITY), DECAY: _shifted(DECAY),
+           OTHER_CONDITION: _other_condition, NO_CORRECTION: _no_correction}
 
 
 def _miss(row, why):
@@ -34,6 +81,16 @@ _DECAY_MISSES = {
     ("clamped_bilaplacian", '{"k": 1, "r": 1.5}'): (0.0424, 0.0395),
 }
 
+
+def _kernel_row(command, problem, mutation):
+    row = (command, problem, {}, mutation, None)
+    if command != "parabolic-solve":
+        return row
+    # its oracle is one more kernel_batch, which the patch reaches too
+    return _miss(row, "the oracle takes the solver's own route: the single-mode "
+                      "deviation reads at most 3.4e-16")
+
+
 ROWS = (
     # the six singularity-sweep configs of the benchmark deck
     [("singularity-sweep", p, {"t": t}, SINGULARITY, d)
@@ -45,6 +102,9 @@ ROWS = (
     + [_miss(("decay-sweep", p, json.loads(cfg), DECAY, d),
              f"the 0.05 tolerance accepts a claim 0.04 off (deviation {dev:.4f})")
        for (p, cfg), devs in _DECAY_MISSES.items() for d, dev in zip((0.04, -0.04), devs)]
+    # the swap has a partner on the two Laplacians only
+    + [_kernel_row(c, p, OTHER_CONDITION) for c in KERNEL_COMMANDS for p in _OTHER]
+    + [_kernel_row(c, p, NO_CORRECTION) for c in KERNEL_COMMANDS for p in PROBLEMS]
 )
 
 
@@ -52,8 +112,7 @@ ROWS = (
                          ids=lambda v: json.dumps(v) if isinstance(v, dict) else None)
 def test_wrong_claim_exits_2(command, problem, config, mutation, delta,
                              monkeypatch, tmp_path):
-    exact = getattr(poi, mutation)
-    monkeypatch.setattr(poi, mutation, lambda *args: exact(*args) + delta)
+    PATCHES[mutation](monkeypatch, delta)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code = cli.main([command, "--problem", problem, "--config", str(cfg),
