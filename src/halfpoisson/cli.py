@@ -6,13 +6,14 @@ a tolerance failure, 1 on input errors (usage, config, problem file).  CSV
 bodies are deterministic for a fixed seed (full double precision, shortest
 round-trip formatting); timestamps live in a sidecar ``metadata.json`` only.
 
-A subcommand is one function ``cmd_*(args, [problem,] *, key=default, ...)``
-that returns whether its gates held.  Its keyword-only parameters are the
-config keys it accepts, with their defaults.  :func:`main` does the rest once
-for all: it parses the command line, loads the problem (``--problem``, for
-the functions with a ``problem`` parameter; default: the Dirichlet
-Laplacian), checks the ``--config`` JSON object against the declared keys
-and the types of their defaults, and maps the result to an exit code.
+A subcommand is one function ``cmd_*(out, [flag=default, ...,] *, key=default,
+...)`` that returns whether its gates held; its signature is its interface.
+After the ``--out`` directory come its flags, typed by their defaults
+(``problem=None``, ``plot=False``, ``seed=0``), then the config keys it
+accepts.  :func:`main` does the rest once for all: it parses the command line,
+loads the problem (default: the Dirichlet Laplacian), checks the ``--config``
+JSON object against the declared keys and the types of their defaults, and
+maps the result to an exit code.
 """
 
 from __future__ import annotations
@@ -74,13 +75,12 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _write_metadata(args) -> None:
-    problem = getattr(args, "problem", None)
     _write_json(args.out / "metadata.json", {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
         "workers": poi.sweep_workers(),
-        "problem": str(problem) if problem else None,
+        "problem": getattr(args, "problem", None),
         "command": args.command,
     })
 
@@ -94,7 +94,8 @@ def _write_svg_loglog(path: Path, series, xlabel: str, ylabel: str) -> None:
     One ``<polyline>`` per series on axes spanning whole decades; axis and
     series labels are ``<text>``.  Points with a non-finite or non-positive
     coordinate are left out.  Coordinates are printed to 0.01 px, so the
-    same data always give the same bytes.
+    same data always give the same bytes.  A file that cannot be written is
+    reported and skipped: plotting never changes the exit status.
     """
     from xml.sax.saxutils import escape
 
@@ -138,15 +139,9 @@ def _write_svg_loglog(path: Path, series, xlabel: str, ylabel: str) -> None:
         out.append(f'<text x="{W - R + 8}" y="{T + 12 + 14 * i}"'
                    f' fill="{colour}">{escape(label)}</text>')
     out.append("</svg>")
-    path.write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
-
-
-def _maybe_plot(args, name: str, series, xlabel: str, ylabel: str) -> None:
-    if not args.plot:
-        return
     try:
-        _write_svg_loglog(args.out / f"{name}.svg", series, xlabel, ylabel)
-    except OSError as exc:  # plotting never changes the numeric exit status
+        path.write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
+    except OSError as exc:
         print(f"plot skipped: {exc}", file=sys.stderr)
 
 
@@ -207,7 +202,7 @@ def _saturating_datum(problem, N_x: int, xi_max: float, s: float):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check_ls(args, problem, *, n_moduli=8, n_rays=5) -> bool:
+def cmd_check_ls(out, problem=None, *, n_moduli=8, n_rays=5) -> bool:
     ell = mdl.check_ellipticity(problem)
     report = {
         "problem": problem.name,
@@ -227,12 +222,13 @@ def cmd_check_ls(args, problem, *, n_moduli=8, n_rays=5) -> bool:
             "ls_condition_number": ls.condition_number,
         })
         ok = ls.passed
-    _write_json(args.out / "check_ls.json", report)
+    _write_json(out / "check_ls.json", report)
     print(json.dumps(report, indent=2))
     return ok
 
 
-def cmd_poisson_eval(args, problem, *, lambda_=4.0 + 1.0j, j=0, N_x=16, xi0=1.0) -> bool:
+def cmd_poisson_eval(out, problem=None, *, lambda_=4.0 + 1.0j, j=0, N_x=16,
+                     xi0=1.0) -> bool:
     _check_j(problem, j)
     _check_nonzero("lambda", lambda_)
     tgrid = _tgrid(problem.n - 1, N_x)
@@ -243,7 +239,7 @@ def cmd_poisson_eval(args, problem, *, lambda_=4.0 + 1.0j, j=0, N_x=16, xi0=1.0)
     batch = poi.kernel_batch(problem, lambda_, tgrid.xi_modes)
     u = batch.eval(xgrid.x, data)
     live = np.flatnonzero(np.any(u, axis=1))
-    _write_csv(args.out / "poisson_eval.csv", {
+    _write_csv(out / "poisson_eval.csv", {
         "mode": np.repeat(live, len(xgrid.x)), "x_n": np.tile(xgrid.x, len(live)),
         "re": u[live].real.ravel(), "im": u[live].imag.ravel()})
     # boundary reproduction: tr B_k of kernel j by the route that evaluated
@@ -252,16 +248,16 @@ def cmd_poisson_eval(args, problem, *, lambda_=4.0 + 1.0j, j=0, N_x=16, xi0=1.0)
     tr = problem.boundary_traces(tgrid.xi_modes,
                                  lambda l: batch.eval(np.zeros(1), unit, l)[:, 0])
     worst = float(np.abs(tr - unit).max())
-    _write_json(args.out / "poisson_eval.json",
+    _write_json(out / "poisson_eval.json",
                 {"lambda": [lambda_.real, lambda_.imag], "j": j,
                  "boundary_reproduction_defect": worst})
     print(f"boundary reproduction defect: {worst:.3e}")
     return worst <= 1e-8
 
 
-def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
-                    sigma_floor=1e2, n_rays=5, n_moduli=13, mod_max=1e6,
-                    N_x=0) -> bool:
+def cmd_decay_sweep(out, problem=None, plot=False, *, k=0, p=2.0, r=0.0, t=0.0,
+                    s=0.0, j=0, sigma_floor=1e2, n_rays=5, n_moduli=13,
+                    mod_max=1e6, N_x=0) -> bool:
     _check_j(problem, j)
     _check_least("n_moduli", n_moduli, _FIT_POINTS)
     q = poi.ExponentQuery.for_problem(problem, k=k, p=p, r=r, t=t, s=s, j=j)
@@ -279,44 +275,46 @@ def cmd_decay_sweep(args, problem, *, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0,
         g[tgrid.mode_index(1.0)] = 1.0
     result = poi.decay_sweep(problem, q, sample, g, tgrid)
     rays, n_mod = np.array(sample.rays), len(result.x)
-    _write_csv(args.out / "decay_sweep.csv", {
+    _write_csv(out / "decay_sweep.csv", {
         "ray_arg": np.repeat(rays, n_mod), "lambda_mod": np.tile(result.x, len(rays)),
         "norm": result.norms.ravel(), "predicted": result.predicted,
         "fitted_slope": np.repeat(result.slopes, n_mod)})
-    _write_json(args.out / "decay_sweep.json", {
+    _write_json(out / "decay_sweep.json", {
         "predicted": result.predicted,
         "fitted_slopes": {repr(ray): slope for ray, slope
                           in zip(rays.tolist(), result.slopes.tolist())
                           if not math.isnan(slope)},
         "max_deviation": result.max_deviation,
     })
-    _maybe_plot(args, "decay_sweep",
-                {f"arg={ray:.3f}": (result.x, norms)
-                 for ray, norms in zip(rays, result.norms)},
-                "|lambda|", "norm")
+    if plot:
+        _write_svg_loglog(out / "decay_sweep.svg",
+                          {f"arg={ray:.3f}": (result.x, norms)
+                           for ray, norms in zip(rays, result.norms)},
+                          "|lambda|", "norm")
     print(f"predicted slope {result.predicted:+.4f}, "
           f"max deviation {result.max_deviation:.4f}")
     return result.max_deviation <= 0.05
 
 
-def cmd_singularity_sweep(args, problem, *, t=1.0, s=0.0, lambda_=4.0 + 0.0j, j=0,
-                          n_x_pts=40) -> bool:
+def cmd_singularity_sweep(out, problem=None, plot=False, *, t=1.0, s=0.0,
+                          lambda_=4.0 + 0.0j, j=0, n_x_pts=40) -> bool:
     _check_j(problem, j)
     _check_least("n_x_pts", n_x_pts, _FIT_POINTS)
     _check_nonzero("lambda", lambda_)
     x_range = np.logspace(-4, -1, n_x_pts)
     result = poi.singularity_sweep(problem, j, lambda_, t, s, x_range)
     slope = result.slopes[0]
-    _write_csv(args.out / "singularity_sweep.csv", {
+    _write_csv(out / "singularity_sweep.csv", {
         "ray_arg": cmath.phase(lambda_), "x_n": result.x, "norm": result.norms[0],
         "predicted": result.predicted, "fitted_slope": slope})
-    _maybe_plot(args, "singularity_sweep", {"profile": (result.x, result.norms[0])},
-                "x_n", "tangential norm")
+    if plot:
+        series = {"profile": (result.x, result.norms[0])}
+        _write_svg_loglog(out / "singularity_sweep.svg", series, "x_n", "tangential norm")
     print(f"predicted slope {result.predicted:+.4f}, fitted {slope:+.4f}")
     return result.max_deviation <= 0.1
 
 
-def cmd_hardy_norm(args, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bool:
+def cmd_hardy_norm(out, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bool:
     grid = HalfLineGrid(x_min=x_min, ratio=ratio, n_points=n_points)
     # the p = 2, r = 0 reference with one refinement, then p at three weights
     cases = [(2.0, 0.0, grid), (2.0, 0.0, grid.refined(2))] + [
@@ -325,7 +323,7 @@ def cmd_hardy_norm(args, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bo
     rel_err = np.abs(norms - math.pi) / math.pi
     rel_err[2:] = math.nan
     ps, rs, grids = zip(*cases)
-    _write_csv(args.out / "hardy_norm.csv", {
+    _write_csv(out / "hardy_norm.csv", {
         "p": ps, "r": rs, "n_points": [g.n_points for g in grids], "norm": norms,
         "rel_err_vs_pi": rel_err})
     monotone = bool(np.all(norms[3:] > norms[2:-1]))
@@ -334,10 +332,11 @@ def cmd_hardy_norm(args, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bo
     return rel_err[1] <= 0.02 and monotone
 
 
-def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -> bool:
+def cmd_norm_check(out, seed=0, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100,
+                   t=2.0) -> bool:
     _check_least("trials", trials, 1)
     _check_least("n_mu", n_mu, 1)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     tgrid = _tgrid(1, N_x)
     mus = np.logspace(0, 4, n_mu)
     # every squared weight in the norms lies within (1 + max|xi'|^2)^|s0|
@@ -371,16 +370,16 @@ def cmd_norm_check(args, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100, t=2.0) -
     re, im = np.moveaxis(rng.standard_normal((trials, 2, tgrid.N, 64)), 1, 0)
     lift_ratios = sp.mixed_lifting_check(re + 1j * im, t, tgrid, xi_n)
     C_lift = max(lift_ratios.max(), 1.0 / lift_ratios.min())
-    _write_csv(args.out / "norm_check.csv", {
+    _write_csv(out / "norm_check.csv", {
         "trial": np.repeat(np.arange(trials), n_mu), "mu": np.tile(mus, trials),
         "param_norm": lhs.ravel(), "split_norm": rhs.ravel(), "ratio": ratios.ravel()})
-    _write_json(args.out / "norm_check.json",
+    _write_json(out / "norm_check.json",
                 {"C_equivalence": C_equiv, "C_lifting": C_lift})
     print(f"equivalence constant {C_equiv:.3f}, lifting constant {C_lift:.3f}")
     return C_equiv <= 4.0 and C_lift <= 4.0
 
 
-def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
+def cmd_resolvent_test(out, problem=None, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
                        N_z=128) -> bool:
     # the residual leaves out 2 x order nodes at either end of the coarsest grid
     _check_power_of_two("N_z", N_z, 1 << (4 * problem.order).bit_length())
@@ -396,7 +395,7 @@ def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
         residuals.append(res.interior_residual_fd(problem, lambda_, u, f, tgrid, ug))
         traces_.append(float(np.abs(res.boundary_trace_fd(problem, u, tgrid, ug)).max()))
     order_res = math.log2(residuals[0] / residuals[2]) / 2 if residuals[2] > 0 else math.inf
-    _write_csv(args.out / "resolvent_refine.csv", {
+    _write_csv(out / "resolvent_refine.csv", {
         "N_z": [ug.N for ug, _ in data], "interior_residual": residuals,
         "trace_defect": traces_})
     # sectoriality shadow over three decades per ray: |lambda| ||R(lambda) f||
@@ -409,13 +408,13 @@ def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
     sols = res.halfspace_resolvent(problem, sample.points(), f, tgrid, ug).u
     norms = np.array([np.linalg.norm(u) for u in sols]).reshape(len(rays), len(mods))
     ratios = mods * (norms / f_norm)
-    _write_csv(args.out / "resolvent_sectoriality.csv", {
+    _write_csv(out / "resolvent_sectoriality.csv", {
         "ray_arg": np.repeat(rays, len(mods)), "lambda_mod": np.tile(mods, len(rays)),
         "lam_norm_ratio": ratios.ravel()})
     med = np.median(ratios, axis=1)
     spread_ok = bool(np.all((ratios.max(axis=1) <= 2.0 * med)
                             & (ratios.min(axis=1) >= med / 2.0)))
-    _write_json(args.out / "resolvent_test.json", {
+    _write_json(out / "resolvent_test.json", {
         "residuals": residuals, "trace_defects": traces_,
         "order": order_res, "sectoriality_spread_ok": spread_ok,
     })
@@ -425,7 +424,7 @@ def cmd_resolvent_test(args, problem, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
             and order_res >= 2.0 and spread_ok)
 
 
-def cmd_semigroup_test(args, problem, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2=0.2,
+def cmd_semigroup_test(out, problem=None, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2=0.2,
                        t_small=1e-6) -> bool:
     _check_power_of_two("N_z", N_z, 4)
     _check_positive(t1=t1, t2=t2, t_small=t_small)
@@ -443,14 +442,14 @@ def cmd_semigroup_test(args, problem, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2=0.2
                 / max(float(np.linalg.norm(Tsum)), 1e-300))
     small = res.semigroup_apply(problem, u0, t_small, tgrid, ug)
     id_dev = float(np.linalg.norm(small - u0)) / float(np.linalg.norm(u0))
-    _write_json(args.out / "semigroup_test.json",
+    _write_json(out / "semigroup_test.json",
                 {"semigroup_property_dev": semi_dev, "identity_dev": id_dev})
     print(f"semigroup property deviation {semi_dev:.2e}, "
           f"t->0 deviation {id_dev:.2e}")
     return semi_dev <= 1e-4 and id_dev <= 0.01
 
 
-def cmd_parabolic_solve(args, problem, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
+def cmd_parabolic_solve(out, problem=None, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
                         sigma=1.0, n_x_pts=33) -> bool:
     _check_least("n_x_pts", n_x_pts, 1)
     _check_power_of_two("N_t", N_t, 2)
@@ -471,15 +470,15 @@ def cmd_parabolic_solve(args, problem, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
     dev = (float(np.abs(sol.values[:, q0, :] - oracle).max())
            / max(float(np.abs(oracle).max()), 1e-300))
     vals = sol.values[:, q0, :].ravel()
-    _write_csv(args.out / "parabolic_solve.csv", {
+    _write_csv(out / "parabolic_solve.csv", {
         "t": np.repeat(times, len(x_nodes)), "x_n": np.tile(x_nodes, N_t),
         "re": vals.real, "im": vals.imag})
-    _write_json(args.out / "parabolic_solve.json", {"single_mode_dev": dev})
+    _write_json(out / "parabolic_solve.json", {"single_mode_dev": dev})
     print(f"single-mode closed-form deviation {dev:.2e}")
     return dev <= 1e-8
 
 
-def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, N_t=16,
+def cmd_ibvp_solve(out, problem=None, *, N_x=8, X=30.0, N_z=1024, T=0.5, N_t=16,
                    out_times=()) -> bool:
     _check_power_of_two("N_z", N_z, 8)   # the boundary trace reads six normal nodes
     _check_power_of_two("N_t", N_t, 1)
@@ -487,9 +486,6 @@ def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, N_t=16,
     tgrid = _tgrid(problem.n - 1, N_x)
     ug = UniformHalfGrid(X=X, N=N_z)
     out_times = np.array(out_times or (T / 2, T))
-    if not np.all((out_times > 0) & (out_times <= T)):
-        raise ValueError(f"config key 'out_times' must lie in (0, T] = (0, {T}], "
-                         f"got {out_times.tolist()}")
     # boundary data: one space-time mode on g_0, smoothly switched on; the
     # ramp is sampled at the N_t + 1 data times, then at the output times
     q0 = tgrid.mode_index(1.0)
@@ -504,10 +500,10 @@ def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, N_t=16,
     miss[:, q0] -= ramp[N_t + 1:]
     worst = float(np.max(np.abs(miss).max(axis=1) / np.maximum(ramp[N_t + 1:], 1e-300)))
     vals = sol.values[:, q0, :].ravel()
-    _write_csv(args.out / "ibvp_solve.csv", {
+    _write_csv(out / "ibvp_solve.csv", {
         "t": np.repeat(out_times, ug.N), "x_n": np.tile(ug.x, len(out_times)),
         "re": vals.real, "im": vals.imag})
-    _write_json(args.out / "ibvp_solve.json", {
+    _write_json(out / "ibvp_solve.json", {
         "boundary_trace_dev": worst,
         "compatibility_defect": sol.compatibility_defect,
     })
@@ -516,14 +512,12 @@ def cmd_ibvp_solve(args, problem, *, N_x=8, X=30.0, N_z=1024, T=0.5, N_t=16,
     return worst <= 1e-2
 
 
-def cmd_rbound_sim(args, *, sigma=1.0, N_list=(4, 8, 16, 32, 64), r=0.0,
+def cmd_rbound_sim(out, seed=0, p=1.2, *, sigma=1.0, N_list=(4, 8, 16, 32, 64), r=0.0,
                    trials=1024) -> bool:
-    # out-of-range --p, N_list, r and trials reach the experiment's own checks
-    _check_positive(sigma=sigma)
-    p = args.p
+    # out-of-range --p, sigma, N_list, r and trials reach the experiment's checks
     ratios, stderrs = rb.dirichlet_nonrbound_experiment(
-        p=p, sigma=sigma, N_list=N_list, r=r, trials=trials, seed=args.seed)
-    _write_csv(args.out / "rbound_sim.csv", {
+        p=p, sigma=sigma, N_list=N_list, r=r, trials=trials, seed=seed)
+    _write_csv(out / "rbound_sim.csv", {
         "p": p, "r": r, "N": N_list, "ratio": ratios, "stderr": stderrs})
     growth = ratios[-1] / ratios[0]
     if p < 2.0:
@@ -561,6 +555,12 @@ def config_params(command: str) -> dict:
     from the parameter name: ``lambda_`` reads the key ``lambda``."""
     params = inspect.signature(COMMANDS[command]).parameters.values()
     return {p.name.rstrip("_"): p for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def flag_params(command: str) -> dict:
+    """Flag name -> default: the positional parameters after ``out``."""
+    params = list(inspect.signature(COMMANDS[command]).parameters.values())[1:]
+    return {p.name: p.default for p in params if p.kind is p.POSITIONAL_OR_KEYWORD}
 
 
 def _conform(key: str, value, default):
@@ -619,22 +619,24 @@ def _load_problem(name) -> mdl.ModelProblem:
     return mdl.load_problem(path)
 
 
+_HELP = {"problem": "problem JSON path or bundled name", "plot": "emit SVG plots"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfpoisson",
         description="Half-space Poisson-operator solvers and estimate checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
+    for name in COMMANDS:
         sp_ = sub.add_parser(name)
-        if "problem" in inspect.signature(fn).parameters:
-            sp_.add_argument("--problem", default=None,
-                             help="problem JSON path or bundled name")
         sp_.add_argument("--config", default=None, help="config JSON path")
         sp_.add_argument("--out", type=Path, default="out", help="output directory")
-        sp_.add_argument("--plot", action="store_true", help="emit SVG plots")
-        sp_.add_argument("--seed", type=int, default=0)
-        if name == "rbound-sim":
-            sp_.add_argument("--p", type=float, default=1.2)
+        for flag, default in flag_params(name).items():
+            if isinstance(default, bool):
+                sp_.add_argument(f"--{flag}", action="store_true", help=_HELP.get(flag))
+            else:
+                sp_.add_argument(f"--{flag}", default=default, help=_HELP.get(flag),
+                                 type=None if default is None else type(default))
     return parser
 
 
@@ -648,9 +650,10 @@ def main(argv=None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         _write_metadata(args)
         kwargs = _load_config(args.command, args.config)
+        kwargs.update({flag: getattr(args, flag) for flag in flag_params(args.command)})
         if hasattr(args, "problem"):
             kwargs["problem"] = _load_problem(args.problem)
-        passed = COMMANDS[args.command](args, **kwargs)
+        passed = COMMANDS[args.command](args.out, **kwargs)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

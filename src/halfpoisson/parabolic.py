@@ -139,7 +139,8 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
                          f"({problem.m}, N_t + 1, {tgrid.n_modes})")
     out_times = np.asarray(out_times, dtype=float)
     if np.any(out_times <= 0) or np.any(out_times > T):
-        raise ValueError("output times must lie in (0, T]")
+        raise ValueError(f"'out_times' must lie in (0, T] = (0, {T}], "
+                         f"got {out_times.tolist()}")
 
     # ---- v1: whole-line solve on the extended, shifted boundary data ----
     N_t = g.shape[1] - 1

@@ -157,13 +157,15 @@ def dirichlet_nonrbound_experiment(
     """Rademacher ratios and their standard errors for the scaled dyadic
     family, one entry per family size in ``N_list``.
 
-    Requires p in [1, 2] (p = 2 is the plateau control run) and family sizes
-    N >= 1.  The Dirichlet Laplacian at n = 2 on 8 tangential modes; the
-    normal grid must resolve depths down to 1/sqrt(lambda_max), so it starts
-    at 1e-21 to cover N up to 64 at sigma = 1.
+    Requires p in [1, 2] (p = 2 is the plateau control run), sigma > 0 and
+    family sizes N >= 1.  The Dirichlet Laplacian at n = 2 on 8 tangential
+    modes; the normal grid must resolve depths down to 1/sqrt(lambda_max), so
+    it starts at 1e-21 to cover N up to 64 at sigma = 1.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError("experiment is specified for p in [1, 2]")
+    if not sigma > 0:
+        raise ValueError(f"'sigma' must be positive, got {sigma}")
     if not N_list or min(N_list) < 1:
         raise ValueError(f"N_list must be a nonempty list of family sizes >= 1, "
                          f"got {list(N_list)}")

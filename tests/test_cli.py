@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import json
@@ -26,19 +27,49 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+def _parser_flags():
+    """Subcommand -> the option strings its subparser accepts, but --help."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in parser._actions for s in a.option_strings
+                   if s not in ("-h", "--help")}
+            for name, parser in sub.choices.items()}
+
+
 class TestInfrastructure:
     def test_unknown_subcommand_rejected(self):
         assert run(["no-such-command"]) == cli.EXIT_INPUT
 
     @pytest.mark.parametrize("argv", [
-        ["decay-sweep", "--seed", "abc"],
+        ["norm-check", "--seed", "abc"],
         ["check-ls", "--no-such-flag"],
-        # only the commands that take a problem have --problem
+        # a command takes only the flags of its signature
         ["hardy-norm", "--problem", "/nonexistent.json"],
-    ], ids=["bad-seed", "unknown-flag", "problem-not-taken"])
+        ["hardy-norm", "--seed", "1"],
+        ["semigroup-test", "--seed", "2"],
+        ["check-ls", "--plot"],
+    ], ids=["bad-seed", "unknown-flag", "problem-not-taken", "seed-not-taken",
+            "seed-not-drawn", "plot-not-drawn"])
     def test_usage_errors_are_input_errors(self, argv, tmp_path, capsys):
         assert run(argv + ["--out", tmp_path / "out"]) == cli.EXIT_INPUT
         assert "usage:" in capsys.readouterr().err
+
+    def test_each_subcommand_takes_the_flags_of_its_signature(self):
+        """--config, --out, and one flag per positional parameter of cmd_*
+        after out: 35 flags over the 11 subcommands."""
+        flags = _parser_flags()
+        for name in cli.COMMANDS:
+            params = list(inspect.signature(cli.COMMANDS[name]).parameters.values())
+            assert params[0].name == "out"
+            assert flags[name] == {"--config", "--out"} | {
+                f"--{p.name}" for p in params[1:] if p.kind is p.POSITIONAL_OR_KEYWORD}
+        assert sum(map(len, flags.values())) == 35
+        assert {n for n, f in flags.items() if "--plot" in f} == {"decay-sweep",
+                                                                  "singularity-sweep"}
+        assert {n for n, f in flags.items() if "--seed" in f} == {"norm-check", "rbound-sim"}
+        # the parser names no command: every flag comes from a signature
+        source = inspect.getsource(cli.build_parser)
+        assert not any(f'"{name}"' in source for name in cli.COMMANDS)
 
     def test_help_exits_ok(self, capsys):
         assert run(["--help"]) == cli.EXIT_OK
@@ -77,6 +108,12 @@ class TestInfrastructure:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["command"] == "check-ls"
         assert "timestamp" in meta
+        # a seed is recorded only for the commands that draw one
+        assert meta["seed"] is None
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2}))
+        assert run(["norm-check", "--seed", 7, "--config", cfg, "--out", out]) == cli.EXIT_OK
+        assert json.loads((out / "metadata.json").read_text())["seed"] == 7
 
     def test_metadata_records_thread_env_as_found(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
@@ -363,6 +400,21 @@ class TestConfig:
             elif table and not line.startswith("|"):
                 break
         assert table == {name: set(cli.config_params(name)) for name in cli.COMMANDS}
+
+    def test_readme_table_lists_the_flags(self):
+        """The Flags column of the subcommand table holds what the parser
+        accepts besides --config and --out."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("| Subcommand | Flags | What it does |", 1)[1]
+        table = {}
+        for line in section.splitlines():
+            row = re.match(r"\| `([a-z-]+)` \|([^|]*)\|", line)
+            if row:
+                table[row.group(1)] = set(re.findall(r"`(--[a-z]+)`", row.group(2)))
+            elif table and not line.startswith("|"):
+                break
+        assert table == {name: flags - {"--config", "--out"}
+                         for name, flags in _parser_flags().items()}
 
 
 class TestCheckLs:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,12 +131,15 @@ def _switch_on(p, q0, N_t):
 
 
 class TestIbvp:
-    def test_output_times_validated(self):
+    @pytest.mark.parametrize("out_times", [[1.5], [0.0], [0.5, -0.25]])
+    def test_output_times_validated(self, out_times):
+        """The solver names the key it checks, as the CLI's config reads it."""
         p = hp.dirichlet_laplacian()
         ug = UniformHalfGrid(X=30.0, N=256)
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
-        with pytest.raises(ValueError):
-            pb.ibvp_solve(p, u0, np.zeros((1, 9, TG.n_modes)), 1.0, TG, ug, [1.5])
+        want = f"'out_times' must lie in (0, T] = (0, 1.0], got {out_times}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            pb.ibvp_solve(p, u0, np.zeros((1, 9, TG.n_modes)), 1.0, TG, ug, out_times)
 
     def test_pure_initial_value_images_oracle(self):
         """g = 0: the IBVP reduces to the semigroup; compare with the

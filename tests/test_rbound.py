@@ -187,6 +187,12 @@ class TestGrowthExperiment:
         with pytest.raises(ValueError):
             rb.dirichlet_nonrbound_experiment(p=3.0)
 
+    @pytest.mark.parametrize("sigma", [0, -1.0])
+    def test_sigma_must_be_positive(self, sigma):
+        """sigma = 0 puts every lambda_l at 0; rejected before any kernel."""
+        with pytest.raises(ValueError, match=f"'sigma' must be positive, got {sigma}"):
+            rb.dirichlet_nonrbound_experiment(p=1.2, sigma=sigma)
+
     def test_growth_below_two(self):
         ratios, stderrs = rb.dirichlet_nonrbound_experiment(p=1.2, trials=256,
                                                             N_list=(4, 16, 64))

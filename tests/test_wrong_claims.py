@@ -2,13 +2,17 @@
 
 Each row is (command, problem, config, mutation, delta): the mutation names
 an in-process patch of :data:`PATCHES`, and ``delta`` is its size (None for
-a patch that has none).  With the patch in place the run must exit 2.
-Two kinds of patch make a wrong claim:
+a patch that has none).  The commands that take no problem have None in its
+place and run without ``--problem``.  With the patch in place the run must
+exit 2.  Three kinds of patch make a wrong claim:
 
 * a predicted exponent of :mod:`halfpoisson.poisson` off by ``delta``;
 * a wrong kernel route: ``kernel_batch`` hands back the kernels of the
   other boundary condition (Neumann for Dirichlet and back), or
-  ``KernelBatch.eval`` drops the Poisson correction (returns zero).
+  ``KernelBatch.eval`` drops the Poisson correction (returns zero);
+* a wrong estimate: ``spaces.hardy_norm`` times the factor ``delta``, or
+  an R-bounded Rademacher family in ``rbound-sim``, every member the first
+  member's image.
 
 A row that a gate accepts today is a known miss: it carries
 ``xfail(strict=True)`` and the figure the run measures under the wrong
@@ -18,12 +22,15 @@ its mark.
 
 import json
 
+import numpy as np
 import pytest
 
 from halfpoisson import cli
 from halfpoisson import parabolic as pb
 from halfpoisson import poisson as poi
+from halfpoisson import rbound as rb
 from halfpoisson import resolvent as res
+from halfpoisson import spaces as sp
 from halfpoisson.model import dirichlet_laplacian, neumann_laplacian
 
 PROBLEMS = ("dirichlet_laplacian", "neumann_laplacian", "clamped_bilaplacian")
@@ -31,6 +38,8 @@ SINGULARITY = "predicted_singularity_exponent"
 DECAY = "predicted_decay_exponent"
 OTHER_CONDITION = "other_condition_kernels"
 NO_CORRECTION = "no_poisson_correction"
+HARDY_FACTOR = "hardy_norm_factor"
+CONSTANT_FAMILY = "constant_family"
 # the commands that evaluate Poisson kernels, one claim each
 KERNEL_COMMANDS = ("poisson-eval", "resolvent-test", "semigroup-test", "ibvp-solve",
                    "parabolic-solve")
@@ -63,8 +72,21 @@ def _no_correction(monkeypatch, delta):
                         lambda self, *args: 0 * exact(self, *args))
 
 
+def _hardy_factor(monkeypatch, delta):
+    exact = sp.hardy_norm
+    monkeypatch.setattr(sp, "hardy_norm", lambda *args: delta * exact(*args))
+
+
+def _constant_family(monkeypatch, delta):
+    # every T_l x_l is T_1 x_1: the ratio cannot grow with the family size
+    exact = rb.RademacherTrial
+    monkeypatch.setattr(rb, "RademacherTrial", lambda images, **kw: exact(
+        images=np.broadcast_to(images[:1], images.shape), **kw))
+
+
 PATCHES = {SINGULARITY: _shifted(SINGULARITY), DECAY: _shifted(DECAY),
-           OTHER_CONDITION: _other_condition, NO_CORRECTION: _no_correction}
+           OTHER_CONDITION: _other_condition, NO_CORRECTION: _no_correction,
+           HARDY_FACTOR: _hardy_factor, CONSTANT_FAMILY: _constant_family}
 
 
 def _miss(row, why):
@@ -105,6 +127,14 @@ ROWS = (
     # the swap has a partner on the two Laplacians only
     + [_kernel_row(c, p, OTHER_CONDITION) for c in KERNEL_COMMANDS for p in _OTHER]
     + [_kernel_row(c, p, NO_CORRECTION) for c in KERNEL_COMMANDS for p in PROBLEMS]
+    # the refined p = 2 Hardy estimate reads 3.1193, 0.71 % below pi
+    + [("hardy-norm", None, {}, HARDY_FACTOR, f) for f in (1.03, 0.95)]
+    + [_miss(("hardy-norm", None, {}, HARDY_FACTOR, f),
+             f"the 2 % tolerance accepts a norm times {f} (estimate {est:.4f})")
+       for f, est in ((1.01, 3.1505), (0.99, 3.0881))]
+    # p = 1.2, where the true family grows 1.860x; the family that cannot
+    # grow reads 1.000x against the 1.5x gate
+    + [("rbound-sim", None, {}, CONSTANT_FAMILY, None)]
 )
 
 
@@ -115,6 +145,7 @@ def test_wrong_claim_exits_2(command, problem, config, mutation, delta,
     PATCHES[mutation](monkeypatch, delta)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code = cli.main([command, "--problem", problem, "--config", str(cfg),
+    flags = ["--problem", problem] if problem else []
+    code = cli.main([command, *flags, "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_TOLERANCE
