@@ -137,22 +137,26 @@ class KernelBatch:
         """``sum_j D^d Poi_j data[j]`` at every lambda on ``modes`` (default:
         all, in order; repeats allowed), shape ``lam.shape + (len(modes), len(x))``.
 
-        ``data`` broadcasts to ``(m,) + lam.shape + (len(modes),)``.  A pair
-        whose m data all vanish is exactly zero and is not evaluated.  The
-        others run once per distinct (kernel row, data column) pair; the data
-        are contracted into the coefficients first, so each pair then takes
-        one contraction over the basis.
+        ``data`` has the axes ``(m,) + lam.shape + (len(modes),)``, each of
+        that length or 1.  A pair whose m data all vanish is exactly zero and
+        is not evaluated.  The others run once per distinct (kernel row, data
+        column) pair; the data are contracted into the coefficients first, so
+        each pair then takes one contraction over the basis.
         """
         x = np.asarray(x, dtype=float)
         lead, M = self.shape[:-1], self.shape[-1]
         if modes is None:
             rows, shape = np.arange(len(self.first)), self.shape
         else:   # a mode outside 0..M-1 would read a neighbouring lambda's row
-            if not all(0 <= k < M for k in modes):
+            if len(modes) and not (0 <= np.min(modes) and np.max(modes) < M):
                 raise IndexError(f"modes must lie in 0..{M - 1}, got {list(modes)}")
             rows = (M * np.arange(math.prod(lead))[:, None] + modes).reshape(-1)
             shape = lead + (len(modes),)
-        data = np.broadcast_to(data, (len(self.coeff),) + shape).reshape(len(self.coeff), -1)
+        shape = (len(self.coeff),) + shape
+        if np.ndim(data) != len(shape):   # an axis left out would shift the others
+            raise ValueError(f"data of shape {np.shape(data)} must give every axis "
+                             f"of (m,) + lam.shape + (modes,) = {shape}")
+        data = np.broadcast_to(data, shape).reshape(shape[0], -1)
         live = np.flatnonzero(np.any(data != 0, axis=0))
         if 0 < live.size == len(rows):
             out = self._apply(x, data, deriv_order, rows)
@@ -160,7 +164,7 @@ class KernelBatch:
             out = np.zeros((len(rows),) + x.shape, dtype=complex)
             if live.size:
                 out[live] = self._apply(x, data[:, live], deriv_order, rows[live])
-        return out.reshape(shape + x.shape)
+        return out.reshape(shape[1:] + x.shape)
 
     def _apply(self, x, data, deriv_order, rows):
         """:meth:`eval` on one or more rows that all carry data, (len(rows),
@@ -315,14 +319,16 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     t = ``q.t`` on a normal grid that resolves the slowest decay of the
     sample; the fit is ordinary least squares on the middle 80% of the
     modulus decades, excluding non-finite or underflowed norms.
-    One kernel batch per lambda; only the modes where g is nonzero are
-    evaluated.  On grids of at least ``_THREADED_MODES`` modes the lambda
-    run on :func:`sweep_workers` threads, the calling one included (NumPy
-    releases the GIL in the eigenvalue, exponential and contraction
-    stages); each norm goes into its own slot, so the norms do not depend
-    on the threads.  The first lambda to fail, in sample order, raises.
+    One kernel batch per chunk of lambda, then one :meth:`KernelBatch.eval`
+    per derivative order on the modes where g is nonzero: one chunk of every
+    lambda below ``_THREADED_MODES`` modes, else one chunk per lambda, on
+    :func:`sweep_workers` threads (NumPy releases the GIL in the eigenvalue,
+    exponential and contraction stages).  Each norm has its own slot, so no
+    bit depends on the chunks or threads.  The first chunk to fail, in
+    sample order, raises.
     """
-    data = np.eye(problem.m)[:, [q.j]] * np.ravel(g_hat)     # g on index j only
+    live = np.flatnonzero(np.ravel(g_hat))
+    data = np.eye(problem.m)[:, q.j, None, None] * np.ravel(g_hat)[live]   # g on index j only
     rate = decay_rate(problem, min(sample.moduli) *
                       cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
     xgrid = HalfLineGrid.for_decay(rate)
@@ -331,25 +337,34 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     x, xi_modes, _ = xgrid.x, tgrid.xi_modes, tgrid.xi_sq
     lams = sample.points()
     norms = np.empty(len(lams))
-    todo, failed = iter(enumerate(lams)), {}
+    # the calling thread is one of the workers: each further thread brings
+    # its own malloc arena, whose freed pages stay resident
+    size, threads = (len(lams), 1) if tgrid.n_modes < _THREADED_MODES else (1, sweep_workers())
+    todo, failed = iter(range(0, len(lams), size)), {}
+
+    def spread(prof):   # the profile on every mode, exactly 0 off the datum's
+        if len(live) == len(xi_modes):
+            return prof
+        full = np.zeros((len(xi_modes),) + x.shape, dtype=complex)
+        full[live] = prof
+        return full
 
     def drain():
-        # lambda are taken in sample order, and a lambda once taken is
-        # finished, so every lambda before the first failure is evaluated
-        for i, lam in todo:
+        # chunks are taken in sample order, and a chunk once taken is
+        # finished, so every chunk before the first failure is evaluated
+        for i in todo:
             try:
-                batch = kernel_batch(problem, lam, xi_modes)
-                norms[i] = sobolev_mixed_norm(
-                    [batch.eval(x, data, l) for l in range(q.k + 1)],
-                    q.p, q.r, q.t, tgrid, xgrid)
+                batch = kernel_batch(problem, lams[i:i + size], xi_modes)
+                chunk = [batch.eval(x, data, l, live) for l in range(q.k + 1)]
+                for c in range(batch.shape[0]):
+                    norms[i + c] = sobolev_mixed_norm([spread(prof[c]) for prof in chunk],
+                                                      q.p, q.r, q.t, tgrid, xgrid)
+                del batch, chunk          # freed before the next chunk's batch
             except BaseException as err:   # stops every thread, re-raised below
                 failed[i] = err
             if failed:
                 return
 
-    # the calling thread is one of the workers: each further thread brings
-    # its own malloc arena, whose freed pages stay resident
-    threads = sweep_workers() if tgrid.n_modes >= _THREADED_MODES else 1
     helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
     for thread in helpers:
         thread.start()

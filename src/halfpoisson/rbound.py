@@ -191,7 +191,7 @@ def dirichlet_nonrbound_experiment(
     support = np.flatnonzero(g)
     g = g[support]
     lam = (sigma * 2.0 ** np.arange(1, max(N_list) + 1)) ** 2
-    images = kernel_batch(problem, lam, tgrid.xi_modes[support]).eval(xgrid.x, g)
+    images = kernel_batch(problem, lam, tgrid.xi_modes[support]).eval(xgrid.x, g[None, None])
     images *= (np.abs(lam) ** ((1.0 + r) / (2.0 * p)))[:, None, None]
 
     ratios, stderrs = np.empty(len(N_list)), np.empty(len(N_list))

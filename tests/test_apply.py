@@ -94,9 +94,30 @@ def test_mode_outside_the_grid_is_rejected():
     """Mode M at the first lambda would be row M, the second lambda's mode 0."""
     batch = _batch(hp.dirichlet_laplacian())
     M = batch.shape[-1]
-    for modes in ([M], [0, -1]):
+    data = np.ones((1, 1, 1))
+    for modes in ([M], [0, -1], np.arange(M + 1), np.array([-1])):
         with pytest.raises(IndexError, match="modes must lie in"):
-            batch.eval(X, 1.0, 0, modes)
+            batch.eval(X, data, 0, modes)
+    with pytest.raises(IndexError, match=rf"^modes must lie in 0\.\.{M - 1}, got \[{M}\]$"):
+        batch.eval(X, data, 0, [M])
+    assert batch.eval(X, data, 0, np.array([0, M - 1])).shape == (len(LAMS), 2, len(X))
+
+
+def test_datum_without_its_lambda_axis_is_refused():
+    """On two lambda an (m, modes) datum would broadcast with its m axis
+    read as the lambda axis; it is refused, naming both shapes.  The
+    explicit (m, 1, modes) datum gives each lambda its own evaluation."""
+    p = hp.clamped_bilaplacian()
+    lams = np.array([10.0 + 1.0j, 20.0 - 2.0j])
+    xi = np.array([[0.0], [1.0], [2.5]])
+    batch = poi.kernel_batch(p, lams, xi)
+    g = np.array([1.0, 0.5 - 0.5j, 2.0])
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) .* = \(2, 2, 3\)"):
+        batch.eval(X, np.eye(2)[:, [0]] * g)
+    got = batch.eval(X, np.eye(2)[:, [0], None] * g)
+    for i, lam in enumerate(lams):
+        single = poi.kernel_batch(p, lam, xi).eval(X, np.eye(2)[:, [0]] * g)
+        assert np.array_equal(got[i], single)
 
 
 def test_poisson_eval_evaluates_only_the_mode_with_data(monkeypatch, tmp_path):

@@ -191,7 +191,7 @@ def test_empty_row_set_is_an_empty_result():
     p = hp.clamped_bilaplacian()
     tg = TangentialGrid(n_axes=1, N=4, L=2 * math.pi)
     batch = poi.kernel_batch(p, LAMS, tg.xi_modes)
-    for data in (1.0, np.zeros((p.m, len(LAMS), 0))):
+    for data in (np.ones((1, 1, 1)), np.zeros((p.m, len(LAMS), 0))):
         got = batch.eval(X, data, 1, np.array([], dtype=int))
         assert got.shape == (len(LAMS), 0, len(X))
 
@@ -207,6 +207,7 @@ def test_empty_grid_is_an_empty_batch(lam, n_modes):
     batch = poi.kernel_batch(p, lam, 1.0 + np.arange(n_modes, dtype=float)[:, None])
     assert batch.shape == lam.shape + (n_modes,)
     assert batch.taus.shape == (0, p.m) and batch.coeff.shape == (p.m, 0, p.m)
-    assert batch.eval(X, 1.0, 1).shape == batch.shape + (len(X),)
+    data = np.ones((1,) * (len(batch.shape) + 1))
+    assert batch.eval(X, data, 1).shape == batch.shape + (len(X),)
     first, inverse = poi._distinct_rows(np.zeros((0, 3)), np.zeros(0))
     assert first.size == inverse.size == 0

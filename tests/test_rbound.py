@@ -266,7 +266,7 @@ class TestGrowthExperiment:
 
         lam = (2.0 ** np.arange(1, max(N_list) + 1)) ** 2
         batch = kernel_batch(dirichlet_laplacian(n=2), lam, tgrid.xi_modes)
-        images = batch.eval(xgrid.x, g)
+        images = batch.eval(xgrid.x, g[None, None])
         assert images.shape == (len(lam), tgrid.n_modes, xgrid.n_points)
         images *= (lam ** ((1.0 + r) / (2.0 * p)))[:, None, None]
         want = [rb.rademacher_ratio(rb.RademacherTrial(

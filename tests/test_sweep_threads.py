@@ -1,17 +1,21 @@
-"""``decay_sweep`` runs its sector points on one thread per available CPU
-when the tangential grid has at least ``_THREADED_MODES`` modes, and on the
-calling thread alone below that.
+"""``decay_sweep`` solves its sector points in chunks of one kernel batch.
+Below ``_THREADED_MODES`` tangential modes one chunk holds every lambda, on
+the calling thread alone; on larger grids each lambda is a chunk, and the
+chunks run on one thread per available CPU.
 
-Each lambda's norm goes into its own slot, so the threads change no bit of
-the norms: they equal those of one serial loop over the sample, ray by ray,
-whatever the number of threads.  The first lambda to fail, in sample order,
-raises, and no thread outlives the call.
+Each lambda's norm goes into its own slot, so neither the chunks nor the
+threads change a bit of the norms: they equal those of one serial loop over
+the sample, one kernel batch per lambda, ray by ray, whatever the number of
+threads.  The first chunk to fail, in sample order, raises, and no thread
+outlives the call.  Each chunk's profiles are freed before the next chunk's
+kernel batch.
 """
 
 import cmath
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,12 +33,16 @@ def _sample():
                                 n_moduli=5, mod_max=1e6)
 
 
+def _normal_grid(p, sample):
+    """The normal grid of ``decay_sweep``."""
+    return HalfLineGrid.for_decay(poi.decay_rate(
+        p, min(sample.moduli) * cmath.exp(1j * sample.rays[len(sample.rays) // 2])))
+
+
 def _serial_norms(p, q, sample, g, tg):
     """The norms of ``decay_sweep`` from one loop over the rays and moduli."""
     data = np.eye(p.m)[:, [q.j]] * np.ravel(g)
-    rate = poi.decay_rate(p, min(sample.moduli) *
-                          cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
-    xg = HalfLineGrid.for_decay(rate)
+    xg = _normal_grid(p, sample)
     mods = np.asarray(sample.moduli, dtype=float)
     norms = np.empty((len(sample.rays), len(mods)))
     for i, ray in enumerate(sample.rays):
@@ -133,11 +141,12 @@ def test_first_failure_in_sample_order_raises_and_no_thread_survives(monkeypatch
     real = poi.kernel_batch
 
     def failing(problem, lam, xi_modes):
-        if lam == late:
+        # lam: the lambda of one chunk, or decay_rate's one scalar
+        if late in np.atleast_1d(lam):
             time.sleep(0.2)
-            raise ValueError(f"failed at lambda={lam}")
-        if lam == early:
-            raise ValueError(f"failed at lambda={lam}")
+            raise ValueError(f"failed at lambda={late}")
+        if early in np.atleast_1d(lam):
+            raise ValueError(f"failed at lambda={early}")
         return real(problem, lam, xi_modes)
 
     monkeypatch.setattr(poi, "kernel_batch", failing)
@@ -147,3 +156,44 @@ def test_first_failure_in_sample_order_raises_and_no_thread_survives(monkeypatch
     assert str(err.value) == f"failed at lambda={late}"
     assert threading.active_count() == threads
 
+
+@pytest.mark.parametrize("N", [SMALL, LARGE], ids=["small", "large"])
+def test_one_kernel_batch_per_chunk(N, monkeypatch):
+    """``decay_rate`` takes one batch; then the small grid takes one for the
+    whole sample, the large grid one per lambda."""
+    p = hp.dirichlet_laplacian()
+    q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
+    monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
+    real, sizes = poi.kernel_batch, []
+
+    def counted(problem, lam, xi_modes):
+        sizes.append(np.size(lam))
+        return real(problem, lam, xi_modes)
+    monkeypatch.setattr(poi, "kernel_batch", counted)
+    tg, g = _unit_datum(1, N)
+    sample = _sample()
+    poi.decay_sweep(p, q, sample, g, tg)
+    lams = len(sample.points())
+    assert sizes == ([1, lams] if N == SMALL else [1] * (lams + 1))
+
+
+def test_each_chunks_profiles_are_freed_before_the_next(monkeypatch):
+    """On one thread the 256-mode saturating sweep's traced peak is
+    1.638-1.641 profiles (a profile: the complex values on every mode and
+    normal node); with one kernel batch per lambda, before chunks, it was
+    1.635-1.637.  A profile kept alive into the next chunk's kernel batch
+    adds a whole one (2.56)."""
+    monkeypatch.setattr(poi, "sweep_workers", lambda: 1)
+    p = hp.neumann_laplacian()
+    q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=1.0, s=0.0, j=0)
+    sample = _sample()
+    tg, g = cli._saturating_datum(p, LARGE, 1.2 * max(sample.moduli) ** 0.5, q.s)
+    poi.decay_sweep(p, q, sample, g, tg)       # the grids' caches are formed
+    tracemalloc.start()
+    try:
+        poi.decay_sweep(p, q, sample, g, tg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    profile = tg.n_modes * _normal_grid(p, sample).n_points * np.dtype(complex).itemsize
+    assert peak <= 1.65 * profile

@@ -64,10 +64,10 @@ def test_job_times_prints_each_job_on_both_trees(capsys):
     repo = str(TOOLS.parent)
     assert job_times.main([repo, repo, "--workload", "sweep", "--seed", "1",
                            "--rounds", "2", "--only", "check-ls"]) == 0
-    header, *rows, rss = (line.split("\t")
-                          for line in capsys.readouterr().out.splitlines())
+    header, *rows, rss, deck = (line.split("\t")
+                                for line in capsys.readouterr().out.splitlines())
     assert header == ["job", "A_s", "B_s", "B/A", "B_won"]
-    assert rss[0] == "ru_maxrss_mb"
+    assert rss[0] == "ru_maxrss_mb" and deck[0] == "deck_s"
     # one check-ls job per bundled problem
     assert len(rows) == 3 and all("check-ls" in row[0] for row in rows)
     for _, a, b, ratio, won in rows:
@@ -82,12 +82,32 @@ def test_job_times_prints_each_trees_median_peak_rss(capsys):
     repo = str(TOOLS.parent)
     assert job_times.main([repo, repo, "--workload", "sweep", "--seed", "1",
                            "--rounds", "3", "--only", "check-ls|dirichlet"]) == 0
-    *_, (name, a, b, ratio, won) = (line.split("\t")
-                                    for line in capsys.readouterr().out.splitlines())
+    *_, (name, a, b, ratio, won), _ = (line.split("\t")
+                                       for line in capsys.readouterr().out.splitlines())
     assert name == "ru_maxrss_mb"
     assert 10 < float(a) < 1000 and 10 < float(b) < 1000
     assert float(ratio) == pytest.approx(float(b) / float(a), rel=0.01)
     assert won in {f"{k}/3" for k in range(4)}
+
+
+def test_job_times_ends_with_each_trees_sum_of_job_medians(monkeypatch, capsys):
+    """deck_s sums the per-job medians (the median of A's round sums would
+    read 4.0) and leaves the peak RSS out; B won the rounds whose jobs took
+    less time in all."""
+    rounds = iter([{"j1": 1.0, "j2": 3.0, "ru_maxrss_mb": 50.0},      # round 0: A, B
+                   {"j1": 1.0, "j2": 2.0, "ru_maxrss_mb": 40.0},
+                   {"j1": 4.0, "j2": 1.0, "ru_maxrss_mb": 40.0},      # round 1: B, A
+                   {"j1": 2.0, "j2": 5.0, "ru_maxrss_mb": 50.0},
+                   {"j1": 3.0, "j2": 0.5, "ru_maxrss_mb": 50.0},      # round 2: A, B
+                   {"j1": 3.0, "j2": 1.0, "ru_maxrss_mb": 40.0}])
+    monkeypatch.setattr(job_times, "_child", lambda *args: next(rounds))
+    assert job_times.main(["a", "b", "--workload", "sweep", "--seed", "1",
+                           "--rounds", "3"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["job", "j1", "j2", "ru_maxrss_mb", "deck_s"]
+    # A: j1 (1, 2, 3), j2 (3, 5, 0.5), sums (4, 7, 3.5); B: j1 (1, 4, 3),
+    # j2 (2, 1, 1), sums (3, 5, 4)
+    assert rows[-1] == ["deck_s", "5.0000", "4.0000", "0.800", "2/3"]
 
 
 def test_deck_hashes_runs_one_workload(monkeypatch, capsys):

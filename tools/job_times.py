@@ -13,7 +13,12 @@ median over rounds of its time on A and on B, the ratio B/A, and the number
 of rounds in which B was faster; then, in the same columns, the row
 ``ru_maxrss_mb``: each tree's median over its interpreters of their peak
 resident set size (``ru_maxrss``, in MB of 1024 KiB, as the benchmark's
-``peak_rss_mb``), and the rounds in which B's was lower.
+``peak_rss_mb``), and the rounds in which B's was lower; and last the row
+``deck_s``: each tree's sum of its per-job medians, and the rounds in which
+B's jobs took less time in all.  The benchmark's ``jobs_per_s`` is the
+deck's job count over its summed per-job times, so the deck sum's B/A
+predicts the inverse of its ratio (the benchmark takes means, not medians,
+and scales them to a nominal host).
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ TOOLS = Path(__file__).resolve().parent
 PERFBENCH = TOOLS.parent / "perfbench"
 # timed runs of each job per interpreter
 TIMED = 3
-# the row of the interpreters' peak resident set size
-RSS = "ru_maxrss_mb"
+# the rows of the interpreters' peak resident set size and of the deck sum
+RSS, DECK = "ru_maxrss_mb", "deck_s"
 
 
 def job_times(workload: str, seed: int, only: str) -> dict[str, float]:
@@ -88,13 +93,22 @@ def main(argv: list[str]) -> int:
         for side in order:
             times[side] = _child(trees[side], args.workload, args.seed, args.only)
         rounds.append((times[0], times[1]))
+    jobs = [ident for ident in rounds[0][0] if ident != RSS]
     print("job\tA_s\tB_s\tB/A\tB_won")
     for ident in rounds[0][0]:
         a = statistics.median(t[0][ident] for t in rounds)
         b = statistics.median(t[1][ident] for t in rounds)
-        won = sum(t[1][ident] < t[0][ident] for t in rounds)
-        print(f"{ident}\t{a:.4f}\t{b:.4f}\t{b / a:.3f}\t{won}/{len(rounds)}")
+        _row(ident, a, b, sum(t[1][ident] < t[0][ident] for t in rounds), len(rounds))
+    a, b = (sum(statistics.median(t[side][ident] for t in rounds) for ident in jobs)
+            for side in (0, 1))
+    won = sum(sum(t[1][ident] for ident in jobs) < sum(t[0][ident] for ident in jobs)
+              for t in rounds)
+    _row(DECK, a, b, won, len(rounds))
     return 0
+
+
+def _row(name: str, a: float, b: float, won: int, rounds: int):
+    print(f"{name}\t{a:.4f}\t{b:.4f}\t{b / a:.3f}\t{won}/{rounds}")
 
 
 if __name__ == "__main__":
