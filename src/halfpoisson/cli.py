@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import inspect
 import json
 import math
@@ -332,6 +333,12 @@ def cmd_hardy_norm(out, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> boo
     return rel_err[1] <= 0.02 and monotone
 
 
+# lifting trials per draw: 8 trials of the default 128 x 64 complex data are
+# 1 MB, which bounds the block's multiplier temporaries to a few MB however
+# many trials run
+_LIFT_BLOCK = 8
+
+
 def cmd_norm_check(out, seed=0, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100,
                    t=2.0) -> bool:
     _check_least("trials", trials, 1)
@@ -367,8 +374,15 @@ def cmd_norm_check(out, seed=0, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100,
     C_equiv = max(ratios.max(), 1.0 / ratios.min())
     # mixed lifting on a 2-D grid
     xi_n = TangentialGrid(n_axes=1, N=64, L=2.0 * math.pi).xi_axis
-    re, im = np.moveaxis(rng.standard_normal((trials, 2, tgrid.N, 64)), 1, 0)
-    lift_ratios = sp.mixed_lifting_check(re + 1j * im, t, tgrid, xi_n)
+    # block by block: standard_normal fills in C order, so the blocks draw
+    # the numbers of one draw for every trial, and mixed_lifting_check sums
+    # each trial as a call on it alone
+    lift_ratios = []
+    for start in range(0, trials, _LIFT_BLOCK):
+        size = min(_LIFT_BLOCK, trials - start)
+        re, im = np.moveaxis(rng.standard_normal((size, 2, tgrid.N, 64)), 1, 0)
+        lift_ratios.append(sp.mixed_lifting_check(re + 1j * im, t, tgrid, xi_n))
+    lift_ratios = np.concatenate(lift_ratios)
     C_lift = max(lift_ratios.max(), 1.0 / lift_ratios.min())
     _write_csv(out / "norm_check.csv", {
         "trial": np.repeat(np.arange(trials), n_mu), "mu": np.tile(mus, trials),
@@ -640,9 +654,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser` once per process: each call of :func:`main`
+    parses into a new namespace, so nothing carries over between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the usage message; --help exits 0
         return EXIT_INPUT if exc.code else EXIT_OK

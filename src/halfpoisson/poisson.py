@@ -149,7 +149,8 @@ class KernelBatch:
             rows, shape = np.arange(len(self.first)), self.shape
         else:   # a mode outside 0..M-1 would read a neighbouring lambda's row
             if len(modes) and not (0 <= np.min(modes) and np.max(modes) < M):
-                raise IndexError(f"modes must lie in 0..{M - 1}, got {list(modes)}")
+                raise IndexError(f"modes must lie in 0..{M - 1}, "
+                                 f"got {np.asarray(modes).tolist()}")
             rows = (M * np.arange(math.prod(lead))[:, None] + modes).reshape(-1)
             shape = lead + (len(modes),)
         shape = (len(self.coeff),) + shape

@@ -98,8 +98,12 @@ def test_mode_outside_the_grid_is_rejected():
     for modes in ([M], [0, -1], np.arange(M + 1), np.array([-1])):
         with pytest.raises(IndexError, match="modes must lie in"):
             batch.eval(X, data, 0, modes)
-    with pytest.raises(IndexError, match=rf"^modes must lie in 0\.\.{M - 1}, got \[{M}\]$"):
-        batch.eval(X, data, 0, [M])
+    # an array of modes prints plain ints, as a list does
+    for modes in ([M], np.array([M]), np.array([0, M], dtype=np.int32)):
+        got = ", ".join(map(str, modes))
+        with pytest.raises(IndexError,
+                           match=rf"^modes must lie in 0\.\.{M - 1}, got \[{got}\]$"):
+            batch.eval(X, data, 0, modes)
     assert batch.eval(X, data, 0, np.array([0, M - 1])).shape == (len(LAMS), 2, len(X))
 
 

@@ -115,6 +115,26 @@ class TestInfrastructure:
         assert run(["norm-check", "--seed", 7, "--config", cfg, "--out", out]) == cli.EXIT_OK
         assert json.loads((out / "metadata.json").read_text())["seed"] == 7
 
+    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
+        """Two main calls build one parser, and a flag given in the first
+        call does not carry over: a bare norm-check records seed 0."""
+        build, built = cli.build_parser, []
+
+        def counting():
+            built.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2}))
+        out = tmp_path / "out"
+        for argv, seed in ((["--seed", 7], 7), ([], 0)):
+            assert run(["norm-check", "--config", cfg, "--out", out] + argv) == cli.EXIT_OK
+            assert json.loads((out / "metadata.json").read_text())["seed"] == seed
+        assert len(built) == 1
+        cli._parser.cache_clear()
+
     def test_metadata_records_thread_env_as_found(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -690,18 +710,23 @@ class TestSolverCommands:
         assert names in capsys.readouterr().err
         assert not (out / "norm_check.json").exists()
 
-    def test_norm_check_bytes_match_the_per_trial_loop(self, tmp_path):
-        """The batched command writes the bytes of one norm call per
-        (trial, mu) and one lifting call per trial, drawn trial by trial."""
+    @pytest.mark.parametrize("seed", [5, 639])
+    @pytest.mark.parametrize("trials", [1, cli._LIFT_BLOCK - 1, cli._LIFT_BLOCK,
+                                        cli._LIFT_BLOCK + 1, 100])
+    def test_norm_check_bytes_match_the_per_trial_loop(self, seed, trials, tmp_path):
+        """The command writes the bytes of one norm call per (trial, mu) and
+        one lifting call per trial, drawn trial by trial, and of one lifting
+        call on every trial drawn at once; it draws and checks the lifting
+        trials in blocks of _LIFT_BLOCK, a last block short."""
         from halfpoisson import spaces as sp
         from halfpoisson.grids import TangentialGrid
 
-        seed, s, s0, t = 5, 2.0, 0.0, 2.0
+        s, s0, t = 2.0, 0.0, 2.0
         rng = np.random.default_rng(seed)
         tgrid = TangentialGrid(n_axes=1, N=128, L=2.0 * math.pi)
         rows, ratios = [], []
         header = ("trial", "mu", "param_norm", "split_norm", "ratio")
-        for trial in range(100):
+        for trial in range(trials):
             fhat = rng.standard_normal(128) + 1j * rng.standard_normal(128)
             fhat[32:96] = 0.0
             for mu in np.logspace(0, 4, 9):
@@ -711,19 +736,40 @@ class TestSolverCommands:
                 ratios.append(lhs / rhs)
                 rows.append((trial, mu, lhs, rhs, ratios[-1]))
         xi_n = 2.0 * math.pi * np.fft.fftfreq(64, d=2.0 * math.pi / 64)
+        state = rng.bit_generator.state
         lift = [sp.mixed_lifting_check(
             rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64)),
-            t, tgrid, xi_n) for _ in range(100)]
+            t, tgrid, xi_n) for _ in range(trials)]
+        rng.bit_generator.state = state
+        re, im = np.moveaxis(rng.standard_normal((trials, 2, 128, 64)), 1, 0)
+        assert np.array_equal(sp.mixed_lifting_check(re + 1j * im, t, tgrid, xi_n), lift)
         ref = tmp_path / "ref"
         ref.mkdir()
         cli._write_csv(ref / "norm_check.csv", dict(zip(header, zip(*rows))))
         cli._write_json(ref / "norm_check.json", {
             "C_equivalence": max(max(ratios), 1.0 / min(ratios)),
             "C_lifting": max(max(lift), 1.0 / min(lift))})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": trials}))
         out = tmp_path / "out"
-        assert run(["norm-check", "--seed", seed, "--out", out]) == cli.EXIT_OK
+        assert run(["norm-check", "--seed", seed, "--config", cfg,
+                    "--out", out]) == cli.EXIT_OK
         for name in ("norm_check.csv", "norm_check.json"):
             assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_norm_check_working_set_is_a_few_blocks(self, tmp_path):
+        """At the defaults the lifting half holds one block of trials at a
+        time: the traced peak stays under 8 MB, where drawing all 100 trials
+        at once peaks at about 46 MB."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            assert cli.cmd_norm_check(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
 
     def test_parabolic_solve(self, tmp_path):
         out = tmp_path / "out"

@@ -163,6 +163,31 @@ class TestIbvp:
         err = np.abs(sol.values[0, q] - oracle).max() / np.abs(oracle).max()
         assert err < 1e-3
 
+    @pytest.mark.parametrize("factory", [hp.dirichlet_laplacian,
+                                         hp.clamped_bilaplacian])
+    def test_zero_data_skip_the_whole_line_solve(self, factory, monkeypatch):
+        """g = 0: v1 is exactly zero, so no kernel batch is built for it, and
+        the values equal those of the splitting with the whole-line solve of
+        zero data taken (every one of its coefficients vanishes)."""
+        p = factory()
+        ug = UniformHalfGrid(X=30.0, N=1024)
+        q = TG.mode_index(1.0)
+        u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
+        u0[q] = ug.x ** 2 * np.exp(-ug.x)
+        N_t, T, t = 16, 0.5, 0.3
+        calls = []
+        monkeypatch.setattr(pb, "kernel_batch", lambda *a: calls.append(a))
+        sol = pb.ibvp_solve(p, u0, np.zeros((p.m, N_t + 1, TG.n_modes)), T, TG, ug, [t])
+        assert calls == []
+        monkeypatch.undo()
+        v1 = pb.parabolic_boundary_solve(
+            p, np.zeros((p.m, 4 * N_t, TG.n_modes)), pb._SHIFT,
+            TangentialGrid(n_axes=1, N=4 * N_t, L=4.0 * T), TG, ug.x)
+        v2 = math.exp(-pb._SHIFT * t) * res.semigroup_apply(p, u0 - v1.at_time(0.0), t,
+                                                            TG, ug)
+        ref = math.exp(pb._SHIFT * t) * (v2 + v1.at_time(t))
+        assert np.array_equal(sol.values[0], ref)
+
     def test_boundary_data_reproduced(self):
         p = hp.dirichlet_laplacian()
         ug = UniformHalfGrid(X=30.0, N=512)

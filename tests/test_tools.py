@@ -18,6 +18,7 @@ def _load(name):
 artifact_diff = _load("artifact_diff")
 deck_hashes = _load("deck_hashes")
 gate_resolution = _load("gate_resolution")
+job_peaks = _load("job_peaks")
 job_times = _load("job_times")
 
 
@@ -108,6 +109,46 @@ def test_job_times_ends_with_each_trees_sum_of_job_medians(monkeypatch, capsys):
     # A: j1 (1, 2, 3), j2 (3, 5, 0.5), sums (4, 7, 3.5); B: j1 (1, 4, 3),
     # j2 (2, 1, 1), sums (3, 5, 4)
     assert rows[-1] == ["deck_s", "5.0000", "4.0000", "0.800", "2/3"]
+
+
+def test_job_peaks_prints_each_jobs_growth_over_the_import(monkeypatch, capsys):
+    """One fresh child per job and tree, A first; a job's row holds each
+    child's peak growth over its import baseline, then come each tree's
+    median baseline and, last, its largest job growth."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    calls = []
+
+    def child(tree, workload, seed, ident):
+        calls.append((tree.name, ident))
+        k = len(calls)
+        return (30.0 + k, 10.0 * k) if tree.name == "a" else (40.0, 5.0 * k)
+
+    monkeypatch.setattr(job_peaks, "_child", child)
+    assert job_peaks.main(["a", "b", "--workload", "estimate", "--seed", "1",
+                           "--only", "norm-check"]) == 0
+    header, *rows = (line.split("\t") for line in capsys.readouterr().out.splitlines())
+    assert header == ["job", "A_mb", "B_mb", "B/A"]
+    idents = [row[0] for row in rows[:-2]]
+    assert len(idents) == 4 and all("norm-check" in ident for ident in idents)
+    assert calls == [(side, ident) for ident in idents for side in "ab"]
+    # A grows 10, 30, 50, 70 over baselines 31, 33, 35, 37; B 10, 20, 30, 40 over 40
+    assert [row[1:] for row in rows] == [
+        ["10.0", "10.0", "1.000"], ["30.0", "20.0", "0.667"], ["50.0", "30.0", "0.600"],
+        ["70.0", "40.0", "0.571"], ["34.0", "40.0", "1.176"], ["70.0", "40.0", "0.571"]]
+    assert [row[0] for row in rows[-2:]] == ["import_mb", "deck_max"]
+
+
+def test_job_peaks_runs_a_job_in_a_fresh_interpreter(monkeypatch, capsys):
+    """On one tree: one column, no ratio; NumPy and the package alone take
+    tens of MB, and the one job sets the deck maximum."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert job_peaks.main([str(TOOLS.parent), "--workload", "sweep", "--seed", "1",
+                           "--only", "check-ls|dirichlet"]) == 0
+    header, job, base, deck = (line.split("\t")
+                               for line in capsys.readouterr().out.splitlines())
+    assert header == ["job", "A_mb"] and "check-ls|dirichlet" in job[0]
+    assert base[0] == "import_mb" and 10 < float(base[1]) < 1000
+    assert deck == ["deck_max", job[1]] and float(job[1]) >= 0
 
 
 def test_deck_hashes_runs_one_workload(monkeypatch, capsys):
