@@ -199,6 +199,11 @@ def _saturating_datum(problem, N_x: int, xi_max: float, s: float):
     return tgrid, (1.0 + tgrid.xi_sq) ** (-(s + 0.5 + 0.05) / 2.0)
 
 
+def _datum_mode(n: int) -> np.ndarray:
+    """xi' = (0, ..., 0, 1), the one-mode commands' datum, as a one-row ``xi_modes``."""
+    return np.eye(1, n - 1, n - 2)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -393,21 +398,20 @@ def cmd_norm_check(out, seed=0, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100,
     return C_equiv <= 4.0 and C_lift <= 4.0
 
 
-def cmd_resolvent_test(out, problem=None, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
+def cmd_resolvent_test(out, problem=None, *, lambda_=4.0 + 2.0j, X=12.0,
                        N_z=128) -> bool:
     # the residual leaves out 2 x order nodes at either end of the coarsest grid
     _check_power_of_two("N_z", N_z, 1 << (4 * problem.order).bit_length())
     _check_nonzero("lambda", lambda_)
-    tgrid = _tgrid(problem.n - 1, N_x)
+    xi = _datum_mode(problem.n)
     residuals, traces_, data = [], [], []
     for i in range(3):
         ug = UniformHalfGrid(X=X, N=N_z * (2 ** i))
-        f = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
-        f[tgrid.mode_index(1.0)] = np.exp(-ug.x)
+        f = np.exp(-ug.x)[None].astype(complex)
         data.append((ug, f))
-        u = res.halfspace_resolvent(problem, lambda_, f, tgrid, ug).u
-        residuals.append(res.interior_residual_fd(problem, lambda_, u, f, tgrid, ug))
-        traces_.append(float(np.abs(res.boundary_trace_fd(problem, u, tgrid, ug)).max()))
+        u = res.halfspace_resolvent(problem, lambda_, f, xi, ug).u
+        residuals.append(res.interior_residual_fd(problem, lambda_, u, f, xi, ug))
+        traces_.append(float(np.abs(res.boundary_trace_fd(problem, u, xi, ug)).max()))
     order_res = math.log2(residuals[0] / residuals[2]) / 2 if residuals[2] > 0 else math.inf
     _write_csv(out / "resolvent_refine.csv", {
         "N_z": [ug.N for ug, _ in data], "interior_residual": residuals,
@@ -419,7 +423,7 @@ def cmd_resolvent_test(out, problem=None, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
     sample = mdl.SectorSample.default(0.6 * math.pi, sigma_floor=10, n_rays=5,
                                       n_moduli=7, mod_max=1e4)
     rays, mods = np.array(sample.rays), np.array(sample.moduli)
-    sols = res.halfspace_resolvent(problem, sample.points(), f, tgrid, ug).u
+    sols = res.halfspace_resolvent(problem, sample.points(), f, xi, ug).u
     norms = np.array([np.linalg.norm(u) for u in sols]).reshape(len(rays), len(mods))
     ratios = mods * (norms / f_norm)
     _write_csv(out / "resolvent_sectoriality.csv", {
@@ -438,23 +442,22 @@ def cmd_resolvent_test(out, problem=None, *, N_x=8, lambda_=4.0 + 2.0j, X=12.0,
             and order_res >= 2.0 and spread_ok)
 
 
-def cmd_semigroup_test(out, problem=None, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2=0.2,
+def cmd_semigroup_test(out, problem=None, *, X=30.0, N_z=2048, t1=0.1, t2=0.2,
                        t_small=1e-6) -> bool:
     _check_power_of_two("N_z", N_z, 4)
     _check_positive(t1=t1, t2=t2, t_small=t_small)
-    tgrid = _tgrid(problem.n - 1, N_x)
+    xi = _datum_mode(problem.n)
     # X large enough that the initial profile has fully decayed at the wrap
     ug = UniformHalfGrid(X=X, N=N_z)
     # compatible initial state: one tangential mode, normal profile vanishing
     # at 0 together with its derivative (covers the bundled conditions)
-    u0 = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
-    u0[tgrid.mode_index(1.0)] = (ug.x ** 2) * np.exp(-ug.x)
-    T1 = res.semigroup_apply(problem, u0, t1, tgrid, ug)
-    T12 = res.semigroup_apply(problem, T1, t2, tgrid, ug)
-    Tsum = res.semigroup_apply(problem, u0, t1 + t2, tgrid, ug)
+    u0 = ((ug.x ** 2) * np.exp(-ug.x))[None].astype(complex)
+    T1 = res.semigroup_apply(problem, u0, t1, xi, ug)
+    T12 = res.semigroup_apply(problem, T1, t2, xi, ug)
+    Tsum = res.semigroup_apply(problem, u0, t1 + t2, xi, ug)
     semi_dev = (float(np.linalg.norm(T12 - Tsum))
                 / max(float(np.linalg.norm(Tsum)), 1e-300))
-    small = res.semigroup_apply(problem, u0, t_small, tgrid, ug)
+    small = res.semigroup_apply(problem, u0, t_small, xi, ug)
     id_dev = float(np.linalg.norm(small - u0)) / float(np.linalg.norm(u0))
     _write_json(out / "semigroup_test.json",
                 {"semigroup_property_dev": semi_dev, "identity_dev": id_dev})
@@ -463,27 +466,26 @@ def cmd_semigroup_test(out, problem=None, *, N_x=8, X=30.0, N_z=2048, t1=0.1, t2
     return semi_dev <= 1e-4 and id_dev <= 0.01
 
 
-def cmd_parabolic_solve(out, problem=None, *, N_x=8, N_t=16, T_per=2.0 * math.pi,
+def cmd_parabolic_solve(out, problem=None, *, N_t=16, T_per=2.0 * math.pi,
                         sigma=1.0, n_x_pts=33) -> bool:
     _check_least("n_x_pts", n_x_pts, 1)
     _check_power_of_two("N_t", N_t, 2)
     _check_positive(T_per=T_per)
-    tgrid = _tgrid(problem.n - 1, N_x)
+    xi = _datum_mode(problem.n)
     tgrid_t = TangentialGrid(n_axes=1, N=N_t, L=T_per)
     times = T_per / N_t * np.arange(N_t)
     x_nodes = np.linspace(0.0, 4.0, n_x_pts)
-    q0 = tgrid.mode_index(1.0)
     tau0 = tgrid_t.xi_axis[1]
-    g = np.zeros((problem.m, N_t, tgrid.n_modes), dtype=complex)
-    g[0, :, q0] = np.exp(1j * tau0 * times)
-    sol = pb.parabolic_boundary_solve(problem, g, sigma, tgrid_t, tgrid, x_nodes)
+    g = np.zeros((problem.m, N_t, 1), dtype=complex)
+    g[0, :, 0] = np.exp(1j * tau0 * times)
+    sol = pb.parabolic_boundary_solve(problem, g, sigma, tgrid_t, xi, x_nodes)
     # single-mode oracle: one elliptic solve at lambda = sigma + i tau0
-    batch = poi.kernel_batch(problem, sigma + 1j * tau0, tgrid.xi_modes)
-    kern = batch.eval(x_nodes, np.eye(problem.m)[:, [0]], 0, [q0])[0]
+    batch = poi.kernel_batch(problem, sigma + 1j * tau0, xi)
+    kern = batch.eval(x_nodes, np.eye(problem.m)[:, [0]])[0]
     oracle = np.exp(1j * tau0 * times)[:, None] * kern[None, :]
-    dev = (float(np.abs(sol.values[:, q0, :] - oracle).max())
+    dev = (float(np.abs(sol.values[:, 0, :] - oracle).max())
            / max(float(np.abs(oracle).max()), 1e-300))
-    vals = sol.values[:, q0, :].ravel()
+    vals = sol.values[:, 0, :].ravel()
     _write_csv(out / "parabolic_solve.csv", {
         "t": np.repeat(times, len(x_nodes)), "x_n": np.tile(x_nodes, N_t),
         "re": vals.real, "im": vals.imag})
@@ -492,28 +494,26 @@ def cmd_parabolic_solve(out, problem=None, *, N_x=8, N_t=16, T_per=2.0 * math.pi
     return dev <= 1e-8
 
 
-def cmd_ibvp_solve(out, problem=None, *, N_x=8, X=30.0, N_z=1024, T=0.5, N_t=16,
+def cmd_ibvp_solve(out, problem=None, *, X=30.0, N_z=1024, T=0.5, N_t=16,
                    out_times=()) -> bool:
     _check_power_of_two("N_z", N_z, 8)   # the boundary trace reads six normal nodes
     _check_power_of_two("N_t", N_t, 1)
     _check_positive(T=T)
-    tgrid = _tgrid(problem.n - 1, N_x)
+    xi = _datum_mode(problem.n)
     ug = UniformHalfGrid(X=X, N=N_z)
     out_times = np.array(out_times or (T / 2, T))
     # boundary data: one space-time mode on g_0, smoothly switched on; the
     # ramp is sampled at the N_t + 1 data times, then at the output times
-    q0 = tgrid.mode_index(1.0)
     times = np.concatenate([T * np.arange(N_t + 1) / N_t, out_times])
     ramp = np.array([math.sin(math.pi * min(t / T, 1.0) / 2.0) ** 2 for t in times])
-    g = np.zeros((problem.m, N_t + 1, tgrid.n_modes), dtype=complex)
-    g[0, :, q0] = ramp[: N_t + 1]
-    u0 = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
-    sol = pb.ibvp_solve(problem, u0, g, T, tgrid, ug, out_times)
+    g = np.zeros((problem.m, N_t + 1, 1), dtype=complex)
+    g[0, :, 0] = ramp[: N_t + 1]
+    u0 = np.zeros((1, ug.N), dtype=complex)
+    sol = pb.ibvp_solve(problem, u0, g, T, xi, ug, out_times)
     # consistency: the trace of B_0 u should match g_0 at the output times
-    miss = res.boundary_trace_fd(problem, sol.values, tgrid, ug)[0]
-    miss[:, q0] -= ramp[N_t + 1:]
-    worst = float(np.max(np.abs(miss).max(axis=1) / np.maximum(ramp[N_t + 1:], 1e-300)))
-    vals = sol.values[:, q0, :].ravel()
+    miss = res.boundary_trace_fd(problem, sol.values, xi, ug)[0, :, 0] - ramp[N_t + 1:]
+    worst = float(np.max(np.abs(miss) / np.maximum(ramp[N_t + 1:], 1e-300)))
+    vals = sol.values[:, 0, :].ravel()
     _write_csv(out / "ibvp_solve.csv", {
         "t": np.repeat(out_times, ug.N), "x_n": np.tile(ug.x, len(out_times)),
         "re": vals.real, "im": vals.imag})

@@ -61,12 +61,12 @@ class ParabolicSolution:
 
 
 def parabolic_boundary_solve(problem: mdl.ModelProblem, g, sigma: float,
-                             tgrid_t: TangentialGrid, tgrid: TangentialGrid,
+                             tgrid_t: TangentialGrid, xi_modes: np.ndarray,
                              x_nodes) -> ParabolicSolution:
     """Whole-line boundary solver: per temporal frequency one elliptic solve.
 
-    ``g`` (m, N_t, modes) samples the boundary data time series in
-    tangential frequency at the N_t nodes of the time torus ``tgrid_t`` (one
+    ``g`` (m, N_t, modes) samples the boundary data time series on the
+    modes ``xi_modes`` at the N_t nodes of the time torus ``tgrid_t`` (one
     axis); each temporal frequency tau is solved at lambda = sigma + i tau,
     sigma > 0.  Returns u on (N_t, modes, len(x_nodes)).  One
     kernel batch covers every (temporal frequency, mode) pair, and
@@ -77,14 +77,14 @@ def parabolic_boundary_solve(problem: mdl.ModelProblem, g, sigma: float,
     if not sigma > 0:
         raise ValueError(f"'sigma' must be positive, got {sigma}")
     x_nodes = np.asarray(x_nodes, dtype=float)
-    N_t, M = tgrid_t.N, tgrid.n_modes
+    N_t, M = tgrid_t.N, len(xi_modes)
     g = np.asarray(g, dtype=complex)
     if g.shape != (problem.m, N_t, M):
         raise ValueError(f"g has shape {g.shape}, need (m, N_t, modes) = "
                          f"{(problem.m, N_t, M)}")
     # temporal Fourier coefficients: g(t) = sum_k ghat_k e^{i tau_k t}
     ghat = np.fft.fft(g, axis=1) / N_t
-    batch = kernel_batch(problem, sigma + 1j * tgrid_t.xi_axis, tgrid.xi_modes)
+    batch = kernel_batch(problem, sigma + 1j * tgrid_t.xi_axis, xi_modes)
     return ParabolicSolution(freq_data=batch.eval(x_nodes, ghat), tgrid_t=tgrid_t)
 
 
@@ -123,20 +123,20 @@ class IbvpSolution:
 
 
 def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
-               tgrid: TangentialGrid, ugrid: UniformHalfGrid,
+               xi_modes: np.ndarray, ugrid: UniformHalfGrid,
                out_times) -> IbvpSolution:
     """Initial-boundary solver on (0, T] by the splitting construction.
 
-    ``u0``: (modes, N) initial state; ``g``: (m, N_t + 1, modes) boundary
-    data sampled at the times T k / N_t, k = 0..N_t, with N_t a power of
-    two (zero data are a zeros array, and skip the whole-line solve: v1 is
-    then exactly zero).  Returns u at the requested output times.
+    ``u0``: (modes, N) initial state on the modes ``xi_modes``; ``g``: (m,
+    N_t + 1, modes) boundary data sampled at the times T k / N_t, k = 0..N_t,
+    with N_t a power of two (zero data are a zeros array, and skip the
+    whole-line solve: v1 is then exactly zero).  Returns u at ``out_times``.
     """
     u0 = np.asarray(u0, dtype=complex).reshape(-1, ugrid.N)
     g = np.asarray(g, dtype=complex)
-    if g.ndim != 3 or (g.shape[0], g.shape[2]) != (problem.m, tgrid.n_modes):
+    if g.ndim != 3 or (g.shape[0], g.shape[2]) != (problem.m, len(xi_modes)):
         raise ValueError(f"g has shape {g.shape}, need (m, N_t + 1, modes) = "
-                         f"({problem.m}, N_t + 1, {tgrid.n_modes})")
+                         f"({problem.m}, N_t + 1, {len(xi_modes)})")
     out_times = np.asarray(out_times, dtype=float)
     if np.any(out_times <= 0) or np.any(out_times > T):
         raise ValueError(f"'out_times' must lie in (0, T] = (0, {T}], "
@@ -151,7 +151,7 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
         shifted = np.moveaxis(g * np.exp(-_SHIFT * t_closed)[:, None], 1, 0)
         v1_at = parabolic_boundary_solve(
             problem, np.moveaxis(extend_time_data(shifted), 0, 1), _SHIFT, tgrid_t,
-            tgrid, ugrid.x).at_time
+            xi_modes, ugrid.x).at_time
     else:   # zero data: v1 is exactly zero, with no kernel batch to build
         def v1_at(t):
             return 0.0
@@ -159,7 +159,7 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
     # compatibility report: tr B_j u0 vs g_j(0)
     g_0 = g[:, 0]
     defect = float(np.max(
-        np.linalg.norm(boundary_trace_fd(problem, u0, tgrid, ugrid) - g_0, axis=-1)
+        np.linalg.norm(boundary_trace_fd(problem, u0, xi_modes, ugrid) - g_0, axis=-1)
         / np.maximum(np.linalg.norm(g_0, axis=-1), 1.0)))
 
     # ---- v2: semigroup of (A_B - sigma) ----
@@ -168,6 +168,6 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
     for i, t in enumerate(out_times):
         v = np.zeros_like(w0)
         if np.any(w0):
-            v = math.exp(-_SHIFT * t) * semigroup_apply(problem, w0, t, tgrid, ugrid)
+            v = math.exp(-_SHIFT * t) * semigroup_apply(problem, w0, t, xi_modes, ugrid)
         values[i] = math.exp(_SHIFT * t) * (v + v1_at(t))
     return IbvpSolution(values=values, compatibility_defect=defect)

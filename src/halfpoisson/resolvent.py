@@ -11,7 +11,7 @@ solves the equation but spoils the boundary conditions, and the Poisson
 correction removes exactly the stray boundary values (delta-normalization of
 the kernels).
 
-Discretization: tangential torus modes as everywhere else; the normal
+Discretization: tangential modes are the rows of ``xi_modes``; the normal
 variable on a uniform grid over [0, X) doubled to a torus [-X, X) so the
 whole-space multiplier is one 1-D FFT per mode.  The reflected side holds the
 Hestenes/Seeley extension ``u(-x) = sum_k c_k u(k x) * cutoff(x)`` whose
@@ -25,11 +25,12 @@ Every operator is diagonal in the tangential modes, so only the active rows,
 the modes where ``f`` is nonzero, carry data; every other row of R(lambda) f
 is exactly zero.  On the active rows it runs the Seeley extension and its
 FFT, the multiplier ``(lambda - A)^{-1}`` for every lambda at once
-(:func:`whole_space_resolvent`), one inverse FFT, the boundary traces, and
-the Poisson correction from one kernel batch over every (lambda, mode) pair
-that serves all m boundary indices.  The checks run on every row, active or
-not: the ill-conditioning test of the multiplier, and the root-margin,
-root-count and LS tests of the kernel batch.
+(:func:`whole_space_resolvent`), the inverse FFT and the boundary traces
+by blocks of lambdas, and the Poisson correction from one kernel batch over
+every (lambda, mode) pair that serves all m boundary indices.  The checks run on every row of
+``xi_modes``, active or not, and the caller picks those rows: the
+ill-conditioning test of the multiplier, and the root-margin, root-count
+and LS tests of the kernel batch.
 
 The semigroup uses trapezoid quadrature of ``(2 pi i)^{-1} \\oint e^{z t}
 R(z + _SIGMA) dz`` over a left-opening hyperbola; resolvents are only ever
@@ -48,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from . import model as mdl
-from .grids import TangentialGrid, UniformHalfGrid
+from .grids import UniformHalfGrid
 from .poisson import kernel_batch
 
 __all__ = [
@@ -111,19 +112,19 @@ def seeley_extend(profile: np.ndarray, K: int, grid: UniformHalfGrid) -> np.ndar
 
 
 def whole_space_resolvent(problem: mdl.ModelProblem, lam, f_hat: np.ndarray,
-                          tgrid: TangentialGrid, xi_normal: np.ndarray,
+                          xi_modes: np.ndarray, xi_normal: np.ndarray,
                           rows) -> np.ndarray:
     """(lambda - A(D))^{-1} as the diagonal multiplier on 2-D frequency data.
 
     ``lam`` is one parameter or an array of them; the result has the shape
     ``lam.shape + f_hat.shape``.  ``f_hat`` holds the rows ``rows`` of the
-    modes x normal-frequency grid (frequencies ``xi_normal``), but the
+    ``xi_modes`` x normal-frequency grid (frequencies ``xi_normal``), but the
     ill-conditioning test, scaled by (1 + |xi'|^2 + xi_n^2)^m, covers every
     row.
     """
     lam = np.asarray(lam, dtype=complex)
-    symbol = problem.interior_symbol(tgrid.xi_modes, xi_normal)
-    weight = (1.0 + tgrid.xi_sq[:, None] + xi_normal ** 2) ** problem.m
+    symbol = problem.interior_symbol(xi_modes, xi_normal)
+    weight = (1.0 + (xi_modes ** 2).sum(1)[:, None] + xi_normal ** 2) ** problem.m
     _check_multiplier(lam.reshape(-1), symbol, weight)
     denom = lam.reshape(lam.shape + (1, 1)) - symbol[rows]
     return np.divide(f_hat, denom, out=denom)
@@ -167,10 +168,10 @@ class ResolventResult:
 
 
 def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
-                        tgrid: TangentialGrid, ugrid: UniformHalfGrid) -> ResolventResult:
+                        xi_modes: np.ndarray, ugrid: UniformHalfGrid) -> ResolventResult:
     """R(lambda) f on the half-space grid.
 
-    ``f`` holds tangential-frequency data on modes x uniform normal nodes;
+    ``f`` holds data on the modes ``xi_modes`` x uniform normal nodes;
     ``lam`` is one parameter or an array of them.  One kernel batch covers
     every (lambda, mode) pair, and the extension, the multiplier, the
     inverse FFT, the traces and the Poisson correction run on the rows where
@@ -178,20 +179,29 @@ def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
     """
     lam = np.asarray(lam, dtype=complex)
     f = np.asarray(f, dtype=complex)
-    if f.shape != (tgrid.n_modes, ugrid.N):
+    if f.shape != (len(xi_modes), ugrid.N):
         raise ValueError(f"f has shape {f.shape}, the grids hold "
-                         f"{tgrid.n_modes} modes x {ugrid.N} nodes")
+                         f"{len(xi_modes)} modes x {ugrid.N} nodes")
     rows = np.flatnonzero(np.any(f != 0, axis=-1))
+    # u is made before the frequency data W, and the traces and the inverse
+    # FFT read W in blocks of 256 kB: with no temporary as large as W beside
+    # it, glibc keeps what a call frees for the next one instead of unmapping
+    # it and faulting it in again
+    lams = lam.reshape(-1)
+    u = np.empty((lams.size, len(rows), ugrid.N), dtype=complex)
+    traces = np.empty((problem.m,) + u.shape[:-1], dtype=complex)
     F = np.fft.fft(seeley_extend(f[rows], _seeley_order(problem), ugrid), axis=-1)
-    W = whole_space_resolvent(problem, lam, F, tgrid, ugrid.xi_normal, rows)
-    # D_n^l w at x = 0 from the normal-frequency data
-    traces = problem.boundary_traces(
-        tgrid.xi_modes[rows],
-        lambda l: (W * ugrid.xi_normal ** l).sum(axis=-1) / W.shape[-1])
-    u = np.fft.ifft(W, axis=-1)[..., : ugrid.N].copy()
+    W = whole_space_resolvent(problem, lams, F, xi_modes, ugrid.xi_normal, rows)
+    step = max(1, (1 << 18) // max(W[:1].nbytes, 1))
+    for i in range(0, len(W), step):
+        # D_n^l w at x = 0 from the normal-frequency data
+        traces[:, i:i + step] = problem.boundary_traces(xi_modes[rows], lambda l: (
+            W[i:i + step] * ugrid.xi_normal ** l).sum(axis=-1) / W.shape[-1])
+        u[i:i + step] = np.fft.ifft(W[i:i + step], axis=-1)[..., : ugrid.N]
     del W
-    u -= kernel_batch(problem, lam, tgrid.xi_modes).eval(ugrid.x, traces, 0, rows)
-    return ResolventResult(rows=rows, n_modes=tgrid.n_modes, u_rows=u)
+    u -= kernel_batch(problem, lams, xi_modes).eval(ugrid.x, traces, 0, rows)
+    return ResolventResult(rows=rows, n_modes=len(xi_modes),
+                           u_rows=u.reshape(lam.shape + u.shape[1:]))
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
@@ -225,7 +235,7 @@ def _fd_derivative(vals: np.ndarray, h: float, order: int) -> np.ndarray:
 
 def interior_residual_fd(problem: mdl.ModelProblem, lam: complex,
                          u: np.ndarray, f: np.ndarray,
-                         tgrid: TangentialGrid, ugrid: UniformHalfGrid) -> float:
+                         xi_modes: np.ndarray, ugrid: UniformHalfGrid) -> float:
     """Relative residual ||(lambda - A(D))u - f|| by finite differences.
 
     Tangential derivatives are spectral (exact per mode); normal derivatives
@@ -236,7 +246,7 @@ def interior_residual_fd(problem: mdl.ModelProblem, lam: complex,
     margin = 2 * problem.order
     sym = problem.interior_symbol
     # D_n = -i d/dx: D^l = (-i)^l (d/dx)^l
-    Au = sym.contract(sym.table(tgrid.xi_modes)[:, None, :],
+    Au = sym.contract(sym.table(xi_modes)[:, None, :],
                       lambda l: (-1j) ** l * _fd_derivative(u, ugrid.h, l))
     res = lam * np.asarray(u) - Au - np.asarray(f)
     sl = slice(margin, ugrid.N - margin)
@@ -247,14 +257,14 @@ def interior_residual_fd(problem: mdl.ModelProblem, lam: complex,
 
 
 def boundary_trace_fd(problem: mdl.ModelProblem, u: np.ndarray,
-                      tgrid: TangentialGrid, ugrid: UniformHalfGrid) -> np.ndarray:
+                      xi_modes: np.ndarray, ugrid: UniformHalfGrid) -> np.ndarray:
     """tr B_j(D) u at x_n = 0 for every j, shape (m,) + u.shape[:-1] (any
-    leading axes, then modes x nodes); normal derivatives by one-sided FD on
-    the first six nodes."""
+    leading axes, then modes x nodes); one-sided FD on the first six nodes,
+    by einsum: unlike a matmul, a row's bits do not depend on its stack."""
     offsets = np.arange(6) * ugrid.h
     head = np.asarray(u)[..., :len(offsets)]
-    return problem.boundary_traces(
-        tgrid.xi_modes, lambda l: (head @ _fd_weights(offsets, l)) * (-1j) ** l)
+    return problem.boundary_traces(xi_modes, lambda l: np.einsum(
+        "...i,i->...", head, _fd_weights(offsets, l)) * (-1j) ** l)
 
 
 # Contour quadrature (Weideman & Trefethen, Math. Comp. 76, 2007): N_C nodes
@@ -267,7 +277,7 @@ _SIGMA = 1.0
 
 
 def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
-                    tgrid: TangentialGrid, ugrid: UniformHalfGrid) -> np.ndarray:
+                    xi_modes: np.ndarray, ugrid: UniformHalfGrid) -> np.ndarray:
     """e^{t A_B} u0 by contour quadrature of the half-space resolvent.
 
     Contour: z(theta) = mu (1 - sin(alpha + i theta)), a left-opening
@@ -295,7 +305,7 @@ def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
     dz = [-1j * mu * cmath.cos(_ALPHA + 1j * th) for th in thetas]
     u0 = np.asarray(u0, dtype=complex)
     res = halfspace_resolvent(problem, np.array([zk + _SIGMA for zk in z]),
-                              u0, tgrid, ugrid)
+                              u0, xi_modes, ugrid)
     # accumulate in node order: the sum is the same, bit for bit, as one
     # resolvent solve per node
     acc = np.zeros((len(res.rows), ugrid.N), dtype=complex)

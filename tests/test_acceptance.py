@@ -164,11 +164,11 @@ def test_criterion_5_halfspace_resolvent():
         ug = UniformHalfGrid(X=12.0, N=N)
         f = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
         f[tgrid.mode_index(1.0)] = np.exp(-ug.x)
-        sol = res.halfspace_resolvent(problem, lam, f, tgrid, ug)
+        sol = res.halfspace_resolvent(problem, lam, f, tgrid.xi_modes, ug)
         residuals.append(res.interior_residual_fd(problem, lam, sol.u, f,
-                                                  tgrid, ug))
+                                                  tgrid.xi_modes, ug))
         traces.append(float(np.abs(
-            res.boundary_trace_fd(problem, sol.u, tgrid, ug)).max()))
+            res.boundary_trace_fd(problem, sol.u, tgrid.xi_modes, ug)).max()))
     order = math.log2(residuals[0] / residuals[2]) / 2.0
     # sectoriality: |lambda| ||R(lambda) f|| / ||f|| stays within 2x of its
     # per-ray median across three modulus decades
@@ -180,7 +180,7 @@ def test_criterion_5_halfspace_resolvent():
         vals = []
         for mod in np.logspace(1, 4, 7):
             lam_s = mod * cmath.exp(1j * ray)
-            sol = res.halfspace_resolvent(problem, lam_s, f, tgrid, ug)
+            sol = res.halfspace_resolvent(problem, lam_s, f, tgrid.xi_modes, ug)
             vals.append(mod * float(np.linalg.norm(sol.u))
                         / float(np.linalg.norm(f)))
         med = float(np.median(vals))
@@ -271,7 +271,7 @@ def test_criterion_9_parabolic_solvers():
     tau0 = tgrid_t.xi_axis[2]
     g = [np.zeros((16, tgrid.n_modes), dtype=complex)]
     g[0][:, q0] = np.exp(1j * tau0 * times)
-    sol = pb.parabolic_boundary_solve(problem, g, 1.0, tgrid_t, tgrid, x_nodes)
+    sol = pb.parabolic_boundary_solve(problem, g, 1.0, tgrid_t, tgrid.xi_modes, x_nodes)
     batch = poi.kernel_batch(problem, 1.0 + 1j * tau0, tgrid.xi_modes)
     oracle = (np.exp(1j * tau0 * times)[:, None]
               * kernel_table(batch, x_nodes, 0)[0, q0][None, :])
@@ -284,10 +284,10 @@ def test_criterion_9_parabolic_solvers():
     g = np.zeros((1, N_t + 1, tgrid.n_modes), dtype=complex)
     g[0, :, q0] = np.sin(math.pi * np.arange(N_t + 1) / N_t / 2.0) ** 2
     u0 = np.zeros((tgrid.n_modes, ug.N), dtype=complex)
-    ib = pb.ibvp_solve(problem, u0, g, T, tgrid, ug, [T / 2, T])
+    ib = pb.ibvp_solve(problem, u0, g, T, tgrid.xi_modes, ug, [T / 2, T])
     # the data at T/2 and T are the samples k = N_t/2 and N_t
     target = g[0, [N_t // 2, N_t]]
-    tr = res.boundary_trace_fd(problem, ib.values, tgrid, ug)[0]
+    tr = res.boundary_trace_fd(problem, ib.values, tgrid.xi_modes, ug)[0]
     trace_dev = float(np.max(np.abs(tr - target).max(axis=1)
                              / np.abs(target).max(axis=1)))
     # pure initial-value run against the reflection (images) heat kernel
@@ -295,7 +295,7 @@ def test_criterion_9_parabolic_solvers():
     u0i[q0] = (ug.x ** 2) * np.exp(-ug.x)
     t_eval = 0.25
     iv = pb.ibvp_solve(problem, u0i, np.zeros((1, 9, tgrid.n_modes)), T,
-                       tgrid, ug, [t_eval])
+                       tgrid.xi_modes, ug, [t_eval])
     y = np.linspace(0.0, 60.0, 24001)
     w0 = (y ** 2) * np.exp(-y)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import halfpoisson as hp
+from halfpoisson import cli
 from halfpoisson import parabolic as pb
 from halfpoisson import poisson as poi
 from halfpoisson import resolvent as res
@@ -84,9 +85,9 @@ def test_vector_lambda_resolvent_equals_scalar_calls(name):
     active = [1, 4, 6]
     for i, q in enumerate(active):
         f[q] = (1.0 + 0.5j * i) * ug.x ** i * np.exp(-(1.0 + 0.2 * i) * ug.x)
-    sol = res.halfspace_resolvent(p, LAMS, f, tg, ug)
+    sol = res.halfspace_resolvent(p, LAMS, f, tg.xi_modes, ug)
     assert sol.rows.tolist() == active
-    singles = [res.halfspace_resolvent(p, lam, f, tg, ug) for lam in LAMS]
+    singles = [res.halfspace_resolvent(p, lam, f, tg.xi_modes, ug) for lam in LAMS]
     assert sol.u.shape == (len(LAMS), tg.n_modes, ug.N)
     assert np.array_equal(sol.u, np.stack([s.u for s in singles]))
     inactive = np.setdiff1d(np.arange(tg.n_modes), active)
@@ -103,7 +104,7 @@ def _semigroup_per_node(p, u0, t, tg, ug):
         z = mu * (1.0 - cmath.sin(res._ALPHA + 1j * th))
         dz = -1j * mu * cmath.cos(res._ALPHA + 1j * th)
         acc += (cmath.exp(z * t) * dz) * res.halfspace_resolvent(
-            p, z + res._SIGMA, u0, tg, ug).u
+            p, z + res._SIGMA, u0, tg.xi_modes, ug).u
     return math.exp(res._SIGMA * t) * ((thetas[1] - thetas[0]) / (2.0j * math.pi)) * acc
 
 
@@ -114,7 +115,7 @@ def test_semigroup_equals_one_solve_per_node(name):
     u0 = np.zeros((tg.n_modes, ug.N), dtype=complex)
     u0[1] = ug.x ** 2 * np.exp(-ug.x)
     u0[5] = (0.5 - 1.0j) * ug.x ** 3 * np.exp(-2.0 * ug.x)
-    assert np.array_equal(res.semigroup_apply(p, u0, 0.15, tg, ug),
+    assert np.array_equal(res.semigroup_apply(p, u0, 0.15, tg.xi_modes, ug),
                           _semigroup_per_node(p, u0, 0.15, tg, ug))
 
 
@@ -141,7 +142,7 @@ def test_parabolic_equals_one_batch_per_frequency(name):
         gj[:, 2 + j] = np.exp(1j * tgt.xi_axis[1 + j] * times)
         gj[:, 6] = np.cos(times) ** (2 + j)
         g.append(gj)
-    sol = pb.parabolic_boundary_solve(p, g, 1.0, tgt, tg, x)
+    sol = pb.parabolic_boundary_solve(p, g, 1.0, tgt, tg.xi_modes, x)
     assert np.array_equal(sol.freq_data, _parabolic_per_frequency(p, g, 1.0, tgt, tg, x))
 
 
@@ -152,7 +153,7 @@ def test_ls_failure_on_a_mode_without_data_still_raises():
     f = np.zeros((tg.n_modes, ug.N), dtype=complex)
     f[tg.mode_index(2.0)] = np.exp(-ug.x)
     with pytest.raises(hp.LopatinskiiError):
-        res.halfspace_resolvent(p, 3.0, f, tg, ug)
+        res.halfspace_resolvent(p, 3.0, f, tg.xi_modes, ug)
 
 
 def test_ill_conditioned_multiplier_on_a_mode_without_data_still_raises():
@@ -162,7 +163,7 @@ def test_ill_conditioned_multiplier_on_a_mode_without_data_still_raises():
     f = np.zeros((tg.n_modes, ug.N), dtype=complex)
     f[tg.mode_index(2.0)] = np.exp(-ug.x)
     with pytest.raises(ValueError, match="ill conditioned"):
-        res.halfspace_resolvent(p, -1.0, f, tg, ug)
+        res.halfspace_resolvent(p, -1.0, f, tg.xi_modes, ug)
 
 
 def test_multiplier_check_agrees_with_the_full_test():
@@ -182,14 +183,14 @@ def test_multiplier_check_agrees_with_the_full_test():
         full = np.any(np.abs(lam - symbol) < 1e-14 * (abs(lam) + weight))
         outcomes.add(bool(full))
         try:
-            res.whole_space_resolvent(p, lam, f, tg, ug.xi_normal, [3])
+            res.whole_space_resolvent(p, lam, f, tg.xi_modes, ug.xi_normal, [3])
         except ValueError:
             assert full, lam
         else:
             assert not full, lam
     assert outcomes == {True, False}
     with pytest.raises(ValueError, match="ill conditioned"):
-        res.whole_space_resolvent(p, np.array([4.0 + 2.0j, picks[0]]), f, tg,
+        res.whole_space_resolvent(p, np.array([4.0 + 2.0j, picks[0]]), f, tg.xi_modes,
                                   ug.xi_normal, [3])
 
 
@@ -197,7 +198,7 @@ def test_semigroup_of_zero_data_is_exactly_zero():
     p = hp.clamped_bilaplacian()
     tg, ug = _grids(p)
     u0 = np.zeros((tg.n_modes, ug.N), dtype=complex)
-    out = res.semigroup_apply(p, u0, 0.1, tg, ug)
+    out = res.semigroup_apply(p, u0, 0.1, tg.xi_modes, ug)
     assert out.shape == u0.shape
     assert not np.any(out)
 
@@ -220,7 +221,7 @@ def test_one_kernel_batch_per_semigroup_apply(monkeypatch):
     u0 = np.zeros((tg.n_modes, ug.N), dtype=complex)
     u0[tg.mode_index(1.0)] = ug.x ** 2 * np.exp(-ug.x)
     calls = _count_calls(monkeypatch, res)
-    res.semigroup_apply(p, u0, 0.1, tg, ug)
+    res.semigroup_apply(p, u0, 0.1, tg.xi_modes, ug)
     assert len(calls) == 1
 
 
@@ -232,5 +233,80 @@ def test_one_kernel_batch_per_parabolic_boundary_solve(monkeypatch):
     g0[:, tg.mode_index(1.0)] = np.exp(1j * tgt.xi_axis[1] * times)
     g = [g0, np.zeros_like(g0)]
     calls = _count_calls(monkeypatch, pb)
-    pb.parabolic_boundary_solve(p, g, 1.0, tgt, tg, np.linspace(0.0, 4.0, 9))
+    pb.parabolic_boundary_solve(p, g, 1.0, tgt, tg.xi_modes, np.linspace(0.0, 4.0, 9))
     assert len(calls) == 1
+
+
+def _torus_and_datum_row(name, n):
+    """The problem at dimension n, the N_x = 8 torus, its mode of xi' =
+    (0, ..., 0, 1), and that mode as the one-row ``xi_modes`` that the
+    one-mode commands pass."""
+    p = PROBLEMS[name](n)
+    tg = TangentialGrid(n_axes=n - 1, N=8, L=2 * math.pi)
+    q = tg.mode_index(1.0)
+    one = cli._datum_mode(n)
+    assert one.shape == (1, n - 1)
+    assert np.array_equal(one, tg.xi_modes[[q]])
+    return p, tg, q, one
+
+
+def _on_mode(tg, q, a, axis):
+    """``a`` with its one-mode axis ``axis`` widened to the torus's modes,
+    zero off the mode q."""
+    shape = list(a.shape)
+    shape[axis] = tg.n_modes
+    out = np.zeros(shape, dtype=complex)
+    np.moveaxis(out, axis, 0)[q] = np.moveaxis(a, axis, 0)[0]
+    return out
+
+
+ONE_ROW = pytest.mark.parametrize("name,n", [(name, n) for name in PROBLEMS
+                                             if name != "oblique_n3" for n in (2, 3)])
+
+
+@ONE_ROW
+def test_one_row_resolvent_equals_the_torus_row(name, n):
+    p, tg, q, one = _torus_and_datum_row(name, n)
+    ug = UniformHalfGrid(X=12.0, N=128)
+    row = np.exp(-ug.x)[None] * (1.0 + 0.5j)
+    torus = res.halfspace_resolvent(p, LAMS, _on_mode(tg, q, row, 0), tg.xi_modes, ug)
+    alone = res.halfspace_resolvent(p, LAMS, row, one, ug)
+    assert alone.u.shape == (len(LAMS), 1, ug.N)
+    assert np.array_equal(alone.u[:, 0], torus.u[:, q])
+
+
+@ONE_ROW
+def test_one_row_semigroup_equals_the_torus_row(name, n):
+    p, tg, q, one = _torus_and_datum_row(name, n)
+    ug = UniformHalfGrid(X=30.0, N=256)
+    row = (ug.x ** 2 * np.exp(-ug.x))[None]
+    torus = res.semigroup_apply(p, _on_mode(tg, q, row, 0), 0.15, tg.xi_modes, ug)
+    assert np.array_equal(res.semigroup_apply(p, row, 0.15, one, ug)[0], torus[q])
+
+
+@ONE_ROW
+def test_one_row_parabolic_solve_equals_the_torus_row(name, n):
+    p, tg, q, one = _torus_and_datum_row(name, n)
+    tgt, times = _TIME_TORUS
+    g = np.stack([(j + 1) * np.exp(1j * tgt.xi_axis[1 + j] * times)[:, None]
+                  for j in range(p.m)])
+    x = np.linspace(0.0, 4.0, 9)
+    torus = pb.parabolic_boundary_solve(p, _on_mode(tg, q, g, -1), 1.0, tgt,
+                                        tg.xi_modes, x)
+    alone = pb.parabolic_boundary_solve(p, g, 1.0, tgt, one, x)
+    assert np.array_equal(alone.freq_data[:, 0], torus.freq_data[:, q])
+
+
+@ONE_ROW
+def test_one_row_ibvp_equals_the_torus_row(name, n):
+    p, tg, q, one = _torus_and_datum_row(name, n)
+    ug = UniformHalfGrid(X=30.0, N=256)
+    N_t, T = 8, 0.5
+    g = np.zeros((p.m, N_t + 1, 1), dtype=complex)
+    g[0, :, 0] = np.sin(math.pi * np.arange(N_t + 1) / N_t / 2.0) ** 2
+    u0 = (ug.x ** 2 * np.exp(-ug.x))[None]
+    torus = pb.ibvp_solve(p, _on_mode(tg, q, u0, 0), _on_mode(tg, q, g, -1), T,
+                          tg.xi_modes, ug, [T / 2, T])
+    alone = pb.ibvp_solve(p, u0, g, T, one, ug, [T / 2, T])
+    assert np.array_equal(alone.values[:, 0], torus.values[:, q])
+    assert alone.compatibility_defect == torus.compatibility_defect

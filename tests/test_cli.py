@@ -18,6 +18,7 @@ from halfpoisson import cli
 from halfpoisson import poisson as poi
 from halfpoisson.model import (BUNDLED, clamped_bilaplacian, dirichlet_laplacian,
                                problem_to_json)
+from test_batching import _ls_violating_laplacian
 
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -324,7 +325,6 @@ class TestConfig:
          "'N_z' must be a power of two >= 32"),
         ("semigroup-test", {"N_z": 100}, "'N_z' must be a power of two >= 4"),
         ("ibvp-solve", {"N_z": 12}, "'N_z' must be a power of two >= 8"),
-        ("ibvp-solve", {"N_x": 6}, "'N_x' must be a power of two >= 2"),
         ("ibvp-solve", {"N_t": 12}, "'N_t' must be a power of two >= 1"),
         # the exact sup needs no torus: singularity-sweep has no xi_max key
         ("singularity-sweep", {"xi_max": 0}, "'xi_max'"),
@@ -389,18 +389,23 @@ class TestConfig:
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("name", sorted(BUNDLED))
-    @pytest.mark.parametrize("command", ["resolvent-test", "semigroup-test",
-                                         "parabolic-solve", "ibvp-solve", "decay-sweep"])
-    def test_datum_off_the_grid_is_input_error(self, command, name, n, tmp_path, capsys):
-        """Two modes per axis hold xi' = 0 and -1 only: the datum at xi' = 1
-        has no mode, so the run exits 1 naming it rather than moving the
-        datum to xi' = 0."""
+    def test_datum_off_the_grid_is_input_error(self, name, n, tmp_path, capsys):
+        """Two modes per axis hold xi' = 0 and -1 only: the t <= s decay
+        sweep's datum at xi' = 1 has no mode, so the run exits 1 naming it
+        rather than moving the datum to xi' = 0."""
         problem = tmp_path / f"{name}_n{n}.json"
         problem.write_text(problem_to_json(BUNDLED[name](n)))
-        code = self._run(f"{command} --problem {problem}", {"N_x": 2}, tmp_path)
+        code = self._run(f"decay-sweep --problem {problem}", {"N_x": 2}, tmp_path)
         assert code == cli.EXIT_INPUT
         assert ("frequency 1.0 is off the grid: its 2 modes per axis are the "
                 "multiples of 1 from -1 to 0") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["resolvent-test", "semigroup-test",
+                                         "parabolic-solve", "ibvp-solve"])
+    def test_one_mode_commands_take_no_N_x(self, command, tmp_path, capsys):
+        """These commands solve on the datum's mode alone: no torus to size."""
+        assert self._run(command, {"N_x": 8}, tmp_path) == cli.EXIT_INPUT
+        assert "unknown config key 'N_x'" in capsys.readouterr().err
 
     def test_declared_types_accepted(self, tmp_path):
         # integers for float keys, a list for [re, im]
@@ -785,15 +790,13 @@ class TestSolverCommands:
 
     @pytest.mark.parametrize("factory", [dirichlet_laplacian, clamped_bilaplacian])
     @pytest.mark.parametrize("command,doc", [
-        ("parabolic-solve", {"N_x": 4, "N_t": 8}),
-        ("ibvp-solve", {"N_x": 4, "N_z": 256, "N_t": 8}),
+        ("parabolic-solve", {"N_t": 8}),
+        ("ibvp-solve", {"N_z": 256, "N_t": 8}),
     ])
     def test_time_layer_two_tangential_axes(self, command, doc, factory, tmp_path):
-        """At n = 3 the (m, N_t [+ 1], modes) data hold the 4 x 4 modes
-        flattened as ``xi_modes`` lists them.  The datum sits on
-        ``mode_index(1.0)``, the mode (0, 1), whose |xi'| = 1 is that of the
-        datum at n = 2; the problems are rotation invariant, so the run
-        writes the numbers of the n = 2 run."""
+        """At n = 3 the (m, N_t [+ 1], 1) data sit on the one mode (0, 1),
+        whose |xi'| = 1 is that of the datum at n = 2; the problems are
+        rotation invariant, so the run writes the numbers of the n = 2 run."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         tables = []
@@ -820,6 +823,19 @@ class TestSolverCommands:
         out = tmp_path / "out"
         assert run(["semigroup-test", "--config", cfg, "--out", out]) == cli.EXIT_OK
         assert len(calls) == 4
+
+    def test_resolvent_test_names_an_ls_failure_on_the_datum_mode(self, tmp_path, capsys):
+        """B = D_n - 2i D_1 violates LS on lambda = 3 xi_1^2: at lambda = 3 it
+        fails on the datum's own mode xi' = 1, and the run exits 1 naming it."""
+        problem = tmp_path / "ls_violating.json"
+        problem.write_text(problem_to_json(_ls_violating_laplacian()))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": [3, 0]}))
+        code = run(["resolvent-test", "--problem", problem, "--config", cfg,
+                    "--out", tmp_path / "out"])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Lopatinskii-Shapiro failure" in err and "xi'=[1.]" in err
 
     def test_resolvent_small(self, tmp_path):
         out = tmp_path / "out"

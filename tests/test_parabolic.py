@@ -13,6 +13,7 @@ from halfpoisson.grids import TangentialGrid, UniformHalfGrid
 from kernel_table import kernel_table
 
 TG = TangentialGrid(n_axes=1, N=8, L=2 * math.pi)
+XI = TG.xi_modes
 
 
 def _time_torus(N_t, T_per):
@@ -33,7 +34,7 @@ class TestTimeGrid:
         g = np.zeros((1, 8, TG.n_modes), dtype=complex)
         for sigma in (0.0, -1.0):
             with pytest.raises(ValueError, match="sigma"):
-                pb.parabolic_boundary_solve(hp.dirichlet_laplacian(), g, sigma, tgt, TG,
+                pb.parabolic_boundary_solve(hp.dirichlet_laplacian(), g, sigma, tgt, XI,
                                             np.array([0.0]))
 
     def test_frequencies(self):
@@ -78,7 +79,7 @@ class TestTimeExtension:
         for shape in [(2, 10, TG.n_modes), (2, 1, TG.n_modes), (1, 9, TG.n_modes),
                       (2, 9, TG.n_modes + 1), (2, 9 * TG.n_modes), (9, 2, TG.n_modes)]:
             with pytest.raises(ValueError):
-                pb.ibvp_solve(p, u0, np.zeros(shape), 0.5, TG, ug, [0.25])
+                pb.ibvp_solve(p, u0, np.zeros(shape), 0.5, XI, ug, [0.25])
 
     def test_trailing_dimensions_preserved(self):
         N_t = 8
@@ -98,7 +99,7 @@ class TestBoundarySolve:
         tau0 = tgt.xi_axis[2]
         g = [np.zeros((tgt.N, TG.n_modes), dtype=complex)]
         g[0][:, q0] = np.exp(1j * tau0 * times)
-        sol = pb.parabolic_boundary_solve(p, g, 1.0, tgt, TG, x_nodes)
+        sol = pb.parabolic_boundary_solve(p, g, 1.0, tgt, XI, x_nodes)
         batch = poi.kernel_batch(p, 1.0 + 1j * tau0, TG.xi_modes)
         kern = kernel_table(batch, x_nodes, 0)[0, q0]
         oracle = np.exp(1j * tau0 * times)[:, None] * kern[None, :]
@@ -109,7 +110,7 @@ class TestBoundarySolve:
         tgt, times = _time_torus(8, 1.0)
         g = [np.zeros((tgt.N, TG.n_modes), dtype=complex)]
         g[0][:, TG.mode_index(1.0)] = np.sin(2 * math.pi * times)
-        sol = pb.parabolic_boundary_solve(p, g, 1.0, tgt, TG, np.array([0.0, 1.0]))
+        sol = pb.parabolic_boundary_solve(p, g, 1.0, tgt, XI, np.array([0.0, 1.0]))
         for i in (0, 3, 5):
             assert np.allclose(sol.at_time(times[i]), sol.values[i],
                                atol=1e-10)
@@ -119,7 +120,7 @@ class TestBoundarySolve:
         tgt, _ = _time_torus(8, 1.0)
         g = [np.zeros((8, TG.n_modes), dtype=complex)]   # needs two
         with pytest.raises(ValueError):
-            pb.parabolic_boundary_solve(p, g, 1.0, tgt, TG, np.array([0.0]))
+            pb.parabolic_boundary_solve(p, g, 1.0, tgt, XI, np.array([0.0]))
 
 
 def _switch_on(p, q0, N_t):
@@ -139,7 +140,7 @@ class TestIbvp:
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         want = f"'out_times' must lie in (0, T] = (0, 1.0], got {out_times}"
         with pytest.raises(ValueError, match=re.escape(want)):
-            pb.ibvp_solve(p, u0, np.zeros((1, 9, TG.n_modes)), 1.0, TG, ug, out_times)
+            pb.ibvp_solve(p, u0, np.zeros((1, 9, TG.n_modes)), 1.0, XI, ug, out_times)
 
     def test_pure_initial_value_images_oracle(self):
         """g = 0: the IBVP reduces to the semigroup; compare with the
@@ -150,7 +151,7 @@ class TestIbvp:
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         u0[q] = (ug.x ** 2) * np.exp(-ug.x)
         T, t = 0.5, 0.25
-        sol = pb.ibvp_solve(p, u0, np.zeros((1, 9, TG.n_modes)), T, TG, ug, [t])
+        sol = pb.ibvp_solve(p, u0, np.zeros((1, 9, TG.n_modes)), T, XI, ug, [t])
         y = np.linspace(0.0, 60.0, 24001)
         w0 = (y ** 2) * np.exp(-y)
 
@@ -177,14 +178,14 @@ class TestIbvp:
         N_t, T, t = 16, 0.5, 0.3
         calls = []
         monkeypatch.setattr(pb, "kernel_batch", lambda *a: calls.append(a))
-        sol = pb.ibvp_solve(p, u0, np.zeros((p.m, N_t + 1, TG.n_modes)), T, TG, ug, [t])
+        sol = pb.ibvp_solve(p, u0, np.zeros((p.m, N_t + 1, TG.n_modes)), T, XI, ug, [t])
         assert calls == []
         monkeypatch.undo()
         v1 = pb.parabolic_boundary_solve(
             p, np.zeros((p.m, 4 * N_t, TG.n_modes)), pb._SHIFT,
-            TangentialGrid(n_axes=1, N=4 * N_t, L=4.0 * T), TG, ug.x)
+            TangentialGrid(n_axes=1, N=4 * N_t, L=4.0 * T), XI, ug.x)
         v2 = math.exp(-pb._SHIFT * t) * res.semigroup_apply(p, u0 - v1.at_time(0.0), t,
-                                                            TG, ug)
+                                                            XI, ug)
         ref = math.exp(pb._SHIFT * t) * (v2 + v1.at_time(t))
         assert np.array_equal(sol.values[0], ref)
 
@@ -195,8 +196,8 @@ class TestIbvp:
         T = 0.5
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         out_times = [T / 2, T]
-        sol = pb.ibvp_solve(p, u0, _switch_on(p, q0, 16), T, TG, ug, out_times)
-        traces = res.boundary_trace_fd(p, sol.values, TG, ug)
+        sol = pb.ibvp_solve(p, u0, _switch_on(p, q0, 16), T, XI, ug, out_times)
+        traces = res.boundary_trace_fd(p, sol.values, XI, ug)
         assert traces.shape == (1, 2, TG.n_modes)
         for tr, t in zip(traces[0], out_times):
             target = np.zeros(TG.n_modes)
@@ -221,7 +222,7 @@ class TestIbvp:
         sols = {}
         for sigma in (0.5, 1.0, 2.0):
             monkeypatch.setattr(pb, "_SHIFT", sigma)
-            sols[sigma] = pb.ibvp_solve(p, u0, g, T, TG, ug, [T / 2, T]).values
+            sols[sigma] = pb.ibvp_solve(p, u0, g, T, XI, ug, [T / 2, T]).values
         ref = np.linalg.norm(sols[1.0])
         for sigma in (0.5, 2.0):
             assert np.linalg.norm(sols[sigma] - sols[1.0]) / ref < 1e-2
@@ -234,5 +235,5 @@ class TestIbvp:
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)
         u0[q0] = np.exp(-ug.x)     # trace 1 at the boundary
         g = np.zeros((1, 9, TG.n_modes))
-        sol = pb.ibvp_solve(p, u0, g, 0.5, TG, ug, [0.25])
+        sol = pb.ibvp_solve(p, u0, g, 0.5, XI, ug, [0.25])
         assert sol.compatibility_defect > 0.5

@@ -10,6 +10,7 @@ from halfpoisson import resolvent as res
 from halfpoisson.grids import TangentialGrid, UniformHalfGrid
 
 TG = TangentialGrid(n_axes=1, N=8, L=2 * math.pi)
+XI = TG.xi_modes
 
 
 def _grid_and_mode(n):
@@ -105,7 +106,7 @@ class TestWholeSpaceResolvent:
         q = TG.mode_index(1.0)
         f[q] = 1.0
         lam = 4.0 + 2.0j
-        W = res.whole_space_resolvent(p, lam, f, TG, xi_n, np.arange(TG.n_modes))
+        W = res.whole_space_resolvent(p, lam, f, XI, xi_n, np.arange(TG.n_modes))
         expected = 1.0 / (lam + 1.0 + xi_n ** 2)
         assert np.allclose(W[q], expected)
 
@@ -115,7 +116,7 @@ class TestWholeSpaceResolvent:
         f = np.ones((TG.n_modes, 2), dtype=complex)
         # lambda = -1 makes lambda - A vanish at xi = (0, 1)
         with pytest.raises(ValueError, match="ill conditioned"):
-            res.whole_space_resolvent(p, -1.0 + 0j, f, TG, xi_n, np.arange(TG.n_modes))
+            res.whole_space_resolvent(p, -1.0 + 0j, f, XI, xi_n, np.arange(TG.n_modes))
 
 
 class TestHalfSpaceResolvent:
@@ -129,7 +130,7 @@ class TestHalfSpaceResolvent:
         ug = UniformHalfGrid(X=30.0, N=2048)
         f = np.zeros((tg.n_modes, ug.N), dtype=complex)
         f[q] = np.exp(-ug.x)
-        sol = res.halfspace_resolvent(p, lam, f, tg, ug)
+        sol = res.halfspace_resolvent(p, lam, f, tg.xi_modes, ug)
         kap = cmath.sqrt(lam + xi_sq)
         exact = (np.exp(-ug.x) - np.exp(-kap * ug.x)) / (lam + xi_sq - 1.0)
         err = np.abs(sol.u[q] - exact).max() / np.abs(exact).max()
@@ -148,17 +149,38 @@ class TestHalfSpaceResolvent:
         ug = UniformHalfGrid(X=12.0, N=128)
         for shape in [(8, 256), (16, 64), (4, 256), (8 * 128,)]:
             with pytest.raises(ValueError, match="8 modes x 128 nodes"):
-                res.halfspace_resolvent(p, 4.0 + 2.0j, np.ones(shape), TG, ug)
+                res.halfspace_resolvent(p, 4.0 + 2.0j, np.ones(shape), XI, ug)
 
     def test_boundary_conditions_removed(self):
         p = hp.clamped_bilaplacian()
         ug = UniformHalfGrid(X=30.0, N=1024)
         f = np.zeros((TG.n_modes, ug.N), dtype=complex)
         f[TG.mode_index(1.0)] = np.exp(-ug.x)
-        sol = res.halfspace_resolvent(p, 5.0 + 1.0j, f, TG, ug)
-        tr = res.boundary_trace_fd(p, sol.u, TG, ug)
+        sol = res.halfspace_resolvent(p, 5.0 + 1.0j, f, XI, ug)
+        tr = res.boundary_trace_fd(p, sol.u, XI, ug)
         assert tr.shape == (p.m, TG.n_modes)
         assert np.abs(tr).max() < 1e-6
+
+    @pytest.mark.parametrize("factory", [hp.dirichlet_laplacian, hp.clamped_bilaplacian])
+    def test_no_second_array_as_large_as_the_frequency_data(self, factory):
+        """48 lambdas on one row: beside the frequency data W (48 x 2N) the
+        call holds the result (half of W) and blocks of 256 kB, so its traced
+        peak stays near 2 W; taking the traces and the inverse FFT on all of
+        W at once peaked at 2.5 W."""
+        import tracemalloc
+
+        p = factory()
+        ug = UniformHalfGrid(X=30.0, N=2048)
+        f = (ug.x ** 2 * np.exp(-ug.x))[None]
+        lams = 5.0 + np.linspace(1.0, 100.0, 48) * np.exp(1j * np.linspace(-1.0, 1.0, 48))
+        res.halfspace_resolvent(p, lams, f, XI[[1]], ug)
+        tracemalloc.start()
+        try:
+            res.halfspace_resolvent(p, lams, f, XI[[1]], ug)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * len(lams) * 2 * ug.N * 16
 
     def test_residual_second_order_convergence(self):
         p = hp.dirichlet_laplacian()
@@ -168,8 +190,8 @@ class TestHalfSpaceResolvent:
             ug = UniformHalfGrid(X=12.0, N=N)
             f = np.zeros((TG.n_modes, ug.N), dtype=complex)
             f[TG.mode_index(1.0)] = np.exp(-ug.x)
-            sol = res.halfspace_resolvent(p, lam, f, TG, ug)
-            residuals.append(res.interior_residual_fd(p, lam, sol.u, f, TG, ug))
+            sol = res.halfspace_resolvent(p, lam, f, XI, ug)
+            residuals.append(res.interior_residual_fd(p, lam, sol.u, f, XI, ug))
         order = math.log2(residuals[0] / residuals[2]) / 2.0
         assert residuals[2] < 1e-4
         assert order >= 2.0
@@ -219,8 +241,26 @@ class TestFdInstruments:
         u = np.zeros((TG.n_modes, ug.N), dtype=complex)
         q = TG.mode_index(0.0)
         u[q] = np.exp(-2.0 * ug.x)
-        tr = res.boundary_trace_fd(p, u, TG, ug)[0]
+        tr = res.boundary_trace_fd(p, u, XI, ug)[0]
         assert tr[q] == pytest.approx(2.0j, rel=1e-6)
+
+    @pytest.mark.parametrize("rows", [2, 3, 8, 64, 513])
+    def test_stacked_traces_equal_the_traces_of_each_row(self, rows):
+        """A row's trace has the same bits alone as in a stack of ``rows``
+        rows, with or without a leading axis."""
+        p = hp.clamped_bilaplacian()
+        ug = UniformHalfGrid(X=10.0, N=64)
+        rng = np.random.default_rng(rows)
+        xi = rng.standard_normal((rows, 1))
+        shape = (2, rows, ug.N)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacked = res.boundary_trace_fd(p, u, xi, ug)
+        assert stacked.shape == (p.m, 2, rows)
+        for k in range(rows):
+            alone = res.boundary_trace_fd(p, u[:, [k]], xi[[k]], ug)[:, :, 0]
+            assert np.array_equal(stacked[:, :, k], alone)
+            flat = res.boundary_trace_fd(p, u[0, [k]], xi[[k]], ug)
+            assert np.array_equal(alone[:, 0], flat[:, 0])
 
 
 class TestSemigroup:
@@ -233,7 +273,7 @@ class TestSemigroup:
         ug = UniformHalfGrid(X=30.0, N=256)
         with pytest.raises(ValueError):
             res.semigroup_apply(hp.dirichlet_laplacian(), self._state(ug),
-                                0.0, TG, ug)
+                                0.0, XI, ug)
 
     def test_requires_wide_sector(self):
         base = hp.dirichlet_laplacian()
@@ -243,15 +283,15 @@ class TestSemigroup:
             phi_prime=0.49 * math.pi, phi=0.45 * math.pi)
         ug = UniformHalfGrid(X=30.0, N=256)
         with pytest.raises(ValueError, match="phi"):
-            res.semigroup_apply(narrow, self._state(ug), 0.1, TG, ug)
+            res.semigroup_apply(narrow, self._state(ug), 0.1, XI, ug)
 
     def test_semigroup_property(self):
         p = hp.dirichlet_laplacian()
         ug = UniformHalfGrid(X=30.0, N=1024)
         u0 = self._state(ug)
-        T1 = res.semigroup_apply(p, u0, 0.1, TG, ug)
-        T12 = res.semigroup_apply(p, T1, 0.2, TG, ug)
-        Ts = res.semigroup_apply(p, u0, 0.3, TG, ug)
+        T1 = res.semigroup_apply(p, u0, 0.1, XI, ug)
+        T12 = res.semigroup_apply(p, T1, 0.2, XI, ug)
+        Ts = res.semigroup_apply(p, u0, 0.3, XI, ug)
         dev = np.linalg.norm(T12 - Ts) / np.linalg.norm(Ts)
         assert dev < 1e-6
 
@@ -259,7 +299,7 @@ class TestSemigroup:
         p = hp.dirichlet_laplacian()
         ug = UniformHalfGrid(X=30.0, N=1024)
         u0 = self._state(ug)
-        small = res.semigroup_apply(p, u0, 1e-6, TG, ug)
+        small = res.semigroup_apply(p, u0, 1e-6, XI, ug)
         assert np.linalg.norm(small - u0) / np.linalg.norm(u0) < 1e-4
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -271,7 +311,7 @@ class TestSemigroup:
         u0 = np.zeros((tg.n_modes, ug.N), dtype=complex)
         u0[q] = (ug.x ** 2) * np.exp(-ug.x)
         t = 0.1
-        got = res.semigroup_apply(p, u0, t, tg, ug)[q]
+        got = res.semigroup_apply(p, u0, t, tg.xi_modes, ug)[q]
         y = np.linspace(0.0, 60.0, 24001)
         w0 = (y ** 2) * np.exp(-y)
 
