@@ -49,7 +49,6 @@ from .poisson import (
 from .resolvent import (
     seeley_extend,
     whole_space_resolvent,
-    ResolventResult,
     halfspace_resolvent,
     interior_residual_fd,
     boundary_trace_fd,

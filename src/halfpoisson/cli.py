@@ -409,7 +409,7 @@ def cmd_resolvent_test(out, problem=None, *, lambda_=4.0 + 2.0j, X=12.0,
         ug = UniformHalfGrid(X=X, N=N_z * (2 ** i))
         f = np.exp(-ug.x)[None].astype(complex)
         data.append((ug, f))
-        u = res.halfspace_resolvent(problem, lambda_, f, xi, ug).u
+        u = res.halfspace_resolvent(problem, lambda_, f, xi, ug)
         residuals.append(res.interior_residual_fd(problem, lambda_, u, f, xi, ug))
         traces_.append(float(np.abs(res.boundary_trace_fd(problem, u, xi, ug)).max()))
     order_res = math.log2(residuals[0] / residuals[2]) / 2 if residuals[2] > 0 else math.inf
@@ -423,7 +423,7 @@ def cmd_resolvent_test(out, problem=None, *, lambda_=4.0 + 2.0j, X=12.0,
     sample = mdl.SectorSample.default(0.6 * math.pi, sigma_floor=10, n_rays=5,
                                       n_moduli=7, mod_max=1e4)
     rays, mods = np.array(sample.rays), np.array(sample.moduli)
-    sols = res.halfspace_resolvent(problem, sample.points(), f, xi, ug).u
+    sols = res.halfspace_resolvent(problem, sample.points(), f, xi, ug)
     norms = np.array([np.linalg.norm(u) for u in sols]).reshape(len(rays), len(mods))
     ratios = mods * (norms / f_norm)
     _write_csv(out / "resolvent_sectoriality.csv", {

@@ -132,40 +132,30 @@ class KernelBatch:
         ``rootbasis_ratio`` counter (``perfbench/spans.py``) reads it."""
         return np.zeros(len(self.first), dtype=bool)
 
-    def eval(self, x: np.ndarray, data: np.ndarray, deriv_order: int = 0,
-             modes: np.ndarray | None = None) -> np.ndarray:
-        """``sum_j D^d Poi_j data[j]`` at every lambda on ``modes`` (default:
-        all, in order; repeats allowed), shape ``lam.shape + (len(modes), len(x))``.
+    def eval(self, x: np.ndarray, data: np.ndarray, deriv_order: int = 0) -> np.ndarray:
+        """``sum_j D^d Poi_j data[j]`` on every (lambda, mode) pair, shape
+        ``lam.shape + (M, len(x))``.
 
-        ``data`` has the axes ``(m,) + lam.shape + (len(modes),)``, each of
-        that length or 1.  A pair whose m data all vanish is exactly zero and
-        is not evaluated.  The others run once per distinct (kernel row, data
+        ``data`` has the axes ``(m,) + lam.shape + (M,)``, each of that
+        length or 1.  A pair whose m data all vanish is exactly zero and is
+        not evaluated.  The others run once per distinct (kernel row, data
         column) pair; the data are contracted into the coefficients first, so
         each pair then takes one contraction over the basis.
         """
         x = np.asarray(x, dtype=float)
-        lead, M = self.shape[:-1], self.shape[-1]
-        if modes is None:
-            rows, shape = np.arange(len(self.first)), self.shape
-        else:   # a mode outside 0..M-1 would read a neighbouring lambda's row
-            if len(modes) and not (0 <= np.min(modes) and np.max(modes) < M):
-                raise IndexError(f"modes must lie in 0..{M - 1}, "
-                                 f"got {np.asarray(modes).tolist()}")
-            rows = (M * np.arange(math.prod(lead))[:, None] + modes).reshape(-1)
-            shape = lead + (len(modes),)
-        shape = (len(self.coeff),) + shape
+        shape = (len(self.coeff),) + self.shape
         if np.ndim(data) != len(shape):   # an axis left out would shift the others
             raise ValueError(f"data of shape {np.shape(data)} must give every axis "
                              f"of (m,) + lam.shape + (modes,) = {shape}")
         data = np.broadcast_to(data, shape).reshape(shape[0], -1)
         live = np.flatnonzero(np.any(data != 0, axis=0))
-        if 0 < live.size == len(rows):
-            out = self._apply(x, data, deriv_order, rows)
+        if 0 < live.size == len(self.first):
+            out = self._apply(x, data, deriv_order, live)
         else:
-            out = np.zeros((len(rows),) + x.shape, dtype=complex)
+            out = np.zeros((len(self.first),) + x.shape, dtype=complex)
             if live.size:
-                out[live] = self._apply(x, data[:, live], deriv_order, rows[live])
-        return out.reshape(shape[1:] + x.shape)
+                out[live] = self._apply(x, data[:, live], deriv_order, live)
+        return out.reshape(self.shape + x.shape)
 
     def _apply(self, x, data, deriv_order, rows):
         """:meth:`eval` on one or more rows that all carry data, (len(rows),
@@ -320,8 +310,10 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     t = ``q.t`` on a normal grid that resolves the slowest decay of the
     sample; the fit is ordinary least squares on the middle 80% of the
     modulus decades, excluding non-finite or underflowed norms.
-    One kernel batch per chunk of lambda, then one :meth:`KernelBatch.eval`
-    per derivative order on the modes where g is nonzero: one chunk of every
+    One kernel batch per chunk of lambda on the modes where g is nonzero,
+    so only those modes are built and checked, then one
+    :meth:`KernelBatch.eval` per derivative order; the profiles are exactly
+    zero off those modes and enter the norm so.  One chunk of every
     lambda below ``_THREADED_MODES`` modes, else one chunk per lambda, on
     :func:`sweep_workers` threads (NumPy releases the GIL in the eigenvalue,
     exponential and contraction stages).  Each norm has its own slot, so no
@@ -336,6 +328,7 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     mods = np.asarray(sample.moduli, dtype=float)
     # the grids' cached arrays are formed here, not raced for by the threads
     x, xi_modes, _ = xgrid.x, tgrid.xi_modes, tgrid.xi_sq
+    support = xi_modes[live]
     lams = sample.points()
     norms = np.empty(len(lams))
     # the calling thread is one of the workers: each further thread brings
@@ -355,8 +348,8 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
         # finished, so every chunk before the first failure is evaluated
         for i in todo:
             try:
-                batch = kernel_batch(problem, lams[i:i + size], xi_modes)
-                chunk = [batch.eval(x, data, l, live) for l in range(q.k + 1)]
+                batch = kernel_batch(problem, lams[i:i + size], support)
+                chunk = [batch.eval(x, data, l) for l in range(q.k + 1)]
                 for c in range(batch.shape[0]):
                     norms[i + c] = sobolev_mixed_norm([spread(prof[c]) for prof in chunk],
                                                       q.p, q.r, q.t, tgrid, xgrid)

@@ -20,17 +20,17 @@ coefficients match derivatives up to order K-1 across 0 (Vandermonde system
 ``x = h i`` the reflection reads the grid samples at ``k i``: no interpolation.
 
 R(lambda) f is one call from the datum: :func:`halfspace_resolvent` takes
-``f`` (modes x uniform normal nodes) and one lambda or an array of them.
-Every operator is diagonal in the tangential modes, so only the active rows,
-the modes where ``f`` is nonzero, carry data; every other row of R(lambda) f
-is exactly zero.  On the active rows it runs the Seeley extension and its
-FFT, the multiplier ``(lambda - A)^{-1}`` for every lambda at once
-(:func:`whole_space_resolvent`), the inverse FFT and the boundary traces
-by blocks of lambdas, and the Poisson correction from one kernel batch over
-every (lambda, mode) pair that serves all m boundary indices.  The checks run on every row of
-``xi_modes``, active or not, and the caller picks those rows: the
-ill-conditioning test of the multiplier, and the root-margin, root-count
-and LS tests of the kernel batch.
+``f`` (modes x uniform normal nodes) and one lambda or an array of them, and
+solves every row of ``xi_modes``.  Every operator is diagonal in the
+tangential modes, so a zero row of ``f`` stays exactly zero through the FFT,
+the multiplier and the traces, and :meth:`~halfpoisson.poisson.KernelBatch.eval`
+skips it; a caller that wants fewer rows passes fewer rows.  The call runs
+the Seeley extension and its FFT, the multiplier ``(lambda - A)^{-1}`` for
+every lambda at once (:func:`whole_space_resolvent`, which also tests it for
+ill-conditioning), the inverse FFT and the boundary traces by blocks of
+lambdas, and the Poisson correction from one kernel batch over every
+(lambda, mode) pair that serves all m boundary indices and checks the root
+margin, root count and LS measure on every pair.
 
 The semigroup uses trapezoid quadrature of ``(2 pi i)^{-1} \\oint e^{z t}
 R(z + _SIGMA) dz`` over a left-opening hyperbola; resolvents are only ever
@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +54,6 @@ __all__ = [
     "seeley_extend",
     "whole_space_resolvent",
     "halfspace_resolvent",
-    "ResolventResult",
     "interior_residual_fd",
     "boundary_trace_fd",
     "semigroup_apply",
@@ -112,21 +109,19 @@ def seeley_extend(profile: np.ndarray, K: int, grid: UniformHalfGrid) -> np.ndar
 
 
 def whole_space_resolvent(problem: mdl.ModelProblem, lam, f_hat: np.ndarray,
-                          xi_modes: np.ndarray, xi_normal: np.ndarray,
-                          rows) -> np.ndarray:
+                          xi_modes: np.ndarray, xi_normal: np.ndarray) -> np.ndarray:
     """(lambda - A(D))^{-1} as the diagonal multiplier on 2-D frequency data.
 
-    ``lam`` is one parameter or an array of them; the result has the shape
-    ``lam.shape + f_hat.shape``.  ``f_hat`` holds the rows ``rows`` of the
-    ``xi_modes`` x normal-frequency grid (frequencies ``xi_normal``), but the
-    ill-conditioning test, scaled by (1 + |xi'|^2 + xi_n^2)^m, covers every
-    row.
+    ``lam`` is one parameter or an array of them; ``f_hat`` holds the
+    ``xi_modes`` x normal-frequency grid (frequencies ``xi_normal``), and the
+    result has the shape ``lam.shape + f_hat.shape``.  Raises where the
+    multiplier is ill conditioned, scaled by (1 + |xi'|^2 + xi_n^2)^m.
     """
     lam = np.asarray(lam, dtype=complex)
     symbol = problem.interior_symbol(xi_modes, xi_normal)
     weight = (1.0 + (xi_modes ** 2).sum(1)[:, None] + xi_normal ** 2) ** problem.m
     _check_multiplier(lam.reshape(-1), symbol, weight)
-    denom = lam.reshape(lam.shape + (1, 1)) - symbol[rows]
+    denom = lam.reshape(lam.shape + (1, 1)) - symbol
     return np.divide(f_hat, denom, out=denom)
 
 
@@ -146,62 +141,38 @@ def _check_multiplier(lams: np.ndarray, symbol: np.ndarray, weight: np.ndarray) 
             raise ValueError(f"resolvent multiplier ill conditioned at lambda={lam}")
 
 
-@dataclass(frozen=True)
-class ResolventResult:
-    """R(lambda) f for one lambda or an array of them.
-
-    Only the ``rows`` where f is nonzero are computed; every other row is
-    exactly zero.
-    """
-
-    rows: np.ndarray         # (A,) active modes, where f is nonzero
-    n_modes: int
-    u_rows: np.ndarray       # lam.shape + (A, N), half-line samples on the rows
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        """lam.shape + (modes, N), half-line samples of R(lambda) f."""
-        out = np.zeros(self.u_rows.shape[:-2] + (self.n_modes, self.u_rows.shape[-1]),
-                       dtype=complex)
-        out[..., self.rows, :] = self.u_rows
-        return out
-
-
 def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
-                        xi_modes: np.ndarray, ugrid: UniformHalfGrid) -> ResolventResult:
-    """R(lambda) f on the half-space grid.
+                        xi_modes: np.ndarray, ugrid: UniformHalfGrid) -> np.ndarray:
+    """R(lambda) f on the half-space grid, shape ``lam.shape + (M, N)``.
 
-    ``f`` holds data on the modes ``xi_modes`` x uniform normal nodes;
-    ``lam`` is one parameter or an array of them.  One kernel batch covers
-    every (lambda, mode) pair, and the extension, the multiplier, the
-    inverse FFT, the traces and the Poisson correction run on the rows where
-    ``f`` is nonzero only.
+    ``f`` holds data on the M modes ``xi_modes`` x the N uniform normal
+    nodes; ``lam`` is one parameter or an array of them.  Every row is
+    solved, and one kernel batch covers every (lambda, mode) pair; a row
+    where ``f`` vanishes comes out exactly zero.
     """
     lam = np.asarray(lam, dtype=complex)
     f = np.asarray(f, dtype=complex)
     if f.shape != (len(xi_modes), ugrid.N):
         raise ValueError(f"f has shape {f.shape}, the grids hold "
                          f"{len(xi_modes)} modes x {ugrid.N} nodes")
-    rows = np.flatnonzero(np.any(f != 0, axis=-1))
     # u is made before the frequency data W, and the traces and the inverse
     # FFT read W in blocks of 256 kB: with no temporary as large as W beside
     # it, glibc keeps what a call frees for the next one instead of unmapping
     # it and faulting it in again
     lams = lam.reshape(-1)
-    u = np.empty((lams.size, len(rows), ugrid.N), dtype=complex)
+    u = np.empty((lams.size,) + f.shape, dtype=complex)
     traces = np.empty((problem.m,) + u.shape[:-1], dtype=complex)
-    F = np.fft.fft(seeley_extend(f[rows], _seeley_order(problem), ugrid), axis=-1)
-    W = whole_space_resolvent(problem, lams, F, xi_modes, ugrid.xi_normal, rows)
+    F = np.fft.fft(seeley_extend(f, _seeley_order(problem), ugrid), axis=-1)
+    W = whole_space_resolvent(problem, lams, F, xi_modes, ugrid.xi_normal)
     step = max(1, (1 << 18) // max(W[:1].nbytes, 1))
     for i in range(0, len(W), step):
         # D_n^l w at x = 0 from the normal-frequency data
-        traces[:, i:i + step] = problem.boundary_traces(xi_modes[rows], lambda l: (
+        traces[:, i:i + step] = problem.boundary_traces(xi_modes, lambda l: (
             W[i:i + step] * ugrid.xi_normal ** l).sum(axis=-1) / W.shape[-1])
         u[i:i + step] = np.fft.ifft(W[i:i + step], axis=-1)[..., : ugrid.N]
     del W
-    u -= kernel_batch(problem, lams, xi_modes).eval(ugrid.x, traces, 0, rows)
-    return ResolventResult(rows=rows, n_modes=len(xi_modes),
-                           u_rows=u.reshape(lam.shape + u.shape[1:]))
+    u -= kernel_batch(problem, lams, xi_modes).eval(ugrid.x, traces, 0)
+    return u.reshape(lam.shape + f.shape)
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
@@ -304,13 +275,11 @@ def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
     z = [mu * (1.0 - cmath.sin(_ALPHA + 1j * th)) for th in thetas]
     dz = [-1j * mu * cmath.cos(_ALPHA + 1j * th) for th in thetas]
     u0 = np.asarray(u0, dtype=complex)
-    res = halfspace_resolvent(problem, np.array([zk + _SIGMA for zk in z]),
-                              u0, xi_modes, ugrid)
+    us = halfspace_resolvent(problem, np.array([zk + _SIGMA for zk in z]),
+                             u0, xi_modes, ugrid)
     # accumulate in node order: the sum is the same, bit for bit, as one
     # resolvent solve per node
-    acc = np.zeros((len(res.rows), ugrid.N), dtype=complex)
-    for zk, dzk, uk in zip(z, dz, res.u_rows):
+    acc = np.zeros_like(u0)
+    for zk, dzk, uk in zip(z, dz, us):
         acc += (cmath.exp(zk * t) * dzk) * uk
-    full = np.zeros_like(u0)
-    full[res.rows] = acc
-    return math.exp(_SIGMA * t) * (h / (2.0j * math.pi)) * full
+    return math.exp(_SIGMA * t) * (h / (2.0j * math.pi)) * acc

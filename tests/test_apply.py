@@ -1,9 +1,9 @@
 """Applying the Poisson operators to boundary data: ``KernelBatch.eval``.
 
-``eval(x, data, d, modes)`` returns ``sum_j D^d Poi_j data[j]`` at every
-lambda of the batch on ``modes``; it is linear in the data, and a
-(lambda, mode) pair whose data all vanish is exactly zero and never reaches
-the basis functions.
+``eval(x, data, d)`` returns ``sum_j D^d Poi_j data[j]`` on every
+(lambda, mode) pair of the batch; it is linear in the data, and a pair
+whose data all vanish is exactly zero and never reaches the basis
+functions.
 """
 
 import math
@@ -52,21 +52,19 @@ def _counted_propagate(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(PROBLEMS)), draw=st.data())
 def test_eval_is_the_data_weighted_sum_of_the_unit_kernels(name, draw):
-    """Modes drawn with repeats and in any order; data zero on some pairs."""
+    """Data drawn zero on some (lambda, mode) pairs, on all or on none."""
     p = PROBLEMS[name]()
     batch = _batch(p)
-    modes = np.array(draw.draw(st.lists(st.integers(0, batch.shape[-1] - 1),
-                                        min_size=1, max_size=8)))
     d = draw.draw(st.integers(0, 2))
     rng = np.random.default_rng(draw.draw(st.integers(0, 2 ** 32 - 1)))
-    pairs = (len(LAMS), len(modes))
+    pairs = batch.shape
     data = rng.standard_normal((p.m,) + pairs + (2,)) @ np.array([1.0, 1.0j])
     zero = rng.random(pairs) < draw.draw(st.sampled_from([0.0, 0.5, 1.0]))
     data[:, zero] = 0.0
-    table = kernel_table(batch, X, d, modes)             # (m, lam, modes, x)
+    table = kernel_table(batch, X, d)                    # (m, lam, modes, x)
     want = np.einsum("jlr,jlrx->lrx", data, table)
     scale = np.einsum("jlr,jlr->lr", np.abs(data), np.abs(table).max(axis=-1))
-    got = batch.eval(X, data, d, modes)
+    got = batch.eval(X, data, d)
     assert got.shape == pairs + (len(X),)
     assert np.all(np.abs(got - want) <= 1e-14 * scale[..., None])
     assert not np.any(got[zero])
@@ -84,27 +82,10 @@ def test_row_without_data_is_exact_zero_and_not_evaluated(monkeypatch):
     data[1, 1, 2] = 2.0 - 1.0j
     got = batch.eval(X, data, 1)
     assert calls == [(1, len(X))]
-    want = (2.0 - 1.0j) * kernel_table(batch, X, 1, [2])[1, 1, 0]
+    want = (2.0 - 1.0j) * kernel_table(batch, X, 1)[1, 1, 2]
     assert np.abs(got[1, 2] - want).max() <= 1e-14 * np.abs(want).max()
     got[1, 2] = 0.0
     assert not np.any(got)
-
-
-def test_mode_outside_the_grid_is_rejected():
-    """Mode M at the first lambda would be row M, the second lambda's mode 0."""
-    batch = _batch(hp.dirichlet_laplacian())
-    M = batch.shape[-1]
-    data = np.ones((1, 1, 1))
-    for modes in ([M], [0, -1], np.arange(M + 1), np.array([-1])):
-        with pytest.raises(IndexError, match="modes must lie in"):
-            batch.eval(X, data, 0, modes)
-    # an array of modes prints plain ints, as a list does
-    for modes in ([M], np.array([M]), np.array([0, M], dtype=np.int32)):
-        got = ", ".join(map(str, modes))
-        with pytest.raises(IndexError,
-                           match=rf"^modes must lie in 0\.\.{M - 1}, got \[{got}\]$"):
-            batch.eval(X, data, 0, modes)
-    assert batch.eval(X, data, 0, np.array([0, M - 1])).shape == (len(LAMS), 2, len(X))
 
 
 def test_datum_without_its_lambda_axis_is_refused():

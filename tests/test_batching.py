@@ -1,4 +1,4 @@
-"""Batching over lambda and over the modes that carry data.
+"""Batching over lambda and over the modes.
 
 A batch must give the same bits as the calls it replaces, its checks must
 still see the modes without data, and the contour and the parabolic solver
@@ -18,6 +18,7 @@ from halfpoisson import poisson as poi
 from halfpoisson import resolvent as res
 from halfpoisson.grids import TangentialGrid, UniformHalfGrid
 from kernel_table import kernel_table
+from test_apply import _counted_propagate
 from test_oblique import oblique_laplacian
 
 LAMS = np.array([4.0 + 2.0j, 50.0 * np.exp(0.6j), 0.5 - 3.0j, 1.0 + 0.0j,
@@ -53,8 +54,9 @@ def _ls_violating_laplacian():
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_per_row_lambda_batch_equals_scalar_batches(name):
     """A batch over a lambda list (with a repeat) x the modes, and over the
-    same lambda as a 2-D array, gives the bits of one batch per lambda, on
-    all modes and on modes picked with repeats and out of order."""
+    same lambda as a 2-D array, gives the bits of one batch per lambda; a
+    batch on modes picked with repeats and out of order gives the bits of
+    those modes' columns."""
     p = PROBLEMS[name]()
     tg, _ = _grids(p)
     x = np.array([0.0, 0.3, 1.1, 2.5])
@@ -67,31 +69,36 @@ def test_per_row_lambda_batch_equals_scalar_batches(name):
     grid = poi.kernel_batch(p, lams.reshape(3, 2), tg.xi_modes)
     assert grid.shape == (3, 2, tg.n_modes)
     modes = np.array([6, 3, 1, 6])
+    picked = poi.kernel_batch(p, lams, tg.xi_modes[modes])
     for k in (0, 1):
         full = kernel_table(batch, x, k)
         assert np.array_equal(full, np.stack([kernel_table(b, x, k) for b in singles],
                                              axis=1))
         assert np.array_equal(kernel_table(grid, x, k),
                               full.reshape(full.shape[:1] + (3, 2) + full.shape[2:]))
-        assert np.array_equal(kernel_table(batch, x, k, modes), full[:, :, modes])
+        assert np.array_equal(kernel_table(picked, x, k), full[:, :, modes])
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
-def test_vector_lambda_resolvent_equals_scalar_calls(name):
-    """A datum with several active rows; the other rows stay exactly zero."""
+def test_vector_lambda_resolvent_equals_scalar_calls(name, monkeypatch):
+    """A datum with several rows of data: those rows carry the bits of one
+    scalar-lambda call each, and the rows without data come out exactly
+    zero without reaching the basis functions."""
     p = PROBLEMS[name]()
     tg, ug = _grids(p)
     f = np.zeros((tg.n_modes, ug.N), dtype=complex)
     active = [1, 4, 6]
     for i, q in enumerate(active):
         f[q] = (1.0 + 0.5j * i) * ug.x ** i * np.exp(-(1.0 + 0.2 * i) * ug.x)
-    sol = res.halfspace_resolvent(p, LAMS, f, tg.xi_modes, ug)
-    assert sol.rows.tolist() == active
-    singles = [res.halfspace_resolvent(p, lam, f, tg.xi_modes, ug) for lam in LAMS]
-    assert sol.u.shape == (len(LAMS), tg.n_modes, ug.N)
-    assert np.array_equal(sol.u, np.stack([s.u for s in singles]))
+    calls = _counted_propagate(monkeypatch)
+    u = res.halfspace_resolvent(p, LAMS, f, tg.xi_modes, ug)
+    assert calls == [(len(LAMS) * len(active), ug.N)]
+    assert u.shape == (len(LAMS), tg.n_modes, ug.N)
     inactive = np.setdiff1d(np.arange(tg.n_modes), active)
-    assert not np.any(sol.u[:, inactive])
+    assert not np.any(u[:, inactive])
+    singles = np.stack([res.halfspace_resolvent(p, lam, f, tg.xi_modes, ug)
+                        for lam in LAMS])
+    assert np.array_equal(u[:, active], singles[:, active])
 
 
 def _semigroup_per_node(p, u0, t, tg, ug):
@@ -104,7 +111,7 @@ def _semigroup_per_node(p, u0, t, tg, ug):
         z = mu * (1.0 - cmath.sin(res._ALPHA + 1j * th))
         dz = -1j * mu * cmath.cos(res._ALPHA + 1j * th)
         acc += (cmath.exp(z * t) * dz) * res.halfspace_resolvent(
-            p, z + res._SIGMA, u0, tg.xi_modes, ug).u
+            p, z + res._SIGMA, u0, tg.xi_modes, ug)
     return math.exp(res._SIGMA * t) * ((thetas[1] - thetas[0]) / (2.0j * math.pi)) * acc
 
 
@@ -183,7 +190,7 @@ def test_multiplier_check_agrees_with_the_full_test():
         full = np.any(np.abs(lam - symbol) < 1e-14 * (abs(lam) + weight))
         outcomes.add(bool(full))
         try:
-            res.whole_space_resolvent(p, lam, f, tg.xi_modes, ug.xi_normal, [3])
+            res.whole_space_resolvent(p, lam, f, tg.xi_modes, ug.xi_normal)
         except ValueError:
             assert full, lam
         else:
@@ -191,7 +198,7 @@ def test_multiplier_check_agrees_with_the_full_test():
     assert outcomes == {True, False}
     with pytest.raises(ValueError, match="ill conditioned"):
         res.whole_space_resolvent(p, np.array([4.0 + 2.0j, picks[0]]), f, tg.xi_modes,
-                                  ug.xi_normal, [3])
+                                  ug.xi_normal)
 
 
 def test_semigroup_of_zero_data_is_exactly_zero():
@@ -271,8 +278,8 @@ def test_one_row_resolvent_equals_the_torus_row(name, n):
     row = np.exp(-ug.x)[None] * (1.0 + 0.5j)
     torus = res.halfspace_resolvent(p, LAMS, _on_mode(tg, q, row, 0), tg.xi_modes, ug)
     alone = res.halfspace_resolvent(p, LAMS, row, one, ug)
-    assert alone.u.shape == (len(LAMS), 1, ug.N)
-    assert np.array_equal(alone.u[:, 0], torus.u[:, q])
+    assert alone.shape == (len(LAMS), 1, ug.N)
+    assert np.array_equal(alone[:, 0], torus[:, q])
 
 
 @ONE_ROW

@@ -65,15 +65,15 @@ def test_resolvent_boundary_trace(n, a):
     f = np.zeros((tg.n_modes, ug.N), dtype=complex)
     f[q] = np.exp(-ug.x)
     lam = 4.0 + 2.0j
-    sol = res.halfspace_resolvent(p, lam, f, tg.xi_modes, ug)
-    assert sol.rows.tolist() == [q]
+    u = res.halfspace_resolvent(p, lam, f, tg.xi_modes, ug)
+    assert not np.any(np.delete(u, q, axis=0))
     # the correction does work: R(lambda) f differs from the restricted
     # whole-space solution r_+ (lambda - A)^{-1} E f
     F = np.fft.fft(res.seeley_extend(f[[q]], res._seeley_order(p), ug), axis=-1)
-    W = res.whole_space_resolvent(p, lam, F, tg.xi_modes, ug.xi_normal, [q])
+    W = res.whole_space_resolvent(p, lam, F, tg.xi_modes[[q]], ug.xi_normal)
     w = np.fft.ifft(W, axis=-1)[0, : ug.N]
-    assert np.abs(sol.u_rows[0] - w).max() > 1e-3
-    assert np.abs(res.boundary_trace_fd(p, sol.u, tg.xi_modes, ug)).max() <= 1e-4
+    assert np.abs(u[q] - w).max() > 1e-3
+    assert np.abs(res.boundary_trace_fd(p, u, tg.xi_modes, ug)).max() <= 1e-4
 
 
 @pytest.mark.parametrize("a", A_VALUES)

@@ -93,6 +93,35 @@ def test_threads_give_the_bits_of_the_serial_loop(name, monkeypatch):
     assert np.array_equal(got.norms, want)
 
 
+@pytest.mark.parametrize("name", ["dirichlet", "neumann", "clamped"])
+def test_batch_on_the_datums_modes_gives_the_bits_of_the_whole_torus(name, monkeypatch):
+    """On the 16-mode torus (t <= s) each chunk's kernel batch holds the
+    datum's one mode, and the norms are those of one batch on every mode,
+    evaluated with the datum's zeros off its mode."""
+    make, keys = CASES[name]
+    p = make()
+    q = poi.ExponentQuery.for_problem(p, **{"k": 0, "p": 2.0, "r": 0.0, "t": 0.0,
+                                            "s": 0.0, "j": 0, **keys})
+    sample = _sample()
+    tg, g = _unit_datum(1, SMALL)
+    lams = sample.points()
+    xg = _normal_grid(p, sample)
+    batch = poi.kernel_batch(p, lams, tg.xi_modes)
+    data = np.eye(p.m)[:, q.j, None, None] * g
+    profiles = [batch.eval(xg.x, data, l) for l in range(q.k + 1)]
+    want = [sp.sobolev_mixed_norm([prof[c] for prof in profiles], q.p, q.r, q.t, tg, xg)
+            for c in range(len(lams))]
+    real, modes = poi.kernel_batch, []
+
+    def counted(problem, lam, xi_modes):
+        modes.append(len(xi_modes))
+        return real(problem, lam, xi_modes)
+    monkeypatch.setattr(poi, "kernel_batch", counted)
+    got = poi.decay_sweep(p, q, sample, g, tg)
+    assert modes == [1, 1]         # decay_rate's batch at xi' = 0, then the chunk
+    assert np.array_equal(got.norms.ravel(), want)
+
+
 def test_threads_only_on_large_grids(monkeypatch):
     """On the large grid the first two lambda wait for each other, which
     takes two threads; on the small one every lambda runs on the caller."""
@@ -101,17 +130,18 @@ def test_threads_only_on_large_grids(monkeypatch):
     monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
     first_two = _sample().points()[:2]
     meet = threading.Barrier(2, timeout=10)
-    real, seen = poi.kernel_batch, set()
+    real, seen, large = poi.kernel_batch, set(), []
 
     def recorded(problem, lam, xi_modes):
         seen.add(threading.get_ident())
-        if len(xi_modes) == LARGE and lam in first_two:
+        if large and lam in first_two:
             meet.wait()
         return real(problem, lam, xi_modes)
     monkeypatch.setattr(poi, "kernel_batch", recorded)
     tg, g = _unit_datum(1, SMALL)
     poi.decay_sweep(p, q, _sample(), g, tg)
     assert seen == {threading.get_ident()}
+    large.append(True)
     tg, g = _unit_datum(1, LARGE)
     poi.decay_sweep(p, q, _sample(), g, tg)
     assert len(seen) == 2

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,36 @@ def test_job_times_ends_with_each_trees_sum_of_job_medians(monkeypatch, capsys):
     # A: j1 (1, 2, 3), j2 (3, 5, 0.5), sums (4, 7, 3.5); B: j1 (1, 4, 3),
     # j2 (2, 1, 1), sums (3, 5, 4)
     assert rows[-1] == ["deck_s", "5.0000", "4.0000", "0.800", "2/3"]
+
+
+def test_job_times_warms_up_on_each_kind_of_the_whole_deck(monkeypatch):
+    """The first job of each (command, problem) kind runs once, in deck
+    order and whatever ``--only`` picks, before any job is timed; then each
+    picked job runs once untimed and ``TIMED`` times timed."""
+    kinds = [("a", "p"), ("b", "p"), ("a", "p"), ("a", "q"), ("b", None)]
+    deck = [types.SimpleNamespace(ident=f"{i:02d}:{c}|{p}", command=c, problem=p)
+            for i, (c, p) in enumerate(kinds)]
+    calls = []
+    monkeypatch.setitem(sys.modules, "jobs", types.SimpleNamespace(
+        deck=lambda workload, seed: deck))
+    monkeypatch.setitem(sys.modules, "deck_hashes", types.SimpleNamespace(
+        run_job=lambda job, outdir, scratch: calls.append(job.ident[:2])))
+    times = job_times.job_times("sweep", 1, "a|")
+    assert list(times) == ["00:a|p", "02:a|p", "03:a|q"]
+    runs = 1 + job_times.TIMED
+    assert calls == ["00", "01", "03", "04"] + ["00"] * runs + ["02"] * runs + ["03"] * runs
+
+
+def test_job_times_refuses_fewer_than_one_round(monkeypatch, capsys):
+    def child(*args):
+        raise AssertionError("no interpreter should start")
+    monkeypatch.setattr(job_times, "_child", child)
+    for rounds in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            job_times.main(["a", "b", "--workload", "sweep", "--seed", "1",
+                            "--rounds", rounds])
+        assert exc.value.code == 2
+        assert f"--rounds must be at least 1, got {rounds}" in capsys.readouterr().err
 
 
 def test_job_peaks_prints_each_jobs_growth_over_the_import(monkeypatch, capsys):

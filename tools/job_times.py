@@ -7,12 +7,15 @@ starts one fresh interpreter per tree, A first in even rounds and B first in
 odd ones.  Each interpreter runs every job of the workload's deck for ``S``
 (this repository's ``perfbench/jobs.py``, so both trees run the same jobs;
 with ``--only``, the jobs whose ident contains ``SUBSTR``) through
-``halfpoisson.cli.main``: once untimed, then ``TIMED`` times timed.  A job's
-time in a round is the median of its timed runs.  Prints, per job, the
-median over rounds of its time on A and on B, the ratio B/A, and the number
-of rounds in which B was faster; then, in the same columns, the row
-``ru_maxrss_mb``: each tree's median over its interpreters of their peak
-resident set size (``ru_maxrss``, in MB of 1024 KiB, as the benchmark's
+``halfpoisson.cli.main``: once untimed, then ``TIMED`` times timed.  Before
+the first of them it runs the first job of each (command, problem) kind of
+the whole deck once, as the benchmark's worker warms up, so that the jobs
+are timed in the allocator state of the benchmark's timed passes.  A job's
+time in a round is the median of its timed runs; ``R`` must be at least 1.
+Prints, per job, the median over rounds of its time on A and on B, the
+ratio B/A, and the number of rounds in which B was faster; then, in the
+same columns, the row ``ru_maxrss_mb``: each tree's median over its
+interpreters of their peak resident set size (``ru_maxrss``, in MB of 1024 KiB, as the benchmark's
 ``peak_rss_mb``), and the rounds in which B's was lower; and last the row
 ``deck_s``: each tree's sum of its per-job medians, and the rounds in which
 B's jobs took less time in all.  The benchmark's ``jobs_per_s`` is the
@@ -41,14 +44,18 @@ RSS, DECK = "ru_maxrss_mb", "deck_s"
 
 
 def job_times(workload: str, seed: int, only: str) -> dict[str, float]:
-    """Median seconds of ``TIMED`` runs of each selected job, after one
-    untimed run, in this interpreter."""
+    """Median seconds of ``TIMED`` runs of each selected job, after the
+    deck's warm-up and one untimed run, in this interpreter."""
     import jobs
     from deck_hashes import run_job
 
-    out = {}
+    deck, first, out = jobs.deck(workload, seed), {}, {}
+    for job in deck:
+        first.setdefault((job.command, job.problem), job)
     with tempfile.TemporaryDirectory() as scratch:
-        for job in jobs.deck(workload, seed):
+        for job in first.values():
+            run_job(job, Path(scratch, job.ident.split(":")[0]), Path(scratch))
+        for job in deck:
             if only not in job.ident:
                 continue
             outdir = Path(scratch, job.ident.split(":")[0])
@@ -85,6 +92,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--only", default="", metavar="SUBSTR")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error(f"--rounds must be at least 1, got {args.rounds}")
     trees = (args.a.resolve(), args.b.resolve())
     rounds = []
     for r in range(args.rounds):
