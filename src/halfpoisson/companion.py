@@ -19,7 +19,11 @@ homogeneous symmetric polynomials ``h_d`` of the roots, which take no
 differences at all.  Each row runs through three stages, each batched:
 
 * :func:`build_companion` finds the stable roots, sorted by increasing
-  ``Im tau``, with the data of the root-margin and root-count checks;
+  ``Im tau``, with the data of the root-margin and root-count checks.  A
+  row even in tau, as every row of an operator with no odd normal
+  derivative is, takes its roots as ``+-sqrt(sigma)`` from the m x m
+  companion in sigma = tau^2, the others from the 2m x 2m companion; the
+  route is chosen per row, so that no row's bits depend on its batch;
 * :func:`boundary_map_conditioning` measures the Lopatinskii-Shapiro (LS)
   condition and returns the boundary map in the Newton basis;
 * :func:`propagate` evaluates ``D_n^d`` of the Newton basis functions.
@@ -96,11 +100,26 @@ def _frequency_rows(problem, lam, xi_modes: np.ndarray):
     return char.reshape(-1, 2 * m + 1), rows.reshape(-1, m, 2 * m), rho.reshape(-1)
 
 
+def _companion(poly: np.ndarray) -> np.ndarray:
+    """Companion matrices (U, d, d) of the polynomials ``poly`` (U, d + 1),
+    coefficients in increasing powers: their eigenvalues are the roots."""
+    d = poly.shape[1] - 1
+    C = np.zeros((len(poly), d, d), dtype=complex)
+    C[:, np.arange(d - 1), np.arange(1, d)] = 1.0
+    C[:, -1, :] = -poly[:, :d] / poly[:, d, None]
+    return C
+
+
 def build_companion(char: np.ndarray, rho: np.ndarray):
     """Stable roots of the characteristic polynomials ``char`` (U, 2m + 1).
 
-    Builds the U companion matrices and takes their eigenvalues in one
-    batched call.  Returns ``(taus, margin, counts)``: the m roots with the
+    The roots are the eigenvalues of companion matrices, taken in batched
+    calls.  A row whose odd-power coefficients are all exactly zero is a
+    polynomial in sigma = tau^2: its 2m roots are ``+-sqrt(sigma)`` over the
+    eigenvalues sigma of the m x m companion of ``char[q, ::2]``.  Every
+    other row takes the 2m x 2m companion of ``char[q]``.  The route is
+    chosen row by row, so a row's bits do not depend on the rows batched
+    with it.  Returns ``(taus, margin, counts)``: the m roots with the
     smallest positive imaginary parts, sorted by increasing ``Im tau``
     (U, m); the smallest ``|Im tau| / rho`` over all 2m roots (U,); and the
     number of roots with ``Im tau > 0`` (U,).  A row is elliptic when
@@ -108,10 +127,13 @@ def build_companion(char: np.ndarray, rho: np.ndarray):
     last roots of ``taus`` are not stable.
     """
     order = char.shape[1] - 1
-    C = np.zeros((len(char), order, order), dtype=complex)
-    C[:, np.arange(order - 1), np.arange(1, order)] = 1.0
-    C[:, -1, :] = -char[:, :order] / char[:, order, None]
-    eigs = np.linalg.eigvals(C)
+    even = ~char[:, 1::2].any(axis=1)
+    eigs = np.empty((len(char), order), dtype=complex)
+    if even.any():
+        root = np.sqrt(np.linalg.eigvals(_companion(char[even, ::2])))
+        eigs[even] = np.concatenate([root, -root], axis=1)
+    if not even.all():
+        eigs[~even] = np.linalg.eigvals(_companion(char[~even]))
     pos = eigs.imag > 0
     key = np.where(pos, eigs.imag, np.inf)
     idx = np.argsort(key, axis=1)[:, :order // 2]

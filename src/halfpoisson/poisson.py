@@ -288,8 +288,9 @@ def _fit_slopes(x: np.ndarray, norms: np.ndarray, predicted: float) -> SweepResu
     return SweepResult(x=x, norms=norms, slopes=slopes, predicted=predicted)
 
 
-# decay_sweep runs on one thread below this many tangential modes: a lambda's
-# work is then mostly interpreter time, and threads only contend for the GIL
+# decay_sweep runs on one thread when the datum has fewer nonzero modes: a
+# lambda's work is then mostly interpreter time and the root stage, whose
+# batched eigenvalue call holds the GIL, so threads only contend for it
 # (on two CPUs, 16 modes: 1.15-1.64x the time of one thread; 256: 0.54-0.80x)
 _THREADED_MODES = 256
 
@@ -314,11 +315,12 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     so only those modes are built and checked, then one
     :meth:`KernelBatch.eval` per derivative order; the profiles are exactly
     zero off those modes and enter the norm so.  One chunk of every
-    lambda below ``_THREADED_MODES`` modes, else one chunk per lambda, on
-    :func:`sweep_workers` threads (NumPy releases the GIL in the eigenvalue,
-    exponential and contraction stages).  Each norm has its own slot, so no
-    bit depends on the chunks or threads.  The first chunk to fail, in
-    sample order, raises.
+    lambda when g has fewer than ``_THREADED_MODES`` nonzero modes, else one
+    chunk per lambda, on :func:`sweep_workers` threads (the batched
+    eigenvalue call of the root stage holds the GIL, so the threads cannot
+    share that stage).  Each norm has its own slot, so no bit depends on
+    the chunks or threads.  The first chunk to fail, in sample order,
+    raises.
     """
     live = np.flatnonzero(np.ravel(g_hat))
     data = np.eye(problem.m)[:, q.j, None, None] * np.ravel(g_hat)[live]   # g on index j only
@@ -333,7 +335,7 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     norms = np.empty(len(lams))
     # the calling thread is one of the workers: each further thread brings
     # its own malloc arena, whose freed pages stay resident
-    size, threads = (len(lams), 1) if tgrid.n_modes < _THREADED_MODES else (1, sweep_workers())
+    size, threads = (len(lams), 1) if len(live) < _THREADED_MODES else (1, sweep_workers())
     todo, failed = iter(range(0, len(lams), size)), {}
 
     def spread(prof):   # the profile on every mode, exactly 0 off the datum's

@@ -1,8 +1,9 @@
 """The one kernel route, in the Newton basis of the stable roots, against
 independent references.
 
-* The kernels of the bundled problems, the oblique Laplacian and an m = 3
-  polyharmonic problem against mpmath: 50-digit roots of the characteristic
+* The kernels of the bundled problems, the oblique Laplacian, the sheared
+  Laplacian (odd in tau, so off xi_1 = 0 its rows take the full companion)
+  and an m = 3 polyharmonic problem against mpmath: 50-digit roots of the characteristic
   polynomial taken exactly from the problem data, and the root-basis solve
   in that precision.  For the clamped problem at lambda = 4 and |xi'| up to
   3e4 the stable roots agree to 2e-9 relative; there the exponential root
@@ -10,6 +11,8 @@ independent references.
 * The general (m >= 3) evaluation path on m = 2 rows against divided
   differences taken in mpmath.
 * Stable roots that tie exactly against the confluent divided differences.
+* A row's roots and coefficients do not depend on the rows batched with it,
+  whichever companion each row takes.
 * The batched LS measure against an ordered Schur reference on SciPy.
 * The boundary reproduction tr B_k Poi_j = delta_kj for |xi'| up to 1e5.
 """
@@ -31,12 +34,25 @@ from test_batching import _ls_violating_laplacian
 from test_companion import ordered_schur
 from test_oblique import oblique_laplacian
 
+
+def sheared_dirichlet_laplacian() -> hp.ModelProblem:
+    """A(xi) = -(xi_1^2 + xi_1 xi_n + xi_n^2) with the trace condition: the
+    characteristic polynomial has the odd term xi_1 tau, so its rows are
+    even in tau at xi_1 = 0 only."""
+    base = hp.dirichlet_laplacian()
+    return hp.ModelProblem(
+        n=2, m=1, interior_coeffs={(2, 0): -1.0, (1, 1): -1.0, (0, 2): -1.0},
+        boundary_ops=base.boundary_ops, phi_prime=base.phi_prime, phi=base.phi,
+        name="sheared_dirichlet_laplacian")
+
+
 PROBLEMS = {
     "dirichlet": hp.dirichlet_laplacian,
     "neumann": hp.neumann_laplacian,
     "clamped": hp.clamped_bilaplacian,
     "oblique": lambda: oblique_laplacian(2, 0.5),
     "oblique_n3": lambda: oblique_laplacian(3, -1.5),
+    "sheared": sheared_dirichlet_laplacian,
 }
 
 
@@ -134,6 +150,23 @@ def test_polyharmonic_m3_kernel_against_mpmath():
             assert _worst_kernel_error(p, lam, [xi], x) <= 1e-10
 
 
+def test_companion_route_is_chosen_per_row():
+    """On the sheared Laplacian the rows at xi_1 = 0 (either sign) are even
+    in tau and the others are not; in a batch that mixes them every row's
+    roots and coefficients are bitwise those of its own one-row batch."""
+    p = sheared_dirichlet_laplacian()
+    xi = np.array([[0.0], [1.5], [-0.0], [-7.0], [300.0], [0.0]])
+    lam = np.array([4.0 + 2.0j, 1e4 * np.exp(-2.0j)])
+    char = comp._frequency_rows(p, lam, xi)[0]
+    even = ~char[:, 1::2].any(axis=1)
+    assert even.any() and not even.all()
+    batch = poi.kernel_batch(p, lam, xi)
+    for q, (l, x) in enumerate(product(lam, xi)):
+        one = poi.kernel_batch(p, l, x[None])
+        assert np.array_equal(batch.taus[q], one.taus[0])
+        assert np.array_equal(batch.coeff[:, q], one.coeff[:, 0])
+
+
 def _mp_divided_differences(taus, x, d):
     """D^d [tau_1 .. tau_k] e^{i tau x}, k = 1..m, by the recursive formula
     in 50 digits."""
@@ -189,7 +222,7 @@ def _schur_ls_measure(p, xi, lam):
 
 
 @pytest.mark.parametrize("name", ["dirichlet", "neumann", "clamped", "oblique_n3",
-                                  "ls_violating", "polyharmonic"])
+                                  "sheared", "ls_violating", "polyharmonic"])
 def test_ls_measure_against_schur(name, monkeypatch):
     """On the check-ls sample, the batched measure equals the Schur measure;
     both read ~2e-10 at the LS violation."""

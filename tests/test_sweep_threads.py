@@ -1,7 +1,8 @@
 """``decay_sweep`` solves its sector points in chunks of one kernel batch.
-Below ``_THREADED_MODES`` tangential modes one chunk holds every lambda, on
-the calling thread alone; on larger grids each lambda is a chunk, and the
-chunks run on one thread per available CPU.
+When the datum has fewer than ``_THREADED_MODES`` nonzero modes, whatever
+the size of its torus, one chunk holds every lambda, on the calling thread
+alone; otherwise each lambda is a chunk, and the chunks run on one thread
+per available CPU.
 
 Each lambda's norm goes into its own slot, so neither the chunks nor the
 threads change a bit of the norms: they equal those of one serial loop over
@@ -60,7 +61,14 @@ def _unit_datum(n_axes, N):
     return tg, g
 
 
-# modes of the grids that run on one thread and on several
+def _full_datum(N):
+    """<xi'>^-2 on every mode of the N-mode torus."""
+    tg = TangentialGrid(n_axes=1, N=N, L=2 * math.pi)
+    return tg, (1.0 + tg.xi_sq) ** -1.0 + 0j
+
+
+# modes of the grids that run on one thread and, under a datum on every
+# mode, on several
 SMALL, LARGE = 16, poi._THREADED_MODES
 CASES = {
     "dirichlet": (hp.dirichlet_laplacian, {}),
@@ -75,8 +83,8 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_threads_give_the_bits_of_the_serial_loop(name, monkeypatch):
-    """Bracket-active sweeps and n = 3 (16 x 16 modes) run on two threads,
-    the others on one."""
+    """Bracket-active sweeps run on two threads, the others, whose datum
+    has one mode (16 x 16 modes at n = 3), on one."""
     monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
     make, keys = CASES[name]
     p = make()
@@ -123,8 +131,9 @@ def test_batch_on_the_datums_modes_gives_the_bits_of_the_whole_torus(name, monke
 
 
 def test_threads_only_on_large_grids(monkeypatch):
-    """On the large grid the first two lambda wait for each other, which
-    takes two threads; on the small one every lambda runs on the caller."""
+    """Under a datum on every mode of the large grid the first two lambda
+    wait for each other, which takes two threads; on the small one every
+    lambda runs on the caller."""
     p = hp.dirichlet_laplacian()
     q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
     monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
@@ -142,7 +151,7 @@ def test_threads_only_on_large_grids(monkeypatch):
     poi.decay_sweep(p, q, _sample(), g, tg)
     assert seen == {threading.get_ident()}
     large.append(True)
-    tg, g = _unit_datum(1, LARGE)
+    tg, g = _full_datum(LARGE)
     poi.decay_sweep(p, q, _sample(), g, tg)
     assert len(seen) == 2
 
@@ -150,7 +159,7 @@ def test_threads_only_on_large_grids(monkeypatch):
 def test_thread_count_does_not_change_the_norms(monkeypatch):
     p = hp.neumann_laplacian()
     q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
-    tg, g = _unit_datum(1, LARGE)
+    tg, g = _full_datum(LARGE)
     runs = []
     for workers in (1, 3):
         monkeypatch.setattr(poi, "sweep_workers", lambda: workers)
@@ -165,7 +174,7 @@ def test_first_failure_in_sample_order_raises_and_no_thread_survives(monkeypatch
     p = hp.dirichlet_laplacian()
     q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
     monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
-    tg, g = _unit_datum(1, LARGE)
+    tg, g = _full_datum(LARGE)
     sample = _sample()
     late, early = sample.points()[2:4]
     real = poi.kernel_batch
@@ -187,10 +196,14 @@ def test_first_failure_in_sample_order_raises_and_no_thread_survives(monkeypatch
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("N", [SMALL, LARGE], ids=["small", "large"])
-def test_one_kernel_batch_per_chunk(N, monkeypatch):
-    """``decay_rate`` takes one batch; then the small grid takes one for the
-    whole sample, the large grid one per lambda."""
+@pytest.mark.parametrize("datum", [lambda: _unit_datum(1, SMALL),
+                                   lambda: _unit_datum(1, LARGE),
+                                   lambda: _full_datum(LARGE)],
+                         ids=["small", "sparse", "large"])
+def test_one_kernel_batch_per_chunk(datum, monkeypatch):
+    """``decay_rate`` takes one batch; then a datum on one mode takes one
+    for the whole sample, on the small grid and on the large one alike, and
+    a datum on every mode of the large grid one per lambda."""
     p = hp.dirichlet_laplacian()
     q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
     monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
@@ -200,11 +213,11 @@ def test_one_kernel_batch_per_chunk(N, monkeypatch):
         sizes.append(np.size(lam))
         return real(problem, lam, xi_modes)
     monkeypatch.setattr(poi, "kernel_batch", counted)
-    tg, g = _unit_datum(1, N)
+    tg, g = datum()
     sample = _sample()
     poi.decay_sweep(p, q, sample, g, tg)
     lams = len(sample.points())
-    assert sizes == ([1, lams] if N == SMALL else [1] * (lams + 1))
+    assert sizes == ([1] * (lams + 1) if np.all(g) else [1, lams])
 
 
 def test_each_chunks_profiles_are_freed_before_the_next(monkeypatch):

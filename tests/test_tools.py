@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import sys
 import types
 from pathlib import Path
@@ -62,7 +63,9 @@ def test_artifact_diff_reports_what_is_not_numeric(tmp_path, capsys):
     assert artifact_diff.main([str(a), str(a)]) == 0
 
 
-def test_job_times_prints_each_job_on_both_trees(capsys):
+def test_job_times_prints_each_job_on_both_trees(monkeypatch, capsys):
+    # main puts perfbench first on the path
+    monkeypatch.setattr(sys, "path", list(sys.path))
     repo = str(TOOLS.parent)
     assert job_times.main([repo, repo, "--workload", "sweep", "--seed", "1",
                            "--rounds", "2", "--only", "check-ls"]) == 0
@@ -78,9 +81,10 @@ def test_job_times_prints_each_job_on_both_trees(capsys):
         assert won in {"0/2", "1/2", "2/2"}
 
 
-def test_job_times_prints_each_trees_median_peak_rss(capsys):
+def test_job_times_prints_each_trees_median_peak_rss(monkeypatch, capsys):
     """The last row holds the median ru_maxrss of each tree's interpreters:
     NumPy and the package alone take tens of MB."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
     repo = str(TOOLS.parent)
     assert job_times.main([repo, repo, "--workload", "sweep", "--seed", "1",
                            "--rounds", "3", "--only", "check-ls|dirichlet"]) == 0
@@ -102,6 +106,7 @@ def test_job_times_ends_with_each_trees_sum_of_job_medians(monkeypatch, capsys):
                    {"j1": 2.0, "j2": 5.0, "ru_maxrss_mb": 50.0},
                    {"j1": 3.0, "j2": 0.5, "ru_maxrss_mb": 50.0},      # round 2: A, B
                    {"j1": 3.0, "j2": 1.0, "ru_maxrss_mb": 40.0}])
+    monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(job_times, "_child", lambda *args: next(rounds))
     assert job_times.main(["a", "b", "--workload", "sweep", "--seed", "1",
                            "--rounds", "3"]) == 0
@@ -140,6 +145,34 @@ def test_job_times_refuses_fewer_than_one_round(monkeypatch, capsys):
                             "--rounds", rounds])
         assert exc.value.code == 2
         assert f"--rounds must be at least 1, got {rounds}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tool, stdout, args", [
+    (job_times, '{"j": 1.0, "ru_maxrss_mb": 40.0}', ["--rounds", "1"]),
+    (job_peaks, "[40.0, 1.0]", [])], ids=["job_times", "job_peaks"])
+def test_children_start_in_the_benchmarks_environment(tool, stdout, args, monkeypatch,
+                                                       capsys):
+    """Every child interpreter gets the environment of the benchmark's
+    children: its tree's src first on PYTHONPATH and one BLAS thread count
+    per available CPU, whatever the parent's environment says."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "0")
+    envs = []
+
+    def run(argv, **kwargs):
+        envs.append(kwargs.get("env"))
+        return types.SimpleNamespace(stdout=stdout + "\n")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.main(["a", "b", "--workload", "sweep", "--seed", "1",
+                      "--only", "check-ls|dirichlet"] + args) == 0
+    threads = str(len(os.sched_getaffinity(0)))
+    assert len(envs) == 2
+    for env, tree in zip(envs, ("a", "b")):
+        assert env["PYTHONPATH"].split(os.pathsep)[0] == str(Path(tree).resolve() / "src")
+        assert all(env[var] == threads for var in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
 
 
 def test_job_peaks_prints_each_jobs_growth_over_the_import(monkeypatch, capsys):

@@ -6,16 +6,18 @@
 job of the workload's deck for ``S`` (this repository's
 ``perfbench/jobs.py``, so both trees run the same jobs; with ``--only``, the
 jobs whose ident contains ``SUBSTR``), in deck order, each tree gets one
-fresh interpreter.  It imports ``halfpoisson.cli``, reads its peak resident
-set size (``ru_maxrss``, in MB of 1024 KiB, as the benchmark's
-``peak_rss_mb``) as the import baseline, runs the job once through
-``halfpoisson.cli.main`` and reads the peak again.  Prints, per job, the
-peak over the baseline on each tree (with B, the ratio B/A); then the row
-``import_mb``, each tree's median baseline; and last the row ``deck_max``,
-each tree's largest job peak over its baseline.  A deck's interpreter runs
-every job, so the benchmark's ``peak_rss_mb`` reads about the baseline plus
-``deck_max`` (a few MB more: that interpreter also holds the benchmark) and
-moves with it.
+fresh interpreter, in the environment the benchmark gives its children
+(``perfbench/run.py``'s ``child_env``: the tree's ``src`` first on the path
+and the BLAS thread counts fixed before NumPy loads).  It imports
+``halfpoisson.cli``, reads its peak resident set size (``ru_maxrss``, in MB
+of 1024 KiB, as the benchmark's ``peak_rss_mb``) as the import baseline,
+runs the job once through ``halfpoisson.cli.main`` and reads the peak
+again.  Prints, per job, the peak over the baseline on each tree (with B,
+the ratio B/A); then the row ``import_mb``, each tree's median baseline;
+and last the row ``deck_max``, each tree's largest job peak over its
+baseline.  A deck's interpreter runs every job, so the benchmark's
+``peak_rss_mb`` reads about the baseline plus ``deck_max`` (a few MB more:
+that interpreter also holds the benchmark) and moves with it.
 """
 
 from __future__ import annotations
@@ -59,8 +61,10 @@ def _child(tree: Path, workload: str, seed: int, ident: str) -> tuple[float, flo
     code = (f"import json, sys; sys.path[:0] = {path!r}; "
             f"from job_peaks import job_peak; "
             f"print(json.dumps(job_peak({workload!r}, {seed}, {ident!r})))")
+    from run import child_env
+
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=child_env(tree / "src"))
     return tuple(json.loads(done.stdout.splitlines()[-1]))
 
 

@@ -4,10 +4,13 @@
 
 ``A`` and ``B`` are source trees (each with ``src/halfpoisson``).  Every round
 starts one fresh interpreter per tree, A first in even rounds and B first in
-odd ones.  Each interpreter runs every job of the workload's deck for ``S``
-(this repository's ``perfbench/jobs.py``, so both trees run the same jobs;
-with ``--only``, the jobs whose ident contains ``SUBSTR``) through
-``halfpoisson.cli.main``: once untimed, then ``TIMED`` times timed.  Before
+odd ones, each in the environment the benchmark gives its children
+(``perfbench/run.py``'s ``child_env``: the tree's ``src`` first on the path
+and the BLAS thread counts fixed before NumPy loads).  Each interpreter runs
+every job of the workload's deck for ``S`` (this repository's
+``perfbench/jobs.py``, so both trees run the same jobs; with ``--only``, the
+jobs whose ident contains ``SUBSTR``) through ``halfpoisson.cli.main``:
+once untimed, then ``TIMED`` times timed.  Before
 the first of them it runs the first job of each (command, problem) kind of
 the whole deck once, as the benchmark's worker warms up, so that the jobs
 are timed in the allocator state of the benchmark's timed passes.  A job's
@@ -78,8 +81,10 @@ def _child(tree: Path, workload: str, seed: int, only: str) -> dict[str, float]:
             f"times = job_times({workload!r}, {seed}, {only!r}); "
             f"times[{RSS!r}] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0; "
             f"print(json.dumps(times))")
+    from run import child_env
+
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=child_env(tree / "src"))
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -94,6 +99,7 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error(f"--rounds must be at least 1, got {args.rounds}")
+    sys.path.insert(0, str(PERFBENCH))
     trees = (args.a.resolve(), args.b.resolve())
     rounds = []
     for r in range(args.rounds):
