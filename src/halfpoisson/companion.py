@@ -26,7 +26,12 @@ differences at all.  Each row runs through three stages, each batched:
   route is chosen per row, so that no row's bits depend on its batch;
 * :func:`boundary_map_conditioning` measures the Lopatinskii-Shapiro (LS)
   condition and returns the boundary map in the Newton basis;
-* :func:`propagate` evaluates ``D_n^d`` of the Newton basis functions.
+* :func:`propagate` evaluates ``D_n^d`` of the Newton basis functions.  On
+  a uniform grid from 0 (``x == x[1] * np.arange(n)`` exactly) it forms
+  ``e^{i tau x[aB + b]}`` as ``e^{i tau x[aB]} e^{i tau x[b]}`` with
+  ``B = isqrt(n)``: about ``2 sqrt(n)`` exponentials per root in place of
+  n, with the error of rounding ``tau x``, a few ``eps (1 + |tau x|)``
+  relative.  Every other grid takes one exponential per point.
 
 The LS measure uses the rescaled variables
 
@@ -43,6 +48,8 @@ independent of the orthonormal basis chosen.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -248,6 +255,31 @@ def _propagate_expm(taus: np.ndarray, x: np.ndarray, deriv_order: int):
     return np.broadcast_to(np.eye(m, dtype=complex), (U, m, m)), F
 
 
+def _exp_i(taus: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``e^{i tau x}`` for every root of ``taus`` (U, m) at the points x,
+    (U, m, len(x)): on a uniform grid from 0 as block factor times offset
+    (see :func:`propagate`), elsewhere one exponential per point.
+    ``x[aB + b]`` is ``x[aB] + x[b]`` up to one rounding, and ``Im tau > 0``
+    keeps both factors at most 1 in modulus, so nothing overflows.  The
+    route depends on x alone, so a row's bits do not depend on the rows
+    batched with it.
+    """
+    n = x.size
+    F = np.empty(taus.shape + (n,), dtype=complex)
+    itau = 1j * taus[..., None]
+    if n < 2 or not np.array_equal(x[1] * np.arange(n), x):
+        np.multiply(itau, x, out=F)
+        return np.exp(F, out=F)
+    B = math.isqrt(n)
+    full = n // B
+    offsets = np.exp(itau * x[:B])
+    blocks = np.exp(itau * x[::B])
+    np.multiply(blocks[..., :full, None], offsets[..., None, :],
+                out=F[..., :full * B].reshape(taus.shape + (full, B)))
+    np.multiply(blocks[..., full:], offsets[..., :n - full * B], out=F[..., full * B:])
+    return F
+
+
 def propagate(taus: np.ndarray, x: np.ndarray, deriv_order: int = 0):
     """``D_n^d [tau_1 ... tau_k] e^{i tau x}`` for the rows' stable roots
     ``taus`` (U, m), sorted by increasing ``Im tau``, at the points x >= 0.
@@ -266,6 +298,16 @@ def propagate(taus: np.ndarray, x: np.ndarray, deriv_order: int = 0):
       ``e^{i tau_2 x} - e^{i tau_1 x}``;
     * m >= 3: F is the first row of ``J^d expm(i x J)`` (see
       :func:`_propagate_expm`) and A the identity.
+
+    For m <= 2 the exponentials ``e^{i tau x}`` come from :func:`_exp_i`:
+    on a uniform grid from 0, ``x == x[1] * np.arange(n)`` exactly (as
+    ``UniformHalfGrid.x``), each is a block factor ``e^{i tau x[aB]}``
+    times an offset ``e^{i tau x[b]}``, B = isqrt(n), about 2 sqrt(n)
+    exponentials per root; its error is that of rounding ``tau x``, within
+    ``c eps (1 + |tau x|)`` of the exact value, c <= 8 (measured at most
+    2.2 on the kernels at the semigroup contour's nodes, against 2.6 with
+    one exponential per point).  Any other x, a grid one ulp off included,
+    takes one exponential per point.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -275,9 +317,7 @@ def propagate(taus: np.ndarray, x: np.ndarray, deriv_order: int = 0):
     U, m = taus.shape
     if m > 2:
         return _propagate_expm(taus, x, deriv_order)
-    F = np.empty((U, m, x.size), dtype=complex)
-    np.multiply(1j * taus[:, :, None], x, out=F)
-    np.exp(F, out=F)
+    F = _exp_i(taus, x)
     A = np.zeros((U, m, m), dtype=complex)
     A[:, 0, 0] = taus[:, 0] ** deriv_order
     if m == 2:

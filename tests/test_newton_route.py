@@ -15,6 +15,10 @@ independent references.
   whichever companion each row takes.
 * The batched LS measure against an ordered Schur reference on SciPy.
 * The boundary reproduction tr B_k Poi_j = delta_kj for |xi'| up to 1e5.
+* The factored exponential of uniform grids: the kernels at the
+  semigroup contour's nodes against mpmath, lengths that leave a partial
+  block, the bits of the per-point route on every other grid, rows that do
+  not depend on their batch, and the number of exponentials taken.
 """
 
 import math
@@ -29,6 +33,8 @@ import halfpoisson as hp
 from halfpoisson import companion as comp
 from halfpoisson import model as mdl
 from halfpoisson import poisson as poi
+from halfpoisson import resolvent as rs
+from halfpoisson.grids import HalfLineGrid, UniformHalfGrid
 from kernel_table import kernel_table
 from test_batching import _ls_violating_laplacian
 from test_companion import ordered_schur
@@ -94,11 +100,13 @@ def _mp_stable_roots(p, lam, xi):
     return stable
 
 
-def mp_kernels(p, lam, xi, x):
+def mp_kernels(p, lam, xi, x, taus=None):
     """D_n^d of every kernel of Poi_j(lambda) at xi' for d = 0..2, shape
-    (3, m, len(x)), by the root basis in 50 digits."""
+    (3, m, len(x)), by the root basis in 50 digits, and in the same shape
+    the magnitudes of its terms, sum_k |C_kj tau_k^d e^{i tau_k x}|.
+    ``taus`` are the 50-digit stable roots, found here if not given."""
     with mp.workdps(50):
-        taus = _mp_stable_roots(p, lam, xi)
+        taus = taus or _mp_stable_roots(p, lam, xi)
         L = mp.matrix(p.m, p.m)
         for j, bop in enumerate(p.boundary_ops):
             b = _mp_poly(bop.coeffs, xi, p.order - 1)
@@ -106,17 +114,20 @@ def mp_kernels(p, lam, xi, x):
                 L[j, k] = sum(bl * tau ** l for l, bl in enumerate(b))
         C = L ** -1
         waves = [[mp.exp(1j * tau * mp.mpf(float(xv))) for xv in x] for tau in taus]
-        return np.array([[[complex(sum(C[k, j] * tau ** d * waves[k][i]
-                                       for k, tau in enumerate(taus)))
-                           for i in range(len(x))] for j in range(p.m)]
-                         for d in range(3)])
+        value = np.empty((3, p.m, len(x)), dtype=complex)
+        size = np.empty((3, p.m, len(x)))
+        for d, j, i in product(range(3), range(p.m), range(len(x))):
+            terms = [C[k, j] * tau ** d * waves[k][i] for k, tau in enumerate(taus)]
+            value[d, j, i] = complex(sum(terms))
+            size[d, j, i] = float(sum(abs(term) for term in terms))
+        return value, size
 
 
 def _worst_kernel_error(p, lam, xi, x):
     """Largest error of D^d Poi_j, d = 0..2, relative to its max over x."""
     batch = poi.kernel_batch(p, lam, np.array([xi], dtype=float))
     worst = 0.0
-    for d, want in enumerate(mp_kernels(p, lam, xi, x)):
+    for d, want in enumerate(mp_kernels(p, lam, xi, x)[0]):
         got = kernel_table(batch, x, d)[:, 0]
         for j in range(p.m):
             worst = max(worst, np.abs(got[j] - want[j]).max() / np.abs(want[j]).max())
@@ -276,3 +287,148 @@ def test_boundary_reproduction(name, log_xi, sign, log_mod, arg):
     orders = np.array([bop.order for bop in p.boundary_ops])
     units = rho ** (orders[:, None] - orders[None, :])
     assert np.all(np.abs(tr - np.eye(p.m)) <= 1e-12 * units)
+
+
+# ---------------------------------------------------------------------------
+# The factored exponential on uniform grids
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+# |got - exact| <= _UNIFORM_C eps (1 + |tau x|) |exact|; the kernel tests
+# measured at most 2.2 (clamped), and 2.6 with one exponential per point
+_UNIFORM_C = 8.0
+# below this a kernel's root-basis terms are past double's normal range
+_UNDERFLOW = 1e-290
+
+
+def _contour_nodes(p, t):
+    """The resolvent nodes of ``semigroup_apply(p, ., t)`` at xi' = 1."""
+    seen = []
+
+    def record(problem, lam, f, xi_modes, ugrid):
+        seen.append(lam)
+        return np.zeros((len(lam),) + f.shape, dtype=complex)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rs, "halfspace_resolvent", record)
+        rs.semigroup_apply(p, np.zeros((1, 4)), t, np.array([[1.0]]),
+                           UniformHalfGrid(1.0, 4))
+    return seen[0]
+
+
+def _probe_points(n):
+    """Indices of the first offsets, of both sides of some block edges and
+    of the last block (possibly partial), for B = isqrt(n) offsets a block."""
+    B = math.isqrt(n)
+    idx = {0, 1, 2, B - 1, n - 2, n - 1}
+    for a in (1, 2, n // B // 2, n // B - 1, n // B):
+        idx |= {a * B - 1, a * B, a * B + 1}
+    return np.array(sorted(i for i in idx if 0 <= i < n))
+
+
+@pytest.mark.parametrize("t", [1e-6, 0.15])
+@pytest.mark.parametrize("name", ["dirichlet", "neumann", "clamped"])
+def test_uniform_grid_kernels_against_mpmath(name, t):
+    """D^d Poi_j, d = 0..2, at the 48 contour nodes of semigroup_apply on
+    the uniform grids of the contour commands, which take the factored
+    exponential: within _UNIFORM_C eps (1 + |tau x|) of the exact value, in
+    units of its root-basis terms (for m = 1 the value itself)."""
+    p = PROBLEMS[name]()
+    lams = _contour_nodes(p, t)
+    batch = poi.kernel_batch(p, lams, np.array([[1.0]]))
+    tau_max = np.abs(batch.taus).max(axis=1)
+    grids = [UniformHalfGrid(X, N).x for X, N in ((30.0, 2048), (12.0, 512))]
+    idx = [_probe_points(len(x)) for x in grids]
+    got = [np.stack([kernel_table(batch, x, d)[:, :, 0, i] for d in range(3)])
+           for x, i in zip(grids, idx)]
+    for q, lam in enumerate(lams):
+        with mp.workdps(50):
+            taus = _mp_stable_roots(p, lam, [1.0])
+        for x, i, kern in zip(grids, idx, got):
+            # past e^{-700} every term is below 1e-300, and mpmath is not needed
+            live = i[batch.taus[q, 0].imag * x[i] < 700.0]
+            want, terms = mp_kernels(p, lam, [1.0], x[live], taus)
+            bound = _UNIFORM_C * EPS * (1.0 + tau_max[q] * x[live]) * terms
+            err = np.abs(kern[:, :, q, :len(live)] - want)
+            normal = terms > _UNDERFLOW
+            assert np.all(err[normal] <= bound[normal]), (len(x), q)
+            assert np.all(np.abs(kern[:, :, q, len(live):]) <= 1e-280)
+
+
+def _roots(U, m, rng=np.random.default_rng(2024)):
+    """U rows of m roots in the upper half-plane, sorted by Im."""
+    taus = rng.uniform(-40.0, 40.0, (U, m)) + 1j * rng.uniform(0.01, 2.0, (U, m))
+    return taus[np.arange(U)[:, None], np.argsort(taus.imag, axis=1)]
+
+
+@pytest.mark.parametrize("n", [33, 1000, 1025])
+def test_factored_exponential_on_lengths_with_a_partial_block(n):
+    """e^{i tau x} on uniform grids whose last block is short: every point
+    within _UNIFORM_C eps (1 + |tau x|) of mpmath."""
+    x = (30.0 / 2048) * np.arange(n)
+    taus = _roots(3, 1)
+    for d in range(3):
+        A, F = comp.propagate(taus, x, d)
+        assert np.array_equal(A[:, 0, 0], taus[:, 0] ** d)
+    with mp.workdps(30):
+        want = np.array([[complex(mp.exp(1j * mp.mpc(t.real, t.imag) * mp.mpf(float(xv))))
+                          for xv in x] for t in taus[:, 0]])
+    bound = _UNIFORM_C * EPS * (1.0 + np.abs(taus) * x) * np.abs(want)
+    assert np.all(np.abs(F[:, 0] - want) <= bound)
+
+
+def _off_grids():
+    """Grids that take one exponential per point."""
+    x = (12.0 / 512) * np.arange(512)
+    one_ulp = x.copy()
+    one_ulp[300] = np.nextafter(one_ulp[300], np.inf)
+    return {"one point": np.zeros(1), "from h": x + x[1], "geometric": HalfLineGrid.for_decay(1.0).x,
+            "one ulp off": one_ulp}
+
+
+@pytest.mark.parametrize("grid", sorted(_off_grids()))
+def test_other_grids_keep_one_exponential_per_point(grid):
+    """Off the uniform grids from 0, e^{i tau x} is the per-point
+    exponential of (i tau) x, bit for bit, for m = 1 and 2."""
+    x = _off_grids()[grid]
+    for m in (1, 2):
+        taus = _roots(4, m)
+        F = comp.propagate(taus, x)[1]
+        assert np.array_equal(F[:, 0], np.exp(1j * taus[:, :1] * x))
+
+
+def test_a_row_on_a_uniform_grid_does_not_depend_on_its_batch():
+    """Each row of a batch has the bits of that row alone, on the grid
+    of the clamped contour and on one with a partial block."""
+    p = hp.clamped_bilaplacian()
+    taus = poi.kernel_batch(p, _contour_nodes(p, 0.15), np.array([[1.0]])).taus
+    for x in (UniformHalfGrid(30.0, 2048).x, (12.0 / 512) * np.arange(1025)):
+        for d in range(3):
+            A, F = comp.propagate(taus, x, d)
+            for q in (0, 17, len(taus) - 1):
+                A1, F1 = comp.propagate(taus[q:q + 1], x, d)
+                assert np.array_equal(A1[0], A[q]) and np.array_equal(F1[0], F[q])
+
+
+def test_uniform_grid_takes_about_two_sqrt_n_exponentials_per_root(monkeypatch):
+    """On the clamped contour (48 rows, 2 roots, 2048 points) propagate
+    hands the complex exponential isqrt(n) offsets and ceil(n / isqrt(n))
+    block factors per root, 8736 entries in all, where one per point would
+    be 196608."""
+    entries = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(a, *args, **kwargs):
+            entries.append(np.size(a))
+            return np.exp(a, *args, **kwargs)
+
+    p = hp.clamped_bilaplacian()
+    taus = poi.kernel_batch(p, _contour_nodes(p, 0.15), np.array([[1.0]])).taus
+    monkeypatch.setattr(comp, "np", CountingNumpy())
+    comp.propagate(taus, UniformHalfGrid(30.0, 2048).x)
+    B = math.isqrt(2048)
+    assert sum(entries) == taus.size * (B + -(-2048 // B)) == 8736

@@ -71,14 +71,15 @@ def test_job_times_prints_each_job_on_both_trees(monkeypatch, capsys):
                            "--rounds", "2", "--only", "check-ls"]) == 0
     header, *rows, rss, deck = (line.split("\t")
                                 for line in capsys.readouterr().out.splitlines())
-    assert header == ["job", "A_s", "B_s", "B/A", "B_won"]
+    assert header == ["job", "A_s", "B_s", "B/A", "B_won", "A_minflt", "B_minflt"]
     assert rss[0] == "ru_maxrss_mb" and deck[0] == "deck_s"
     # one check-ls job per bundled problem
     assert len(rows) == 3 and all("check-ls" in row[0] for row in rows)
-    for _, a, b, ratio, won in rows:
+    for _, a, b, ratio, won, a_flt, b_flt in rows:
         assert float(a) > 0 and float(b) > 0
         assert float(ratio) == pytest.approx(float(b) / float(a), rel=0.05)
         assert won in {"0/2", "1/2", "2/2"}
+        assert float(a_flt) >= 0 and float(b_flt) >= 0
 
 
 def test_job_times_prints_each_trees_median_peak_rss(monkeypatch, capsys):
@@ -98,14 +99,14 @@ def test_job_times_prints_each_trees_median_peak_rss(monkeypatch, capsys):
 
 def test_job_times_ends_with_each_trees_sum_of_job_medians(monkeypatch, capsys):
     """deck_s sums the per-job medians (the median of A's round sums would
-    read 4.0) and leaves the peak RSS out; B won the rounds whose jobs took
-    less time in all."""
-    rounds = iter([{"j1": 1.0, "j2": 3.0, "ru_maxrss_mb": 50.0},      # round 0: A, B
-                   {"j1": 1.0, "j2": 2.0, "ru_maxrss_mb": 40.0},
-                   {"j1": 4.0, "j2": 1.0, "ru_maxrss_mb": 40.0},      # round 1: B, A
-                   {"j1": 2.0, "j2": 5.0, "ru_maxrss_mb": 50.0},
-                   {"j1": 3.0, "j2": 0.5, "ru_maxrss_mb": 50.0},      # round 2: A, B
-                   {"j1": 3.0, "j2": 1.0, "ru_maxrss_mb": 40.0}])
+    read 4.0), of times and of faults, and leaves the peak RSS out; B won
+    the rounds whose jobs took less time in all."""
+    rounds = iter([{"j1": [1.0, 10], "j2": [3.0, 0], "ru_maxrss_mb": 50.0},    # round 0: A, B
+                   {"j1": [1.0, 0], "j2": [2.0, 5], "ru_maxrss_mb": 40.0},
+                   {"j1": [4.0, 2], "j2": [1.0, 5], "ru_maxrss_mb": 40.0},    # round 1: B, A
+                   {"j1": [2.0, 30], "j2": [5.0, 1], "ru_maxrss_mb": 50.0},
+                   {"j1": [3.0, 2], "j2": [0.5, 3], "ru_maxrss_mb": 50.0},    # round 2: A, B
+                   {"j1": [3.0, 20], "j2": [1.0, 2], "ru_maxrss_mb": 40.0}])
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(job_times, "_child", lambda *args: next(rounds))
     assert job_times.main(["a", "b", "--workload", "sweep", "--seed", "1",
@@ -113,8 +114,11 @@ def test_job_times_ends_with_each_trees_sum_of_job_medians(monkeypatch, capsys):
     rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
     assert [row[0] for row in rows] == ["job", "j1", "j2", "ru_maxrss_mb", "deck_s"]
     # A: j1 (1, 2, 3), j2 (3, 5, 0.5), sums (4, 7, 3.5); B: j1 (1, 4, 3),
-    # j2 (2, 1, 1), sums (3, 5, 4)
-    assert rows[-1] == ["deck_s", "5.0000", "4.0000", "0.800", "2/3"]
+    # j2 (2, 1, 1), sums (3, 5, 4); faults A: j1 (10, 30, 2), j2 (0, 1, 3),
+    # B: j1 (0, 20, 2), j2 (5, 2, 5)
+    assert rows[1] == ["j1", "2.0000", "3.0000", "1.500", "0/3", "10", "2"]
+    assert rows[-2] == ["ru_maxrss_mb", "50.0000", "40.0000", "0.800", "3/3"]
+    assert rows[-1] == ["deck_s", "5.0000", "4.0000", "0.800", "2/3", "11", "7"]
 
 
 def test_job_times_warms_up_on_each_kind_of_the_whole_deck(monkeypatch):
@@ -135,6 +139,29 @@ def test_job_times_warms_up_on_each_kind_of_the_whole_deck(monkeypatch):
     assert calls == ["00", "01", "03", "04"] + ["00"] * runs + ["02"] * runs + ["03"] * runs
 
 
+def test_job_times_counts_the_minor_faults_of_the_timed_runs(monkeypatch):
+    """A job's faults are those of its timed runs over their number, in
+    the interpreter that runs them: the warm-up and the untimed run are
+    left out."""
+    deck = [types.SimpleNamespace(ident=f"{i:02d}:{c}|p", command=c, problem="p")
+            for i, c in enumerate(["a", "b"])]
+    runs, faults = {"00": 0, "01": 0}, [0]
+
+    def run_job(job, outdir, scratch):
+        key = job.ident[:2]
+        runs[key] += 1
+        # job 01 faults 300 pages on its warm-up and untimed runs, 3 on each timed one
+        faults[0] += 6 if key == "00" else 300 if runs[key] <= 2 else 3
+
+    monkeypatch.setitem(sys.modules, "jobs", types.SimpleNamespace(
+        deck=lambda workload, seed: deck))
+    monkeypatch.setitem(sys.modules, "deck_hashes", types.SimpleNamespace(run_job=run_job))
+    monkeypatch.setattr(job_times.resource, "getrusage",
+                        lambda who: types.SimpleNamespace(ru_minflt=faults[0]))
+    times = job_times.job_times("sweep", 1, "")
+    assert [f for _, f in times.values()] == [6.0, 3.0]
+
+
 def test_job_times_refuses_fewer_than_one_round(monkeypatch, capsys):
     def child(*args):
         raise AssertionError("no interpreter should start")
@@ -148,7 +175,7 @@ def test_job_times_refuses_fewer_than_one_round(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("tool, stdout, args", [
-    (job_times, '{"j": 1.0, "ru_maxrss_mb": 40.0}', ["--rounds", "1"]),
+    (job_times, '{"j": [1.0, 0.0], "ru_maxrss_mb": 40.0}', ["--rounds", "1"]),
     (job_peaks, "[40.0, 1.0]", [])], ids=["job_times", "job_peaks"])
 def test_children_start_in_the_benchmarks_environment(tool, stdout, args, monkeypatch,
                                                        capsys):

@@ -15,13 +15,19 @@ the first of them it runs the first job of each (command, problem) kind of
 the whole deck once, as the benchmark's worker warms up, so that the jobs
 are timed in the allocator state of the benchmark's timed passes.  A job's
 time in a round is the median of its timed runs; ``R`` must be at least 1.
+The interpreter that times a job also counts the minor page faults of its
+timed runs (``ru_minflt`` of ``getrusage``, a page first touched since the
+allocator took it from the system), per timed run.
 Prints, per job, the median over rounds of its time on A and on B, the
-ratio B/A, and the number of rounds in which B was faster; then, in the
-same columns, the row ``ru_maxrss_mb``: each tree's median over its
-interpreters of their peak resident set size (``ru_maxrss``, in MB of 1024 KiB, as the benchmark's
-``peak_rss_mb``), and the rounds in which B's was lower; and last the row
-``deck_s``: each tree's sum of its per-job medians, and the rounds in which
-B's jobs took less time in all.  The benchmark's ``jobs_per_s`` is the
+ratio B/A, the number of rounds in which B was faster, and the median over
+rounds of its minor faults per timed run on A and on B (``A_minflt``,
+``B_minflt``); then, in the same columns, the row ``ru_maxrss_mb``: each
+tree's median over its interpreters of their peak resident set size
+(``ru_maxrss``, in MB of 1024 KiB, as the benchmark's ``peak_rss_mb``), and
+the rounds in which B's was lower (no fault columns); and last the row
+``deck_s``: each tree's sum of its per-job medians, of times and of faults,
+and the rounds in which B's jobs took less time in all.  The benchmark's
+``jobs_per_s`` is the
 deck's job count over its summed per-job times, so the deck sum's B/A
 predicts the inverse of its ratio (the benchmark takes means, not medians,
 and scales them to a nominal host).
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -46,9 +53,10 @@ TIMED = 3
 RSS, DECK = "ru_maxrss_mb", "deck_s"
 
 
-def job_times(workload: str, seed: int, only: str) -> dict[str, float]:
+def job_times(workload: str, seed: int, only: str) -> dict[str, tuple[float, float]]:
     """Median seconds of ``TIMED`` runs of each selected job, after the
-    deck's warm-up and one untimed run, in this interpreter."""
+    deck's warm-up and one untimed run, in this interpreter, and the minor
+    page faults per timed run."""
     import jobs
     from deck_hashes import run_job
 
@@ -64,17 +72,20 @@ def job_times(workload: str, seed: int, only: str) -> dict[str, float]:
             outdir = Path(scratch, job.ident.split(":")[0])
             run_job(job, outdir, Path(scratch))
             runs = []
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for _ in range(TIMED):
                 start = time.perf_counter()
                 run_job(job, outdir, Path(scratch))
                 runs.append(time.perf_counter() - start)
-            out[job.ident] = statistics.median(runs)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            out[job.ident] = (statistics.median(runs), faults / TIMED)
     return out
 
 
-def _child(tree: Path, workload: str, seed: int, only: str) -> dict[str, float]:
-    """Job times of one fresh interpreter on ``tree``, and under
-    ``RSS`` its peak resident set size in MB."""
+def _child(tree: Path, workload: str, seed: int, only: str) -> dict:
+    """Job times and faults of one fresh interpreter on ``tree`` (each job's
+    ``[seconds, faults]``), and under ``RSS`` its peak resident set size in
+    MB."""
     path = [str(tree / "src"), str(PERFBENCH), str(TOOLS)]
     code = (f"import json, resource, sys; sys.path[:0] = {path!r}; "
             f"from job_times import job_times; "
@@ -109,21 +120,28 @@ def main(argv: list[str]) -> int:
             times[side] = _child(trees[side], args.workload, args.seed, args.only)
         rounds.append((times[0], times[1]))
     jobs = [ident for ident in rounds[0][0] if ident != RSS]
-    print("job\tA_s\tB_s\tB/A\tB_won")
-    for ident in rounds[0][0]:
-        a = statistics.median(t[0][ident] for t in rounds)
-        b = statistics.median(t[1][ident] for t in rounds)
-        _row(ident, a, b, sum(t[1][ident] < t[0][ident] for t in rounds), len(rounds))
-    a, b = (sum(statistics.median(t[side][ident] for t in rounds) for ident in jobs)
-            for side in (0, 1))
-    won = sum(sum(t[1][ident] for ident in jobs) < sum(t[0][ident] for ident in jobs)
+
+    def median(side, ident, column):
+        return statistics.median(t[side][ident][column] for t in rounds)
+
+    print("job\tA_s\tB_s\tB/A\tB_won\tA_minflt\tB_minflt")
+    for ident in jobs:
+        won = sum(t[1][ident][0] < t[0][ident][0] for t in rounds)
+        _row(ident, median(0, ident, 0), median(1, ident, 0), won, len(rounds),
+             median(0, ident, 1), median(1, ident, 1))
+    a, b = (statistics.median(t[side][RSS] for t in rounds) for side in (0, 1))
+    _row(RSS, a, b, sum(t[1][RSS] < t[0][RSS] for t in rounds), len(rounds))
+    a, b = (sum(median(side, ident, 0) for ident in jobs) for side in (0, 1))
+    fa, fb = (sum(median(side, ident, 1) for ident in jobs) for side in (0, 1))
+    won = sum(sum(t[1][ident][0] for ident in jobs) < sum(t[0][ident][0] for ident in jobs)
               for t in rounds)
-    _row(DECK, a, b, won, len(rounds))
+    _row(DECK, a, b, won, len(rounds), fa, fb)
     return 0
 
 
-def _row(name: str, a: float, b: float, won: int, rounds: int):
-    print(f"{name}\t{a:.4f}\t{b:.4f}\t{b / a:.3f}\t{won}/{rounds}")
+def _row(name: str, a: float, b: float, won: int, rounds: int, *faults: float):
+    cells = "".join(f"\t{f:.0f}" for f in faults)
+    print(f"{name}\t{a:.4f}\t{b:.4f}\t{b / a:.3f}\t{won}/{rounds}{cells}")
 
 
 if __name__ == "__main__":
