@@ -138,7 +138,7 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
         raise ValueError(f"g has shape {g.shape}, need (m, N_t + 1, modes) = "
                          f"({problem.m}, N_t + 1, {len(xi_modes)})")
     out_times = np.asarray(out_times, dtype=float)
-    if np.any(out_times <= 0) or np.any(out_times > T):
+    if not np.all((out_times > 0) & (out_times <= T)):
         raise ValueError(f"'out_times' must lie in (0, T] = (0, {T}], "
                          f"got {out_times.tolist()}")
 

@@ -30,13 +30,18 @@ every lambda at once (:func:`whole_space_resolvent`, which also tests it for
 ill-conditioning), the inverse FFT and the boundary traces by blocks of
 lambdas, and the Poisson correction from one kernel batch over every
 (lambda, mode) pair that serves all m boundary indices and checks the root
-margin, root count and LS measure on every pair.
+margin, root count and LS measure on every pair.  Given weights, the call
+returns the weighted sum over the lambdas instead: one inverse FFT of the
+summed frequency data, less the Poisson correction of the weighted traces
+summed over the lambdas.
 
 The semigroup uses trapezoid quadrature of ``(2 pi i)^{-1} \\oint e^{z t}
 R(z + _SIGMA) dz`` over a left-opening hyperbola; resolvents are only ever
 evaluated at ``z + _SIGMA``, which stays inside the verified sector.  One
-:func:`halfspace_resolvent` call serves all contour nodes of a
-:func:`semigroup_apply` call.
+weighted :func:`halfspace_resolvent` call, with the quadrature weights
+e^{z t} dz, serves all contour nodes of a :func:`semigroup_apply` call: it
+makes one inverse FFT and one Poisson correction, not one per node, and its
+bits differ from the sum of per-node solves by rounding.
 """
 
 from __future__ import annotations
@@ -142,37 +147,62 @@ def _check_multiplier(lams: np.ndarray, symbol: np.ndarray, weight: np.ndarray) 
 
 
 def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
-                        xi_modes: np.ndarray, ugrid: UniformHalfGrid) -> np.ndarray:
+                        xi_modes: np.ndarray, ugrid: UniformHalfGrid,
+                        weights=None) -> np.ndarray:
     """R(lambda) f on the half-space grid, shape ``lam.shape + (M, N)``.
 
     ``f`` holds data on the M modes ``xi_modes`` x the N uniform normal
     nodes; ``lam`` is one parameter or an array of them.  Every row is
     solved, and one kernel batch covers every (lambda, mode) pair; a row
     where ``f`` vanishes comes out exactly zero.
+
+    With ``weights`` (the shape of ``lam``) the result is the sum over k of
+    ``weights[k] R(lam[k]) f``, shape (M, N).  Every step before the Poisson
+    correction is diagonal in the normal frequency and the correction is
+    linear in the traces, so the sum is taken on the frequency data (one
+    inverse FFT) and on the correction's rows (one evaluation on the
+    weighted traces, summed in node order); every check still runs on every
+    lambda.  Its bits differ from the weighted sum of the unweighted result
+    by rounding, and a row's bits do not depend on the other rows.
     """
     lam = np.asarray(lam, dtype=complex)
     f = np.asarray(f, dtype=complex)
     if f.shape != (len(xi_modes), ugrid.N):
         raise ValueError(f"f has shape {f.shape}, the grids hold "
                          f"{len(xi_modes)} modes x {ugrid.N} nodes")
-    # u is made before the frequency data W, and the traces and the inverse
-    # FFT read W in blocks of 256 kB: with no temporary as large as W beside
-    # it, glibc keeps what a call frees for the next one instead of unmapping
-    # it and faulting it in again
+    if weights is not None and np.shape(weights) != lam.shape:
+        raise ValueError(f"weights have shape {np.shape(weights)}, "
+                         f"lambda has shape {lam.shape}")
     lams = lam.reshape(-1)
-    u = np.empty((lams.size,) + f.shape, dtype=complex)
-    traces = np.empty((problem.m,) + u.shape[:-1], dtype=complex)
+    xi_n = ugrid.xi_normal
+    if weights is None:
+        # u is made before the frequency data W, and the traces and the
+        # inverse FFT read W in blocks of 256 kB: with no temporary as large
+        # as W beside it, glibc keeps what a call frees for the next one
+        # instead of unmapping it and faulting it in again
+        u = np.empty((lams.size,) + f.shape, dtype=complex)
+        traces = np.empty((problem.m,) + u.shape[:-1], dtype=complex)
     F = np.fft.fft(seeley_extend(f, _seeley_order(problem), ugrid), axis=-1)
-    W = whole_space_resolvent(problem, lams, F, xi_modes, ugrid.xi_normal)
-    step = max(1, (1 << 18) // max(W[:1].nbytes, 1))
-    for i in range(0, len(W), step):
-        # D_n^l w at x = 0 from the normal-frequency data
-        traces[:, i:i + step] = problem.boundary_traces(xi_modes, lambda l: (
-            W[i:i + step] * ugrid.xi_normal ** l).sum(axis=-1) / W.shape[-1])
-        u[i:i + step] = np.fft.ifft(W[i:i + step], axis=-1)[..., : ugrid.N]
+    W = whole_space_resolvent(problem, lams, F, xi_modes, xi_n)
+    if weights is not None:
+        # einsums, not matmuls: a row's bits do not depend on its stack, and
+        # none makes a temporary the size of W, for the reason above
+        weights = np.asarray(weights, dtype=complex).reshape(-1)
+        traces = problem.boundary_traces(xi_modes, lambda l: np.einsum(
+            "kmx,x->km", W, xi_n ** l / W.shape[-1])) * weights[:, None]
+        u = np.fft.ifft(np.einsum("k,kmx->mx", weights, W), axis=-1)[..., : ugrid.N]
+    else:
+        step = max(1, (1 << 18) // max(W[:1].nbytes, 1))
+        for i in range(0, len(W), step):
+            # D_n^l w at x = 0 from the normal-frequency data
+            traces[:, i:i + step] = problem.boundary_traces(xi_modes, lambda l: (
+                W[i:i + step] * xi_n ** l).sum(axis=-1) / W.shape[-1])
+            u[i:i + step] = np.fft.ifft(W[i:i + step], axis=-1)[..., : ugrid.N]
     del W
-    u -= kernel_batch(problem, lams, xi_modes).eval(ugrid.x, traces, 0)
-    return u.reshape(lam.shape + f.shape)
+    correction = kernel_batch(problem, lams, xi_modes).eval(ugrid.x, traces, 0)
+    # with weights, the nodes' corrections are summed in node order
+    u -= correction if weights is None else correction.sum(axis=0)
+    return u.reshape(lam.shape + f.shape if weights is None else f.shape)
 
 
 def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
@@ -255,10 +285,13 @@ def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
     hyperbola around the spectrum of A_B - _SIGMA; resolvents are evaluated
     at z + _SIGMA, and the factor e^{_SIGMA t} restores the unshifted
     semigroup.  Requires the working angle phi > pi/2 so that the asymptotic
-    contour directions (pi/2 + alpha) stay inside the sector.
+    contour directions (pi/2 + alpha) stay inside the sector, and a finite
+    t > 0.  The quadrature sum sum_k e^{z_k t} dz_k R(z_k + _SIGMA) u0 is
+    one weighted :func:`halfspace_resolvent` call, so it is taken before
+    the inverse FFT and the Poisson correction, not over finished solves.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     if problem.phi <= math.pi / 2:
         raise ValueError("semigroup needs working angle phi > pi/2")
     if math.pi / 2 + _ALPHA >= problem.phi:
@@ -274,12 +307,7 @@ def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
     h = thetas[1] - thetas[0]
     z = [mu * (1.0 - cmath.sin(_ALPHA + 1j * th)) for th in thetas]
     dz = [-1j * mu * cmath.cos(_ALPHA + 1j * th) for th in thetas]
-    u0 = np.asarray(u0, dtype=complex)
-    us = halfspace_resolvent(problem, np.array([zk + _SIGMA for zk in z]),
-                             u0, xi_modes, ugrid)
-    # accumulate in node order: the sum is the same, bit for bit, as one
-    # resolvent solve per node
-    acc = np.zeros_like(u0)
-    for zk, dzk, uk in zip(z, dz, us):
-        acc += (cmath.exp(zk * t) * dzk) * uk
+    weights = np.array([cmath.exp(zk * t) * dzk for zk, dzk in zip(z, dz)])
+    acc = halfspace_resolvent(problem, np.array([zk + _SIGMA for zk in z]), u0,
+                              xi_modes, ugrid, weights=weights)
     return math.exp(_SIGMA * t) * (h / (2.0j * math.pi)) * acc

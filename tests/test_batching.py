@@ -117,13 +117,72 @@ def _semigroup_per_node(p, u0, t, tg, ug):
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_semigroup_equals_one_solve_per_node(name):
+    """The contour sum taken on the frequency data and the weighted traces
+    equals the sum of per-node solves to rounding (it read at most 1.4e-14
+    of the largest entry), and the rows without data stay exactly zero."""
     p = PROBLEMS[name]()
     tg, ug = _grids(p)
     u0 = np.zeros((tg.n_modes, ug.N), dtype=complex)
     u0[1] = ug.x ** 2 * np.exp(-ug.x)
     u0[5] = (0.5 - 1.0j) * ug.x ** 3 * np.exp(-2.0 * ug.x)
-    assert np.array_equal(res.semigroup_apply(p, u0, 0.15, tg.xi_modes, ug),
-                          _semigroup_per_node(p, u0, 0.15, tg, ug))
+    got = res.semigroup_apply(p, u0, 0.15, tg.xi_modes, ug)
+    want = _semigroup_per_node(p, u0, 0.15, tg, ug)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not np.any(got[np.setdiff1d(np.arange(tg.n_modes), [1, 5])])
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_weighted_resolvent_equals_the_weighted_sum_of_rows(name):
+    """``weights`` returns sum_k w_k R(lambda_k) f: within 1e-13 of the
+    largest sum_k |w_k| |R(lambda_k) f| (it read at most 6e-15), for
+    weights of one size and of four decades; rows without data stay
+    exactly zero."""
+    p = PROBLEMS[name]()
+    tg, ug = _grids(p)
+    f = np.zeros((tg.n_modes, ug.N), dtype=complex)
+    active = [1, 4, 6]
+    for i, q in enumerate(active):
+        f[q] = (1.0 + 0.5j * i) * ug.x ** i * np.exp(-(1.0 + 0.2 * i) * ug.x)
+    u = res.halfspace_resolvent(p, LAMS, f, tg.xi_modes, ug)
+    inactive = np.setdiff1d(np.arange(tg.n_modes), active)
+    for w in (np.array([1.0, -2.0 + 1.0j, 0.3j, 5.0, -0.7]),
+              np.exp(1j * np.arange(5)) * 10.0 ** np.arange(-4, 1)):
+        got = res.halfspace_resolvent(p, LAMS, f, tg.xi_modes, ug, weights=w)
+        assert got.shape == f.shape
+        scale = np.einsum("k,kmx->mx", np.abs(w), np.abs(u)).max()
+        assert np.abs(got - np.einsum("k,kmx->mx", w, u)).max() <= 1e-13 * scale
+        assert not np.any(got[inactive])
+
+
+def test_weights_of_the_wrong_shape_are_rejected():
+    p = hp.dirichlet_laplacian()
+    tg, ug = _grids(p)
+    f = np.zeros((tg.n_modes, ug.N), dtype=complex)
+    for lam, w in ((LAMS, np.ones(len(LAMS) - 1)), (LAMS, np.ones((len(LAMS), 1))),
+                   (LAMS[0], np.ones(1))):
+        with pytest.raises(ValueError, match="weights have shape"):
+            res.halfspace_resolvent(p, lam, f, tg.xi_modes, ug, weights=w)
+
+
+def test_semigroup_takes_one_inverse_fft_and_one_resolvent_call(monkeypatch):
+    """On one row at N_z = 2048 the contour is one weighted resolvent call
+    and one inverse FFT, not one inverse FFT per block of nodes (12)."""
+    calls = {"ifft": 0, "resolvent": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+    monkeypatch.setattr(res, "halfspace_resolvent",
+                        counted("resolvent", res.halfspace_resolvent))
+    ug = UniformHalfGrid(X=30.0, N=2048)
+    u = res.semigroup_apply(hp.clamped_bilaplacian(), (ug.x ** 2 * np.exp(-ug.x))[None],
+                            0.15, np.array([[1.0]]), ug)
+    assert u.shape == (1, ug.N)
+    assert calls == {"ifft": 1, "resolvent": 1}
 
 
 def _parabolic_per_frequency(p, g, sigma, tgt, tg, x):

@@ -305,9 +305,10 @@ def _contour_nodes(p, t):
     """The resolvent nodes of ``semigroup_apply(p, ., t)`` at xi' = 1."""
     seen = []
 
-    def record(problem, lam, f, xi_modes, ugrid):
+    def record(problem, lam, f, xi_modes, ugrid, weights=None):
         seen.append(lam)
-        return np.zeros((len(lam),) + f.shape, dtype=complex)
+        shape = f.shape if weights is not None else (len(lam),) + f.shape
+        return np.zeros(shape, dtype=complex)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rs, "halfspace_resolvent", record)

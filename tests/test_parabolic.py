@@ -132,9 +132,10 @@ def _switch_on(p, q0, N_t):
 
 
 class TestIbvp:
-    @pytest.mark.parametrize("out_times", [[1.5], [0.0], [0.5, -0.25]])
+    @pytest.mark.parametrize("out_times", [[1.5], [0.0], [0.5, -0.25], [0.5, math.nan]])
     def test_output_times_validated(self, out_times):
-        """The solver names the key it checks, as the CLI's config reads it."""
+        """The solver names the key it checks, as the CLI's config reads it;
+        nan, which fails every comparison, is rejected too."""
         p = hp.dirichlet_laplacian()
         ug = UniformHalfGrid(X=30.0, N=256)
         u0 = np.zeros((TG.n_modes, ug.N), dtype=complex)

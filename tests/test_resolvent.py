@@ -275,6 +275,14 @@ class TestSemigroup:
             res.semigroup_apply(hp.dirichlet_laplacian(), self._state(ug),
                                 0.0, XI, ug)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_requires_finite_time(self, t):
+        """nan and inf pass a test of t <= 0; they must not reach the
+        contour, where they end in a LinAlgError."""
+        ug = UniformHalfGrid(X=30.0, N=256)
+        with pytest.raises(ValueError, match="positive and finite"):
+            res.semigroup_apply(hp.dirichlet_laplacian(), self._state(ug), t, XI, ug)
+
     def test_requires_wide_sector(self):
         base = hp.dirichlet_laplacian()
         narrow = hp.ModelProblem(
