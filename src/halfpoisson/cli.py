@@ -7,13 +7,15 @@ bodies are deterministic for a fixed seed (full double precision, shortest
 round-trip formatting); timestamps live in a sidecar ``metadata.json`` only.
 
 A subcommand is one function ``cmd_*(out, [flag=default, ...,] *, key=default,
-...)`` that returns whether its gates held; its signature is its interface.
-After the ``--out`` directory come its flags, typed by their defaults
-(``problem=None``, ``plot=False``, ``seed=0``), then the config keys it
-accepts.  :func:`main` does the rest once for all: it parses the command line,
-loads the problem (default: the Dirichlet Laplacian), checks the ``--config``
-JSON object against the declared keys and the types of their defaults, and
-maps the result to an exit code.
+...)`` that returns its gates, ``(name, value, kind, bound)`` with ``kind``
+one of ``"le"``, ``"ge"``, ``"gt"`` or ``"bool"`` (bound None); its signature
+is its interface.  After the ``--out`` directory come its flags, typed by
+their defaults (``problem=None``, ``plot=False``, ``seed=0``), then the config
+keys it accepts.  :func:`main` does the rest once for all: it parses the
+command line, loads the problem (default: the Dirichlet Laplacian), checks the
+``--config`` JSON object against the declared keys and the types of their
+defaults, then prints each gate, records them in ``metadata.json`` as
+``gates`` and exits 2 unless every gate holds.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import functools
 import inspect
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -68,22 +71,6 @@ def _write_json(path: Path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-# BLAS thread settings take effect only if set before NumPy loads, so they
-# are recorded as found, never set here
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _write_metadata(args) -> None:
-    _write_json(args.out / "metadata.json", {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "seed": getattr(args, "seed", None),
-        "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
-        "workers": poi.sweep_workers(),
-        "problem": getattr(args, "problem", None),
-        "command": args.command,
-    })
 
 
 _SVG_COLOURS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -208,7 +195,7 @@ def _datum_mode(n: int) -> np.ndarray:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check_ls(out, problem=None, *, n_moduli=8, n_rays=5) -> bool:
+def cmd_check_ls(out, problem=None, *, n_moduli=8, n_rays=5) -> list:
     ell = mdl.check_ellipticity(problem)
     report = {
         "problem": problem.name,
@@ -216,8 +203,8 @@ def cmd_check_ls(out, problem=None, *, n_moduli=8, n_rays=5) -> bool:
         "worst_margin": ell.worst_margin,
         "worst_direction": list(ell.worst_direction) if ell.worst_direction else None,
     }
-    ok = ell.passed
-    if ok:
+    gates = [("ellipticity", ell.passed, "bool", None)]
+    if ell.passed:
         sample = mdl.SectorSample.default(problem.phi, n_moduli=n_moduli, n_rays=n_rays)
         ls = mdl.check_lopatinskii_shapiro(problem, sample)
         report.update({
@@ -227,14 +214,14 @@ def cmd_check_ls(out, problem=None, *, n_moduli=8, n_rays=5) -> bool:
                                "lambda": [ls.worst_point[1].real, ls.worst_point[1].imag]},
             "ls_condition_number": ls.condition_number,
         })
-        ok = ls.passed
+        # strict, as ls.passed: check_lopatinskii_shapiro's threshold
+        gates.append(("ls_min_singular_value", ls.min_singular_value, "gt", 1e-8))
     _write_json(out / "check_ls.json", report)
-    print(json.dumps(report, indent=2))
-    return ok
+    return gates
 
 
 def cmd_poisson_eval(out, problem=None, *, lambda_=4.0 + 1.0j, j=0, N_x=16,
-                     xi0=1.0) -> bool:
+                     xi0=1.0) -> list:
     _check_j(problem, j)
     _check_nonzero("lambda", lambda_)
     tgrid = _tgrid(problem.n - 1, N_x)
@@ -257,13 +244,12 @@ def cmd_poisson_eval(out, problem=None, *, lambda_=4.0 + 1.0j, j=0, N_x=16,
     _write_json(out / "poisson_eval.json",
                 {"lambda": [lambda_.real, lambda_.imag], "j": j,
                  "boundary_reproduction_defect": worst})
-    print(f"boundary reproduction defect: {worst:.3e}")
-    return worst <= 1e-8
+    return [("boundary_reproduction_defect", worst, "le", 1e-8)]
 
 
 def cmd_decay_sweep(out, problem=None, plot=False, *, k=0, p=2.0, r=0.0, t=0.0,
                     s=0.0, j=0, sigma_floor=1e2, n_rays=5, n_moduli=13,
-                    mod_max=1e6, N_x=0) -> bool:
+                    mod_max=1e6, N_x=0) -> list:
     _check_j(problem, j)
     _check_least("n_moduli", n_moduli, _FIT_POINTS)
     q = poi.ExponentQuery.for_problem(problem, k=k, p=p, r=r, t=t, s=s, j=j)
@@ -297,30 +283,27 @@ def cmd_decay_sweep(out, problem=None, plot=False, *, k=0, p=2.0, r=0.0, t=0.0,
                           {f"arg={ray:.3f}": (result.x, norms)
                            for ray, norms in zip(rays, result.norms)},
                           "|lambda|", "norm")
-    print(f"predicted slope {result.predicted:+.4f}, "
-          f"max deviation {result.max_deviation:.4f}")
-    return result.max_deviation <= 0.05
+    return [("max_deviation", result.max_deviation, "le", 0.05)]
 
 
 def cmd_singularity_sweep(out, problem=None, plot=False, *, t=1.0, s=0.0,
-                          lambda_=4.0 + 0.0j, j=0, n_x_pts=40) -> bool:
+                          lambda_=4.0 + 0.0j, j=0, n_x_pts=40) -> list:
     _check_j(problem, j)
     _check_least("n_x_pts", n_x_pts, _FIT_POINTS)
     _check_nonzero("lambda", lambda_)
     x_range = np.logspace(-4, -1, n_x_pts)
     result = poi.singularity_sweep(problem, j, lambda_, t, s, x_range)
-    slope = result.slopes[0]
     _write_csv(out / "singularity_sweep.csv", {
         "ray_arg": cmath.phase(lambda_), "x_n": result.x, "norm": result.norms[0],
-        "predicted": result.predicted, "fitted_slope": slope})
+        "predicted": result.predicted, "fitted_slope": result.slopes[0]})
     if plot:
         series = {"profile": (result.x, result.norms[0])}
         _write_svg_loglog(out / "singularity_sweep.svg", series, "x_n", "tangential norm")
-    print(f"predicted slope {result.predicted:+.4f}, fitted {slope:+.4f}")
-    return result.max_deviation <= 0.1
+    # nan where the sup was cut short and the profile has no slope
+    return [("max_deviation", abs(result.slopes[0] - result.predicted), "le", 0.1)]
 
 
-def cmd_hardy_norm(out, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> bool:
+def cmd_hardy_norm(out, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> list:
     grid = HalfLineGrid(x_min=x_min, ratio=ratio, n_points=n_points)
     # the p = 2, r = 0 reference with one refinement, then p at three weights
     cases = [(2.0, 0.0, grid), (2.0, 0.0, grid.refined(2))] + [
@@ -332,10 +315,8 @@ def cmd_hardy_norm(out, *, p=2.0, x_min=1e-16, ratio=1.08, n_points=1000) -> boo
     _write_csv(out / "hardy_norm.csv", {
         "p": ps, "r": rs, "n_points": [g.n_points for g in grids], "norm": norms,
         "rel_err_vs_pi": rel_err})
-    monotone = bool(np.all(norms[3:] > norms[2:-1]))
-    print(f"p=2,r=0 refined estimate {norms[1]:.6f} (pi = {math.pi:.6f}); "
-          f"monotone in r: {monotone}")
-    return rel_err[1] <= 0.02 and monotone
+    return [("refined_rel_err_vs_pi", rel_err[1], "le", 0.02),
+            ("monotone_in_r", np.all(norms[3:] > norms[2:-1]), "bool", None)]
 
 
 # lifting trials per draw: 8 trials of the default 128 x 64 complex data are
@@ -345,7 +326,7 @@ _LIFT_BLOCK = 8
 
 
 def cmd_norm_check(out, seed=0, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100,
-                   t=2.0) -> bool:
+                   t=2.0) -> list:
     _check_least("trials", trials, 1)
     _check_least("n_mu", n_mu, 1)
     rng = np.random.default_rng(seed)
@@ -394,12 +375,11 @@ def cmd_norm_check(out, seed=0, *, N_x=128, s=2.0, s0=0.0, n_mu=9, trials=100,
         "param_norm": lhs.ravel(), "split_norm": rhs.ravel(), "ratio": ratios.ravel()})
     _write_json(out / "norm_check.json",
                 {"C_equivalence": C_equiv, "C_lifting": C_lift})
-    print(f"equivalence constant {C_equiv:.3f}, lifting constant {C_lift:.3f}")
-    return C_equiv <= 4.0 and C_lift <= 4.0
+    return [("C_equivalence", C_equiv, "le", 4.0), ("C_lifting", C_lift, "le", 4.0)]
 
 
 def cmd_resolvent_test(out, problem=None, *, lambda_=4.0 + 2.0j, X=12.0,
-                       N_z=128) -> bool:
+                       N_z=128) -> list:
     # the residual leaves out 2 x order nodes at either end of the coarsest grid
     _check_power_of_two("N_z", N_z, 1 << (4 * problem.order).bit_length())
     _check_nonzero("lambda", lambda_)
@@ -436,14 +416,14 @@ def cmd_resolvent_test(out, problem=None, *, lambda_=4.0 + 2.0j, X=12.0,
         "residuals": residuals, "trace_defects": traces_,
         "order": order_res, "sectoriality_spread_ok": spread_ok,
     })
-    print(f"residuals {residuals}, traces {traces_}, order {order_res:.2f}, "
-          f"sectorial spread ok: {spread_ok}")
-    return (residuals[2] <= 1e-4 and traces_[2] <= 1e-4
-            and order_res >= 2.0 and spread_ok)
+    return [("interior_residual", residuals[2], "le", 1e-4),
+            ("trace_defect", traces_[2], "le", 1e-4),
+            ("refinement_order", order_res, "ge", 2.0),
+            ("sectoriality_spread", spread_ok, "bool", None)]
 
 
 def cmd_semigroup_test(out, problem=None, *, X=30.0, N_z=2048, t1=0.1, t2=0.2,
-                       t_small=1e-6) -> bool:
+                       t_small=1e-6) -> list:
     _check_power_of_two("N_z", N_z, 4)
     _check_positive(t1=t1, t2=t2, t_small=t_small)
     xi = _datum_mode(problem.n)
@@ -461,13 +441,12 @@ def cmd_semigroup_test(out, problem=None, *, X=30.0, N_z=2048, t1=0.1, t2=0.2,
     id_dev = float(np.linalg.norm(small - u0)) / float(np.linalg.norm(u0))
     _write_json(out / "semigroup_test.json",
                 {"semigroup_property_dev": semi_dev, "identity_dev": id_dev})
-    print(f"semigroup property deviation {semi_dev:.2e}, "
-          f"t->0 deviation {id_dev:.2e}")
-    return semi_dev <= 1e-4 and id_dev <= 0.01
+    return [("semigroup_property_dev", semi_dev, "le", 1e-4),
+            ("identity_dev", id_dev, "le", 0.01)]
 
 
 def cmd_parabolic_solve(out, problem=None, *, N_t=16, T_per=2.0 * math.pi,
-                        sigma=1.0, n_x_pts=33) -> bool:
+                        sigma=1.0, n_x_pts=33) -> list:
     _check_least("n_x_pts", n_x_pts, 1)
     _check_power_of_two("N_t", N_t, 2)
     _check_positive(T_per=T_per)
@@ -490,12 +469,11 @@ def cmd_parabolic_solve(out, problem=None, *, N_t=16, T_per=2.0 * math.pi,
         "t": np.repeat(times, len(x_nodes)), "x_n": np.tile(x_nodes, N_t),
         "re": vals.real, "im": vals.imag})
     _write_json(out / "parabolic_solve.json", {"single_mode_dev": dev})
-    print(f"single-mode closed-form deviation {dev:.2e}")
-    return dev <= 1e-8
+    return [("single_mode_dev", dev, "le", 1e-8)]
 
 
 def cmd_ibvp_solve(out, problem=None, *, X=30.0, N_z=1024, T=0.5, N_t=16,
-                   out_times=()) -> bool:
+                   out_times=()) -> list:
     _check_power_of_two("N_z", N_z, 8)   # the boundary trace reads six normal nodes
     _check_power_of_two("N_t", N_t, 1)
     _check_positive(T=T)
@@ -521,27 +499,20 @@ def cmd_ibvp_solve(out, problem=None, *, X=30.0, N_z=1024, T=0.5, N_t=16,
         "boundary_trace_dev": worst,
         "compatibility_defect": sol.compatibility_defect,
     })
-    print(f"boundary trace deviation {worst:.2e}; "
-          f"compatibility defect {sol.compatibility_defect:.2e}")
-    return worst <= 1e-2
+    return [("boundary_trace_dev", worst, "le", 1e-2)]
 
 
 def cmd_rbound_sim(out, seed=0, p=1.2, *, sigma=1.0, N_list=(4, 8, 16, 32, 64), r=0.0,
-                   trials=1024) -> bool:
+                   trials=1024) -> list:
     # out-of-range --p, sigma, N_list, r and trials reach the experiment's checks
     ratios, stderrs = rb.dirichlet_nonrbound_experiment(
         p=p, sigma=sigma, N_list=N_list, r=r, trials=trials, seed=seed)
     _write_csv(out / "rbound_sim.csv", {
         "p": p, "r": r, "N": N_list, "ratio": ratios, "stderr": stderrs})
-    growth = ratios[-1] / ratios[0]
-    if p < 2.0:
-        ok = growth >= 1.5
-    else:
-        ok = ratios.max() / ratios.min() <= 1.3
-    stderr_ok = bool(np.all(stderrs / ratios <= 0.03))
-    print(f"p={p}: ratio growth N={N_list[0]}->N={N_list[-1]}: {growth:.3f}x "
-          f"(stderr ok: {stderr_ok})")
-    return ok and stderr_ok
+    # a nan standard error (one batch) makes the largest one nan, and fails
+    shape = (("ratio_growth", ratios[-1] / ratios[0], "ge", 1.5) if p < 2.0
+             else ("plateau_spread", ratios.max() / ratios.min(), "le", 1.3))
+    return [shape, ("relative_stderr", np.max(stderrs / ratios), "le", 0.03)]
 
 
 COMMANDS = {
@@ -654,6 +625,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# BLAS thread settings take effect only if set before NumPy loads, so they
+# are recorded as found, never set here
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+# a gate's kind -> how its value must compare with its bound
+_KINDS = {"le": ("<=", operator.le), "ge": (">=", operator.ge), "gt": (">", operator.gt)}
+
+
+def _evaluate(name, value, kind, bound) -> dict:
+    """One gate in plain JSON types, with its verdict."""
+    value = bool(value) if kind == "bool" else float(value)
+    return {"name": name, "value": value, "kind": kind, "bound": bound,
+            "passed": value if kind == "bool" else bool(_KINDS[kind][1](value, bound))}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """:func:`build_parser` once per process: each call of :func:`main`
@@ -669,16 +656,28 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         args.out.mkdir(parents=True, exist_ok=True)
-        _write_metadata(args)
         kwargs = _load_config(args.command, args.config)
         kwargs.update({flag: getattr(args, flag) for flag in flag_params(args.command)})
         if hasattr(args, "problem"):
             kwargs["problem"] = _load_problem(args.problem)
-        passed = COMMANDS[args.command](args.out, **kwargs)
+        gates = [_evaluate(*gate) for gate in COMMANDS[args.command](args.out, **kwargs)]
+        _write_json(args.out / "metadata.json", {
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            "seed": getattr(args, "seed", None),
+            "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
+            "workers": poi.sweep_workers(),
+            "problem": getattr(args, "problem", None),
+            "command": args.command,
+            "gates": gates,
+        })
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_OK if passed else EXIT_TOLERANCE
+    for g in gates:
+        claim = (g["value"] if g["kind"] == "bool"
+                 else f"{g['value']:.4g} {_KINDS[g['kind']][0]} {g['bound']:g}")
+        print(f"{'pass' if g['passed'] else 'FAIL'}  {g['name']} = {claim}")
+    return EXIT_OK if all(g["passed"] for g in gates) else EXIT_TOLERANCE
 
 
 if __name__ == "__main__":

@@ -137,12 +137,7 @@ class HalfLineGrid:
         head integral of x^r over [0, x_min] with g frozen at g(x_min);
         requires r > -1.
         """
-        if not r > -1:
-            raise ValueError(f"'r' must exceed -1, got {r}")
-        h = math.log(self.ratio)
-        w = _simpson_coeffs(self.n_points) * h * self.x ** (1.0 + r)
-        w[0] += self.x_min ** (1.0 + r) / (1.0 + r)
-        return w
+        return self.x ** (1.0 + r) * self.log_weights(r)
 
     def log_weights(self, r: float = 0.0) -> np.ndarray:
         """gamma^(r) with ``quad_weights(r)`` = x^{1+r} gamma^(r): the Simpson

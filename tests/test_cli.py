@@ -534,7 +534,10 @@ class TestSweepOutputs:
         out = tmp_path / "out"
         assert run(["rbound-sim", "--p", "2.0", "--config", cfg, "--out", out]) \
             == cli.EXIT_TOLERANCE
-        assert "stderr ok: False" in capsys.readouterr().out
+        _, stderr = _assert_gates_are_the_verdicts("rbound-sim", out)
+        assert stderr["name"] == "relative_stderr" and math.isnan(stderr["value"])
+        assert not stderr["passed"]
+        assert "FAIL  relative_stderr = nan <= 0.03" in capsys.readouterr().out.splitlines()
         with open(out / "rbound_sim.csv") as fh:
             assert [row["stderr"] for row in csv.DictReader(fh)] == ["nan", "nan"]
 
@@ -648,6 +651,8 @@ class TestSweepOutputs:
         with open(out / "singularity_sweep.csv", newline="") as fh:
             assert {row["fitted_slope"] for row in csv.DictReader(fh)} == {"nan"}
         assert not _load_verdicts().verdict("singularity-sweep", out).passed
+        [gate] = _assert_gates_are_the_verdicts("singularity-sweep", out)
+        assert math.isnan(gate["value"])
 
 
 class TestSvgWriter:
@@ -770,11 +775,12 @@ class TestSolverCommands:
 
         tracemalloc.start()
         try:
-            assert cli.cmd_norm_check(tmp_path)
+            gates = cli.cmd_norm_check(tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2 ** 20
+        assert all(value <= bound for _, value, _, bound in gates)
 
     def test_parabolic_solve(self, tmp_path):
         out = tmp_path / "out"
@@ -863,18 +869,18 @@ def _load_verdicts():
 
 
 def test_benchmark_verdicts_match_the_exit_codes(tmp_path):
-    """For every subcommand on a small config, the verdict that
-    ``perfbench/verdicts.py`` recomputes from the artifacts is ``exit == 0``;
-    an artifact-schema slip fails here before the benchmark runs."""
-    verdicts = _load_verdicts()
+    """For every subcommand on a small config, the gates the run records are
+    the ones ``perfbench/verdicts.py`` recomputes from the artifacts, and
+    the exit code is theirs: an artifact-schema slip, or a gate changed in
+    the CLI alone, fails here before the benchmark runs."""
     configs = {
         "check-ls": {"n_moduli": 4, "n_rays": 3},
         "poisson-eval": {},
         "decay-sweep": {"n_rays": 2, "n_moduli": 4},
         "singularity-sweep": {"n_x_pts": 8},
-        "hardy-norm": {"p": 3.0, "n_points": 200},   # fails "monotone in r"
+        "hardy-norm": {"p": 3.0, "n_points": 200},   # fails monotone_in_r
         "norm-check": {"trials": 2},
-        "resolvent-test": {"N_z": 16},               # fails the order gate
+        "resolvent-test": {"N_z": 16},               # fails refinement_order
         "semigroup-test": {"N_z": 256},
         "parabolic-solve": {"N_t": 4},
         "ibvp-solve": {"N_z": 256, "N_t": 4},
@@ -887,8 +893,62 @@ def test_benchmark_verdicts_match_the_exit_codes(tmp_path):
         cfg.write_text(json.dumps(doc))
         code = run([name, "--config", cfg, "--out", out])
         assert code in (cli.EXIT_OK, cli.EXIT_TOLERANCE), name
-        passed[name] = verdicts.verdict(name, out).passed
+        passed[name] = all(g["passed"] for g in _assert_gates_are_the_verdicts(name, out))
         assert passed[name] == (code == cli.EXIT_OK), name
     # the check sees both verdicts
     assert not passed["hardy-norm"] and not passed["resolvent-test"]
     assert passed["poisson-eval"]
+
+
+# Laplacians whose one boundary condition fails a check-ls gate: the wrong
+# sign fails ellipticity, B = D_1 (no normal derivative) fails LS at xi' = 0
+_BAD_PROBLEMS = {
+    "bad_sign": {"n": 2, "m": 1, "interior": {"2,0": [1.0, 0.0], "0,2": [1.0, 0.0]},
+                 "boundary": [{"order": 0, "coeffs": {"0,0": [1.0, 0.0]}}],
+                 "phi_prime": math.pi / 2, "phi": math.pi / 4},
+    "tangential_bc": {"n": 2, "m": 1,
+                      "interior": {"2,0": [-1.0, 0.0], "0,2": [-1.0, 0.0]},
+                      "boundary": [{"order": 1, "coeffs": {"1,0": [1.0, 0.0]}}],
+                      "phi_prime": 3.1, "phi": 2.3},
+}
+
+
+@pytest.mark.parametrize("command,flags,doc", [
+    ("hardy-norm", [], {"p": 3.0}),
+    ("check-ls", ["--problem", "bad_sign"], {}),
+    ("check-ls", ["--problem", "tangential_bc"], {}),
+], ids=lambda v: json.dumps(v) if isinstance(v, (dict, list)) else None)
+def test_recorded_gates_are_the_benchmark_verdicts(command, flags, doc, tmp_path, capsys):
+    """Failing runs, beyond the small configs of
+    :func:`test_benchmark_verdicts_match_the_exit_codes` and the one-trial
+    rbound-sim of ``test_rbound_single_batch_fails_the_stderr_gate``, record
+    the gates that ``perfbench/verdicts.py`` recomputes, print one line per
+    gate with its verdict first, and exit on them."""
+    for name, problem in _BAD_PROBLEMS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(problem))
+    flags = [str(tmp_path / f"{f}.json") if f in _BAD_PROBLEMS else f for f in flags]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run([command, *flags, "--config", cfg, "--out", out])
+    recorded = _assert_gates_are_the_verdicts(command, out)
+    assert [line.split()[:2] for line in capsys.readouterr().out.splitlines()] == [
+        ["pass" if g["passed"] else "FAIL", g["name"]] for g in recorded]
+    passed = all(g["passed"] for g in recorded)
+    assert code == (cli.EXIT_OK if passed else cli.EXIT_TOLERANCE)
+
+
+def _assert_gates_are_the_verdicts(command, out) -> list:
+    """The gates the run recorded in ``out/metadata.json``, asserted equal to
+    those ``perfbench/verdicts.py`` recomputes from the artifacts: the same
+    names in the same order, values (nan equal to nan) in plain JSON types,
+    bounds (None for a boolean gate) and verdicts."""
+    recorded = json.loads((out / "metadata.json").read_text())["gates"]
+    expected = _load_verdicts().verdict(command, out).gates
+    assert [g["name"] for g in recorded] == [g.name for g in expected]
+    for got, want in zip(recorded, expected):
+        assert type(got["value"]) is (bool if got["kind"] == "bool" else float)
+        assert got["value"] == want.figure or math.isnan(got["value"]) and math.isnan(want.figure)
+        assert got["bound"] == (None if want.kind == "bool" else want.tol)
+        assert got["passed"] is want.passed
+    return recorded

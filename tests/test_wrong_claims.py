@@ -17,7 +17,9 @@ exit 2.  Three kinds of patch make a wrong claim:
 A row that a gate accepts today is a known miss: it carries
 ``xfail(strict=True)`` and the figure the run measures under the wrong
 claim, so a gate that starts catching it fails here until the row loses
-its mark.
+its mark.  A caught row must also fail the gate :data:`GATE_HIT` names for
+its command, as the run records it in ``metadata.json``: a run that exits 2
+for another reason does not catch the claim.
 """
 
 import json
@@ -43,6 +45,20 @@ CONSTANT_FAMILY = "constant_family"
 # the commands that evaluate Poisson kernels, one claim each
 KERNEL_COMMANDS = ("poisson-eval", "resolvent-test", "semigroup-test", "ibvp-solve",
                    "parabolic-solve")
+# the gate each command's wrong claims fail, as measured on every caught row:
+# the kernel rows of resolvent-test, for one, pass the interior residual
+# (the wrong kernel still solves the equation) and fail the trace
+GATE_HIT = {
+    "singularity-sweep": "max_deviation",
+    "decay-sweep": "max_deviation",
+    "poisson-eval": "boundary_reproduction_defect",
+    "resolvent-test": "trace_defect",
+    "semigroup-test": "semigroup_property_dev",
+    "ibvp-solve": "boundary_trace_dev",
+    "parabolic-solve": "single_mode_dev",
+    "hardy-norm": "refined_rel_err_vs_pi",
+    "rbound-sim": "ratio_growth",
+}
 
 
 def _shifted(name):
@@ -149,3 +165,5 @@ def test_wrong_claim_exits_2(command, problem, config, mutation, delta,
     code = cli.main([command, *flags, "--config", str(cfg),
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_TOLERANCE
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert GATE_HIT[command] in {gate["name"] for gate in meta["gates"] if not gate["passed"]}
