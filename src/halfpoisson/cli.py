@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import functools
 import inspect
 import json
@@ -52,8 +51,10 @@ def _write_csv(path: Path, columns) -> None:
     """Write ``columns``, an ordered mapping from header to column, as CSV.
 
     A column is an array, or a scalar repeated down the column.  Every cell
-    comes from ``.tolist()``: a float by its shortest round-trip repr, an int
-    by ``str``, a bool as 1/0.  Columns of unequal length raise ValueError.
+    is the repr of its ``.tolist()`` value, the bytes ``csv.writer`` writes:
+    a float by its shortest round-trip repr, an int by ``str``, a bool as
+    1/0.  The headers are plain names, written as given.  Columns of
+    unequal length raise ValueError.
     """
     cols = [np.asarray(c) for c in columns.values()]
     cols = [c.astype(int) if c.dtype == bool else c for c in cols]
@@ -62,9 +63,9 @@ def _write_csv(path: Path, columns) -> None:
         raise ValueError(f"CSV columns of unequal shapes: "
                          f"{dict(zip(columns, (c.shape for c in cols)))}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*(np.broadcast_to(c, n).tolist() for c in cols)))
+        fh.write(",".join(columns) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in zip(*(np.broadcast_to(c, n).tolist() for c in cols)))
 
 
 def _write_json(path: Path, doc) -> None:

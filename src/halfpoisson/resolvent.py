@@ -42,6 +42,19 @@ weighted :func:`halfspace_resolvent` call, with the quadrature weights
 e^{z t} dz, serves all contour nodes of a :func:`semigroup_apply` call: it
 makes one inverse FFT and one Poisson correction, not one per node, and its
 bits differ from the sum of per-node solves by rounding.
+
+The hyperbola is symmetric about the real axis, z(-theta) = conj z(theta),
+and for a real operator and real data R(conj lambda) f = conj(R(lambda) f),
+so half of the nodes are conjugates of the others.  The test is per row
+and exact: the row's interior table is tau-even with real entries, each of
+its boundary rows times (-i)^l is one complex scalar times a real vector,
+and its data have a zero imaginary part.  Such a row takes one weighted call
+on the nodes with theta > 0 only, Y, and the sum c (Y - conj Y), exactly
+real; every other row (complex data, as ``ibvp_solve``'s initial state, or
+an oblique boundary row with a tangential part) still takes all nodes, with
+the bits of one call on them.  The routes differ only through the torus's
+unpaired Nyquist frequency in odd-order traces: the pair route sums the
+conjugate-symmetric part of the discrete operator.
 """
 
 from __future__ import annotations
@@ -146,6 +159,12 @@ def _check_multiplier(lams: np.ndarray, symbol: np.ndarray, weight: np.ndarray) 
             raise ValueError(f"resolvent multiplier ill conditioned at lambda={lam}")
 
 
+def _check_data(f: np.ndarray, xi_modes: np.ndarray, ugrid: UniformHalfGrid) -> None:
+    if f.shape != (len(xi_modes), ugrid.N):
+        raise ValueError(f"f has shape {f.shape}, the grids hold "
+                         f"{len(xi_modes)} modes x {ugrid.N} nodes")
+
+
 def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
                         xi_modes: np.ndarray, ugrid: UniformHalfGrid,
                         weights=None) -> np.ndarray:
@@ -167,9 +186,7 @@ def halfspace_resolvent(problem: mdl.ModelProblem, lam, f: np.ndarray,
     """
     lam = np.asarray(lam, dtype=complex)
     f = np.asarray(f, dtype=complex)
-    if f.shape != (len(xi_modes), ugrid.N):
-        raise ValueError(f"f has shape {f.shape}, the grids hold "
-                         f"{len(xi_modes)} modes x {ugrid.N} nodes")
+    _check_data(f, xi_modes, ugrid)
     if weights is not None and np.shape(weights) != lam.shape:
         raise ValueError(f"weights have shape {np.shape(weights)}, "
                          f"lambda has shape {lam.shape}")
@@ -270,25 +287,91 @@ def boundary_trace_fd(problem: mdl.ModelProblem, u: np.ndarray,
 
 # Contour quadrature (Weideman & Trefethen, Math. Comp. 76, 2007): N_C nodes
 # on the hyperbola of asymptotic half-angle pi/2 + _ALPHA, truncated where
-# e^{Re z t} has fallen to e^{-_TAIL}, shifted right by _SIGMA.
+# e^{Re z t} has fallen to e^{-_TAIL}, shifted right by _SIGMA.  N_C is even,
+# so the first N_C / 2 nodes are those with theta > 0.
 _N_C = 48
 _ALPHA = math.pi / 5.0
 _TAIL = 30.0
 _SIGMA = 1.0
 
 
+def _contour(t: float):
+    """The contour of :func:`semigroup_apply` at time t: its ``_N_C`` nodes
+    z_k + _SIGMA (the resolvent parameters) and weights e^{z_k t} dz_k, in
+    node order, and the scalar c = e^{_SIGMA t} h / (2 pi i), so that
+    e^{t A_B} u0 = c sum_k weights[k] R(nodes[k]) u0.
+
+    z(theta) = mu (1 - sin(alpha + i theta)) on theta = theta_max ... -theta_max:
+    increasing theta moves the point downward in the imaginary direction, so
+    reversing the order keeps the Bromwich orientation (upward through the
+    right half-plane).  z(-theta) = conj z(theta) and dz(-theta) =
+    -conj dz(theta).
+    """
+    mu = 0.25 * _N_C / t
+    # truncate where e^{Re z t} has decayed below the tail tolerance
+    ch = (1.0 + _TAIL / (mu * t)) / math.sin(_ALPHA)
+    theta_max = math.acosh(max(ch, 1.0 + 1e-9))
+    thetas = np.linspace(theta_max, -theta_max, _N_C)
+    h = thetas[1] - thetas[0]
+    z = [mu * (1.0 - cmath.sin(_ALPHA + 1j * th)) for th in thetas]
+    dz = [-1j * mu * cmath.cos(_ALPHA + 1j * th) for th in thetas]
+    weights = np.array([cmath.exp(zk * t) * dzk for zk, dzk in zip(z, dz)])
+    return (np.array([zk + _SIGMA for zk in z]), weights,
+            math.exp(_SIGMA * t) * (h / (2.0j * math.pi)))
+
+
+# (-i)^l exactly, l = 0..3: D_n^l = (-i d/dx)^l
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+def _conjugate_rows(problem: mdl.ModelProblem, xi_modes: np.ndarray,
+                    f: np.ndarray) -> np.ndarray:
+    """Rows q with R(conj lambda) f[q] = conj(R(lambda) f[q]), (M,) bool.
+
+    A row qualifies when its interior table is tau-even with real entries,
+    each of its boundary rows times (-i)^l is one complex scalar times a
+    real vector, and its data have an exactly zero imaginary part.  Then
+    A(xi', D_n) and conj commute, and each B_j, up to its scalar, maps real
+    normal profiles to real traces, so the correction of a conjugate datum
+    is the conjugate correction.  Every test compares with zero exactly: an
+    odd-order or imaginary entry of any size, or a nan, fails it.  The
+    boundary test asks every cross product Re v_k Im v_l - Im v_k Re v_l of
+    two entries, computed in floating point, to be zero, so entries that
+    pass are parallel to the rounding of one product.
+    """
+    a = problem.interior_symbol.table(xi_modes)
+    b = problem.boundary_table(xi_modes) * _MINUS_I_POWERS[
+        np.arange(problem.order) % 4]
+    cross = (b.real[..., :, None] * b.imag[..., None, :]
+             - b.imag[..., :, None] * b.real[..., None, :])
+    return ~(a[:, 1::2].any(axis=1) | a.imag.any(axis=1)
+             | cross.any(axis=(1, 2, 3)) | np.imag(f).any(axis=1))
+
+
 def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
                     xi_modes: np.ndarray, ugrid: UniformHalfGrid) -> np.ndarray:
     """e^{t A_B} u0 by contour quadrature of the half-space resolvent.
 
-    Contour: z(theta) = mu (1 - sin(alpha + i theta)), a left-opening
-    hyperbola around the spectrum of A_B - _SIGMA; resolvents are evaluated
-    at z + _SIGMA, and the factor e^{_SIGMA t} restores the unshifted
-    semigroup.  Requires the working angle phi > pi/2 so that the asymptotic
-    contour directions (pi/2 + alpha) stay inside the sector, and a finite
-    t > 0.  The quadrature sum sum_k e^{z_k t} dz_k R(z_k + _SIGMA) u0 is
-    one weighted :func:`halfspace_resolvent` call, so it is taken before
-    the inverse FFT and the Poisson correction, not over finished solves.
+    The contour (:func:`_contour`) is a left-opening hyperbola around the
+    spectrum of A_B - _SIGMA; resolvents are evaluated at z + _SIGMA, and
+    the factor e^{_SIGMA t} restores the unshifted semigroup.  Requires the
+    working angle phi > pi/2, so that the asymptotic contour directions
+    (pi/2 + alpha) stay inside the sector, and a finite t > 0.  The
+    quadrature sum is a weighted :func:`halfspace_resolvent` call, taken
+    before the inverse FFT and the Poisson correction.
+
+    The contour is symmetric about the real axis: the node at -theta is the
+    conjugate of the node at theta, with weight -conj w.  A row that passes
+    :func:`_conjugate_rows` (a real, tau-even interior row, boundary rows
+    times (-i)^l real up to one scalar each, real data) takes c (Y - conj
+    Y), Y the weighted call on the N_C / 2 nodes with theta > 0 only, and
+    comes out exactly real.  Every other row takes all N_C nodes, with the
+    bits of one call on all rows: at most two calls, and no row's bits
+    depend on the other rows.  A row without data is zero on either route;
+    it joins the call on all nodes if there is one, where its checks run on
+    every node.  The routes differ by rounding and by the torus's unpaired
+    Nyquist frequency in odd-order traces, which the pair route leaves out:
+    it sums the conjugate-symmetric part of the discrete operator.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -296,18 +379,23 @@ def semigroup_apply(problem: mdl.ModelProblem, u0: np.ndarray, t: float,
         raise ValueError("semigroup needs working angle phi > pi/2")
     if math.pi / 2 + _ALPHA >= problem.phi:
         raise ValueError("contour asymptote leaves the verified sector")
-    mu = 0.25 * _N_C / t
-    # truncate where e^{Re z t} has decayed below the tail tolerance
-    ch = (1.0 + _TAIL / (mu * t)) / math.sin(_ALPHA)
-    theta_max = math.acosh(max(ch, 1.0 + 1e-9))
-    # increasing theta moves the contour point downward in the imaginary
-    # direction; reversing the node order keeps the Bromwich orientation
-    # (upward through the right half-plane)
-    thetas = np.linspace(theta_max, -theta_max, _N_C)
-    h = thetas[1] - thetas[0]
-    z = [mu * (1.0 - cmath.sin(_ALPHA + 1j * th)) for th in thetas]
-    dz = [-1j * mu * cmath.cos(_ALPHA + 1j * th) for th in thetas]
-    weights = np.array([cmath.exp(zk * t) * dzk for zk, dzk in zip(z, dz)])
-    acc = halfspace_resolvent(problem, np.array([zk + _SIGMA for zk in z]), u0,
-                              xi_modes, ugrid, weights=weights)
-    return math.exp(_SIGMA * t) * (h / (2.0j * math.pi)) * acc
+    lam, weights, c = _contour(t)
+    u0, xi_modes = np.asarray(u0), np.asarray(xi_modes)
+    _check_data(u0, xi_modes, ugrid)
+    pair = _conjugate_rows(problem, xi_modes, u0)
+    if not pair.all():
+        pair &= u0.any(axis=1)
+
+    def solve(rows, nodes):
+        f, xi = (u0, xi_modes) if rows.all() else (u0[rows], xi_modes[rows])
+        return halfspace_resolvent(problem, lam[nodes], f, xi, ugrid,
+                                   weights=weights[nodes])
+
+    if not pair.any():
+        return c * solve(~pair, slice(None))
+    out = np.empty(u0.shape, dtype=complex)
+    Y = solve(pair, slice(_N_C // 2))
+    out[pair] = (c * (Y - Y.conj())).real
+    if not pair.all():
+        out[~pair] = c * solve(~pair, slice(None))
+    return out

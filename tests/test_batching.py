@@ -5,7 +5,6 @@ still see the modes without data, and the contour and the parabolic solver
 must not fall back to one kernel batch per lambda.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -28,7 +27,7 @@ PROBLEMS = {
     "dirichlet": hp.dirichlet_laplacian,
     "neumann": hp.neumann_laplacian,
     "clamped": hp.clamped_bilaplacian,
-    "oblique_n3": lambda: oblique_laplacian(3, 0.5),
+    "oblique_n3": lambda n=3: oblique_laplacian(n, 0.5),
 }
 
 
@@ -101,33 +100,37 @@ def test_vector_lambda_resolvent_equals_scalar_calls(name, monkeypatch):
     assert np.array_equal(u[:, active], singles[:, active])
 
 
-def _semigroup_per_node(p, u0, t, tg, ug):
-    """Reference: the contour as one scalar resolvent solve per node."""
-    mu = 0.25 * res._N_C / t
-    ch = (1.0 + res._TAIL / (mu * t)) / math.sin(res._ALPHA)
-    thetas = np.linspace(math.acosh(ch), -math.acosh(ch), res._N_C)
+def _semigroup_per_node(p, u0, t, tg, ug, pairs=False):
+    """Reference: the contour as one scalar resolvent solve per node.  With
+    ``pairs``, the solves on the N_C / 2 nodes with theta > 0 only, each
+    weighted term with its exact conjugate, negated, standing for the term
+    of the mirrored node (weight -conj w, solve conj R)."""
+    lam, weights, c = res._contour(t)
+    nodes = len(lam) // 2 if pairs else len(lam)
     acc = np.zeros_like(u0)
-    for th in thetas:
-        z = mu * (1.0 - cmath.sin(res._ALPHA + 1j * th))
-        dz = -1j * mu * cmath.cos(res._ALPHA + 1j * th)
-        acc += (cmath.exp(z * t) * dz) * res.halfspace_resolvent(
-            p, z + res._SIGMA, u0, tg.xi_modes, ug)
-    return math.exp(res._SIGMA * t) * ((thetas[1] - thetas[0]) / (2.0j * math.pi)) * acc
+    for lam_k, w_k in zip(lam[:nodes], weights[:nodes]):
+        term = w_k * res.halfspace_resolvent(p, lam_k, u0, tg.xi_modes, ug)
+        acc += term - term.conj() if pairs else term
+    return c * acc
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_semigroup_equals_one_solve_per_node(name):
     """The contour sum taken on the frequency data and the weighted traces
-    equals the sum of per-node solves to rounding (it read at most 1.4e-14
-    of the largest entry), and the rows without data stay exactly zero."""
+    equals the sum of per-node solves to rounding (it read at most 2.1e-14
+    of the largest entry), and the rows without data stay exactly zero.
+    The real row takes the nodes with theta > 0 and their conjugates, the
+    complex row all nodes."""
     p = PROBLEMS[name]()
     tg, ug = _grids(p)
     u0 = np.zeros((tg.n_modes, ug.N), dtype=complex)
     u0[1] = ug.x ** 2 * np.exp(-ug.x)
     u0[5] = (0.5 - 1.0j) * ug.x ** 3 * np.exp(-2.0 * ug.x)
+    assert res._conjugate_rows(p, tg.xi_modes, u0)[[1, 5]].tolist() == [True, False]
     got = res.semigroup_apply(p, u0, 0.15, tg.xi_modes, ug)
-    want = _semigroup_per_node(p, u0, 0.15, tg, ug)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    want = np.stack([_semigroup_per_node(p, u0, 0.15, tg, ug, pairs=True)[1],
+                     _semigroup_per_node(p, u0, 0.15, tg, ug)[5]])
+    assert np.abs(got[[1, 5]] - want).max() <= 1e-12 * np.abs(want).max()
     assert not np.any(got[np.setdiff1d(np.arange(tg.n_modes), [1, 5])])
 
 
@@ -326,8 +329,8 @@ def _on_mode(tg, q, a, axis):
     return out
 
 
-ONE_ROW = pytest.mark.parametrize("name,n", [(name, n) for name in PROBLEMS
-                                             if name != "oblique_n3" for n in (2, 3)])
+ONE_ROW_CASES = [(name, n) for name in PROBLEMS if name != "oblique_n3" for n in (2, 3)]
+ONE_ROW = pytest.mark.parametrize("name,n", ONE_ROW_CASES)
 
 
 @ONE_ROW
@@ -341,12 +344,18 @@ def test_one_row_resolvent_equals_the_torus_row(name, n):
     assert np.array_equal(alone[:, 0], torus[:, q])
 
 
-@ONE_ROW
+@pytest.mark.parametrize("name,n", ONE_ROW_CASES + [("oblique_n3", 3)])
 def test_one_row_semigroup_equals_the_torus_row(name, n):
+    """Also where the torus splits between the two contour routes: on the
+    oblique Laplacian the datum row xi' = (0, 1) takes conjugate pairs,
+    the rows with xi_1 != 0 all nodes."""
     p, tg, q, one = _torus_and_datum_row(name, n)
     ug = UniformHalfGrid(X=30.0, N=256)
     row = (ug.x ** 2 * np.exp(-ug.x))[None]
-    torus = res.semigroup_apply(p, _on_mode(tg, q, row, 0), 0.15, tg.xi_modes, ug)
+    data = _on_mode(tg, q, row, 0)
+    pair = res._conjugate_rows(p, tg.xi_modes, data)
+    assert pair[q] and pair.all() == (name != "oblique_n3")
+    torus = res.semigroup_apply(p, data, 0.15, tg.xi_modes, ug)
     assert np.array_equal(res.semigroup_apply(p, row, 0.15, one, ug)[0], torus[q])
 
 

@@ -262,6 +262,31 @@ class TestInfrastructure:
         with pytest.raises(ValueError, match="unequal"):
             cli._write_csv(path, {"a": np.zeros(3), "b": np.zeros((3, 1))})
 
+    def test_csv_bytes_equal_the_csv_module(self, tmp_path):
+        """The writer writes the bytes ``csv.writer`` writes from the same
+        ``.tolist()`` cells: special floats, ints, bools and broadcast
+        scalar columns."""
+        columns = {
+            "float": np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
+                               -1e308, 0.1, 1 / 3]),
+            "int": np.array([-3, 0, 7, 2 ** 62, -2 ** 62, 1, 2, 3, 4]),
+            "bool": np.arange(9) % 3 == 0,
+            "scalar": np.float64(1e308),
+            "int_scalar": 12,
+            "bool_scalar": False,
+            "zero": -0.0,
+        }
+        path, ref = tmp_path / "x.csv", tmp_path / "ref.csv"
+        cli._write_csv(path, columns)
+        cells = [np.asarray(c) for c in columns.values()]
+        cells = [np.broadcast_to(c.astype(int) if c.dtype == bool else c, 9).tolist()
+                 for c in cells]
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+            writer.writerow(columns)
+            writer.writerows(zip(*cells))
+        assert path.read_bytes() == ref.read_bytes()
+
 
 class TestConfig:
     def _run(self, command, doc, tmp_path):

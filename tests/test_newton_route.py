@@ -301,22 +301,6 @@ _UNIFORM_C = 8.0
 _UNDERFLOW = 1e-290
 
 
-def _contour_nodes(p, t):
-    """The resolvent nodes of ``semigroup_apply(p, ., t)`` at xi' = 1."""
-    seen = []
-
-    def record(problem, lam, f, xi_modes, ugrid, weights=None):
-        seen.append(lam)
-        shape = f.shape if weights is not None else (len(lam),) + f.shape
-        return np.zeros(shape, dtype=complex)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rs, "halfspace_resolvent", record)
-        rs.semigroup_apply(p, np.zeros((1, 4)), t, np.array([[1.0]]),
-                           UniformHalfGrid(1.0, 4))
-    return seen[0]
-
-
 def _probe_points(n):
     """Indices of the first offsets, of both sides of some block edges and
     of the last block (possibly partial), for B = isqrt(n) offsets a block."""
@@ -330,12 +314,13 @@ def _probe_points(n):
 @pytest.mark.parametrize("t", [1e-6, 0.15])
 @pytest.mark.parametrize("name", ["dirichlet", "neumann", "clamped"])
 def test_uniform_grid_kernels_against_mpmath(name, t):
-    """D^d Poi_j, d = 0..2, at the 48 contour nodes of semigroup_apply on
-    the uniform grids of the contour commands, which take the factored
-    exponential: within _UNIFORM_C eps (1 + |tau x|) of the exact value, in
-    units of its root-basis terms (for m = 1 the value itself)."""
+    """D^d Poi_j, d = 0..2, at all 48 contour nodes of semigroup_apply (a
+    real row solves only half of them) on the uniform grids of the contour
+    commands, which take the factored exponential: within _UNIFORM_C eps
+    (1 + |tau x|) of the exact value, in units of its root-basis terms (for
+    m = 1 the value itself)."""
     p = PROBLEMS[name]()
-    lams = _contour_nodes(p, t)
+    lams = rs._contour(t)[0]
     batch = poi.kernel_batch(p, lams, np.array([[1.0]]))
     tau_max = np.abs(batch.taus).max(axis=1)
     grids = [UniformHalfGrid(X, N).x for X, N in ((30.0, 2048), (12.0, 512))]
@@ -402,7 +387,7 @@ def test_a_row_on_a_uniform_grid_does_not_depend_on_its_batch():
     """Each row of a batch has the bits of that row alone, on the grid
     of the clamped contour and on one with a partial block."""
     p = hp.clamped_bilaplacian()
-    taus = poi.kernel_batch(p, _contour_nodes(p, 0.15), np.array([[1.0]])).taus
+    taus = poi.kernel_batch(p, rs._contour(0.15)[0], np.array([[1.0]])).taus
     for x in (UniformHalfGrid(30.0, 2048).x, (12.0 / 512) * np.arange(1025)):
         for d in range(3):
             A, F = comp.propagate(taus, x, d)
@@ -428,7 +413,7 @@ def test_uniform_grid_takes_about_two_sqrt_n_exponentials_per_root(monkeypatch):
             return np.exp(a, *args, **kwargs)
 
     p = hp.clamped_bilaplacian()
-    taus = poi.kernel_batch(p, _contour_nodes(p, 0.15), np.array([[1.0]])).taus
+    taus = poi.kernel_batch(p, rs._contour(0.15)[0], np.array([[1.0]])).taus
     monkeypatch.setattr(comp, "np", CountingNumpy())
     comp.propagate(taus, UniformHalfGrid(30.0, 2048).x)
     B = math.isqrt(2048)
