@@ -24,6 +24,7 @@ from .companion import (
     build_companion,
     boundary_map_conditioning,
     propagate,
+    gram,
 )
 from .grids import TangentialGrid, HalfLineGrid, UniformHalfGrid
 from .spaces import (

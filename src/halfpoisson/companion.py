@@ -33,6 +33,10 @@ differences at all.  Each row runs through three stages, each batched:
   n, with the error of rounding ``tau x``, a few ``eps (1 + |tau x|)``
   relative.  Every other grid takes one exponential per point.
 
+For m <= 2, :func:`gram` integrates ``F_a conj(F_b) x^r`` of the basis that
+:func:`propagate` evaluates over the whole half-line in closed form, so an
+``L_2(x^r)`` norm of a kernel row needs no normal grid.
+
 The LS measure uses the rescaled variables
 
     rho = (1 + |xi'|^2 + |lambda|^{1/m})^{1/2},   b = xi'/rho,   s = tau/rho,
@@ -56,6 +60,7 @@ import numpy as np
 __all__ = [
     "build_companion",
     "propagate",
+    "gram",
     "boundary_map_conditioning",
     "LopatinskiiError",
     "EllipticityMarginError",
@@ -280,6 +285,19 @@ def _exp_i(taus: np.ndarray, x: np.ndarray) -> np.ndarray:
     return F
 
 
+def _basis_coeffs(taus: np.ndarray, deriv_order: int) -> np.ndarray:
+    """The factor A (U, m, m) of :func:`propagate` for m <= 2: the k-th
+    basis function's ``D_n^d`` is ``sum_i A[q, k, i] F[q, i, x]``."""
+    U, m = taus.shape
+    A = np.zeros((U, m, m), dtype=complex)
+    A[:, 0, 0] = taus[:, 0] ** deriv_order
+    if m == 2:
+        if deriv_order:
+            A[:, 1, 0] = _complete_homogeneous(taus, deriv_order - 1)[:, 1, -1]
+        A[:, 1, 1] = taus[:, 1] ** deriv_order / _root_gap(taus[:, 0], taus[:, 1])
+    return A
+
+
 def propagate(taus: np.ndarray, x: np.ndarray, deriv_order: int = 0):
     """``D_n^d [tau_1 ... tau_k] e^{i tau x}`` for the rows' stable roots
     ``taus`` (U, m), sorted by increasing ``Im tau``, at the points x >= 0.
@@ -314,12 +332,10 @@ def propagate(taus: np.ndarray, x: np.ndarray, deriv_order: int = 0):
         raise ValueError("x_n must be >= 0")
     if deriv_order < 0:
         raise ValueError("deriv_order must be >= 0")
-    U, m = taus.shape
+    m = taus.shape[1]
     if m > 2:
         return _propagate_expm(taus, x, deriv_order)
     F = _exp_i(taus, x)
-    A = np.zeros((U, m, m), dtype=complex)
-    A[:, 0, 0] = taus[:, 0] ** deriv_order
     if m == 2:
         delta = _root_gap(taus[:, 0], taus[:, 1])
         F[:, 1] -= F[:, 0]
@@ -327,7 +343,53 @@ def propagate(taus: np.ndarray, x: np.ndarray, deriv_order: int = 0):
         tmp = np.multiply(1j * delta[close, None], x)
         np.expm1(tmp, out=tmp)
         F[close, 1] = np.multiply(F[close, 0], tmp, out=tmp)
-        if deriv_order:
-            A[:, 1, 0] = _complete_homogeneous(taus, deriv_order - 1)[:, 1, -1]
-        A[:, 1, 1] = taus[:, 1] ** deriv_order / delta
-    return A, F
+    return _basis_coeffs(taus, deriv_order), F
+
+
+def gram(taus: np.ndarray, r: float) -> np.ndarray:
+    """Hermitian Gram matrices ``G[q, a, b] = int_0^inf F_a F_b^* x^r dx``
+    (U, m, m) of :func:`propagate`'s basis F on the rows' stable roots
+    ``taus`` (U, m), m <= 2, sorted by increasing ``Im tau``; r > -1.
+
+    Each entry is a sum of the closed forms
+    ``K(z) = int_0^inf e^{i z x} x^r dx = Gamma(1 + r) (-i z)^{-(1 + r)}``,
+    ``Im z > 0``, at ``z = tau_a - conj(tau_b)``.  With
+    ``s = tau_1 - conj(tau_1) = 2i Im tau_1``, ``delta = tau_2 - tau_1`` and
+    ``a = delta / s`` (so ``Re a >= 0``), c = -(1 + r) and
+    ``e = (1 + a)^c - 1``:
+
+        G = K(s) ((1, conj e), (e, |1 + a|^{2c} ((1 - y)^c - 1) + |e|^2)),
+        y = |a|^2 / |1 + a|^2,
+
+    the first and second differences of K over the root gap, taken as
+    ratios to K(s) so that nothing is subtracted: e from ``log1p`` and
+    ``expm1``, and ``G[1, 1]`` as the sum of two terms that are >= 0.
+    ``1 - y = (1 + 2 Re a) / |1 + a|^2`` is formed apart from y, and
+    ``log(1 - y)`` is taken from whichever of the two is at most 1/2, so
+    neither merging roots (a -> 0) nor roots far apart against their decay
+    (|a| large) loses digits.  A tie takes the gap of :func:`propagate`,
+    whose A divides by it.
+    """
+    U, m = taus.shape
+    if m > 2:
+        raise ValueError(f"gram takes m <= 2 stable roots, got {m}")
+    if not r > -1:
+        raise ValueError(f"'r' must exceed -1, got {r}")
+    c = -(1.0 + r)
+    G = np.empty((U, m, m), dtype=complex)
+    ks = math.gamma(1.0 + r) * (2.0 * taus[:, 0].imag) ** c
+    G[:, 0, 0] = ks
+    if m == 2:
+        a = _root_gap(taus[:, 0], taus[:, 1]) / (2j * taus[:, 0].imag)
+        sq = np.abs(1.0 + a) ** 2        # no cancellation: Re a >= 0
+        # log(1 + a) from log |1 + a|^2 = log1p(2 Re a + |a|^2) and its angle:
+        # NumPy's complex log1p reads 6e-9 relative at |a| = 1e-8
+        log1p_a = 0.5 * np.log1p(2.0 * a.real + np.abs(a) ** 2) + 1j * np.angle(1.0 + a)
+        e = np.expm1(c * log1p_a)
+        y, one_minus_y = np.abs(a) ** 2 / sq, (1.0 + 2.0 * a.real) / sq
+        log_one_minus_y = np.where(y <= 0.5, np.log1p(-y), np.log(one_minus_y))
+        G[:, 1, 0] = ks * e
+        G[:, 0, 1] = ks * e.conj()
+        G[:, 1, 1] = ks * (np.exp(2.0 * c * log1p_a.real) * np.expm1(c * log_one_minus_y)
+                           + np.abs(e) ** 2)
+    return G

@@ -14,6 +14,18 @@ Every stage runs batched over the rows, through the three stages of
 roots merge, as they do for |xi'| large against |lambda|^{1/(2m)}, so there is
 one route for every row.  Rows with byte-identical inputs, as the rows at xi'
 and -xi' of a symmetric problem have, are solved and evaluated once.
+:meth:`KernelBatch.sq_norms` integrates ``|sum_j D_n^d Poi_j g_j|^2 x^r``
+over the half-line in closed form instead (m <= 2): each profile is a short
+sum of exponentials, whose Gram matrix :func:`halfpoisson.companion.gram`
+gives exactly.
+
+:func:`decay_sweep` takes the W^k_p(x^r; H^t_2) norm by that closed form at
+p = 2 and m <= 2, where Plancherel splits it into one such integral per
+mode, so it builds no normal grid; at p != 2 or m >= 3 it evaluates the
+profiles on a geometric normal grid and integrates them by quadrature.  A
+chunk of its sweep holds several lambda on the closed-form route, since one
+lambda leaves too little work outside the GIL to keep its threads busy, and
+one lambda on the grid route where the profiles would be large.
 
 The predicted exponents are
 
@@ -37,7 +49,7 @@ import numpy as np
 from . import companion as comp
 from .grids import HalfLineGrid, TangentialGrid
 from .model import _LS_DIRECTIONS, ModelProblem, SectorSample, unit_directions
-from .spaces import sobolev_mixed_norm
+from .spaces import sobolev_mixed_norm, space_norm
 
 __all__ = [
     "ExponentQuery",
@@ -143,32 +155,63 @@ class KernelBatch:
         each pair then takes one contraction over the basis.
         """
         x = np.asarray(x, dtype=float)
+        data, live = self._live(data)
+
+        def profiles(taus, data, coeff):
+            A, F = comp.propagate(taus, x, deriv_order)
+            w = np.einsum("jq,jqk,qki->qi", data, coeff, A)
+            return np.einsum("qi,qiz->qz", w, F)
+
+        if 0 < live.size == len(self.first):
+            out = self._per_pair(data, live, profiles)
+        else:
+            out = np.zeros((len(self.first),) + x.shape, dtype=complex)
+            if live.size:
+                out[live] = self._per_pair(data[:, live], live, profiles)
+        return out.reshape(self.shape + x.shape)
+
+    def sq_norms(self, r: float, data: np.ndarray, deriv_order: int = 0) -> np.ndarray:
+        """``int_0^inf |D^d sum_j Poi_j data[j]|^2 x^r dx`` on every
+        (lambda, mode) pair, shape ``lam.shape + (M,)``, for m <= 2 and
+        r > -1, with the data of :meth:`eval`.
+
+        The profile :meth:`eval` returns is ``sum_i w_i F_i`` over the basis
+        F of :func:`~halfpoisson.companion.propagate`, so its square integral
+        is ``w^T G conj(w)`` with the Gram matrix G of
+        :func:`~halfpoisson.companion.gram`: exact, on no grid.  A pair
+        whose data all vanish is exactly zero; the others run once per
+        distinct (kernel row, data column) pair.
+        """
+        data, live = self._live(data)
+
+        def quadratic_form(taus, data, coeff):
+            w = np.einsum("jq,jqk,qki->qi", data, coeff, comp._basis_coeffs(taus, deriv_order))
+            return np.einsum("qa,qab,qb->q", w, comp.gram(taus, r), w.conj()).real
+
+        out = np.zeros(len(self.first))
+        if live.size:
+            out[live] = self._per_pair(data[:, live], live, quadratic_form)
+        return out.reshape(self.shape)
+
+    def _live(self, data):
+        """``data`` broadcast to (m, pairs), and the pairs with any nonzero datum."""
         shape = (len(self.coeff),) + self.shape
         if np.ndim(data) != len(shape):   # an axis left out would shift the others
             raise ValueError(f"data of shape {np.shape(data)} must give every axis "
                              f"of (m,) + lam.shape + (modes,) = {shape}")
         data = np.broadcast_to(data, shape).reshape(shape[0], -1)
-        live = np.flatnonzero(np.any(data != 0, axis=0))
-        if 0 < live.size == len(self.first):
-            out = self._apply(x, data, deriv_order, live)
-        else:
-            out = np.zeros((len(self.first),) + x.shape, dtype=complex)
-            if live.size:
-                out[live] = self._apply(x, data[:, live], deriv_order, live)
-        return out.reshape(self.shape + x.shape)
+        return data, np.flatnonzero(np.any(data != 0, axis=0))
 
-    def _apply(self, x, data, deriv_order, rows):
-        """:meth:`eval` on one or more rows that all carry data, (len(rows),
-        len(x)): each distinct pair of ``first`` row and data column is
-        evaluated once and gathered."""
+    def _per_pair(self, data, rows, evaluate):
+        """``evaluate(taus, data, coeff)`` on ``rows``, which all carry data,
+        once per distinct pair of ``first`` row and data column, gathered
+        back to one result per row."""
         pair, back = _distinct_rows(self.first[rows], data.T)
         repeated = len(pair) < len(rows)
         if repeated:
             rows, data = rows[pair], data[:, pair]
-        A, F = comp.propagate(self.taus[rows], x, deriv_order)
-        w = np.einsum("jq,jqk,qki->qi", data, self.coeff[:, rows], A)
-        out = np.einsum("qi,qiz->qz", w, F)
-        del A, F             # freed before the gather widens the result
+        # evaluate's temporaries are freed before the gather widens its result
+        out = evaluate(self.taus[rows], data, self.coeff[:, rows])
         return out[back] if repeated else out
 
 
@@ -293,6 +336,12 @@ def _fit_slopes(x: np.ndarray, norms: np.ndarray, predicted: float) -> SweepResu
 # batched eigenvalue call holds the GIL, so threads only contend for it
 # (on two CPUs, 16 modes: 1.15-1.64x the time of one thread; 256: 0.54-0.80x)
 _THREADED_MODES = 256
+# rows (lambda x datum mode) per chunk of decay_sweep's closed-form route: 4
+# lambda at 512 modes.  One lambda per chunk leaves the threads waiting on
+# the GIL: on two CPUs the 512-mode bracket sweep took 104 ms on two threads
+# against 97 ms on one, and 45 ms on two with 4 lambda per chunk; 13 lambda
+# took 36 ms but raised the peak resident set by 4 MB
+_SWEEP_ROWS = 2048
 
 
 def sweep_workers() -> int:
@@ -308,54 +357,82 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     per-ray slopes.
 
     The norm is the weighted mixed Sobolev norm W^k_p(x^r; H^t_2) with
-    t = ``q.t`` on a normal grid that resolves the slowest decay of the
-    sample; the fit is ordinary least squares on the middle 80% of the
-    modulus decades, excluding non-finite or underflowed norms.
-    One kernel batch per chunk of lambda on the modes where g is nonzero,
-    so only those modes are built and checked, then one
-    :meth:`KernelBatch.eval` per derivative order; the profiles are exactly
-    zero off those modes and enter the norm so.  One chunk of every
-    lambda when g has fewer than ``_THREADED_MODES`` nonzero modes, else one
-    chunk per lambda, on :func:`sweep_workers` threads (the batched
-    eigenvalue call of the root stage holds the GIL, so the threads cannot
-    share that stage).  Each norm has its own slot, so no bit depends on
-    the chunks or threads.  The first chunk to fail, in sample order,
-    raises.
+    t = ``q.t``; the fit is ordinary least squares on the middle 80% of the
+    modulus decades, excluding non-finite or underflowed norms.  It takes
+    one of two routes:
+
+    * p = 2 and m <= 2: by Plancherel the norm squared is
+      ``sum_l ||(I_l(xi'))^{1/2}||^2_{H^t_2}`` with
+      ``I_l(xi') = int_0^inf |D_n^l u(xi', x)|^2 x^r dx``, which
+      :meth:`KernelBatch.sq_norms` gives in closed form, so no normal grid
+      is built.  A chunk holds up to ``_SWEEP_ROWS`` rows (lambda x datum
+      mode), several lambda per chunk, since a chunk of one lambda does too
+      little work outside the GIL to keep two threads busy;
+    * p != 2 or m >= 3, where no closed form applies: the norm is taken on
+      a normal grid that resolves the slowest decay of the sample, from
+      one :meth:`KernelBatch.eval` per derivative order (the profiles are
+      exactly zero off the datum's modes and enter the norm so).  One chunk
+      holds every lambda below ``_THREADED_MODES`` nonzero modes, else one
+      lambda, whose profiles on every normal node are the memory a chunk
+      holds.
+
+    Each chunk takes one kernel batch on the modes where g is nonzero, so
+    only those modes are built and checked.  Below ``_THREADED_MODES``
+    nonzero modes the chunks run on the calling thread, else on
+    :func:`sweep_workers` threads (the batched eigenvalue call of the root
+    stage holds the GIL, so the threads cannot share that stage).  Each
+    norm has its own slot, so no bit depends on the chunks or threads.
+    The first chunk to fail, in sample order, raises.
     """
     live = np.flatnonzero(np.ravel(g_hat))
     data = np.eye(problem.m)[:, q.j, None, None] * np.ravel(g_hat)[live]   # g on index j only
-    rate = decay_rate(problem, min(sample.moduli) *
-                      cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
-    xgrid = HalfLineGrid.for_decay(rate)
     mods = np.asarray(sample.moduli, dtype=float)
-    # the grids' cached arrays are formed here, not raced for by the threads
-    x, xi_modes, _ = xgrid.x, tgrid.xi_modes, tgrid.xi_sq
+    # the grid's cached arrays are formed here, not raced for by the threads
+    xi_modes, _ = tgrid.xi_modes, tgrid.xi_sq
     support = xi_modes[live]
     lams = sample.points()
     norms = np.empty(len(lams))
+
+    def spread(values):   # on every mode, exactly 0 off the datum's
+        if len(live) == len(xi_modes):
+            return values
+        full = np.zeros((len(xi_modes),) + values.shape[1:], dtype=values.dtype)
+        full[live] = values
+        return full
+
+    if q.p == 2 and problem.m <= 2:
+        size = max(1, _SWEEP_ROWS // len(live))
+
+        def chunk_norms(batch):
+            sq = [batch.sq_norms(q.r, data, l) for l in range(q.k + 1)]
+            return [math.sqrt(sum(space_norm(spread(np.sqrt(I[c])), q.t, tgrid) ** 2
+                                  for I in sq)) for c in range(batch.shape[0])]
+    else:
+        rate = decay_rate(problem, min(sample.moduli) *
+                          cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
+        xgrid = HalfLineGrid.for_decay(rate)
+        x = xgrid.x
+        size = len(lams) if len(live) < _THREADED_MODES else 1
+
+        def chunk_norms(batch):
+            chunk = [batch.eval(x, data, l) for l in range(q.k + 1)]
+            return [sobolev_mixed_norm([spread(prof[c]) for prof in chunk],
+                                       q.p, q.r, q.t, tgrid, xgrid)
+                    for c in range(batch.shape[0])]
+
     # the calling thread is one of the workers: each further thread brings
     # its own malloc arena, whose freed pages stay resident
-    size, threads = (len(lams), 1) if len(live) < _THREADED_MODES else (1, sweep_workers())
+    threads = 1 if len(live) < _THREADED_MODES else sweep_workers()
     todo, failed = iter(range(0, len(lams), size)), {}
-
-    def spread(prof):   # the profile on every mode, exactly 0 off the datum's
-        if len(live) == len(xi_modes):
-            return prof
-        full = np.zeros((len(xi_modes),) + x.shape, dtype=complex)
-        full[live] = prof
-        return full
 
     def drain():
         # chunks are taken in sample order, and a chunk once taken is
         # finished, so every chunk before the first failure is evaluated
         for i in todo:
             try:
-                batch = kernel_batch(problem, lams[i:i + size], support)
-                chunk = [batch.eval(x, data, l) for l in range(q.k + 1)]
-                for c in range(batch.shape[0]):
-                    norms[i + c] = sobolev_mixed_norm([spread(prof[c]) for prof in chunk],
-                                                      q.p, q.r, q.t, tgrid, xgrid)
-                del batch, chunk          # freed before the next chunk's batch
+                # the batch is freed before the next chunk's
+                norms[i:i + size] = chunk_norms(kernel_batch(problem, lams[i:i + size],
+                                                             support))
             except BaseException as err:   # stops every thread, re-raised below
                 failed[i] = err
             if failed:

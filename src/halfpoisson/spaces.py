@@ -23,8 +23,8 @@ and never formed.  In u = x^{(1+r)/p} f the L_p(x^r dx) norm becomes an
 l_p norm whose weights do not grow with x, which keeps the iterates near
 unit size across the grid's decades.  The operator norm is the top singular
 value of the weight-scaled operator for p = 2 (Lanczos on its Gram operator
-from a fixed start vector) and comes from an L_p power iteration (Boyd's
-method) otherwise; see :func:`hardy_norm`.
+from the all-ones start vector) and comes from an L_p power iteration
+(Boyd's method, from the same start) otherwise; see :func:`hardy_norm`.
 """
 
 from __future__ import annotations
@@ -93,10 +93,9 @@ def sobolev_mixed_norm(profiles, p: float, r: float, t: float,
     return total ** (1.0 / p)
 
 
-# hardy_norm's power iteration: step limit, relative tolerance, start seed
+# hardy_norm's power iteration: step limit, relative tolerance
 _POWER_MAX_ITER = 400
 _POWER_TOL = 1e-10
-_POWER_SEED = 11
 # _lanczos_top accepts the top Ritz pair at this residual, relative to its value
 _LANCZOS_TOL = 1e-13
 
@@ -188,9 +187,12 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid) -> float:
     weights at x_min differ.  The start is safe: B^T B has positive
     entries, so by Perron-Frobenius its top eigenvector is positive and not
     orthogonal to the all-ones vector.
-    General p: Boyd's L_p power method on the weighted functional, in u;
-    raises ValueError when it has not met ``_POWER_TOL`` after
-    ``_POWER_MAX_ITER`` steps.
+    General p: Boyd's L_p power method on the weighted functional, in u,
+    started from the flat vector u = 1; raises ValueError when it has not
+    met ``_POWER_TOL`` after ``_POWER_MAX_ITER`` steps.  The start is safe
+    for the same reason: K has positive entries, so its L_p maximiser is
+    positive and the iteration converges to it from any positive start
+    (Boyd, *Linear Algebra Appl.* 9, 1974); every iterate stays positive.
     """
     if not (1 < p < math.inf):
         raise ValueError(f"'p' must lie in (1, inf), got {p}")
@@ -205,8 +207,7 @@ def hardy_norm(p: float, r: float, grid: HalfLineGrid) -> float:
             return e * apply_t(gr * apply(e * v))
 
         return math.sqrt(_lanczos_top(gram, grid.n_points))
-    rng = np.random.default_rng(_POWER_SEED)
-    u = grid.x ** a * (rng.random(grid.n_points) + 0.1)
+    u = np.ones(grid.n_points)
     pp = p / (p - 1.0)
 
     def norm_p(v):

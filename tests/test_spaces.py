@@ -105,7 +105,7 @@ def _dense_boyd(p, r, grid):
     the start vector, tolerance and step limit of ``spaces.hardy_norm``."""
     K = _hardy_matrix(grid)
     wr = grid.quad_weights(r)
-    f = np.random.default_rng(sp._POWER_SEED).random(grid.n_points) + 0.1
+    f = grid.x ** (-(1.0 + r) / p)        # u = x^{(1+r)/p} f = 1
     pp = p / (p - 1.0)
 
     def norm_p(v):

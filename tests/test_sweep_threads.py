@@ -1,15 +1,17 @@
 """``decay_sweep`` solves its sector points in chunks of one kernel batch.
-When the datum has fewer than ``_THREADED_MODES`` nonzero modes, whatever
-the size of its torus, one chunk holds every lambda, on the calling thread
-alone; otherwise each lambda is a chunk, and the chunks run on one thread
-per available CPU.
+At p = 2 and m <= 2 (the closed-form route) a chunk holds up to
+``_SWEEP_ROWS`` rows of lambda x datum mode; on the grid route (p != 2 or
+m >= 3) it holds every lambda when the datum has fewer than
+``_THREADED_MODES`` nonzero modes, whatever the size of its torus, and one
+lambda otherwise.  Below ``_THREADED_MODES`` nonzero modes the chunks run on
+the calling thread alone; otherwise on one thread per available CPU.
 
 Each lambda's norm goes into its own slot, so neither the chunks nor the
 threads change a bit of the norms: they equal those of one serial loop over
 the sample, one kernel batch per lambda, ray by ray, whatever the number of
-threads.  The first chunk to fail, in sample order, raises, and no thread
-outlives the call.  Each chunk's profiles are freed before the next chunk's
-kernel batch.
+threads, on either route.  The first chunk to fail, in sample order,
+raises, and no thread outlives the call.  On the grid route each chunk's
+profiles are freed before the next chunk's kernel batch.
 """
 
 import cmath
@@ -27,6 +29,7 @@ from halfpoisson import poisson as poi
 from halfpoisson import spaces as sp
 from halfpoisson.grids import HalfLineGrid, TangentialGrid
 from halfpoisson.model import SectorSample
+from test_newton_route import polyharmonic_dirichlet
 
 
 def _sample():
@@ -40,8 +43,9 @@ def _normal_grid(p, sample):
         p, min(sample.moduli) * cmath.exp(1j * sample.rays[len(sample.rays) // 2])))
 
 
-def _serial_norms(p, q, sample, g, tg):
-    """The norms of ``decay_sweep`` from one loop over the rays and moduli."""
+def _grid_norms(p, q, sample, g, tg):
+    """The norms of ``decay_sweep``'s grid route from one loop over the
+    rays and moduli."""
     data = np.eye(p.m)[:, [q.j]] * np.ravel(g)
     xg = _normal_grid(p, sample)
     mods = np.asarray(sample.moduli, dtype=float)
@@ -51,6 +55,24 @@ def _serial_norms(p, q, sample, g, tg):
             batch = poi.kernel_batch(p, mod * cmath.exp(1j * ray), tg.xi_modes)
             profiles = np.stack([batch.eval(xg.x, data, l) for l in range(q.k + 1)])
             norms[i, col] = sp.sobolev_mixed_norm(profiles, q.p, q.r, q.t, tg, xg)
+    return norms
+
+
+def _serial_norms(p, q, sample, g, tg):
+    """The norms of ``decay_sweep`` from one loop over the rays and moduli:
+    at p = 2 and m <= 2 from the square integrals of each mode's profile,
+    otherwise on the normal grid."""
+    if not (q.p == 2 and p.m <= 2):
+        return _grid_norms(p, q, sample, g, tg)
+    data = np.eye(p.m)[:, [q.j]] * np.ravel(g)
+    mods = np.asarray(sample.moduli, dtype=float)
+    norms = np.empty((len(sample.rays), len(mods)))
+    for i, ray in enumerate(sample.rays):
+        for col, mod in enumerate(mods):
+            batch = poi.kernel_batch(p, mod * cmath.exp(1j * ray), tg.xi_modes)
+            norms[i, col] = math.sqrt(sum(
+                sp.space_norm(np.sqrt(batch.sq_norms(q.r, data, l)), q.t, tg) ** 2
+                for l in range(q.k + 1)))
     return norms
 
 
@@ -78,6 +100,11 @@ CASES = {
     "neumann-bracket": (hp.neumann_laplacian, {"t": 1.0}),
     "clamped-bracket": (hp.clamped_bilaplacian, {"t": 0.5, "r": 1.5}),
     "dirichlet_n3": (lambda: hp.dirichlet_laplacian(3), {"k": 1, "r": 1.5}),
+    # p != 2 or m >= 3: the grid route
+    "polyharmonic_m3": (polyharmonic_dirichlet, {}),
+    "dirichlet-p1.5": (hp.dirichlet_laplacian, {"p": 1.5}),
+    "clamped-p1.5": (hp.clamped_bilaplacian, {"k": 1, "r": 1.5, "p": 1.5}),
+    "neumann-bracket-p1.5": (hp.neumann_laplacian, {"t": 1.0, "p": 1.5}),
 }
 
 
@@ -101,11 +128,13 @@ def test_threads_give_the_bits_of_the_serial_loop(name, monkeypatch):
     assert np.array_equal(got.norms, want)
 
 
-@pytest.mark.parametrize("name", ["dirichlet", "neumann", "clamped"])
+@pytest.mark.parametrize("name", ["dirichlet", "neumann", "clamped",
+                                  "dirichlet-p1.5", "clamped-p1.5"])
 def test_batch_on_the_datums_modes_gives_the_bits_of_the_whole_torus(name, monkeypatch):
     """On the 16-mode torus (t <= s) each chunk's kernel batch holds the
     datum's one mode, and the norms are those of one batch on every mode,
-    evaluated with the datum's zeros off its mode."""
+    evaluated with the datum's zeros off its mode.  The grid route takes
+    one more batch, ``decay_rate``'s at xi' = 0."""
     make, keys = CASES[name]
     p = make()
     q = poi.ExponentQuery.for_problem(p, **{"k": 0, "p": 2.0, "r": 0.0, "t": 0.0,
@@ -113,12 +142,17 @@ def test_batch_on_the_datums_modes_gives_the_bits_of_the_whole_torus(name, monke
     sample = _sample()
     tg, g = _unit_datum(1, SMALL)
     lams = sample.points()
-    xg = _normal_grid(p, sample)
     batch = poi.kernel_batch(p, lams, tg.xi_modes)
     data = np.eye(p.m)[:, q.j, None, None] * g
-    profiles = [batch.eval(xg.x, data, l) for l in range(q.k + 1)]
-    want = [sp.sobolev_mixed_norm([prof[c] for prof in profiles], q.p, q.r, q.t, tg, xg)
-            for c in range(len(lams))]
+    if q.p == 2:
+        sq = [batch.sq_norms(q.r, data, l) for l in range(q.k + 1)]
+        want = [math.sqrt(sum(sp.space_norm(np.sqrt(I[c]), q.t, tg) ** 2 for I in sq))
+                for c in range(len(lams))]
+    else:
+        xg = _normal_grid(p, sample)
+        profiles = [batch.eval(xg.x, data, l) for l in range(q.k + 1)]
+        want = [sp.sobolev_mixed_norm([prof[c] for prof in profiles], q.p, q.r, q.t, tg, xg)
+                for c in range(len(lams))]
     real, modes = poi.kernel_batch, []
 
     def counted(problem, lam, xi_modes):
@@ -126,24 +160,27 @@ def test_batch_on_the_datums_modes_gives_the_bits_of_the_whole_torus(name, monke
         return real(problem, lam, xi_modes)
     monkeypatch.setattr(poi, "kernel_batch", counted)
     got = poi.decay_sweep(p, q, sample, g, tg)
-    assert modes == [1, 1]         # decay_rate's batch at xi' = 0, then the chunk
+    assert modes == ([1] if q.p == 2 else [1, 1])
     assert np.array_equal(got.norms.ravel(), want)
 
 
 def test_threads_only_on_large_grids(monkeypatch):
-    """Under a datum on every mode of the large grid the first two lambda
+    """Under a datum on every mode of the large grid the first two chunks
     wait for each other, which takes two threads; on the small one every
-    lambda runs on the caller."""
+    chunk runs on the caller."""
     p = hp.dirichlet_laplacian()
     q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
     monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
-    first_two = _sample().points()[:2]
+    lams = _sample().points()
+    size = poi._SWEEP_ROWS // LARGE
+    assert size < len(lams)
+    first_two = lams[[0, size]]      # the first lambda of the first two chunks
     meet = threading.Barrier(2, timeout=10)
     real, seen, large = poi.kernel_batch, set(), []
 
     def recorded(problem, lam, xi_modes):
         seen.add(threading.get_ident())
-        if large and lam in first_two:
+        if large and np.atleast_1d(lam)[0] in first_two:
             meet.wait()
         return real(problem, lam, xi_modes)
     monkeypatch.setattr(poi, "kernel_batch", recorded)
@@ -168,19 +205,19 @@ def test_thread_count_does_not_change_the_norms(monkeypatch):
 
 
 def test_first_failure_in_sample_order_raises_and_no_thread_survives(monkeypatch):
-    """lambda 2 fails late, lambda 3 at once, so 3 fails first in time; the
-    message names lambda 2 all the same.  (lambda 5, the first of the middle
-    ray, also fixes the normal grid before the threads start.)"""
+    """A lambda of the first chunk fails late, one of the second at once,
+    so the second chunk fails first in time; the message names the first
+    all the same."""
     p = hp.dirichlet_laplacian()
     q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
     monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
     tg, g = _full_datum(LARGE)
     sample = _sample()
-    late, early = sample.points()[2:4]
+    size = poi._SWEEP_ROWS // LARGE
+    late, early = sample.points()[[2, size + 1]]
     real = poi.kernel_batch
 
     def failing(problem, lam, xi_modes):
-        # lam: the lambda of one chunk, or decay_rate's one scalar
         if late in np.atleast_1d(lam):
             time.sleep(0.2)
             raise ValueError(f"failed at lambda={late}")
@@ -201,11 +238,13 @@ def test_first_failure_in_sample_order_raises_and_no_thread_survives(monkeypatch
                                    lambda: _full_datum(LARGE)],
                          ids=["small", "sparse", "large"])
 def test_one_kernel_batch_per_chunk(datum, monkeypatch):
-    """``decay_rate`` takes one batch; then a datum on one mode takes one
-    for the whole sample, on the small grid and on the large one alike, and
-    a datum on every mode of the large grid one per lambda."""
+    """At p = 2 a datum on one mode takes one batch for the whole sample,
+    on the small grid and on the large one alike, and a datum on every mode
+    of the large grid one per ``_SWEEP_ROWS`` rows.  At p = 1.5
+    ``decay_rate`` takes one batch first; then a datum on one mode takes
+    one for the whole sample, and a datum on every mode of the large grid
+    one per lambda."""
     p = hp.dirichlet_laplacian()
-    q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
     monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
     real, sizes = poi.kernel_batch, []
 
@@ -215,20 +254,26 @@ def test_one_kernel_batch_per_chunk(datum, monkeypatch):
     monkeypatch.setattr(poi, "kernel_batch", counted)
     tg, g = datum()
     sample = _sample()
-    poi.decay_sweep(p, q, sample, g, tg)
     lams = len(sample.points())
-    assert sizes == ([1] * (lams + 1) if np.all(g) else [1, lams])
+    per_chunk = poi._SWEEP_ROWS // np.count_nonzero(g)
+    chunks = [min(per_chunk, lams - i) for i in range(0, lams, per_chunk)]
+    for exponent, want in ((2.0, chunks),
+                           (1.5, [1] * (lams + 1) if np.all(g) else [1, lams])):
+        q = poi.ExponentQuery.for_problem(p, k=0, p=exponent, r=0.0, t=0.0, s=0.0, j=0)
+        sizes.clear()
+        poi.decay_sweep(p, q, sample, g, tg)
+        assert sizes == want
 
 
 def test_each_chunks_profiles_are_freed_before_the_next(monkeypatch):
-    """On one thread the 256-mode saturating sweep's traced peak is
-    1.638-1.641 profiles (a profile: the complex values on every mode and
-    normal node); with one kernel batch per lambda, before chunks, it was
-    1.635-1.637.  A profile kept alive into the next chunk's kernel batch
-    adds a whole one (2.56)."""
+    """On one thread the grid route's 256-mode saturating sweep at p = 1.5
+    has a traced peak of 1.642-1.646 profiles (a profile: the complex values
+    on every mode and normal node); at p = 2, before that sweep took the
+    closed-form route, it read 1.638-1.642.  A profile kept alive into the
+    next chunk's kernel batch adds a whole one (2.56)."""
     monkeypatch.setattr(poi, "sweep_workers", lambda: 1)
     p = hp.neumann_laplacian()
-    q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=1.0, s=0.0, j=0)
+    q = poi.ExponentQuery.for_problem(p, k=0, p=1.5, r=0.0, t=1.0, s=0.0, j=0)
     sample = _sample()
     tg, g = cli._saturating_datum(p, LARGE, 1.2 * max(sample.moduli) ** 0.5, q.s)
     poi.decay_sweep(p, q, sample, g, tg)       # the grids' caches are formed

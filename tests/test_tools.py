@@ -18,6 +18,7 @@ def _load(name):
 
 
 artifact_diff = _load("artifact_diff")
+bench_pairs = _load("bench_pairs")
 deck_hashes = _load("deck_hashes")
 gate_resolution = _load("gate_resolution")
 job_peaks = _load("job_peaks")
@@ -335,3 +336,160 @@ def test_gate_resolution_finds_the_singularity_tolerance(monkeypatch, tmp_path):
         deltas = gate_resolution.resolution(sweeps[ident], tmp_path)
         assert sorted(deltas) == ["+", "-"]
         assert all(0.1 - 1e-3 <= d <= 0.15 + 1e-3 for d in deltas.values()), deltas
+
+
+def _stub_runs(monkeypatch, gain):
+    """Replace the benchmark run: the change's ``jobs_per_s`` is the
+    parent's times ``gain(pair)`` on a parent that drifts from pair to
+    pair, and its ``job_s.p50`` (lower is better) 1 / ``gain(pair)``;
+    every other metric reads 1.0 on both.  Returns the calls made."""
+    calls = []
+
+    def run_once(tree, command, workload, seed, seconds):
+        calls.append((tree.name, seed))
+        pair = seed - calls[0][1]
+        value = 30.0 + pair % 3 * (1.5 if tree.name == "change" else 1.0)
+        factor = gain(pair) if tree.name == "change" else 1.0
+        metrics = {name: {"value": 1.0, "unit": "u"}
+                   for name in ("setup_s", "job_s.tail", "peak_rss_mb",
+                                "pass_ratio", "accuracy_digits")}
+        metrics["jobs_per_s"] = {"value": value * factor, "unit": "1/s"}
+        metrics["job_s.p50"] = {"value": 1.0 / factor, "unit": "s"}
+        return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
+
+
+def test_bench_pairs_alternates_on_unused_seeds_and_writes_the_claim(monkeypatch, tmp_path,
+                                                                     capsys):
+    """Four pairs, each won by the change by far more than the parent's IQR:
+    the claim block is written, but not met on fewer than ten pairs."""
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    (tmp_path / "BENCH_old.json").write_text(json.dumps(
+        {"workloads": {"sweep": {"seeds": [5, 41]}}, "other": {"seeds": [12]}}))
+    out = tmp_path / "BENCH_new.json"
+    out.write_text(json.dumps({"change": "what the change does"}))
+    calls = _stub_runs(monkeypatch, lambda pair: 1.5)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 4)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "sweep", "--out", str(out),
+                             "--claim", "jobs_per_s"]) == 0
+    assert calls == [("parent", 42), ("change", 42), ("change", 43), ("parent", 43),
+                     ("parent", 44), ("change", 44), ("change", 45), ("parent", 45)]
+    report = json.loads(out.read_text())
+    assert report["change"] == "what the change does"
+    entry = report["workloads"]["sweep"]
+    assert entry["seeds"] == [42, 43, 44, 45]
+    assert entry["first"] == ["parent", "change", "parent", "change"]
+    assert entry["attempted"] == {"parent": 400, "change": 400}
+    assert entry["all_runs_correct"] and entry["failed"] == {"parent": 0, "change": 0}
+    jobs = entry["metrics"]["jobs_per_s"]
+    assert jobs["parent_runs"] == [30.0, 31.0, 32.0, 30.0]
+    assert jobs["change_runs"] == pytest.approx([45.0, 47.25, 49.5, 45.0])
+    assert jobs["parent"] == pytest.approx({"q1": 30.0, "median": 30.5, "q3": 31.25})
+    assert jobs["change_wins"] == 4 and jobs["change_losses"] == 0
+    assert jobs["gap_exceeds_parent_iqr"] and not jobs["worse_than_bound"]
+    assert not jobs["unresolved"]
+    p50 = entry["metrics"]["job_s.p50"]
+    assert p50["change_wins"] == 4 and not p50["worse_than_bound"]
+    assert p50["median_rel_change"] == pytest.approx(1 / 1.5 - 1)
+    flat = entry["metrics"]["setup_s"]
+    assert flat["change_wins"] == flat["change_losses"] == 0
+    assert not flat["gap_exceeds_parent_iqr"] and flat["median_rel_change"] == 0.0
+    assert report["claim"] == {
+        "metric": "jobs_per_s", "workload": "sweep", "parent_median": 30.5,
+        "change_median": 46.125, "ratio": pytest.approx(46.125 / 30.5),
+        "parent_iqr": pytest.approx(1.25), "change_wins": 4, "pairs": 4, "met": False}
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and lines[1].startswith("sweep\tjobs_per_s\t30.5\t")
+    assert lines[1].endswith("\t4/4\tgap>IQR\tok\tresolved")
+    # a second workload merges in after the seeds the first one took
+    calls.clear()
+    monkeypatch.setattr(bench_pairs, "PAIRS", 1)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "contour", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert sorted(report["workloads"]) == ["contour", "sweep"]
+    assert report["workloads"]["contour"]["seeds"] == [46]
+    assert report["claim"]["workload"] == "sweep"
+
+
+def test_bench_pairs_claim_needs_nine_tenths_of_the_pairs(monkeypatch, tmp_path):
+    """The change loses 2 of 10 pairs: the median gain exceeds the parent's
+    IQR, but the claim is not met; nor is it when the change wins every
+    pair by less than the parent's IQR.  A loss beyond the bound is
+    flagged, on a metric where higher is better and on one where lower is."""
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    out = tmp_path / "BENCH_x.json"
+    _stub_runs(monkeypatch, lambda pair: 0.9 if pair in (3, 7) else 1.3)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "sweep", "--out", str(out),
+                             "--claim", "jobs_per_s"]) == 0
+    report = json.loads(out.read_text())
+    assert report["workloads"]["sweep"]["seeds"] == list(range(1, 11))
+    block = report["claim"]
+    assert block["change_wins"] == 8 and block["pairs"] == 10 and not block["met"]
+    assert report["workloads"]["sweep"]["metrics"]["jobs_per_s"]["gap_exceeds_parent_iqr"]
+    _stub_runs(monkeypatch, lambda pair: 1.001)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "sweep", "--out", str(out),
+                             "--claim", "jobs_per_s"]) == 0
+    block = json.loads(out.read_text())["claim"]
+    assert block["change_wins"] == 10 and block["parent_iqr"] > 0.5 and not block["met"]
+    _stub_runs(monkeypatch, lambda pair: 0.7)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "sweep", "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["sweep"]["metrics"]
+    for name in ("jobs_per_s", "job_s.p50"):
+        assert metrics[name]["worse_than_bound"] and metrics[name]["change_wins"] == 0
+
+
+def test_bench_pairs_flags_a_metric_the_parents_spread_cannot_resolve(monkeypatch, tmp_path,
+                                                                      capsys):
+    """The parent's ``setup_s`` and ``jobs_per_s`` swing by half their
+    median, wider than the 25 % bound.  A change run inside that swing
+    leaves ``setup_s`` unresolved though its median is within the bound; a
+    change better than every parent run resolves ``jobs_per_s``; a metric
+    with a steady parent is resolved."""
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    out = tmp_path / "BENCH_x.json"
+
+    def run_once(tree, command, workload, seed, seconds):
+        swing = 1.0 + 0.5 * (seed % 2)
+        change = tree.name == "change"
+        metrics = {name: {"value": 1.0, "unit": "u"}
+                   for name in ("job_s.p50", "job_s.tail", "peak_rss_mb",
+                                "pass_ratio", "accuracy_digits")}
+        metrics["setup_s"] = {"value": 1.2 if change else swing, "unit": "s"}
+        metrics["jobs_per_s"] = {"value": 40.0 if change else 20.0 * swing, "unit": "1/s"}
+        return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "sweep", "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["sweep"]["metrics"]
+    setup = metrics["setup_s"]
+    assert setup["parent"]["q3"] - setup["parent"]["q1"] > 0.25 * setup["parent"]["median"]
+    assert setup["unresolved"] and not setup["worse_than_bound"]
+    assert not metrics["jobs_per_s"]["unresolved"]
+    assert metrics["jobs_per_s"]["parent"]["q3"] - metrics["jobs_per_s"]["parent"]["q1"] > 5.0
+    assert not metrics["peak_rss_mb"]["unresolved"]
+    lines = {line.split("\t")[1]: line for line in capsys.readouterr().out.splitlines()}
+    assert lines["setup_s"].endswith("\tunresolved")
+    assert lines["jobs_per_s"].endswith("\tresolved")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--workload", "nope"], "--workload must name a workload"),
+    (["--claim", "nope"], "--claim must name an end-to-end metric")])
+def test_bench_pairs_rejects_bad_arguments(argv, message, tmp_path, capsys):
+    base = {"--workload": "sweep", "--out": str(tmp_path / "BENCH_x.json")}
+    args = dict(zip(argv[::2], argv[1::2]))
+    flat = [item for pair in {**base, **args}.items() for item in pair]
+    with pytest.raises(SystemExit) as err:
+        bench_pairs.main(["a", "b"] + flat)
+    assert err.value.code == 2 and message in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_x.json").exists()
