@@ -21,17 +21,25 @@ differences at all.  Each row runs through three stages, each batched:
 * :func:`build_companion` finds the stable roots, sorted by increasing
   ``Im tau``, with the data of the root-margin and root-count checks.  A
   row even in tau, as every row of an operator with no odd normal
-  derivative is, takes its roots as ``+-sqrt(sigma)`` from the m x m
-  companion in sigma = tau^2, the others from the 2m x 2m companion; the
-  route is chosen per row, so that no row's bits depend on its batch;
+  derivative is, takes its roots as ``+-sqrt(sigma)`` over the roots of
+  its polynomial in sigma = tau^2, the others the roots of its polynomial
+  in tau.  Degree 1 and 2 take them in closed form, a higher degree as
+  the eigenvalues of the companion matrix;
 * :func:`boundary_map_conditioning` measures the Lopatinskii-Shapiro (LS)
-  condition and returns the boundary map in the Newton basis;
+  condition and returns the boundary map in the Newton basis, in closed
+  form for m <= 2 and by batched QR and SVD for m >= 3;
+  :func:`_boundary_inverse` inverts that map, ``1 / b`` and the 2 x 2
+  adjugate for m <= 2, a batched solve above;
 * :func:`propagate` evaluates ``D_n^d`` of the Newton basis functions.  On
   a uniform grid from 0 (``x == x[1] * np.arange(n)`` exactly) it forms
   ``e^{i tau x[aB + b]}`` as ``e^{i tau x[aB]} e^{i tau x[b]}`` with
   ``B = isqrt(n)``: about ``2 sqrt(n)`` exponentials per root in place of
   n, with the error of rounding ``tau x``, a few ``eps (1 + |tau x|)``
   relative.  Every other grid takes one exponential per point.
+
+Every route is chosen per row and every formula taken row by row, so
+that no row's bits depend on its batch; a batch at m <= 2 makes no LAPACK
+call.
 
 For m <= 2, :func:`gram` integrates ``F_a conj(F_b) x^r`` of the basis that
 :func:`propagate` evaluates over the whole half-line in closed form, so an
@@ -122,17 +130,52 @@ def _companion(poly: np.ndarray) -> np.ndarray:
     return C
 
 
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``sum_l u[..., l] v[..., l]``, one elementwise product and addition
+    per l, in the order of l: unlike a reduction along an axis, whose order
+    NumPy may choose by the array's shape, it gives no row bits that depend
+    on the rows batched with it."""
+    return sum(u[..., l] * v[..., l] for l in range(u.shape[-1]))
+
+
+def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Both roots (U, 2) of ``a z^2 + b z + c``, row by row, free of
+    cancellation (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 1.8): ``q = -(b + sqrt(b^2 - 4ac)) / 2`` with the square
+    root's sign chosen so that ``Re(conj(b) sqrt) >= 0``, so that b and the
+    root add without cancelling, and the roots ``q / a`` and ``c / q``.
+    q vanishes only where b = c = 0, a double root at 0."""
+    d = np.sqrt(b * b - 4.0 * a * c)
+    q = -0.5 * (b + np.where((b.conj() * d).real >= 0, d, -d))
+    return np.stack([q / a, c / np.where(q == 0, 1.0, q)], axis=1)
+
+
+def _polynomial_roots(poly: np.ndarray) -> np.ndarray:
+    """All roots (U, d) of the polynomials ``poly`` (U, d + 1), coefficients
+    in increasing powers, by degree: ``-c_0 / c_1`` at d = 1, which is the
+    1 x 1 companion's eigenvalue bit for bit; :func:`_quadratic_roots` at
+    d = 2; the eigenvalues of the companion matrices from LAPACK above."""
+    d = poly.shape[1] - 1
+    if d == 1:
+        return -poly[:, :1] / poly[:, 1:]
+    if d == 2:
+        return _quadratic_roots(poly[:, 2], poly[:, 1], poly[:, 0])
+    return np.linalg.eigvals(_companion(poly))
+
+
 def build_companion(char: np.ndarray, rho: np.ndarray):
     """Stable roots of the characteristic polynomials ``char`` (U, 2m + 1).
 
-    The roots are the eigenvalues of companion matrices, taken in batched
-    calls.  A row whose odd-power coefficients are all exactly zero is a
-    polynomial in sigma = tau^2: its 2m roots are ``+-sqrt(sigma)`` over the
-    eigenvalues sigma of the m x m companion of ``char[q, ::2]``.  Every
-    other row takes the 2m x 2m companion of ``char[q]``.  The route is
-    chosen row by row, so a row's bits do not depend on the rows batched
-    with it.  Returns ``(taus, margin, counts)``: the m roots with the
-    smallest positive imaginary parts, sorted by increasing ``Im tau``
+    A row whose odd-power coefficients are all exactly zero is a polynomial
+    in sigma = tau^2: its 2m roots are ``+-sqrt(sigma)`` over the m roots
+    sigma of ``char[q, ::2]``.  Every other row takes the 2m roots of
+    ``char[q]``.  A polynomial of degree 1 or 2 (every row at m = 1, and
+    the even rows at m = 2) takes its roots in closed form, a higher degree
+    the eigenvalues of its companion matrix in one batched LAPACK call (see
+    :func:`_polynomial_roots`).  The route is chosen row by row and every
+    formula is taken row by row, so a row's bits do not depend on the rows
+    batched with it.  Returns ``(taus, margin, counts)``: the m roots with
+    the smallest positive imaginary parts, sorted by increasing ``Im tau``
     (U, m); the smallest ``|Im tau| / rho`` over all 2m roots (U,); and the
     number of roots with ``Im tau > 0`` (U,).  A row is elliptic when
     ``margin > _AXIS_TOL`` and ``counts == m``; where ``counts < m`` the
@@ -142,10 +185,10 @@ def build_companion(char: np.ndarray, rho: np.ndarray):
     even = ~char[:, 1::2].any(axis=1)
     eigs = np.empty((len(char), order), dtype=complex)
     if even.any():
-        root = np.sqrt(np.linalg.eigvals(_companion(char[even, ::2])))
+        root = np.sqrt(_polynomial_roots(char[even, ::2]))
         eigs[even] = np.concatenate([root, -root], axis=1)
     if not even.all():
-        eigs[~even] = np.linalg.eigvals(_companion(char[~even]))
+        eigs[~even] = _polynomial_roots(char[~even])
     pos = eigs.imag > 0
     key = np.where(pos, eigs.imag, np.inf)
     idx = np.argsort(key, axis=1)[:, :order // 2]
@@ -181,20 +224,73 @@ def boundary_map_conditioning(s: np.ndarray, rows: np.ndarray):
     """LS measure and Newton boundary map of U rows.
 
     ``s`` are the stable roots divided by rho (U, m), ``rows`` the boundary
-    tables at ``b`` (U, m, 2m).  The Newton vectors are orthonormalised by a
-    batched QR factorisation; row j of ``rows`` applied to that basis,
-    divided by ``||rows[:, j]||`` so that each boundary operator counts at
-    unit size (a 1 x 1 map is then not scored 1 by construction), makes the
-    map whose singular values are returned, in decreasing order (U, m).  The
-    last column is the LS measure.  Also returns ``rows`` applied to the
-    Newton vectors themselves (U, m, m): entry (j, k) is
+    tables at ``b`` (U, m, 2m).  The Newton vectors are orthonormalised;
+    row j of ``rows`` applied to that basis, divided by ``||rows[:, j]||``
+    so that each boundary operator counts at unit size (a 1 x 1 map is then
+    not scored 1 by construction), makes the map M whose singular values
+    are returned, in decreasing order (U, m).  The last column is the LS
+    measure.  Also returns ``rows`` applied to the Newton vectors
+    themselves (U, m, m): entry (j, k) is
     ``sum_l b_jl(b) h_{l-k}(s_1..s_{k+1})``.  Never raises on a singular map.
+
+    For m <= 2 every step is a closed form taken row by row:
+
+    * m = 1: the one singular value is ``|b . N| / (||b|| ||N||)``;
+    * m = 2: Gram-Schmidt on the two Newton vectors, which cannot be near
+      parallel (the second is 0 in entry 0 and 1 in entry 1), and the
+      singular values of the 2 x 2 map from the eigenvalues of
+      ``M M^H = ((p, z), (conj z, r))`` (Golub & Van Loan, Matrix
+      Computations, 4th ed., sec. 8.6): ``sigma_max^2 = (p + r +
+      hypot(p - r, 2|z|)) / 2``, a sum of terms >= 0, and
+      ``sigma_min = |det M| / sigma_max``, accurate to a few
+      ``eps sigma_max``.
+
+    For m >= 3 a batched QR factorisation gives the basis and a batched SVD
+    the singular values.
     """
     N = _newton_vectors(s, rows.shape[-1])
-    Q = np.linalg.qr(N, mode="reduced")[0]
-    norms = np.maximum(np.linalg.norm(rows, axis=-1), 1e-300)
-    svals = np.linalg.svd((rows @ Q) / norms[..., None], compute_uv=False)
-    return svals, rows @ N
+    m = s.shape[1]
+    if m > 2:
+        Q = np.linalg.qr(N, mode="reduced")[0]
+        norms = np.maximum(np.linalg.norm(rows, axis=-1), 1e-300)
+        svals = np.linalg.svd((rows @ Q) / norms[..., None], compute_uv=False)
+        return svals, rows @ N
+    Nt = N.transpose(0, 2, 1)                          # (U, m, 2m)
+    bmap = _row_dot(rows[:, :, None, :], Nt[:, None])
+    # M = diag(1 / ||rows[:, j]||) bmap R^-1 for the Gram-Schmidt factor R of N
+    norms = np.sqrt(_row_dot(rows, rows.conj()).real)
+    M = bmap / np.maximum(norms, 1e-300)[:, :, None]
+    v1 = Nt[:, 0]
+    r11 = np.sqrt(_row_dot(v1, v1.conj()).real)
+    M[:, :, 0] /= r11[:, None]
+    if m == 1:
+        return np.abs(M[:, 0]), bmap
+    r12 = _row_dot(v1.conj(), Nt[:, 1]) / r11
+    w = Nt[:, 1] - (r12 / r11)[:, None] * v1
+    r22 = np.sqrt(_row_dot(w, w.conj()).real)
+    M[:, :, 1] = (M[:, :, 1] - r12[:, None] * M[:, :, 0]) / r22[:, None]
+    (p, r), z = _row_dot(M, M.conj()).real.T, _row_dot(M[:, 0], M[:, 1].conj())
+    svals = np.empty((len(M), 2))
+    svals[:, 0] = np.sqrt(0.5 * (p + r + np.hypot(p - r, 2.0 * np.abs(z))))
+    det = np.abs(M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0])
+    svals[:, 1] = det / np.maximum(svals[:, 0], 1e-300)
+    return svals, bmap
+
+
+def _boundary_inverse(bmap: np.ndarray) -> np.ndarray:
+    """``bmap^-1`` (U, m, m), row by row: ``1 / b`` at m = 1, the adjugate
+    over the determinant at m = 2, a batched LAPACK solve above."""
+    m = bmap.shape[1]
+    if m > 2:
+        return np.linalg.solve(bmap, np.eye(m, dtype=complex))
+    if m == 1:
+        return 1.0 / bmap
+    a, b, c, d = bmap[:, 0, 0], bmap[:, 0, 1], bmap[:, 1, 0], bmap[:, 1, 1]
+    det = a * d - b * c
+    inv = np.empty_like(bmap)
+    inv[:, 0, 0], inv[:, 0, 1] = d / det, -b / det
+    inv[:, 1, 0], inv[:, 1, 1] = -c / det, a / det
+    return inv
 
 
 def _root_gap(t1, t2):

@@ -186,7 +186,11 @@ class KernelBatch:
 
         def quadratic_form(taus, data, coeff):
             w = np.einsum("jq,jqk,qki->qi", data, coeff, comp._basis_coeffs(taus, deriv_order))
-            return np.einsum("qa,qab,qb->q", w, comp.gram(taus, r), w.conj()).real
+            # summed term by term: an einsum over (a, b) may order its sum by
+            # the batch's shape, so a row's bits would depend on its batch
+            terms = (w[:, :, None] * comp.gram(taus, r) * w.conj()[:, None, :]).real
+            m = w.shape[1]
+            return sum(terms[:, a, b] for a in range(m) for b in range(m))
 
         out = np.zeros(len(self.first))
         if live.size:
@@ -244,8 +248,9 @@ def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray) -> KernelBatc
     inputs agree byte for byte share one, taken in order of first
     occurrence.  Every distinct row is checked, so every pair is;
     :meth:`KernelBatch.eval` can then evaluate only the pairs with data.
-    One solve against the identity gives the coefficients of all m unit
-    data from one factorization of the boundary map.  Raises, naming the
+    The inverse of the boundary map gives the coefficients of all m unit
+    data at once; for m <= 2 every stage is a closed form, so no LAPACK call
+    is made (see :mod:`halfpoisson.companion`).  Raises, naming the
     (xi', lambda) of the first offending row,
     :class:`~halfpoisson.companion.EllipticityMarginError` where a root lies
     within ``_AXIS_TOL * rho`` of the real axis or a row has other than m
@@ -265,19 +270,20 @@ def kernel_batch(problem: ModelProblem, lam, xi_modes: np.ndarray) -> KernelBatc
             raise error(f"{what(q)} at (xi'={xi_modes[k]}, lambda={lam.flat[i]})")
 
     taus, margin, counts = comp.build_companion(char, rho)
-    check(margin <= comp._AXIS_TOL, comp.EllipticityMarginError, lambda q:
+    # written as "not above" so that a nan fails the check
+    check(~(margin > comp._AXIS_TOL), comp.EllipticityMarginError, lambda q:
           f"characteristic root within {comp._AXIS_TOL * rho[q]:.3e} of the real axis")
     check(counts != m, comp.EllipticityMarginError,
           lambda q: f"{counts[q]} stable roots, expected {m},")
     svals, bmap = comp.boundary_map_conditioning(taus / rho[:, None], rows)
-    check(svals[:, -1] <= comp._LS_TOL, comp.LopatinskiiError, lambda q:
+    check(~(svals[:, -1] > comp._LS_TOL), comp.LopatinskiiError, lambda q:
           f"Lopatinskii-Shapiro failure (row-normalised boundary map singular "
           f"values {svals[q]})")
     # bmap = diag(rho^-m_j) B diag(rho^k) for the boundary map B on the
     # unscaled Newton basis, so B^-1 = diag(rho^k) bmap^-1 diag(rho^-m_j)
     orders = np.array([bop.order for bop in problem.boundary_ops])
     scale = rho[:, None, None] ** (np.arange(m)[:, None] - orders[None, :])
-    coeff = np.linalg.solve(bmap, np.eye(m, dtype=complex)) * scale   # (row, k, datum)
+    coeff = comp._boundary_inverse(bmap) * scale   # (row, k, datum)
     return KernelBatch(taus=taus[inverse],
                        coeff=np.ascontiguousarray(coeff.transpose(2, 0, 1)[:, inverse]),
                        first=first[inverse], shape=lam.shape + (M,))
@@ -332,15 +338,20 @@ def _fit_slopes(x: np.ndarray, norms: np.ndarray, predicted: float) -> SweepResu
 
 
 # decay_sweep runs on one thread when the datum has fewer nonzero modes: a
-# lambda's work is then mostly interpreter time and the root stage, whose
-# batched eigenvalue call holds the GIL, so threads only contend for it
-# (on two CPUs, 16 modes: 1.15-1.64x the time of one thread; 256: 0.54-0.80x)
+# lambda's work is then mostly interpreter time and small NumPy calls, which
+# hold the GIL, so threads only contend for it.  Two threads against one on
+# two CPUs, saturating datum, 65 lambda, medians of 9-11 runs (Dirichlet,
+# clamped): closed-form route at 16 modes 1.36x, 1.33x; 256: 1.02x, 0.84x;
+# 512: 1.09x, 0.85x; grid route, against one chunk of every lambda on one
+# thread, at 16 modes 7.7x, 6.4x; 256: 1.06x, 0.92x; 512: 0.61x, 0.66x
 _THREADED_MODES = 256
 # rows (lambda x datum mode) per chunk of decay_sweep's closed-form route: 4
 # lambda at 512 modes.  One lambda per chunk leaves the threads waiting on
-# the GIL: on two CPUs the 512-mode bracket sweep took 104 ms on two threads
-# against 97 ms on one, and 45 ms on two with 4 lambda per chunk; 13 lambda
-# took 36 ms but raised the peak resident set by 4 MB
+# the GIL: on two CPUs, two threads, the 512-mode bracket sweep took 79 ms
+# (Dirichlet) and 136 ms (clamped) at 1 lambda per chunk, 31 and 53 ms at 4,
+# 22 and 46 ms at 8, 18 and 42 ms at 13 (medians of 15); but 8 lambda raised
+# the peak resident set of the sweep deck by 3.8 MB (45.9 to 49.7 MB,
+# tools/job_times.py, seed 1)
 _SWEEP_ROWS = 2048
 
 
@@ -379,8 +390,8 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
     Each chunk takes one kernel batch on the modes where g is nonzero, so
     only those modes are built and checked.  Below ``_THREADED_MODES``
     nonzero modes the chunks run on the calling thread, else on
-    :func:`sweep_workers` threads (the batched eigenvalue call of the root
-    stage holds the GIL, so the threads cannot share that stage).  Each
+    :func:`sweep_workers` threads (a chunk's small NumPy calls hold the
+    GIL, so threads pay only where chunks are large).  Each
     norm has its own slot, so no bit depends on the chunks or threads.
     The first chunk to fail, in sample order, raises.
     """

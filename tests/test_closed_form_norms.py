@@ -11,6 +11,8 @@ that takes them.
   in the root basis, within 1e-12 relative: the Dirichlet Laplacian (m = 1),
   the clamped plate (m = 2) at the same root gaps, one oblique n = 3 row,
   d in {0, 1}; a pair without data reads exactly 0.
+* ``sq_norms`` and ``eval`` give each of a batch's random rows, m = 1 and
+  2, the bits of a one-row call.
 * ``decay_sweep``'s closed-form route (p = 2, m <= 2) against the grid
   route on every decay-sweep config of the benchmark's ``sweep`` deck,
   within 1e-5 relative.  The grid freezes its integrand on [0, 1e-6], which
@@ -164,13 +166,13 @@ def test_sq_norms_m1_against_quadrature(r):
 def test_sq_norms_m2_against_quadrature(gap, r):
     """The clamped plate at lambda = 4 e^{0.5 i}: its stable roots
     sqrt(-xi'^2 +- lambda^{1/2}) lie ``gap`` = 2 / xi'^2 apart, relative.
-    The double roots find a gap below about 1.5e-8 only to that size (a
-    near-double eigenvalue of the companion in tau^2 is found to about
-    sqrt(eps)), so at gap 1e-9 they read 1.5e-8 apart."""
+    The double roots carry the gap to within the rounding of
+    ``c_0 = lambda + xi'^4`` in the characteristic row, about
+    ``eps xi'^4 / (4 |lambda|)`` of it: at gap 1e-9 they read 6.9e-10."""
     p, lam = hp.clamped_bilaplacian(), 4.0 * np.exp(0.5j)
     xi = math.sqrt(2.0 / gap)
     taus = poi.kernel_batch(p, lam, np.array([[xi]])).taus[0]
-    assert abs(taus[1] - taus[0]) / abs(taus[1]) < 2 * max(gap, 1e-8)
+    assert abs(taus[1] - taus[0]) / abs(taus[1]) < 2 * gap
     _check_sq_norms(p, lam, [xi], [1.0, 0.3 - 0.2j], r)
 
 
@@ -189,6 +191,37 @@ def test_sq_norms_without_data_read_exactly_zero():
     assert got.shape == (2, 3) and got[0, 0] > 0
     assert np.count_nonzero(got) == 1
     assert np.array_equal(batch.sq_norms(0.0, np.zeros((2, 1, 1)), 0), np.zeros((2, 3)))
+
+
+def _random_batch(m, rows, rng):
+    """A KernelBatch on ``rows`` random distinct rows: stable roots sorted by
+    increasing Im tau, some of them merging, and random coefficients."""
+    taus = rng.normal(size=(rows, m)) + 1j * rng.uniform(0.1, 3.0, (rows, m))
+    if m == 2:
+        merge = rng.random(rows) < 0.3
+        taus[merge, 1] = taus[merge, 0] * (1 + 1e-6 * rng.normal(size=merge.sum()))
+    taus = np.take_along_axis(taus, np.argsort(taus.imag, axis=1), axis=1)
+    coeff = rng.normal(size=(m, rows, m)) + 1j * rng.normal(size=(m, rows, m))
+    return poi.KernelBatch(taus=taus, coeff=coeff, first=np.arange(rows), shape=(rows,))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("rows", [65, 200])
+def test_a_row_of_sq_norms_and_eval_does_not_depend_on_its_batch(m, rows):
+    """On random rows, ``sq_norms`` and ``eval`` of a batch give each row
+    the bits of a one-row call, so a chunked or threaded sweep gives the
+    bits of the serial one."""
+    rng = np.random.default_rng(rows + m)
+    batch = _random_batch(m, rows, rng)
+    data = rng.normal(size=(m, rows)) + 1j * rng.normal(size=(m, rows))
+    x = np.array([0.0, 0.05, 0.7, 3.0])
+    for d in range(2):
+        norms, profiles = batch.sq_norms(0.5, data, d), batch.eval(x, data, d)
+        for q in range(rows):
+            one = poi.KernelBatch(taus=batch.taus[q:q + 1], coeff=batch.coeff[:, q:q + 1],
+                                  first=np.zeros(1, dtype=int), shape=(1,))
+            assert np.array_equal(one.sq_norms(0.5, data[:, q:q + 1], d), norms[q:q + 1])
+            assert np.array_equal(one.eval(x, data[:, q:q + 1], d), profiles[q:q + 1])
 
 
 def _deck_decay_sweeps():

@@ -7,7 +7,9 @@ independent references.
   polynomial taken exactly from the problem data, and the root-basis solve
   in that precision.  For the clamped problem at lambda = 4 and |xi'| up to
   3e4 the stable roots agree to 2e-9 relative; there the exponential root
-  basis loses up to 8 digits, and the Newton basis none.
+  basis loses up to 8 digits, and the Newton basis none.  The stable
+  roots' gap there against mpmath, to the rounding of the characteristic
+  row.
 * The general (m >= 3) evaluation path on m = 2 rows against divided
   differences taken in mpmath.
 * Stable roots that tie exactly against the confluent divided differences.
@@ -139,6 +141,24 @@ def test_clamped_kernel_where_the_roots_merge(xi):
     """Stable root gap 2 / xi'^2 relative at lambda = 4; x xi' = 0.01..3."""
     x = np.array([0.01, 0.1, 1.0, 3.0]) / xi
     assert _worst_kernel_error(hp.clamped_bilaplacian(), 4.0, [xi], x) <= 1e-13
+
+
+@pytest.mark.parametrize("xi", [1.0, 100.0])
+def test_clamped_root_gap_against_mpmath(xi):
+    """The stable roots' gap at lambda = 4 e^{0.5i}, relative, against
+    mpmath.  The characteristic row's ``c_0 = lambda + xi'^4`` is rounded
+    before any root is taken, which moves the gap by up to
+    ``eps xi'^4 / (4 |lambda|)`` relative (1.4e-9 at xi' = 100; 3.3e-10
+    measured); the quadratic formula in sigma = tau^2 adds a few eps.  The
+    eigenvalues of the companion in sigma read 1.0e-8 at xi' = 100."""
+    p, lam = hp.clamped_bilaplacian(), 4.0 * np.exp(0.5j)
+    taus = poi.kernel_batch(p, lam, np.array([[xi]])).taus[0]
+    with mp.workdps(50):
+        ref = sorted(_mp_stable_roots(p, lam, [xi]), key=lambda z: z.imag)
+        gap = taus[1] - taus[0]
+        err = float(abs(mp.mpc(gap.real, gap.imag) - (ref[1] - ref[0])) / abs(ref[1] - ref[0]))
+    eps = np.finfo(float).eps
+    assert err <= 2 * eps * xi ** 4 / (4 * abs(lam)) + 8 * eps
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))

@@ -19,6 +19,7 @@ def _load(name):
 
 artifact_diff = _load("artifact_diff")
 bench_pairs = _load("bench_pairs")
+_real_source = bench_pairs.source
 deck_hashes = _load("deck_hashes")
 gate_resolution = _load("gate_resolution")
 job_peaks = _load("job_peaks")
@@ -338,6 +339,12 @@ def test_gate_resolution_finds_the_singularity_tolerance(monkeypatch, tmp_path):
         assert all(0.1 - 1e-3 <= d <= 0.15 + 1e-3 for d in deltas.values()), deltas
 
 
+def _stub_source(monkeypatch):
+    """Replace the source identity of a tree: its directory name."""
+    monkeypatch.setattr(bench_pairs, "source",
+                        lambda tree: {"git_revision": None, "src_sha256": tree.name})
+
+
 def _stub_runs(monkeypatch, gain):
     """Replace the benchmark run: the change's ``jobs_per_s`` is the
     parent's times ``gain(pair)`` on a parent that drifts from pair to
@@ -357,6 +364,7 @@ def _stub_runs(monkeypatch, gain):
         metrics["job_s.p50"] = {"value": 1.0 / factor, "unit": "s"}
         return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    _stub_source(monkeypatch)
     return calls
 
 
@@ -468,6 +476,7 @@ def test_bench_pairs_flags_a_metric_the_parents_spread_cannot_resolve(monkeypatc
         metrics["jobs_per_s"] = {"value": 40.0 if change else 20.0 * swing, "unit": "1/s"}
         return {"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    _stub_source(monkeypatch)
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                              "--workload", "sweep", "--out", str(out)]) == 0
     metrics = json.loads(out.read_text())["workloads"]["sweep"]["metrics"]
@@ -480,6 +489,41 @@ def test_bench_pairs_flags_a_metric_the_parents_spread_cannot_resolve(monkeypatc
     lines = {line.split("\t")[1]: line for line in capsys.readouterr().out.splitlines()}
     assert lines["setup_s"].endswith("\tunresolved")
     assert lines["jobs_per_s"].endswith("\tresolved")
+
+
+def test_bench_pairs_records_the_source_each_side_ran(monkeypatch, tmp_path):
+    """Each side's ``source`` comes from that tree's own ``perfbench/run.py``
+    (here a stub that names its tree), once per workload run."""
+    for side in ("parent", "change"):
+        _write(tmp_path / side, "perfbench/run.py",
+               "def source_identity(root):\n"
+               "    return {'git_revision': None, 'src_sha256': root.name + '-digest'}\n")
+    _stub_runs(monkeypatch, lambda pair: 1.2)
+    monkeypatch.setattr(bench_pairs, "source", _real_source)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "sweep", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["workloads"]["sweep"]["source"] == {
+        "parent": {"git_revision": None, "src_sha256": "parent-digest"},
+        "change": {"git_revision": None, "src_sha256": "change-digest"}}
+
+
+def test_bench_pairs_source_is_the_benchmarks_source_identity():
+    """On this repository, the same revision and digest as the benchmark's
+    own ``source_identity`` gives."""
+    root = TOOLS.parent
+    sys.path.insert(0, str(root / "perfbench"))
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      root / "perfbench" / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.dont_write_bytecode = saved
+        sys.path.remove(str(root / "perfbench"))
+    assert bench_pairs.source(root) == run.source_identity(root)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -28,8 +28,12 @@ and not every change run is better than every parent run.  With
 their ratio, the parent's IQR and the change's wins, and ``met`` when the
 change is better in the median, ran at least ``CLAIM_PAIRS`` (10) pairs,
 won at least nine tenths of them and the gap exceeds the parent's IQR.
-Prints one line per metric.  Keys of ``--out`` that the tool does not
-write (a description of the change, a provenance ``note``) are kept.
+Each workload's entry also records, per side, the code that side ran
+(``source``): the tree's own ``perfbench/run.py`` ``source_identity``,
+that is the git revision when the tree is a checkout (else null) and the
+sha256 of its ``src/halfpoisson``, taken before the first pair.  Prints
+one line per metric.  Keys of ``--out`` that the tool does not write (a
+description of the change) are kept.
 """
 
 from __future__ import annotations
@@ -59,6 +63,16 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
                       "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def source(tree: Path) -> dict:
+    """``perfbench/run.py``'s ``source_identity`` of ``tree``, from the
+    tree's own copy: ``{"git_revision": ..., "src_sha256": ...}``."""
+    code = ("import json, sys; from pathlib import Path; sys.path.insert(0, 'perfbench'); "
+            "from run import source_identity; print(json.dumps(source_identity(Path.cwd())))")
+    done = subprocess.run([sys.executable, "-B", "-c", code], cwd=tree, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def used_seeds(directory: Path) -> set[int]:
@@ -150,6 +164,7 @@ def main(argv: list[str]) -> int:
     start = max(used_seeds(out.parent), default=0) + 1
     seeds = list(range(start, start + PAIRS))
     trees = dict(zip(SIDES, (args.a.resolve(), args.b.resolve())))
+    sources = {side: source(trees[side]) for side in SIDES}
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     first = []
     for i, seed in enumerate(seeds):
@@ -159,7 +174,7 @@ def main(argv: list[str]) -> int:
             runs[side].append(run_once(trees[side], spec["command"], args.workload, seed,
                                        spec["run_seconds"]))
     entry = {
-        "pairs": PAIRS, "seeds": seeds, "first": first,
+        "pairs": PAIRS, "seeds": seeds, "first": first, "source": sources,
         "all_runs_correct": all(r["correct"] for side in SIDES for r in runs[side]),
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
