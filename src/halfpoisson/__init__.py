@@ -44,7 +44,6 @@ from .poisson import (
     predicted_singularity_exponent,
     SweepResult,
     decay_sweep,
-    sweep_workers,
     singularity_sweep,
 )
 from .resolvent import (

@@ -666,7 +666,6 @@ def main(argv=None) -> int:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "seed": getattr(args, "seed", None),
             "thread_env": {var: os.environ.get(var) for var in _THREAD_VARS},
-            "workers": poi.sweep_workers(),
             "problem": getattr(args, "problem", None),
             "command": args.command,
             "gates": gates,

@@ -22,10 +22,10 @@ gives exactly.
 :func:`decay_sweep` takes the W^k_p(x^r; H^t_2) norm by that closed form at
 p = 2 and m <= 2, where Plancherel splits it into one such integral per
 mode, so it builds no normal grid; at p != 2 or m >= 3 it evaluates the
-profiles on a geometric normal grid and integrates them by quadrature.  A
-chunk of its sweep holds several lambda on the closed-form route, since one
-lambda leaves too little work outside the GIL to keep its threads busy, and
-one lambda on the grid route where the profiles would be large.
+profiles on a geometric normal grid and integrates them by quadrature.  It
+solves its lambda in chunks, one after another, and bounds each chunk's
+rows (lambda x datum mode), so that the memory it holds does not grow with
+the sample.
 
 The predicted exponents are
 
@@ -40,8 +40,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,7 +56,6 @@ __all__ = [
     "predicted_decay_exponent",
     "predicted_singularity_exponent",
     "decay_sweep",
-    "sweep_workers",
     "singularity_sweep",
     "SweepResult",
     "decay_rate",
@@ -337,28 +334,16 @@ def _fit_slopes(x: np.ndarray, norms: np.ndarray, predicted: float) -> SweepResu
     return SweepResult(x=x, norms=norms, slopes=slopes, predicted=predicted)
 
 
-# decay_sweep runs on one thread when the datum has fewer nonzero modes: a
-# lambda's work is then mostly interpreter time and small NumPy calls, which
-# hold the GIL, so threads only contend for it.  Two threads against one on
-# two CPUs, saturating datum, 65 lambda, medians of 9-11 runs (Dirichlet,
-# clamped): closed-form route at 16 modes 1.36x, 1.33x; 256: 1.02x, 0.84x;
-# 512: 1.09x, 0.85x; grid route, against one chunk of every lambda on one
-# thread, at 16 modes 7.7x, 6.4x; 256: 1.06x, 0.92x; 512: 0.61x, 0.66x
-_THREADED_MODES = 256
 # rows (lambda x datum mode) per chunk of decay_sweep's closed-form route: 4
-# lambda at 512 modes.  One lambda per chunk leaves the threads waiting on
-# the GIL: on two CPUs, two threads, the 512-mode bracket sweep took 79 ms
-# (Dirichlet) and 136 ms (clamped) at 1 lambda per chunk, 31 and 53 ms at 4,
-# 22 and 46 ms at 8, 18 and 42 ms at 13 (medians of 15); but 8 lambda raised
-# the peak resident set of the sweep deck by 3.8 MB (45.9 to 49.7 MB,
-# tools/job_times.py, seed 1)
+# lambda at 512 modes.  A chunk's batch and square integrals are the memory
+# the sweep holds: one chunk of all 65 lambda raised the peak resident set of
+# the sweep deck from 43.6 to 74.1 MB (tools/job_times.py, seed 1)
 _SWEEP_ROWS = 2048
-
-
-def sweep_workers() -> int:
-    """Threads that evaluate :func:`decay_sweep`'s lambda on a large grid,
-    the calling one included: one per CPU this process may run on."""
-    return len(os.sched_getaffinity(0))
+# rows per chunk of the grid route, whose profiles on every normal node are
+# the memory a chunk holds: one lambda from 256 datum modes on.  One chunk of
+# all 65 lambda peaked at 63 MB on 128 modes, 34 MB as 65 chunks on 256
+# (Neumann decay-sweep, p = 1.5, t = 1, r = 1.5)
+_GRID_ROWS = 256
 
 
 def decay_sweep(problem: ModelProblem, q: ExponentQuery,
@@ -377,29 +362,24 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
       ``I_l(xi') = int_0^inf |D_n^l u(xi', x)|^2 x^r dx``, which
       :meth:`KernelBatch.sq_norms` gives in closed form, so no normal grid
       is built.  A chunk holds up to ``_SWEEP_ROWS`` rows (lambda x datum
-      mode), several lambda per chunk, since a chunk of one lambda does too
-      little work outside the GIL to keep two threads busy;
+      mode);
     * p != 2 or m >= 3, where no closed form applies: the norm is taken on
       a normal grid that resolves the slowest decay of the sample, from
       one :meth:`KernelBatch.eval` per derivative order (the profiles are
-      exactly zero off the datum's modes and enter the norm so).  One chunk
-      holds every lambda below ``_THREADED_MODES`` nonzero modes, else one
-      lambda, whose profiles on every normal node are the memory a chunk
-      holds.
+      exactly zero off the datum's modes and enter the norm so).  A chunk
+      holds up to ``_GRID_ROWS`` rows, whose profiles on every normal node
+      are the memory a chunk holds.
 
-    Each chunk takes one kernel batch on the modes where g is nonzero, so
-    only those modes are built and checked.  Below ``_THREADED_MODES``
-    nonzero modes the chunks run on the calling thread, else on
-    :func:`sweep_workers` threads (a chunk's small NumPy calls hold the
-    GIL, so threads pay only where chunks are large).  Each
-    norm has its own slot, so no bit depends on the chunks or threads.
-    The first chunk to fail, in sample order, raises.
+    Either way a chunk holds at least one lambda, and the chunks run one
+    after another in sample order, each one kernel batch on the modes where
+    g is nonzero, so only those modes are built and checked.  Each norm has
+    its own slot, so no bit depends on the chunks.  The first chunk to fail
+    raises.
     """
     live = np.flatnonzero(np.ravel(g_hat))
     data = np.eye(problem.m)[:, q.j, None, None] * np.ravel(g_hat)[live]   # g on index j only
     mods = np.asarray(sample.moduli, dtype=float)
-    # the grid's cached arrays are formed here, not raced for by the threads
-    xi_modes, _ = tgrid.xi_modes, tgrid.xi_sq
+    xi_modes = tgrid.xi_modes
     support = xi_modes[live]
     lams = sample.points()
     norms = np.empty(len(lams))
@@ -412,7 +392,7 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
         return full
 
     if q.p == 2 and problem.m <= 2:
-        size = max(1, _SWEEP_ROWS // len(live))
+        rows = _SWEEP_ROWS
 
         def chunk_norms(batch):
             sq = [batch.sq_norms(q.r, data, l) for l in range(q.k + 1)]
@@ -423,7 +403,7 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
                           cmath.exp(1j * sample.rays[len(sample.rays) // 2]))
         xgrid = HalfLineGrid.for_decay(rate)
         x = xgrid.x
-        size = len(lams) if len(live) < _THREADED_MODES else 1
+        rows = _GRID_ROWS
 
         def chunk_norms(batch):
             chunk = [batch.eval(x, data, l) for l in range(q.k + 1)]
@@ -431,32 +411,10 @@ def decay_sweep(problem: ModelProblem, q: ExponentQuery,
                                        q.p, q.r, q.t, tgrid, xgrid)
                     for c in range(batch.shape[0])]
 
-    # the calling thread is one of the workers: each further thread brings
-    # its own malloc arena, whose freed pages stay resident
-    threads = 1 if len(live) < _THREADED_MODES else sweep_workers()
-    todo, failed = iter(range(0, len(lams), size)), {}
-
-    def drain():
-        # chunks are taken in sample order, and a chunk once taken is
-        # finished, so every chunk before the first failure is evaluated
-        for i in todo:
-            try:
-                # the batch is freed before the next chunk's
-                norms[i:i + size] = chunk_norms(kernel_batch(problem, lams[i:i + size],
-                                                             support))
-            except BaseException as err:   # stops every thread, re-raised below
-                failed[i] = err
-            if failed:
-                return
-
-    helpers = [threading.Thread(target=drain) for _ in range(threads - 1)]
-    for thread in helpers:
-        thread.start()
-    drain()
-    for thread in helpers:
-        thread.join()
-    if failed:
-        raise failed[min(failed)]
+    size = max(1, rows // max(len(live), 1))
+    for i in range(0, len(lams), size):
+        # the batch is freed before the next chunk's
+        norms[i:i + size] = chunk_norms(kernel_batch(problem, lams[i:i + size], support))
     return _fit_slopes(mods, norms.reshape(len(sample.rays), len(mods)),
                        predicted_decay_exponent(q, problem.m))
 

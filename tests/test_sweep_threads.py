@@ -1,23 +1,19 @@
-"""``decay_sweep`` solves its sector points in chunks of one kernel batch.
-At p = 2 and m <= 2 (the closed-form route) a chunk holds up to
-``_SWEEP_ROWS`` rows of lambda x datum mode; on the grid route (p != 2 or
-m >= 3) it holds every lambda when the datum has fewer than
-``_THREADED_MODES`` nonzero modes, whatever the size of its torus, and one
-lambda otherwise.  Below ``_THREADED_MODES`` nonzero modes the chunks run on
-the calling thread alone; otherwise on one thread per available CPU.
+"""``decay_sweep`` solves its sector points in chunks of one kernel batch,
+one chunk after another on the calling thread.  At p = 2 and m <= 2 (the
+closed-form route) a chunk holds up to ``_SWEEP_ROWS`` rows of lambda x
+datum mode, on the grid route (p != 2 or m >= 3) up to ``_GRID_ROWS``,
+whatever the size of the datum's torus, and at least one lambda.
 
-Each lambda's norm goes into its own slot, so neither the chunks nor the
-threads change a bit of the norms: they equal those of one serial loop over
-the sample, one kernel batch per lambda, ray by ray, whatever the number of
-threads, on either route.  The first chunk to fail, in sample order,
-raises, and no thread outlives the call.  On the grid route each chunk's
-profiles are freed before the next chunk's kernel batch.
+Each lambda's norm goes into its own slot, so the chunks do not change a
+bit of the norms: they equal those of one serial loop over the sample, one
+kernel batch per lambda, ray by ray, on either route.  The first chunk to
+fail, in sample order, raises, and no later chunk is solved.  On the grid
+route each chunk's profiles are freed before the next chunk's kernel batch.
 """
 
 import cmath
 import math
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -89,9 +85,9 @@ def _full_datum(N):
     return tg, (1.0 + tg.xi_sq) ** -1.0 + 0j
 
 
-# modes of the grids that run on one thread and, under a datum on every
-# mode, on several
-SMALL, LARGE = 16, poi._THREADED_MODES
+# modes of a small grid, and of the grid on which a grid-route chunk holds
+# one lambda under a datum on every mode
+SMALL, LARGE = 16, poi._GRID_ROWS
 CASES = {
     "dirichlet": (hp.dirichlet_laplacian, {}),
     "neumann": (hp.neumann_laplacian, {"k": 1, "r": 1.5}),
@@ -109,10 +105,10 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_threads_give_the_bits_of_the_serial_loop(name, monkeypatch):
-    """Bracket-active sweeps run on two threads, the others, whose datum
-    has one mode (16 x 16 modes at n = 3), on one."""
-    monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
+def test_threads_give_the_bits_of_the_serial_loop(name):
+    """Bracket-active sweeps, under the saturating datum on every mode of
+    the large grid, take several chunks; the others, whose datum has one
+    mode (16 x 16 modes at n = 3), one."""
     make, keys = CASES[name]
     p = make()
     q = poi.ExponentQuery.for_problem(p, **{"k": 0, "p": 2.0, "r": 0.0, "t": 0.0,
@@ -164,88 +160,75 @@ def test_batch_on_the_datums_modes_gives_the_bits_of_the_whole_torus(name, monke
     assert np.array_equal(got.norms.ravel(), want)
 
 
-def test_threads_only_on_large_grids(monkeypatch):
-    """Under a datum on every mode of the large grid the first two chunks
-    wait for each other, which takes two threads; on the small one every
-    chunk runs on the caller."""
+@pytest.mark.parametrize("exponent", [2.0, 1.5])
+def test_every_chunk_runs_on_the_caller(exponent, monkeypatch):
+    """Under a datum on every mode of the large grid both routes take
+    several chunks, and each chunk's kernel batch is solved on the calling
+    thread."""
     p = hp.dirichlet_laplacian()
-    q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
-    monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
-    lams = _sample().points()
-    size = poi._SWEEP_ROWS // LARGE
-    assert size < len(lams)
-    first_two = lams[[0, size]]      # the first lambda of the first two chunks
-    meet = threading.Barrier(2, timeout=10)
-    real, seen, large = poi.kernel_batch, set(), []
+    q = poi.ExponentQuery.for_problem(p, k=0, p=exponent, r=0.0, t=0.0, s=0.0, j=0)
+    real, seen = poi.kernel_batch, []
 
     def recorded(problem, lam, xi_modes):
-        seen.add(threading.get_ident())
-        if large and np.atleast_1d(lam)[0] in first_two:
-            meet.wait()
+        seen.append(threading.get_ident())
         return real(problem, lam, xi_modes)
     monkeypatch.setattr(poi, "kernel_batch", recorded)
-    tg, g = _unit_datum(1, SMALL)
-    poi.decay_sweep(p, q, _sample(), g, tg)
-    assert seen == {threading.get_ident()}
-    large.append(True)
     tg, g = _full_datum(LARGE)
     poi.decay_sweep(p, q, _sample(), g, tg)
-    assert len(seen) == 2
+    assert len(seen) > 1
+    assert set(seen) == {threading.get_ident()}
 
 
-def test_thread_count_does_not_change_the_norms(monkeypatch):
-    p = hp.neumann_laplacian()
-    q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
-    tg, g = _full_datum(LARGE)
-    runs = []
-    for workers in (1, 3):
-        monkeypatch.setattr(poi, "sweep_workers", lambda: workers)
-        runs.append(poi.decay_sweep(p, q, _sample(), g, tg).norms)
-    assert np.array_equal(runs[0], runs[1])
+@pytest.mark.parametrize("exponent", [2.0, 1.5])
+def test_a_zero_datum_gives_zero_norms(exponent):
+    p = hp.dirichlet_laplacian()
+    q = poi.ExponentQuery.for_problem(p, k=0, p=exponent, r=0.0, t=0.0, s=0.0, j=0)
+    tg, _ = _full_datum(SMALL)
+    got = poi.decay_sweep(p, q, _sample(), np.zeros(tg.n_modes, dtype=complex), tg)
+    assert not got.norms.any()
 
 
 def test_first_failure_in_sample_order_raises_and_no_thread_survives(monkeypatch):
-    """A lambda of the first chunk fails late, one of the second at once,
-    so the second chunk fails first in time; the message names the first
-    all the same."""
+    """A lambda of the first chunk and one of the second fail; the message
+    names the first, and the second chunk is never solved."""
     p = hp.dirichlet_laplacian()
     q = poi.ExponentQuery.for_problem(p, k=0, p=2.0, r=0.0, t=0.0, s=0.0, j=0)
-    monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
     tg, g = _full_datum(LARGE)
     sample = _sample()
     size = poi._SWEEP_ROWS // LARGE
-    late, early = sample.points()[[2, size + 1]]
-    real = poi.kernel_batch
+    first, second = sample.points()[[2, size + 1]]
+    real, calls = poi.kernel_batch, []
 
     def failing(problem, lam, xi_modes):
-        if late in np.atleast_1d(lam):
-            time.sleep(0.2)
-            raise ValueError(f"failed at lambda={late}")
-        if early in np.atleast_1d(lam):
-            raise ValueError(f"failed at lambda={early}")
+        calls.append(lam)
+        for bad in (first, second):
+            if bad in np.atleast_1d(lam):
+                raise ValueError(f"failed at lambda={bad}")
         return real(problem, lam, xi_modes)
 
     monkeypatch.setattr(poi, "kernel_batch", failing)
     threads = threading.active_count()
     with pytest.raises(ValueError, match="failed at") as err:
         poi.decay_sweep(p, q, sample, g, tg)
-    assert str(err.value) == f"failed at lambda={late}"
+    assert str(err.value) == f"failed at lambda={first}"
+    assert len(calls) == 1
     assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("datum", [lambda: _unit_datum(1, SMALL),
                                    lambda: _unit_datum(1, LARGE),
-                                   lambda: _full_datum(LARGE)],
-                         ids=["small", "sparse", "large"])
+                                   lambda: _full_datum(LARGE),
+                                   lambda: _full_datum(LARGE // 2)],
+                         ids=["small", "sparse", "large", "half"])
 def test_one_kernel_batch_per_chunk(datum, monkeypatch):
     """At p = 2 a datum on one mode takes one batch for the whole sample,
     on the small grid and on the large one alike, and a datum on every mode
-    of the large grid one per ``_SWEEP_ROWS`` rows.  At p = 1.5
-    ``decay_rate`` takes one batch first; then a datum on one mode takes
-    one for the whole sample, and a datum on every mode of the large grid
-    one per lambda."""
+    of a larger grid one per ``_SWEEP_ROWS`` rows (8 lambda at 256 modes,
+    16 at 128).  At p = 1.5 ``decay_rate`` takes one batch first; then a
+    datum on one mode takes one for the whole sample, and a datum on every
+    mode of a larger grid one per ``_GRID_ROWS`` rows (1 lambda at 256
+    modes, 2 at 128)."""
     p = hp.dirichlet_laplacian()
-    monkeypatch.setattr(poi, "sweep_workers", lambda: 2)
     real, sizes = poi.kernel_batch, []
 
     def counted(problem, lam, xi_modes):
@@ -255,23 +238,24 @@ def test_one_kernel_batch_per_chunk(datum, monkeypatch):
     tg, g = datum()
     sample = _sample()
     lams = len(sample.points())
-    per_chunk = poi._SWEEP_ROWS // np.count_nonzero(g)
-    chunks = [min(per_chunk, lams - i) for i in range(0, lams, per_chunk)]
-    for exponent, want in ((2.0, chunks),
-                           (1.5, [1] * (lams + 1) if np.all(g) else [1, lams])):
+
+    def chunks(rows):
+        per_chunk = max(1, rows // np.count_nonzero(g))
+        return [min(per_chunk, lams - i) for i in range(0, lams, per_chunk)]
+    for exponent, want in ((2.0, chunks(poi._SWEEP_ROWS)),
+                           (1.5, [1] + chunks(poi._GRID_ROWS))):
         q = poi.ExponentQuery.for_problem(p, k=0, p=exponent, r=0.0, t=0.0, s=0.0, j=0)
         sizes.clear()
         poi.decay_sweep(p, q, sample, g, tg)
         assert sizes == want
 
 
-def test_each_chunks_profiles_are_freed_before_the_next(monkeypatch):
-    """On one thread the grid route's 256-mode saturating sweep at p = 1.5
-    has a traced peak of 1.642-1.646 profiles (a profile: the complex values
-    on every mode and normal node); at p = 2, before that sweep took the
-    closed-form route, it read 1.638-1.642.  A profile kept alive into the
-    next chunk's kernel batch adds a whole one (2.56)."""
-    monkeypatch.setattr(poi, "sweep_workers", lambda: 1)
+def test_each_chunks_profiles_are_freed_before_the_next():
+    """The grid route's 256-mode saturating sweep at p = 1.5 has a traced
+    peak of 1.642-1.646 profiles (a profile: the complex values on every
+    mode and normal node); at p = 2, before that sweep took the closed-form
+    route, it read 1.638-1.642.  A profile kept alive into the next chunk's
+    kernel batch adds a whole one (2.56)."""
     p = hp.neumann_laplacian()
     q = poi.ExponentQuery.for_problem(p, k=0, p=1.5, r=0.0, t=1.0, s=0.0, j=0)
     sample = _sample()
