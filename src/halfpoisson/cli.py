@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import companion as comp
 from . import model as mdl
 from . import parabolic as pb
 from . import poisson as poi
@@ -215,8 +216,9 @@ def cmd_check_ls(out, problem=None, *, n_moduli=8, n_rays=5) -> list:
                                "lambda": [ls.worst_point[1].real, ls.worst_point[1].imag]},
             "ls_condition_number": ls.condition_number,
         })
-        # strict, as ls.passed: check_lopatinskii_shapiro's threshold
-        gates.append(("ls_min_singular_value", ls.min_singular_value, "gt", 1e-8))
+        # strict, at the threshold of ls.passed and kernel_batch
+        gates.append(("ls_min_singular_value", ls.min_singular_value, "gt",
+                      comp._LS_TOL))
     _write_json(out / "check_ls.json", report)
     return gates
 
@@ -227,10 +229,11 @@ def cmd_poisson_eval(out, problem=None, *, lambda_=4.0 + 1.0j, j=0, N_x=16,
     _check_nonzero("lambda", lambda_)
     tgrid = _tgrid(problem.n - 1, N_x)
     q = tgrid.mode_index(xi0)
-    xgrid = HalfLineGrid.for_decay(poi.decay_rate(problem, lambda_))
+    batch = poi.kernel_batch(problem, lambda_, tgrid.xi_modes)
+    # row 0 is xi' = 0, the slowest decay, with the bits of any batch's row
+    xgrid = HalfLineGrid.for_decay(float(batch.taus[0].imag.min()))
     data = np.zeros((problem.m, tgrid.n_modes), dtype=complex)
     data[j, q] = 1.0
-    batch = poi.kernel_batch(problem, lambda_, tgrid.xi_modes)
     u = batch.eval(xgrid.x, data)
     live = np.flatnonzero(np.any(u, axis=1))
     _write_csv(out / "poisson_eval.csv", {

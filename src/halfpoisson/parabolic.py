@@ -17,7 +17,8 @@ shifted boundary data, and
 
     v2(t) = S(t)[u0 - v1(0)]
 
-with S the semigroup of A_B - sigma (contour quadrature).
+with S the semigroup of A_B - sigma (contour quadrature).  Both parts always
+run: the kernel layer alone skips rows without data (``KernelBatch.eval``).
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
 
     ``u0``: (modes, N) initial state on the modes ``xi_modes``; ``g``: (m,
     N_t + 1, modes) boundary data sampled at the times T k / N_t, k = 0..N_t,
-    with N_t a power of two (zero data are a zeros array, and skip the
-    whole-line solve: v1 is then exactly zero).  Returns u at ``out_times``.
+    with N_t a power of two.  Returns u at ``out_times``.  Both parts always
+    run: zero data give exact zeros (``KernelBatch.eval`` skips dataless rows).
     """
     u0 = np.asarray(u0, dtype=complex).reshape(-1, ugrid.N)
     g = np.asarray(g, dtype=complex)
@@ -146,15 +147,11 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
     N_t = g.shape[1] - 1
     # built first: it rejects an N_t that is not a power of two
     tgrid_t = TangentialGrid(n_axes=1, N=4 * N_t, L=4.0 * T)
-    if np.any(g):
-        t_closed = T * np.arange(N_t + 1) / N_t
-        shifted = np.moveaxis(g * np.exp(-_SHIFT * t_closed)[:, None], 1, 0)
-        v1_at = parabolic_boundary_solve(
-            problem, np.moveaxis(extend_time_data(shifted), 0, 1), _SHIFT, tgrid_t,
-            xi_modes, ugrid.x).at_time
-    else:   # zero data: v1 is exactly zero, with no kernel batch to build
-        def v1_at(t):
-            return 0.0
+    t_closed = T * np.arange(N_t + 1) / N_t
+    shifted = np.moveaxis(g * np.exp(-_SHIFT * t_closed)[:, None], 1, 0)
+    v1_at = parabolic_boundary_solve(
+        problem, np.moveaxis(extend_time_data(shifted), 0, 1), _SHIFT, tgrid_t,
+        xi_modes, ugrid.x).at_time
 
     # compatibility report: tr B_j u0 vs g_j(0)
     g_0 = g[:, 0]
@@ -166,8 +163,6 @@ def ibvp_solve(problem: mdl.ModelProblem, u0: np.ndarray, g, T: float,
     w0 = u0 - v1_at(0.0)
     values = np.zeros((len(out_times),) + u0.shape, dtype=complex)
     for i, t in enumerate(out_times):
-        v = np.zeros_like(w0)
-        if np.any(w0):
-            v = math.exp(-_SHIFT * t) * semigroup_apply(problem, w0, t, xi_modes, ugrid)
+        v = math.exp(-_SHIFT * t) * semigroup_apply(problem, w0, t, xi_modes, ugrid)
         values[i] = math.exp(_SHIFT * t) * (v + v1_at(t))
     return IbvpSolution(values=values, compatibility_defect=defect)

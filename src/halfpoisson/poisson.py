@@ -13,7 +13,7 @@ Every stage runs batched over the rows, through the three stages of
 :mod:`halfpoisson.companion`.  The Newton basis stays accurate where stable
 roots merge, as they do for |xi'| large against |lambda|^{1/(2m)}, so there is
 one route for every row.  Rows with byte-identical inputs, as the rows at xi'
-and -xi' of a symmetric problem have, are solved and evaluated once.
+and -xi' of a symmetric problem have, are solved once.
 :meth:`KernelBatch.sq_norms` integrates ``|sum_j D_n^d Poi_j g_j|^2 x^r``
 over the half-line in closed form instead (m <= 2): each profile is a short
 sum of exponentials, whose Gram matrix :func:`halfpoisson.companion.gram`
@@ -127,7 +127,10 @@ class KernelBatch:
 
     ``taus`` and ``coeff`` hold every row.  ``first[q]`` is the first row
     whose inputs are bitwise those of row q (see :func:`kernel_batch`), so
-    rows with equal ``first`` carry the same bits.
+    rows with equal ``first`` carry the same bits.  The batch alone decides
+    which rows are evaluated: both methods skip the rows whose data all
+    vanish, :meth:`eval` takes each distinct (row, data) pair once, and
+    :meth:`sq_norms` every row with data.
     """
 
     taus: np.ndarray       # (N, m) stable roots, increasing Im
@@ -176,22 +179,19 @@ class KernelBatch:
         F of :func:`~halfpoisson.companion.propagate`, so its square integral
         is ``w^T G conj(w)`` with the Gram matrix G of
         :func:`~halfpoisson.companion.gram`: exact, on no grid.  A pair
-        whose data all vanish is exactly zero; the others run once per
-        distinct (kernel row, data column) pair.
+        whose data all vanish is exactly zero; every other pair is
+        evaluated, as its result is one float.
         """
         data, live = self._live(data)
-
-        def quadratic_form(taus, data, coeff):
-            w = np.einsum("jq,jqk,qki->qi", data, coeff, comp._basis_coeffs(taus, deriv_order))
+        out = np.zeros(len(self.first))
+        if live.size:
+            taus, m = self.taus[live], len(self.coeff)
+            w = np.einsum("jq,jqk,qki->qi", data[:, live], self.coeff[:, live],
+                          comp._basis_coeffs(taus, deriv_order))
             # summed term by term: an einsum over (a, b) may order its sum by
             # the batch's shape, so a row's bits would depend on its batch
             terms = (w[:, :, None] * comp.gram(taus, r) * w.conj()[:, None, :]).real
-            m = w.shape[1]
-            return sum(terms[:, a, b] for a in range(m) for b in range(m))
-
-        out = np.zeros(len(self.first))
-        if live.size:
-            out[live] = self._per_pair(data[:, live], live, quadratic_form)
+            out[live] = sum(terms[:, a, b] for a in range(m) for b in range(m))
         return out.reshape(self.shape)
 
     def _live(self, data):

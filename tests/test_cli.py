@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from halfpoisson import cli
+from halfpoisson import companion as comp
 from halfpoisson import poisson as poi
+from halfpoisson.grids import HalfLineGrid
 from halfpoisson.model import (BUNDLED, clamped_bilaplacian, dirichlet_laplacian,
                                problem_to_json)
 from test_batching import _ls_violating_laplacian
@@ -478,6 +480,28 @@ class TestCheckLs:
         code = run(["check-ls", "--problem", path, "--out", tmp_path / "out"])
         assert code == cli.EXIT_TOLERANCE
 
+    def test_gate_bound_is_the_kernel_layers_ls_threshold(self, tmp_path, monkeypatch):
+        """The gate reads ``companion._LS_TOL``, the threshold of
+        ``kernel_batch`` and ``LopatinskiiReport.passed``: raised above the
+        Dirichlet Laplacian's measure, the run exits 2 on that gate."""
+        monkeypatch.setattr(comp, "_LS_TOL", 2.0)
+        out = tmp_path / "out"
+        assert run(["check-ls", "--out", out]) == cli.EXIT_TOLERANCE
+        gates = json.loads((out / "metadata.json").read_text())["gates"]
+        assert [(g["name"], g["bound"]) for g in gates if not g["passed"]] == [
+            ("ls_min_singular_value", 2.0)]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the 5-ray x 8-modulus sample misses the thin failure set lambda = "
+        "3 xi_1^2: ls_min_singular_value reads 0.0144 at xi' = 4, "
+        "lambda = 51.79, and the run exits 0"))
+    def test_thin_ls_failure_set_fails_tolerance(self, tmp_path):
+        """-Delta with B = D_n - 2i D_1 violates LS on lambda = 3 xi_1^2."""
+        problem = tmp_path / "ls_violating.json"
+        problem.write_text(problem_to_json(_ls_violating_laplacian()))
+        code = run(["check-ls", "--problem", problem, "--out", tmp_path / "out"])
+        assert code == cli.EXIT_TOLERANCE
+
     @pytest.mark.parametrize("name", sorted(BUNDLED))
     def test_worst_point_is_written_as_numbers(self, name, tmp_path):
         out = tmp_path / "out"
@@ -690,6 +714,25 @@ class TestSolverCommands:
         assert run(["poisson-eval", "--out", out]) == cli.EXIT_OK
         rep = json.loads((out / "poisson_eval.json").read_text())
         assert rep["boundary_reproduction_defect"] <= 1e-8
+
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_poisson_eval_builds_one_kernel_batch(self, name, tmp_path, monkeypatch):
+        """The normal grid is sized from the batch's row 0, xi' = 0, with the
+        bits of ``decay_rate``'s own batch there: no second batch is built."""
+        real, calls = poi.kernel_batch, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(poi, "kernel_batch", counted)
+        out = tmp_path / "out"
+        assert run(["poisson-eval", "--problem", name, "--out", out]) == cli.EXIT_OK
+        assert len(calls) == 1
+        monkeypatch.undo()
+        x = HalfLineGrid.for_decay(poi.decay_rate(BUNDLED[name](), 4.0 + 1.0j)).x
+        with open(out / "poisson_eval.csv", newline="") as fh:
+            x_n = [float(row["x_n"]) for row in csv.DictReader(fh)]
+        assert np.array_equal(np.unique(x_n), x)
 
     def test_hardy_norm(self, tmp_path):
         out = tmp_path / "out"

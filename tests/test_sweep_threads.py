@@ -250,6 +250,25 @@ def test_one_kernel_batch_per_chunk(datum, monkeypatch):
         assert sizes == want
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_a_closed_form_chunk_keys_its_rows_once(k, monkeypatch):
+    """At p = 2 each chunk's rows are keyed by their bytes once, in its
+    kernel batch: ``sq_norms`` evaluates every row with data, so no
+    derivative order keys them again.  A datum on every mode of the large
+    grid takes two chunks, whose rows at xi' and -xi' repeat."""
+    p = hp.dirichlet_laplacian()
+    q = poi.ExponentQuery.for_problem(p, k=k, p=2.0, r=1.5, t=0.0, s=0.0, j=0)
+    calls = {"kernel_batch": 0, "_distinct_rows": 0}
+    for name in calls:
+        def counted(*args, real=getattr(poi, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(poi, name, counted)
+    tg, g = _full_datum(LARGE)
+    poi.decay_sweep(p, q, _sample(), g, tg)
+    assert calls == {"kernel_batch": 2, "_distinct_rows": 2}
+
+
 def test_each_chunks_profiles_are_freed_before_the_next():
     """The grid route's 256-mode saturating sweep at p = 1.5 has a traced
     peak of 1.642-1.646 profiles (a profile: the complex values on every

@@ -118,9 +118,9 @@ def test_job_times_ends_with_each_trees_sum_of_job_medians(monkeypatch, capsys):
     # A: j1 (1, 2, 3), j2 (3, 5, 0.5), sums (4, 7, 3.5); B: j1 (1, 4, 3),
     # j2 (2, 1, 1), sums (3, 5, 4); faults A: j1 (10, 30, 2), j2 (0, 1, 3),
     # B: j1 (0, 20, 2), j2 (5, 2, 5)
-    assert rows[1] == ["j1", "2.0000", "3.0000", "1.500", "0/3", "10", "2"]
-    assert rows[-2] == ["ru_maxrss_mb", "50.0000", "40.0000", "0.800", "3/3"]
-    assert rows[-1] == ["deck_s", "5.0000", "4.0000", "0.800", "2/3", "11", "7"]
+    assert rows[1] == ["j1", "2.000000", "3.000000", "1.500", "0/3", "10", "2"]
+    assert rows[-2] == ["ru_maxrss_mb", "50.000000", "40.000000", "0.800", "3/3"]
+    assert rows[-1] == ["deck_s", "5.000000", "4.000000", "0.800", "2/3", "11", "7"]
 
 
 def test_job_times_warms_up_on_each_kind_of_the_whole_deck(monkeypatch):

@@ -10,9 +10,9 @@ exit 2.  Three kinds of patch make a wrong claim:
 * a wrong kernel route: ``kernel_batch`` hands back the kernels of the
   other boundary condition (Neumann for Dirichlet and back), or
   ``KernelBatch.eval`` drops the Poisson correction (returns zero);
-* a wrong estimate: ``spaces.hardy_norm`` times the factor ``delta``, or
-  an R-bounded Rademacher family in ``rbound-sim``, every member the first
-  member's image.
+* a wrong estimate: ``spaces.hardy_norm`` or ``spaces.mixed_lifting_check``
+  times the factor ``delta``, or an R-bounded Rademacher family in
+  ``rbound-sim``, every member the first member's image.
 
 A row that a gate accepts today is a known miss: it carries
 ``xfail(strict=True)`` and the figure the run measures under the wrong
@@ -41,6 +41,7 @@ DECAY = "predicted_decay_exponent"
 OTHER_CONDITION = "other_condition_kernels"
 NO_CORRECTION = "no_poisson_correction"
 HARDY_FACTOR = "hardy_norm_factor"
+LIFT_FACTOR = "mixed_lifting_check_factor"
 CONSTANT_FAMILY = "constant_family"
 # the commands that evaluate Poisson kernels, one claim each
 KERNEL_COMMANDS = ("poisson-eval", "resolvent-test", "semigroup-test", "ibvp-solve",
@@ -57,6 +58,7 @@ GATE_HIT = {
     "ibvp-solve": "boundary_trace_dev",
     "parabolic-solve": "single_mode_dev",
     "hardy-norm": "refined_rel_err_vs_pi",
+    "norm-check": "C_lifting",
     "rbound-sim": "ratio_growth",
 }
 
@@ -93,6 +95,11 @@ def _hardy_factor(monkeypatch, delta):
     monkeypatch.setattr(sp, "hardy_norm", lambda *args: delta * exact(*args))
 
 
+def _lift_factor(monkeypatch, delta):
+    exact = sp.mixed_lifting_check
+    monkeypatch.setattr(sp, "mixed_lifting_check", lambda *args: delta * exact(*args))
+
+
 def _constant_family(monkeypatch, delta):
     # every T_l x_l is T_1 x_1: the ratio cannot grow with the family size
     exact = rb.RademacherTrial
@@ -102,7 +109,8 @@ def _constant_family(monkeypatch, delta):
 
 PATCHES = {SINGULARITY: _shifted(SINGULARITY), DECAY: _shifted(DECAY),
            OTHER_CONDITION: _other_condition, NO_CORRECTION: _no_correction,
-           HARDY_FACTOR: _hardy_factor, CONSTANT_FAMILY: _constant_family}
+           HARDY_FACTOR: _hardy_factor, LIFT_FACTOR: _lift_factor,
+           CONSTANT_FAMILY: _constant_family}
 
 
 def _miss(row, why):
@@ -148,6 +156,11 @@ ROWS = (
     + [_miss(("hardy-norm", None, {}, HARDY_FACTOR, f),
              f"the 2 % tolerance accepts a norm times {f} (estimate {est:.4f})")
        for f, est in ((1.01, 3.1505), (0.99, 3.0881))]
+    # the lifting ratio lies in [1, 2^{t/2}] = [1, 2] at t = 2 for any data,
+    # so the bound 4 cannot fail unless the ratio is off by more than 2x
+    + [_miss(("norm-check", None, {}, LIFT_FACTOR, f),
+             f"the bound 4 accepts a lifting ratio times {f} (C_lifting {c:.2f})")
+       for f, c in ((2.0, 2.33), (3.0, 3.49))]
     # p = 1.2, where the true family grows 1.860x; the family that cannot
     # grow reads 1.000x against the 1.5x gate
     + [("rbound-sim", None, {}, CONSTANT_FAMILY, None)]
